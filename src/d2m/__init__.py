@@ -63,7 +63,6 @@ from .nanomodel import (
     train_toy,
 )
 from .search import (
-    CandidateBlock,
     SweepCell,
     block_score,
     is_valid_block,

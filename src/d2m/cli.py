@@ -67,6 +67,10 @@ class MissingInput(D2mError):
     """A declared input file does not exist."""
 
 
+class CorruptManifest(D2mError):
+    """A run directory's manifest.json is not a stage manifest."""
+
+
 # --- stage manifest ---------------------------------------------------------------
 
 
@@ -86,9 +90,18 @@ class PipelineRun:
         self.path = run_dir / "manifest.json"
 
     def _load(self) -> dict:
-        if self.path.exists():
-            return json.loads(self.path.read_text(encoding="utf-8"))
-        return {"stages": {}}
+        if not self.path.exists():
+            return {"stages": {}}
+        try:
+            data = json.loads(self.path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise CorruptManifest(f"{self.path} is not valid JSON: {exc}") from exc
+        stages = data.get("stages") if isinstance(data, dict) else None
+        if not isinstance(stages, dict) or not all(
+                isinstance(stage, dict) and isinstance(stage.get("outputs", {}), dict)
+                for stage in stages.values()):
+            raise CorruptManifest(f"{self.path} has no \"stages\" object of stage records")
+        return data
 
     def _rel(self, path: str | Path) -> str:
         return os.path.relpath(Path(path).resolve(), self.run_dir.resolve())
@@ -135,10 +148,11 @@ def _record(args, stage: str, inputs: list[str | Path], outputs: list[str | Path
 def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
     entries = []
     for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise InvalidConfig(f"--redundant expects base:offset:noise, got {spec!r}")
-        entries.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            base, offset, noise = spec.split(":")
+            entries.append((int(base), int(offset), float(noise)))
+        except ValueError as exc:  # wrong field count or a non-number
+            raise InvalidConfig(f"--redundant expects base:offset:noise, got {spec!r}") from exc
     return entries
 
 
@@ -192,7 +206,7 @@ def cmd_synth(args) -> int:
 def cmd_analyze(args) -> int:
     _require_inputs(args, [args.trace])
     trace = read_trace(args.trace)
-    matrices = similarity.build_matrices(trace, jobs=args.jobs)
+    matrices = similarity.build_matrices(trace)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = similarity.export_heatmap(matrices, out_dir)
@@ -204,27 +218,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_list(text: str, cast=float) -> list:
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise InvalidConfig(f"bad grid {text!r}: {exc}") from exc
+        raise InvalidConfig(f"bad list {text!r}: {exc}") from exc
     if not values:
-        raise InvalidConfig(f"grid {text!r} is empty")
+        raise InvalidConfig(f"list {text!r} is empty")
     return values
 
 
 def cmd_search(args) -> int:
     _require_inputs(args, [args.matrices])
     matrices = similarity.read_matrices(args.matrices)
-    block_sizes = tuple(int(v) for v in args.block_sizes.split(","))
+    block_sizes = tuple(_parse_list(args.block_sizes, int))
 
     if args.sweep:
         if not args.delta_grid or not args.epsilon_grid or not args.sweep_out:
             raise InvalidConfig("--sweep requires --delta-grid, --epsilon-grid, --sweep-out")
         cells = threshold_sweep(
-            matrices, _parse_grid(args.delta_grid), _parse_grid(args.epsilon_grid),
-            score_penalty=args.score_penalty, block_sizes=block_sizes, jobs=args.jobs)
+            matrices, _parse_list(args.delta_grid), _parse_list(args.epsilon_grid),
+            score_penalty=args.score_penalty, block_sizes=block_sizes)
         write_sweep_csv(cells, args.sweep_out)
         _record(args, "search", [args.matrices], [args.sweep_out])
         print(f"wrote {args.sweep_out} ({len(cells)} cells)")
@@ -247,8 +261,7 @@ def cmd_fuse(args) -> int:
     model = read_weights(args.model)
     plan = plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
     fused, provenance = surgery.fuse(model, plan, base_copies=args.base_copies,
-                                     supp_copies=args.supp_copies, top_k=args.top_k,
-                                     router_init_seed=args.seed)
+                                     supp_copies=args.supp_copies, top_k=args.top_k)
     surgery.verify_fusion(model, fused, plan, provenance)
     write_weights(fused, args.out)
     Path(args.provenance_out).write_text(surgery.provenance_to_json(provenance),
@@ -379,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="similarity matrices and heatmap CSVs from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     add_run_dir(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -394,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-grid", default=None)
     p.add_argument("--epsilon-grid", default=None)
     p.add_argument("--sweep-out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     add_run_dir(p)
     p.set_defaults(func=cmd_search)
 
@@ -404,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-copies", type=int, required=True)
     p.add_argument("--supp-copies", type=int, required=True)
     p.add_argument("--top-k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance-out", required=True)
     add_run_dir(p)
@@ -459,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (VerificationFailure, NonFiniteActivation, NonFiniteGradient,
-            DivergenceDetected, StaleArtifact) as exc:
+            DivergenceDetected, StaleArtifact, CorruptManifest) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except IoFailure as exc:

@@ -175,11 +175,6 @@ def mlp_apply(mlp: GluMlp, x: np.ndarray) -> np.ndarray:
     return (silu(x @ mlp.up) * (x @ mlp.gate)) @ mlp.down
 
 
-def _head_rms(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    ms = np.mean(x * x, axis=-1, keepdims=True)
-    return x / np.sqrt(ms + RMS_EPS) * scale
-
-
 def attention_forward(attn: AttentionParams, x: np.ndarray) -> np.ndarray:
     """Causal grouped-query attention over one sequence."""
     seq_len = x.shape[0]
@@ -187,8 +182,8 @@ def attention_forward(attn: AttentionParams, x: np.ndarray) -> np.ndarray:
     q = (z @ attn.q).reshape(seq_len, attn.n_heads, attn.head_dim)
     k = (z @ attn.k).reshape(seq_len, attn.n_kv_heads, attn.head_dim)
     v = (z @ attn.v).reshape(seq_len, attn.n_kv_heads, attn.head_dim)
-    q = _head_rms(q, attn.q_norm)
-    k = _head_rms(k, attn.k_norm)
+    q = rms_norm(q, attn.q_norm)
+    k = rms_norm(k, attn.k_norm)
     group = attn.n_heads // attn.n_kv_heads
     k = np.repeat(k, group, axis=1)
     v = np.repeat(v, group, axis=1)
@@ -368,14 +363,6 @@ def dense_forward(container: WeightContainer, x: np.ndarray) -> tuple[np.ndarray
         raise DimensionMismatch("dense_forward requires a model without MoE layers")
     state, trace, _ = forward_trace(container, x)
     return state, trace
-
-
-def head_logits(container: WeightContainer, final_state: np.ndarray) -> np.ndarray:
-    """Final norm plus (tied or untied) LM head."""
-    f = rms_norm(final_state, container.tensors["final_norm"])
-    if container.shape.tied_embedding:
-        return f @ container.tensors["embed"].T
-    return f @ container.tensors["lm_head"]
 
 
 # --- load balancing ---------------------------------------------------------------

@@ -67,13 +67,13 @@ def norm_mismatch(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(na - nb) / nb))
 
 
-def build_matrices(trace: ActivationTrace, jobs: int = 1) -> SimilarityMatrices:
+def build_matrices(trace: ActivationTrace) -> SimilarityMatrices:
     """Compute all pairwise statistics of a trace.
 
     Output cosine comes from the per-layer outputs, MLP cosine and the norm
     mismatch from the MLP-input states; the mismatch denominator for a pair
-    is the later layer's per-token norm. ``jobs > 1`` computes the three
-    matrices concurrently (the heavy einsums release the GIL).
+    is the later layer's per-token norm. Each cosine matrix is one Gram
+    matrix ``U @ U.T / T`` of the unit-normalised states viewed as (L, T*d).
     """
     num_layers = trace.num_layers
     seq_len = trace.seq_len
@@ -81,15 +81,14 @@ def build_matrices(trace: ActivationTrace, jobs: int = 1) -> SimilarityMatrices:
     def cosine_matrix(mats: tuple[np.ndarray, ...], label: str) -> np.ndarray:
         stack = np.stack(mats)
         norms = np.linalg.norm(stack, axis=2)
-        for idx in range(num_layers):
-            zero = np.nonzero(norms[idx] == 0.0)[0]
-            if zero.size:
-                raise ZeroVector(
-                    f"{label} layer {idx + 1} has zero-norm token row at index {int(zero[0])}"
-                )
-        units = stack / norms[:, :, None]
-        cos = np.einsum("itd,jtd->ij", units, units) / seq_len
-        return np.clip(cos, -1.0, 1.0)
+        zero = np.argwhere(norms == 0.0)
+        if zero.size:
+            layer, token = zero[0]
+            raise ZeroVector(
+                f"{label} layer {layer + 1} has zero-norm token row at index {token}"
+            )
+        units = (stack / norms[:, :, None]).reshape(num_layers, -1)
+        return np.clip(units @ units.T / seq_len, -1.0, 1.0)
 
     def norm_matrix() -> np.ndarray:
         h_norms = np.linalg.norm(np.stack(trace.mlp_inputs), axis=2)
@@ -101,15 +100,6 @@ def build_matrices(trace: ActivationTrace, jobs: int = 1) -> SimilarityMatrices:
         upper = np.triu(pairwise, k=1)
         return upper + upper.T
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            f_out = pool.submit(cosine_matrix, trace.layer_outputs, "layer_outputs")
-            f_mlp = pool.submit(cosine_matrix, trace.mlp_inputs, "mlp_inputs")
-            f_delta = pool.submit(norm_matrix)
-            return SimilarityMatrices(s_out=f_out.result(), s_mlp=f_mlp.result(),
-                                      delta_norm=f_delta.result())
     return SimilarityMatrices(s_out=cosine_matrix(trace.layer_outputs, "layer_outputs"),
                               s_mlp=cosine_matrix(trace.mlp_inputs, "mlp_inputs"),
                               delta_norm=norm_matrix())
@@ -134,14 +124,9 @@ def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[st
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out}: {exc}") from exc
-    paths = {
-        "s_out": out / "s_out.csv",
-        "s_mlp": out / "s_mlp.csv",
-        "delta_norm": out / "delta_norm.csv",
-    }
-    _write_matrix_csv(matrices.s_out, paths["s_out"])
-    _write_matrix_csv(matrices.s_mlp, paths["s_mlp"])
-    _write_matrix_csv(matrices.delta_norm, paths["delta_norm"])
+    paths = {name: out / f"{name}.csv" for name in ("s_out", "s_mlp", "delta_norm")}
+    for name, path in paths.items():
+        _write_matrix_csv(getattr(matrices, name), path)
     return paths
 
 
@@ -167,7 +152,7 @@ def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
 def read_matrices(path: str | Path) -> SimilarityMatrices:
     import struct
 
-    from .errors import BadMagic, TruncatedPayload, VersionMismatch
+    from .errors import BadMagic, NonFiniteValue, TruncatedPayload, VersionMismatch
 
     try:
         raw = Path(path).read_bytes()
@@ -183,14 +168,9 @@ def read_matrices(path: str | Path) -> SimilarityMatrices:
     need = 12 + 3 * num_layers * num_layers * 8
     if len(raw) < need:
         raise TruncatedPayload(f"matrices cache needs {need} bytes, has {len(raw)}")
-    mats = []
-    offset = 12
-    for _ in range(3):
-        size = num_layers * num_layers * 8
-        mats.append(
-            np.frombuffer(raw[offset:offset + size], dtype="<f8")
-            .astype(np.float64)
-            .reshape(num_layers, num_layers)
-        )
-        offset += size
-    return SimilarityMatrices(s_out=mats[0], s_mlp=mats[1], delta_norm=mats[2])
+    mats = (np.frombuffer(raw, dtype="<f8", count=3 * num_layers * num_layers, offset=12)
+            .astype(np.float64).reshape(3, num_layers, num_layers))
+    for name, mat in zip(("s_out", "s_mlp", "delta_norm"), mats):
+        if not np.isfinite(mat).all():
+            raise NonFiniteValue(f"matrices cache {name} contains non-finite values")
+    return SimilarityMatrices(*mats)

@@ -55,15 +55,13 @@ class FusionReport:
 
 
 def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
-         supp_copies: int, top_k: int, router_init_seed: int = 0,
-         ) -> tuple[WeightContainer, ExpertProvenance]:
+         supp_copies: int, top_k: int) -> tuple[WeightContainer, ExpertProvenance]:
     """Apply a fusion plan to a dense container.
 
     Kept layers appear in their original order under new 1-based indices;
-    every block base becomes a MoE layer with N = K + n*M experts. The
-    ``router_init_seed`` argument is accepted for interface stability but
-    unused: routers are zero-initialized, the least-biased start for the
-    balancing loss. Pure function of its arguments.
+    every block base becomes a MoE layer with N = K + n*M experts. Routers
+    are zero-initialized, the least-biased start for the balancing loss.
+    Pure function of its arguments.
     """
     validate_container(container)
     if container.moe_layers:

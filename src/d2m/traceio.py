@@ -27,6 +27,7 @@ from .config import ModelShape, shape_from_dict, shape_to_dict, validate_shape
 from .errors import (
     BadMagic,
     DimensionMismatch,
+    FormatError,
     InvalidConfig,
     InvalidTrace,
     IoFailure,
@@ -352,9 +353,16 @@ def _container_meta(doc: Mapping[str, Any]) -> tuple[ModelShape, dict[int, int]]
     return shape, moe_layers
 
 
+def _check_finite(tensors: Mapping[str, np.ndarray]) -> None:
+    for name, tensor in tensors.items():
+        if not np.isfinite(tensor).all():
+            raise NonFiniteValue(f"tensor {name!r} contains non-finite values")
+
+
 def write_weights(container: WeightContainer, destination) -> int:
-    """Serialize a validated container; returns the number of bytes emitted."""
+    """Serialize a validated, finite container; returns the number of bytes emitted."""
     validate_container(container)
+    _check_finite(container.tensors)
     config = json.dumps(_container_doc(container), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     stream, owned = _as_sink(destination)
@@ -376,7 +384,7 @@ def write_weights(container: WeightContainer, destination) -> int:
 
 
 def read_weights(source) -> WeightContainer:
-    """Deserialize and re-validate a weight container."""
+    """Deserialize and re-validate a weight container, rejecting non-finite values."""
     stream, owned = _as_source(source)
     try:
         _check_header(stream, WEIGHTS_MAGIC)
@@ -396,7 +404,10 @@ def read_weights(source) -> WeightContainer:
             if len(head) < 4:
                 raise TruncatedPayload("dangling bytes where a name length was expected")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(stream, name_len, "tensor name").decode("utf-8")
+            try:
+                name = _read_exact(stream, name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"tensor name is not UTF-8: {exc}") from exc
             ndim = _read_u32(stream, f"ndim of {name!r}")
             if ndim < 1 or ndim > 8:
                 raise TruncatedPayload(f"implausible ndim {ndim} for tensor {name!r}")
@@ -406,6 +417,7 @@ def read_weights(source) -> WeightContainer:
             if name in tensors:
                 raise DimensionMismatch(f"duplicate tensor {name!r} in stream")
             tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+        _check_finite(tensors)
         return validate_container(WeightContainer(shape=shape, tensors=tensors,
                                                   moe_layers=moe_layers))
     finally:

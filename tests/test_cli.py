@@ -2,6 +2,7 @@
 exit codes, and the run-directory manifest."""
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -108,11 +109,38 @@ class TestSearchCommand:
         code = main(["search", "--matrices", str(out["analysis"] / "matrices.d2ms"),
                      "--sweep", "--delta-grid", "0.001,0.005,0.01,0.05,0.1",
                      "--epsilon-grid", "0.01,0.02,0.05,0.1,0.2",
-                     "--sweep-out", str(sweep), "--jobs", "2"])
+                     "--sweep-out", str(sweep)])
         assert code == 0
         lines = sweep.read_text().strip().splitlines()
         assert lines[0] == "delta,epsilon,pruned_count"
         assert len(lines) == 26
+
+    def test_non_integer_block_size_exits_2(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path)
+        code = main(["search", "--matrices", str(out["analysis"] / "matrices.d2ms"),
+                     "--delta", "0.05", "--epsilon", "0.1", "--block-sizes", "1,x",
+                     "--plan-out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "1,x" in capsys.readouterr().err
+
+    def test_non_finite_matrices_exit_2(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path)
+        cache = out["analysis"] / "matrices.d2ms"
+        raw = bytearray(cache.read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))
+        cache.write_bytes(raw)
+        code = main(["search", "--matrices", str(cache), "--delta", "0.05",
+                     "--epsilon", "0.1", "--plan-out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
+
+class TestSynth:
+    def test_non_integer_redundant_spec_exits_2(self, tmp_path, capsys):
+        code = main(["synth", "--out-dir", str(tmp_path), "--redundant", "a:1:0"])
+        assert code == 2
+        assert "a:1:0" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -250,3 +278,23 @@ class TestManifest:
         trace.write_bytes(raw)
         assert main(["analyze", "--trace", str(trace), "--out-dir", str(analysis),
                      "--run-dir", str(run_dir)]) == 4
+
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b"\xff\xfe",
+        b"[]",
+        b"{}",
+        b'{"stages": []}',
+        b'{"stages": {"synth": 1}}',
+        b'{"stages": {"synth": {"outputs": []}}}',
+    ])
+    def test_corrupt_manifest_exits_4(self, tmp_path, capsys, content):
+        run_dir = tmp_path / "run"
+        synth_dir = run_dir / "synth"
+        assert main(["synth", "--out-dir", str(synth_dir), "--seed", "1",
+                     "--layers", "3", "--hidden", "16", "--seq-len", "8"]) == 0
+        run_dir.joinpath("manifest.json").write_bytes(content)
+        code = main(["analyze", "--trace", str(synth_dir / "trace.d2mt"),
+                     "--out-dir", str(run_dir / "analysis"), "--run-dir", str(run_dir)])
+        assert code == 4
+        assert "manifest.json" in capsys.readouterr().err

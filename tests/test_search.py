@@ -3,6 +3,8 @@ threshold-sweep behaviour and depth selection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2m.config import FusionBlock, SearchThresholds, validate_plan
 from d2m.errors import DepthUnreachable, IndexOutOfRange
@@ -76,6 +78,36 @@ def random_matrices(rng, num_layers, quantize=False):
         np.fill_diagonal(s_out, 1.0)
         np.fill_diagonal(s_mlp, 1.0)
     return SimilarityMatrices(s_out=s_out, s_mlp=s_mlp, delta_norm=gap)
+
+
+# Thresholds of the property test, and value grids that put matrix entries
+# exactly on every cosine bar 1 - delta and every norm tolerance epsilon.
+GRID_DELTAS = (0.0, 0.05, 0.1, 0.5)
+GRID_EPSILONS = (0.0, 0.05, 0.1, 0.5)
+GRID_COSINES = (1.0, 0.99, *(1.0 - d for d in GRID_DELTAS[1:]), 0.3, float("nan"))
+GRID_GAPS = (*GRID_EPSILONS, 0.02, float("nan"))
+
+
+@st.composite
+def grid_matrices(draw):
+    num_layers = draw(st.integers(1, 7))
+
+    def symmetric(grid):
+        # a few values per matrix make equal scores common, which exercises
+        # the base, then size tie-break
+        palette = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3, unique=True))
+        cells = num_layers * num_layers
+        values = draw(st.lists(st.sampled_from(palette), min_size=cells, max_size=cells))
+        m = np.array(values).reshape(num_layers, num_layers)
+        return np.triu(m) + np.triu(m, 1).T
+
+    return SimilarityMatrices(s_out=symmetric(GRID_COSINES), s_mlp=symmetric(GRID_COSINES),
+                              delta_norm=symmetric(GRID_GAPS))
+
+
+def as_reference(plan):
+    return (list(plan.keep_layers), sorted(plan.prune_layers),
+            {b.base: list(b.redundant) for b in plan.blocks})
 
 
 class TestBlockPredicates:
@@ -170,6 +202,26 @@ class TestSearch:
             assert {b.base: list(b.redundant) for b in plan.blocks} == mapping
             validate_plan(plan, num_layers)
 
+    @settings(max_examples=300)
+    @given(mats=grid_matrices(), lam=st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+           sizes=st.sets(st.integers(1, 4), min_size=1))
+    def test_search_and_sweep_equal_reference_at_bars_and_nan(self, mats, lam, sizes):
+        lists = (mats.s_out.tolist(), mats.s_mlp.tolist(), mats.delta_norm.tolist())
+        cells = threshold_sweep(mats, GRID_DELTAS, GRID_EPSILONS, score_penalty=lam,
+                                block_sizes=tuple(sizes))
+        assert [(c.cos_threshold, c.norm_tolerance) for c in cells] == \
+            [(d, e) for d in GRID_DELTAS for e in GRID_EPSILONS]
+        for cell in cells:
+            expected = reference_search(*lists, cell.cos_threshold, cell.norm_tolerance,
+                                        lam, sizes)
+            assert as_reference(cell.plan) == expected
+            assert cell.pruned_count == len(expected[1])
+            if 0.0 < cell.cos_threshold and 0.0 < cell.norm_tolerance:
+                plan = search(mats, SearchThresholds(
+                    cos_threshold=cell.cos_threshold, norm_tolerance=cell.norm_tolerance,
+                    score_penalty=lam, block_sizes=tuple(sorted(sizes))))
+                assert plan == cell.plan
+
     def test_accepted_blocks_are_valid_and_replay_consistent(self):
         rng = np.random.default_rng(77)
         mats = random_matrices(rng, 9)
@@ -252,13 +304,6 @@ class TestThresholdSweep:
         for e_lo, e_hi in zip(epsilons, epsilons[1:]):
             for d in deltas:
                 assert grid[(d, e_lo)] <= grid[(d, e_hi)]
-
-    def test_jobs_parallelism_matches_serial(self):
-        mats = self.fixture_matrices()
-        serial = threshold_sweep(mats, [0.001, 0.01], [0.01, 0.1])
-        parallel = threshold_sweep(mats, [0.001, 0.01], [0.01, 0.1], jobs=4)
-        assert [(c.cos_threshold, c.norm_tolerance, c.pruned_count) for c in serial] == \
-            [(c.cos_threshold, c.norm_tolerance, c.pruned_count) for c in parallel]
 
     def test_sweep_csv(self, tmp_path):
         cells = threshold_sweep(self.fixture_matrices(), [0.001, 0.01], [0.01])

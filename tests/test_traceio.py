@@ -11,6 +11,7 @@ from d2m.config import ModelShape, MoEShape
 from d2m.errors import (
     BadMagic,
     DimensionMismatch,
+    FormatError,
     IoFailure,
     MissingTensor,
     NonFiniteValue,
@@ -196,6 +197,34 @@ class TestWeightsFormat:
         clipped = buf.getvalue()[:-9]
         with pytest.raises(TruncatedPayload):
             read_weights(io.BytesIO(clipped))
+
+    def test_write_rejects_non_finite_before_writing(self):
+        container = build_toy_container(TOY_SHAPE, seed=3)
+        container.tensors["layer.1.mlp.up"][0, 0] = np.nan
+        buf = io.BytesIO()
+        with pytest.raises(NonFiniteValue, match="layer.1.mlp.up"):
+            write_weights(container, buf)
+        assert buf.getvalue() == b""
+
+    def test_read_rejects_non_finite(self):
+        container = build_toy_container(TOY_SHAPE, seed=3)
+        buf = io.BytesIO()
+        write_weights(container, buf)
+        raw = bytearray(buf.getvalue())
+        last = list(container.tensors)[-1]
+        raw[-4:] = struct.pack("<f", float("nan"))
+        with pytest.raises(NonFiniteValue, match=last):
+            read_weights(io.BytesIO(raw))
+
+    def test_non_utf8_tensor_name_is_format_error(self):
+        container = build_toy_container(TOY_SHAPE, seed=3)
+        buf = io.BytesIO()
+        write_weights(container, buf)
+        raw = bytearray(buf.getvalue())
+        (config_len,) = struct.unpack("<I", raw[8:12])
+        raw[12 + config_len + 4] = 0xFF  # first byte of the first tensor name
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_weights(io.BytesIO(raw))
 
     def test_schema_matches_memory_accounting(self):
         schema = tensor_schema(TOY_SHAPE)
