@@ -28,7 +28,7 @@ from .config import (
     SearchThresholds,
     THOR_U,
     load_config,
-    plan_from_json,
+    load_plan,
     plan_to_json,
     validate_thresholds,
 )
@@ -39,6 +39,7 @@ from .errors import (
     IoFailure,
     NonFiniteActivation,
     NonFiniteGradient,
+    OutOfRange,
     VerificationFailure,
 )
 from .nanomodel import (
@@ -259,7 +260,7 @@ def cmd_search(args) -> int:
 def cmd_fuse(args) -> int:
     _require_inputs(args, [args.model, args.plan])
     model = read_weights(args.model)
-    plan = plan_from_json(Path(args.plan).read_text(encoding="utf-8"))
+    plan = load_plan(args.plan)
     fused, provenance = surgery.fuse(model, plan, base_copies=args.base_copies,
                                      supp_copies=args.supp_copies, top_k=args.top_k)
     surgery.verify_fusion(model, fused, plan, provenance)
@@ -324,6 +325,10 @@ def cmd_pareto(args) -> int:
 def cmd_diagnose(args) -> int:
     _require_inputs(args, [args.log])
     log = train_log_from_csv(args.log)
+    rows = len(log.steps)
+    if not -rows <= args.row < rows:
+        raise OutOfRange(f"--row {args.row} outside {-rows}..{rows - 1} "
+                         f"for a log of {rows} rows")
     row = log.steps[args.row]
     # the log stores load fractions, not raw assignments, so build the
     # profile directly instead of re-counting

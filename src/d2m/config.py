@@ -9,6 +9,7 @@ functions so that deliberately broken values can be constructed in tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -177,13 +178,19 @@ def validate_workload(wl: Workload) -> Workload:
     return wl
 
 
+def validate_score_penalty(score_penalty: float) -> float:
+    if not (math.isfinite(score_penalty) and score_penalty >= 0):
+        raise InvalidConfig(
+            f"thresholds.score_penalty must be finite and non-negative, got {score_penalty}")
+    return score_penalty
+
+
 def validate_thresholds(th: SearchThresholds) -> SearchThresholds:
     if not 0.0 < th.cos_threshold < 1.0:
         raise InvalidConfig("thresholds.cos_threshold must lie in (0, 1)")
     if not 0.0 < th.norm_tolerance < 1.0:
         raise InvalidConfig("thresholds.norm_tolerance must lie in (0, 1)")
-    if th.score_penalty < 0:
-        raise InvalidConfig("thresholds.score_penalty must be non-negative")
+    validate_score_penalty(th.score_penalty)
     if not th.block_sizes:
         raise InvalidConfig("thresholds.block_sizes must be non-empty")
     if any((not isinstance(n, int)) or n < 1 for n in th.block_sizes):
@@ -276,6 +283,14 @@ def plan_from_json(text: str) -> FusionPlan:
     except json.JSONDecodeError as exc:
         raise InvalidPlan(f"plan is not valid JSON: {exc}") from exc
     return plan_from_dict(doc)
+
+
+def load_plan(path: str | Path) -> FusionPlan:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidPlan(f"plan {path} is not UTF-8 text: {exc}") from exc
+    return plan_from_json(text)
 
 
 # --- pipeline configuration file ----------------------------------------------
@@ -385,7 +400,7 @@ def parse_config(doc: Mapping[str, Any]) -> PipelineConfig:
 def load_config(path: str | Path) -> PipelineConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)

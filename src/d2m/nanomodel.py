@@ -574,6 +574,9 @@ def build_toy_moe_layer(hidden_dim: int, mlp_dim: int, n_experts: int, seed: int
 def make_copy_stream(vocab_size: int, seq_len: int, num_sequences: int,
                      seed: int) -> np.ndarray:
     """Random token sequences for the copy task (target equals input)."""
+    if vocab_size < 1 or seq_len < 1 or num_sequences < 1:
+        raise OutOfRange(f"copy stream needs positive vocab_size, seq_len and num_sequences, "
+                         f"got {vocab_size}, {seq_len}, {num_sequences}")
     rng = np.random.default_rng(seed)
     return rng.integers(0, vocab_size, size=(num_sequences, seq_len), dtype=np.int64)
 
@@ -619,6 +622,8 @@ def train_log_from_csv(source) -> TrainLog:
             rows = list(csv.reader(source))
     except OSError as exc:
         raise IoFailure(f"cannot read training log: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"training log {source} is not UTF-8 text: {exc}") from exc
     if not rows or not rows[0][:3] == ["step", "task_loss", "lb_loss"]:
         raise InvalidConfig("not a training log CSV (bad header)")
     log = TrainLog()
@@ -650,8 +655,11 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
     """Full-batch SGD on router and expert weights of a fused toy model.
 
     Supports models whose single MoE layer sits last in the stack, so exact
-    gradients never have to cross an attention module. Every step processes
-    the whole stream; loads are pooled top-1 fractions over all its tokens.
+    gradients never have to cross an attention module. Nothing upstream of the
+    router is trained, so each sequence's routing input (embedding, dense
+    layers, MoE attention) is computed once; every step then routes the whole
+    stream through the experts, and loads are pooled top-1 fractions over all
+    its tokens.
     The logged lb_loss is the unweighted balance term (alpha scales it in the
     training objective only). When ``data`` is None a default copy-task
     stream is synthesized from ``seed``.
@@ -659,6 +667,10 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
     validate_container(container)
     if steps < 1:
         raise OutOfRange("steps must be at least 1")
+    if not math.isfinite(lr):
+        raise InvalidConfig(f"lr must be finite, got {lr}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidConfig(f"alpha must be finite and non-negative, got {alpha}")
     num_layers = container.shape.num_layers
     if list(container.moe_layers) != [num_layers]:
         raise UnsupportedTopology(
@@ -685,6 +697,13 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
     num_seqs, seq_len = data.shape
     positions = sinusoid_positions(seq_len, shape.hidden_dim, scale=POSITION_SCALE)
     total_tokens = num_seqs * seq_len
+    # the frozen prefix: routing inputs stay fixed while router and experts train
+    routing_inputs = []
+    for seq in data:
+        state = embed[seq] + positions
+        for layer in layers[:-1]:
+            _, state = dense_layer_forward(layer, state)
+        routing_inputs.append(pre_mlp_state(moe_layer, state))
 
     log = TrainLog()
     for step in range(1, steps + 1):
@@ -696,12 +715,8 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
         task_loss = 0.0
         top1_counts = np.zeros(n_experts)
         prob_sums = np.zeros(n_experts)
-        lb_router_inputs = []
-        for seq in data:
-            state = embed[seq] + positions
-            for layer in layers[:-1]:
-                _, state = dense_layer_forward(layer, state)
-            h = pre_mlp_state(moe_layer, state)
+        step_probs = []
+        for seq, h in zip(data, routing_inputs):
             y, record, cache = _moe_from_h(moe_layer, h)
             if shape.tied_embedding:
                 logits = rms_norm(y, final_norm) @ head.T
@@ -720,7 +735,7 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
             winners = np.argmax(record.probabilities, axis=1)
             top1_counts += np.bincount(winners, minlength=n_experts)
             prob_sums += record.probabilities.sum(axis=0)
-            lb_router_inputs.append((h, record.probabilities))
+            step_probs.append(record.probabilities)
 
         loads = top1_counts / total_tokens
         mean_probs = prob_sums / total_tokens
@@ -728,7 +743,7 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
         if alpha:
             # balance gradient with pooled assignment fractions held constant
             d_probs_row = alpha * n_experts * loads / total_tokens
-            for h, probs in lb_router_inputs:
+            for h, probs in zip(routing_inputs, step_probs):
                 d_probs = np.broadcast_to(d_probs_row, probs.shape)
                 inner = np.einsum("tn,tn->t", d_probs, probs)
                 d_logits_r = probs * (d_probs - inner[:, None])

@@ -18,7 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import FusionBlock, FusionPlan, SearchThresholds, validate_plan, validate_thresholds
+from .config import (
+    FusionBlock,
+    FusionPlan,
+    SearchThresholds,
+    validate_plan,
+    validate_score_penalty,
+    validate_thresholds,
+)
 from .errors import DepthUnreachable, IndexOutOfRange, IoFailure
 from .similarity import SimilarityMatrices
 
@@ -147,6 +154,7 @@ def threshold_sweep(matrices: SimilarityMatrices,
     """
     if not len(cos_grid) or not len(norm_grid):
         raise IndexOutOfRange("sweep grids must be non-empty")
+    validate_score_penalty(score_penalty)
     table = _block_table(matrices, score_penalty, block_sizes)
     cells = []
     for d in cos_grid:

@@ -105,6 +105,8 @@ def read_candidates_csv(source) -> list[CandidateEvaluation]:
             rows = [r for r in csv.reader(source) if r and not r[0].startswith("#")]
     except OSError as exc:
         raise IoFailure(f"cannot read candidates: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"candidates {source} are not UTF-8 text: {exc}") from exc
     if not rows or [c.strip() for c in rows[0][:4]] != _HEADER[:4]:
         raise InvalidConfig("candidate CSV must start with header "
                             "config_id,depth,latency_ms,score[,reward]")

@@ -135,6 +135,45 @@ class TestSearchCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("mode, penalty", [
+        ("sweep", "-1"), ("sweep", "nan"), ("plan", "nan"), ("plan", "inf"),
+    ])
+    def test_bad_score_penalty_exits_2(self, tmp_path, capsys, mode, penalty):
+        out = run_pipeline(tmp_path)
+        argv = ["search", "--matrices", str(out["analysis"] / "matrices.d2ms"),
+                "--score-penalty", penalty]
+        if mode == "sweep":
+            argv += ["--sweep", "--delta-grid", "0.05", "--epsilon-grid", "0.1",
+                     "--sweep-out", str(tmp_path / "s.csv")]
+        else:
+            argv += ["--delta", "0.05", "--epsilon", "0.1", "--plan-out", str(tmp_path / "p.json")]
+        assert main(argv) == 2
+        assert "score_penalty" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "p.json").exists()
+
+
+class TestNonUtf8Inputs:
+    @pytest.mark.parametrize("stage", ["fuse", "estimate", "pareto", "diagnose"])
+    def test_exits_2_naming_file(self, tmp_path, capsys, stage):
+        bad = tmp_path / "not_utf8.txt"
+        bad.write_bytes(b"\xff\xfe")
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--layers", "3", "--hidden", "16",
+                     "--seq-len", "8"]) == 0
+        argv = {
+            "fuse": ["fuse", "--model", str(synth / "model.d2mw"), "--plan", str(bad),
+                     "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                     "--out", str(tmp_path / "f.d2mw"), "--provenance-out", str(tmp_path / "p")],
+            "estimate": ["estimate", "--config", str(bad), "--out", str(tmp_path / "c.json")],
+            "pareto": ["pareto", "--candidates", str(bad), "--base-latency", "100",
+                       "--w", "-0.15", "--rewards-out", str(tmp_path / "r.csv"),
+                       "--frontier-out", str(tmp_path / "f.csv")],
+            "diagnose": ["diagnose", "--log", str(bad), "--out", str(tmp_path / "w.csv")],
+        }[stage]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "not_utf8.txt" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_non_integer_redundant_spec_exits_2(self, tmp_path, capsys):
@@ -255,6 +294,33 @@ class TestTrainAndDiagnose:
                          "--model-out", str(tmp_path / (name + ".d2mw"))]) == 0
             logs.append((tmp_path / name).read_bytes())
         assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--alpha", "nan"), ("--alpha", "inf"),
+        ("--seq-len", "-3"), ("--sequences", "-1"),
+    ])
+    def test_bad_train_flag_exits_2(self, tmp_path, capsys, flag, value):
+        out = run_pipeline(tmp_path)
+        code = main(["train-toy", "--model", str(out["fused"]), "--steps", "2",
+                     "--seq-len", "8", "--sequences", "2", flag, value,
+                     "--log-out", str(out["log"]), "--model-out", str(out["trained"])])
+        assert code == 2
+        assert "non-finite at step" not in capsys.readouterr().err
+        assert not out["log"].exists() and not out["trained"].exists()
+
+    def test_diagnose_row_range(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path)
+        assert main(["train-toy", "--model", str(out["fused"]), "--steps", "3",
+                     "--seq-len", "8", "--sequences", "2",
+                     "--log-out", str(out["log"]), "--model-out", str(out["trained"])]) == 0
+        assert main(["diagnose", "--log", str(out["log"]), "--row", "-3",
+                     "--out", str(out["wta"])]) == 0
+        capsys.readouterr()
+        for row in ("3", "9999", "-4"):
+            assert main(["diagnose", "--log", str(out["log"]), "--row", row,
+                         "--out", str(tmp_path / "bad.csv")]) == 2
+            assert "-3..2" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
 
 
 class TestManifest:

@@ -132,6 +132,12 @@ class TestThresholds:
         with pytest.raises(InvalidConfig):
             validate_thresholds(SearchThresholds(cos_threshold=delta, norm_tolerance=0.1))
 
+    @pytest.mark.parametrize("penalty", [-1.0, float("nan"), float("inf")])
+    def test_score_penalty_finite_non_negative(self, penalty):
+        with pytest.raises(InvalidConfig, match="score_penalty"):
+            validate_thresholds(SearchThresholds(cos_threshold=0.05, norm_tolerance=0.1,
+                                                 score_penalty=penalty))
+
 
 class TestConfigDocument:
     def doc(self):

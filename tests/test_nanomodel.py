@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import d2m.nanomodel as nano
 from d2m.config import ModelShape, RouterConfig, FusionPlan, FusionBlock
@@ -13,6 +15,7 @@ from d2m.errors import (
     DimensionMismatch,
     DivergenceDetected,
     EmptyRecord,
+    InvalidConfig,
     NonFiniteActivation,
     OutOfRange,
     UnsupportedTopology,
@@ -521,3 +524,138 @@ class TestTrainToy:
         assert [s.step for s in back.steps] == [1, 2, 3, 4]
         assert back.steps[-1].task_loss == pytest.approx(log.steps[-1].task_loss, rel=1e-12)
         assert back.steps[-1].loads == pytest.approx(log.steps[-1].loads, rel=1e-9)
+
+
+def train_toy_oracle(container, data, steps, lr, alpha):
+    """Reference trainer that reruns the frozen prefix (embedding, dense
+    layers, MoE attention) for every sequence on every step, with the same
+    accumulation order as train_toy."""
+    work = nano.copy_container(container)
+    shape = work.shape
+    router_config = RouterConfig(aux_loss_weight=alpha)
+    layers = layers_of(work, router_config)
+    moe_layer = layers[-1]
+    n_experts = len(moe_layer.experts)
+    embed = work.tensors["embed"]
+    final_norm = work.tensors["final_norm"]
+    head = embed if shape.tied_embedding else work.tensors["lm_head"]
+    num_seqs, seq_len = data.shape
+    positions = nano.sinusoid_positions(seq_len, shape.hidden_dim, scale=nano.POSITION_SCALE)
+    total_tokens = num_seqs * seq_len
+    log = nano.TrainLog()
+    for step in range(1, steps + 1):
+        router_grad = np.zeros_like(moe_layer.router)
+        expert_grads = [(np.zeros_like(m.up), np.zeros_like(m.gate), np.zeros_like(m.down))
+                        for m in moe_layer.experts]
+        task_loss = 0.0
+        top1_counts = np.zeros(n_experts)
+        prob_sums = np.zeros(n_experts)
+        lb_router_inputs = []
+        for seq in data:
+            state = embed[seq] + positions
+            for layer in layers[:-1]:
+                _, state = nano.dense_layer_forward(layer, state)
+            h = nano.pre_mlp_state(moe_layer, state)
+            y, record, cache = nano._moe_from_h(moe_layer, h)
+            logits = nano.rms_norm(y, final_norm) @ (head.T if shape.tied_embedding else head)
+            seq_loss, d_logits = nano._softmax_xent(logits, seq)
+            task_loss += seq_loss / num_seqs
+            d_logits = d_logits / num_seqs
+            d_final = d_logits @ head if shape.tied_embedding else d_logits @ head.T
+            d_y = nano.rms_norm_input_grad(y, final_norm, d_final)
+            grads = moe_param_grads(moe_layer, h, record, cache, d_y, lb_alpha=0.0)
+            router_grad += grads.router
+            for e in range(n_experts):
+                for acc, g in zip(expert_grads[e], grads.experts[e]):
+                    acc += g
+            top1_counts += np.bincount(np.argmax(record.probabilities, axis=1),
+                                       minlength=n_experts)
+            prob_sums += record.probabilities.sum(axis=0)
+            lb_router_inputs.append((h, record.probabilities))
+        loads = top1_counts / total_tokens
+        lb_raw = n_experts * float(loads @ (prob_sums / total_tokens))
+        if alpha:
+            d_probs_row = alpha * n_experts * loads / total_tokens
+            for h, probs in lb_router_inputs:
+                d_probs = np.broadcast_to(d_probs_row, probs.shape)
+                inner = np.einsum("tn,tn->t", d_probs, probs)
+                router_grad += h.T @ (probs * (d_probs - inner[:, None])) / router_config.temperature
+        log.steps.append(nano.TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,
+                                        loads=tuple(loads)))
+        moe_layer.router[...] -= lr * router_grad
+        for e, mlp in enumerate(moe_layer.experts):
+            mlp.up[...] -= lr * expert_grads[e][0]
+            mlp.gate[...] -= lr * expert_grads[e][1]
+            mlp.down[...] -= lr * expert_grads[e][2]
+    return log, work
+
+
+def fused_last_layer(num_layers, seed, tied=True, copies=(2, 2), top_k=1, router_scale=0.0):
+    """A toy model whose last layer is fused into its predecessor's MoE layer."""
+    shape = ModelShape(num_layers=num_layers, hidden_dim=8, mlp_dim=12, num_heads=2,
+                       num_kv_heads=1, head_dim=4, vocab_size=16, tied_embedding=tied)
+    dense = build_toy_container(shape, seed=seed, weight_scale=0.3)
+    base = num_layers - 1
+    plan = FusionPlan(keep_layers=tuple(range(1, num_layers)),
+                      prune_layers=frozenset({num_layers}),
+                      blocks=(FusionBlock(base=base, redundant=(num_layers,)),))
+    fused, _ = fuse(dense, plan, base_copies=copies[0], supp_copies=copies[1], top_k=top_k)
+    router = fused.tensors[f"layer.{base}.router"]
+    router[...] = router_scale * np.random.default_rng(seed).standard_normal(router.shape)
+    return fused
+
+
+class TestFrozenPrefix:
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**16), num_layers=st.integers(2, 3), tied=st.booleans(),
+           copies=st.sampled_from([(1, 1), (2, 1), (2, 2)]), top_k=st.integers(1, 2),
+           router_scale=st.sampled_from([0.0, 0.5]), seq_len=st.integers(2, 8),
+           num_seqs=st.integers(1, 3), steps=st.integers(1, 6),
+           lr=st.sampled_from([0.0, 0.5, 5.0]), alpha=st.sampled_from([0.0, 1e-3, 0.5]))
+    def test_matches_per_step_recomputation(self, seed, num_layers, tied, copies, top_k,
+                                            router_scale, seq_len, num_seqs, steps, lr, alpha):
+        fused = fused_last_layer(num_layers, seed, tied, copies, top_k, router_scale)
+        data = make_copy_stream(16, seq_len, num_seqs, seed)
+        log, trained = train_toy(fused, data, steps=steps, lr=lr, alpha=alpha, seed=seed)
+        want_log, want = train_toy_oracle(fused, data, steps, lr, alpha)
+        assert log.steps == want_log.steps
+        assert trained.tensors.keys() == want.tensors.keys()
+        for name, tensor in want.tensors.items():
+            assert np.array_equal(trained.tensors[name], tensor), name
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_attention_runs_once_per_layer_and_sequence(self, monkeypatch, steps):
+        fused = fused_last_layer(3, seed=4)
+        data = make_copy_stream(16, 6, 3, seed=4)
+        calls = []
+        real = nano.attention_forward
+
+        def counting(attn, x):
+            calls.append(x.shape)
+            return real(attn, x)
+
+        monkeypatch.setattr(nano, "attention_forward", counting)
+        train_toy(fused, data, steps=steps, lr=0.5, alpha=1e-3)
+        assert fused.shape.num_layers == 2
+        assert len(calls) == 2 * 3
+
+
+class TestTrainToyFlags:
+    @pytest.mark.parametrize("lr, alpha", [
+        (float("nan"), 1e-3), (float("inf"), 1e-3), (-float("inf"), 1e-3),
+        (0.5, float("nan")), (0.5, float("inf")), (0.5, -1e-3),
+    ])
+    def test_rejected_before_any_step(self, monkeypatch, lr, alpha):
+        fused = fused_last_layer(2, seed=1)
+        calls = []
+        monkeypatch.setattr(nano, "attention_forward", lambda *a: calls.append(a))
+        with pytest.raises(InvalidConfig):
+            train_toy(fused, None, steps=2, lr=lr, alpha=alpha)
+        assert calls == []
+
+    @pytest.mark.parametrize("vocab, seq_len, num_seqs", [
+        (16, -3, 2), (16, 0, 2), (16, 4, -1), (16, 4, 0), (0, 4, 2),
+    ])
+    def test_copy_stream_needs_positive_counts(self, vocab, seq_len, num_seqs):
+        with pytest.raises(OutOfRange):
+            make_copy_stream(vocab, seq_len, num_seqs, seed=0)

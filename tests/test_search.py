@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2m.config import FusionBlock, SearchThresholds, validate_plan
-from d2m.errors import DepthUnreachable, IndexOutOfRange
+from d2m.errors import DepthUnreachable, IndexOutOfRange, InvalidConfig
 from d2m.search import (
     block_score,
     is_valid_block,
@@ -270,6 +270,11 @@ class TestThresholdSweep:
     def test_zero_delta_prunes_nothing(self):
         cells = threshold_sweep(self.fixture_matrices(), [0.0], [0.1])
         assert cells[0].pruned_count == 0
+
+    @pytest.mark.parametrize("penalty", [-1.0, float("nan"), float("inf")])
+    def test_score_penalty_checked_like_search(self, penalty):
+        with pytest.raises(InvalidConfig, match="score_penalty"):
+            threshold_sweep(self.fixture_matrices(), [0.05], [0.1], score_penalty=penalty)
 
     def test_candidate_count_monotone_in_thresholds(self):
         mats = self.fixture_matrices()
