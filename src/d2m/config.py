@@ -1,5 +1,6 @@
 """Shared domain types: model shapes, hardware profiles, workloads, search
-thresholds, fusion plans, and router settings.
+thresholds, fusion plans, and router settings; and ``text_file``, through
+which every JSON and CSV input or output of the toolkit is opened.
 
 All types are immutable value objects; layer indices are 1-based everywhere,
 including serialized files. Validation lives in explicit ``validate_*``
@@ -10,11 +11,33 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping, TextIO
 
-from .errors import InvalidConfig, InvalidPlan, InvalidShape
+from .errors import InvalidConfig, InvalidPlan, InvalidShape, IoFailure
+
+
+@contextmanager
+def text_file(source, mode: str = "r") -> Iterator[TextIO]:
+    """The open stream itself, or the UTF-8 file at that path (``mode`` "r"
+    or "w", no newline translation, so the csv module controls line ends).
+
+    An ``OSError`` while opening, reading or writing raises ``IoFailure``;
+    undecodable bytes raise ``InvalidConfig``; both name the file.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, mode, newline="", encoding="utf-8") as handle:
+                yield handle
+        else:
+            yield source
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise IoFailure(f"cannot {verb} {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{source} is not UTF-8 text: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -286,10 +309,8 @@ def plan_from_json(text: str) -> FusionPlan:
 
 
 def load_plan(path: str | Path) -> FusionPlan:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidPlan(f"plan {path} is not UTF-8 text: {exc}") from exc
+    with text_file(path) as handle:
+        text = handle.read()
     return plan_from_json(text)
 
 
@@ -398,10 +419,8 @@ def parse_config(doc: Mapping[str, Any]) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
+    with text_file(path) as handle:
+        text = handle.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

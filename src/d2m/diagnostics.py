@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyAssignments, InvalidConfig, IoFailure, LayerCountMismatch
+from .config import text_file
+from .errors import EmptyAssignments, InvalidConfig, LayerCountMismatch
 from .nanomodel import RoutingRecord
 
 DEFAULT_THRESHOLDS = (0.4, 0.5)
@@ -149,14 +149,8 @@ def write_summary_csv(summary: WtaSummary, destination) -> None:
         ["mean_top_bottom_gap", f"{summary.mean_top_bottom_gap:.6f}"],
         ["mean_entropy", f"{summary.mean_entropy:.6f}"],
     ]
-    try:
-        if isinstance(destination, (str, Path)):
-            with open(destination, "w", newline="", encoding="utf-8") as handle:
-                csv.writer(handle).writerows(rows)
-        else:
-            csv.writer(destination).writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write summary: {exc}") from exc
+    with text_file(destination, "w") as handle:
+        csv.writer(handle).writerows(rows)
 
 
 def write_per_layer_csv(profiles: Sequence[LayerLoadProfile], destination) -> None:
@@ -168,11 +162,5 @@ def write_per_layer_csv(profiles: Sequence[LayerLoadProfile], destination) -> No
     for p in profiles:
         rows.append([str(p.layer), str(p.winner), f"{p.top_load:.6f}"]
                     + [f"{v:.6f}" for v in p.loads])
-    try:
-        if isinstance(destination, (str, Path)):
-            with open(destination, "w", newline="", encoding="utf-8") as handle:
-                csv.writer(handle).writerows(rows)
-        else:
-            csv.writer(destination).writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write per-layer loads: {exc}") from exc
+    with text_file(destination, "w") as handle:
+        csv.writer(handle).writerows(rows)

@@ -13,18 +13,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, RouterConfig, validate_router
+from .config import ModelShape, RouterConfig, text_file, validate_router
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
     EmptyRecord,
     InvalidConfig,
-    IoFailure,
     NonFiniteActivation,
     NonFiniteGradient,
     OutOfRange,
@@ -603,34 +601,30 @@ class TrainLog:
         for s in self.steps:
             rows.append([str(s.step), f"{s.task_loss:.12e}", f"{s.lb_loss:.12e}"]
                         + [f"{v:.12e}" for v in s.loads])
-        try:
-            if isinstance(destination, (str, Path)):
-                with open(destination, "w", newline="", encoding="utf-8") as handle:
-                    csv.writer(handle).writerows(rows)
-            else:
-                csv.writer(destination).writerows(rows)
-        except OSError as exc:
-            raise IoFailure(f"cannot write training log: {exc}") from exc
+        with text_file(destination, "w") as handle:
+            csv.writer(handle).writerows(rows)
 
 
 def train_log_from_csv(source) -> TrainLog:
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, newline="", encoding="utf-8") as handle:
-                rows = list(csv.reader(handle))
-        else:
-            rows = list(csv.reader(source))
-    except OSError as exc:
-        raise IoFailure(f"cannot read training log: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"training log {source} is not UTF-8 text: {exc}") from exc
-    if not rows or not rows[0][:3] == ["step", "task_loss", "lb_loss"]:
+    """Parse a training log; every row needs one cell per header column, an
+    integer step, and finite losses and loads."""
+    with text_file(source) as handle:
+        rows = list(csv.reader(handle))
+    if not rows or rows[0][:3] != ["step", "task_loss", "lb_loss"] or len(rows[0]) < 4:
         raise InvalidConfig("not a training log CSV (bad header)")
     log = TrainLog()
-    for row in rows[1:]:
-        log.steps.append(TrainStep(step=int(row[0]), task_loss=float(row[1]),
-                                   lb_loss=float(row[2]),
-                                   loads=tuple(float(v) for v in row[3:])))
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise InvalidConfig(f"training log row {number} has {len(row)} cells "
+                                f"for {len(rows[0])} columns")
+        try:
+            step = TrainStep(step=int(row[0]), task_loss=float(row[1]),
+                             lb_loss=float(row[2]), loads=tuple(float(v) for v in row[3:]))
+        except ValueError as exc:
+            raise InvalidConfig(f"training log row {number} is malformed: {exc}") from exc
+        if not all(map(math.isfinite, (step.task_loss, step.lb_loss, *step.loads))):
+            raise InvalidConfig(f"training log row {number} has a non-finite value: {row}")
+        log.steps.append(step)
     if not log.steps:
         raise InvalidConfig("training log has no data rows")
     return log

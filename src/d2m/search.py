@@ -22,11 +22,12 @@ from .config import (
     FusionBlock,
     FusionPlan,
     SearchThresholds,
+    text_file,
     validate_plan,
     validate_score_penalty,
     validate_thresholds,
 )
-from .errors import DepthUnreachable, IndexOutOfRange, IoFailure
+from .errors import DepthUnreachable, IndexOutOfRange
 from .similarity import SimilarityMatrices
 
 
@@ -181,12 +182,9 @@ def plan_from_depth(cells: Iterable[SweepCell], target_kept: int) -> tuple[float
 
 
 def write_sweep_csv(cells: Sequence[SweepCell], path: str | Path) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["delta", "epsilon", "pruned_count"])
-            for cell in cells:
-                writer.writerow([f"{cell.cos_threshold:.8e}", f"{cell.norm_tolerance:.8e}",
-                                 str(cell.pruned_count)])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with text_file(path, "w") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["delta", "epsilon", "pruned_count"])
+        for cell in cells:
+            writer.writerow([f"{cell.cos_threshold:.8e}", f"{cell.norm_tolerance:.8e}",
+                             str(cell.pruned_count)])

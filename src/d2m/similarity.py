@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, ZeroVector
-from .traceio import ActivationTrace
+from .config import text_file
+from .errors import IoFailure, NonFiniteValue, ZeroVector
+from .traceio import ActivationTrace, _as_sink, _read, _write, _write_header
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,11 @@ def build_matrices(trace: ActivationTrace) -> SimilarityMatrices:
 
 def _write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
     num_layers = matrix.shape[0]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["layer"] + [str(i) for i in range(1, num_layers + 1)])
-            for i in range(num_layers):
-                writer.writerow([str(i + 1)] + [f"{v:.8e}" for v in matrix[i]])
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with text_file(path, "w") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["layer"] + [str(i) for i in range(1, num_layers + 1)])
+        for i in range(num_layers):
+            writer.writerow([str(i + 1)] + [f"{v:.8e}" for v in matrix[i]])
 
 
 def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[str, Path]:
@@ -136,40 +134,17 @@ CACHE_MAGIC = b"D2MS"
 
 
 def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
-    import struct
-
-    num_layers = matrices.num_layers
-    try:
-        with open(path, "wb") as handle:
-            handle.write(CACHE_MAGIC)
-            handle.write(struct.pack("<II", 1, num_layers))
-            for mat in (matrices.s_out, matrices.s_mlp, matrices.delta_norm):
-                handle.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _as_sink(path) as stream:
+        _write_header(stream, CACHE_MAGIC, matrices.num_layers)
+        for mat in (matrices.s_out, matrices.s_mlp, matrices.delta_norm):
+            _write(stream, np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
 
 def read_matrices(path: str | Path) -> SimilarityMatrices:
-    import struct
-
-    from .errors import BadMagic, NonFiniteValue, TruncatedPayload, VersionMismatch
-
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if raw[:4] != CACHE_MAGIC:
-        raise BadMagic(f"expected magic {CACHE_MAGIC!r}, got {raw[:4]!r}")
-    if len(raw) < 12:
-        raise TruncatedPayload("matrices cache header incomplete")
-    version, num_layers = struct.unpack("<II", raw[4:12])
-    if version != 1:
-        raise VersionMismatch(f"unsupported matrices cache version {version}")
-    need = 12 + 3 * num_layers * num_layers * 8
-    if len(raw) < need:
-        raise TruncatedPayload(f"matrices cache needs {need} bytes, has {len(raw)}")
-    mats = (np.frombuffer(raw, dtype="<f8", count=3 * num_layers * num_layers, offset=12)
-            .astype(np.float64).reshape(3, num_layers, num_layers))
+    with _read(path, CACHE_MAGIC) as reader:
+        (num_layers,) = reader.u32s(1, "layer count")
+        mats = reader.floats("<f8", (3, num_layers, num_layers), "matrices")
+        reader.end()
     for name, mat in zip(("s_out", "s_mlp", "delta_norm"), mats):
         if not np.isfinite(mat).all():
             raise NonFiniteValue(f"matrices cache {name} contains non-finite values")

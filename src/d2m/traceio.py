@@ -11,15 +11,23 @@ Formats (all integers little-endian u32):
           h^(1..L) row-major T*d f32 | y^(1..L) row-major T*d f32
   weights magic ``D2MW`` | version=1 | config-length | UTF-8 JSON shape doc |
           entries: name-length | UTF-8 name | ndim | dims u32*ndim | f32 data
+
+These two and the similarity matrices cache are read through one cursor that
+checks every header-declared length against the bytes present before it
+slices or allocates, and rejects bytes left over after the payload.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Mapping, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -94,22 +102,17 @@ def make_trace(mlp_inputs: Sequence[np.ndarray],
 # --- low-level stream helpers --------------------------------------------------
 
 
-def _as_sink(destination) -> tuple[BinaryIO, bool]:
-    if isinstance(destination, (str, Path)):
-        try:
-            return open(destination, "wb"), True
-        except OSError as exc:
-            raise IoFailure(f"cannot open {destination} for writing: {exc}") from exc
-    return destination, False
-
-
-def _as_source(source) -> tuple[BinaryIO, bool]:
-    if isinstance(source, (str, Path)):
-        try:
-            return open(source, "rb"), True
-        except OSError as exc:
-            raise IoFailure(f"cannot open {source} for reading: {exc}") from exc
-    return source, False
+@contextmanager
+def _as_sink(destination) -> Iterator[BinaryIO]:
+    if not isinstance(destination, (str, Path)):
+        yield destination
+        return
+    try:
+        handle = open(destination, "wb")
+    except OSError as exc:
+        raise IoFailure(f"cannot open {destination} for writing: {exc}") from exc
+    with handle:
+        yield handle
 
 
 def _write(stream: BinaryIO, payload: bytes) -> int:
@@ -120,28 +123,84 @@ def _write(stream: BinaryIO, payload: bytes) -> int:
     return len(payload)
 
 
-def _read_exact(stream: BinaryIO, count: int, what: str) -> bytes:
+def _write_header(stream: BinaryIO, magic: bytes, *fields: int) -> int:
+    return _write(stream, magic + struct.pack(f"<{len(fields) + 1}I", FORMAT_VERSION, *fields))
+
+
+class _Reader:
+    """Bounds-checked cursor over the bytes of one binary file.
+
+    Every read compares its declared length with the bytes that remain
+    before it slices or allocates anything, so a tampered header raises
+    ``TruncatedPayload`` instead of asking for a header-sized buffer.
+    """
+
+    def __init__(self, buf):
+        self._buf = buf
+        self._pos = 0
+
+    def remaining(self) -> int:
+        return len(self._buf) - self._pos
+
+    def _advance(self, count: int, what: str) -> int:
+        if count > self.remaining():
+            raise TruncatedPayload(
+                f"expected {count} bytes for {what}, got {self.remaining()}")
+        start = self._pos
+        self._pos += count
+        return start
+
+    def take(self, count: int, what: str) -> bytes:
+        start = self._advance(count, what)
+        return self._buf[start:self._pos]
+
+    def u32s(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{count}I", self._buf, self._advance(4 * count, what))
+
+    def floats(self, dtype: str, dims: Sequence[int], what: str) -> np.ndarray:
+        """The next prod(dims) little-endian floats, as a float64 array of shape dims."""
+        count = math.prod(dims)
+        start = self._advance(count * np.dtype(dtype).itemsize, what)
+        # one expression, so no view of the buffer outlives the call
+        return (np.frombuffer(self._buf, dtype=dtype, count=count, offset=start)
+                .astype(np.float64).reshape(dims))
+
+    def end(self) -> None:
+        if self.remaining():
+            raise FormatError(f"{self.remaining()} trailing bytes after the payload")
+
+
+@contextmanager
+def _read(source, magic: bytes) -> Iterator[_Reader]:
+    """A reader past the checked magic and version of a path or an open stream.
+
+    A path is memory-mapped read-only; a stream is read to its end.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            with open(source, "rb") as handle:
+                # an empty file cannot be mapped; a pipe reports size 0 too
+                buf = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                       if os.fstat(handle.fileno()).st_size else handle.read())
+        except OSError as exc:
+            raise IoFailure(f"cannot read {source}: {exc}") from exc
+    else:
+        try:
+            buf = source.read() or b""
+        except (OSError, ValueError, AttributeError) as exc:
+            raise IoFailure(f"read failed: {exc}") from exc
     try:
-        data = stream.read(count)
-    except (OSError, ValueError, AttributeError) as exc:
-        raise IoFailure(f"read failed: {exc}") from exc
-    if data is None or len(data) < count:
-        got = 0 if data is None else len(data)
-        raise TruncatedPayload(f"expected {count} bytes for {what}, got {got}")
-    return data
-
-
-def _read_u32(stream: BinaryIO, what: str) -> int:
-    return struct.unpack("<I", _read_exact(stream, 4, what))[0]
-
-
-def _check_header(stream: BinaryIO, magic: bytes) -> None:
-    got = _read_exact(stream, 4, "magic")
-    if got != magic:
-        raise BadMagic(f"expected magic {magic!r}, got {got!r}")
-    version = _read_u32(stream, "version")
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported format version {version}")
+        reader = _Reader(buf)
+        got = reader.take(4, "magic")
+        if got != magic:
+            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
+        (version,) = reader.u32s(1, "version")
+        if version != FORMAT_VERSION:
+            raise VersionMismatch(f"unsupported format version {version}")
+        yield reader
+    finally:
+        if isinstance(buf, mmap.mmap):
+            buf.close()
 
 
 # --- trace format ---------------------------------------------------------------
@@ -149,46 +208,26 @@ def _check_header(stream: BinaryIO, magic: bytes) -> None:
 
 def write_trace(trace: ActivationTrace, destination) -> int:
     """Serialize a trace; returns the number of bytes emitted."""
-    stream, owned = _as_sink(destination)
-    try:
-        n = _write(stream, TRACE_MAGIC)
-        n += _write(stream, struct.pack("<IIII", FORMAT_VERSION, trace.num_layers,
-                                        trace.seq_len, trace.hidden_dim))
+    with _as_sink(destination) as stream:
+        n = _write_header(stream, TRACE_MAGIC, trace.num_layers, trace.seq_len,
+                          trace.hidden_dim)
         for mats in (trace.mlp_inputs, trace.layer_outputs):
             for m in mats:
                 n += _write(stream, np.ascontiguousarray(m, dtype="<f4").tobytes())
         return n
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_trace(source) -> ActivationTrace:
     """Deserialize a trace, re-validating finiteness and dimensions."""
-    stream, owned = _as_source(source)
-    try:
-        _check_header(stream, TRACE_MAGIC)
-        num_layers = _read_u32(stream, "layer count")
-        seq_len = _read_u32(stream, "sequence length")
-        hidden = _read_u32(stream, "hidden dim")
+    with _read(source, TRACE_MAGIC) as reader:
+        num_layers, seq_len, hidden = reader.u32s(3, "trace dimensions")
         if num_layers < 1 or seq_len < 1 or hidden < 1:
             raise InvalidTrace(
                 f"degenerate header L={num_layers}, T={seq_len}, d={hidden}"
             )
-        per_matrix = seq_len * hidden * 4
-        halves = []
-        for label in ("mlp_inputs", "layer_outputs"):
-            mats = []
-            for idx in range(1, num_layers + 1):
-                raw = _read_exact(stream, per_matrix, f"{label} layer {idx}")
-                mats.append(
-                    np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(seq_len, hidden)
-                )
-            halves.append(mats)
-        return make_trace(halves[0], halves[1])
-    finally:
-        if owned:
-            stream.close()
+        halves = reader.floats("<f4", (2, num_layers, seq_len, hidden), "trace payload")
+        reader.end()
+    return make_trace(halves[0], halves[1])
 
 
 def trace_byte_size(num_layers: int, seq_len: int, hidden_dim: int) -> int:
@@ -365,61 +404,41 @@ def write_weights(container: WeightContainer, destination) -> int:
     _check_finite(container.tensors)
     config = json.dumps(_container_doc(container), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    stream, owned = _as_sink(destination)
-    try:
-        n = _write(stream, WEIGHTS_MAGIC)
-        n += _write(stream, struct.pack("<II", FORMAT_VERSION, len(config)))
+    with _as_sink(destination) as stream:
+        n = _write_header(stream, WEIGHTS_MAGIC, len(config))
         n += _write(stream, config)
         for name, tensor in container.tensors.items():
             encoded = name.encode("utf-8")
-            n += _write(stream, struct.pack("<I", len(encoded)))
-            n += _write(stream, encoded)
-            n += _write(stream, struct.pack("<I", tensor.ndim))
-            n += _write(stream, struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            n += _write(stream, struct.pack(f"<I{len(encoded)}sI{tensor.ndim}I", len(encoded),
+                                            encoded, tensor.ndim, *tensor.shape))
             n += _write(stream, np.ascontiguousarray(tensor, dtype="<f4").tobytes())
         return n
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_weights(source) -> WeightContainer:
     """Deserialize and re-validate a weight container, rejecting non-finite values."""
-    stream, owned = _as_source(source)
-    try:
-        _check_header(stream, WEIGHTS_MAGIC)
-        config_len = _read_u32(stream, "config length")
-        raw_config = _read_exact(stream, config_len, "config document")
+    tensors: dict[str, np.ndarray] = {}
+    with _read(source, WEIGHTS_MAGIC) as reader:
+        (config_len,) = reader.u32s(1, "config length")
+        raw_config = reader.take(config_len, "config document")
         try:
             doc = json.loads(raw_config.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TruncatedPayload(f"config document is unreadable: {exc}") from exc
         shape, moe_layers = _container_meta(doc)
-
-        tensors: dict[str, np.ndarray] = {}
-        while True:
-            head = stream.read(4)
-            if head is None or len(head) == 0:
-                break
-            if len(head) < 4:
-                raise TruncatedPayload("dangling bytes where a name length was expected")
-            (name_len,) = struct.unpack("<I", head)
+        while reader.remaining():
+            (name_len,) = reader.u32s(1, "tensor name length")
             try:
-                name = _read_exact(stream, name_len, "tensor name").decode("utf-8")
+                name = reader.take(name_len, "tensor name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"tensor name is not UTF-8: {exc}") from exc
-            ndim = _read_u32(stream, f"ndim of {name!r}")
+            (ndim,) = reader.u32s(1, f"ndim of {name!r}")
             if ndim < 1 or ndim > 8:
                 raise TruncatedPayload(f"implausible ndim {ndim} for tensor {name!r}")
-            dims = struct.unpack(f"<{ndim}I", _read_exact(stream, 4 * ndim, f"dims of {name!r}"))
-            count = int(np.prod(dims, dtype=np.int64))
-            raw = _read_exact(stream, 4 * count, f"data of {name!r}")
+            dims = reader.u32s(ndim, f"dims of {name!r}")
             if name in tensors:
                 raise DimensionMismatch(f"duplicate tensor {name!r} in stream")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
-        _check_finite(tensors)
-        return validate_container(WeightContainer(shape=shape, tensors=tensors,
-                                                  moe_layers=moe_layers))
-    finally:
-        if owned:
-            stream.close()
+            tensors[name] = reader.floats("<f4", dims, f"data of {name!r}")
+    _check_finite(tensors)
+    return validate_container(WeightContainer(shape=shape, tensors=tensors,
+                                              moe_layers=moe_layers))

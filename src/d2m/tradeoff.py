@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DegenerateCalibration, EmptyRecord, InvalidConfig, IoFailure, NonPositiveLatency
+from .config import text_file
+from .errors import DegenerateCalibration, EmptyRecord, InvalidConfig, NonPositiveLatency
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,12 @@ class CandidateEvaluation:
 def reward(score: float, latency_ms: float, base_latency_ms: float,
            exponent: float) -> float:
     """score * (latency / base)^exponent."""
-    if latency_ms <= 0 or base_latency_ms <= 0:
+    if not all(math.isfinite(v) and v > 0 for v in (latency_ms, base_latency_ms)):
         raise NonPositiveLatency(
-            f"latencies must be positive, got {latency_ms} and {base_latency_ms}"
+            f"latencies must be finite and positive, got {latency_ms} and {base_latency_ms}"
         )
+    if not (math.isfinite(score) and math.isfinite(exponent)):
+        raise InvalidConfig(f"score and exponent must be finite, got {score} and {exponent}")
     return score * (latency_ms / base_latency_ms) ** exponent
 
 
@@ -97,16 +99,8 @@ _HEADER = ["config_id", "depth", "latency_ms", "score", "reward"]
 def read_candidates_csv(source) -> list[CandidateEvaluation]:
     """Parse a candidate CSV; the reward column is optional and may be blank.
     Leading '#' comment lines are skipped."""
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, newline="", encoding="utf-8") as handle:
-                rows = [r for r in csv.reader(handle) if r and not r[0].startswith("#")]
-        else:
-            rows = [r for r in csv.reader(source) if r and not r[0].startswith("#")]
-    except OSError as exc:
-        raise IoFailure(f"cannot read candidates: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"candidates {source} are not UTF-8 text: {exc}") from exc
+    with text_file(source) as handle:
+        rows = [r for r in csv.reader(handle) if r and not r[0].startswith("#")]
     if not rows or [c.strip() for c in rows[0][:4]] != _HEADER[:4]:
         raise InvalidConfig("candidate CSV must start with header "
                             "config_id,depth,latency_ms,score[,reward]")
@@ -114,10 +108,13 @@ def read_candidates_csv(source) -> list[CandidateEvaluation]:
     for row in rows[1:]:
         if len(row) < 4:
             raise InvalidConfig(f"candidate row too short: {row}")
-        rew = float(row[4]) if len(row) > 4 and row[4].strip() else None
-        out.append(CandidateEvaluation(config_id=row[0], retained_depth=int(row[1]),
-                                       latency_ms=float(row[2]), score=float(row[3]),
-                                       reward=rew))
+        try:
+            rew = float(row[4]) if len(row) > 4 and row[4].strip() else None
+            out.append(CandidateEvaluation(config_id=row[0], retained_depth=int(row[1]),
+                                           latency_ms=float(row[2]), score=float(row[3]),
+                                           reward=rew))
+        except ValueError as exc:
+            raise InvalidConfig(f"candidate row {row} is malformed: {exc}") from exc
     if not out:
         raise EmptyRecord("candidate CSV has no data rows")
     return out
@@ -135,11 +132,5 @@ def write_candidates_csv(candidates: Iterable[CandidateEvaluation], destination,
         rew = "" if c.reward is None else f"{c.reward:.2f}"
         rows.append([c.config_id, str(c.retained_depth), f"{c.latency_ms:.6g}",
                      f"{c.score:.6g}", rew])
-    try:
-        if isinstance(destination, (str, Path)):
-            with open(destination, "w", newline="", encoding="utf-8") as handle:
-                csv.writer(handle).writerows(rows)
-        else:
-            csv.writer(destination).writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write candidates: {exc}") from exc
+    with text_file(destination, "w") as handle:
+        csv.writer(handle).writerows(rows)

@@ -152,27 +152,44 @@ class TestSearchCommand:
         assert not (tmp_path / "s.csv").exists() and not (tmp_path / "p.json").exists()
 
 
+def text_input_argv(tmp_path: Path, stage: str, text_input: Path) -> list[str]:
+    """Arguments that run ``stage`` with ``text_input`` as its text input."""
+    synth = tmp_path / "synth"
+    assert main(["synth", "--out-dir", str(synth), "--layers", "3", "--hidden", "16",
+                 "--seq-len", "8"]) == 0
+    return {
+        "fuse": ["fuse", "--model", str(synth / "model.d2mw"), "--plan", str(text_input),
+                 "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                 "--out", str(tmp_path / "f.d2mw"), "--provenance-out", str(tmp_path / "p")],
+        "estimate": ["estimate", "--config", str(text_input), "--out", str(tmp_path / "c.json")],
+        "pareto": ["pareto", "--candidates", str(text_input), "--base-latency", "100",
+                   "--w", "-0.15", "--rewards-out", str(tmp_path / "r.csv"),
+                   "--frontier-out", str(tmp_path / "f.csv")],
+        "diagnose": ["diagnose", "--log", str(text_input), "--out", str(tmp_path / "w.csv")],
+    }[stage]
+
+
 class TestNonUtf8Inputs:
     @pytest.mark.parametrize("stage", ["fuse", "estimate", "pareto", "diagnose"])
     def test_exits_2_naming_file(self, tmp_path, capsys, stage):
         bad = tmp_path / "not_utf8.txt"
         bad.write_bytes(b"\xff\xfe")
-        synth = tmp_path / "synth"
-        assert main(["synth", "--out-dir", str(synth), "--layers", "3", "--hidden", "16",
-                     "--seq-len", "8"]) == 0
-        argv = {
-            "fuse": ["fuse", "--model", str(synth / "model.d2mw"), "--plan", str(bad),
-                     "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
-                     "--out", str(tmp_path / "f.d2mw"), "--provenance-out", str(tmp_path / "p")],
-            "estimate": ["estimate", "--config", str(bad), "--out", str(tmp_path / "c.json")],
-            "pareto": ["pareto", "--candidates", str(bad), "--base-latency", "100",
-                       "--w", "-0.15", "--rewards-out", str(tmp_path / "r.csv"),
-                       "--frontier-out", str(tmp_path / "f.csv")],
-            "diagnose": ["diagnose", "--log", str(bad), "--out", str(tmp_path / "w.csv")],
-        }[stage]
+        argv = text_input_argv(tmp_path, stage, bad)
         capsys.readouterr()
         assert main(argv) == 2
         assert "not_utf8.txt" in capsys.readouterr().err
+
+
+class TestUnreadableTextInputs:
+    @pytest.mark.parametrize("stage", ["fuse", "estimate", "pareto", "diagnose"])
+    def test_exits_3_naming_file(self, tmp_path, capsys, stage):
+        unreadable = tmp_path / "a_directory"
+        unreadable.mkdir()
+        argv = text_input_argv(tmp_path, stage, unreadable)
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "a_directory" in err
 
 
 class TestSynth:
@@ -261,6 +278,22 @@ class TestPareto:
         # the whole table is its own frontier
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("row, flags", [
+        ("L1,one,1.0,1.0,", ["--w", "-0.15"]),
+        ("L1,1,nan,1.0,", ["--w", "-0.15"]),
+        ("L1,1,1.0,nan,", ["--w", "-0.15"]),
+        ("L1,1,1.0,1.0,", ["--w", "nan"]),
+        ("L1,1,1.0,1.0,", ["--w", "-0.15", "--base-latency", "inf"]),
+        ("L1,1,1.0,1.0,", ["--w", "-0.15", "--base-latency", "nan"]),
+    ])
+    def test_bad_candidate_or_flag_exits_2(self, tmp_path, row, flags):
+        cands = tmp_path / "cands.csv"
+        cands.write_text(f"config_id,depth,latency_ms,score,reward\n{row}\n")
+        assert main(["pareto", "--candidates", str(cands), "--base-latency", "100", *flags,
+                     "--rewards-out", str(tmp_path / "r.csv"),
+                     "--frontier-out", str(tmp_path / "f.csv")]) == 2
+        assert not (tmp_path / "r.csv").exists()
+
     def test_empty_candidates_exits_2(self, tmp_path):
         cands = tmp_path / "cands.csv"
         cands.write_text("config_id,depth,latency_ms,score,reward\n")
@@ -321,6 +354,16 @@ class TestTrainAndDiagnose:
                          "--out", str(tmp_path / "bad.csv")]) == 2
             assert "-3..2" in capsys.readouterr().err
         assert not (tmp_path / "bad.csv").exists()
+
+
+    @pytest.mark.parametrize("row", ["1,x,0.5,1.0", "1", "1,0.5,0.5", "1,nan,0.5,1.0",
+                                     "1,0.5,inf,1.0", "1,0.5,0.5,nan", "1.5,0.5,0.5,1.0"])
+    def test_malformed_log_row_exits_2(self, tmp_path, capsys, row):
+        log = tmp_path / "log.csv"
+        log.write_text(f"step,task_loss,lb_loss,load_e1\n0,1.0,0.1,1.0\n{row}\n")
+        assert main(["diagnose", "--log", str(log), "--out", str(tmp_path / "w.csv")]) == 2
+        assert "row 3" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestManifest:

@@ -1,15 +1,23 @@
 """Binary trace/weights formats: byte accounting, round trips, error taxonomy,
-and the synthetic trace generator."""
+tampered headers and mutated files of all three formats, and the synthetic
+trace generator."""
 
 import io
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from d2m.cli import main
 from d2m.config import ModelShape, MoEShape
 from d2m.errors import (
     BadMagic,
+    D2mError,
     DimensionMismatch,
     FormatError,
     IoFailure,
@@ -20,7 +28,13 @@ from d2m.errors import (
     VersionMismatch,
 )
 from d2m.nanomodel import build_toy_container
-from d2m.similarity import norm_mismatch, seq_avg_cosine
+from d2m.similarity import (
+    build_matrices,
+    norm_mismatch,
+    read_matrices,
+    seq_avg_cosine,
+    write_matrices,
+)
 from d2m.traceio import (
     make_trace,
     param_count,
@@ -240,3 +254,138 @@ class TestWeightsFormat:
     def test_param_count(self):
         container = build_toy_container(TOY_SHAPE, seed=0)
         assert param_count(container) == sum(t.size for t in container.tensors.values())
+
+
+# --- tampered headers and mutated files ------------------------------------------
+
+MOE_SHAPE = ModelShape(num_layers=2, hidden_dim=8, mlp_dim=8, num_heads=2, num_kv_heads=1,
+                       head_dim=4, vocab_size=8, moe=MoEShape(num_experts=2, top_k=1))
+
+
+def valid_files() -> dict[str, bytes]:
+    """One small valid file per format; the weights are a trainable MoE model."""
+    files = {}
+    for name, write, value in (
+            ("d2mt", write_trace, synth_trace(2, 3, 4, seed=0)),
+            ("d2ms", write_matrices, build_matrices(synth_trace(3, 4, 5, seed=1))),
+            ("d2mw", write_weights, build_toy_container(MOE_SHAPE, seed=2, moe_layers={2: 2}))):
+        buf = io.BytesIO()
+        write(value, buf)
+        files[name] = buf.getvalue()
+    return files
+
+
+VALID = valid_files()
+READERS = {"d2mt": read_trace, "d2ms": read_matrices, "d2mw": read_weights}
+(_CONFIG_LEN,) = struct.unpack_from("<I", VALID["d2mw"], 8)
+WEIGHTS_PREFIX = VALID["d2mw"][:12 + _CONFIG_LEN]  # magic, version, config length, config
+
+
+def header_u32_offsets(fmt: str) -> list[int]:
+    """Offsets of the header words: version and dimensions, and for weights the
+    config length and the first entry's name length, ndim and dims."""
+    if fmt == "d2mt":
+        return [4, 8, 12, 16]
+    if fmt == "d2ms":
+        return [4, 8]
+    entry = len(WEIGHTS_PREFIX)
+    (name_len,) = struct.unpack_from("<I", VALID["d2mw"], entry)
+    ndim_at = entry + 4 + name_len
+    (ndim,) = struct.unpack_from("<I", VALID["d2mw"], ndim_at)
+    return [4, 8, entry, ndim_at] + [ndim_at + 4 * (i + 1) for i in range(ndim)]
+
+
+def traced_read(fmt: str, source) -> tuple[D2mError | None, int]:
+    """Read through the format's reader; return its D2mError, if any, and the
+    tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        READERS[fmt](source)
+        error = None
+    except D2mError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return error, peak
+
+
+def weights_entry(name: bytes, dims: tuple[int, ...]) -> bytes:
+    return struct.pack(f"<I{len(name)}sI{len(dims)}I", len(name), name, len(dims), *dims)
+
+
+
+class TestTamperedHeaders:
+    @pytest.mark.parametrize("fmt, data", [
+        # the element count overflows int64 to 0, and to a negative number
+        ("d2mw", WEIGHTS_PREFIX + weights_entry(b"embed", (65536,) * 4) + bytes(64)),
+        ("d2mw", WEIGHTS_PREFIX + weights_entry(b"embed", (65536,) * 3 + (32768,)) + bytes(64)),
+        ("d2mw", b"D2MW" + struct.pack("<II", 1, 0xFFFFFFF0) + bytes(64)),
+        ("d2mw", WEIGHTS_PREFIX + struct.pack("<I", 0xFFFFFFF0) + bytes(64)),
+        ("d2mt", b"D2MT" + struct.pack("<IIII", 1, 2, 2**32 - 1, 2**32 - 1) + bytes(64)),
+        ("d2mt", b"D2MT" + struct.pack("<IIII", 1, 1, 2**20, 2**18) + bytes(64)),  # 1 TiB a layer
+    ], ids=["count-wraps-to-0", "count-wraps-negative", "config-length", "name-length",
+            "trace-dims-overflow", "trace-1TiB-layer"])
+    def test_raises_truncated_payload_without_allocating(self, tmp_path, fmt, data):
+        path = tmp_path / f"tampered.{fmt}"
+        path.write_bytes(data)
+        error, peak = traced_read(fmt, path)
+        assert isinstance(error, TruncatedPayload)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fmt", ["d2mt", "d2ms"])
+    def test_trailing_bytes_are_format_error(self, tmp_path, fmt):
+        path = tmp_path / f"padded.{fmt}"
+        path.write_bytes(VALID[fmt] + bytes(8))
+        with pytest.raises(FormatError, match="trailing"):
+            READERS[fmt](path)
+        with pytest.raises(FormatError, match="trailing"):
+            READERS[fmt](io.BytesIO(VALID[fmt] + bytes(8)))
+
+
+CLI_ARGS = {
+    "d2mt": lambda f, out: ["analyze", "--trace", f, "--out-dir", str(out / "analysis")],
+    "d2ms": lambda f, out: ["search", "--matrices", f, "--delta", "0.05", "--epsilon", "0.1",
+                            "--plan-out", str(out / "plan.json")],
+    "d2mw": lambda f, out: ["train-toy", "--model", f, "--steps", "2", "--seq-len", "4",
+                            "--sequences", "1", "--log-out", str(out / "log.csv"),
+                            "--model-out", str(out / "trained.d2mw")],
+}
+
+
+@st.composite
+def mutated_files(draw) -> tuple[str, bytes]:
+    fmt = draw(st.sampled_from(sorted(VALID)))
+    data = bytearray(VALID[fmt])
+    kind = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if kind == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif kind == "flip":
+        bit = draw(st.integers(0, 8 * len(data) - 1))
+        data[bit // 8] ^= 1 << (bit % 8)
+    else:
+        offset = draw(st.sampled_from(header_u32_offsets(fmt)))
+        data[offset:offset + 4] = struct.pack("<I", draw(st.sampled_from([0, 1, 2**16, 2**32 - 1])))
+    return fmt, bytes(data)
+
+
+class TestMutatedFiles:
+    def test_valid_files_read_and_run(self, tmp_path):
+        for fmt, data in VALID.items():
+            path = tmp_path / f"valid.{fmt}"
+            path.write_bytes(data)
+            assert traced_read(fmt, path)[0] is None
+            assert main(CLI_ARGS[fmt](str(path), tmp_path)) == 0
+
+    @settings(max_examples=300)
+    @given(mutated_files())
+    def test_reads_fail_cleanly_in_bounded_memory(self, case):
+        fmt, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            path = out / f"mutated.{fmt}"
+            path.write_bytes(data)
+            for source in (path, io.BytesIO(data)):
+                _, peak = traced_read(fmt, source)
+                assert peak < 8 * len(data) + (32 << 10)
+            assert main(CLI_ARGS[fmt](str(path), out)) in (0, 2, 3, 4)

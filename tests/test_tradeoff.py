@@ -56,6 +56,18 @@ class TestReward:
         with pytest.raises(NonPositiveLatency):
             reward(1.0, 10.0, -5.0, -0.15)
 
+    @pytest.mark.parametrize("args, error", [
+        ((1.0, float("nan"), 100.0, -0.15), NonPositiveLatency),
+        ((1.0, 10.0, float("inf"), -0.15), NonPositiveLatency),
+        ((1.0, 10.0, float("nan"), -0.15), NonPositiveLatency),
+        ((float("nan"), 10.0, 100.0, -0.15), InvalidConfig),
+        ((1.0, 10.0, 100.0, float("nan")), InvalidConfig),
+        ((1.0, 10.0, 100.0, float("-inf")), InvalidConfig),
+    ])
+    def test_non_finite_inputs(self, args, error):
+        with pytest.raises(error):
+            reward(*args)
+
 
 class TestCalibrateW:
     def test_platform_rule(self):
@@ -167,6 +179,12 @@ class TestCandidatesCsv:
     def test_rejects_wrong_header(self):
         with pytest.raises(InvalidConfig):
             read_candidates_csv(io.StringIO("foo,bar\n1,2\n"))
+
+    @pytest.mark.parametrize("row", ["L1,one,1.0,1.0,", "L1,1.5,1.0,1.0,", "L1,1,fast,1.0,",
+                                     "L1,1,1.0,1.0,high"])
+    def test_rejects_malformed_cell(self, row):
+        with pytest.raises(InvalidConfig, match="L1"):
+            read_candidates_csv(io.StringIO(f"config_id,depth,latency_ms,score,reward\n{row}\n"))
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyRecord):
