@@ -15,7 +15,6 @@ from .config import (
     MoEShape,
     PipelineConfig,
     QWEN25_0_5B,
-    RouterConfig,
     SearchThresholds,
     THOR_U,
     Workload,

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,9 @@ import numpy as np
 from . import costmodel, similarity, surgery, tradeoff
 from .search import search as run_search, threshold_sweep, write_sweep_csv
 from .config import (
-    DEFAULT_WORKLOAD,
     ModelShape,
+    PipelineConfig,
     SearchThresholds,
-    THOR_U,
     load_config,
     load_plan,
     plan_to_json,
@@ -184,19 +184,7 @@ def cmd_synth(args) -> int:
     write_trace(trace, trace_path)
 
     config_path = out_dir / "config.json"
-    config_doc = {
-        "model": {
-            "num_layers": shape.num_layers, "hidden_dim": shape.hidden_dim,
-            "mlp_dim": shape.mlp_dim, "num_heads": shape.num_heads,
-            "num_kv_heads": shape.num_kv_heads, "head_dim": shape.head_dim,
-            "vocab_size": shape.vocab_size, "tied_embedding": shape.tied_embedding,
-            "moe": None,
-        },
-        "hardware": {"peak_flops": THOR_U.peak_flops, "mem_bandwidth": THOR_U.mem_bandwidth,
-                     "weight_bytes": THOR_U.weight_bytes, "kv_bytes": THOR_U.kv_bytes},
-        "workload": {"batch": DEFAULT_WORKLOAD.batch, "prompt_len": DEFAULT_WORKLOAD.prompt_len,
-                     "gen_len": DEFAULT_WORKLOAD.gen_len},
-    }
+    config_doc = asdict(PipelineConfig(model=shape))
     config_path.write_text(json.dumps(config_doc, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
     _record(args, "synth", [], [model_path, trace_path, config_path])

@@ -1,6 +1,7 @@
 """Shared domain types: model shapes, hardware profiles, workloads, search
-thresholds, fusion plans, and router settings; and ``text_file``, through
-which every JSON and CSV input or output of the toolkit is opened.
+thresholds and fusion plans; ``section_from_dict``, which builds any of them
+from a JSON object; and ``text_file``, through which every JSON and CSV input
+or output of the toolkit is opened.
 
 All types are immutable value objects; layer indices are 1-based everywhere,
 including serialized files. Validation lives in explicit ``validate_*``
@@ -11,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Iterator, Mapping, TextIO
 
-from .errors import InvalidConfig, InvalidPlan, InvalidShape, IoFailure
+from .errors import D2mError, InvalidConfig, InvalidPlan, InvalidShape, IoFailure
 
 
 @contextmanager
@@ -99,15 +101,6 @@ class SearchThresholds:
 
 
 @dataclass(frozen=True)
-class RouterConfig:
-    """Routing behaviour of a MoE layer."""
-
-    temperature: float = 1.0
-    aux_loss_weight: float = 1e-3
-    renormalize_top_k: bool = False
-
-
-@dataclass(frozen=True)
 class FusionBlock:
     """One fused block: a kept base layer and its redundant followers."""
 
@@ -140,23 +133,32 @@ THOR_U = HardwareProfile(peak_flops=350e12, mem_bandwidth=273e9)
 DEFAULT_WORKLOAD = Workload(batch=1, prompt_len=1000, gen_len=50)
 
 
+def _check_fields(value: Any, section: str, error: type[D2mError]) -> None:
+    """Check the int, float and bool fields of a dataclass: an int is a
+    positive count, a float a finite positive number (a bool is neither), a
+    bool a bool. Annotations are strings under ``from __future__ import
+    annotations``, so the field types compare as names."""
+    for f in fields(value):
+        item = getattr(value, f.name)
+        number = isinstance(item, (int, float)) and not isinstance(item, bool)
+        if f.type == "int":
+            ok, want = number and isinstance(item, int) and item > 0, "a positive count"
+        elif f.type == "float":
+            ok, want = number and 0 < item <= sys.float_info.max, "a finite positive number"
+        elif f.type == "bool":
+            ok, want = isinstance(item, bool), "true or false"
+        else:
+            continue
+        if not ok:
+            raise error(f"{section}.{f.name} must be {want}, got {item!r}")
+
+
 def validate_shape(shape: ModelShape) -> ModelShape:
     """Check every ModelShape invariant; return the shape unchanged.
 
     Idempotent: validating an already-validated shape is a no-op.
     """
-    counts = {
-        "num_layers": shape.num_layers,
-        "hidden_dim": shape.hidden_dim,
-        "mlp_dim": shape.mlp_dim,
-        "num_heads": shape.num_heads,
-        "num_kv_heads": shape.num_kv_heads,
-        "head_dim": shape.head_dim,
-        "vocab_size": shape.vocab_size,
-    }
-    for name, value in counts.items():
-        if not isinstance(value, int) or value <= 0:
-            raise InvalidShape(f"{name} must be a positive count, got {value!r}")
+    _check_fields(shape, "model", InvalidShape)
     if shape.num_heads % shape.num_kv_heads != 0:
         raise InvalidShape(
             "num_heads must be divisible by num_kv_heads "
@@ -168,10 +170,7 @@ def validate_shape(shape: ModelShape) -> ModelShape:
 
 
 def validate_moe_shape(moe: MoEShape) -> MoEShape:
-    for name in ("num_experts", "top_k", "base_copies", "supplementary_copies"):
-        value = getattr(moe, name)
-        if not isinstance(value, int) or value <= 0:
-            raise InvalidShape(f"{name} must be a positive count, got {value!r}")
+    _check_fields(moe, "model.moe", InvalidShape)
     if moe.top_k > moe.num_experts:
         raise InvalidShape(
             f"top_k ({moe.top_k}) must not exceed num_experts ({moe.num_experts})"
@@ -186,18 +185,12 @@ def gqa_ratio(shape: ModelShape) -> int:
 
 
 def validate_hardware(hw: HardwareProfile) -> HardwareProfile:
-    for name in ("peak_flops", "mem_bandwidth", "weight_bytes", "kv_bytes"):
-        value = getattr(hw, name)
-        if not value > 0:
-            raise InvalidConfig(f"hardware.{name} must be strictly positive")
+    _check_fields(hw, "hardware", InvalidConfig)
     return hw
 
 
 def validate_workload(wl: Workload) -> Workload:
-    if wl.batch < 1:
-        raise InvalidConfig("workload.batch must be at least 1")
-    if wl.prompt_len < 1 or wl.gen_len < 1:
-        raise InvalidConfig("workload prompt_len and gen_len must be at least 1")
+    _check_fields(wl, "workload", InvalidConfig)
     return wl
 
 
@@ -219,14 +212,6 @@ def validate_thresholds(th: SearchThresholds) -> SearchThresholds:
     if any((not isinstance(n, int)) or n < 1 for n in th.block_sizes):
         raise InvalidConfig("thresholds.block_sizes must be positive counts")
     return th
-
-
-def validate_router(rc: RouterConfig) -> RouterConfig:
-    if not rc.temperature > 0:
-        raise InvalidConfig("router.temperature must be strictly positive")
-    if rc.aux_loss_weight < 0:
-        raise InvalidConfig("router.aux_loss_weight must be non-negative")
-    return rc
 
 
 # --- fusion plans -------------------------------------------------------------
@@ -319,103 +304,51 @@ def load_plan(path: str | Path) -> FusionPlan:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Parsed contents of the single-JSON pipeline configuration."""
+    """Parsed contents of the single-JSON pipeline configuration; written with
+    ``dataclasses.asdict``."""
 
     model: ModelShape
     hardware: HardwareProfile = THOR_U
     workload: Workload = DEFAULT_WORKLOAD
-    thresholds: SearchThresholds | None = None
-    router: RouterConfig = RouterConfig()
 
 
-def _take(section: Mapping[str, Any], name: str, allowed: Iterable[str]) -> dict[str, Any]:
-    if not isinstance(section, Mapping):
-        raise InvalidConfig(f"config section {name!r} must be an object")
-    unknown = set(section) - set(allowed)
+def section_from_dict(cls: type, doc: Any, section: str) -> Any:
+    """Build the frozen dataclass ``cls`` from the JSON object ``doc``, taking
+    its keys from the dataclass fields; fields with a default may be left
+    out. Values are not checked here: that is the ``validate_*`` functions'
+    job. Raises ``InvalidConfig`` naming ``section`` for anything but an
+    object, and for unknown or missing keys."""
+    if not isinstance(doc, Mapping):
+        raise InvalidConfig(f"config section {section!r} must be an object, "
+                            f"got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
-        raise InvalidConfig(f"unknown keys in {name!r}: {sorted(unknown)}")
-    return dict(section)
+        raise InvalidConfig(f"unknown keys in {section!r}: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in doc and f.default is MISSING]
+    if missing:
+        raise InvalidConfig(f"missing keys in {section!r}: {missing}")
+    return cls(**doc)
 
 
-def shape_from_dict(doc: Mapping[str, Any]) -> ModelShape:
-    fields = (
-        "num_layers", "hidden_dim", "mlp_dim", "num_heads", "num_kv_heads",
-        "head_dim", "vocab_size", "tied_embedding", "moe",
-    )
-    data = _take(doc, "model", fields)
-    moe_doc = data.pop("moe", None)
-    moe = None
-    if moe_doc is not None:
-        moe_fields = ("num_experts", "top_k", "base_copies", "supplementary_copies")
-        moe = MoEShape(**_take(moe_doc, "model.moe", moe_fields))
-    try:
-        shape = ModelShape(moe=moe, **data)
-    except TypeError as exc:
-        raise InvalidConfig(f"model section incomplete: {exc}") from exc
+def shape_from_dict(doc: Any) -> ModelShape:
+    shape = section_from_dict(ModelShape, doc, "model")
+    if shape.moe is not None:
+        shape = replace(shape, moe=section_from_dict(MoEShape, shape.moe, "model.moe"))
     return validate_shape(shape)
 
 
-def shape_to_dict(shape: ModelShape) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "num_layers": shape.num_layers,
-        "hidden_dim": shape.hidden_dim,
-        "mlp_dim": shape.mlp_dim,
-        "num_heads": shape.num_heads,
-        "num_kv_heads": shape.num_kv_heads,
-        "head_dim": shape.head_dim,
-        "vocab_size": shape.vocab_size,
-        "tied_embedding": shape.tied_embedding,
-        "moe": None,
-    }
-    if shape.moe is not None:
-        doc["moe"] = {
-            "num_experts": shape.moe.num_experts,
-            "top_k": shape.moe.top_k,
-            "base_copies": shape.moe.base_copies,
-            "supplementary_copies": shape.moe.supplementary_copies,
-        }
-    return doc
-
-
-def parse_config(doc: Mapping[str, Any]) -> PipelineConfig:
+def parse_config(doc: Any) -> PipelineConfig:
     """Parse the pipeline configuration document; unknown keys are rejected."""
-    sections = _take(doc, "<top level>", ("model", "hardware", "workload", "thresholds", "router"))
-    if "model" not in sections:
-        raise InvalidConfig("config requires a 'model' section")
-    model = shape_from_dict(sections["model"])
-
-    hardware = THOR_U
-    if "hardware" in sections:
-        hw_fields = ("peak_flops", "mem_bandwidth", "weight_bytes", "kv_bytes")
-        hardware = HardwareProfile(**_take(sections["hardware"], "hardware", hw_fields))
-    validate_hardware(hardware)
-
-    workload = DEFAULT_WORKLOAD
-    if "workload" in sections:
-        wl_fields = ("batch", "prompt_len", "gen_len")
-        workload = Workload(**_take(sections["workload"], "workload", wl_fields))
-    validate_workload(workload)
-
-    thresholds = None
-    if "thresholds" in sections:
-        th_fields = ("cos_threshold", "norm_tolerance", "score_penalty", "block_sizes")
-        data = _take(sections["thresholds"], "thresholds", th_fields)
-        if "block_sizes" in data:
-            data["block_sizes"] = tuple(int(n) for n in data["block_sizes"])
-        try:
-            thresholds = SearchThresholds(**data)
-        except TypeError as exc:
-            raise InvalidConfig(f"thresholds section incomplete: {exc}") from exc
-        validate_thresholds(thresholds)
-
-    router = RouterConfig()
-    if "router" in sections:
-        rc_fields = ("temperature", "aux_loss_weight", "renormalize_top_k")
-        router = RouterConfig(**_take(sections["router"], "router", rc_fields))
-    validate_router(router)
-
-    return PipelineConfig(model=model, hardware=hardware, workload=workload,
-                          thresholds=thresholds, router=router)
+    top = section_from_dict(PipelineConfig, doc, "config")
+    hardware, workload = top.hardware, top.workload
+    if "hardware" in doc:
+        hardware = section_from_dict(HardwareProfile, doc["hardware"], "hardware")
+    if "workload" in doc:
+        workload = section_from_dict(Workload, doc["workload"], "workload")
+    return PipelineConfig(model=shape_from_dict(top.model),
+                          hardware=validate_hardware(hardware),
+                          workload=validate_workload(workload))
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, RouterConfig, text_file, validate_router
+from .config import ModelShape, text_file
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -127,7 +127,6 @@ class MoELayer:
     experts: tuple[GluMlp, ...]
     router: np.ndarray
     top_k: int
-    config: RouterConfig = RouterConfig()
     provenance: tuple[str, ...] | None = None
 
 
@@ -193,23 +192,19 @@ def attention_forward(attn: AttentionParams, x: np.ndarray) -> np.ndarray:
     return ctx.reshape(seq_len, attn.n_heads * attn.head_dim) @ attn.o
 
 
-def route(router: np.ndarray, h: np.ndarray, top_k: int,
-          config: RouterConfig = RouterConfig()) -> RoutingRecord:
-    """Softmax routing with temperature; picks the top_k largest probabilities.
+def route(router: np.ndarray, h: np.ndarray, top_k: int) -> RoutingRecord:
+    """Softmax routing; picks the top_k largest probabilities.
 
-    Gates are the raw selected probabilities unless renormalize_top_k is on.
-    Probability ties resolve to the smaller expert index.
+    Gates are the raw selected probabilities. Probability ties resolve to the
+    smaller expert index.
     """
-    validate_router(config)
     n_experts = router.shape[1]
     if not 1 <= top_k <= n_experts:
         raise OutOfRange(f"top_k {top_k} outside 1..{n_experts}")
-    probs = softmax((h @ router) / config.temperature, axis=1)
+    probs = softmax(h @ router, axis=1)
     order = np.argsort(-probs, axis=1, kind="stable")
     selected = order[:, :top_k]
     gates = np.take_along_axis(probs, selected, axis=1)
-    if config.renormalize_top_k:
-        gates = gates / gates.sum(axis=1, keepdims=True)
     return RoutingRecord(probabilities=probs, selected=selected, gates=gates)
 
 
@@ -225,7 +220,7 @@ class _MoeCache:
 def _moe_from_h(layer: MoELayer, h: np.ndarray,
                 forced_expert: int | None = None) -> tuple[np.ndarray, RoutingRecord, _MoeCache]:
     seq_len = h.shape[0]
-    record = route(layer.router, h, layer.top_k, layer.config)
+    record = route(layer.router, h, layer.top_k)
     if forced_expert is not None:
         if not 1 <= forced_expert <= len(layer.experts):
             raise OutOfRange(f"forced expert {forced_expert} outside 1..{len(layer.experts)}")
@@ -280,8 +275,7 @@ def dense_layer_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, n
 # --- whole-model forward ---------------------------------------------------------
 
 
-def layers_of(container: WeightContainer,
-              router_config: RouterConfig = RouterConfig()) -> list[DenseLayer | MoELayer]:
+def layers_of(container: WeightContainer) -> list[DenseLayer | MoELayer]:
     """Materialize layer views over the container's tensors (no copies)."""
     shape = container.shape
     t = container.tensors
@@ -312,8 +306,7 @@ def layers_of(container: WeightContainer,
             )
             out.append(MoELayer(attn=attn, mlp_norm=mlp_norm, experts=experts,
                                 router=t[f"layer.{l}.router"],
-                                top_k=container.shape.moe.top_k,
-                                config=router_config))
+                                top_k=container.shape.moe.top_k))
         else:
             mlp = GluMlp(up=t[f"layer.{l}.mlp.up"], gate=t[f"layer.{l}.mlp.gate"],
                          down=t[f"layer.{l}.mlp.down"])
@@ -322,7 +315,6 @@ def layers_of(container: WeightContainer,
 
 
 def forward_trace(container: WeightContainer, x: np.ndarray,
-                  router_config: RouterConfig = RouterConfig(),
                   forced_expert: int | None = None,
                   ) -> tuple[np.ndarray, ActivationTrace, dict[int, RoutingRecord]]:
     """Run all layers on embedded input, capturing h/y per layer.
@@ -340,7 +332,7 @@ def forward_trace(container: WeightContainer, x: np.ndarray,
     records: dict[int, RoutingRecord] = {}
     h_states, y_states = [], []
     state = x
-    for idx, layer in enumerate(layers_of(container, router_config), start=1):
+    for idx, layer in enumerate(layers_of(container), start=1):
         if isinstance(layer, MoELayer):
             h = pre_mlp_state(layer, state)
             y, record, _ = _moe_from_h(layer, h, forced_expert)
@@ -417,8 +409,6 @@ def moe_param_grads(layer: MoELayer, h: np.ndarray, record: RoutingRecord,
     """
     if cache.forced:
         raise InvalidConfig("gradients are undefined under forced routing")
-    if layer.config.renormalize_top_k:
-        raise InvalidConfig("gradient path supports raw softmax gates only")
     n_experts = len(layer.experts)
     num_tokens = h.shape[0]
     d_probs = np.zeros_like(record.probabilities)
@@ -440,7 +430,7 @@ def moe_param_grads(layer: MoELayer, h: np.ndarray, record: RoutingRecord,
         d_probs += lb_alpha * n_experts * f[None, :] / num_tokens
     inner = np.einsum("tn,tn->t", d_probs, record.probabilities)
     d_logits = record.probabilities * (d_probs - inner[:, None])
-    router_grad = h.T @ d_logits / layer.config.temperature
+    router_grad = h.T @ d_logits
     return MoeGrads(router=router_grad, experts=expert_grads)
 
 
@@ -454,12 +444,13 @@ def _named_layer_params(layer: MoELayer, grads: MoeGrads):
 
 
 GRAD_DENOM_FLOOR = 1e-3
+GRAD_CHECK_ALPHA = 1e-3
 
 
 def grad_check(layer: MoELayer, x: np.ndarray, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Loss = mean(output**2) + load-balancing term at the layer's aux weight,
+    Loss = mean(output**2) + load-balancing term weighted GRAD_CHECK_ALPHA,
     with assignment fractions frozen at the unperturbed routing (stop-gradient
     semantics). Covers the router and every expert tensor. The relative-error
     denominator is floored at GRAD_DENOM_FLOOR: float64 central differences
@@ -471,16 +462,15 @@ def grad_check(layer: MoELayer, x: np.ndarray, step: float = 1e-5) -> float:
     x = np.asarray(x, dtype=np.float64)
     h = pre_mlp_state(layer, x)
     y, record, cache = _moe_from_h(layer, h)
-    alpha = layer.config.aux_loss_weight
     n_experts = len(layer.experts)
     d_y = (2.0 / y.size) * y
-    grads = moe_param_grads(layer, h, record, cache, d_y, alpha)
+    grads = moe_param_grads(layer, h, record, cache, d_y, GRAD_CHECK_ALPHA)
     frozen_f = top1_fractions(record)
 
     def loss() -> float:
         y2, rec2, _ = _moe_from_h(layer, h)
         mean_prob = rec2.probabilities.mean(axis=0)
-        return float(np.mean(y2 ** 2)) + alpha * n_experts * float(frozen_f @ mean_prob)
+        return float(np.mean(y2 ** 2)) + GRAD_CHECK_ALPHA * n_experts * float(frozen_f @ mean_prob)
 
     worst = 0.0
     for name, tensor, grad in _named_layer_params(layer, grads):
@@ -539,8 +529,7 @@ def build_toy_container(shape: ModelShape, seed: int,
 
 def build_toy_moe_layer(hidden_dim: int, mlp_dim: int, n_experts: int, seed: int,
                         top_k: int = 1, n_heads: int = 2, n_kv_heads: int = 1,
-                        weight_scale: float = 0.5,
-                        config: RouterConfig = RouterConfig()) -> MoELayer:
+                        weight_scale: float = 0.5) -> MoELayer:
     """Standalone random MoE layer for gradient and routing tests."""
     rng = np.random.default_rng(seed)
     head_dim = hidden_dim // n_heads
@@ -566,7 +555,7 @@ def build_toy_moe_layer(hidden_dim: int, mlp_dim: int, n_experts: int, seed: int
         for _ in range(n_experts)
     )
     return MoELayer(attn=attn, mlp_norm=np.ones(hidden_dim), experts=experts,
-                    router=mat(hidden_dim, n_experts), top_k=top_k, config=config)
+                    router=mat(hidden_dim, n_experts), top_k=top_k)
 
 
 def make_copy_stream(vocab_size: int, seq_len: int, num_sequences: int,
@@ -605,9 +594,13 @@ class TrainLog:
             csv.writer(handle).writerows(rows)
 
 
+LOAD_SUM_TOLERANCE = 1e-9
+
+
 def train_log_from_csv(source) -> TrainLog:
     """Parse a training log; every row needs one cell per header column, an
-    integer step, and finite losses and loads."""
+    integer step, finite losses, and loads in [0, 1] that sum to one within
+    LOAD_SUM_TOLERANCE."""
     with text_file(source) as handle:
         rows = list(csv.reader(handle))
     if not rows or rows[0][:3] != ["step", "task_loss", "lb_loss"] or len(rows[0]) < 4:
@@ -624,6 +617,10 @@ def train_log_from_csv(source) -> TrainLog:
             raise InvalidConfig(f"training log row {number} is malformed: {exc}") from exc
         if not all(map(math.isfinite, (step.task_loss, step.lb_loss, *step.loads))):
             raise InvalidConfig(f"training log row {number} has a non-finite value: {row}")
+        if not (all(0.0 <= v <= 1.0 for v in step.loads)
+                and abs(math.fsum(step.loads) - 1.0) <= LOAD_SUM_TOLERANCE):
+            raise InvalidConfig(f"training log row {number} has loads outside [0, 1] "
+                                f"or not summing to 1: {row}")
         log.steps.append(step)
     if not log.steps:
         raise InvalidConfig("training log has no data rows")
@@ -681,8 +678,7 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
     if data.min() < 0 or data.max() >= shape.vocab_size:
         raise OutOfRange("token ids must lie in [0, vocab_size)")
 
-    router_config = RouterConfig(aux_loss_weight=alpha)
-    layers = layers_of(work, router_config)
+    layers = layers_of(work)
     moe_layer = layers[-1]
     n_experts = len(moe_layer.experts)
     embed = work.tensors["embed"]
@@ -741,7 +737,7 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
                 d_probs = np.broadcast_to(d_probs_row, probs.shape)
                 inner = np.einsum("tn,tn->t", d_probs, probs)
                 d_logits_r = probs * (d_probs - inner[:, None])
-                router_grad += h.T @ d_logits_r / router_config.temperature
+                router_grad += h.T @ d_logits_r
 
         if not (np.isfinite(task_loss) and np.isfinite(lb_raw)):
             raise DivergenceDetected(f"loss became non-finite at step {step}")
@@ -756,9 +752,8 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
     return log, work
 
 
-def collect_top1_assignments(container: WeightContainer, data: np.ndarray,
-                             router_config: RouterConfig = RouterConfig(),
-                             ) -> dict[int, np.ndarray]:
+def collect_top1_assignments(container: WeightContainer,
+                             data: np.ndarray) -> dict[int, np.ndarray]:
     """Pooled top-1 expert assignments per MoE layer over a token stream."""
     data = np.asarray(data, dtype=np.int64)
     shape = container.shape
@@ -766,7 +761,7 @@ def collect_top1_assignments(container: WeightContainer, data: np.ndarray,
     assignments: dict[int, list[np.ndarray]] = {l: [] for l in container.moe_layers}
     for seq in data:
         x = container.tensors["embed"][seq] + positions
-        _, _, records = forward_trace(container, x, router_config)
+        _, _, records = forward_trace(container, x)
         for l, record in records.items():
             assignments[l].append(np.argmax(record.probabilities, axis=1))
     return {l: np.concatenate(parts) for l, parts in assignments.items()}

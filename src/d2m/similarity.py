@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import text_file
-from .errors import IoFailure, NonFiniteValue, ZeroVector
+from .errors import InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
 from .traceio import ActivationTrace, _as_sink, _read, _write, _write_header
 
 
@@ -143,6 +143,8 @@ def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
 def read_matrices(path: str | Path) -> SimilarityMatrices:
     with _read(path, CACHE_MAGIC) as reader:
         (num_layers,) = reader.u32s(1, "layer count")
+        if num_layers < 1:
+            raise InvalidTrace(f"degenerate matrices header L={num_layers}")
         mats = reader.floats("<f8", (3, num_layers, num_layers), "matrices")
         reader.end()
     for name, mat in zip(("s_out", "s_mlp", "delta_norm"), mats):

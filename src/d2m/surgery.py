@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .config import FusionPlan, MoEShape, RouterConfig, validate_plan
+from .config import FusionPlan, MoEShape, validate_plan
 from .errors import InvalidConfig, PlanModelMismatch, VerificationFailure
 from .nanomodel import forward_trace
 from .traceio import (
@@ -273,12 +273,11 @@ def reference_pruned_model(dense: WeightContainer, plan: FusionPlan) -> WeightCo
 
 
 def functional_equivalence_check(dense: WeightContainer, fused: WeightContainer,
-                                 plan: FusionPlan, probe: np.ndarray,
-                                 router_config: RouterConfig = RouterConfig()) -> float:
+                                 plan: FusionPlan, probe: np.ndarray) -> float:
     """Max |deviation| between the fused model (router forced to a base-copy
     expert with gate one) and the plan-pruned dense reference on a probe."""
     reference = reference_pruned_model(dense, plan)
-    ref_out, _, _ = forward_trace(reference, probe, router_config)
+    ref_out, _, _ = forward_trace(reference, probe)
     # expert 1 is always a base copy (base_copies >= 1)
-    fused_out, _, _ = forward_trace(fused, probe, router_config, forced_expert=1)
+    fused_out, _, _ = forward_trace(fused, probe, forced_expert=1)
     return float(np.max(np.abs(fused_out - ref_out)))

@@ -25,13 +25,13 @@ import mmap
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, shape_from_dict, shape_to_dict, validate_shape
+from .config import ModelShape, shape_from_dict, validate_shape
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -376,7 +376,7 @@ def copy_container(container: WeightContainer) -> WeightContainer:
 
 
 def _container_doc(container: WeightContainer) -> dict[str, Any]:
-    doc = shape_to_dict(container.shape)
+    doc = asdict(container.shape)
     doc["moe_layers"] = {str(k): v for k, v in sorted(container.moe_layers.items())}
     return doc
 

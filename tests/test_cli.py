@@ -135,6 +135,20 @@ class TestSearchCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("mode", ["plan", "sweep"])
+    def test_zero_layer_matrices_exit_2(self, tmp_path, capsys, mode):
+        cache = tmp_path / "zero.d2ms"
+        cache.write_bytes(b"D2MS" + struct.pack("<II", 1, 0))
+        argv = ["search", "--matrices", str(cache)]
+        if mode == "sweep":
+            argv += ["--sweep", "--delta-grid", "0.05", "--epsilon-grid", "0.1",
+                     "--sweep-out", str(tmp_path / "s.csv")]
+        else:
+            argv += ["--delta", "0.05", "--epsilon", "0.1", "--plan-out", str(tmp_path / "p.json")]
+        assert main(argv) == 2
+        assert "L=0" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "p.json").exists()
+
     @pytest.mark.parametrize("mode, penalty", [
         ("sweep", "-1"), ("sweep", "nan"), ("plan", "nan"), ("plan", "inf"),
     ])
@@ -233,6 +247,36 @@ class TestEstimate:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"model": QWEN_MODEL, "oops": 1}))
         assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("hardware", "mem_bandwidth", None),  # None: the key is dropped
+        ("hardware", "peak_flops", "x"),
+        ("workload", "batch", "1"),
+        ("model.moe", "top_k", None),
+        ("thresholds", "block_sizes", 5),
+        ("router", "temperature", "hot"),
+        ("hardware", "peak_flops", float("inf")),
+        ("hardware", "mem_bandwidth", float("nan")),
+        ("model", "num_layers", True),
+    ])
+    def test_malformed_config_exits_2_naming_section(self, tmp_path, capsys,
+                                                      section, key, value):
+        moe = {"num_experts": 6, "top_k": 1, "base_copies": 4, "supplementary_copies": 2}
+        doc = {"model": dict(QWEN_MODEL, moe=moe), "hardware": dict(THOR),
+               "workload": dict(WORKLOAD)}
+        target = doc
+        for name in section.split("."):
+            target = target.setdefault(name, {})
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))  # inf and nan become Infinity and NaN
+        assert main(["estimate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert section in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_exits_3(self, tmp_path):
         config = tmp_path / "ok.json"
@@ -357,10 +401,18 @@ class TestTrainAndDiagnose:
 
 
     @pytest.mark.parametrize("row", ["1,x,0.5,1.0", "1", "1,0.5,0.5", "1,nan,0.5,1.0",
-                                     "1,0.5,inf,1.0", "1,0.5,0.5,nan", "1.5,0.5,0.5,1.0"])
+                                     "1,0.5,inf,1.0", "1,0.5,0.5,nan", "1.5,0.5,0.5,1.0",
+                                     "0,1.0,0.1,-3.0,7.5", "1,0.5,0.5,1.5,-0.5",
+                                     "1,0.5,0.5,0.4,0.5", "1,0.5,0.5,0.999"])
     def test_malformed_log_row_exits_2(self, tmp_path, capsys, row):
+        # one load column per load cell of the row (at least one), and a
+        # valid first data row of uniform loads
+        n = max(1, row.count(",") - 2)
+        header = ",".join(["step", "task_loss", "lb_loss"]
+                          + [f"load_e{i}" for i in range(1, n + 1)])
+        first = ",".join(["0", "1.0", "0.1"] + [repr(1 / n)] * n)
         log = tmp_path / "log.csv"
-        log.write_text(f"step,task_loss,lb_loss,load_e1\n0,1.0,0.1,1.0\n{row}\n")
+        log.write_text(f"{header}\n{first}\n{row}\n")
         assert main(["diagnose", "--log", str(log), "--out", str(tmp_path / "w.csv")]) == 2
         assert "row 3" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()

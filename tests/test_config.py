@@ -1,18 +1,25 @@
 """Domain type validation, the JSON config document, and fusion plans."""
 
 import json
+import math
+from dataclasses import MISSING, asdict, fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from d2m.config import (
     DEFAULT_WORKLOAD,
     FusionBlock,
     FusionPlan,
+    HardwareProfile,
     ModelShape,
     MoEShape,
+    PipelineConfig,
     QWEN25_0_5B,
     SearchThresholds,
     THOR_U,
+    Workload,
     gqa_ratio,
     load_config,
     parse_config,
@@ -22,7 +29,7 @@ from d2m.config import (
     validate_shape,
     validate_thresholds,
 )
-from d2m.errors import InvalidConfig, InvalidPlan, InvalidShape
+from d2m.errors import D2mError, InvalidConfig, InvalidPlan, InvalidShape
 
 
 class TestValidateShape:
@@ -157,15 +164,15 @@ class TestConfigDocument:
         assert config.model == QWEN25_0_5B
         assert config.hardware == THOR_U
         assert config.workload == DEFAULT_WORKLOAD
-        assert config.router.temperature == 1.0
-        assert config.router.aux_loss_weight == 1e-3
-        assert config.router.renormalize_top_k is False
 
     def test_unknown_top_level_key_rejected(self):
-        doc = self.doc()
-        doc["surprise"] = {}
-        with pytest.raises(InvalidConfig, match="surprise"):
-            parse_config(doc)
+        # no stage reads a router or thresholds section, so neither is a config key
+        for key, section in [("surprise", {}), ("router", {"temperature": 1.0}),
+                             ("thresholds", {"cos_threshold": 0.05, "norm_tolerance": 0.1})]:
+            doc = self.doc()
+            doc[key] = section
+            with pytest.raises(InvalidConfig, match=key):
+                parse_config(doc)
 
     def test_unknown_nested_key_rejected(self):
         doc = self.doc()
@@ -188,7 +195,6 @@ class TestConfigDocument:
         config = parse_config({"model": self.doc()["model"]})
         assert config.hardware == THOR_U
         assert config.workload == DEFAULT_WORKLOAD
-        assert config.thresholds is None
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -200,3 +206,83 @@ class TestConfigDocument:
         path.write_text("{nope")
         with pytest.raises(InvalidConfig, match="JSON"):
             load_config(path)
+
+
+# --- property tests of the config document ----------------------------------------
+
+counts = st.integers(min_value=1, max_value=1 << 20)
+positive_numbers = (st.floats(min_value=1e-300, max_value=1e300)
+                    | st.integers(min_value=1, max_value=1 << 60))
+
+
+@st.composite
+def moe_shapes(draw):
+    num_experts = draw(st.integers(min_value=1, max_value=64))
+    return MoEShape(num_experts=num_experts,
+                    top_k=draw(st.integers(min_value=1, max_value=num_experts)),
+                    base_copies=draw(counts), supplementary_copies=draw(counts))
+
+
+@st.composite
+def model_shapes(draw):
+    num_kv_heads = draw(st.integers(min_value=1, max_value=16))
+    return ModelShape(num_layers=draw(counts), hidden_dim=draw(counts), mlp_dim=draw(counts),
+                      num_heads=num_kv_heads * draw(st.integers(min_value=1, max_value=16)),
+                      num_kv_heads=num_kv_heads, head_dim=draw(counts),
+                      vocab_size=draw(counts), tied_embedding=draw(st.booleans()),
+                      moe=draw(st.none() | moe_shapes()))
+
+
+configs = st.builds(
+    PipelineConfig, model=model_shapes(),
+    hardware=st.builds(HardwareProfile, peak_flops=positive_numbers,
+                       mem_bandwidth=positive_numbers, weight_bytes=positive_numbers,
+                       kv_bytes=positive_numbers),
+    workload=st.builds(Workload, batch=counts, prompt_len=counts, gen_len=counts))
+
+SECTION_TYPES = {(): PipelineConfig, ("model",): ModelShape, ("model", "moe"): MoEShape,
+                 ("hardware",): HardwareProfile, ("workload",): Workload}
+# values of the wrong type for every field, except where noted in allowed_value
+BAD_VALUES = {"string": "1", "true": True, "false": False, "null": None,
+              "inf": math.inf, "-inf": -math.inf}
+
+
+def allowed_value(key, kind):
+    return (key == "tied_embedding" and kind in ("true", "false")) or \
+        (key == "moe" and kind == "null")
+
+
+class TestConfigProperties:
+    @given(configs)
+    def test_asdict_json_round_trip(self, config):
+        text = json.dumps(asdict(config))
+        assert parse_config(json.loads(text)) == config
+
+    @given(configs)
+    def test_every_mutation_raises_d2m_error(self, config):
+        """Each key of each section, in turn: dropped, joined by an unknown
+        key, or set to each of BAD_VALUES."""
+        text = json.dumps(asdict(config))
+        for path, cls in SECTION_TYPES.items():
+            if path == ("model", "moe") and config.model.moe is None:
+                continue
+            for field in fields(cls):
+                for kind in ("drop", "add", *BAD_VALUES):
+                    doc = json.loads(text)
+                    section = doc
+                    for name in path:
+                        section = section[name]
+                    if kind == "drop":
+                        del section[field.name]
+                        valid = field.default is not MISSING
+                    elif kind == "add":
+                        section["unexpected"] = 1
+                        valid = False
+                    else:
+                        section[field.name] = BAD_VALUES[kind]
+                        valid = allowed_value(field.name, kind)
+                    if valid:
+                        parse_config(doc)
+                    else:
+                        with pytest.raises(D2mError):
+                            parse_config(doc)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import d2m.nanomodel as nano
-from d2m.config import ModelShape, RouterConfig, FusionPlan, FusionBlock
+from d2m.config import ModelShape, FusionPlan, FusionBlock
 from d2m.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -187,49 +187,24 @@ class TestRoute:
         np.testing.assert_allclose(record.gates.sum(axis=1), 1.0, atol=1e-9)
         assert sorted(record.selected[0]) == [0, 1, 2, 3, 4]
 
-    def test_temperature_monotonicity_of_argmax_gate(self):
-        rng = np.random.default_rng(7)
-        router = rng.standard_normal((4, 3))
-        h = rng.standard_normal((1, 4))
-        gates = []
-        for tau in (4.0, 2.0, 1.0, 0.5, 0.25):
-            record = route(router, h, top_k=1, config=RouterConfig(temperature=tau))
-            gates.append(record.gates[0, 0])
-        assert all(a < b for a, b in zip(gates, gates[1:]))
-
-    def test_argmax_invariant_to_temperature(self):
-        rng = np.random.default_rng(8)
-        router = rng.standard_normal((6, 4))
-        h = rng.standard_normal((9, 6))
-        winners = [np.argmax(route(router, h, 1, RouterConfig(temperature=t)).probabilities,
-                             axis=1).tolist() for t in (0.1, 1.0, 10.0)]
-        assert winners[0] == winners[1] == winners[2]
-
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
         record = route(rng.standard_normal((5, 7)), rng.standard_normal((11, 5)), top_k=3)
         np.testing.assert_allclose(record.probabilities.sum(axis=1), 1.0, atol=1e-9)
         assert record.selected.shape == (11, 3)
 
-    def test_renormalized_gates(self):
-        rng = np.random.default_rng(10)
-        record = route(rng.standard_normal((5, 7)), rng.standard_normal((4, 5)),
-                       top_k=2, config=RouterConfig(renormalize_top_k=True))
-        np.testing.assert_allclose(record.gates.sum(axis=1), 1.0, atol=1e-12)
-
 
 class TestMoeForward:
-    def identical_expert_layer(self, top_k, renormalize, n_experts=3, seed=20):
-        layer = build_toy_moe_layer(8, 12, n_experts, seed=seed, top_k=top_k,
-                                    config=RouterConfig(renormalize_top_k=renormalize))
+    def identical_expert_layer(self, top_k, n_experts=3, seed=20):
+        layer = build_toy_moe_layer(8, 12, n_experts, seed=seed, top_k=top_k)
         clone = layer.experts[0]
         experts = tuple(GluMlp(clone.up.copy(), clone.gate.copy(), clone.down.copy())
                         for _ in range(n_experts))
         return MoELayer(attn=layer.attn, mlp_norm=layer.mlp_norm, experts=experts,
-                        router=layer.router, top_k=top_k, config=layer.config)
+                        router=layer.router, top_k=top_k)
 
     def test_identical_experts_full_k_equals_dense(self):
-        layer = self.identical_expert_layer(top_k=3, renormalize=True)
+        layer = self.identical_expert_layer(top_k=3)
         x = np.random.default_rng(21).standard_normal((5, 8))
         y, _ = moe_forward(layer, x)
         from d2m.nanomodel import DenseLayer, dense_layer_forward
@@ -289,7 +264,7 @@ class TestMoeForward:
         permuted = MoELayer(
             attn=layer.attn, mlp_norm=layer.mlp_norm,
             experts=tuple(layer.experts[p] for p in perm),
-            router=layer.router[:, perm], top_k=2, config=layer.config)
+            router=layer.router[:, perm], top_k=2)
         y_perm, _ = moe_forward(permuted, x)
         np.testing.assert_allclose(y_perm, y, atol=1e-12)
 
@@ -468,7 +443,7 @@ class TestTrainToy:
 
         def batch_loss(container, frozen_f=None):
             shape = container.shape
-            layers = nano.layers_of(container, RouterConfig(aux_loss_weight=alpha))
+            layers = nano.layers_of(container)
             embed = container.tensors["embed"]
             positions = nano.sinusoid_positions(data.shape[1], shape.hidden_dim,
                                                 scale=nano.POSITION_SCALE)
@@ -532,8 +507,7 @@ def train_toy_oracle(container, data, steps, lr, alpha):
     accumulation order as train_toy."""
     work = nano.copy_container(container)
     shape = work.shape
-    router_config = RouterConfig(aux_loss_weight=alpha)
-    layers = layers_of(work, router_config)
+    layers = layers_of(work)
     moe_layer = layers[-1]
     n_experts = len(moe_layer.experts)
     embed = work.tensors["embed"]
@@ -579,7 +553,7 @@ def train_toy_oracle(container, data, steps, lr, alpha):
             for h, probs in lb_router_inputs:
                 d_probs = np.broadcast_to(d_probs_row, probs.shape)
                 inner = np.einsum("tn,tn->t", d_probs, probs)
-                router_grad += h.T @ (probs * (d_probs - inner[:, None])) / router_config.temperature
+                router_grad += h.T @ (probs * (d_probs - inner[:, None]))
         log.steps.append(nano.TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,
                                         loads=tuple(loads)))
         moe_layer.router[...] -= lr * router_grad

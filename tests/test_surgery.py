@@ -245,6 +245,6 @@ class TestFunctionalEquivalence:
 
         permuted = MoELayer(attn=layer.attn, mlp_norm=layer.mlp_norm,
                             experts=tuple(layer.experts[p] for p in perm),
-                            router=layer.router[:, perm], top_k=2, config=layer.config)
+                            router=layer.router[:, perm], top_k=2)
         y_perm, _ = moe_forward(permuted, probe)
         np.testing.assert_allclose(y_perm, y, atol=1e-12)
