@@ -1,5 +1,5 @@
 """Command-line pipeline: synth -> analyze -> search -> fuse -> estimate ->
-pareto -> diagnose -> train-toy, with JSON/CSV artifacts at every stage.
+train-toy -> diagnose -> pareto, with JSON/CSV artifacts at every stage.
 
 All randomness funnels through explicit --seed flags, so reruns on unchanged
 inputs produce byte-identical artifact trees. Exit codes: 0 success, 2 bad
@@ -7,6 +7,9 @@ input or validation failure, 3 I/O failure, 4 internal invariant violation.
 An optional --run-dir records a stage manifest (inputs and outputs with
 content hashes) and refuses to run a stage whose declared inputs no longer
 hash-match what an earlier stage produced.
+
+Each subcommand imports the modules it runs when it runs, so a stage pays
+only for its own imports: ``estimate`` and ``pareto`` never load numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import costmodel, similarity, surgery, tradeoff
-from .search import search as run_search, threshold_sweep, write_sweep_csv
 from .config import (
     ModelShape,
     PipelineConfig,
@@ -42,17 +41,6 @@ from .errors import (
     OutOfRange,
     VerificationFailure,
 )
-from .nanomodel import (
-    build_toy_container,
-    dense_forward,
-    make_copy_stream,
-    sinusoid_positions,
-    POSITION_SCALE,
-    train_log_from_csv,
-    train_toy,
-)
-from .diagnostics import LayerLoadProfile, write_per_layer_csv, write_summary_csv, wta_metrics
-from .traceio import read_trace, read_weights, synth_trace, write_trace, write_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -158,6 +146,10 @@ def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
 
 
 def cmd_synth(args) -> int:
+    from .nanomodel import (POSITION_SCALE, build_toy_container, dense_forward,
+                            make_copy_stream, sinusoid_positions)
+    from .traceio import synth_trace, write_trace, write_weights
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shape = ModelShape(
@@ -193,6 +185,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import similarity
+    from .traceio import read_trace
+
     _require_inputs(args, [args.trace])
     trace = read_trace(args.trace)
     matrices = similarity.build_matrices(trace)
@@ -218,8 +213,11 @@ def _parse_list(text: str, cast=float) -> list:
 
 
 def cmd_search(args) -> int:
+    from .search import search, threshold_sweep, write_sweep_csv
+    from .similarity import read_matrices
+
     _require_inputs(args, [args.matrices])
-    matrices = similarity.read_matrices(args.matrices)
+    matrices = read_matrices(args.matrices)
     block_sizes = tuple(_parse_list(args.block_sizes, int))
 
     if args.sweep:
@@ -238,7 +236,7 @@ def cmd_search(args) -> int:
     thresholds = validate_thresholds(SearchThresholds(
         cos_threshold=args.delta, norm_tolerance=args.epsilon,
         score_penalty=args.score_penalty, block_sizes=block_sizes))
-    plan = run_search(matrices, thresholds)
+    plan = search(matrices, thresholds)
     Path(args.plan_out).write_text(plan_to_json(plan), encoding="utf-8")
     _record(args, "search", [args.matrices], [args.plan_out])
     print(f"wrote {args.plan_out} (prune {sorted(plan.prune_layers)})")
@@ -246,6 +244,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from . import surgery
+    from .traceio import read_weights, write_weights
+
     _require_inputs(args, [args.model, args.plan])
     model = read_weights(args.model)
     plan = load_plan(args.plan)
@@ -261,6 +262,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import costmodel
+
     _require_inputs(args, [args.config])
     config = load_config(args.config)
     shape = config.model
@@ -287,6 +290,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    from . import tradeoff
+
     _require_inputs(args, [args.candidates])
     candidates = tradeoff.read_candidates_csv(args.candidates)
     if args.calibrate:
@@ -311,6 +316,9 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .diagnostics import LayerLoadProfile, write_per_layer_csv, write_summary_csv, wta_metrics
+    from .nanomodel import train_log_from_csv
+
     _require_inputs(args, [args.log])
     log = train_log_from_csv(args.log)
     rows = len(log.steps)
@@ -319,8 +327,8 @@ def cmd_diagnose(args) -> int:
                          f"for a log of {rows} rows")
     row = log.steps[args.row]
     # the log stores load fractions, not raw assignments, so build the
-    # profile directly instead of re-counting
-    winner = int(np.argmax(row.loads)) + 1
+    # profile directly instead of re-counting; a tie goes to the smaller index
+    winner = row.loads.index(max(row.loads)) + 1
     profiles = [LayerLoadProfile(layer=1, loads=row.loads, winner=winner)]
     summary = wta_metrics(profiles, len(row.loads))
     write_summary_csv(summary, args.out)
@@ -334,6 +342,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    from .nanomodel import make_copy_stream, train_toy
+    from .traceio import read_weights, write_weights
+
     _require_inputs(args, [args.model])
     model = read_weights(args.model)
     data = make_copy_stream(model.shape.vocab_size, args.seq_len, args.sequences, args.seed)

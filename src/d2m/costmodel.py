@@ -16,7 +16,9 @@ norm. Dense shapes drop the router and use a single expert.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .config import (
     HardwareProfile,
@@ -58,13 +60,28 @@ def _check_lengths(wl: Workload) -> None:
         raise InvalidConfig("workload lengths must be non-negative, batch at least 1")
 
 
+def _finite(what: str, compute: Callable[[], float]) -> float:
+    """``compute()``, which must be a finite float: an ``OverflowError`` or an
+    infinite result raises ``InvalidConfig`` naming ``what``."""
+    try:
+        value = compute()
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float, or a float power
+        finite = False
+    if not finite:
+        raise InvalidConfig(f"{what} overflows a float")
+    return value
+
+
 def prefill_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> float:
     """Seconds to process the prompt: L * S_in * d^2 * (4 + 4/gqa + 6r) / peak."""
     validate_hardware(hw)
     _check_lengths(wl)
-    gqa = gqa_ratio(shape)
-    xi_f = 4.0 + 4.0 / gqa + 6.0 * expansion_ratio(shape)
-    return shape.num_layers * wl.prompt_len * shape.hidden_dim ** 2 * xi_f / hw.peak_flops
+    flops = _finite("prefill FLOP count of the model and workload", lambda: (
+        shape.num_layers * wl.prompt_len * shape.hidden_dim ** 2
+        * (4.0 + 4.0 / gqa_ratio(shape) + 6.0 * expansion_ratio(shape))))
+    return _finite(f"prefill time at hardware.peak_flops={hw.peak_flops!r}",
+                   lambda: flops / hw.peak_flops)
 
 
 def decode_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> float:
@@ -72,19 +89,27 @@ def decode_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> floa
     plus the average-context KV reload 2 * S_bar * d * b_kv / gqa."""
     validate_hardware(hw)
     _check_lengths(wl)
-    gqa = gqa_ratio(shape)
-    xi_w = 2.0 + 2.0 / gqa + 3.0 * expansion_ratio(shape)
-    s_bar = wl.prompt_len + (wl.gen_len + 1) / 2.0
-    per_step_bytes = (xi_w * shape.hidden_dim ** 2 * hw.weight_bytes
-                      + 2.0 * s_bar * shape.hidden_dim * hw.kv_bytes / gqa)
-    return shape.num_layers * wl.gen_len * per_step_bytes / hw.mem_bandwidth
+
+    def traffic() -> float:
+        gqa = gqa_ratio(shape)
+        xi_w = 2.0 + 2.0 / gqa + 3.0 * expansion_ratio(shape)
+        s_bar = wl.prompt_len + (wl.gen_len + 1) / 2.0
+        per_step_bytes = (xi_w * shape.hidden_dim ** 2 * hw.weight_bytes
+                          + 2.0 * s_bar * shape.hidden_dim * hw.kv_bytes / gqa)
+        return shape.num_layers * wl.gen_len * per_step_bytes
+
+    moved = _finite("decode byte count of the model, workload and hardware byte widths", traffic)
+    return _finite(f"decode time at hardware.mem_bandwidth={hw.mem_bandwidth!r}",
+                   lambda: moved / hw.mem_bandwidth)
 
 
 def total_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> LatencyBreakdown:
-    return LatencyBreakdown(
+    breakdown = LatencyBreakdown(
         prefill_s=prefill_latency(shape, hw, wl),
         decode_s=decode_latency(shape, hw, wl),
     )
+    _finite("total latency of the model on this hardware", lambda: breakdown.total_s)
+    return breakdown
 
 
 def _weights_per_layer(shape: ModelShape, experts: int, with_router: bool) -> int:
@@ -114,7 +139,8 @@ def static_memory(shape: ModelShape, bytes_per_param: float = 2.0) -> tuple[int,
     else:
         per_layer = _weights_per_layer(shape, 1, with_router=False)
     params = _embedding_params(shape) + shape.num_layers * per_layer + shape.hidden_dim
-    return params, params * bytes_per_param
+    return params, _finite("static memory in bytes of the model",
+                           lambda: params * bytes_per_param)
 
 
 def active_params(shape: ModelShape) -> int:

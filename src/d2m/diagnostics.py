@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import text_file
-from .errors import EmptyAssignments, InvalidConfig, LayerCountMismatch
-from .nanomodel import RoutingRecord
+from .errors import DimensionMismatch, EmptyRecord, InvalidConfig
 
 DEFAULT_THRESHOLDS = (0.4, 0.5)
 
@@ -48,14 +47,12 @@ class WtaSummary:
     per_layer_top: tuple[float, ...]
 
 
-def load_profile(record_or_assignments, num_experts: int, layer: int = 1) -> LayerLoadProfile:
-    """Count hard top-1 assignments; winner ties resolve to the smaller index."""
-    if isinstance(record_or_assignments, RoutingRecord):
-        assignments = np.argmax(record_or_assignments.probabilities, axis=1)
-    else:
-        assignments = np.asarray(record_or_assignments, dtype=np.int64)
+def load_profile(assignments, num_experts: int, layer: int = 1) -> LayerLoadProfile:
+    """Count hard top-1 assignments (0-based expert indices); winner ties
+    resolve to the smaller index."""
+    assignments = np.asarray(assignments, dtype=np.int64)
     if assignments.size == 0:
-        raise EmptyAssignments("load_profile needs at least one token")
+        raise EmptyRecord("load_profile needs at least one token")
     if assignments.min() < 0 or assignments.max() >= num_experts:
         raise InvalidConfig(
             f"assignment indices must lie in [0, {num_experts}), "
@@ -78,10 +75,10 @@ def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int,
                 thresholds: Sequence[float] = DEFAULT_THRESHOLDS) -> WtaSummary:
     """Aggregate the six winner-takes-all metrics over layers."""
     if not profiles:
-        raise EmptyAssignments("wta_metrics needs at least one layer profile")
+        raise EmptyRecord("wta_metrics needs at least one layer profile")
     for p in profiles:
         if len(p.loads) != num_experts:
-            raise LayerCountMismatch(
+            raise DimensionMismatch(
                 f"layer {p.layer} profile has {len(p.loads)} experts, expected {num_experts}"
             )
     tops = np.array([p.top_load for p in profiles])
@@ -102,42 +99,6 @@ def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int,
     )
 
 
-@dataclass(frozen=True)
-class RunComparison:
-    """Per-metric deltas (first minus second) and per-layer load differences."""
-
-    mean_top_load: float
-    layers_above: tuple[tuple[float, int], ...]
-    mean_top_uniform_ratio: float
-    mean_top_bottom_gap: float
-    mean_entropy: float
-    per_layer_top_diff: tuple[float, ...]
-
-
-def compare_runs(a: WtaSummary, b: WtaSummary) -> RunComparison:
-    """Elementwise a - b across metrics and per-layer top loads."""
-    if a.num_layers != b.num_layers:
-        raise LayerCountMismatch(
-            f"cannot compare {a.num_layers}-layer and {b.num_layers}-layer runs"
-        )
-    thresholds_a = tuple(th for th, _ in a.layers_above)
-    thresholds_b = tuple(th for th, _ in b.layers_above)
-    if thresholds_a != thresholds_b:
-        raise LayerCountMismatch("summaries use different threshold sets")
-    return RunComparison(
-        mean_top_load=a.mean_top_load - b.mean_top_load,
-        layers_above=tuple(
-            (th, ca - cb) for (th, ca), (_, cb) in zip(a.layers_above, b.layers_above)
-        ),
-        mean_top_uniform_ratio=a.mean_top_uniform_ratio - b.mean_top_uniform_ratio,
-        mean_top_bottom_gap=a.mean_top_bottom_gap - b.mean_top_bottom_gap,
-        mean_entropy=a.mean_entropy - b.mean_entropy,
-        per_layer_top_diff=tuple(
-            ta - tb for ta, tb in zip(a.per_layer_top, b.per_layer_top)
-        ),
-    )
-
-
 def write_summary_csv(summary: WtaSummary, destination) -> None:
     """The six metric rows, one per line."""
     rows = [["metric", "value"],
@@ -155,7 +116,7 @@ def write_summary_csv(summary: WtaSummary, destination) -> None:
 
 def write_per_layer_csv(profiles: Sequence[LayerLoadProfile], destination) -> None:
     if not profiles:
-        raise EmptyAssignments("no profiles to write")
+        raise EmptyRecord("no profiles to write")
     num_experts = len(profiles[0].loads)
     rows = [["layer", "winner", "top_load"]
             + [f"p_{i}" for i in range(1, num_experts + 1)]]

@@ -54,8 +54,8 @@ class NonFiniteValue(FormatError):
 
 
 class DimensionMismatch(D2mError):
-    """A tensor's dimensions disagree with the schema, or an unexpected
-    tensor is present."""
+    """A tensor's or a load profile's dimensions disagree with what is
+    expected, or an unexpected tensor is present."""
 
 
 class MissingTensor(D2mError):
@@ -83,23 +83,13 @@ class ZeroVector(D2mError):
 # --- argument / state errors -------------------------------------------------
 
 class OutOfRange(D2mError):
-    """A layer/offset argument is outside the valid range."""
-
-
-class IndexOutOfRange(D2mError):
-    """A block (base, size) pair does not fit inside the layer stack."""
+    """A layer, offset, block size or other argument is outside its valid
+    range, or a list argument is empty."""
 
 
 class EmptyRecord(D2mError):
-    """An aggregate over routing records received no records."""
-
-
-class EmptyAssignments(D2mError):
-    """A load profile was requested for zero tokens."""
-
-
-class LayerCountMismatch(D2mError):
-    """Two per-layer summaries cannot be compared elementwise."""
+    """An aggregate received nothing to aggregate: no routing records, tokens,
+    layer profiles or candidates."""
 
 
 class DepthUnreachable(D2mError):

@@ -506,9 +506,8 @@ def build_toy_container(shape: ModelShape, seed: int,
     Values pass through float32 so containers serialize losslessly.
     """
     rng = np.random.default_rng(seed)
-    schema = tensor_schema(shape, moe_layers)
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in schema.items():
+    for name, dims in tensor_schema(shape, moe_layers):
         if name.endswith("norm"):
             tensors[name] = np.ones(dims)
         else:

@@ -27,7 +27,7 @@ from .config import (
     validate_score_penalty,
     validate_thresholds,
 )
-from .errors import DepthUnreachable, IndexOutOfRange
+from .errors import DepthUnreachable, OutOfRange
 from .similarity import SimilarityMatrices
 
 
@@ -39,13 +39,6 @@ class SweepCell:
     norm_tolerance: float
     pruned_count: int
     plan: FusionPlan
-
-
-def _check_block_range(matrices: SimilarityMatrices, base: int, size: int) -> None:
-    if size < 1 or base < 1 or base + size > matrices.num_layers:
-        raise IndexOutOfRange(
-            f"block (base={base}, size={size}) does not fit in 1..{matrices.num_layers}"
-        )
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ def _block_table(matrices: SimilarityMatrices, score_penalty: float,
     num_layers = matrices.num_layers
     sizes = sorted(set(block_sizes))
     if sizes and sizes[0] < 1:
-        raise IndexOutOfRange(f"block sizes must be positive, got {sizes[0]}")
+        raise OutOfRange(f"block sizes must be positive, got {sizes[0]}")
     # Column k - 1 of row i holds offset k from base i + 1; columns past the
     # end of the stack repeat the last layer and are never read, because
     # every statistic below is a prefix along the row.
@@ -95,25 +88,6 @@ def _block_table(matrices: SimilarityMatrices, score_penalty: float,
     order = np.lexsort((size, base, -score))
     return _BlockTable(num_layers, base[order], size[order], low[i, k][order],
                        high[i, k][order], score[order])
-
-
-def is_valid_block(matrices: SimilarityMatrices, base: int, size: int,
-                   cos_threshold: float, norm_tolerance: float) -> bool:
-    """True iff every offset clears both cosine bars and the norm tolerance.
-
-    All inequalities are strict, so a zero cosine threshold admits nothing.
-    """
-    _check_block_range(matrices, base, size)
-    table = _block_table(matrices, 0.0, (size,))
-    return bool(table.valid(cos_threshold, norm_tolerance)[table.base == base][0])
-
-
-def block_score(matrices: SimilarityMatrices, base: int, size: int,
-                score_penalty: float) -> float:
-    """Mean over offsets of the two cosines' average minus the penalized norm gap."""
-    _check_block_range(matrices, base, size)
-    table = _block_table(matrices, score_penalty, (size,))
-    return float(table.score[table.base == base][0])
 
 
 def _search_raw(table: _BlockTable, cos_threshold: float,
@@ -154,7 +128,7 @@ def threshold_sweep(matrices: SimilarityMatrices,
     depends on the thresholds.
     """
     if not len(cos_grid) or not len(norm_grid):
-        raise IndexOutOfRange("sweep grids must be non-empty")
+        raise OutOfRange("sweep grids must be non-empty")
     validate_score_penalty(score_penalty)
     table = _block_table(matrices, score_penalty, block_sizes)
     cells = []

@@ -230,11 +230,6 @@ def read_trace(source) -> ActivationTrace:
     return make_trace(halves[0], halves[1])
 
 
-def trace_byte_size(num_layers: int, seq_len: int, hidden_dim: int) -> int:
-    """Exact serialized size: 20-byte header plus two f32 matrices per layer."""
-    return 20 + 2 * num_layers * seq_len * hidden_dim * 4
-
-
 def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
                 redundancy_spec: Iterable[tuple[int, int, float]] = (),
                 seed: int = 0) -> ActivationTrace:
@@ -295,9 +290,11 @@ def attention_tensor_names(layer: int) -> tuple[str, ...]:
             f"{p}.q_norm", f"{p}.k_norm")
 
 
-def tensor_schema(shape: ModelShape,
-                  moe_layers: Mapping[int, int] | None = None) -> dict[str, tuple[int, ...]]:
-    """Canonical name -> dims map for a container of this shape.
+def tensor_schema(shape: ModelShape, moe_layers: Mapping[int, int] | None = None
+                  ) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """The canonical (name, dims) pairs of a container of this shape, in
+    on-disk order and one at a time, so a caller that stops early never
+    builds the whole schema a header declares.
 
     The schema mirrors the static-memory accounting: per layer one attention
     block (q/k/v/o plus per-head q/k norms), two layer-norm scales, and either
@@ -305,39 +302,42 @@ def tensor_schema(shape: ModelShape,
     embedding, the final norm, and an LM head only when untied.
     """
     validate_shape(shape)
-    moe_layers = dict(moe_layers or {})
+    moe_layers = moe_layers or {}
     d, d_mid = shape.hidden_dim, shape.mlp_dim
     qdim = shape.num_heads * shape.head_dim
     kvdim = shape.num_kv_heads * shape.head_dim
-    schema: dict[str, tuple[int, ...]] = {"embed": (shape.vocab_size, d)}
+    yield "embed", (shape.vocab_size, d)
     if not shape.tied_embedding:
-        schema["lm_head"] = (d, shape.vocab_size)
-    schema["final_norm"] = (d,)
+        yield "lm_head", (d, shape.vocab_size)
+    yield "final_norm", (d,)
     for layer in range(1, shape.num_layers + 1):
-        schema[f"layer.{layer}.attn_norm"] = (d,)
-        schema[f"layer.{layer}.attn.q"] = (d, qdim)
-        schema[f"layer.{layer}.attn.k"] = (d, kvdim)
-        schema[f"layer.{layer}.attn.v"] = (d, kvdim)
-        schema[f"layer.{layer}.attn.o"] = (qdim, d)
-        schema[f"layer.{layer}.attn.q_norm"] = (shape.head_dim,)
-        schema[f"layer.{layer}.attn.k_norm"] = (shape.head_dim,)
-        schema[f"layer.{layer}.mlp_norm"] = (d,)
+        yield f"layer.{layer}.attn_norm", (d,)
+        yield f"layer.{layer}.attn.q", (d, qdim)
+        yield f"layer.{layer}.attn.k", (d, kvdim)
+        yield f"layer.{layer}.attn.v", (d, kvdim)
+        yield f"layer.{layer}.attn.o", (qdim, d)
+        yield f"layer.{layer}.attn.q_norm", (shape.head_dim,)
+        yield f"layer.{layer}.attn.k_norm", (shape.head_dim,)
+        yield f"layer.{layer}.mlp_norm", (d,)
         if layer in moe_layers:
             n_experts = moe_layers[layer]
-            schema[f"layer.{layer}.router"] = (d, n_experts)
+            yield f"layer.{layer}.router", (d, n_experts)
             for e in range(1, n_experts + 1):
-                schema[f"layer.{layer}.moe.expert.{e}.up"] = (d, d_mid)
-                schema[f"layer.{layer}.moe.expert.{e}.gate"] = (d, d_mid)
-                schema[f"layer.{layer}.moe.expert.{e}.down"] = (d_mid, d)
+                yield f"layer.{layer}.moe.expert.{e}.up", (d, d_mid)
+                yield f"layer.{layer}.moe.expert.{e}.gate", (d, d_mid)
+                yield f"layer.{layer}.moe.expert.{e}.down", (d_mid, d)
         else:
-            schema[f"layer.{layer}.mlp.up"] = (d, d_mid)
-            schema[f"layer.{layer}.mlp.gate"] = (d, d_mid)
-            schema[f"layer.{layer}.mlp.down"] = (d_mid, d)
-    return schema
+            yield f"layer.{layer}.mlp.up", (d, d_mid)
+            yield f"layer.{layer}.mlp.gate", (d, d_mid)
+            yield f"layer.{layer}.mlp.down", (d_mid, d)
 
 
 def validate_container(container: WeightContainer) -> WeightContainer:
-    """Every schema tensor present with matching dims, and nothing extra."""
+    """Every schema tensor present with matching dims, and nothing extra.
+
+    The schema is walked lazily and stops at the first tensor that is absent,
+    so the work is bounded by the tensors present, whatever the shape claims.
+    """
     for layer in container.moe_layers:
         if not 1 <= layer <= container.shape.num_layers:
             raise DimensionMismatch(f"moe layer index {layer} outside 1..{container.shape.num_layers}")
@@ -350,14 +350,15 @@ def validate_container(container: WeightContainer) -> WeightContainer:
                 raise DimensionMismatch(
                     f"top_k {k} exceeds expert count {n_experts} of layer {layer}"
                 )
-    schema = tensor_schema(container.shape, container.moe_layers)
-    for name, dims in schema.items():
+    seen: set[str] = set()
+    for name, dims in tensor_schema(container.shape, container.moe_layers):
         if name not in container.tensors:
             raise MissingTensor(f"tensor {name!r} is required but absent")
         got = tuple(container.tensors[name].shape)
         if got != dims:
             raise DimensionMismatch(f"tensor {name!r} has dims {got}, expected {dims}")
-    extras = set(container.tensors) - set(schema)
+        seen.add(name)
+    extras = container.tensors.keys() - seen
     if extras:
         raise DimensionMismatch(f"unexpected tensors not in schema: {sorted(extras)}")
     return container

@@ -258,6 +258,10 @@ class TestEstimate:
         ("hardware", "peak_flops", float("inf")),
         ("hardware", "mem_bandwidth", float("nan")),
         ("model", "num_layers", True),
+        # valid-looking values whose cost overflows a float
+        pytest.param("model", "num_layers", 10**400, id="model-num_layers-10**400"),
+        pytest.param("model", "vocab_size", 10**400, id="model-vocab_size-10**400"),
+        ("hardware", "peak_flops", 5e-324),
     ])
     def test_malformed_config_exits_2_naming_section(self, tmp_path, capsys,
                                                       section, key, value):

@@ -24,7 +24,7 @@ from d2m.costmodel import (
     static_memory,
     total_latency,
 )
-from d2m.errors import InvalidShape
+from d2m.errors import InvalidConfig, InvalidShape
 from d2m.nanomodel import build_toy_container
 from d2m.traceio import param_count
 
@@ -93,6 +93,19 @@ class TestLatency:
         no_gen = Workload(batch=1, prompt_len=1000, gen_len=0)
         assert prefill_latency(QWEN25_0_5B, THOR_U, no_prompt) == 0.0
         assert decode_latency(QWEN25_0_5B, THOR_U, no_gen) == 0.0
+
+    def test_phases_that_each_fit_a_float_but_not_their_sum_are_rejected(self):
+        # each phase takes 1.5e308 s, just under the largest float
+        scale = 1.5e308
+        hw = replace(THOR_U,
+                     peak_flops=prefill_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+                     * THOR_U.peak_flops / scale,
+                     mem_bandwidth=decode_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+                     * THOR_U.mem_bandwidth / scale)
+        assert prefill_latency(QWEN25_0_5B, hw, DEFAULT_WORKLOAD) == pytest.approx(scale)
+        assert decode_latency(QWEN25_0_5B, hw, DEFAULT_WORKLOAD) == pytest.approx(scale)
+        with pytest.raises(InvalidConfig, match="total latency"):
+            total_latency(QWEN25_0_5B, hw, DEFAULT_WORKLOAD)
 
     def test_halving_bandwidth_doubles_decode_exactly(self):
         slow = replace(THOR_U, mem_bandwidth=THOR_U.mem_bandwidth / 2)

@@ -1,5 +1,5 @@
 """Winner-takes-all diagnostics: load counting, metric identities, analytic
-bounds, and run comparison deltas."""
+bounds, and the CSV outputs."""
 
 import io
 import math
@@ -9,13 +9,12 @@ import pytest
 
 from d2m.diagnostics import (
     LayerLoadProfile,
-    compare_runs,
     load_profile,
     write_per_layer_csv,
     write_summary_csv,
     wta_metrics,
 )
-from d2m.errors import EmptyAssignments, LayerCountMismatch
+from d2m.errors import DimensionMismatch, EmptyRecord
 from d2m.nanomodel import RoutingRecord
 
 
@@ -48,12 +47,12 @@ class TestLoadProfile:
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.6, 0.3, 0.1]])
         record = RoutingRecord(probs, np.argmax(probs, axis=1)[:, None],
                                probs.max(axis=1)[:, None])
-        profile = load_profile(record, num_experts=3, layer=4)
+        profile = load_profile(np.argmax(record.probabilities, axis=1), num_experts=3, layer=4)
         assert profile.layer == 4
         assert profile.loads == (2 / 3, 1 / 3, 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyAssignments):
+        with pytest.raises(EmptyRecord):
             load_profile([], num_experts=4)
 
 
@@ -108,55 +107,10 @@ class TestWtaMetrics:
         summary = wta_metrics(profiles, num_experts=4)
         assert dict(summary.layers_above) == {0.4: 2, 0.5: 1}
 
-
-class TestCompareRuns:
-    def summary_pair(self):
-        # two published runs: homogeneous expert copies vs mixed-layer sources
-        a = [profile_from_loads(i + 1, [0.48, 0.2, 0.12, 0.1, 0.06, 0.04])
-             for i in range(19)]
-        b = [profile_from_loads(i + 1, [0.452, 0.22, 0.128, 0.1, 0.06, 0.04])
-             for i in range(19)]
-        return wta_metrics(a, 6), wta_metrics(b, 6)
-
-    def test_self_comparison_is_zero(self):
-        a, _ = self.summary_pair()
-        diff = compare_runs(a, a)
-        assert diff.mean_top_load == 0.0
-        assert all(c == 0 for _, c in diff.layers_above)
-        assert all(d == 0.0 for d in diff.per_layer_top_diff)
-
-    def test_published_column_deltas(self):
-        # stated metric columns of the two runs, compared a - b
-        run_a = _summary(mean_top=0.480, gt50=11, gt40=14, ratio=2.88, gap=0.406,
-                         entropy=1.487)
-        run_b = _summary(mean_top=0.452, gt50=9, gt40=10, ratio=2.71, gap=0.388,
-                         entropy=1.489)
-        diff = compare_runs(run_a, run_b)
-        assert diff.mean_top_load == pytest.approx(0.028, abs=1e-12)
-        assert dict(diff.layers_above) == {0.5: 2, 0.4: 4}
-        assert diff.mean_top_uniform_ratio == pytest.approx(0.17, abs=1e-12)
-        assert diff.mean_top_bottom_gap == pytest.approx(0.018, abs=1e-12)
-        assert diff.mean_entropy == pytest.approx(-0.002, abs=1e-12)
-
-    def test_sign_convention(self):
-        a, b = self.summary_pair()
-        diff = compare_runs(a, b)
-        assert diff.mean_top_load == pytest.approx(a.mean_top_load - b.mean_top_load)
-
-    def test_layer_count_mismatch(self):
-        a, _ = self.summary_pair()
-        short = wta_metrics([profile_from_loads(1, [0.5, 0.5, 0, 0, 0, 0])], 6)
-        with pytest.raises(LayerCountMismatch):
-            compare_runs(a, short)
-
-
-def _summary(mean_top, gt50, gt40, ratio, gap, entropy, layers=19):
-    from d2m.diagnostics import WtaSummary
-
-    return WtaSummary(num_layers=layers, num_experts=6, mean_top_load=mean_top,
-                      layers_above=((0.4, gt40), (0.5, gt50)),
-                      mean_top_uniform_ratio=ratio, mean_top_bottom_gap=gap,
-                      mean_entropy=entropy, per_layer_top=tuple([mean_top] * layers))
+    def test_expert_count_mismatch(self):
+        profiles = [profile_from_loads(1, [0.25] * 4), profile_from_loads(2, [0.5, 0.3, 0.2])]
+        with pytest.raises(DimensionMismatch, match="layer 2 profile has 3 experts, expected 4"):
+            wta_metrics(profiles, num_experts=4)
 
 
 class TestCsvOutputs:

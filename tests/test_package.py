@@ -1,0 +1,59 @@
+"""The package surface: the import cost of each CLI stage, and the README's
+library quick start, executed as written."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import d2m
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(d2m.__file__).resolve().parents[1]
+
+
+def run_python(code: str, cwd: Path) -> str:
+    """The last line ``code`` prints in a fresh interpreter that imports d2m
+    from this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+class TestStartUp:
+    def test_estimate_and_pareto_never_load_numpy(self, tmp_path):
+        config = {"model": {"num_layers": 4, "hidden_dim": 16, "mlp_dim": 32, "num_heads": 2,
+                            "num_kv_heads": 1, "head_dim": 8, "vocab_size": 32}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "candidates.csv").write_text(
+            "config_id,depth,latency_ms,score,reward\nL3,3,10.0,1.0,\nL4,4,12.0,1.5,\n")
+        code = (
+            "import sys\n"
+            "import d2m.cli, d2m.costmodel, d2m.tradeoff, d2m.config\n"
+            "after_import = 'numpy' in sys.modules\n"
+            "codes = (d2m.cli.main(['estimate', '--config', 'config.json', '--out', 'cost.json']),\n"
+            "         d2m.cli.main(['pareto', '--candidates', 'candidates.csv',\n"
+            "                       '--base-latency', '12', '--w', '-0.1',\n"
+            "                       '--rewards-out', 'r.csv', '--frontier-out', 'f.csv']))\n"
+            "print(after_import, codes, 'numpy' in sys.modules)\n"
+        )
+        assert run_python(code, tmp_path) == "False (0, 0) False"
+
+    def test_diagnostics_does_not_load_the_toy_model(self, tmp_path):
+        code = "import sys, d2m.diagnostics; print('d2m.nanomodel' in sys.modules)"
+        assert run_python(code, tmp_path) == "False"
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert float(lines[1]) > 0

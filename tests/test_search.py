@@ -7,17 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2m.config import FusionBlock, SearchThresholds, validate_plan
-from d2m.errors import DepthUnreachable, IndexOutOfRange, InvalidConfig
-from d2m.search import (
-    block_score,
-    is_valid_block,
-    plan_from_depth,
-    search,
-    threshold_sweep,
-    write_sweep_csv,
-)
+from d2m.errors import DepthUnreachable, InvalidConfig
+from d2m.search import plan_from_depth, search, threshold_sweep, write_sweep_csv
 from d2m.similarity import SimilarityMatrices, build_matrices
 from d2m.traceio import synth_trace
+
+
+def reference_block(s_out, s_mlp, delta_norm, base, size, delta, epsilon, lam):
+    """The score of block (base, size) if every offset clears both cosine bars
+    and the norm tolerance, all strictly, else None. Plain lists, 1-based."""
+    cells = [(base - 1, base + k - 1) for k in range(1, size + 1)]
+    for row, col in cells:
+        if not (s_out[row][col] > 1 - delta and s_mlp[row][col] > 1 - delta
+                and delta_norm[row][col] < epsilon):
+            return None
+    parts = [(s_out[row][col] + s_mlp[row][col]) / 2 - lam * delta_norm[row][col]
+             for row, col in cells]
+    return sum(parts) / size
 
 
 def reference_search(s_out, s_mlp, delta_norm, delta, epsilon, lam, sizes):
@@ -29,24 +35,9 @@ def reference_search(s_out, s_mlp, delta_norm, delta, epsilon, lam, sizes):
         for size in sorted(sizes):
             if base + size > num_layers:
                 continue
-            offsets = list(range(1, size + 1))
-            valid = True
-            for k in offsets:
-                row, col = base - 1, base + k - 1
-                if not (s_out[row][col] > 1 - delta):
-                    valid = False
-                if not (s_mlp[row][col] > 1 - delta):
-                    valid = False
-                if not (delta_norm[row][col] < epsilon):
-                    valid = False
-            if not valid:
-                continue
-            parts = []
-            for k in offsets:
-                row, col = base - 1, base + k - 1
-                parts.append((s_out[row][col] + s_mlp[row][col]) / 2
-                             - lam * delta_norm[row][col])
-            scored.append({"score": sum(parts) / size, "base": base, "size": size})
+            score = reference_block(s_out, s_mlp, delta_norm, base, size, delta, epsilon, lam)
+            if score is not None:
+                scored.append({"score": score, "base": base, "size": size})
     scored.sort(key=lambda c: (-c["score"], c["base"], c["size"]))
     taken = set()
     mapping = {}
@@ -110,18 +101,32 @@ def as_reference(plan):
             {b.base: list(b.redundant) for b in plan.blocks})
 
 
+def block_score(mats, base, size, delta, epsilon, lam=1.0):
+    """``reference_block`` over SimilarityMatrices."""
+    return reference_block(mats.s_out.tolist(), mats.s_mlp.tolist(), mats.delta_norm.tolist(),
+                           base, size, delta, epsilon, lam)
+
+
+def accepted(mats, base, size, delta, epsilon):
+    """Whether the sweep, offered blocks of this one size, accepts (base, size)."""
+    plan = threshold_sweep(mats, [delta], [epsilon], block_sizes=(size,))[0].plan
+    return FusionBlock(base, tuple(range(base + 1, base + size + 1))) in plan.blocks
+
+
 class TestBlockPredicates:
     def matrices(self):
         return build_matrices(synth_trace(5, 6, 8, [(2, 1, 0.0)], seed=1))
 
     def test_exact_duplicate_block_valid(self):
         mats = self.matrices()
-        assert is_valid_block(mats, 2, 1, 0.01, 0.01)
-        assert is_valid_block(mats, 2, 1, 0.5, 0.5)
+        for bar in (0.01, 0.5):
+            assert block_score(mats, 2, 1, bar, bar) is not None
+            assert accepted(mats, 2, 1, bar, bar)
 
     def test_zero_delta_never_valid(self):
         mats = self.matrices()
-        assert not is_valid_block(mats, 2, 1, 0.0, 0.5)
+        assert block_score(mats, 2, 1, 0.0, 0.5) is None
+        assert threshold_sweep(mats, [0.0], [0.5])[0].plan.blocks == ()
 
     def test_threshold_arithmetic(self):
         base = np.eye(3)
@@ -129,19 +134,14 @@ class TestBlockPredicates:
         s[0, 1] = s[1, 0] = 0.97
         np.fill_diagonal(s, 1.0)
         mats = SimilarityMatrices(s_out=s, s_mlp=s.copy(), delta_norm=np.zeros((3, 3)))
-        assert not is_valid_block(mats, 1, 1, 0.02, 0.5)
-        assert is_valid_block(mats, 1, 1, 0.05, 0.5)
-
-    def test_out_of_range(self):
-        mats = self.matrices()
-        with pytest.raises(IndexOutOfRange):
-            is_valid_block(mats, 5, 1, 0.1, 0.1)
-        with pytest.raises(IndexOutOfRange):
-            block_score(mats, 0, 1, 1.0)
+        assert block_score(mats, 1, 1, 0.02, 0.5) is None
+        assert not accepted(mats, 1, 1, 0.02, 0.5)
+        assert block_score(mats, 1, 1, 0.05, 0.5) is not None
+        assert accepted(mats, 1, 1, 0.05, 0.5)
 
     def test_perfect_duplicate_scores_one(self):
         mats = self.matrices()
-        assert block_score(mats, 2, 1, score_penalty=7.3) == pytest.approx(1.0, abs=1e-9)
+        assert block_score(mats, 2, 1, 0.5, 0.5, lam=7.3) == pytest.approx(1.0, abs=1e-9)
 
     def test_score_arithmetic(self):
         s = np.eye(2)
@@ -149,7 +149,19 @@ class TestBlockPredicates:
         gap = np.zeros((2, 2))
         gap[0, 1] = gap[1, 0] = 0.1
         mats = SimilarityMatrices(s_out=s, s_mlp=s.copy(), delta_norm=gap)
-        assert block_score(mats, 1, 1, 1.0) == pytest.approx(0.8, abs=1e-12)
+        assert block_score(mats, 1, 1, 0.5, 0.5) == pytest.approx(0.8, abs=1e-12)
+        # search agrees: block (1, 1) scores 0.8, so a rival (2, 1) that
+        # overlaps it at layer 2 wins just above that score and loses just below
+        for rival, winner in ((0.8 + 1e-9, 2), (0.8 - 1e-9, 1)):
+            s3 = np.eye(3)
+            s3[0, 1] = s3[1, 0] = 0.9
+            s3[1, 2] = s3[2, 1] = rival
+            gap3 = np.zeros((3, 3))
+            gap3[0, 1] = gap3[1, 0] = 0.1
+            plan = search(SimilarityMatrices(s_out=s3, s_mlp=s3.copy(), delta_norm=gap3),
+                          SearchThresholds(cos_threshold=0.5, norm_tolerance=0.5,
+                                           block_sizes=(1,)))
+            assert [b.base for b in plan.blocks] == [winner]
 
     def test_score_matches_hand_sum(self):
         rng = np.random.default_rng(9)
@@ -159,7 +171,7 @@ class TestBlockPredicates:
             (mats.s_out[1, 1 + k] + mats.s_mlp[1, 1 + k]) / 2 - lam * mats.delta_norm[1, 1 + k]
             for k in range(1, 4)
         ])
-        assert block_score(mats, 2, 3, lam) == pytest.approx(expected, abs=1e-12)
+        assert block_score(mats, 2, 3, 1.0, 1.0, lam) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSearch:
@@ -227,9 +239,13 @@ class TestSearch:
         mats = random_matrices(rng, 9)
         th = SearchThresholds(cos_threshold=0.3, norm_tolerance=0.2)
         plan = search(mats, th)
+
+        def score(base, size):
+            return block_score(mats, base, size, th.cos_threshold, th.norm_tolerance,
+                               th.score_penalty)
+
         for block in plan.blocks:
-            assert is_valid_block(mats, block.base, len(block.redundant),
-                                  th.cos_threshold, th.norm_tolerance)
+            assert score(block.base, len(block.redundant)) is not None
         # replaying acceptance in score order against the final occupancy
         # reproduces exactly the accepted block set
         occupied = set()
@@ -239,10 +255,8 @@ class TestSearch:
         candidates = []
         for base in range(1, 10):
             for size in (1, 2, 3):
-                if base + size <= 9 and is_valid_block(mats, base, size,
-                                                       th.cos_threshold, th.norm_tolerance):
-                    candidates.append((block_score(mats, base, size, th.score_penalty),
-                                       base, size))
+                if base + size <= 9 and score(base, size) is not None:
+                    candidates.append((score(base, size), base, size))
         taken = set()
         for score, base, size in sorted(candidates, key=lambda c: (-c[0], c[1], c[2])):
             span = set(range(base, base + size + 1))
@@ -285,7 +299,7 @@ class TestThresholdSweep:
             total = 0
             for base in range(1, 9):
                 for size in (1, 2, 3):
-                    if base + size <= 8 and is_valid_block(mats, base, size, d, e):
+                    if base + size <= 8 and block_score(mats, base, size, d, e) is not None:
                         total += 1
             return total
 

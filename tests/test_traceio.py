@@ -3,6 +3,7 @@ tampered headers and mutated files of all three formats, and the synthetic
 trace generator."""
 
 import io
+import json
 import struct
 import tempfile
 import tracemalloc
@@ -42,7 +43,6 @@ from d2m.traceio import (
     read_weights,
     synth_trace,
     tensor_schema,
-    trace_byte_size,
     validate_container,
     write_trace,
     write_weights,
@@ -66,7 +66,7 @@ class TestTraceFormat:
         trace = synth_trace(2, 3, 4, seed=0)
         buf = io.BytesIO()
         written = write_trace(trace, buf)
-        assert written == trace_byte_size(2, 3, 4) == 20 + 2 * 2 * 3 * 4 * 4 == 212
+        assert written == 20 + 2 * 2 * 3 * 4 * 4 == 212
         assert len(buf.getvalue()) == written
 
     def test_round_trip_identity(self):
@@ -241,12 +241,12 @@ class TestWeightsFormat:
             read_weights(io.BytesIO(raw))
 
     def test_schema_matches_memory_accounting(self):
-        schema = tensor_schema(TOY_SHAPE)
+        schema = dict(tensor_schema(TOY_SHAPE))
         d, d_mid = TOY_SHAPE.hidden_dim, TOY_SHAPE.mlp_dim
         assert schema["layer.1.mlp.up"] == (d, d_mid)
         assert schema["layer.1.mlp.gate"] == (d, d_mid)
         assert schema["layer.1.mlp.down"] == (d_mid, d)
-        moe_schema = tensor_schema(TOY_SHAPE, {2: 4})
+        moe_schema = dict(tensor_schema(TOY_SHAPE, {2: 4}))
         assert moe_schema["layer.2.router"] == (d, 4)
         assert moe_schema["layer.2.moe.expert.4.down"] == (d_mid, d)
         assert "layer.2.mlp.up" not in moe_schema
@@ -331,6 +331,25 @@ class TestTamperedHeaders:
         path.write_bytes(data)
         error, peak = traced_read(fmt, path)
         assert isinstance(error, TruncatedPayload)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("with_tensors, first_missing", [
+        (False, "embed"),
+        (True, "layer.3.attn_norm"),  # after every tensor of the two layers present
+    ], ids=["header-only", "two-layers-present"])
+    def test_declared_layer_count_does_not_size_the_schema(self, tmp_path, with_tensors,
+                                                           first_missing):
+        doc = json.loads(WEIGHTS_PREFIX[12:])
+        doc["num_layers"] = 200_000
+        config = json.dumps(doc).encode("utf-8")
+        data = b"D2MW" + struct.pack("<II", 1, len(config)) + config
+        if with_tensors:
+            data += VALID["d2mw"][len(WEIGHTS_PREFIX):]
+        path = tmp_path / "tampered.d2mw"
+        path.write_bytes(data)
+        error, peak = traced_read("d2mw", path)
+        assert isinstance(error, MissingTensor)
+        assert f"{first_missing!r} is required" in str(error)
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("fmt", ["d2mt", "d2ms"])
