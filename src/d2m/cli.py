@@ -28,8 +28,9 @@ from .config import (
     SearchThresholds,
     load_config,
     load_plan,
-    plan_to_json,
+    plan_to_dict,
     validate_thresholds,
+    write_json,
 )
 from .errors import (
     D2mError,
@@ -114,8 +115,7 @@ class PipelineRun:
             "outputs": {self._rel(p): _sha256(Path(p)) for p in outputs},
         }
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+        write_json(self.path, data)
 
 
 def _require_inputs(args, paths: list[str | Path]) -> None:
@@ -150,6 +150,7 @@ def cmd_synth(args) -> int:
                             make_copy_stream, sinusoid_positions)
     from .traceio import synth_trace, write_trace, write_weights
 
+    _require_inputs(args, [])  # a corrupt manifest fails before anything is written
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shape = ModelShape(
@@ -176,9 +177,7 @@ def cmd_synth(args) -> int:
     write_trace(trace, trace_path)
 
     config_path = out_dir / "config.json"
-    config_doc = asdict(PipelineConfig(model=shape))
-    config_path.write_text(json.dumps(config_doc, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    write_json(config_path, asdict(PipelineConfig(model=shape)))
     _record(args, "synth", [], [model_path, trace_path, config_path])
     print(f"wrote {model_path}, {trace_path}, {config_path}")
     return EXIT_OK
@@ -191,10 +190,8 @@ def cmd_analyze(args) -> int:
     _require_inputs(args, [args.trace])
     trace = read_trace(args.trace)
     matrices = similarity.build_matrices(trace)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = similarity.export_heatmap(matrices, out_dir)
-    cache_path = out_dir / "matrices.d2ms"
+    paths = similarity.export_heatmap(matrices, args.out_dir)
+    cache_path = Path(args.out_dir) / "matrices.d2ms"
     similarity.write_matrices(matrices, cache_path)
     outputs = [*paths.values(), cache_path]
     _record(args, "analyze", [args.trace], outputs)
@@ -237,7 +234,7 @@ def cmd_search(args) -> int:
         cos_threshold=args.delta, norm_tolerance=args.epsilon,
         score_penalty=args.score_penalty, block_sizes=block_sizes))
     plan = search(matrices, thresholds)
-    Path(args.plan_out).write_text(plan_to_json(plan), encoding="utf-8")
+    write_json(args.plan_out, plan_to_dict(plan))
     _record(args, "search", [args.matrices], [args.plan_out])
     print(f"wrote {args.plan_out} (prune {sorted(plan.prune_layers)})")
     return EXIT_OK
@@ -254,8 +251,7 @@ def cmd_fuse(args) -> int:
                                      supp_copies=args.supp_copies, top_k=args.top_k)
     surgery.verify_fusion(model, fused, plan, provenance)
     write_weights(fused, args.out)
-    Path(args.provenance_out).write_text(surgery.provenance_to_json(provenance),
-                                         encoding="utf-8")
+    write_json(args.provenance_out, surgery.provenance_to_dict(provenance))
     _record(args, "fuse", [args.model, args.plan], [args.out, args.provenance_out])
     print(f"wrote {args.out}, {args.provenance_out}")
     return EXIT_OK
@@ -282,8 +278,7 @@ def cmd_estimate(args) -> int:
         "params_active": costmodel.active_params(shape),
         "bytes": size_bytes,
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+    write_json(args.out, doc)
     _record(args, "estimate", [args.config], [args.out])
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -316,8 +311,8 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .diagnostics import LayerLoadProfile, write_per_layer_csv, write_summary_csv, wta_metrics
-    from .nanomodel import train_log_from_csv
+    from .diagnostics import (LayerLoadProfile, train_log_from_csv, write_per_layer_csv,
+                              write_summary_csv, wta_metrics)
 
     _require_inputs(args, [args.log])
     log = train_log_from_csv(args.log)

@@ -1,7 +1,8 @@
 """Shared domain types: model shapes, hardware profiles, workloads, search
 thresholds and fusion plans; ``section_from_dict``, which builds any of them
-from a JSON object; and ``text_file``, through which every JSON and CSV input
-or output of the toolkit is opened.
+from a JSON object; ``text_file``, through which every JSON and CSV input is
+opened; and ``output_file``, through which every file the toolkit writes is
+written beside its destination and renamed into place.
 
 All types are immutable value objects; layer indices are 1-based everywhere,
 including serialized files. Validation lives in explicit ``validate_*``
@@ -12,34 +13,71 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping, TextIO
+from typing import IO, Any, Iterator, Mapping, TextIO
 
 from .errors import D2mError, InvalidConfig, InvalidPlan, InvalidShape, IoFailure
 
 
 @contextmanager
-def text_file(source, mode: str = "r") -> Iterator[TextIO]:
-    """The open stream itself, or the UTF-8 file at that path (``mode`` "r"
-    or "w", no newline translation, so the csv module controls line ends).
+def text_file(source) -> Iterator[TextIO]:
+    """The open stream itself, or the UTF-8 file at that path opened for
+    reading without newline translation, so the csv module sees line ends.
 
-    An ``OSError`` while opening, reading or writing raises ``IoFailure``;
-    undecodable bytes raise ``InvalidConfig``; both name the file.
+    An ``OSError`` while opening or reading raises ``IoFailure``; undecodable
+    bytes raise ``InvalidConfig``; both name the file.
     """
     try:
         if isinstance(source, (str, Path)):
-            with open(source, mode, newline="", encoding="utf-8") as handle:
+            with open(source, "r", newline="", encoding="utf-8") as handle:
                 yield handle
         else:
             yield source
     except OSError as exc:
-        verb = "read" if mode == "r" else "write"
-        raise IoFailure(f"cannot {verb} {source}: {exc}") from exc
+        raise IoFailure(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{source} is not UTF-8 text: {exc}") from exc
+
+
+@contextmanager
+def output_file(destination, binary: bool = False) -> Iterator[IO]:
+    """The open stream itself, or a new file beside the destination (binary,
+    or UTF-8 text without newline translation) that replaces it only when the
+    block completes; on any exception the file is removed and the destination
+    left as it was. An ``OSError`` raises ``IoFailure`` naming the destination.
+    """
+    if not isinstance(destination, (str, Path)):
+        yield destination
+        return
+    path = Path(destination)
+    # random, so a killed writer's leftover blocks no one; created exclusively,
+    # so it gets the umask's permissions and no other file is truncated
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        handle = (open(temp, "xb") if binary
+                  else open(temp, "x", newline="", encoding="utf-8"))
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def write_json(destination, doc: Any) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    with output_file(destination) as handle:
+        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -279,10 +317,6 @@ def plan_from_dict(doc: Mapping[str, Any]) -> FusionPlan:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPlan(f"malformed plan document: {exc}") from exc
-
-
-def plan_to_json(plan: FusionPlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
 
 
 def plan_from_json(text: str) -> FusionPlan:

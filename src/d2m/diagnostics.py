@@ -3,18 +3,20 @@
 A layer's load profile is the distribution of hard top-1 assignments over its
 experts; the summary aggregates per-layer profiles into the six standard
 concentration metrics (mean dominant load, threshold exceedances, dominance
-ratio against uniform, top-bottom gap, and natural-log entropy).
+ratio against uniform, top-bottom gap, and natural-log entropy). The toy
+trainer's log lives here too, so that ``diagnose`` loads no toy model.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .config import text_file
+from .config import output_file, text_file
 from .errors import DimensionMismatch, EmptyRecord, InvalidConfig
 
 DEFAULT_THRESHOLDS = (0.4, 0.5)
@@ -110,7 +112,7 @@ def write_summary_csv(summary: WtaSummary, destination) -> None:
         ["mean_top_bottom_gap", f"{summary.mean_top_bottom_gap:.6f}"],
         ["mean_entropy", f"{summary.mean_entropy:.6f}"],
     ]
-    with text_file(destination, "w") as handle:
+    with output_file(destination) as handle:
         csv.writer(handle).writerows(rows)
 
 
@@ -123,5 +125,64 @@ def write_per_layer_csv(profiles: Sequence[LayerLoadProfile], destination) -> No
     for p in profiles:
         rows.append([str(p.layer), str(p.winner), f"{p.top_load:.6f}"]
                     + [f"{v:.6f}" for v in p.loads])
-    with text_file(destination, "w") as handle:
+    with output_file(destination) as handle:
         csv.writer(handle).writerows(rows)
+
+
+@dataclass(frozen=True)
+class TrainStep:
+    step: int
+    task_loss: float
+    lb_loss: float
+    loads: tuple[float, ...]
+
+
+@dataclass
+class TrainLog:
+    steps: list[TrainStep] = field(default_factory=list)
+
+    @property
+    def num_experts(self) -> int:
+        return len(self.steps[0].loads)
+
+    def to_csv(self, destination) -> None:
+        rows = [["step", "task_loss", "lb_loss"]
+                + [f"load_e{i}" for i in range(1, self.num_experts + 1)]]
+        for s in self.steps:
+            rows.append([str(s.step), f"{s.task_loss:.12e}", f"{s.lb_loss:.12e}"]
+                        + [f"{v:.12e}" for v in s.loads])
+        with output_file(destination) as handle:
+            csv.writer(handle).writerows(rows)
+
+
+LOAD_SUM_TOLERANCE = 1e-9
+
+
+def train_log_from_csv(source) -> TrainLog:
+    """Parse a training log; every row needs one cell per header column, an
+    integer step, finite losses, and loads in [0, 1] that sum to one within
+    LOAD_SUM_TOLERANCE."""
+    with text_file(source) as handle:
+        rows = list(csv.reader(handle))
+    if not rows or rows[0][:3] != ["step", "task_loss", "lb_loss"] or len(rows[0]) < 4:
+        raise InvalidConfig("not a training log CSV (bad header)")
+    log = TrainLog()
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise InvalidConfig(f"training log row {number} has {len(row)} cells "
+                                f"for {len(rows[0])} columns")
+        try:
+            step = TrainStep(step=int(row[0]), task_loss=float(row[1]),
+                             lb_loss=float(row[2]), loads=tuple(float(v) for v in row[3:]))
+        except ValueError as exc:
+            raise InvalidConfig(f"training log row {number} is malformed: {exc}") from exc
+        if not all(map(math.isfinite, (step.task_loss, step.lb_loss, *step.loads))):
+            raise InvalidConfig(f"training log row {number} has a non-finite value: {row}")
+        if not (all(0.0 <= v <= 1.0 for v in step.loads)
+                and abs(math.fsum(step.loads) - 1.0) <= LOAD_SUM_TOLERANCE):
+            raise InvalidConfig(f"training log row {number} has loads outside [0, 1] "
+                                f"or not summing to 1: {row}")
+        log.steps.append(step)
+    if not log.steps:
+        raise InvalidConfig("training log has no data rows")
+    return log

@@ -10,14 +10,14 @@ flows through the attention stack.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, text_file
+from .config import ModelShape
+from .diagnostics import TrainLog, TrainStep
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -565,65 +565,6 @@ def make_copy_stream(vocab_size: int, seq_len: int, num_sequences: int,
                          f"got {vocab_size}, {seq_len}, {num_sequences}")
     rng = np.random.default_rng(seed)
     return rng.integers(0, vocab_size, size=(num_sequences, seq_len), dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class TrainStep:
-    step: int
-    task_loss: float
-    lb_loss: float
-    loads: tuple[float, ...]
-
-
-@dataclass
-class TrainLog:
-    steps: list[TrainStep] = field(default_factory=list)
-
-    @property
-    def num_experts(self) -> int:
-        return len(self.steps[0].loads)
-
-    def to_csv(self, destination) -> None:
-        rows = [["step", "task_loss", "lb_loss"]
-                + [f"load_e{i}" for i in range(1, self.num_experts + 1)]]
-        for s in self.steps:
-            rows.append([str(s.step), f"{s.task_loss:.12e}", f"{s.lb_loss:.12e}"]
-                        + [f"{v:.12e}" for v in s.loads])
-        with text_file(destination, "w") as handle:
-            csv.writer(handle).writerows(rows)
-
-
-LOAD_SUM_TOLERANCE = 1e-9
-
-
-def train_log_from_csv(source) -> TrainLog:
-    """Parse a training log; every row needs one cell per header column, an
-    integer step, finite losses, and loads in [0, 1] that sum to one within
-    LOAD_SUM_TOLERANCE."""
-    with text_file(source) as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0][:3] != ["step", "task_loss", "lb_loss"] or len(rows[0]) < 4:
-        raise InvalidConfig("not a training log CSV (bad header)")
-    log = TrainLog()
-    for number, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise InvalidConfig(f"training log row {number} has {len(row)} cells "
-                                f"for {len(rows[0])} columns")
-        try:
-            step = TrainStep(step=int(row[0]), task_loss=float(row[1]),
-                             lb_loss=float(row[2]), loads=tuple(float(v) for v in row[3:]))
-        except ValueError as exc:
-            raise InvalidConfig(f"training log row {number} is malformed: {exc}") from exc
-        if not all(map(math.isfinite, (step.task_loss, step.lb_loss, *step.loads))):
-            raise InvalidConfig(f"training log row {number} has a non-finite value: {row}")
-        if not (all(0.0 <= v <= 1.0 for v in step.loads)
-                and abs(math.fsum(step.loads) - 1.0) <= LOAD_SUM_TOLERANCE):
-            raise InvalidConfig(f"training log row {number} has loads outside [0, 1] "
-                                f"or not summing to 1: {row}")
-        log.steps.append(step)
-    if not log.steps:
-        raise InvalidConfig("training log has no data rows")
-    return log
 
 
 def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:

@@ -22,7 +22,7 @@ from .config import (
     FusionBlock,
     FusionPlan,
     SearchThresholds,
-    text_file,
+    output_file,
     validate_plan,
     validate_score_penalty,
     validate_thresholds,
@@ -156,7 +156,7 @@ def plan_from_depth(cells: Iterable[SweepCell], target_kept: int) -> tuple[float
 
 
 def write_sweep_csv(cells: Sequence[SweepCell], path: str | Path) -> None:
-    with text_file(path, "w") as handle:
+    with output_file(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["delta", "epsilon", "pruned_count"])
         for cell in cells:

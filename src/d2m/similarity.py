@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import text_file
+from .config import output_file
 from .errors import InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
-from .traceio import ActivationTrace, _as_sink, _read, _write, _write_header
+from .traceio import ActivationTrace, _read, _write, _write_header
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,6 @@ def build_matrices(trace: ActivationTrace) -> SimilarityMatrices:
                               delta_norm=norm_matrix())
 
 
-def _write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
-    num_layers = matrix.shape[0]
-    with text_file(path, "w") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["layer"] + [str(i) for i in range(1, num_layers + 1)])
-        for i in range(num_layers):
-            writer.writerow([str(i + 1)] + [f"{v:.8e}" for v in matrix[i]])
-
-
 def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[str, Path]:
     """Write s_out.csv, s_mlp.csv, and delta_norm.csv (9 significant digits)."""
     out = Path(out_dir)
@@ -124,7 +115,11 @@ def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[st
         raise IoFailure(f"cannot create {out}: {exc}") from exc
     paths = {name: out / f"{name}.csv" for name in ("s_out", "s_mlp", "delta_norm")}
     for name, path in paths.items():
-        _write_matrix_csv(getattr(matrices, name), path)
+        with output_file(path) as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["layer"] + [str(i) for i in range(1, matrices.num_layers + 1)])
+            for i, row in enumerate(getattr(matrices, name), start=1):
+                writer.writerow([str(i)] + [f"{v:.8e}" for v in row])
     return paths
 
 
@@ -134,7 +129,7 @@ CACHE_MAGIC = b"D2MS"
 
 
 def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
-    with _as_sink(path) as stream:
+    with output_file(path, binary=True) as stream:
         _write_header(stream, CACHE_MAGIC, matrices.num_layers)
         for mat in (matrices.s_out, matrices.s_mlp, matrices.delta_norm):
             _write(stream, np.ascontiguousarray(mat, dtype="<f8").tobytes())
@@ -147,7 +142,7 @@ def read_matrices(path: str | Path) -> SimilarityMatrices:
             raise InvalidTrace(f"degenerate matrices header L={num_layers}")
         mats = reader.floats("<f8", (3, num_layers, num_layers), "matrices")
         reader.end()
-    for name, mat in zip(("s_out", "s_mlp", "delta_norm"), mats):
-        if not np.isfinite(mat).all():
-            raise NonFiniteValue(f"matrices cache {name} contains non-finite values")
+        for name, mat in zip(("s_out", "s_mlp", "delta_norm"), mats):
+            if not np.isfinite(mat).all():
+                raise NonFiniteValue(f"matrices cache {name} contains non-finite values")
     return SimilarityMatrices(*mats)

@@ -10,14 +10,13 @@ initial routing exactly uniform.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
 from .config import FusionPlan, MoEShape, validate_plan
-from .errors import InvalidConfig, PlanModelMismatch, VerificationFailure
+from .errors import PlanModelMismatch, VerificationFailure
 from .nanomodel import forward_trace
 from .traceio import (
     WeightContainer,
@@ -135,31 +134,6 @@ def provenance_to_dict(provenance: ExpertProvenance) -> dict[str, Any]:
         ]
         for layer, sources in sorted(provenance.items())
     }
-
-
-def provenance_from_dict(doc: Mapping[str, Any]) -> ExpertProvenance:
-    try:
-        return {
-            int(layer): tuple(
-                ExpertSource(kind=s["kind"], source_layer=int(s["source_layer"]),
-                             copy_index=int(s["copy_index"]))
-                for s in sources
-            )
-            for layer, sources in doc.items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"malformed provenance document: {exc}") from exc
-
-
-def provenance_to_json(provenance: ExpertProvenance) -> str:
-    return json.dumps(provenance_to_dict(provenance), indent=2, sort_keys=True) + "\n"
-
-
-def provenance_from_json(text: str) -> ExpertProvenance:
-    try:
-        return provenance_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"provenance is not valid JSON: {exc}") from exc
 
 
 def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPlan,

@@ -31,9 +31,10 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, shape_from_dict, validate_shape
+from .config import ModelShape, output_file, shape_from_dict, validate_shape
 from .errors import (
     BadMagic,
+    D2mError,
     DimensionMismatch,
     FormatError,
     InvalidConfig,
@@ -102,23 +103,11 @@ def make_trace(mlp_inputs: Sequence[np.ndarray],
 # --- low-level stream helpers --------------------------------------------------
 
 
-@contextmanager
-def _as_sink(destination) -> Iterator[BinaryIO]:
-    if not isinstance(destination, (str, Path)):
-        yield destination
-        return
-    try:
-        handle = open(destination, "wb")
-    except OSError as exc:
-        raise IoFailure(f"cannot open {destination} for writing: {exc}") from exc
-    with handle:
-        yield handle
-
-
 def _write(stream: BinaryIO, payload: bytes) -> int:
+    """Write ``payload``; a closed stream or a non-stream raises ``IoFailure``."""
     try:
         stream.write(payload)
-    except (OSError, ValueError, AttributeError) as exc:
+    except (ValueError, AttributeError) as exc:
         raise IoFailure(f"write failed: {exc}") from exc
     return len(payload)
 
@@ -174,7 +163,8 @@ class _Reader:
 def _read(source, magic: bytes) -> Iterator[_Reader]:
     """A reader past the checked magic and version of a path or an open stream.
 
-    A path is memory-mapped read-only; a stream is read to its end.
+    A path is memory-mapped read-only; a stream is read to its end. A toolkit
+    error raised while a path is parsed, in the block too, names the path.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -198,6 +188,10 @@ def _read(source, magic: bytes) -> Iterator[_Reader]:
         if version != FORMAT_VERSION:
             raise VersionMismatch(f"unsupported format version {version}")
         yield reader
+    except D2mError as exc:
+        if not isinstance(source, (str, Path)):
+            raise
+        raise type(exc)(f"{source}: {exc}") from exc
     finally:
         if isinstance(buf, mmap.mmap):
             buf.close()
@@ -208,7 +202,7 @@ def _read(source, magic: bytes) -> Iterator[_Reader]:
 
 def write_trace(trace: ActivationTrace, destination) -> int:
     """Serialize a trace; returns the number of bytes emitted."""
-    with _as_sink(destination) as stream:
+    with output_file(destination, binary=True) as stream:
         n = _write_header(stream, TRACE_MAGIC, trace.num_layers, trace.seq_len,
                           trace.hidden_dim)
         for mats in (trace.mlp_inputs, trace.layer_outputs):
@@ -227,7 +221,7 @@ def read_trace(source) -> ActivationTrace:
             )
         halves = reader.floats("<f4", (2, num_layers, seq_len, hidden), "trace payload")
         reader.end()
-    return make_trace(halves[0], halves[1])
+        return make_trace(halves[0], halves[1])
 
 
 def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
@@ -405,7 +399,7 @@ def write_weights(container: WeightContainer, destination) -> int:
     _check_finite(container.tensors)
     config = json.dumps(_container_doc(container), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    with _as_sink(destination) as stream:
+    with output_file(destination, binary=True) as stream:
         n = _write_header(stream, WEIGHTS_MAGIC, len(config))
         n += _write(stream, config)
         for name, tensor in container.tensors.items():
@@ -440,6 +434,6 @@ def read_weights(source) -> WeightContainer:
             if name in tensors:
                 raise DimensionMismatch(f"duplicate tensor {name!r} in stream")
             tensors[name] = reader.floats("<f4", dims, f"data of {name!r}")
-    _check_finite(tensors)
-    return validate_container(WeightContainer(shape=shape, tensors=tensors,
-                                              moe_layers=moe_layers))
+        _check_finite(tensors)
+        return validate_container(WeightContainer(shape=shape, tensors=tensors,
+                                                  moe_layers=moe_layers))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .config import text_file
+from .config import output_file, text_file
 from .errors import DegenerateCalibration, EmptyRecord, InvalidConfig, NonPositiveLatency
 
 
@@ -132,5 +132,5 @@ def write_candidates_csv(candidates: Iterable[CandidateEvaluation], destination,
         rew = "" if c.reward is None else f"{c.reward:.2f}"
         rows.append([c.config_id, str(c.retained_depth), f"{c.latency_ms:.6g}",
                      f"{c.score:.6g}", rew])
-    with text_file(destination, "w") as handle:
+    with output_file(destination) as handle:
         csv.writer(handle).writerows(rows)

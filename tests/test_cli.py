@@ -213,6 +213,22 @@ class TestSynth:
         assert "a:1:0" in capsys.readouterr().err
 
 
+class TestFuse:
+    def test_truncated_model_exits_2_naming_file(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path)
+        model = out["synth"] / "model.d2mw"
+        data = model.read_bytes()
+        model.write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        assert main(["fuse", "--model", str(model), "--plan", str(out["plan"]),
+                     "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                     "--out", str(tmp_path / "f.d2mw"),
+                     "--provenance-out", str(tmp_path / "p.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: expected ") and "Traceback" not in err
+        assert not (tmp_path / "f.d2mw").exists()
+
+
 class TestEstimate:
     def test_reference_latency_and_memory_fields(self, tmp_path):
         config = tmp_path / "qwen.json"

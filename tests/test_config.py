@@ -22,12 +22,15 @@ from d2m.config import (
     Workload,
     gqa_ratio,
     load_config,
+    load_plan,
     parse_config,
+    plan_from_dict,
     plan_from_json,
-    plan_to_json,
+    plan_to_dict,
     validate_plan,
     validate_shape,
     validate_thresholds,
+    write_json,
 )
 from d2m.errors import D2mError, InvalidConfig, InvalidPlan, InvalidShape
 
@@ -113,14 +116,16 @@ class TestFusionPlan:
         with pytest.raises(InvalidPlan):
             validate_plan(bad, 4)
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         plan = self.plan()
-        assert plan_from_json(plan_to_json(plan)) == plan
+        assert plan_from_dict(plan_to_dict(plan)) == plan
+        write_json(tmp_path / "plan.json", plan_to_dict(plan))
+        assert load_plan(tmp_path / "plan.json") == plan
 
-    def test_json_format(self):
-        doc = json.loads(plan_to_json(self.plan()))
-        assert doc == {"keep": [1, 2, 4], "prune": [3],
-                       "blocks": [{"base": 2, "redundant": [3]}]}
+    def test_json_format(self, tmp_path):
+        write_json(tmp_path / "plan.json", plan_to_dict(self.plan()))
+        assert json.loads((tmp_path / "plan.json").read_text()) == {
+            "keep": [1, 2, 4], "prune": [3], "blocks": [{"base": 2, "redundant": [3]}]}
 
     def test_unknown_plan_key_rejected(self):
         with pytest.raises(InvalidPlan, match="unknown"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import d2m.nanomodel as nano
 from d2m.config import ModelShape, FusionPlan, FusionBlock
+from d2m.diagnostics import TrainLog, TrainStep, train_log_from_csv
 from d2m.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -36,7 +37,6 @@ from d2m.nanomodel import (
     moe_forward,
     moe_param_grads,
     route,
-    train_log_from_csv,
     train_toy,
 )
 from d2m.surgery import fuse
@@ -516,7 +516,7 @@ def train_toy_oracle(container, data, steps, lr, alpha):
     num_seqs, seq_len = data.shape
     positions = nano.sinusoid_positions(seq_len, shape.hidden_dim, scale=nano.POSITION_SCALE)
     total_tokens = num_seqs * seq_len
-    log = nano.TrainLog()
+    log = TrainLog()
     for step in range(1, steps + 1):
         router_grad = np.zeros_like(moe_layer.router)
         expert_grads = [(np.zeros_like(m.up), np.zeros_like(m.gate), np.zeros_like(m.down))
@@ -554,7 +554,7 @@ def train_toy_oracle(container, data, steps, lr, alpha):
                 d_probs = np.broadcast_to(d_probs_row, probs.shape)
                 inner = np.einsum("tn,tn->t", d_probs, probs)
                 router_grad += h.T @ (probs * (d_probs - inner[:, None]))
-        log.steps.append(nano.TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,
+        log.steps.append(TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,
                                         loads=tuple(loads)))
         moe_layer.router[...] -= lr * router_grad
         for e, mlp in enumerate(moe_layer.experts):

@@ -1,6 +1,8 @@
-"""The package surface: the import cost of each CLI stage, and the README's
-library quick start, executed as written."""
+"""The package surface: the import cost of each CLI stage, the single path
+through which the package writes files, and the README's library quick
+start, executed as written."""
 
+import ast
 import json
 import os
 import re
@@ -47,6 +49,60 @@ class TestStartUp:
     def test_diagnostics_does_not_load_the_toy_model(self, tmp_path):
         code = "import sys, d2m.diagnostics; print('d2m.nanomodel' in sys.modules)"
         assert run_python(code, tmp_path) == "False"
+
+    def test_diagnose_loads_neither_the_toy_model_nor_traceio(self, tmp_path):
+        (tmp_path / "log.csv").write_text(
+            "step,task_loss,lb_loss,load_e1,load_e2\n1,1.0,0.5,0.25,0.75\n")
+        code = (
+            "import sys, d2m.cli\n"
+            "code = d2m.cli.main(['diagnose', '--log', 'log.csv', '--out', 'wta.csv'])\n"
+            "print(code, [m for m in ('d2m.nanomodel', 'd2m.traceio') if m in sys.modules])\n"
+        )
+        assert run_python(code, tmp_path) == "0 []"
+
+
+WRITE_HELPER = "output_file"
+
+
+def write_calls(tree: ast.AST, inside: str | None = None):
+    """(function, line, call) of every call in ``tree`` that writes a file:
+    ``.write_text``, ``.write_bytes``, and any ``open`` whose mode is not a
+    literal read mode."""
+    for node in ast.iter_child_nodes(tree):
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else inside
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("write_text", "write_bytes"):
+                yield scope, node.lineno, name
+            elif name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg in ("mode", "flags")), None)
+                reads = mode is None or (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax+"))
+                if not reads:
+                    yield scope, node.lineno, f"open mode {ast.unparse(mode)}"
+        yield from write_calls(node, scope)
+
+
+def test_every_write_goes_through_the_output_helper():
+    found = []
+    for path in sorted(SRC.joinpath("d2m").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line} {what} in {scope}"
+                  for scope, line, what in write_calls(tree) if scope != WRITE_HELPER]
+    assert found == []
+
+
+def test_write_guard_flags_a_second_write_path():
+    code = ("def save(path, text):\n"
+            "    path.write_text(text)\n"
+            "    open(path, 'ab')\n"
+            "    open(path, mode)\n"
+            "    open(path, 'rb')\n")
+    assert [(line, what) for _, line, what in write_calls(ast.parse(code))] == [
+        (2, "write_text"), (3, "open mode 'ab'"), (4, "open mode mode")]
 
 
 def test_readme_quick_start_runs(capsys):

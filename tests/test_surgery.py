@@ -5,14 +5,13 @@ accounting."""
 import numpy as np
 import pytest
 
-from d2m.config import FusionBlock, FusionPlan, ModelShape
+from d2m.config import FusionBlock, FusionPlan, ModelShape, write_json
 from d2m.errors import PlanModelMismatch, VerificationFailure
 from d2m.nanomodel import build_toy_container, forward_trace, moe_forward, layers_of
 from d2m.surgery import (
     functional_equivalence_check,
     fuse,
-    provenance_from_json,
-    provenance_to_json,
+    provenance_to_dict,
     reference_pruned_model,
     verify_fusion,
 )
@@ -187,9 +186,29 @@ class TestVerifyFusion:
         assert info.value.report is not None
         assert not info.value.report.ok
 
-    def test_provenance_json_round_trip(self):
+    def test_provenance_document_as_written(self, tmp_path):
         _, _, provenance = self.fused()
-        assert provenance_from_json(provenance_to_json(provenance)) == provenance
+        write_json(tmp_path / "prov.json", provenance_to_dict(provenance))
+        assert (tmp_path / "prov.json").read_text() == (
+            '{\n'
+            '  "2": [\n'
+            '    {\n'
+            '      "copy_index": 1,\n'
+            '      "kind": "base",\n'
+            '      "source_layer": 2\n'
+            '    },\n'
+            '    {\n'
+            '      "copy_index": 2,\n'
+            '      "kind": "base",\n'
+            '      "source_layer": 2\n'
+            '    },\n'
+            '    {\n'
+            '      "copy_index": 1,\n'
+            '      "kind": "redundant",\n'
+            '      "source_layer": 3\n'
+            '    }\n'
+            '  ]\n'
+            '}\n')
 
 
 class TestFunctionalEquivalence:
