@@ -109,10 +109,13 @@ class PipelineRun:
                 )
 
     def record(self, stage: str, inputs: list[str | Path], outputs: list[str | Path]) -> None:
+        """Replace the stage's inputs; add its outputs to those it recorded
+        before, so ``search``'s plan and sweep modes both stay checked."""
         data = self._load()
+        earlier = data["stages"].get(stage, {}).get("outputs", {})
         data["stages"][stage] = {
             "inputs": {self._rel(p): _sha256(Path(p)) for p in inputs},
-            "outputs": {self._rel(p): _sha256(Path(p)) for p in outputs},
+            "outputs": {**earlier, **{self._rel(p): _sha256(Path(p)) for p in outputs}},
         }
         self.run_dir.mkdir(parents=True, exist_ok=True)
         write_json(self.path, data)
@@ -159,6 +162,9 @@ def cmd_synth(args) -> int:
         vocab_size=args.vocab, tied_embedding=not args.untied,
     )
     redundant = _parse_redundant(args.redundant)
+    if args.trace_mode == "forward" and any(noise != 0 for _, _, noise in redundant):
+        raise InvalidConfig("--trace-mode forward copies layers exactly, so every "
+                            "--redundant noise must be 0")
     duplicates = [(base, offset) for base, offset, _ in redundant]
     model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
                                 duplicate_from=duplicates)

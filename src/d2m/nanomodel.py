@@ -44,12 +44,8 @@ RMS_EPS = 1e-6
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows, on either branch
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -623,7 +619,7 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
     n_experts = len(moe_layer.experts)
     embed = work.tensors["embed"]
     final_norm = work.tensors["final_norm"]
-    head = embed if shape.tied_embedding else work.tensors["lm_head"]
+    head = embed.T if shape.tied_embedding else work.tensors["lm_head"]
     num_seqs, seq_len = data.shape
     positions = sinusoid_positions(seq_len, shape.hidden_dim, scale=POSITION_SCALE)
     total_tokens = num_seqs * seq_len
@@ -648,14 +644,11 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
         step_probs = []
         for seq, h in zip(data, routing_inputs):
             y, record, cache = _moe_from_h(moe_layer, h)
-            if shape.tied_embedding:
-                logits = rms_norm(y, final_norm) @ head.T
-            else:
-                logits = rms_norm(y, final_norm) @ head
+            logits = rms_norm(y, final_norm) @ head
             seq_loss, d_logits = _softmax_xent(logits, seq)
             task_loss += seq_loss / num_seqs
             d_logits = d_logits / num_seqs
-            d_final = d_logits @ head if shape.tied_embedding else d_logits @ head.T
+            d_final = d_logits @ head.T
             d_y = rms_norm_input_grad(y, final_norm, d_final)
             grads = moe_param_grads(moe_layer, h, record, cache, d_y, lb_alpha=0.0)
             router_grad += grads.router

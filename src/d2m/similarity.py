@@ -75,35 +75,32 @@ def build_matrices(trace: ActivationTrace) -> SimilarityMatrices:
     mismatch from the MLP-input states; the mismatch denominator for a pair
     is the later layer's per-token norm. Each cosine matrix is one Gram
     matrix ``U @ U.T / T`` of the unit-normalised states viewed as (L, T*d).
+    One half is processed at a time, so the temporaries stay one half in size.
     """
     num_layers = trace.num_layers
     seq_len = trace.seq_len
 
-    def cosine_matrix(mats: tuple[np.ndarray, ...], label: str) -> np.ndarray:
-        stack = np.stack(mats)
-        norms = np.linalg.norm(stack, axis=2)
+    def cosine_matrix(states: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+        """The clipped Gram matrix of the unit rows and the (L, T) token norms."""
+        norms = np.linalg.norm(states, axis=2)
         zero = np.argwhere(norms == 0.0)
         if zero.size:
             layer, token = zero[0]
             raise ZeroVector(
                 f"{label} layer {layer + 1} has zero-norm token row at index {token}"
             )
-        units = (stack / norms[:, :, None]).reshape(num_layers, -1)
-        return np.clip(units @ units.T / seq_len, -1.0, 1.0)
+        units = (states / norms[:, :, None]).reshape(num_layers, -1)
+        return np.clip(units @ units.T / seq_len, -1.0, 1.0), norms
 
-    def norm_matrix() -> np.ndarray:
-        h_norms = np.linalg.norm(np.stack(trace.mlp_inputs), axis=2)
-        # pairwise[i, j] averages |n_i - n_j| / n_j; keeping only i < j puts
-        # the later layer in the denominator, then mirror for symmetric storage
-        pairwise = np.mean(
-            np.abs(h_norms[:, None, :] - h_norms[None, :, :]) / h_norms[None, :, :], axis=2
-        )
-        upper = np.triu(pairwise, k=1)
-        return upper + upper.T
-
-    return SimilarityMatrices(s_out=cosine_matrix(trace.layer_outputs, "layer_outputs"),
-                              s_mlp=cosine_matrix(trace.mlp_inputs, "mlp_inputs"),
-                              delta_norm=norm_matrix())
+    s_out, _ = cosine_matrix(trace.layer_outputs, "layer_outputs")
+    s_mlp, h_norms = cosine_matrix(trace.mlp_inputs, "mlp_inputs")
+    # pairwise[i, j] averages |n_i - n_j| / n_j; keeping only i < j puts the
+    # later layer in the denominator, then mirror for symmetric storage
+    pairwise = np.mean(
+        np.abs(h_norms[:, None, :] - h_norms[None, :, :]) / h_norms[None, :, :], axis=2
+    )
+    upper = np.triu(pairwise, k=1)
+    return SimilarityMatrices(s_out=s_out, s_mlp=s_mlp, delta_norm=upper + upper.T)
 
 
 def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[str, Path]:

@@ -56,48 +56,48 @@ FORMAT_VERSION = 1
 class ActivationTrace:
     """Per-layer, per-token hidden states captured from a forward pass.
 
+    Each half is one float64 (L, T, d) array, in file order:
     ``mlp_inputs[l-1]`` is the post-attention residual state entering layer
     l's MLP branch; ``layer_outputs[l-1]`` is layer l's final output.
     """
 
-    mlp_inputs: tuple[np.ndarray, ...]
-    layer_outputs: tuple[np.ndarray, ...]
+    mlp_inputs: np.ndarray
+    layer_outputs: np.ndarray
 
     @property
     def num_layers(self) -> int:
-        return len(self.mlp_inputs)
+        return self.mlp_inputs.shape[0]
 
     @property
     def seq_len(self) -> int:
-        return self.mlp_inputs[0].shape[0]
+        return self.mlp_inputs.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.mlp_inputs[0].shape[1]
+        return self.mlp_inputs.shape[2]
 
 
 def make_trace(mlp_inputs: Sequence[np.ndarray],
                layer_outputs: Sequence[np.ndarray]) -> ActivationTrace:
-    """Build a validated trace from per-layer matrices."""
+    """Build a validated trace from per-layer matrices or (L, T, d) arrays."""
     if len(mlp_inputs) == 0 or len(mlp_inputs) != len(layer_outputs):
         raise InvalidTrace(
             f"need equal non-zero layer counts, got {len(mlp_inputs)} mlp inputs "
             f"and {len(layer_outputs)} outputs"
         )
-    h = tuple(np.ascontiguousarray(m, dtype=np.float64) for m in mlp_inputs)
-    y = tuple(np.ascontiguousarray(m, dtype=np.float64) for m in layer_outputs)
-    t, d = h[0].shape
+    t, d = np.shape(mlp_inputs[0])
     if t < 1 or d < 1:
         raise InvalidTrace(f"degenerate trace dimensions T={t}, d={d}")
-    for label, mats in (("mlp_inputs", h), ("layer_outputs", y)):
+    for label, mats in (("mlp_inputs", mlp_inputs), ("layer_outputs", layer_outputs)):
         for idx, m in enumerate(mats, start=1):
-            if m.ndim != 2 or m.shape != (t, d):
+            if np.shape(m) != (t, d):
                 raise InvalidTrace(
-                    f"{label} layer {idx} has shape {m.shape}, expected {(t, d)}"
+                    f"{label} layer {idx} has shape {np.shape(m)}, expected {(t, d)}"
                 )
             if not np.isfinite(m).all():
                 raise NonFiniteValue(f"{label} layer {idx} contains non-finite values")
-    return ActivationTrace(mlp_inputs=h, layer_outputs=y)
+    return ActivationTrace(mlp_inputs=np.asarray(mlp_inputs, dtype=np.float64),
+                           layer_outputs=np.asarray(layer_outputs, dtype=np.float64))
 
 
 # --- low-level stream helpers --------------------------------------------------
@@ -247,18 +247,14 @@ def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
         if scale < 0:
             raise OutOfRange(f"noise_scale must be non-negative, got {scale}")
     rng = np.random.default_rng(seed)
-
-    def draw() -> np.ndarray:
-        return rng.standard_normal((seq_len, hidden_dim)).astype(np.float32).astype(np.float64)
-
-    h = [draw() for _ in range(num_layers)]
-    y = [draw() for _ in range(num_layers)]
+    states = np.empty((2, num_layers, seq_len, hidden_dim))
+    for layer in states.reshape(-1, seq_len, hidden_dim):  # every h, then every y
+        layer[...] = rng.standard_normal((seq_len, hidden_dim)).astype(np.float32)
     for base, offset, scale in spec:
-        for mats in (h, y):
+        for half in states:
             noise = rng.standard_normal((seq_len, hidden_dim))
-            dup = mats[base - 1] + scale * noise
-            mats[base + offset - 1] = dup.astype(np.float32).astype(np.float64)
-    return make_trace(h, y)
+            half[base + offset - 1] = (half[base - 1] + scale * noise).astype(np.float32)
+    return make_trace(states[0], states[1])
 
 
 # --- weight containers ------------------------------------------------------------

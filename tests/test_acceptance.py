@@ -369,9 +369,8 @@ def test_c10_format_round_trips():
         write_trace(trace, buf)
         buf.seek(0)
         back = read_trace(buf)
-        for a, b in zip(trace.mlp_inputs + trace.layer_outputs,
-                        back.mlp_inputs + back.layer_outputs):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back.mlp_inputs, trace.mlp_inputs)
+        assert np.array_equal(back.layer_outputs, trace.layer_outputs)
 
     shape = ModelShape(num_layers=2, hidden_dim=8, mlp_dim=12, num_heads=2,
                        num_kv_heads=1, head_dim=4, vocab_size=16,

@@ -212,6 +212,27 @@ class TestSynth:
         assert code == 2
         assert "a:1:0" in capsys.readouterr().err
 
+    def test_forward_trace_feeds_analyze_and_search(self, tmp_path):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--seed", "3", "--layers", "4",
+                     "--hidden", "16", "--mlp-dim", "32", "--heads", "2", "--kv-heads", "1",
+                     "--head-dim", "8", "--vocab", "32", "--seq-len", "12",
+                     "--redundant", "2:1:0", "--trace-mode", "forward"]) == 0
+        analysis = tmp_path / "analysis"
+        assert main(["analyze", "--trace", str(synth / "trace.d2mt"),
+                     "--out-dir", str(analysis)]) == 0
+        assert main(["search", "--matrices", str(analysis / "matrices.d2ms"),
+                     "--delta", "0.05", "--epsilon", "0.1",
+                     "--plan-out", str(tmp_path / "plan.json")]) == 0
+        assert json.loads((tmp_path / "plan.json").read_text())["prune"] == [3]
+
+    def test_forward_trace_rejects_noise(self, tmp_path, capsys):
+        code = main(["synth", "--out-dir", str(tmp_path / "synth"), "--layers", "5",
+                     "--redundant", "4:1:0.5", "--trace-mode", "forward"])
+        assert code == 2
+        assert "--redundant noise must be 0" in capsys.readouterr().err
+        assert not (tmp_path / "synth" / "model.d2mw").exists()
+
 
 class TestFuse:
     def test_truncated_model_exits_2_naming_file(self, tmp_path, capsys):
@@ -459,6 +480,28 @@ class TestManifest:
         trace.write_bytes(raw)
         assert main(["analyze", "--trace", str(trace), "--out-dir", str(analysis),
                      "--run-dir", str(run_dir)]) == 4
+
+    def test_sweep_keeps_the_plan_checked(self, tmp_path):
+        # search records its plan and its sweep under one stage; the second
+        # run must not drop the first one's output from the manifest
+        run_dir = tmp_path / "run"
+        out = run_pipeline(run_dir)
+        flags = ["--run-dir", str(run_dir)]
+        matrices = str(out["analysis"] / "matrices.d2ms")
+        assert main(["search", "--matrices", matrices, "--delta", "0.05", "--epsilon", "0.1",
+                     "--plan-out", str(out["plan"]), *flags]) == 0
+        assert main(["search", "--matrices", matrices, "--sweep", "--delta-grid", "0.01,0.1",
+                     "--epsilon-grid", "0.1", "--sweep-out", str(run_dir / "sweep.csv"),
+                     *flags]) == 0
+        outputs = json.loads((run_dir / "manifest.json").read_text())["stages"]["search"]["outputs"]
+        assert sorted(outputs) == ["plan.json", "sweep.csv"]
+        plan = json.loads(out["plan"].read_text())
+        out["plan"].write_text(json.dumps({**plan, "prune": [], "keep": [1, 2, 3, 4, 5],
+                                           "blocks": []}))
+        assert main(["fuse", "--model", str(out["synth"] / "model.d2mw"),
+                     "--plan", str(out["plan"]), "--base-copies", "1", "--supp-copies", "1",
+                     "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
+                     "--provenance-out", str(tmp_path / "p.json"), *flags]) == 4
 
     @pytest.mark.parametrize("content", [
         b"{not json",

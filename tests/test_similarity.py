@@ -2,6 +2,7 @@
 exact identities (duplicates, scaling asymmetry, diagonals)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,20 @@ class TestBuildMatrices:
         with pytest.raises(ZeroVector,
                            match="mlp_inputs layer 1 has zero-norm token row at index 2"):
             build_matrices(make_trace(h, y))
+
+    def test_traced_peak_stays_one_half(self):
+        # the states are divided and the norms squared one half at a time,
+        # so nothing the size of both halves is ever allocated
+        num_layers, seq_len, hidden = 24, 256, 128
+        trace = synth_trace(num_layers, seq_len, hidden, seed=8)
+        half_bytes = num_layers * seq_len * hidden * 8
+        tracemalloc.start()
+        try:
+            build_matrices(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * half_bytes, f"peak {peak / half_bytes:.2f} halves"
 
 
 class TestHeatmapExport:

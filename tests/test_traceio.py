@@ -80,9 +80,8 @@ class TestTraceFormat:
             write_trace(trace, buf)
             buf.seek(0)
             back = read_trace(buf)
-            for a, b in zip(trace.mlp_inputs + trace.layer_outputs,
-                            back.mlp_inputs + back.layer_outputs):
-                assert np.array_equal(a, b)
+            assert np.array_equal(back.mlp_inputs, trace.mlp_inputs)
+            assert np.array_equal(back.layer_outputs, trace.layer_outputs)
 
     def test_file_round_trip_is_fixed_point(self, tmp_path):
         trace = synth_trace(3, 4, 6, [(1, 1, 0.05)], seed=9)
@@ -141,14 +140,28 @@ class TestSynthTrace:
     def test_determinism(self):
         a = synth_trace(3, 5, 7, [(1, 2, 0.2)], seed=42)
         b = synth_trace(3, 5, 7, [(1, 2, 0.2)], seed=42)
-        for x, y in zip(a.mlp_inputs + a.layer_outputs, b.mlp_inputs + b.layer_outputs):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.mlp_inputs, b.mlp_inputs)
+        assert np.array_equal(a.layer_outputs, b.layer_outputs)
 
     def test_noise_scale_regression(self):
         # frozen from the pinned generator stream (d=64, T=256, seed 7, noise 0.1)
         trace = synth_trace(4, 256, 64, [(2, 1, 0.1)], seed=7)
         mean_cos = seq_avg_cosine(trace.mlp_inputs[1], trace.mlp_inputs[2])
         assert mean_cos == pytest.approx(0.9948788821198062, abs=1e-9)
+
+    def test_one_array_per_half_in_draw_order(self):
+        # every h layer, then every y layer, then per entry one noise draw
+        # for h and one for y, each value rounded through float32
+        trace = synth_trace(3, 4, 5, [(1, 2, 0.3), (1, 1, 0.1)], seed=6)
+        rng = np.random.default_rng(6)
+        want = rng.standard_normal((2, 3, 4, 5)).astype(np.float32).astype(np.float64)
+        for base, offset, scale in [(1, 2, 0.3), (1, 1, 0.1)]:
+            for half in want:
+                noise = rng.standard_normal((4, 5))
+                half[base + offset - 1] = (half[base - 1] + scale * noise).astype(np.float32)
+        for got, expected in zip((trace.mlp_inputs, trace.layer_outputs), want):
+            assert got.dtype == np.float64 and got.shape == (3, 4, 5)
+            assert np.array_equal(got, expected)
 
     def test_out_of_range_offset(self):
         with pytest.raises(OutOfRange):
