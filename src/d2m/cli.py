@@ -153,9 +153,8 @@ def cmd_synth(args) -> int:
                             make_copy_stream, sinusoid_positions)
     from .traceio import synth_trace, write_trace, write_weights
 
-    _require_inputs(args, [])  # a corrupt manifest fails before anything is written
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every flag is checked, and a corrupt manifest found, before anything is created
+    _require_inputs(args, [])
     shape = ModelShape(
         num_layers=args.layers, hidden_dim=args.hidden, mlp_dim=args.mlp_dim,
         num_heads=args.heads, num_kv_heads=args.kv_heads, head_dim=args.head_dim,
@@ -168,9 +167,6 @@ def cmd_synth(args) -> int:
     duplicates = [(base, offset) for base, offset, _ in redundant]
     model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
                                 duplicate_from=duplicates)
-    model_path = out_dir / "model.d2mw"
-    write_weights(model, model_path)
-
     if args.trace_mode == "synthetic":
         trace = synth_trace(shape.num_layers, args.seq_len, shape.hidden_dim,
                             redundant, seed=args.seed)
@@ -179,9 +175,13 @@ def cmd_synth(args) -> int:
         x = model.tensors["embed"][tokens] + sinusoid_positions(
             args.seq_len, shape.hidden_dim, scale=POSITION_SCALE)
         _, trace = dense_forward(model, x)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model_path = out_dir / "model.d2mw"
+    write_weights(model, model_path)
     trace_path = out_dir / "trace.d2mt"
     write_trace(trace, trace_path)
-
     config_path = out_dir / "config.json"
     write_json(config_path, asdict(PipelineConfig(model=shape)))
     _record(args, "synth", [], [model_path, trace_path, config_path])
@@ -191,11 +191,9 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     from . import similarity
-    from .traceio import read_trace
 
     _require_inputs(args, [args.trace])
-    trace = read_trace(args.trace)
-    matrices = similarity.build_matrices(trace)
+    matrices = similarity.stream_matrices(args.trace)
     paths = similarity.export_heatmap(matrices, args.out_dir)
     cache_path = Path(args.out_dir) / "matrices.d2ms"
     similarity.write_matrices(matrices, cache_path)

@@ -1,6 +1,12 @@
 """Inter-layer similarity statistics: sequence-averaged cosine similarity of
 layer outputs and MLP inputs, and the mean relative norm mismatch that guards
 against scale shifts when distant MLPs are reused as experts.
+
+All three matrices come from one pass over the trace in token chunks, so the
+same code serves a trace in memory (``build_matrices``) and a trace file
+(``stream_matrices``), and a file is never loaded whole. ``seq_avg_cosine``
+and ``norm_mismatch`` define the statistics pair by pair and are the oracle
+the matrices are tested against.
 """
 
 from __future__ import annotations
@@ -8,12 +14,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import output_file
 from .errors import InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
-from .traceio import ActivationTrace, _read, _write, _write_header
+from .traceio import ActivationTrace, _read, _write, _write_header, chunk_tokens, trace_chunks
+
+HALVES = ("mlp_inputs", "layer_outputs")  # file order
 
 
 @dataclass(frozen=True)
@@ -73,33 +82,74 @@ def build_matrices(trace: ActivationTrace) -> SimilarityMatrices:
 
     Output cosine comes from the per-layer outputs, MLP cosine and the norm
     mismatch from the MLP-input states; the mismatch denominator for a pair
-    is the later layer's per-token norm. Each cosine matrix is one Gram
-    matrix ``U @ U.T / T`` of the unit-normalised states viewed as (L, T*d).
-    One half is processed at a time, so the temporaries stay one half in size.
+    is the later layer's per-token norm. The halves are fed to the same
+    chunked pass as a trace file, a slice of ``chunk_tokens`` tokens at a
+    time, so the temporaries stay one chunk in size.
     """
-    num_layers = trace.num_layers
-    seq_len = trace.seq_len
+    step = chunk_tokens(trace.num_layers, trace.seq_len, trace.hidden_dim)
+    return _accumulate((trace.mlp_inputs[:, t:t + step], trace.layer_outputs[:, t:t + step])
+                       for t in range(0, trace.seq_len, step))
 
-    def cosine_matrix(states: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-        """The clipped Gram matrix of the unit rows and the (L, T) token norms."""
-        norms = np.linalg.norm(states, axis=2)
-        zero = np.argwhere(norms == 0.0)
+
+def stream_matrices(path: str | Path) -> SimilarityMatrices:
+    """``build_matrices`` of the trace file at ``path``, read a token chunk at
+    a time; an error names the path."""
+    with trace_chunks(path) as chunks:
+        return _accumulate(chunks)
+
+
+def _accumulate(chunks: Iterable[Sequence[np.ndarray]]) -> SimilarityMatrices:
+    """The matrices of a trace fed as consecutive token chunks, each a pair of
+    (L, n, d) halves in file order.
+
+    Each cosine matrix is the Gram matrix ``U @ U.T / T`` of the unit token
+    rows viewed as (L, T*d), summed one chunk at a time; the (2, L, T) token
+    norms are kept. The trace is judged after the pass, from the norms, so
+    the error names the same place whatever the chunking: ``NonFiniteValue``
+    the first half, then layer, holding a NaN or infinity; ``ZeroVector``
+    the first zero-norm row in ``layer_outputs``, then ``mlp_inputs``, by
+    layer, then token.
+    """
+    grams = None
+    kept = []
+    clean = True
+    for chunk in chunks:
+        num_layers, width = chunk[0].shape[:2]
+        if grams is None:
+            grams = np.zeros((2, num_layers, num_layers))
+        norms = np.empty((2, num_layers, width))
+        for half, gram, half_norms in zip(chunk, grams, norms):
+            units = np.array(half, dtype=np.float64)  # a copy, normalised in place
+            half_norms[...] = np.linalg.norm(units, axis=2)
+            # a non-finite or zero row fails the trace below; the Grams are
+            # then never used, so skip them rather than divide by it
+            clean = clean and np.isfinite(half_norms).all() and half_norms.all()
+            if clean:
+                units /= half_norms[:, :, None]
+                units = units.reshape(num_layers, -1)
+                gram += units @ units.T
+        kept.append(norms)
+    norms = np.concatenate(kept, axis=2)
+
+    finite = np.isfinite(norms).all(axis=2)
+    if not finite.all():
+        half, layer = np.argwhere(~finite)[0]
+        raise NonFiniteValue(f"{HALVES[half]} layer {layer + 1} contains non-finite values")
+    for half in (1, 0):
+        zero = np.argwhere(norms[half] == 0.0)
         if zero.size:
             layer, token = zero[0]
             raise ZeroVector(
-                f"{label} layer {layer + 1} has zero-norm token row at index {token}"
+                f"{HALVES[half]} layer {layer + 1} has zero-norm token row at index {token}"
             )
-        units = (states / norms[:, :, None]).reshape(num_layers, -1)
-        return np.clip(units @ units.T / seq_len, -1.0, 1.0), norms
 
-    s_out, _ = cosine_matrix(trace.layer_outputs, "layer_outputs")
-    s_mlp, h_norms = cosine_matrix(trace.mlp_inputs, "mlp_inputs")
-    # pairwise[i, j] averages |n_i - n_j| / n_j; keeping only i < j puts the
-    # later layer in the denominator, then mirror for symmetric storage
-    pairwise = np.mean(
-        np.abs(h_norms[:, None, :] - h_norms[None, :, :]) / h_norms[None, :, :], axis=2
-    )
-    upper = np.triu(pairwise, k=1)
+    s_mlp, s_out = np.clip(grams / norms.shape[2], -1.0, 1.0)
+    # upper[i, j] averages |n_i - n_j| / n_j over tokens for i < j, putting
+    # the later layer in the denominator; mirror for symmetric storage
+    h_norms = norms[0]
+    upper = np.zeros_like(s_mlp)
+    for j in range(1, len(h_norms)):
+        upper[:j, j] = np.mean(np.abs(h_norms[:j] - h_norms[j]) / h_norms[j], axis=1)
     return SimilarityMatrices(s_out=s_out, s_mlp=s_mlp, delta_norm=upper + upper.T)
 
 

@@ -15,6 +15,11 @@ Formats (all integers little-endian u32):
 These two and the similarity matrices cache are read through one cursor that
 checks every header-declared length against the bytes present before it
 slices or allocates, and rejects bytes left over after the payload.
+
+``read_trace`` loads a whole trace. ``trace_chunks`` checks a trace file's
+header by the same rules and then reads its states a token chunk at a time
+into one reused buffer of at most ``CHUNK_BYTES``, so a pass over a trace
+never holds more of it than one chunk.
 """
 
 from __future__ import annotations
@@ -85,7 +90,10 @@ def make_trace(mlp_inputs: Sequence[np.ndarray],
             f"need equal non-zero layer counts, got {len(mlp_inputs)} mlp inputs "
             f"and {len(layer_outputs)} outputs"
         )
-    t, d = np.shape(mlp_inputs[0])
+    first = np.shape(mlp_inputs[0])
+    if len(first) != 2:
+        raise InvalidTrace(f"mlp_inputs layer 1 has shape {first}, expected (T, d)")
+    t, d = first
     if t < 1 or d < 1:
         raise InvalidTrace(f"degenerate trace dimensions T={t}, d={d}")
     for label, mats in (("mlp_inputs", mlp_inputs), ("layer_outputs", layer_outputs)):
@@ -131,7 +139,8 @@ class _Reader:
     def remaining(self) -> int:
         return len(self._buf) - self._pos
 
-    def _advance(self, count: int, what: str) -> int:
+    def skip(self, count: int, what: str) -> int:
+        """Step past ``count`` bytes; returns the offset where they start."""
         if count > self.remaining():
             raise TruncatedPayload(
                 f"expected {count} bytes for {what}, got {self.remaining()}")
@@ -140,16 +149,16 @@ class _Reader:
         return start
 
     def take(self, count: int, what: str) -> bytes:
-        start = self._advance(count, what)
+        start = self.skip(count, what)
         return self._buf[start:self._pos]
 
     def u32s(self, count: int, what: str) -> tuple[int, ...]:
-        return struct.unpack_from(f"<{count}I", self._buf, self._advance(4 * count, what))
+        return struct.unpack_from(f"<{count}I", self._buf, self.skip(4 * count, what))
 
     def floats(self, dtype: str, dims: Sequence[int], what: str) -> np.ndarray:
         """The next prod(dims) little-endian floats, as a float64 array of shape dims."""
         count = math.prod(dims)
-        start = self._advance(count * np.dtype(dtype).itemsize, what)
+        start = self.skip(count * np.dtype(dtype).itemsize, what)
         # one expression, so no view of the buffer outlives the call
         return (np.frombuffer(self._buf, dtype=dtype, count=count, offset=start)
                 .astype(np.float64).reshape(dims))
@@ -211,17 +220,79 @@ def write_trace(trace: ActivationTrace, destination) -> int:
         return n
 
 
+def _trace_dims(reader: _Reader) -> tuple[int, int, int]:
+    num_layers, seq_len, hidden = reader.u32s(3, "trace dimensions")
+    if num_layers < 1 or seq_len < 1 or hidden < 1:
+        raise InvalidTrace(
+            f"degenerate header L={num_layers}, T={seq_len}, d={hidden}"
+        )
+    return num_layers, seq_len, hidden
+
+
 def read_trace(source) -> ActivationTrace:
     """Deserialize a trace, re-validating finiteness and dimensions."""
     with _read(source, TRACE_MAGIC) as reader:
-        num_layers, seq_len, hidden = reader.u32s(3, "trace dimensions")
-        if num_layers < 1 or seq_len < 1 or hidden < 1:
-            raise InvalidTrace(
-                f"degenerate header L={num_layers}, T={seq_len}, d={hidden}"
-            )
-        halves = reader.floats("<f4", (2, num_layers, seq_len, hidden), "trace payload")
+        dims = _trace_dims(reader)
+        halves = reader.floats("<f4", (2, *dims), "trace payload")
         reader.end()
         return make_trace(halves[0], halves[1])
+
+
+# float32 bytes of one token chunk of both halves; its float64 working copies
+# take about twice that. On the reference trace (L=24, d=896, 6 tokens a
+# chunk) budgets from 0.5 to 8 MiB ran equally fast while peak RSS grew with
+# the budget.
+CHUNK_BYTES = 1 << 20
+
+
+def chunk_tokens(num_layers: int, seq_len: int, hidden_dim: int) -> int:
+    """Tokens per chunk: as many as fit in ``CHUNK_BYTES``, at least one and
+    at most the whole sequence."""
+    return max(1, min(seq_len, CHUNK_BYTES // (2 * num_layers * hidden_dim * 4)))
+
+
+@contextmanager
+def trace_chunks(path: str | Path) -> Iterator[Iterator[np.ndarray]]:
+    """The states of the trace file at ``path``, one token chunk at a time.
+
+    The header is checked as ``read_trace`` checks it, payload length against
+    the file size and trailing bytes included, before anything sized by it is
+    allocated. The block gets an iterator over consecutive chunks in token
+    order: float32 (2, L, n, d) views, halves in file order, of one reused
+    buffer that the next chunk overwrites. A file that shrinks under the
+    reader raises ``TruncatedPayload``. A toolkit error raised in the block,
+    by the chunks' consumer too, names the path.
+    """
+    with _read(path, TRACE_MAGIC) as reader:
+        num_layers, seq_len, hidden = _trace_dims(reader)
+        start = reader.skip(2 * num_layers * seq_len * hidden * 4, "trace payload")
+        reader.end()
+        try:
+            handle = open(path, "rb", buffering=0)
+        except OSError as exc:
+            raise IoFailure(f"cannot read: {exc}") from exc
+        with handle:
+            yield _read_chunks(handle.fileno(), start, num_layers, seq_len, hidden)
+
+
+def _read_chunks(fd: int, start: int, num_layers: int, seq_len: int,
+                 hidden: int) -> Iterator[np.ndarray]:
+    step = chunk_tokens(num_layers, seq_len, hidden)
+    buf = np.empty((2, num_layers, step, hidden), dtype="<f4")
+    for first in range(0, seq_len, step):
+        chunk = buf[:, :, :min(step, seq_len - first)]
+        # the file holds each (half, layer) as T contiguous rows of d floats
+        for index in range(2 * num_layers):
+            rows = chunk[divmod(index, num_layers)]  # a view: reads land in buf
+            offset = start + 4 * hidden * (index * seq_len + first)
+            try:
+                got = os.preadv(fd, [rows], offset)
+            except OSError as exc:
+                raise IoFailure(f"read failed: {exc}") from exc
+            if got != rows.nbytes:
+                raise TruncatedPayload(
+                    f"expected {rows.nbytes} bytes at offset {offset}, got {got}")
+        yield chunk
 
 
 def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,

@@ -212,6 +212,17 @@ class TestSynth:
         assert code == 2
         assert "a:1:0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--redundant", "a:1:0"],
+        ["--redundant", "3:1:0"],  # layer 4 of 3
+        ["--redundant", "1:1:0.5", "--trace-mode", "forward"],
+        ["--layers", "2", "--seq-len", "0"],
+    ], ids=["not-a-number", "out-of-range", "forward-noise", "empty-sequence"])
+    def test_bad_flags_create_nothing(self, tmp_path, flags):
+        out_dir = tmp_path / "x" / "a"
+        assert main(["synth", "--out-dir", str(out_dir), "--layers", "3", *flags]) == 2
+        assert not (tmp_path / "x").exists()
+
     def test_forward_trace_feeds_analyze_and_search(self, tmp_path):
         synth = tmp_path / "synth"
         assert main(["synth", "--out-dir", str(synth), "--seed", "3", "--layers", "4",

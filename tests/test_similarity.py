@@ -1,25 +1,37 @@
 """Similarity statistics against a per-token double-loop oracle, plus the
-exact identities (duplicates, scaling asymmetry, diagonals)."""
+exact identities (duplicates, scaling asymmetry, diagonals), and the chunked
+pass over a trace file: chunk boundaries, malformed files and its memory."""
 
+import io
 import math
+import os
+import re
+import struct
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from d2m.errors import ZeroVector
+from d2m import traceio
+from d2m.cli import main
+from d2m.errors import D2mError, TruncatedPayload, ZeroVector
 from d2m.similarity import (
     build_matrices,
     export_heatmap,
     norm_mismatch,
     read_matrices,
     seq_avg_cosine,
+    stream_matrices,
     write_matrices,
 )
-from d2m.traceio import make_trace, synth_trace
+from d2m.traceio import make_trace, read_trace, synth_trace, trace_chunks, write_trace
 
 
 def oracle_cosine(a, b):
@@ -199,6 +211,166 @@ class TestBuildMatrices:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * half_bytes, f"peak {peak / half_bytes:.2f} halves"
+
+
+def chunk_budget(num_layers, hidden, tokens):
+    """A ``CHUNK_BYTES`` that makes chunks of ``tokens`` tokens."""
+    return tokens * 2 * num_layers * hidden * 4
+
+
+@st.composite
+def chunked_traces(draw):
+    """float32 states whose T sits on or beside a chunk boundary, or anywhere,
+    and the chunk length in tokens."""
+    num_layers, hidden, chunk = (draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                                 draw(st.integers(1, 4)))
+    seq_len = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1])
+                   | st.integers(1, 3 * chunk + 2))
+    assume(seq_len >= 1)
+    states = draw(arrays(np.float32, (2, num_layers, seq_len, hidden),
+                         elements=st.floats(-10, 10, width=32, allow_subnormal=False)))
+    assume(np.all(np.linalg.norm(states, axis=3) > 0.0))
+    return states.astype(np.float64), chunk
+
+
+@st.composite
+def malformed_traces(draw):
+    """A small trace file with up to three non-finite values or zero rows,
+    then at most one of: truncation, trailing bytes, a tampered L, T or d;
+    and a ``CHUNK_BYTES`` of one to three tokens, or None to keep the
+    module's."""
+    num_layers, seq_len, hidden = (draw(st.integers(1, 3)), draw(st.integers(1, 6)),
+                                   draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    states = rng.uniform(0.5, 2.0, (2, num_layers, seq_len, hidden)).astype(np.float32)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["nonfinite", "zero"]))
+        row = states[draw(st.integers(0, 1)), draw(st.integers(0, num_layers - 1)),
+                     draw(st.integers(0, seq_len - 1))]
+        if kind == "zero":
+            row[:] = 0.0
+        else:
+            row[draw(st.integers(0, hidden - 1))] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+    data = bytearray(b"D2MT" + struct.pack("<4I", 1, num_layers, seq_len, hidden)
+                     + states.astype("<f4").tobytes())
+    kind = draw(st.sampled_from([None, None, None, "truncate", "trailing", "dims"]))
+    if kind == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif kind == "trailing":
+        data += bytes(draw(st.integers(1, 8)))
+    elif kind == "dims":
+        offset = draw(st.sampled_from([8, 12, 16]))
+        (old,) = struct.unpack_from("<I", data, offset)
+        new = draw(st.sampled_from([0, old - 1, old + 1, 2 * old, 2**16, 2**32 - 1]))
+        struct.pack_into("<I", data, offset, new)
+    tokens = draw(st.sampled_from([None, 1, 2, 3]))
+    return bytes(data), tokens and chunk_budget(num_layers, hidden, tokens)
+
+
+def expected_failure(data: bytes) -> D2mError | None:
+    """The error of a whole-file read followed by the pairwise definitions:
+    ``read_trace`` judges the format and finiteness, then the first zero row
+    of ``layer_outputs``, then of ``mlp_inputs``, by layer, then token."""
+    try:
+        trace = read_trace(io.BytesIO(data))
+    except D2mError as exc:
+        return exc
+    for label, half in (("layer_outputs", trace.layer_outputs),
+                        ("mlp_inputs", trace.mlp_inputs)):
+        for layer, states in enumerate(half, start=1):
+            for token, row in enumerate(states):
+                if not row.any():
+                    return ZeroVector(
+                        f"{label} layer {layer} has zero-norm token row at index {token}")
+    return None
+
+
+class TestStreamMatrices:
+    @given(chunked_traces())
+    def test_chunk_boundaries_agree_with_memory_and_oracle(self, case):
+        states, chunk = case
+        h, y = states
+        num_layers, hidden = h.shape[0], h.shape[2]
+        trace = make_trace(list(h), list(y))
+        in_memory = build_matrices(trace)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.d2mt"
+            write_trace(trace, path)
+            with mock.patch.object(traceio, "CHUNK_BYTES",
+                                   chunk_budget(num_layers, hidden, chunk)):
+                streamed = stream_matrices(path)
+        for name in ("s_out", "s_mlp", "delta_norm"):
+            assert np.abs(getattr(streamed, name) - getattr(in_memory, name)).max() <= 1e-12
+            assert np.array_equal(getattr(streamed, name), getattr(streamed, name).T)
+        for i in range(num_layers):
+            for j in range(i, num_layers):
+                for mats in (streamed, in_memory):
+                    assert abs(mats.s_out[i, j] - seq_avg_cosine(y[i], y[j])) <= 1e-12
+                    assert abs(mats.s_mlp[i, j] - seq_avg_cosine(h[i], h[j])) <= 1e-12
+                    assert abs(mats.delta_norm[i, j] - norm_mismatch(h[i], h[j])) <= 1e-12
+
+    @settings(max_examples=200)
+    @given(malformed_traces())
+    def test_malformed_files_fail_as_a_whole_read_would(self, case):
+        data, budget = case
+        want = expected_failure(data)
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = Path(tmp)
+            path = out / "trace.d2mt"
+            path.write_bytes(data)
+            with mock.patch.object(traceio, "CHUNK_BYTES", budget or traceio.CHUNK_BYTES):
+                tracemalloc.start()
+                try:
+                    stream_matrices(path)
+                    got = None
+                except D2mError as exc:
+                    got = exc
+                finally:
+                    peak = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.stop()
+                code = main(["analyze", "--trace", str(path), "--out-dir", str(out / "a")])
+        # nothing sized by a header the file does not back is allocated, and
+        # no chunk buffer is larger than the trace
+        assert peak < 8 * len(data) + (64 << 10)
+        if want is None:
+            assert got is None and code == 0
+        else:
+            assert type(got) is type(want)
+            assert str(got) == f"{path}: {want}"
+            assert code == 2
+
+    def test_file_shrinking_under_the_reader_is_truncated_payload(self, tmp_path):
+        path = tmp_path / "trace.d2mt"
+        write_trace(synth_trace(2, 5, 3, seed=1), path)
+        with pytest.raises(TruncatedPayload, match=re.escape(f"{path}: expected")):
+            with trace_chunks(path) as chunks:
+                os.truncate(path, 40)
+                for _ in chunks:
+                    pass
+
+    def test_traced_peak_grows_with_the_chunk_not_the_trace(self, tmp_path):
+        # the reused chunk buffer and its float64 copies do not grow with T;
+        # only the (2, L, T) token norms do
+        num_layers, hidden = 4, 128
+        chunk = traceio.chunk_tokens(num_layers, 4096, hidden)
+        assert chunk < 1024
+        peaks = {}
+        for seq_len in (1024, 4096):
+            path = tmp_path / f"trace{seq_len}.d2mt"
+            write_trace(synth_trace(num_layers, seq_len, hidden, seed=seq_len), path)
+            tracemalloc.start()
+            try:
+                stream_matrices(path)
+                peaks[seq_len] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        half_bytes = num_layers * 4096 * hidden * 8
+        norm_bytes = 2 * num_layers * 4096 * 8
+        chunk_bytes = 2 * num_layers * chunk * hidden * 4
+        assert peaks[4096] - peaks[1024] <= 4 * norm_bytes < half_bytes / 8, peaks
+        assert peaks[4096] <= 5 * chunk_bytes + 4 * norm_bytes, peaks
 
 
 class TestHeatmapExport:

@@ -21,6 +21,7 @@ from d2m.errors import (
     D2mError,
     DimensionMismatch,
     FormatError,
+    InvalidTrace,
     IoFailure,
     MissingTensor,
     NonFiniteValue,
@@ -127,6 +128,12 @@ class TestTraceFormat:
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
             read_trace(tmp_path / "absent.d2mt")
+
+    @pytest.mark.parametrize("first", [np.ones(3), np.ones((2, 3, 4)), np.float64(1.0)],
+                             ids=["vector", "3-d", "scalar"])
+    def test_first_layer_not_a_matrix_is_invalid_trace(self, first):
+        with pytest.raises(InvalidTrace, match="mlp_inputs layer 1 has shape"):
+            make_trace([first], [first])
 
 
 class TestSynthTrace:
