@@ -1,7 +1,8 @@
 """Shared domain types: model shapes, hardware profiles, workloads, search
-thresholds and fusion plans; ``section_from_dict``, which builds any of them
-from a JSON object; ``text_file``, through which every JSON and CSV input is
-opened; and ``output_file``, through which every file the toolkit writes is
+thresholds and fusion plans; ``tensor_schema``, the one description of the
+tensors a model of a shape holds; ``section_from_dict``, which builds any of
+them from a JSON object; ``text_file``, through which every JSON and CSV input
+is opened; and ``output_file``, through which every file the toolkit writes is
 written beside its destination and renamed into place.
 
 All types are immutable value objects; layer indices are 1-based everywhere,
@@ -82,16 +83,11 @@ def write_json(destination, doc: Any) -> None:
 
 @dataclass(frozen=True)
 class MoEShape:
-    """Expert-pool geometry of a sparse layer.
-
-    ``num_experts`` is the pool size N; a layer fused from ``n`` redundant
-    sources satisfies N = base_copies + n * supplementary_copies.
-    """
+    """Expert-pool geometry of a sparse layer: pool size N and the top-k
+    experts each token runs."""
 
     num_experts: int
     top_k: int
-    base_copies: int = 1
-    supplementary_copies: int = 1
 
 
 @dataclass(frozen=True)
@@ -202,18 +198,61 @@ def validate_shape(shape: ModelShape) -> ModelShape:
             "num_heads must be divisible by num_kv_heads "
             f"(got {shape.num_heads} / {shape.num_kv_heads})"
         )
-    if shape.moe is not None:
-        validate_moe_shape(shape.moe)
+    moe = shape.moe
+    if moe is not None:
+        _check_fields(moe, "model.moe", InvalidShape)
+        if moe.top_k > moe.num_experts:
+            raise InvalidShape(
+                f"top_k ({moe.top_k}) must not exceed num_experts ({moe.num_experts})")
     return shape
 
 
-def validate_moe_shape(moe: MoEShape) -> MoEShape:
-    _check_fields(moe, "model.moe", InvalidShape)
-    if moe.top_k > moe.num_experts:
-        raise InvalidShape(
-            f"top_k ({moe.top_k}) must not exceed num_experts ({moe.num_experts})"
-        )
-    return moe
+def attention_tensor_names(layer: int) -> tuple[str, ...]:
+    p = f"layer.{layer}.attn"
+    return (f"layer.{layer}.attn_norm", f"{p}.q", f"{p}.k", f"{p}.v", f"{p}.o",
+            f"{p}.q_norm", f"{p}.k_norm")
+
+
+def tensor_schema(shape: ModelShape, moe_layers: Mapping[int, int] | None = None
+                  ) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """The canonical (name, dims) pairs of a container of this shape, in
+    on-disk order and one at a time, so a caller that stops early never
+    builds the whole schema a header declares.
+
+    Per layer one attention block (q/k/v/o plus per-head q/k norms), two
+    layer-norm scales, and either a dense GLU triple or a router plus N
+    expert triples; globally the token embedding, the final norm, and an LM
+    head only when untied. The cost model counts parameters from it.
+    """
+    validate_shape(shape)
+    moe_layers = moe_layers or {}
+    d, d_mid = shape.hidden_dim, shape.mlp_dim
+    qdim = shape.num_heads * shape.head_dim
+    kvdim = shape.num_kv_heads * shape.head_dim
+    yield "embed", (shape.vocab_size, d)
+    if not shape.tied_embedding:
+        yield "lm_head", (d, shape.vocab_size)
+    yield "final_norm", (d,)
+    for layer in range(1, shape.num_layers + 1):
+        yield f"layer.{layer}.attn_norm", (d,)
+        yield f"layer.{layer}.attn.q", (d, qdim)
+        yield f"layer.{layer}.attn.k", (d, kvdim)
+        yield f"layer.{layer}.attn.v", (d, kvdim)
+        yield f"layer.{layer}.attn.o", (qdim, d)
+        yield f"layer.{layer}.attn.q_norm", (shape.head_dim,)
+        yield f"layer.{layer}.attn.k_norm", (shape.head_dim,)
+        yield f"layer.{layer}.mlp_norm", (d,)
+        if layer in moe_layers:
+            n_experts = moe_layers[layer]
+            yield f"layer.{layer}.router", (d, n_experts)
+            for e in range(1, n_experts + 1):
+                yield f"layer.{layer}.moe.expert.{e}.up", (d, d_mid)
+                yield f"layer.{layer}.moe.expert.{e}.gate", (d, d_mid)
+                yield f"layer.{layer}.moe.expert.{e}.down", (d_mid, d)
+        else:
+            yield f"layer.{layer}.mlp.up", (d, d_mid)
+            yield f"layer.{layer}.mlp.gate", (d, d_mid)
+            yield f"layer.{layer}.mlp.down", (d_mid, d)
 
 
 def gqa_ratio(shape: ModelShape) -> int:

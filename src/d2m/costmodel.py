@@ -8,16 +8,16 @@ times mlp_dim/hidden_dim). Expert count never appears in either phase --
 inactive experts cost static memory only. The formulas cover decoder layers
 only; embeddings and the LM head are excluded by construction.
 
-Static memory counts weights only, per layer: attention projections
-(n_h + 2*n_kv)*d_h*d + d**2, the two per-head q/k norms, two layer norms, a
-router N*d, and N GLU expert triples, plus the token embedding and final
-norm. Dense shapes drop the router and use a single expert.
+Static memory counts weights only, from ``tensor_schema``: per layer the
+attention projections (2*n_h + 2*n_kv)*d_h*d, the two per-head q/k norms, two
+layer norms, a router N*d, and N GLU expert triples, plus the token embedding,
+final norm and untied LM head. Dense shapes drop the router for one MLP.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import (
@@ -25,6 +25,7 @@ from .config import (
     ModelShape,
     Workload,
     gqa_ratio,
+    tensor_schema,
     validate_hardware,
     validate_shape,
 )
@@ -112,19 +113,24 @@ def total_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> Laten
     return breakdown
 
 
-def _weights_per_layer(shape: ModelShape, experts: int, with_router: bool) -> int:
-    d = shape.hidden_dim
-    attn = (shape.num_heads + 2 * shape.num_kv_heads) * shape.head_dim * d + d * d
-    qk_norms = 2 * shape.head_dim
-    layer_norms = 2 * d
-    router = shape.moe.num_experts * d if with_router else 0
-    expert_mlps = 3 * experts * d * shape.mlp_dim
-    return attn + qk_norms + layer_norms + router + expert_mlps
+def _param_count(shape: ModelShape, top_k: int | None = None) -> int:
+    """The schema's global tensors plus ``num_layers`` times one layer, dense
+    or MoE(N), keeping only top_k expert triples when given. The parts are
+    differences of schema counts at one or two layers and zero to two
+    experts, so the count walks neither num_layers nor N, nor reads names."""
+    validate_shape(shape)
 
+    def count(layers: int, experts: int = 0) -> int:
+        return sum(math.prod(dims) for _, dims in tensor_schema(
+            replace(shape, num_layers=layers), {1: experts} if experts else {}))
 
-def _embedding_params(shape: ModelShape) -> int:
-    once = shape.vocab_size * shape.hidden_dim
-    return once if shape.tied_embedding else 2 * once
+    dense_layer = per_layer = count(2) - count(1)
+    if shape.moe is not None:  # the whole router stays active
+        column = count(1, 1) - count(1)
+        triple = count(1, 2) - count(1, 1) - column
+        kept = shape.moe.num_experts if top_k is None else top_k
+        per_layer += shape.moe.num_experts * column + (kept - 1) * triple
+    return count(1) - dense_layer + shape.num_layers * per_layer
 
 
 def static_memory(shape: ModelShape, bytes_per_param: float = 2.0) -> tuple[int, float]:
@@ -133,12 +139,7 @@ def static_memory(shape: ModelShape, bytes_per_param: float = 2.0) -> tuple[int,
     MoE shapes count all N experts plus the router; dense shapes count one
     MLP and no router. 1 GB convention: 1e9 bytes.
     """
-    validate_shape(shape)
-    if shape.moe is not None:
-        per_layer = _weights_per_layer(shape, shape.moe.num_experts, with_router=True)
-    else:
-        per_layer = _weights_per_layer(shape, 1, with_router=False)
-    params = _embedding_params(shape) + shape.num_layers * per_layer + shape.hidden_dim
+    params = _param_count(shape)
     return params, _finite("static memory in bytes of the model",
                            lambda: params * bytes_per_param)
 
@@ -146,9 +147,4 @@ def static_memory(shape: ModelShape, bytes_per_param: float = 2.0) -> tuple[int,
 def active_params(shape: ModelShape) -> int:
     """Per-token active parameters: the static count with only the top-k
     experts' MLPs in the expert term (the full router stays active)."""
-    validate_shape(shape)
-    if shape.moe is not None:
-        per_layer = _weights_per_layer(shape, shape.moe.top_k, with_router=True)
-    else:
-        per_layer = _weights_per_layer(shape, 1, with_router=False)
-    return _embedding_params(shape) + shape.num_layers * per_layer + shape.hidden_dim
+    return _param_count(shape, shape.moe.top_k if shape.moe is not None else None)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape
+from .config import ModelShape, tensor_schema
 from .diagnostics import TrainLog, TrainStep
 from .errors import (
     DimensionMismatch,
@@ -33,7 +33,6 @@ from .traceio import (
     WeightContainer,
     copy_container,
     make_trace,
-    tensor_schema,
     validate_container,
 )
 

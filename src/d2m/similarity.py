@@ -173,17 +173,18 @@ def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[st
 # Binary cache so the search stage can re-load matrices at full precision:
 # magic D2MS | version u32=1 | L u32 | s_out, s_mlp, delta_norm as L*L f64-LE.
 CACHE_MAGIC = b"D2MS"
+CACHE_VERSION = 1
 
 
 def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
     with output_file(path, binary=True) as stream:
-        _write_header(stream, CACHE_MAGIC, matrices.num_layers)
+        _write_header(stream, CACHE_MAGIC, CACHE_VERSION, matrices.num_layers)
         for mat in (matrices.s_out, matrices.s_mlp, matrices.delta_norm):
             _write(stream, np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
 
 def read_matrices(path: str | Path) -> SimilarityMatrices:
-    with _read(path, CACHE_MAGIC) as reader:
+    with _read(path, CACHE_MAGIC, CACHE_VERSION) as reader:
         (num_layers,) = reader.u32s(1, "layer count")
         if num_layers < 1:
             raise InvalidTrace(f"degenerate matrices header L={num_layers}")

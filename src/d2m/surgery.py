@@ -15,14 +15,10 @@ from typing import Any
 
 import numpy as np
 
-from .config import FusionPlan, MoEShape, validate_plan
+from .config import FusionPlan, MoEShape, attention_tensor_names, validate_plan
 from .errors import PlanModelMismatch, VerificationFailure
 from .nanomodel import forward_trace
-from .traceio import (
-    WeightContainer,
-    attention_tensor_names,
-    validate_container,
-)
+from .traceio import WeightContainer, validate_container
 
 
 @dataclass(frozen=True)
@@ -58,9 +54,10 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
     """Apply a fusion plan to a dense container.
 
     Kept layers appear in their original order under new 1-based indices;
-    every block base becomes a MoE layer with N = K + n*M experts. Routers
-    are zero-initialized, the least-biased start for the balancing loss.
-    Pure function of its arguments.
+    every block base becomes a MoE layer of N = K + n*M experts: K
+    ``base_copies``, and ``supp_copies`` M of each of its n redundant layers,
+    as the provenance records. Routers are zero-initialized, the least-biased
+    start for the balancing loss. Pure function of its arguments.
     """
     validate_container(container)
     if container.moe_layers:
@@ -119,8 +116,7 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
 
     moe_meta = None
     if moe_layers:
-        moe_meta = MoEShape(num_experts=max(moe_layers.values()), top_k=top_k,
-                            base_copies=base_copies, supplementary_copies=supp_copies)
+        moe_meta = MoEShape(num_experts=max(moe_layers.values()), top_k=top_k)
     fused_shape = replace(container.shape, num_layers=len(plan.keep_layers), moe=moe_meta)
     fused = WeightContainer(shape=fused_shape, tensors=tensors, moe_layers=moe_layers)
     return validate_container(fused), provenance

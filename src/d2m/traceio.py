@@ -9,7 +9,7 @@ Formats (all integers little-endian u32):
 
   trace   magic ``D2MT`` | version=1 | L | T | d |
           h^(1..L) row-major T*d f32 | y^(1..L) row-major T*d f32
-  weights magic ``D2MW`` | version=1 | config-length | UTF-8 JSON shape doc |
+  weights magic ``D2MW`` | version=2 | config-length | UTF-8 JSON shape doc |
           entries: name-length | UTF-8 name | ndim | dims u32*ndim | f32 data
 
 These two and the similarity matrices cache are read through one cursor that
@@ -36,7 +36,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, output_file, shape_from_dict, validate_shape
+from .config import ModelShape, output_file, shape_from_dict, tensor_schema
 from .errors import (
     BadMagic,
     D2mError,
@@ -53,8 +53,9 @@ from .errors import (
 )
 
 TRACE_MAGIC = b"D2MT"
+TRACE_VERSION = 1
 WEIGHTS_MAGIC = b"D2MW"
-FORMAT_VERSION = 1
+WEIGHTS_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ def _write(stream: BinaryIO, payload: bytes) -> int:
     return len(payload)
 
 
-def _write_header(stream: BinaryIO, magic: bytes, *fields: int) -> int:
-    return _write(stream, magic + struct.pack(f"<{len(fields) + 1}I", FORMAT_VERSION, *fields))
+def _write_header(stream: BinaryIO, magic: bytes, version: int, *fields: int) -> int:
+    return _write(stream, magic + struct.pack(f"<{len(fields) + 1}I", version, *fields))
 
 
 class _Reader:
@@ -169,7 +170,7 @@ class _Reader:
 
 
 @contextmanager
-def _read(source, magic: bytes) -> Iterator[_Reader]:
+def _read(source, magic: bytes, version: int) -> Iterator[_Reader]:
     """A reader past the checked magic and version of a path or an open stream.
 
     A path is memory-mapped read-only; a stream is read to its end. A toolkit
@@ -193,9 +194,10 @@ def _read(source, magic: bytes) -> Iterator[_Reader]:
         got = reader.take(4, "magic")
         if got != magic:
             raise BadMagic(f"expected magic {magic!r}, got {got!r}")
-        (version,) = reader.u32s(1, "version")
-        if version != FORMAT_VERSION:
-            raise VersionMismatch(f"unsupported format version {version}")
+        (got_version,) = reader.u32s(1, "version")
+        if got_version != version:
+            raise VersionMismatch(f"unsupported {magic.decode()} format version "
+                                  f"{got_version}, expected {version}")
         yield reader
     except D2mError as exc:
         if not isinstance(source, (str, Path)):
@@ -212,7 +214,7 @@ def _read(source, magic: bytes) -> Iterator[_Reader]:
 def write_trace(trace: ActivationTrace, destination) -> int:
     """Serialize a trace; returns the number of bytes emitted."""
     with output_file(destination, binary=True) as stream:
-        n = _write_header(stream, TRACE_MAGIC, trace.num_layers, trace.seq_len,
+        n = _write_header(stream, TRACE_MAGIC, TRACE_VERSION, trace.num_layers, trace.seq_len,
                           trace.hidden_dim)
         for mats in (trace.mlp_inputs, trace.layer_outputs):
             for m in mats:
@@ -231,7 +233,7 @@ def _trace_dims(reader: _Reader) -> tuple[int, int, int]:
 
 def read_trace(source) -> ActivationTrace:
     """Deserialize a trace, re-validating finiteness and dimensions."""
-    with _read(source, TRACE_MAGIC) as reader:
+    with _read(source, TRACE_MAGIC, TRACE_VERSION) as reader:
         dims = _trace_dims(reader)
         halves = reader.floats("<f4", (2, *dims), "trace payload")
         reader.end()
@@ -263,7 +265,7 @@ def trace_chunks(path: str | Path) -> Iterator[Iterator[np.ndarray]]:
     reader raises ``TruncatedPayload``. A toolkit error raised in the block,
     by the chunks' consumer too, names the path.
     """
-    with _read(path, TRACE_MAGIC) as reader:
+    with _read(path, TRACE_MAGIC, TRACE_VERSION) as reader:
         num_layers, seq_len, hidden = _trace_dims(reader)
         start = reader.skip(2 * num_layers * seq_len * hidden * 4, "trace payload")
         reader.end()
@@ -345,54 +347,6 @@ class WeightContainer:
     moe_layers: dict[int, int] = field(default_factory=dict)
 
 
-def attention_tensor_names(layer: int) -> tuple[str, ...]:
-    p = f"layer.{layer}.attn"
-    return (f"layer.{layer}.attn_norm", f"{p}.q", f"{p}.k", f"{p}.v", f"{p}.o",
-            f"{p}.q_norm", f"{p}.k_norm")
-
-
-def tensor_schema(shape: ModelShape, moe_layers: Mapping[int, int] | None = None
-                  ) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """The canonical (name, dims) pairs of a container of this shape, in
-    on-disk order and one at a time, so a caller that stops early never
-    builds the whole schema a header declares.
-
-    The schema mirrors the static-memory accounting: per layer one attention
-    block (q/k/v/o plus per-head q/k norms), two layer-norm scales, and either
-    a dense GLU triple or a router plus N expert triples; globally the token
-    embedding, the final norm, and an LM head only when untied.
-    """
-    validate_shape(shape)
-    moe_layers = moe_layers or {}
-    d, d_mid = shape.hidden_dim, shape.mlp_dim
-    qdim = shape.num_heads * shape.head_dim
-    kvdim = shape.num_kv_heads * shape.head_dim
-    yield "embed", (shape.vocab_size, d)
-    if not shape.tied_embedding:
-        yield "lm_head", (d, shape.vocab_size)
-    yield "final_norm", (d,)
-    for layer in range(1, shape.num_layers + 1):
-        yield f"layer.{layer}.attn_norm", (d,)
-        yield f"layer.{layer}.attn.q", (d, qdim)
-        yield f"layer.{layer}.attn.k", (d, kvdim)
-        yield f"layer.{layer}.attn.v", (d, kvdim)
-        yield f"layer.{layer}.attn.o", (qdim, d)
-        yield f"layer.{layer}.attn.q_norm", (shape.head_dim,)
-        yield f"layer.{layer}.attn.k_norm", (shape.head_dim,)
-        yield f"layer.{layer}.mlp_norm", (d,)
-        if layer in moe_layers:
-            n_experts = moe_layers[layer]
-            yield f"layer.{layer}.router", (d, n_experts)
-            for e in range(1, n_experts + 1):
-                yield f"layer.{layer}.moe.expert.{e}.up", (d, d_mid)
-                yield f"layer.{layer}.moe.expert.{e}.gate", (d, d_mid)
-                yield f"layer.{layer}.moe.expert.{e}.down", (d_mid, d)
-        else:
-            yield f"layer.{layer}.mlp.up", (d, d_mid)
-            yield f"layer.{layer}.mlp.gate", (d, d_mid)
-            yield f"layer.{layer}.mlp.down", (d_mid, d)
-
-
 def validate_container(container: WeightContainer) -> WeightContainer:
     """Every schema tensor present with matching dims, and nothing extra.
 
@@ -447,11 +401,20 @@ def _container_meta(doc: Mapping[str, Any]) -> tuple[ModelShape, dict[int, int]]
     data = dict(doc)
     moe_layers_doc = data.pop("moe_layers", {})
     shape = shape_from_dict(data)
-    try:
-        moe_layers = {int(k): int(v) for k, v in moe_layers_doc.items()}
-    except (ValueError, AttributeError) as exc:
-        raise InvalidConfig(f"malformed moe_layers map: {exc}") from exc
-    return shape, moe_layers
+    if not isinstance(moe_layers_doc, Mapping):
+        raise InvalidConfig("moe_layers must be an object, "
+                            f"got {type(moe_layers_doc).__name__}")
+    for key, count in moe_layers_doc.items():
+        try:  # canonical decimal, as written: no sign, padding or leading zero
+            canonical = key.isdigit() and str(int(key)) == key
+        except ValueError:  # a digit int() does not read, or too many of them
+            canonical = False
+        if not canonical:
+            raise InvalidConfig(f"moe_layers key {key!r} is not a layer index")
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise InvalidConfig(f"moe_layers[{key!r}] must be an expert count of "
+                                f"at least 1, got {count!r}")
+    return shape, {int(key): count for key, count in moe_layers_doc.items()}
 
 
 def _check_finite(tensors: Mapping[str, np.ndarray]) -> None:
@@ -467,7 +430,7 @@ def write_weights(container: WeightContainer, destination) -> int:
     config = json.dumps(_container_doc(container), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     with output_file(destination, binary=True) as stream:
-        n = _write_header(stream, WEIGHTS_MAGIC, len(config))
+        n = _write_header(stream, WEIGHTS_MAGIC, WEIGHTS_VERSION, len(config))
         n += _write(stream, config)
         for name, tensor in container.tensors.items():
             encoded = name.encode("utf-8")
@@ -480,7 +443,7 @@ def write_weights(container: WeightContainer, destination) -> int:
 def read_weights(source) -> WeightContainer:
     """Deserialize and re-validate a weight container, rejecting non-finite values."""
     tensors: dict[str, np.ndarray] = {}
-    with _read(source, WEIGHTS_MAGIC) as reader:
+    with _read(source, WEIGHTS_MAGIC, WEIGHTS_VERSION) as reader:
         (config_len,) = reader.u32s(1, "config length")
         raw_config = reader.take(config_len, "config document")
         try:

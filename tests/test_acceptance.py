@@ -81,8 +81,7 @@ def test_c02_calibration():
 
 def test_c03_memory_formula():
     moe6 = replace(QWEN25_0_5B, num_layers=19,
-                   moe=MoEShape(num_experts=6, top_k=1, base_copies=4,
-                                supplementary_copies=2))
+                   moe=MoEShape(num_experts=6, top_k=1))
     moe10 = replace(moe6, moe=replace(moe6.moe, num_experts=10))
     params6, bytes6 = static_memory(moe6)
     _, bytes10 = static_memory(moe10)
@@ -130,8 +129,7 @@ def test_c04_roofline_fidelity():
     # bit-identical across expert counts at top-1
     def moe_total(n):
         shape = replace(QWEN25_0_5B, num_layers=19,
-                        moe=MoEShape(num_experts=n, top_k=1, base_copies=4,
-                                     supplementary_copies=2))
+                        moe=MoEShape(num_experts=n, top_k=1))
         b = total_latency(shape, THOR_U, DEFAULT_WORKLOAD)
         return (b.prefill_s, b.decode_s)
 

@@ -3,11 +3,13 @@ exit codes, and the run-directory manifest."""
 
 import json
 import struct
+import time
 from pathlib import Path
 
 import pytest
 
 from d2m.cli import main
+from d2m.traceio import param_count, read_weights
 
 QWEN_MODEL = {
     "num_layers": 24, "hidden_dim": 896, "mlp_dim": 4864, "num_heads": 14,
@@ -278,8 +280,7 @@ class TestEstimate:
         results = {}
         for n in (2, 6, 10, 60):
             model = dict(QWEN_MODEL, num_layers=19,
-                         moe={"num_experts": n, "top_k": 1,
-                              "base_copies": 4, "supplementary_copies": 2})
+                         moe={"num_experts": n, "top_k": 1})
             config = tmp_path / f"n{n}.json"
             write_config(config, model)
             out = tmp_path / f"cost{n}.json"
@@ -313,7 +314,7 @@ class TestEstimate:
     ])
     def test_malformed_config_exits_2_naming_section(self, tmp_path, capsys,
                                                       section, key, value):
-        moe = {"num_experts": 6, "top_k": 1, "base_copies": 4, "supplementary_copies": 2}
+        moe = {"num_experts": 6, "top_k": 1}
         doc = {"model": dict(QWEN_MODEL, moe=moe), "hardware": dict(THOR),
                "workload": dict(WORKLOAD)}
         target = doc
@@ -329,6 +330,48 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert section in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_params_total_counts_the_synthesized_container(self, tmp_path):
+        # one 8-wide head does not tile the 16-wide hidden state, so the
+        # attention output projection holds 8*16 parameters, not 16*16
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--layers", "3", "--hidden", "16",
+                     "--heads", "1", "--kv-heads", "1", "--head-dim", "8",
+                     "--seq-len", "4"]) == 0
+        out = tmp_path / "cost.json"
+        assert main(["estimate", "--config", str(synth / "config.json"),
+                     "--out", str(out)]) == 0
+        model = read_weights(synth / "model.d2mw")
+        assert json.loads(out.read_text())["params_total"] == param_count(model)
+
+    def test_a_trillion_layers_cost_no_loop(self, tmp_path):
+        config = tmp_path / "deep.json"
+        write_config(config, dict(QWEN_MODEL, num_layers=10**12))
+        out = tmp_path / "cost.json"
+        start = time.perf_counter()
+        assert main(["estimate", "--config", str(config), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 0.5
+        doc = json.loads(out.read_text())
+        assert doc["L"] == 10**12 and doc["params_total"] == doc["params_active"]
+
+    @pytest.mark.parametrize("num_experts", [10**12, 10**400])
+    def test_expert_count_costs_no_loop(self, tmp_path, capsys, num_experts):
+        # 10**400 experts overflow the static memory in bytes, a float
+        config = tmp_path / "wide.json"
+        write_config(config, dict(QWEN_MODEL, moe={"num_experts": num_experts, "top_k": 1}))
+        out = tmp_path / "cost.json"
+        start = time.perf_counter()
+        code = main(["estimate", "--config", str(config), "--out", str(out)])
+        assert time.perf_counter() - start < 0.5
+        if num_experts == 10**400:
+            assert code == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert "static memory" in err and "overflows a float" in err
+            assert "Traceback" not in err
+        else:
+            assert code == 0
+            doc = json.loads(out.read_text())
+            assert doc["params_total"] > 10**12 * 3 * 896 * 4864 > doc["params_active"]
 
     def test_unwritable_output_exits_3(self, tmp_path):
         config = tmp_path / "ok.json"

@@ -187,10 +187,9 @@ class TestConfigDocument:
 
     def test_moe_section(self):
         doc = self.doc()
-        doc["model"]["moe"] = {"num_experts": 6, "top_k": 1,
-                               "base_copies": 4, "supplementary_copies": 2}
+        doc["model"]["moe"] = {"num_experts": 6, "top_k": 1}
         config = parse_config(doc)
-        assert config.model.moe == MoEShape(6, 1, 4, 2)
+        assert config.model.moe == MoEShape(6, 1)
 
     def test_missing_model_rejected(self):
         with pytest.raises(InvalidConfig, match="model"):
@@ -224,8 +223,7 @@ positive_numbers = (st.floats(min_value=1e-300, max_value=1e300)
 def moe_shapes(draw):
     num_experts = draw(st.integers(min_value=1, max_value=64))
     return MoEShape(num_experts=num_experts,
-                    top_k=draw(st.integers(min_value=1, max_value=num_experts)),
-                    base_copies=draw(counts), supplementary_copies=draw(counts))
+                    top_k=draw(st.integers(min_value=1, max_value=num_experts)))
 
 
 @st.composite

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from d2m.config import (
     DEFAULT_WORKLOAD,
@@ -13,6 +15,7 @@ from d2m.config import (
     QWEN25_0_5B,
     THOR_U,
     Workload,
+    attention_tensor_names,
 )
 from d2m.costmodel import (
     COMPUTE_BOUND,
@@ -31,8 +34,7 @@ from d2m.traceio import param_count
 
 def moe_reference(num_layers=19, num_experts=6, top_k=1):
     return replace(QWEN25_0_5B, num_layers=num_layers,
-                   moe=MoEShape(num_experts=num_experts, top_k=top_k,
-                                base_copies=4, supplementary_copies=2))
+                   moe=MoEShape(num_experts=num_experts, top_k=top_k))
 
 
 def exact_prefill_seconds():
@@ -175,6 +177,53 @@ class TestStaticMemory:
         tied, _ = static_memory(QWEN25_0_5B)
         untied, _ = static_memory(replace(QWEN25_0_5B, tied_embedding=False))
         assert untied - tied == QWEN25_0_5B.vocab_size * QWEN25_0_5B.hidden_dim
+
+
+@st.composite
+def small_shapes(draw):
+    """Shapes whose query heads tile the hidden size or not, tied or untied,
+    dense or with a uniform MoE(N, k) in every layer."""
+    num_kv_heads = draw(st.integers(min_value=1, max_value=3))
+    num_heads = num_kv_heads * draw(st.integers(min_value=1, max_value=3))
+    head_dim = draw(st.integers(min_value=1, max_value=6))
+    tiled = num_heads * head_dim
+    hidden_dim = draw(st.just(tiled) | st.integers(min_value=1, max_value=20)
+                      .filter(lambda d: d != tiled))
+    num_experts = draw(st.integers(min_value=1, max_value=4))
+    moe = draw(st.none() | st.builds(MoEShape, st.just(num_experts),
+                                     st.integers(min_value=1, max_value=num_experts)))
+    return ModelShape(num_layers=draw(st.integers(min_value=1, max_value=3)),
+                      hidden_dim=hidden_dim, mlp_dim=draw(st.integers(min_value=1, max_value=12)),
+                      num_heads=num_heads, num_kv_heads=num_kv_heads, head_dim=head_dim,
+                      vocab_size=draw(st.integers(min_value=1, max_value=20)),
+                      tied_embedding=draw(st.booleans()), moe=moe)
+
+
+def top_k_path(shape):
+    """Names of the tensors one token's top-k path reads: the globals, and in
+    every layer attention, norms, and the MLP, or the router and experts 1..k."""
+    names = ["embed", "final_norm"] + ([] if shape.tied_embedding else ["lm_head"])
+    for layer in range(1, shape.num_layers + 1):
+        names += [*attention_tensor_names(layer), f"layer.{layer}.mlp_norm"]
+        if shape.moe is None:
+            names += [f"layer.{layer}.mlp.{part}" for part in ("up", "gate", "down")]
+            continue
+        names.append(f"layer.{layer}.router")
+        names += [f"layer.{layer}.moe.expert.{e}.{part}"
+                  for e in range(1, shape.moe.top_k + 1) for part in ("up", "gate", "down")]
+    return names
+
+
+@given(small_shapes())
+@example(ModelShape(num_layers=3, hidden_dim=16, mlp_dim=8, num_heads=1, num_kv_heads=1,
+                    head_dim=8, vocab_size=8))
+def test_counts_equal_the_toy_container(shape):
+    moe_layers = ({layer: shape.moe.num_experts for layer in range(1, shape.num_layers + 1)}
+                  if shape.moe is not None else None)
+    container = build_toy_container(shape, seed=0, moe_layers=moe_layers)
+    assert static_memory(shape)[0] == param_count(container)
+    assert active_params(shape) == sum(container.tensors[name].size
+                                       for name in top_k_path(shape))
 
 
 class TestActiveParams:

@@ -15,7 +15,8 @@ from d2m.surgery import (
     reference_pruned_model,
     verify_fusion,
 )
-from d2m.traceio import attention_tensor_names, param_count, validate_container
+from d2m.config import attention_tensor_names
+from d2m.traceio import param_count, validate_container
 
 SHAPE = ModelShape(num_layers=4, hidden_dim=16, mlp_dim=32, num_heads=2,
                    num_kv_heads=1, head_dim=8, vocab_size=24)

@@ -4,9 +4,11 @@ trace generator."""
 
 import io
 import json
+import re
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from d2m.errors import (
     D2mError,
     DimensionMismatch,
     FormatError,
+    InvalidConfig,
     InvalidTrace,
     IoFailure,
     MissingTensor,
@@ -340,7 +343,7 @@ class TestTamperedHeaders:
         # the element count overflows int64 to 0, and to a negative number
         ("d2mw", WEIGHTS_PREFIX + weights_entry(b"embed", (65536,) * 4) + bytes(64)),
         ("d2mw", WEIGHTS_PREFIX + weights_entry(b"embed", (65536,) * 3 + (32768,)) + bytes(64)),
-        ("d2mw", b"D2MW" + struct.pack("<II", 1, 0xFFFFFFF0) + bytes(64)),
+        ("d2mw", WEIGHTS_PREFIX[:8] + struct.pack("<I", 0xFFFFFFF0) + bytes(64)),
         ("d2mw", WEIGHTS_PREFIX + struct.pack("<I", 0xFFFFFFF0) + bytes(64)),
         ("d2mt", b"D2MT" + struct.pack("<IIII", 1, 2, 2**32 - 1, 2**32 - 1) + bytes(64)),
         ("d2mt", b"D2MT" + struct.pack("<IIII", 1, 1, 2**20, 2**18) + bytes(64)),  # 1 TiB a layer
@@ -362,7 +365,7 @@ class TestTamperedHeaders:
         doc = json.loads(WEIGHTS_PREFIX[12:])
         doc["num_layers"] = 200_000
         config = json.dumps(doc).encode("utf-8")
-        data = b"D2MW" + struct.pack("<II", 1, len(config)) + config
+        data = WEIGHTS_PREFIX[:8] + struct.pack("<I", len(config)) + config
         if with_tensors:
             data += VALID["d2mw"][len(WEIGHTS_PREFIX):]
         path = tmp_path / "tampered.d2mw"
@@ -380,6 +383,73 @@ class TestTamperedHeaders:
             READERS[fmt](path)
         with pytest.raises(FormatError, match="trailing"):
             READERS[fmt](io.BytesIO(VALID[fmt] + bytes(8)))
+
+
+def with_header(data: bytes, version: int | None = None, **entries) -> bytes:
+    """The weights file ``data`` with its version word, if given, and the
+    given entries of its header document replaced."""
+    (config_len,) = struct.unpack_from("<I", data, 8)
+    doc = json.loads(data[12:12 + config_len])
+    doc.update(entries)
+    config = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    word = data[4:8] if version is None else struct.pack("<I", version)
+    return data[:4] + word + struct.pack("<I", len(config)) + config + data[12 + config_len:]
+
+
+# one MoE layer of one expert, so a count or key that coerces to 1 or 2 fits it
+ONE_EXPERT = io.BytesIO()
+write_weights(build_toy_container(replace(MOE_SHAPE, moe=MoEShape(num_experts=1, top_k=1)),
+                                  seed=4, moe_layers={2: 1}), ONE_EXPERT)
+
+
+class TestMoeLayersMap:
+    def test_canonical_map_reads(self, tmp_path):
+        path = tmp_path / "one.d2mw"
+        path.write_bytes(with_header(ONE_EXPERT.getvalue(), moe_layers={"2": 1}))
+        assert read_weights(path).moe_layers == {2: 1}
+
+    @pytest.mark.parametrize("moe_layers", [
+        {"2": 1.5}, {"2": True}, {"2": "1"}, {"2": 0}, {"2": None},
+        {"02": 1}, {" 2": 1}, {"+2": 1}, {"2.0": 1}, {"x": 1}, [["2", 1]],
+    ], ids=["count-1.5", "count-true", "count-string", "count-0", "count-null",
+            "key-02", "key-space", "key-plus", "key-2.0", "key-x", "not-an-object"])
+    def test_non_canonical_map_is_invalid_config(self, tmp_path, capsys, moe_layers):
+        path = tmp_path / "bad.d2mw"
+        path.write_bytes(with_header(ONE_EXPERT.getvalue(), moe_layers=moe_layers))
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}: moe_layers"):
+            read_weights(path)
+        assert main(CLI_ARGS["d2mw"](str(path), tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: moe_layers")
+
+
+class TestWeightsVersion:
+    # a version-1 file: the moe object also held the two copy counts
+    V1_MOE = with_header(VALID["d2mw"], version=1, moe={
+        "num_experts": 2, "top_k": 1, "base_copies": 1, "supplementary_copies": 1})
+
+    def test_version_1_names_the_path(self, tmp_path):
+        path = tmp_path / "old.d2mw"
+        path.write_bytes(self.V1_MOE)
+        message = f"^{re.escape(str(path))}: unsupported D2MW format version 1, expected 2$"
+        with pytest.raises(VersionMismatch, match=message):
+            read_weights(path)
+        with pytest.raises(VersionMismatch, match="^unsupported D2MW format version 1, "
+                                                  "expected 2$"):
+            read_weights(io.BytesIO(self.V1_MOE))
+
+    def test_fuse_of_a_version_1_model_exits_2(self, tmp_path, capsys):
+        buf = io.BytesIO()
+        write_weights(build_toy_container(TOY_SHAPE, seed=0), buf)
+        model = tmp_path / "old.d2mw"
+        model.write_bytes(with_header(buf.getvalue(), version=1))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"keep": [1, 2], "prune": [], "blocks": []}))
+        assert main(["fuse", "--model", str(model), "--plan", str(plan),
+                     "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                     "--out", str(tmp_path / "f.d2mw"),
+                     "--provenance-out", str(tmp_path / "p.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}: unsupported D2MW")
+        assert not (tmp_path / "f.d2mw").exists()
 
 
 CLI_ARGS = {
