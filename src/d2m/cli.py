@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -26,6 +25,7 @@ from .config import (
     ModelShape,
     PipelineConfig,
     SearchThresholds,
+    json_document,
     load_config,
     load_plan,
     plan_to_dict,
@@ -83,9 +83,9 @@ class PipelineRun:
         if not self.path.exists():
             return {"stages": {}}
         try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise CorruptManifest(f"{self.path} is not valid JSON: {exc}") from exc
+            data = json_document(self.path.read_bytes(), self.path)
+        except InvalidConfig as exc:
+            raise CorruptManifest(str(exc)) from exc
         stages = data.get("stages") if isinstance(data, dict) else None
         if not isinstance(stages, dict) or not all(
                 isinstance(stage, dict) and isinstance(stage.get("outputs", {}), dict)
@@ -347,8 +347,7 @@ def cmd_train_toy(args) -> int:
     _require_inputs(args, [args.model])
     model = read_weights(args.model)
     data = make_copy_stream(model.shape.vocab_size, args.seq_len, args.sequences, args.seed)
-    log, trained = train_toy(model, data, steps=args.steps, lr=args.lr,
-                             alpha=args.alpha, seed=args.seed)
+    log, trained = train_toy(model, data, steps=args.steps, lr=args.lr, alpha=args.alpha)
     log.to_csv(args.log_out)
     write_weights(trained, args.model_out)
     _record(args, "train-toy", [args.model], [args.log_out, args.model_out])

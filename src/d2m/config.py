@@ -2,7 +2,8 @@
 thresholds and fusion plans; ``tensor_schema``, the one description of the
 tensors a model of a shape holds; ``section_from_dict``, which builds any of
 them from a JSON object; ``text_file``, through which every JSON and CSV input
-is opened; and ``output_file``, through which every file the toolkit writes is
+is opened; ``json_document``, through which every JSON input is parsed; and
+``output_file``, through which every file the toolkit writes is
 written beside its destination and renamed into place.
 
 All types are immutable value objects; layer indices are 1-based everywhere,
@@ -42,6 +43,16 @@ def text_file(source) -> Iterator[TextIO]:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{source} is not UTF-8 text: {exc}") from exc
+
+
+def json_document(text: str | bytes, source) -> Any:
+    """The JSON value in ``text`` (bytes must be UTF-8). Anything the parser
+    refuses, an integer too long to convert and nesting too deep to parse
+    included, raises ``InvalidConfig`` naming ``source``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers the decoding
+        raise InvalidConfig(f"{source} is not valid JSON: {exc}") from exc
 
 
 @contextmanager
@@ -359,17 +370,13 @@ def plan_from_dict(doc: Mapping[str, Any]) -> FusionPlan:
 
 
 def plan_from_json(text: str) -> FusionPlan:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidPlan(f"plan is not valid JSON: {exc}") from exc
-    return plan_from_dict(doc)
+    return plan_from_dict(json_document(text, "plan"))
 
 
 def load_plan(path: str | Path) -> FusionPlan:
     with text_file(path) as handle:
         text = handle.read()
-    return plan_from_json(text)
+    return plan_from_dict(json_document(text, path))
 
 
 # --- pipeline configuration file ----------------------------------------------
@@ -427,8 +434,4 @@ def parse_config(doc: Any) -> PipelineConfig:
 def load_config(path: str | Path) -> PipelineConfig:
     with text_file(path) as handle:
         text = handle.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(json_document(text, f"config {path}"))

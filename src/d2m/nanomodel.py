@@ -5,7 +5,9 @@ norms, GLU MLPs, top-k expert routing, the load-balancing auxiliary loss,
 analytic gradients for router and expert weights, and a full-batch SGD toy
 trainer. Positions enter as fixed sinusoidal offsets added to the token
 embeddings; attention and embeddings are never trained, so no gradient ever
-flows through the attention stack.
+flows through the attention stack, and the trainer takes each step on the
+whole token batch through ``moe_param_grads``, the gradient ``grad_check``
+compares against central differences.
 """
 
 from __future__ import annotations
@@ -576,19 +578,20 @@ def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
 POSITION_SCALE = 0.1
 
 
-def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
-              lr: float, alpha: float, seed: int = 0) -> tuple[TrainLog, WeightContainer]:
+def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
+              lr: float, alpha: float) -> tuple[TrainLog, WeightContainer]:
     """Full-batch SGD on router and expert weights of a fused toy model.
 
     Supports models whose single MoE layer sits last in the stack, so exact
     gradients never have to cross an attention module. Nothing upstream of the
     router is trained, so each sequence's routing input (embedding, dense
-    layers, MoE attention) is computed once; every step then routes the whole
-    stream through the experts, and loads are pooled top-1 fractions over all
-    its tokens.
-    The logged lb_loss is the unweighted balance term (alpha scales it in the
-    training objective only). When ``data`` is None a default copy-task
-    stream is synthesized from ``seed``.
+    layers, MoE attention) is computed once. Routing, the experts and the loss
+    act on one token at a time, so every step then runs the whole stream as
+    one (S*T, d) token batch: one routing, one expert pass and one
+    ``moe_param_grads`` call, whose balancing term (pooled top-1 fractions
+    held constant) is the one ``grad_check`` covers. Loads are the pooled
+    top-1 fractions over all tokens. The logged lb_loss is the unweighted
+    balance term (alpha scales it in the training objective only).
     """
     validate_container(container)
     if steps < 1:
@@ -605,8 +608,6 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
         )
     work = copy_container(container)
     shape = work.shape
-    if data is None:
-        data = make_copy_stream(shape.vocab_size, seq_len=64, num_sequences=4, seed=seed)
     data = np.asarray(data, dtype=np.int64)
     if data.ndim != 2 or data.size == 0:
         raise OutOfRange("data must be a non-empty (num_sequences, seq_len) array")
@@ -615,13 +616,10 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
 
     layers = layers_of(work)
     moe_layer = layers[-1]
-    n_experts = len(moe_layer.experts)
     embed = work.tensors["embed"]
     final_norm = work.tensors["final_norm"]
     head = embed.T if shape.tied_embedding else work.tensors["lm_head"]
-    num_seqs, seq_len = data.shape
-    positions = sinusoid_positions(seq_len, shape.hidden_dim, scale=POSITION_SCALE)
-    total_tokens = num_seqs * seq_len
+    positions = sinusoid_positions(data.shape[1], shape.hidden_dim, scale=POSITION_SCALE)
     # the frozen prefix: routing inputs stay fixed while router and experts train
     routing_inputs = []
     for seq in data:
@@ -629,58 +627,22 @@ def train_toy(container: WeightContainer, data: np.ndarray | None, steps: int,
         for layer in layers[:-1]:
             _, state = dense_layer_forward(layer, state)
         routing_inputs.append(pre_mlp_state(moe_layer, state))
+    h = np.concatenate(routing_inputs)
+    targets = data.reshape(-1)
 
     log = TrainLog()
     for step in range(1, steps + 1):
-        router_grad = np.zeros_like(moe_layer.router)
-        expert_grads = [
-            (np.zeros_like(m.up), np.zeros_like(m.gate), np.zeros_like(m.down))
-            for m in moe_layer.experts
-        ]
-        task_loss = 0.0
-        top1_counts = np.zeros(n_experts)
-        prob_sums = np.zeros(n_experts)
-        step_probs = []
-        for seq, h in zip(data, routing_inputs):
-            y, record, cache = _moe_from_h(moe_layer, h)
-            logits = rms_norm(y, final_norm) @ head
-            seq_loss, d_logits = _softmax_xent(logits, seq)
-            task_loss += seq_loss / num_seqs
-            d_logits = d_logits / num_seqs
-            d_final = d_logits @ head.T
-            d_y = rms_norm_input_grad(y, final_norm, d_final)
-            grads = moe_param_grads(moe_layer, h, record, cache, d_y, lb_alpha=0.0)
-            router_grad += grads.router
-            for e in range(n_experts):
-                for acc, g in zip(expert_grads[e], grads.experts[e]):
-                    acc += g
-            winners = np.argmax(record.probabilities, axis=1)
-            top1_counts += np.bincount(winners, minlength=n_experts)
-            prob_sums += record.probabilities.sum(axis=0)
-            step_probs.append(record.probabilities)
-
-        loads = top1_counts / total_tokens
-        mean_probs = prob_sums / total_tokens
-        lb_raw = n_experts * float(loads @ mean_probs)
-        if alpha:
-            # balance gradient with pooled assignment fractions held constant
-            d_probs_row = alpha * n_experts * loads / total_tokens
-            for h, probs in zip(routing_inputs, step_probs):
-                d_probs = np.broadcast_to(d_probs_row, probs.shape)
-                inner = np.einsum("tn,tn->t", d_probs, probs)
-                d_logits_r = probs * (d_probs - inner[:, None])
-                router_grad += h.T @ d_logits_r
-
+        y, record, cache = _moe_from_h(moe_layer, h)
+        task_loss, d_logits = _softmax_xent(rms_norm(y, final_norm) @ head, targets)
+        d_y = rms_norm_input_grad(y, final_norm, d_logits @ head.T)
+        grads = moe_param_grads(moe_layer, h, record, cache, d_y, lb_alpha=alpha)
+        lb_raw = load_balance_loss([record], 1.0)
         if not (np.isfinite(task_loss) and np.isfinite(lb_raw)):
             raise DivergenceDetected(f"loss became non-finite at step {step}")
         log.steps.append(TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,
-                                   loads=tuple(loads)))
-
-        moe_layer.router[...] -= lr * router_grad
-        for e, mlp in enumerate(moe_layer.experts):
-            mlp.up[...] -= lr * expert_grads[e][0]
-            mlp.gate[...] -= lr * expert_grads[e][1]
-            mlp.down[...] -= lr * expert_grads[e][2]
+                                   loads=tuple(top1_fractions(record))))
+        for _, tensor, grad in _named_layer_params(moe_layer, grads):
+            tensor -= lr * grad
     return log, work
 
 

@@ -36,7 +36,7 @@ from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, output_file, shape_from_dict, tensor_schema
+from .config import ModelShape, json_document, output_file, shape_from_dict, tensor_schema
 from .errors import (
     BadMagic,
     D2mError,
@@ -446,11 +446,7 @@ def read_weights(source) -> WeightContainer:
     with _read(source, WEIGHTS_MAGIC, WEIGHTS_VERSION) as reader:
         (config_len,) = reader.u32s(1, "config length")
         raw_config = reader.take(config_len, "config document")
-        try:
-            doc = json.loads(raw_config.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TruncatedPayload(f"config document is unreadable: {exc}") from exc
-        shape, moe_layers = _container_meta(doc)
+        shape, moe_layers = _container_meta(json_document(raw_config, "config document"))
         while reader.remaining():
             (name_len,) = reader.u32s(1, "tensor name length")
             try:

@@ -513,6 +513,48 @@ class TestTrainAndDiagnose:
         assert not (tmp_path / "w.csv").exists()
 
 
+# JSON that Python's parser refuses although its syntax is valid: an integer
+# of more digits than it converts, and arrays nested deeper than it recurses
+UNPARSEABLE = {"5000-digit-int": "9" * 5000, "nested-200000": "[" * 200_000 + "]" * 200_000}
+
+
+class TestUnparseableJson:
+    @pytest.mark.parametrize("value", UNPARSEABLE.values(), ids=UNPARSEABLE.keys())
+    @pytest.mark.parametrize("target", ["config", "plan", "model"])
+    def test_exits_2_naming_file(self, tmp_path, capsys, target, value):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--seed", "1",
+                     "--layers", "3", "--hidden", "16", "--seq-len", "8"]) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"keep": %s, "prune": [], "blocks": []}'
+                        % (value if target == "plan" else "[1, 2, 3]"))
+        bad = {"config": synth / "config.json", "plan": plan, "model": synth / "model.d2mw"}
+        if target == "config":
+            text = bad["config"].read_text()
+            assert text.count('"num_layers": 3') == 1
+            bad["config"].write_text(text.replace('"num_layers": 3', f'"num_layers": {value}'))
+        elif target == "model":
+            data = bad["model"].read_bytes()
+            (length,) = struct.unpack_from("<I", data, 8)
+            header = data[12:12 + length]
+            assert header.count(b'"num_layers":3') == 1
+            header = header.replace(b'"num_layers":3', b'"num_layers":' + value.encode())
+            bad["model"].write_bytes(data[:8] + struct.pack("<I", len(header)) + header
+                                     + data[12 + length:])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if target == "config":
+            argv = ["estimate", "--config", str(bad["config"]), "--out", str(out)]
+        else:
+            argv = ["fuse", "--model", str(bad["model"]), "--plan", str(plan),
+                    "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                    "--out", str(out), "--provenance-out", str(tmp_path / "prov.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad[target]) in err and "is not valid JSON" in err
+        assert not out.exists()
+
+
 class TestManifest:
     def test_stale_artifact_detected(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -565,6 +607,7 @@ class TestManifest:
         b'{"stages": []}',
         b'{"stages": {"synth": 1}}',
         b'{"stages": {"synth": {"outputs": []}}}',
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000"),
     ])
     def test_corrupt_manifest_exits_4(self, tmp_path, capsys, content):
         run_dir = tmp_path / "run"

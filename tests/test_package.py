@@ -1,6 +1,6 @@
-"""The package surface: the import cost of each CLI stage, the single path
-through which the package writes files, and the README's library quick
-start, executed as written."""
+"""The package surface: the import cost of each CLI stage, the single paths
+through which the package writes files and parses JSON, and the README's
+library quick start, executed as written."""
 
 import ast
 import json
@@ -62,37 +62,81 @@ class TestStartUp:
 
 
 WRITE_HELPER = "output_file"
+JSON_HELPER = "json_document"
 
 
-def write_calls(tree: ast.AST, inside: str | None = None):
-    """(function, line, call) of every call in ``tree`` that writes a file:
-    ``.write_text``, ``.write_bytes``, and any ``open`` whose mode is not a
-    literal read mode."""
+def scoped_calls(tree: ast.AST, inside: str | None = None):
+    """(enclosing function, call) of every call in ``tree``."""
     for node in ast.iter_child_nodes(tree):
         scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else inside
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("write_text", "write_bytes"):
-                yield scope, node.lineno, name
-            elif name == "open":
-                mode = node.args[1] if len(node.args) > 1 else next(
-                    (k.value for k in node.keywords if k.arg in ("mode", "flags")), None)
-                reads = mode is None or (isinstance(mode, ast.Constant)
-                                         and isinstance(mode.value, str)
-                                         and not set(mode.value) & set("wax+"))
-                if not reads:
-                    yield scope, node.lineno, f"open mode {ast.unparse(mode)}"
-        yield from write_calls(node, scope)
+            yield scope, node
+        yield from scoped_calls(node, scope)
 
 
-def test_every_write_goes_through_the_output_helper():
+def write_calls(tree: ast.AST):
+    """(function, line, call) of every call in ``tree`` that writes a file:
+    ``.write_text``, ``.write_bytes``, and any ``open`` whose mode is not a
+    literal read mode."""
+    for scope, node in scoped_calls(tree):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            yield scope, node.lineno, name
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg in ("mode", "flags")), None)
+            reads = mode is None or (isinstance(mode, ast.Constant)
+                                     and isinstance(mode.value, str)
+                                     and not set(mode.value) & set("wax+"))
+            if not reads:
+                yield scope, node.lineno, f"open mode {ast.unparse(mode)}"
+
+
+def json_parses(tree: ast.AST):
+    """(function, line, call) of every ``json.load`` or ``json.loads`` call in
+    ``tree``, and of every import of either name from ``json``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            for alias in node.names:
+                if alias.name in ("load", "loads"):
+                    yield None, node.lineno, f"from json import {alias.name}"
+    for scope, node in scoped_calls(tree):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            yield scope, node.lineno, f"json.{func.attr}"
+
+
+def guarded_calls(find, helper: str) -> list[str]:
+    """Every call ``find`` reports in the package's modules outside ``helper``."""
     found = []
     for path in sorted(SRC.joinpath("d2m").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{line} {what} in {scope}"
-                  for scope, line, what in write_calls(tree) if scope != WRITE_HELPER]
-    assert found == []
+                  for scope, line, what in find(tree) if scope != helper]
+    return found
+
+
+def test_every_write_goes_through_the_output_helper():
+    assert guarded_calls(write_calls, WRITE_HELPER) == []
+
+
+def test_every_json_input_goes_through_the_parse_helper():
+    assert guarded_calls(json_parses, JSON_HELPER) == []
+
+
+def test_json_guard_flags_a_second_parse_path():
+    code = ("from json import loads\n"
+            "def read(text):\n"
+            "    json.loads(text)\n"
+            "    json.load(handle)\n"
+            "    json.dumps(text)\n"
+            "def json_document(text):\n"
+            "    return json.loads(text)\n")
+    assert list(json_parses(ast.parse(code))) == [
+        (None, 1, "from json import loads"), ("read", 3, "json.loads"),
+        ("read", 4, "json.load"), ("json_document", 7, "json.loads")]
 
 
 def test_write_guard_flags_a_second_write_path():
