@@ -6,7 +6,10 @@ inputs produce byte-identical artifact trees. Exit codes: 0 success, 2 bad
 input or validation failure, 3 I/O failure, 4 internal invariant violation.
 An optional --run-dir records a stage manifest (inputs and outputs with
 content hashes) and refuses to run a stage whose declared inputs no longer
-hash-match what an earlier stage produced.
+hash-match what an earlier stage produced. ``main`` keeps that protocol for
+every stage: each input is hashed once, before the stage runs, and the
+manifest records that digest; outputs are hashed once they are written.
+Each ``cmd_*`` only does its stage's work and returns what it wrote.
 
 Each subcommand imports the modules it runs when it runs, so a stage pays
 only for its own imports: ``estimate`` and ``pareto`` never load numpy.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -66,18 +70,23 @@ class CorruptManifest(D2mError):
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 16), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()
 
 
 class PipelineRun:
-    """Manifest bookkeeping for one run directory."""
+    """Manifest bookkeeping for one stage in a run directory: the manifest is
+    read once, when the run is opened, and written once, by ``record``."""
 
     def __init__(self, run_dir: Path):
         self.run_dir = run_dir
         self.path = run_dir / "manifest.json"
+        self.data = self._load()
 
     def _load(self) -> dict:
         if not self.path.exists():
@@ -96,45 +105,40 @@ class PipelineRun:
     def _rel(self, path: str | Path) -> str:
         return os.path.relpath(Path(path).resolve(), self.run_dir.resolve())
 
-    def check_inputs(self, inputs: list[str | Path]) -> None:
-        """Inputs must exist; any produced by an earlier stage must hash-match."""
+    def check_inputs(self, inputs: list[str | Path]) -> dict[str | Path, str]:
+        """Each input's digest, hashed once; any input an earlier stage
+        produced must still match the digest that stage recorded."""
         recorded: dict[str, str] = {}
-        for stage in self._load()["stages"].values():
+        for stage in self.data["stages"].values():
             recorded.update(stage.get("outputs", {}))
+        digests = {}
         for path in inputs:
+            digests[path] = _sha256(Path(path))
             rel = self._rel(path)
-            if rel in recorded and recorded[rel] != _sha256(Path(path)):
+            if rel in recorded and recorded[rel] != digests[path]:
                 raise StaleArtifact(
                     f"input {path} no longer matches the hash recorded by an earlier stage"
                 )
+        return digests
 
-    def record(self, stage: str, inputs: list[str | Path], outputs: list[str | Path]) -> None:
-        """Replace the stage's inputs; add its outputs to those it recorded
-        before, so ``search``'s plan and sweep modes both stay checked."""
-        data = self._load()
-        earlier = data["stages"].get(stage, {}).get("outputs", {})
-        data["stages"][stage] = {
-            "inputs": {self._rel(p): _sha256(Path(p)) for p in inputs},
+    def record(self, stage: str, inputs: dict[str | Path, str],
+               outputs: list[str | Path]) -> None:
+        """Replace the stage's inputs with the digests ``check_inputs`` took;
+        add its outputs to those it recorded before, so ``search``'s plan and
+        sweep modes both stay checked."""
+        earlier = self.data["stages"].get(stage, {}).get("outputs", {})
+        self.data["stages"][stage] = {
+            "inputs": {self._rel(p): digest for p, digest in inputs.items()},
             "outputs": {**earlier, **{self._rel(p): _sha256(Path(p)) for p in outputs}},
         }
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        write_json(self.path, data)
-
-
-def _require_inputs(args, paths: list[str | Path]) -> None:
-    for path in paths:
-        if not Path(path).exists():
-            raise MissingInput(f"input does not exist: {path}")
-    if getattr(args, "run_dir", None):
-        PipelineRun(Path(args.run_dir)).check_inputs(paths)
-
-
-def _record(args, stage: str, inputs: list[str | Path], outputs: list[str | Path]) -> None:
-    if getattr(args, "run_dir", None):
-        PipelineRun(Path(args.run_dir)).record(stage, inputs, outputs)
+        write_json(self.path, self.data)
 
 
 # --- subcommands ---------------------------------------------------------------------
+
+# What a stage wrote, and the note that ends its "wrote ..." line.
+Written = tuple[list[str | Path], str]
 
 
 def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
@@ -145,21 +149,24 @@ def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
             entries.append((int(base), int(offset), float(noise)))
         except ValueError as exc:  # wrong field count or a non-number
             raise InvalidConfig(f"--redundant expects base:offset:noise, got {spec!r}") from exc
+        if not math.isfinite(entries[-1][2]):
+            raise InvalidConfig(f"--redundant noise must be finite, got {spec!r}")
     return entries
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> Written:
     from .nanomodel import (POSITION_SCALE, build_toy_container, dense_forward,
                             make_copy_stream, sinusoid_positions)
     from .traceio import synth_trace, write_trace, write_weights
 
-    # every flag is checked, and a corrupt manifest found, before anything is created
-    _require_inputs(args, [])
+    # every flag is checked before anything is created
     shape = ModelShape(
         num_layers=args.layers, hidden_dim=args.hidden, mlp_dim=args.mlp_dim,
         num_heads=args.heads, num_kv_heads=args.kv_heads, head_dim=args.head_dim,
         vocab_size=args.vocab, tied_embedding=not args.untied,
     )
+    if not math.isfinite(args.weight_scale):
+        raise InvalidConfig(f"--weight-scale must be finite, got {args.weight_scale}")
     redundant = _parse_redundant(args.redundant)
     if args.trace_mode == "forward" and any(noise != 0 for _, _, noise in redundant):
         raise InvalidConfig("--trace-mode forward copies layers exactly, so every "
@@ -184,53 +191,47 @@ def cmd_synth(args) -> int:
     write_trace(trace, trace_path)
     config_path = out_dir / "config.json"
     write_json(config_path, asdict(PipelineConfig(model=shape)))
-    _record(args, "synth", [], [model_path, trace_path, config_path])
-    print(f"wrote {model_path}, {trace_path}, {config_path}")
-    return EXIT_OK
+    return [model_path, trace_path, config_path], ""
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Written:
     from . import similarity
 
-    _require_inputs(args, [args.trace])
     matrices = similarity.stream_matrices(args.trace)
     paths = similarity.export_heatmap(matrices, args.out_dir)
     cache_path = Path(args.out_dir) / "matrices.d2ms"
     similarity.write_matrices(matrices, cache_path)
-    outputs = [*paths.values(), cache_path]
-    _record(args, "analyze", [args.trace], outputs)
-    print(f"wrote {', '.join(str(p) for p in outputs)}")
-    return EXIT_OK
+    return [*paths.values(), cache_path], ""
 
 
-def _parse_list(text: str, cast=float) -> list:
+def _parse_list(flag: str, text: str, cast=float) -> list:
     try:
         values = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise InvalidConfig(f"bad list {text!r}: {exc}") from exc
+        raise InvalidConfig(f"{flag}: bad list {text!r}: {exc}") from exc
     if not values:
-        raise InvalidConfig(f"list {text!r} is empty")
+        raise InvalidConfig(f"{flag}: list {text!r} is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidConfig(f"{flag} values must be finite, got {text!r}")
     return values
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> Written:
     from .search import search, threshold_sweep, write_sweep_csv
     from .similarity import read_matrices
 
-    _require_inputs(args, [args.matrices])
     matrices = read_matrices(args.matrices)
-    block_sizes = tuple(_parse_list(args.block_sizes, int))
+    block_sizes = tuple(_parse_list("--block-sizes", args.block_sizes, int))
 
     if args.sweep:
         if not args.delta_grid or not args.epsilon_grid or not args.sweep_out:
             raise InvalidConfig("--sweep requires --delta-grid, --epsilon-grid, --sweep-out")
         cells = threshold_sweep(
-            matrices, _parse_list(args.delta_grid), _parse_list(args.epsilon_grid),
+            matrices, _parse_list("--delta-grid", args.delta_grid),
+            _parse_list("--epsilon-grid", args.epsilon_grid),
             score_penalty=args.score_penalty, block_sizes=block_sizes)
         write_sweep_csv(cells, args.sweep_out)
-        _record(args, "search", [args.matrices], [args.sweep_out])
-        print(f"wrote {args.sweep_out} ({len(cells)} cells)")
-        return EXIT_OK
+        return [args.sweep_out], f" ({len(cells)} cells)"
 
     if args.delta is None or args.epsilon is None or not args.plan_out:
         raise InvalidConfig("plan mode requires --delta, --epsilon, --plan-out")
@@ -239,16 +240,13 @@ def cmd_search(args) -> int:
         score_penalty=args.score_penalty, block_sizes=block_sizes))
     plan = search(matrices, thresholds)
     write_json(args.plan_out, plan_to_dict(plan))
-    _record(args, "search", [args.matrices], [args.plan_out])
-    print(f"wrote {args.plan_out} (prune {sorted(plan.prune_layers)})")
-    return EXIT_OK
+    return [args.plan_out], f" (prune {sorted(plan.prune_layers)})"
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> Written:
     from . import surgery
     from .traceio import read_weights, write_weights
 
-    _require_inputs(args, [args.model, args.plan])
     model = read_weights(args.model)
     plan = load_plan(args.plan)
     fused, provenance = surgery.fuse(model, plan, base_copies=args.base_copies,
@@ -256,15 +254,12 @@ def cmd_fuse(args) -> int:
     surgery.verify_fusion(model, fused, plan, provenance)
     write_weights(fused, args.out)
     write_json(args.provenance_out, surgery.provenance_to_dict(provenance))
-    _record(args, "fuse", [args.model, args.plan], [args.out, args.provenance_out])
-    print(f"wrote {args.out}, {args.provenance_out}")
-    return EXIT_OK
+    return [args.out, args.provenance_out], ""
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> Written:
     from . import costmodel
 
-    _require_inputs(args, [args.config])
     config = load_config(args.config)
     shape = config.model
     breakdown = costmodel.total_latency(shape, config.hardware, config.workload)
@@ -283,15 +278,12 @@ def cmd_estimate(args) -> int:
         "bytes": size_bytes,
     }
     write_json(args.out, doc)
-    _record(args, "estimate", [args.config], [args.out])
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return [args.out], ""
 
 
-def cmd_pareto(args) -> int:
+def cmd_pareto(args) -> Written:
     from . import tradeoff
 
-    _require_inputs(args, [args.candidates])
     candidates = tradeoff.read_candidates_csv(args.candidates)
     if args.calibrate:
         exponent = tradeoff.calibrate_w(args.calibrate[0], args.calibrate[1])
@@ -308,17 +300,14 @@ def cmd_pareto(args) -> int:
     frontier = sorted((c for c in evaluated if (c.latency_ms, c.score) in frontier_points),
                       key=lambda c: (c.latency_ms, c.config_id))
     tradeoff.write_candidates_csv(frontier, args.frontier_out, header_comment=note)
-    _record(args, "pareto", [args.candidates], [args.rewards_out, args.frontier_out])
-    print(f"wrote {args.rewards_out}, {args.frontier_out}; argmax {best.config_id} "
-          f"(reward {best.reward:.2f})")
-    return EXIT_OK
+    return ([args.rewards_out, args.frontier_out],
+            f"; argmax {best.config_id} (reward {best.reward:.2f})")
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> Written:
     from .diagnostics import (LayerLoadProfile, train_log_from_csv, write_per_layer_csv,
                               write_summary_csv, wta_metrics)
 
-    _require_inputs(args, [args.log])
     log = train_log_from_csv(args.log)
     rows = len(log.steps)
     if not -rows <= args.row < rows:
@@ -335,26 +324,21 @@ def cmd_diagnose(args) -> int:
     if args.per_layer_out:
         write_per_layer_csv(profiles, args.per_layer_out)
         outputs.append(args.per_layer_out)
-    _record(args, "diagnose", [args.log], outputs)
-    print(f"wrote {', '.join(str(p) for p in outputs)}")
-    return EXIT_OK
+    return outputs, ""
 
 
-def cmd_train_toy(args) -> int:
+def cmd_train_toy(args) -> Written:
     from .nanomodel import make_copy_stream, train_toy
     from .traceio import read_weights, write_weights
 
-    _require_inputs(args, [args.model])
     model = read_weights(args.model)
     data = make_copy_stream(model.shape.vocab_size, args.seq_len, args.sequences, args.seed)
     log, trained = train_toy(model, data, steps=args.steps, lr=args.lr, alpha=args.alpha)
     log.to_csv(args.log_out)
     write_weights(trained, args.model_out)
-    _record(args, "train-toy", [args.model], [args.log_out, args.model_out])
     final = log.steps[-1]
-    print(f"wrote {args.log_out}, {args.model_out}; final task loss {final.task_loss:.4f}, "
-          f"balance {final.lb_loss:.4f}")
-    return EXIT_OK
+    return ([args.log_out, args.model_out],
+            f"; final task loss {final.task_loss:.4f}, balance {final.lb_loss:.4f}")
 
 
 # --- parser & dispatch -----------------------------------------------------------------
@@ -368,9 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_dir(p):
+    def declare(p, func, *inputs):
+        """Give a stage --run-dir, its function, and the flags naming its input files."""
         p.add_argument("--run-dir", default=None,
                        help="directory whose manifest.json tracks stage inputs/outputs")
+        p.set_defaults(func=func, inputs=inputs)
 
     p = sub.add_parser("synth", help="generate a toy model, trace, and config")
     p.add_argument("--out-dir", required=True)
@@ -388,14 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--redundant", action="append", default=[], metavar="BASE:OFFSET:NOISE",
                    help="duplicate layer BASE onto BASE+OFFSET with Gaussian noise")
     p.add_argument("--trace-mode", choices=("synthetic", "forward"), default="synthetic")
-    add_run_dir(p)
-    p.set_defaults(func=cmd_synth)
+    declare(p, cmd_synth)
 
     p = sub.add_parser("analyze", help="similarity matrices and heatmap CSVs from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--out-dir", required=True)
-    add_run_dir(p)
-    p.set_defaults(func=cmd_analyze)
+    declare(p, cmd_analyze, "trace")
 
     p = sub.add_parser("search", help="block search (plan) or threshold sweep (CSV)")
     p.add_argument("--matrices", required=True)
@@ -408,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-grid", default=None)
     p.add_argument("--epsilon-grid", default=None)
     p.add_argument("--sweep-out", default=None)
-    add_run_dir(p)
-    p.set_defaults(func=cmd_search)
+    declare(p, cmd_search, "matrices")
 
     p = sub.add_parser("fuse", help="apply a fusion plan to a dense model")
     p.add_argument("--model", required=True)
@@ -419,15 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance-out", required=True)
-    add_run_dir(p)
-    p.set_defaults(func=cmd_fuse)
+    declare(p, cmd_fuse, "model", "plan")
 
     p = sub.add_parser("estimate", help="latency, memory, and parameter counts")
     p.add_argument("--config", required=True)
     p.add_argument("--config-id", default=None)
     p.add_argument("--out", required=True)
-    add_run_dir(p)
-    p.set_defaults(func=cmd_estimate)
+    declare(p, cmd_estimate, "config")
 
     p = sub.add_parser("pareto", help="rewards and Pareto frontier over candidates")
     p.add_argument("--candidates", required=True)
@@ -437,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--rewards-out", required=True)
     p.add_argument("--frontier-out", required=True)
-    add_run_dir(p)
-    p.set_defaults(func=cmd_pareto)
+    declare(p, cmd_pareto, "candidates")
 
     p = sub.add_parser("diagnose", help="winner-takes-all summary from a training log")
     p.add_argument("--log", required=True)
@@ -446,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log row to diagnose (default: final step)")
     p.add_argument("--out", required=True)
     p.add_argument("--per-layer-out", default=None)
-    add_run_dir(p)
-    p.set_defaults(func=cmd_diagnose)
+    declare(p, cmd_diagnose, "log")
 
     p = sub.add_parser("train-toy", help="SGD on a fused toy model's router and experts")
     p.add_argument("--model", required=True)
@@ -459,17 +438,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequences", type=int, default=4)
     p.add_argument("--log-out", required=True)
     p.add_argument("--model-out", required=True)
-    add_run_dir(p)
-    p.set_defaults(func=cmd_train_toy)
+    declare(p, cmd_train_toy, "model")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one stage. Its declared inputs must exist. With --run-dir, each
+    input is hashed once before the stage runs (a stale one is refused), and
+    after it runs the manifest records those digests and its outputs'."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        inputs = [getattr(args, name) for name in args.inputs]
+        for path in inputs:
+            if not Path(path).exists():
+                raise MissingInput(f"input does not exist: {path}")
+        run = PipelineRun(Path(args.run_dir)) if args.run_dir else None
+        digests = run.check_inputs(inputs) if run else {}
+        outputs, note = args.func(args)
+        if run:
+            run.record(args.command, digests, outputs)
+        print(f"wrote {', '.join(str(p) for p in outputs)}{note}")
+        return EXIT_OK
     except (VerificationFailure, NonFiniteActivation, NonFiniteGradient,
             DivergenceDetected, StaleArtifact, CorruptManifest) as exc:
         print(f"error: {exc}", file=sys.stderr)

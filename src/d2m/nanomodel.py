@@ -124,7 +124,6 @@ class MoELayer:
     experts: tuple[GluMlp, ...]
     router: np.ndarray
     top_k: int
-    provenance: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)

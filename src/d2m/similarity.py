@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import output_file
-from .errors import InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
+from .errors import DimensionMismatch, InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
 from .traceio import ActivationTrace, _read, _write, _write_header, chunk_tokens, trace_chunks
 
 HALVES = ("mlp_inputs", "layer_outputs")  # file order
@@ -56,7 +56,8 @@ def seq_avg_cosine(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
-        raise ZeroVector(f"inputs must share a T x d shape, got {a.shape} and {b.shape}")
+        raise DimensionMismatch(
+            f"inputs must share a T x d shape, got {a.shape} and {b.shape}")
     na = _row_norms(a, "first argument")
     nb = _row_norms(b, "second argument")
     cos = np.einsum("td,td->t", a, b) / (na * nb)
@@ -71,7 +72,8 @@ def norm_mismatch(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
-        raise ZeroVector(f"inputs must share a T x d shape, got {a.shape} and {b.shape}")
+        raise DimensionMismatch(
+            f"inputs must share a T x d shape, got {a.shape} and {b.shape}")
     na = np.linalg.norm(a, axis=1)
     nb = _row_norms(b, "denominator argument")
     return float(np.mean(np.abs(na - nb) / nb))

@@ -1,6 +1,7 @@
 """Command-line pipeline: stage composability, deterministic artifact trees,
 exit codes, and the run-directory manifest."""
 
+import hashlib
 import json
 import struct
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from d2m import cli
 from d2m.cli import main
 from d2m.traceio import param_count, read_weights
 
@@ -27,6 +29,10 @@ L19,19,174.95,47.31,
 L21,21,188.00,47.50,
 L23,23,201.05,47.93,
 """
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_config(path, model=None):
@@ -151,6 +157,25 @@ class TestSearchCommand:
         assert "L=0" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists() and not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--delta-grid", "--epsilon-grid"])
+    @pytest.mark.parametrize("value", ["nan,0.1", "0.1,inf", "-inf"])
+    def test_non_finite_sweep_grid_exits_2_naming_flag(self, tmp_path, capsys, flag, value):
+        out = run_pipeline(tmp_path)
+        grids = {"--delta-grid": "0.05", "--epsilon-grid": "0.1", flag: value}
+        code = main(["search", "--matrices", str(out["analysis"] / "matrices.d2ms"),
+                     "--sweep", *(f"{name}={grid}" for name, grid in grids.items()),
+                     "--sweep-out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_finite_sweep_grid_outside_unit_interval_is_legal(self, tmp_path):
+        out = run_pipeline(tmp_path)
+        assert main(["search", "--matrices", str(out["analysis"] / "matrices.d2ms"),
+                     "--sweep", "--delta-grid=-0.5,1.5", "--epsilon-grid", "0,2",
+                     "--sweep-out", str(tmp_path / "s.csv")]) == 0
+        assert len((tmp_path / "s.csv").read_text().splitlines()) == 5
+
     @pytest.mark.parametrize("mode, penalty", [
         ("sweep", "-1"), ("sweep", "nan"), ("plan", "nan"), ("plan", "inf"),
     ])
@@ -223,6 +248,19 @@ class TestSynth:
     def test_bad_flags_create_nothing(self, tmp_path, flags):
         out_dir = tmp_path / "x" / "a"
         assert main(["synth", "--out-dir", str(out_dir), "--layers", "3", *flags]) == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--weight-scale", "nan"], "--weight-scale"),
+        (["--weight-scale", "inf"], "--weight-scale"),
+        (["--weight-scale=-inf"], "--weight-scale"),
+        (["--redundant", "1:1:nan"], "--redundant"),
+        (["--redundant", "1:1:0.1", "--redundant", "0:1:inf"], "--redundant"),
+    ], ids=["scale-nan", "scale-inf", "scale-minus-inf", "noise-nan", "second-noise-inf"])
+    def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, flags, flag):
+        out_dir = tmp_path / "x" / "a"
+        assert main(["synth", "--out-dir", str(out_dir), "--layers", "3", *flags]) == 2
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_forward_trace_feeds_analyze_and_search(self, tmp_path):
@@ -619,3 +657,103 @@ class TestManifest:
                      "--out-dir", str(run_dir / "analysis"), "--run-dir", str(run_dir)])
         assert code == 4
         assert "manifest.json" in capsys.readouterr().err
+
+    def test_each_file_is_hashed_once_per_stage(self, tmp_path, monkeypatch, capsys):
+        # every stage of the README pipeline, in one run directory: each input
+        # is hashed once (before the stage runs, and that digest is recorded)
+        # and each output once, and the manifest is parsed once
+        root = tmp_path / "run"
+        root.mkdir()
+        (root / "candidates.csv").write_text(CANDIDATES_CSV)
+        stages = [
+            (["synth", "--out-dir", "synth", "--seed", "11", "--layers", "5", "--hidden", "16",
+              "--mlp-dim", "32", "--heads", "2", "--kv-heads", "1", "--head-dim", "8",
+              "--vocab", "32", "--seq-len", "48", "--redundant", "4:1:0.0"],
+             [], ["synth/model.d2mw", "synth/trace.d2mt", "synth/config.json"]),
+            (["analyze", "--trace", "synth/trace.d2mt", "--out-dir", "analysis"],
+             ["synth/trace.d2mt"],
+             ["analysis/s_out.csv", "analysis/s_mlp.csv", "analysis/delta_norm.csv",
+              "analysis/matrices.d2ms"]),
+            (["search", "--matrices", "analysis/matrices.d2ms", "--delta", "0.05",
+              "--epsilon", "0.1", "--plan-out", "plan.json"],
+             ["analysis/matrices.d2ms"], ["plan.json"]),
+            (["search", "--matrices", "analysis/matrices.d2ms", "--sweep",
+              "--delta-grid", "0.001,0.01,0.1", "--epsilon-grid", "0.01,0.1",
+              "--sweep-out", "sweep.csv"],
+             ["analysis/matrices.d2ms"], ["sweep.csv"]),
+            (["fuse", "--model", "synth/model.d2mw", "--plan", "plan.json",
+              "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+              "--out", "fused.d2mw", "--provenance-out", "prov.json"],
+             ["synth/model.d2mw", "plan.json"], ["fused.d2mw", "prov.json"]),
+            (["estimate", "--config", "synth/config.json", "--out", "cost.json"],
+             ["synth/config.json"], ["cost.json"]),
+            (["train-toy", "--model", "fused.d2mw", "--steps", "5", "--seed", "23",
+              "--log-out", "train_log.csv", "--model-out", "trained.d2mw"],
+             ["fused.d2mw"], ["train_log.csv", "trained.d2mw"]),
+            (["diagnose", "--log", "train_log.csv", "--out", "wta.csv"],
+             ["train_log.csv"], ["wta.csv"]),
+            (["pareto", "--candidates", "candidates.csv", "--base-latency", "195.87",
+              "--calibrate", "2", "1.11", "--rewards-out", "rewards.csv",
+              "--frontier-out", "frontier.csv"],
+             ["candidates.csv"], ["rewards.csv", "frontier.csv"]),
+        ]
+        hashed, parsed = [], []
+        real_sha256, real_json_document = cli._sha256, cli.json_document
+
+        def counted_sha256(path):
+            hashed.append(Path(path).resolve().relative_to(root).as_posix())
+            return real_sha256(path)
+
+        def counted_json_document(text, source):
+            parsed.append(Path(source).name)
+            return real_json_document(text, source)
+
+        monkeypatch.setattr(cli, "_sha256", counted_sha256)
+        monkeypatch.setattr(cli, "json_document", counted_json_document)
+        monkeypatch.chdir(root)
+        for argv, inputs, outputs in stages:
+            hashed.clear()
+            parsed.clear()
+            had_manifest = (root / "manifest.json").exists()
+            assert main([*argv, "--run-dir", "."]) == 0, argv
+            assert sorted(hashed) == sorted([*inputs, *outputs]), argv
+            assert parsed == (["manifest.json"] if had_manifest else []), argv
+            manifest = json.loads((root / "manifest.json").read_text())
+            record = manifest["stages"][argv[0]]
+            assert record["inputs"] == {p: sha256_of(root / p) for p in inputs}
+            assert all(record["outputs"][p] == sha256_of(root / p) for p in outputs)
+        capsys.readouterr()
+
+    def test_fuse_over_its_model_records_the_digest_it_read(self, tmp_path):
+        run_dir = tmp_path / "run"
+        flags = ["--run-dir", str(run_dir)]
+        out = run_pipeline(run_dir)
+        assert main(["synth", "--out-dir", str(out["synth"]), "--seed", "11", "--layers", "5",
+                     "--hidden", "16", "--mlp-dim", "32", "--heads", "2", "--kv-heads", "1",
+                     "--head-dim", "8", "--vocab", "32", "--seq-len", "48",
+                     "--redundant", "4:1:0.0", *flags]) == 0
+        model = out["synth"] / "model.d2mw"
+        dense_digest = sha256_of(model)
+        assert main(["fuse", "--model", str(model), "--plan", str(out["plan"]),
+                     "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                     "--out", str(model), "--provenance-out", str(out["prov"]), *flags]) == 0
+        stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+        assert stages["synth"]["outputs"]["synth/model.d2mw"] == dense_digest
+        assert stages["fuse"]["inputs"]["synth/model.d2mw"] == dense_digest
+        assert stages["fuse"]["outputs"]["synth/model.d2mw"] == sha256_of(model) != dense_digest
+
+    def test_unreadable_input_exits_3_naming_it(self, tmp_path, capsys):
+        # a recorded input replaced by a directory fails while it is hashed
+        run_dir = tmp_path / "run"
+        assert main(["synth", "--out-dir", str(run_dir / "synth"), "--layers", "3",
+                     "--hidden", "16", "--seq-len", "8", "--run-dir", str(run_dir)]) == 0
+        config = run_dir / "synth" / "config.json"
+        config.unlink()
+        config.mkdir()
+        manifest = (run_dir / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(config), "--out", str(run_dir / "c.json"),
+                     "--run-dir", str(run_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "config.json" in err
+        assert (run_dir / "manifest.json").read_bytes() == manifest

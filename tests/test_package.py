@@ -149,6 +149,19 @@ def test_write_guard_flags_a_second_write_path():
         (2, "write_text"), (3, "open mode 'ab'"), (4, "open mode mode")]
 
 
+def test_stage_functions_leave_the_manifest_to_main():
+    # main checks, hashes and records every stage's inputs and outputs and
+    # prints its "wrote" line; a cmd_* that did any of it would be a second copy
+    tree = ast.parse(SRC.joinpath("d2m", "cli.py").read_text(encoding="utf-8"))
+    stages = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(stages) == 8
+    for stage in stages:
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(stage)}
+        assert not names & {"PipelineRun", "run_dir", "_sha256", "print"}, stage.name
+
+
 def test_readme_quick_start_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("## Library quick start"):]

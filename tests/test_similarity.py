@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from d2m import traceio
 from d2m.cli import main
-from d2m.errors import D2mError, TruncatedPayload, ZeroVector
+from d2m.errors import D2mError, DimensionMismatch, TruncatedPayload, ZeroVector
 from d2m.similarity import (
     build_matrices,
     export_heatmap,
@@ -90,6 +90,11 @@ class TestSeqAvgCosine:
         with pytest.raises(ZeroVector, match="index 1"):
             seq_avg_cosine(a, np.ones((3, 2)))
 
+    @pytest.mark.parametrize("b_shape", [(3, 3), (4, 2), (3, 2, 1)])
+    def test_shape_mismatch_is_a_dimension_mismatch(self, b_shape):
+        with pytest.raises(DimensionMismatch, match="T x d"):
+            seq_avg_cosine(np.ones((3, 2)), np.ones(b_shape))
+
 
 class TestNormMismatch:
     def test_equal_inputs(self):
@@ -117,6 +122,11 @@ class TestNormMismatch:
         a = rng.standard_normal((9, 4))
         b = rng.standard_normal((9, 4))
         assert norm_mismatch(a, b) == pytest.approx(oracle_norm_mismatch(a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("b_shape", [(3, 3), (4, 2), (3, 2, 1)])
+    def test_shape_mismatch_is_a_dimension_mismatch(self, b_shape):
+        with pytest.raises(DimensionMismatch, match="T x d"):
+            norm_mismatch(np.ones((3, 2)), np.ones(b_shape))
 
 
 class TestBuildMatrices:
