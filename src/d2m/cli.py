@@ -22,6 +22,7 @@ import hashlib
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -154,6 +155,19 @@ def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
     return entries
 
 
+@contextmanager
+def _overflow_names(flag: str):
+    """Turn a float32 overflow of what ``flag`` scales into an error naming it,
+    raised before anything is written and with no numpy warning printed."""
+    import numpy as np
+
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise InvalidConfig(f"{flag} overflows float32") from None
+
+
 def cmd_synth(args) -> Written:
     from .nanomodel import (POSITION_SCALE, build_toy_container, dense_forward,
                             make_copy_stream, sinusoid_positions)
@@ -172,11 +186,13 @@ def cmd_synth(args) -> Written:
         raise InvalidConfig("--trace-mode forward copies layers exactly, so every "
                             "--redundant noise must be 0")
     duplicates = [(base, offset) for base, offset, _ in redundant]
-    model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
-                                duplicate_from=duplicates)
+    with _overflow_names(f"--weight-scale {args.weight_scale:g}"):
+        model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
+                                    duplicate_from=duplicates)
     if args.trace_mode == "synthetic":
-        trace = synth_trace(shape.num_layers, args.seq_len, shape.hidden_dim,
-                            redundant, seed=args.seed)
+        with _overflow_names("--redundant noise"):
+            trace = synth_trace(shape.num_layers, args.seq_len, shape.hidden_dim,
+                                redundant, seed=args.seed)
     else:
         tokens = make_copy_stream(shape.vocab_size, args.seq_len, 1, args.seed)[0]
         x = model.tensors["embed"][tokens] + sinusoid_positions(

@@ -5,7 +5,9 @@ Each block's base layer keeps its attention and both norm scales and gains an
 expert pool: K bit-exact copies of its own MLP followed by M copies of each
 redundant layer's MLP, in source order. The redundant layers' attention and
 norm tensors are dropped entirely; the router starts at zero, which makes the
-initial routing exactly uniform.
+initial routing exactly uniform. ``fuse`` builds that layout from the fused
+``tensor_schema``; ``verify_fusion`` checks it against the plan-pruned dense
+reference, a second derivation that shares no code with the first.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Any
 
 import numpy as np
 
-from .config import FusionPlan, MoEShape, attention_tensor_names, validate_plan
-from .errors import PlanModelMismatch, VerificationFailure
+from .config import FusionPlan, MoEShape, tensor_schema, validate_plan
+from .errors import InvalidPlan, PlanModelMismatch, VerificationFailure
 from .nanomodel import forward_trace
 from .traceio import WeightContainer, validate_container
 
@@ -53,11 +55,13 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
          supp_copies: int, top_k: int) -> tuple[WeightContainer, ExpertProvenance]:
     """Apply a fusion plan to a dense container.
 
-    Kept layers appear in their original order under new 1-based indices;
-    every block base becomes a MoE layer of N = K + n*M experts: K
-    ``base_copies``, and ``supp_copies`` M of each of its n redundant layers,
-    as the provenance records. Routers are zero-initialized, the least-biased
-    start for the balancing loss. Pure function of its arguments.
+    Kept layers keep their order under new 1-based indices; each block base
+    becomes a MoE layer of N = K + n*M experts (K ``base_copies``, then M
+    ``supp_copies`` of each of its n redundant layers), as the provenance
+    records. The container is built by walking its ``tensor_schema``: a
+    router is zeros, the least-biased start for the balancing loss; an expert
+    copies its provenance source's dense MLP; any other tensor copies the
+    same tensor of the dense layer it renumbers. Pure function of its arguments.
     """
     validate_container(container)
     if container.moe_layers:
@@ -65,59 +69,42 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
     num_layers = container.shape.num_layers
     try:
         validate_plan(plan, num_layers)
-    except Exception as exc:
+    except InvalidPlan as exc:
         raise PlanModelMismatch(f"plan invalid for a {num_layers}-layer model: {exc}") from exc
     if base_copies < 1 or supp_copies < 1:
         raise PlanModelMismatch("base_copies and supp_copies must be at least 1")
 
-    block_by_base = {b.base: b for b in plan.blocks}
-    expert_counts = {
-        b.base: base_copies + len(b.redundant) * supp_copies for b in plan.blocks
+    keep = plan.keep_layers
+    provenance: ExpertProvenance = {
+        keep.index(block.base) + 1:
+            tuple(ExpertSource("base", block.base, c) for c in range(1, base_copies + 1))
+            + tuple(ExpertSource("redundant", red, c)
+                    for red in block.redundant for c in range(1, supp_copies + 1))
+        for block in plan.blocks
     }
-    if plan.blocks and top_k > min(expert_counts.values()):
-        raise PlanModelMismatch(
-            f"top_k {top_k} exceeds the smallest fused expert pool "
-            f"({min(expert_counts.values())})"
-        )
+    moe_layers = {layer: len(sources) for layer, sources in provenance.items()}
+    if moe_layers and top_k > min(moe_layers.values()):
+        raise PlanModelMismatch(f"top_k {top_k} exceeds the smallest fused expert pool "
+                                f"({min(moe_layers.values())})")
+    moe_meta = (MoEShape(num_experts=max(moe_layers.values()), top_k=top_k)
+                if moe_layers else None)
+    fused_shape = replace(container.shape, num_layers=len(keep), moe=moe_meta)
 
-    d = container.shape.hidden_dim
     src = container.tensors
-    tensors: dict[str, np.ndarray] = {"embed": src["embed"].copy()}
-    if not container.shape.tied_embedding:
-        tensors["lm_head"] = src["lm_head"].copy()
-    tensors["final_norm"] = src["final_norm"].copy()
-
-    provenance: ExpertProvenance = {}
-    moe_layers: dict[int, int] = {}
-    for new_idx, old_idx in enumerate(plan.keep_layers, start=1):
-        for name in attention_tensor_names(old_idx):
-            suffix = name.split(".", 2)[2]
-            tensors[f"layer.{new_idx}.{suffix}"] = src[name].copy()
-        tensors[f"layer.{new_idx}.mlp_norm"] = src[f"layer.{old_idx}.mlp_norm"].copy()
-        block = block_by_base.get(old_idx)
-        if block is None:
-            for part in ("up", "gate", "down"):
-                tensors[f"layer.{new_idx}.mlp.{part}"] = src[f"layer.{old_idx}.mlp.{part}"].copy()
+    tensors: dict[str, np.ndarray] = {}
+    for name, dims in tensor_schema(fused_shape, moe_layers):
+        if not name.startswith("layer."):
+            tensors[name] = src[name].copy()
             continue
-        sources: list[ExpertSource] = []
-        for copy_idx in range(1, base_copies + 1):
-            sources.append(ExpertSource("base", old_idx, copy_idx))
-        for red in block.redundant:
-            for copy_idx in range(1, supp_copies + 1):
-                sources.append(ExpertSource("redundant", red, copy_idx))
-        n_experts = len(sources)
-        moe_layers[new_idx] = n_experts
-        tensors[f"layer.{new_idx}.router"] = np.zeros((d, n_experts))
-        for e, source in enumerate(sources, start=1):
-            for part in ("up", "gate", "down"):
-                tensors[f"layer.{new_idx}.moe.expert.{e}.{part}"] = \
-                    src[f"layer.{source.source_layer}.mlp.{part}"].copy()
-        provenance[new_idx] = tuple(sources)
-
-    moe_meta = None
-    if moe_layers:
-        moe_meta = MoEShape(num_experts=max(moe_layers.values()), top_k=top_k)
-    fused_shape = replace(container.shape, num_layers=len(plan.keep_layers), moe=moe_meta)
+        _, layer, rest = name.split(".", 2)
+        if rest == "router":
+            tensors[name] = np.zeros(dims)
+        elif rest.startswith("moe.expert."):
+            _, _, expert, part = rest.split(".")
+            source = provenance[int(layer)][int(expert) - 1].source_layer
+            tensors[name] = src[f"layer.{source}.mlp.{part}"].copy()
+        else:
+            tensors[name] = src[f"layer.{keep[int(layer) - 1]}.{rest}"].copy()
     fused = WeightContainer(shape=fused_shape, tensors=tensors, moe_layers=moe_layers)
     return validate_container(fused), provenance
 
@@ -136,11 +123,13 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
                   provenance: ExpertProvenance) -> FusionReport:
     """Audit a fused model against its source, plan, and provenance.
 
-    Checks (all listed in the report): layer count, untouched global tensors,
-    bit-exact attention/norm/MLP tensors of kept layers, absence of pruned
-    layers' attention, bit-exact expert copies per provenance, zero routers,
-    and a single shared mlp norm per fused layer (no per-expert norm
-    tensors). Every fused tensor is covered by some check. Raises
+    Checks (all listed in the report): layer count, absence of pruned layers'
+    attention, a bit-exact ``copy:{name}`` of every tensor of the plan-pruned
+    dense reference except a block base's MLP triple, and per block: its
+    provenance, a zero router, one shared mlp norm (no per-expert norm
+    tensors), and bit-exact expert copies per provenance. Every fused tensor
+    is named by exactly one check. The expectations come from
+    ``reference_pruned_model``, never from ``fuse``'s own renaming. Raises
     VerificationFailure naming the first failing check; the full report rides
     on the exception.
     """
@@ -149,48 +138,27 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(FusionCheck(name=name, passed=passed, detail=detail))
 
+    def same(name: str, expected: np.ndarray) -> bool:
+        return name in fused.tensors and np.array_equal(fused.tensors[name], expected)
+
     expected_layers = len(plan.keep_layers)
     add("layer_count", fused.shape.num_layers == expected_layers,
         f"fused has {fused.shape.num_layers} layers, plan keeps {expected_layers}")
-
-    global_names = ["embed", "final_norm"]
-    if not dense.shape.tied_embedding:
-        global_names.append("lm_head")
-    for name in global_names:
-        same = name in fused.tensors and np.array_equal(fused.tensors[name],
-                                                        dense.tensors[name])
-        add(f"global_copy:{name}", same, f"{name} must pass through unchanged")
 
     attn_blocks = sum(1 for n in fused.tensors if n.endswith(".attn.q"))
     add("pruned_attention_absent", attn_blocks == expected_layers,
         f"{attn_blocks} attention blocks present, expected one per kept layer "
         f"({expected_layers})")
 
-    for new_idx, old_idx in enumerate(plan.keep_layers, start=1):
-        for name in attention_tensor_names(old_idx):
-            suffix = name.split(".", 2)[2]
-            fused_name = f"layer.{new_idx}.{suffix}"
-            same = fused_name in fused.tensors and np.array_equal(
-                fused.tensors[fused_name], dense.tensors[name])
-            add(f"attention_copy:{fused_name}", same,
-                f"{fused_name} must equal dense {name}")
-        norm_name = f"layer.{new_idx}.mlp_norm"
-        same = norm_name in fused.tensors and np.array_equal(
-            fused.tensors[norm_name], dense.tensors[f"layer.{old_idx}.mlp_norm"])
-        add(f"shared_norm_copy:{norm_name}", same,
-            f"{norm_name} must equal dense layer {old_idx} mlp_norm")
-
     base_to_new = {old: new for new, old in enumerate(plan.keep_layers, start=1)}
-    bases = {b.base for b in plan.blocks}
-    for new_idx, old_idx in enumerate(plan.keep_layers, start=1):
-        if old_idx in bases:
-            continue
-        for part in ("up", "gate", "down"):
-            fused_name = f"layer.{new_idx}.mlp.{part}"
-            same = fused_name in fused.tensors and np.array_equal(
-                fused.tensors[fused_name], dense.tensors[f"layer.{old_idx}.mlp.{part}"])
-            add(f"dense_mlp_copy:{fused_name}", same,
-                f"{fused_name} must equal dense layer {old_idx} mlp.{part}")
+    replaced = {f"layer.{base_to_new[b.base]}.mlp.{part}"
+                for b in plan.blocks for part in ("up", "gate", "down")}
+    reference = reference_pruned_model(dense, plan)
+    for name, tensor in reference.tensors.items():
+        if name not in replaced:
+            add(f"copy:{name}", same(name, tensor),
+                f"{name} must equal the plan-pruned dense model's {name}")
+
     for block in plan.blocks:
         new_idx = base_to_new[block.base]
         sources = provenance.get(new_idx)
@@ -213,9 +181,7 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
             for part in ("up", "gate", "down"):
                 fused_name = f"layer.{new_idx}.moe.expert.{e}.{part}"
                 src_name = f"layer.{source.source_layer}.mlp.{part}"
-                same = fused_name in fused.tensors and np.array_equal(
-                    fused.tensors[fused_name], dense.tensors[src_name])
-                add(f"expert_copy:{fused_name}", same,
+                add(f"expert_copy:{fused_name}", same(fused_name, dense.tensors[src_name]),
                     f"{fused_name} must be a bit-exact copy of dense {src_name}")
 
     report = FusionReport(checks=tuple(checks))

@@ -44,6 +44,11 @@ def reward(score: float, latency_ms: float, base_latency_ms: float,
 def calibrate_w(latency_factor: float, relative_gain: float) -> float:
     """The exponent making score*gain at latency*factor reward-neutral:
     w = -ln(gain) / ln(factor)."""
+    if not (math.isfinite(latency_factor) and math.isfinite(relative_gain)):
+        raise DegenerateCalibration(
+            f"latency_factor and relative_gain must be finite, got "
+            f"{latency_factor} and {relative_gain}"
+        )
     if latency_factor <= 1.0:
         raise DegenerateCalibration(
             f"latency_factor must exceed 1, got {latency_factor}"

@@ -256,7 +256,11 @@ class TestSynth:
         (["--weight-scale=-inf"], "--weight-scale"),
         (["--redundant", "1:1:nan"], "--redundant"),
         (["--redundant", "1:1:0.1", "--redundant", "0:1:inf"], "--redundant"),
-    ], ids=["scale-nan", "scale-inf", "scale-minus-inf", "noise-nan", "second-noise-inf"])
+        # finite, but inf once passed through float32
+        (["--weight-scale", "1e300"], "--weight-scale"),
+        (["--redundant", "1:1:1e300"], "--redundant"),
+    ], ids=["scale-nan", "scale-inf", "scale-minus-inf", "noise-nan", "second-noise-inf",
+            "scale-overflows-float32", "noise-overflows-float32"])
     def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, flags, flag):
         out_dir = tmp_path / "x" / "a"
         assert main(["synth", "--out-dir", str(out_dir), "--layers", "3", *flags]) == 2

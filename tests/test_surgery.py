@@ -2,10 +2,15 @@
 functional equivalence against plan-pruned references, and exact parameter
 accounting."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from d2m.config import FusionBlock, FusionPlan, ModelShape, write_json
+from d2m.config import FusionBlock, FusionPlan, ModelShape, tensor_schema, write_json
 from d2m.errors import PlanModelMismatch, VerificationFailure
 from d2m.nanomodel import build_toy_container, forward_trace, moe_forward, layers_of
 from d2m.surgery import (
@@ -98,6 +103,14 @@ class TestFuse:
                        num_kv_heads=1, head_dim=8, vocab_size=24), seed=1)
         with pytest.raises(PlanModelMismatch):
             fuse(small, PLAN, base_copies=1, supp_copies=1, top_k=1)
+
+    def test_only_an_invalid_plan_becomes_a_mismatch(self, monkeypatch):
+        def broken(plan, num_layers):
+            raise RuntimeError("a bug in the validator, not a bad plan")
+
+        monkeypatch.setattr("d2m.surgery.validate_plan", broken)
+        with pytest.raises(RuntimeError, match="a bug in the validator"):
+            fuse(toy_dense(), PLAN, base_copies=1, supp_copies=1, top_k=1)
 
     def test_multi_block_heterogeneous_sizes(self):
         shape = ModelShape(num_layers=7, hidden_dim=16, mlp_dim=32, num_heads=2,
@@ -210,6 +223,73 @@ class TestVerifyFusion:
             '    }\n'
             '  ]\n'
             '}\n')
+
+
+@st.composite
+def fusion_cases(draw):
+    """A small dense model (tied or untied, L in 2..7), a valid plan over it
+    with its blocks in any order, K and M in 1..3, and a top-k no larger than
+    the smallest expert pool."""
+    num_kv_heads = draw(st.integers(1, 2))
+    shape = ModelShape(num_layers=draw(st.integers(2, 7)), hidden_dim=draw(st.integers(1, 6)),
+                       mlp_dim=draw(st.integers(1, 6)),
+                       num_heads=num_kv_heads * draw(st.integers(1, 2)),
+                       num_kv_heads=num_kv_heads, head_dim=draw(st.integers(1, 4)),
+                       vocab_size=draw(st.integers(1, 8)), tied_embedding=draw(st.booleans()))
+    # cut 1..L into runs: a run of one is a plain kept layer, a longer run is
+    # a block whose first layer is the base
+    blocks, layer = [], 1
+    while layer <= shape.num_layers:
+        run = draw(st.integers(1, shape.num_layers - layer + 1))
+        if run > 1:
+            blocks.append(FusionBlock(base=layer, redundant=tuple(range(layer + 1, layer + run))))
+        layer += run
+    prune = frozenset(r for b in blocks for r in b.redundant)
+    plan = FusionPlan(
+        keep_layers=tuple(n for n in range(1, shape.num_layers + 1) if n not in prune),
+        prune_layers=prune, blocks=tuple(draw(st.permutations(blocks))))
+    base_copies, supp_copies = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    smallest = min((base_copies + len(b.redundant) * supp_copies for b in blocks), default=1)
+    seed = draw(st.integers(0, 2 ** 16))
+    dense = build_toy_container(shape, seed=seed)
+    # norm scales start at one in every layer; make them differ, so that a
+    # norm taken from the wrong layer shows
+    rng = np.random.default_rng(seed)
+    for name, tensor in dense.tensors.items():
+        if name.endswith("norm"):
+            tensor += rng.standard_normal(tensor.shape)
+    return dense, plan, base_copies, supp_copies, draw(st.integers(1, smallest))
+
+
+class TestFusionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=fusion_cases())
+    def test_fuse_passes_verification_and_any_tampering_is_named(self, case):
+        dense, plan, base_copies, supp_copies, top_k = case
+        fused, provenance = fuse(dense, plan, base_copies, supp_copies, top_k)
+        report = verify_fusion(dense, fused, plan, provenance)
+        assert list(fused.tensors) == [
+            name for name, _ in tensor_schema(fused.shape, fused.moe_layers)]
+        named = Counter(c.name.partition(":")[2] for c in report.checks)
+        assert all(named[name] == 1 for name in fused.tensors)
+
+        for name in list(fused.tensors):
+            original = fused.tensors[name].copy()
+            flat = fused.tensors[name].reshape(-1)
+            flat[0] += 1e-6 * (1 + abs(flat[0]))
+            with pytest.raises(VerificationFailure) as info:
+                verify_fusion(dense, fused, plan, provenance)
+            failed = [c.name for c in info.value.report.checks if not c.passed]
+            assert [c.partition(":")[2] for c in failed] == [name]
+            assert name in str(info.value)
+            fused.tensors[name][...] = original
+
+        for layer in fused.moe_layers:
+            extra = f"layer.{layer}.moe.expert.1.norm"
+            fused.tensors[extra] = np.ones(dense.shape.hidden_dim)
+            with pytest.raises(VerificationFailure, match=re.escape(extra)):
+                verify_fusion(dense, fused, plan, provenance)
+            del fused.tensors[extra]
 
 
 class TestFunctionalEquivalence:

@@ -95,6 +95,16 @@ class TestCalibrateW:
         with pytest.raises(DegenerateCalibration):
             calibrate_w(2.0, 0.0)
 
+    @pytest.mark.parametrize("factor, gain", [
+        (float("inf"), 1.1),
+        (float("nan"), 1.1),
+        (2.0, float("inf")),
+        (2.0, float("nan")),
+    ], ids=["factor-inf", "factor-nan", "gain-inf", "gain-nan"])
+    def test_non_finite_inputs(self, factor, gain):
+        with pytest.raises(DegenerateCalibration, match="finite"):
+            calibrate_w(factor, gain)
+
 
 class TestEvaluateCandidates:
     def test_table_rewards_and_argmax(self):
