@@ -22,8 +22,9 @@ import hashlib
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
+from itertools import takewhile
 from pathlib import Path
 
 from .config import (
@@ -158,7 +159,7 @@ def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
 @contextmanager
 def _overflow_names(flag: str):
     """Turn a float32 overflow of what ``flag`` scales into an error naming it,
-    raised before anything is written and with no numpy warning printed."""
+    with no numpy warning printed."""
     import numpy as np
 
     with np.errstate(over="raise"):
@@ -171,7 +172,7 @@ def _overflow_names(flag: str):
 def cmd_synth(args) -> Written:
     from .nanomodel import (POSITION_SCALE, build_toy_container, dense_forward,
                             make_copy_stream, sinusoid_positions)
-    from .traceio import synth_trace, write_trace, write_weights
+    from .traceio import SyntheticTrace, write_trace, write_weights
 
     # every flag is checked before anything is created
     shape = ModelShape(
@@ -190,9 +191,9 @@ def cmd_synth(args) -> Written:
         model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
                                     duplicate_from=duplicates)
     if args.trace_mode == "synthetic":
-        with _overflow_names("--redundant noise"):
-            trace = synth_trace(shape.num_layers, args.seq_len, shape.hidden_dim,
-                                redundant, seed=args.seed)
+        # drawn as write_trace writes it, so it is never held whole
+        trace = SyntheticTrace(shape.num_layers, args.seq_len, shape.hidden_dim,
+                               redundant, args.seed)
     else:
         tokens = make_copy_stream(shape.vocab_size, args.seq_len, 1, args.seed)[0]
         x = model.tensors["embed"][tokens] + sinusoid_positions(
@@ -200,14 +201,25 @@ def cmd_synth(args) -> Written:
         _, trace = dense_forward(model, x)
 
     out_dir = Path(args.out_dir)
+    created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = out_dir / "model.d2mw"
-    write_weights(model, model_path)
-    trace_path = out_dir / "trace.d2mt"
-    write_trace(trace, trace_path)
-    config_path = out_dir / "config.json"
-    write_json(config_path, asdict(PipelineConfig(model=shape)))
-    return [model_path, trace_path, config_path], ""
+    outputs = [out_dir / "model.d2mw", out_dir / "trace.d2mt", out_dir / "config.json"]
+    model_path, trace_path, config_path = outputs
+    try:
+        write_weights(model, model_path)
+        # the noise can overflow only once drawn, after the model is written
+        with _overflow_names("--redundant noise"):
+            write_trace(trace, trace_path)
+        write_json(config_path, asdict(PipelineConfig(model=shape)))
+    except BaseException:
+        if created:  # so a failed synth leaves no directory it made
+            for path in outputs:
+                path.unlink(missing_ok=True)
+            for directory in created:  # deepest first
+                with suppress(OSError):
+                    directory.rmdir()
+        raise
+    return outputs, ""
 
 
 def cmd_analyze(args) -> Written:

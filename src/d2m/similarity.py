@@ -20,9 +20,8 @@ import numpy as np
 
 from .config import output_file
 from .errors import DimensionMismatch, InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
-from .traceio import ActivationTrace, _read, _write, _write_header, chunk_tokens, trace_chunks
-
-HALVES = ("mlp_inputs", "layer_outputs")  # file order
+from .traceio import (HALVES, ActivationTrace, _read, _write, _write_header, chunk_tokens,
+                      trace_chunks)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 On-disk precision is 32-bit little-endian floats; in-memory analysis runs in
 float64. Files therefore round-trip bit-exactly, while writing arbitrary
 float64 data truncates it to float32 once (synthesized fixtures are generated
-float32-representable so every write is lossless in practice).
+float32-representable so every write is lossless in practice). Every writer
+checks each block after that cast: a value that is not finite, or that
+overflows float32, raises ``NonFiniteValue`` naming the layer or tensor, so no
+writer leaves a file that its reader rejects, and a path destination is left
+as it was.
 
 Formats (all integers little-endian u32):
 
@@ -20,10 +24,18 @@ slices or allocates, and rejects bytes left over after the payload.
 header by the same rules and then reads its states a token chunk at a time
 into one reused buffer of at most ``CHUNK_BYTES``, so a pass over a trace
 never holds more of it than one chunk.
+
+``write_trace`` writes each (half, layer) block to its slot in the file. An
+in-memory trace goes out in file order. A ``SyntheticTrace`` is drawn as it
+is written: each layer goes to its slot as soon as it is drawn, only the
+layers that a redundancy entry reads as its base are kept, and each entry's
+target slot is then overwritten in place before the file is renamed into
+place. That pass holds one layer plus the kept bases, never the trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import mmap
@@ -52,6 +64,7 @@ from .errors import (
     VersionMismatch,
 )
 
+HALVES = ("mlp_inputs", "layer_outputs")  # trace halves, in file order
 TRACE_MAGIC = b"D2MT"
 TRACE_VERSION = 1
 WEIGHTS_MAGIC = b"D2MW"
@@ -112,13 +125,32 @@ def make_trace(mlp_inputs: Sequence[np.ndarray],
 # --- low-level stream helpers --------------------------------------------------
 
 
-def _write(stream: BinaryIO, payload: bytes) -> int:
+def _write(stream: BinaryIO, payload: bytes | memoryview) -> int:
     """Write ``payload``; a closed stream or a non-stream raises ``IoFailure``."""
     try:
         stream.write(payload)
     except (ValueError, AttributeError) as exc:
         raise IoFailure(f"write failed: {exc}") from exc
     return len(payload)
+
+
+def _seek(stream: BinaryIO, delta: int) -> None:
+    """Move ``delta`` bytes from the current position; a stream that cannot
+    seek raises ``IoFailure``."""
+    try:
+        stream.seek(delta, os.SEEK_CUR)
+    except (ValueError, AttributeError) as exc:
+        raise IoFailure(f"seek failed: {exc}") from exc
+
+
+def _float32(values: np.ndarray, what: str) -> memoryview:
+    """``values`` as the bytes of little-endian float32s, checked finite after
+    the cast, so a value beyond float32 range raises as a NaN does."""
+    with np.errstate(over="ignore"):  # the check below reports an overflow
+        block = np.ascontiguousarray(values, dtype="<f4")
+    if not np.isfinite(block).all():
+        raise NonFiniteValue(f"{what} contains values that are not finite as float32")
+    return memoryview(block).cast("B")
 
 
 def _write_header(stream: BinaryIO, magic: bytes, version: int, *fields: int) -> int:
@@ -211,15 +243,32 @@ def _read(source, magic: bytes, version: int) -> Iterator[_Reader]:
 # --- trace format ---------------------------------------------------------------
 
 
-def write_trace(trace: ActivationTrace, destination) -> int:
-    """Serialize a trace; returns the number of bytes emitted."""
+def write_trace(trace: ActivationTrace | SyntheticTrace, destination) -> int:
+    """Serialize a trace, in memory or synthetic; returns its size in bytes.
+
+    Each (half, layer) block is cast to float32, checked, and written to its
+    slot. A ``SyntheticTrace`` is drawn one layer at a time as it is written,
+    so the trace is never held whole; an open stream destination must then
+    be able to seek.
+    """
+    num_layers, seq_len, hidden = trace.num_layers, trace.seq_len, trace.hidden_dim
+    slots = (_synth_slots(trace) if isinstance(trace, SyntheticTrace)
+             else enumerate(itertools.chain(trace.mlp_inputs, trace.layer_outputs)))
+    layer_bytes = 4 * seq_len * hidden
     with output_file(destination, binary=True) as stream:
-        n = _write_header(stream, TRACE_MAGIC, TRACE_VERSION, trace.num_layers, trace.seq_len,
-                          trace.hidden_dim)
-        for mats in (trace.mlp_inputs, trace.layer_outputs):
-            for m in mats:
-                n += _write(stream, np.ascontiguousarray(m, dtype="<f4").tobytes())
-        return n
+        start = pos = _write_header(stream, TRACE_MAGIC, TRACE_VERSION, num_layers, seq_len,
+                                    hidden)
+        end = start + 2 * num_layers * layer_bytes
+        for slot, layer in slots:
+            half, index = divmod(slot, num_layers)
+            block = _float32(layer, f"{HALVES[half]} layer {index + 1}")
+            offset = start + slot * layer_bytes
+            if offset != pos:
+                _seek(stream, offset - pos)
+            pos = offset + _write(stream, block)
+        if pos != end:
+            _seek(stream, end - pos)
+        return end
 
 
 def _trace_dims(reader: _Reader) -> tuple[int, int, int]:
@@ -297,10 +346,11 @@ def _read_chunks(fd: int, start: int, num_layers: int, seq_len: int,
         yield chunk
 
 
-def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
-                redundancy_spec: Iterable[tuple[int, int, float]] = (),
-                seed: int = 0) -> ActivationTrace:
-    """Deterministic random trace with controllable layer redundancy.
+class SyntheticTrace:
+    """A deterministic random trace with controllable layer redundancy, not
+    yet drawn: ``write_trace`` draws it one layer at a time as it writes it,
+    ``synth_trace`` draws it whole. Its arguments are checked when it is
+    built, so a caller can refuse them before it creates anything.
 
     Each ``(base, offset, noise_scale)`` entry rewrites layer ``base+offset``
     as layer ``base`` plus seeded Gaussian noise of the given scale, in both
@@ -309,25 +359,66 @@ def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
     current contents of the base layer. Values pass through float32 so the
     trace serializes losslessly.
     """
-    if num_layers < 1 or seq_len < 1 or hidden_dim < 1:
-        raise InvalidTrace("num_layers, seq_len, and hidden_dim must be positive")
-    spec = list(redundancy_spec)
-    for base, offset, scale in spec:
-        if base < 1 or offset < 1 or base + offset > num_layers:
-            raise OutOfRange(
-                f"redundancy entry (base={base}, offset={offset}) outside 1..{num_layers}"
-            )
-        if scale < 0:
-            raise OutOfRange(f"noise_scale must be non-negative, got {scale}")
-    rng = np.random.default_rng(seed)
-    states = np.empty((2, num_layers, seq_len, hidden_dim))
-    for layer in states.reshape(-1, seq_len, hidden_dim):  # every h, then every y
-        layer[...] = rng.standard_normal((seq_len, hidden_dim)).astype(np.float32)
-    for base, offset, scale in spec:
-        for half in states:
-            noise = rng.standard_normal((seq_len, hidden_dim))
-            half[base + offset - 1] = (half[base - 1] + scale * noise).astype(np.float32)
-    return make_trace(states[0], states[1])
+
+    # a plain class: a frozen dataclass would add about 0.7 ms to the import
+    # of this module, which every CLI stage but estimate and pareto pays
+    def __init__(self, num_layers: int, seq_len: int, hidden_dim: int,
+                 redundancy_spec: Iterable[tuple[int, int, float]] = (), seed: int = 0):
+        if num_layers < 1 or seq_len < 1 or hidden_dim < 1:
+            raise InvalidTrace("num_layers, seq_len, and hidden_dim must be positive")
+        self.redundancy_spec = tuple(redundancy_spec)
+        for base, offset, scale in self.redundancy_spec:
+            if base < 1 or offset < 1 or base + offset > num_layers:
+                raise OutOfRange(f"redundancy entry (base={base}, offset={offset}) "
+                                 f"outside 1..{num_layers}")
+            if scale < 0:
+                raise OutOfRange(f"noise_scale must be non-negative, got {scale}")
+        self.num_layers, self.seq_len, self.hidden_dim = num_layers, seq_len, hidden_dim
+        self.seed = seed
+
+
+def _synth_slots(trace: SyntheticTrace) -> Iterator[tuple[int, np.ndarray]]:
+    """The (slot, float32 layer) pairs of a synthetic trace, in its RNG order.
+
+    Slot ``half * L + layer - 1`` is a layer of the MLP inputs (half 0) or of
+    the outputs (half 1). Every slot is drawn once, in slot order, as float64
+    normals cast to float32. Then each entry, for each half, draws its noise
+    and yields its target slot rewritten, so a slot can come twice and the
+    last one counts. Only base layers are kept, in their current form. A
+    yielded layer is overwritten by the next one.
+    """
+    num_layers, shape = trace.num_layers, (trace.seq_len, trace.hidden_dim)
+    rng = np.random.default_rng(trace.seed)
+    bases = {base - 1 for base, _, _ in trace.redundancy_spec}
+    kept: dict[int, np.ndarray] = {}
+    draw = np.empty(shape)
+    layer = np.empty(shape, dtype=np.float32)
+    for slot in range(2 * num_layers):
+        rng.standard_normal(out=draw)
+        np.copyto(layer, draw, casting="same_kind")
+        if slot % num_layers in bases:
+            kept[slot] = layer.copy()
+        yield slot, layer
+    for base, offset, scale in trace.redundancy_spec:
+        for first in (0, num_layers):  # the first slot of each half
+            rng.standard_normal(out=draw)
+            np.multiply(draw, scale, out=draw)
+            np.add(draw, kept[first + base - 1], out=draw)
+            np.copyto(layer, draw, casting="same_kind")
+            if base + offset - 1 in bases:
+                kept[first + base + offset - 1] = layer.copy()
+            yield first + base + offset - 1, layer
+
+
+def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
+                redundancy_spec: Iterable[tuple[int, int, float]] = (),
+                seed: int = 0) -> ActivationTrace:
+    """The ``SyntheticTrace`` of these arguments, drawn whole into memory."""
+    trace = SyntheticTrace(num_layers, seq_len, hidden_dim, redundancy_spec, seed)
+    states = np.empty((2 * num_layers, seq_len, hidden_dim))
+    for slot, layer in _synth_slots(trace):
+        states[slot] = layer
+    return make_trace(states[:num_layers], states[num_layers:])
 
 
 # --- weight containers ------------------------------------------------------------
@@ -424,19 +515,22 @@ def _check_finite(tensors: Mapping[str, np.ndarray]) -> None:
 
 
 def write_weights(container: WeightContainer, destination) -> int:
-    """Serialize a validated, finite container; returns the number of bytes emitted."""
+    """Serialize a validated container, finite as float32; returns the number
+    of bytes emitted. Every tensor is cast and checked before anything is
+    written."""
     validate_container(container)
-    _check_finite(container.tensors)
+    blocks = {name: _float32(tensor, f"tensor {name!r}")
+              for name, tensor in container.tensors.items()}
     config = json.dumps(_container_doc(container), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     with output_file(destination, binary=True) as stream:
         n = _write_header(stream, WEIGHTS_MAGIC, WEIGHTS_VERSION, len(config))
         n += _write(stream, config)
-        for name, tensor in container.tensors.items():
-            encoded = name.encode("utf-8")
-            n += _write(stream, struct.pack(f"<I{len(encoded)}sI{tensor.ndim}I", len(encoded),
-                                            encoded, tensor.ndim, *tensor.shape))
-            n += _write(stream, np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        for name, block in blocks.items():
+            encoded, dims = name.encode("utf-8"), container.tensors[name].shape
+            n += _write(stream, struct.pack(f"<I{len(encoded)}sI{len(dims)}I", len(encoded),
+                                            encoded, len(dims), *dims))
+            n += _write(stream, block)
         return n
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,46 @@ class TestSynth:
         assert code == 2
         assert "--redundant noise must be 0" in capsys.readouterr().err
         assert not (tmp_path / "synth" / "model.d2mw").exists()
+
+
+README_SYNTH = ["--seed", "11", "--layers", "5", "--hidden", "16", "--mlp-dim", "32",
+                "--heads", "2", "--kv-heads", "1", "--head-dim", "8", "--vocab", "32",
+                "--seq-len", "48", "--redundant", "4:1:0.0"]
+
+
+class TestSynthStream:
+    """``synth`` draws its trace as it writes it: the same bytes as the
+    whole-trace writer, and still nothing left behind when it fails."""
+
+    def test_readme_outputs_are_byte_identical_to_the_whole_trace_writer(self, tmp_path):
+        # digests of the files the whole-trace writer made for the README flags
+        assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
+        assert {name: sha256_of(tmp_path / name)
+                for name in ("trace.d2mt", "model.d2mw", "config.json")} == {
+            "trace.d2mt": "92b14d5358997310b56576342170831427683c39a668d46977a4e5c17507192c",
+            "model.d2mw": "34a2ec5f7144a1faf8dd260722fe06b51242f6d06ba01c9b2f897e70a61bb747",
+            "config.json": "b3da240cbf9e80ef78b530d486bac1dc61f392ae5ba34ed1a108e146a737b8b2",
+        }
+
+    def test_overflow_mid_stream_keeps_the_existing_trace(self, tmp_path, capsys):
+        assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
+        before = (tmp_path / "trace.d2mt").read_bytes()
+        # finite as a flag; beyond float32 only where a noise draw exceeds 1.7
+        assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH,
+                     "--redundant", "1:1:2e38"]) == 2
+        err = capsys.readouterr().err
+        assert "--redundant" in err and "Traceback" not in err
+        assert (tmp_path / "trace.d2mt").read_bytes() == before
+        assert sorted(tmp_path.rglob("*.tmp")) == []
+
+    def test_forward_trace_beyond_float32_exits_2_leaving_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "x" / "a"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert main(["synth", "--out-dir", str(out_dir), "--layers", "3",
+                         "--weight-scale", "1e30", "--trace-mode", "forward"]) == 2
+        assert "not finite as float32" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestFuse:

@@ -8,12 +8,13 @@ import re
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2m.cli import main
@@ -41,6 +42,7 @@ from d2m.similarity import (
     write_matrices,
 )
 from d2m.traceio import (
+    SyntheticTrace,
     make_trace,
     param_count,
     read_trace,
@@ -178,6 +180,115 @@ class TestSynthTrace:
             synth_trace(3, 4, 4, [(2, 2, 0.1)], seed=0)
         with pytest.raises(OutOfRange):
             synth_trace(3, 4, 4, [(1, 1, -0.5)], seed=0)
+
+
+def whole_trace_bytes(num_layers, seq_len, hidden, spec, seed) -> bytes:
+    """The trace file as the whole-trace writer made it: every state drawn into
+    one float64 (2, L, T, d) block, the entries applied in place, then written."""
+    rng = np.random.default_rng(seed)
+    states = np.empty((2, num_layers, seq_len, hidden))
+    for layer in states.reshape(-1, seq_len, hidden):
+        layer[...] = rng.standard_normal((seq_len, hidden)).astype(np.float32)
+    for base, offset, scale in spec:
+        for half in states:
+            noise = rng.standard_normal((seq_len, hidden))
+            half[base + offset - 1] = (half[base - 1] + scale * noise).astype(np.float32)
+    return (b"D2MT" + struct.pack("<4I", 1, num_layers, seq_len, hidden)
+            + states.astype("<f4").tobytes())
+
+
+@st.composite
+def synth_specs(draw):
+    num_layers = draw(st.integers(2, 6))
+    entry = st.integers(1, num_layers - 1).flatmap(lambda base: st.tuples(
+        st.just(base), st.integers(1, num_layers - base),
+        st.sampled_from([0.0, 0.01, 0.5, 3.0])))
+    return (num_layers, draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+            tuple(draw(st.lists(entry, max_size=5))), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestStreamedSynth:
+    """``write_trace`` of a ``SyntheticTrace`` draws each layer as it writes
+    it and overwrites each entry's target slot in place."""
+
+    @settings(max_examples=60)
+    @given(synth_specs())
+    @example((4, 3, 2, ((1, 1, 0.5), (2, 1, 0.5), (3, 1, 0.01)), 1))  # a chain
+    @example((4, 3, 2, ((1, 2, 0.5), (2, 1, 3.0)), 2))  # one target planted twice
+    @example((4, 3, 2, ((2, 1, 0.5), (1, 1, 0.5), (2, 2, 0.01)), 3))  # base overwritten first
+    def test_streamed_bytes_equal_the_whole_trace_writer(self, case):
+        num_layers, seq_len, hidden, spec, seed = case
+        streamed, whole = io.BytesIO(), io.BytesIO()
+        size = write_trace(SyntheticTrace(num_layers, seq_len, hidden, spec, seed), streamed)
+        write_trace(synth_trace(num_layers, seq_len, hidden, spec, seed), whole)
+        assert streamed.getvalue() == whole.getvalue() == whole_trace_bytes(*case)
+        assert size == len(streamed.getvalue())
+
+    def test_peak_memory_is_one_layer_plus_kept_bases_not_the_trace(self, tmp_path):
+        seq_len, hidden = 64, 256
+        spec = ((1, 1, 0.1), (3, 2, 0.1), (2, 3, 0.2))  # bases 1, 2, 3 in both halves
+        kept = 2 * 3
+        write_trace(SyntheticTrace(2, 2, 2, spec[:1]), tmp_path / "warm.d2mt")  # imports
+        peaks = {}
+        for num_layers in (8, 32):
+            tracemalloc.start()
+            try:
+                write_trace(SyntheticTrace(num_layers, seq_len, hidden, spec, 5),
+                            tmp_path / f"{num_layers}.d2mt")
+                peaks[num_layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        layer32 = 4 * seq_len * hidden
+        # a float64 draw, a float32 layer, the kept bases and a mask, whatever L is
+        bound = 2 * layer32 + layer32 * (kept + 1) + seq_len * hidden + (64 << 10)
+        assert peaks[8] < bound and peaks[32] < bound
+        assert abs(peaks[32] - peaks[8]) < layer32  # four times the layers, not the memory
+        assert peaks[32] < 2 * 32 * layer32 / 4  # a quarter of the float32 trace
+
+    def test_unseekable_stream_is_io_failure(self):
+        class Unseekable(io.BytesIO):
+            def seek(self, *args):
+                raise io.UnsupportedOperation("seek")
+
+        with pytest.raises(IoFailure, match="seek"):
+            write_trace(SyntheticTrace(3, 2, 2, ((1, 1, 0.1),)), Unseekable())
+
+
+class TestWritersRefuseWhatTheirReaderRejects:
+    """A value that overflows float32 would be written as inf, which the
+    reader rejects; both writers raise instead and leave the destination."""
+
+    def test_trace_writer_names_the_layer_and_keeps_the_file(self, tmp_path):
+        path = tmp_path / "t.d2mt"
+        write_trace(synth_trace(3, 4, 5, seed=1), path)
+        before = path.read_bytes()
+        states = np.zeros((3, 4, 5))
+        states[1, 2, 3] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(NonFiniteValue, match="mlp_inputs layer 2"):
+                write_trace(make_trace(states, np.zeros((3, 4, 5))), path)
+            with pytest.raises(NonFiniteValue, match="layer_outputs layer 2"):
+                write_trace(make_trace(np.zeros((3, 4, 5)), states), path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.glob("*.tmp")) == []
+
+    def test_weights_writer_names_the_tensor_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "m.d2mw"
+        container = build_toy_container(TOY_SHAPE, seed=3)
+        write_weights(container, path)
+        before = path.read_bytes()
+        container.tensors["layer.2.mlp.down"][0, 0] = -1e39
+        buf = io.BytesIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="layer.2.mlp.down"):
+                write_weights(container, buf)
+            with pytest.raises(NonFiniteValue, match="layer.2.mlp.down"):
+                write_weights(container, path)
+        assert buf.getvalue() == b""
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.glob("*.tmp")) == []
 
 
 class TestWeightsFormat:
