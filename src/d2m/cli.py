@@ -206,10 +206,12 @@ def cmd_synth(args) -> Written:
     outputs = [out_dir / "model.d2mw", out_dir / "trace.d2mt", out_dir / "config.json"]
     model_path, trace_path, config_path = outputs
     try:
-        write_weights(model, model_path)
-        # the noise can overflow only once drawn, after the model is written
+        # the trace first: only its noise can still overflow float32, once
+        # drawn (the model was cast when built), so a refused trace replaces
+        # none of the three files
         with _overflow_names("--redundant noise"):
             write_trace(trace, trace_path)
+        write_weights(model, model_path)
         write_json(config_path, asdict(PipelineConfig(model=shape)))
     except BaseException:
         if created:  # so a failed synth leaves no directory it made

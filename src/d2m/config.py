@@ -2,9 +2,9 @@
 thresholds and fusion plans; ``tensor_schema``, the one description of the
 tensors a model of a shape holds; ``section_from_dict``, which builds any of
 them from a JSON object; ``text_file``, through which every JSON and CSV input
-is opened; ``json_document``, through which every JSON input is parsed; and
-``output_file``, through which every file the toolkit writes is
-written beside its destination and renamed into place.
+file is opened by its path; ``json_document``, through which every JSON input
+is parsed; and ``output_file``, through which every file the toolkit writes is
+written beside its destination path and renamed into place.
 
 All types are immutable value objects; layer indices are 1-based everywhere,
 including serialized files. Validation lives in explicit ``validate_*``
@@ -26,23 +26,20 @@ from .errors import D2mError, InvalidConfig, InvalidPlan, InvalidShape, IoFailur
 
 
 @contextmanager
-def text_file(source) -> Iterator[TextIO]:
-    """The open stream itself, or the UTF-8 file at that path opened for
-    reading without newline translation, so the csv module sees line ends.
+def text_file(path) -> Iterator[TextIO]:
+    """The UTF-8 file at ``path`` opened for reading without newline
+    translation, so the csv module sees line ends.
 
     An ``OSError`` while opening or reading raises ``IoFailure``; undecodable
     bytes raise ``InvalidConfig``; both name the file.
     """
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", newline="", encoding="utf-8") as handle:
-                yield handle
-        else:
-            yield source
+        with open(path, "r", newline="", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
-        raise IoFailure(f"cannot read {source}: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"{source} is not UTF-8 text: {exc}") from exc
+        raise InvalidConfig(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def json_document(text: str | bytes, source) -> Any:
@@ -57,14 +54,11 @@ def json_document(text: str | bytes, source) -> Any:
 
 @contextmanager
 def output_file(destination, binary: bool = False) -> Iterator[IO]:
-    """The open stream itself, or a new file beside the destination (binary,
-    or UTF-8 text without newline translation) that replaces it only when the
-    block completes; on any exception the file is removed and the destination
-    left as it was. An ``OSError`` raises ``IoFailure`` naming the destination.
+    """A new file beside the path ``destination`` (binary, or UTF-8 text
+    without newline translation) that replaces it only when the block
+    completes; on any exception the file is removed and the destination left
+    as it was. An ``OSError`` raises ``IoFailure`` naming the destination.
     """
-    if not isinstance(destination, (str, Path)):
-        yield destination
-        return
     path = Path(destination)
     # random, so a killed writer's leftover blocks no one; created exclusively,
     # so it gets the umask's permissions and no other file is truncated
@@ -351,21 +345,32 @@ def plan_to_dict(plan: FusionPlan) -> dict[str, Any]:
     }
 
 
+def _layer_index(value: Any, key: str) -> int:
+    """A plan's layer index, which must be a JSON integer: anything else, a
+    bool included, raises ``InvalidPlan`` naming the key and the value."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidPlan(f"plan {key}: {value!r} is not a layer index")
+    return value
+
+
 def plan_from_dict(doc: Mapping[str, Any]) -> FusionPlan:
+    if not isinstance(doc, Mapping):
+        raise InvalidPlan(f"a plan must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - {"keep", "prune", "blocks"}
     if unknown:
         raise InvalidPlan(f"unknown plan keys: {sorted(unknown)}")
     try:
         blocks = tuple(
-            FusionBlock(base=int(b["base"]), redundant=tuple(int(r) for r in b["redundant"]))
+            FusionBlock(base=_layer_index(b["base"], "base"),
+                        redundant=tuple(_layer_index(r, "redundant") for r in b["redundant"]))
             for b in doc["blocks"]
         )
         return FusionPlan(
-            keep_layers=tuple(int(x) for x in doc["keep"]),
-            prune_layers=frozenset(int(x) for x in doc["prune"]),
+            keep_layers=tuple(_layer_index(x, "keep") for x in doc["keep"]),
+            prune_layers=frozenset(_layer_index(x, "prune") for x in doc["prune"]),
             blocks=blocks,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidPlan(f"malformed plan document: {exc}") from exc
 
 

@@ -46,7 +46,6 @@ class WtaSummary:
     mean_top_uniform_ratio: float
     mean_top_bottom_gap: float
     mean_entropy: float
-    per_layer_top: tuple[float, ...]
 
 
 def load_profile(assignments, num_experts: int, layer: int = 1) -> LayerLoadProfile:
@@ -97,7 +96,6 @@ def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int,
         mean_top_uniform_ratio=float((tops * num_experts).mean()),
         mean_top_bottom_gap=float((tops - bottoms).mean()),
         mean_entropy=float(entropies.mean()),
-        per_layer_top=tuple(float(v) for v in tops),
     )
 
 

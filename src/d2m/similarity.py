@@ -6,7 +6,8 @@ All three matrices come from one pass over the trace in token chunks, so the
 same code serves a trace in memory (``build_matrices``) and a trace file
 (``stream_matrices``), and a file is never loaded whole. ``seq_avg_cosine``
 and ``norm_mismatch`` define the statistics pair by pair and are the oracle
-the matrices are tested against.
+the matrices are tested against. Every reader and writer here takes a file
+path.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 
 from .config import output_file
 from .errors import DimensionMismatch, InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
-from .traceio import (HALVES, ActivationTrace, _read, _write, _write_header, chunk_tokens,
-                      trace_chunks)
+from .traceio import HALVES, ActivationTrace, _read, _write_header, chunk_tokens, trace_chunks
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,10 @@ CACHE_VERSION = 1
 
 
 def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
-    with output_file(path, binary=True) as stream:
-        _write_header(stream, CACHE_MAGIC, CACHE_VERSION, matrices.num_layers)
+    with output_file(path, binary=True) as handle:
+        _write_header(handle, CACHE_MAGIC, CACHE_VERSION, matrices.num_layers)
         for mat in (matrices.s_out, matrices.s_mlp, matrices.delta_norm):
-            _write(stream, np.ascontiguousarray(mat, dtype="<f8").tobytes())
+            handle.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
 
 
 def read_matrices(path: str | Path) -> SimilarityMatrices:

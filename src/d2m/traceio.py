@@ -6,8 +6,9 @@ float64 data truncates it to float32 once (synthesized fixtures are generated
 float32-representable so every write is lossless in practice). Every writer
 checks each block after that cast: a value that is not finite, or that
 overflows float32, raises ``NonFiniteValue`` naming the layer or tensor, so no
-writer leaves a file that its reader rejects, and a path destination is left
-as it was.
+writer leaves a file that its reader rejects, and the destination is left as
+it was. Every reader and writer takes a file path: a writer writes a new file
+beside its destination and renames it into place (``config.output_file``).
 
 Formats (all integers little-endian u32):
 
@@ -25,12 +26,12 @@ header by the same rules and then reads its states a token chunk at a time
 into one reused buffer of at most ``CHUNK_BYTES``, so a pass over a trace
 never holds more of it than one chunk.
 
-``write_trace`` writes each (half, layer) block to its slot in the file. An
-in-memory trace goes out in file order. A ``SyntheticTrace`` is drawn as it
-is written: each layer goes to its slot as soon as it is drawn, only the
-layers that a redundancy entry reads as its base are kept, and each entry's
-target slot is then overwritten in place before the file is renamed into
-place. That pass holds one layer plus the kept bases, never the trace.
+``write_trace`` writes each (half, layer) block at its slot's offset in the
+new file. An in-memory trace goes out in file order. A ``SyntheticTrace`` is
+drawn as it is written: each layer goes to its slot as soon as it is drawn,
+only the layers that a redundancy entry reads as its base are kept, and each
+entry's target slot is then overwritten in place before the file is renamed
+into place. That pass holds one layer plus the kept bases, never the trace.
 """
 
 from __future__ import annotations
@@ -122,25 +123,7 @@ def make_trace(mlp_inputs: Sequence[np.ndarray],
                            layer_outputs=np.asarray(layer_outputs, dtype=np.float64))
 
 
-# --- low-level stream helpers --------------------------------------------------
-
-
-def _write(stream: BinaryIO, payload: bytes | memoryview) -> int:
-    """Write ``payload``; a closed stream or a non-stream raises ``IoFailure``."""
-    try:
-        stream.write(payload)
-    except (ValueError, AttributeError) as exc:
-        raise IoFailure(f"write failed: {exc}") from exc
-    return len(payload)
-
-
-def _seek(stream: BinaryIO, delta: int) -> None:
-    """Move ``delta`` bytes from the current position; a stream that cannot
-    seek raises ``IoFailure``."""
-    try:
-        stream.seek(delta, os.SEEK_CUR)
-    except (ValueError, AttributeError) as exc:
-        raise IoFailure(f"seek failed: {exc}") from exc
+# --- low-level file helpers ----------------------------------------------------
 
 
 def _float32(values: np.ndarray, what: str) -> memoryview:
@@ -153,8 +136,8 @@ def _float32(values: np.ndarray, what: str) -> memoryview:
     return memoryview(block).cast("B")
 
 
-def _write_header(stream: BinaryIO, magic: bytes, version: int, *fields: int) -> int:
-    return _write(stream, magic + struct.pack(f"<{len(fields) + 1}I", version, *fields))
+def _write_header(handle: BinaryIO, magic: bytes, version: int, *fields: int) -> int:
+    return handle.write(magic + struct.pack(f"<{len(fields) + 1}I", version, *fields))
 
 
 class _Reader:
@@ -202,25 +185,19 @@ class _Reader:
 
 
 @contextmanager
-def _read(source, magic: bytes, version: int) -> Iterator[_Reader]:
-    """A reader past the checked magic and version of a path or an open stream.
+def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
+    """A reader past the checked magic and version of the file at ``path``.
 
-    A path is memory-mapped read-only; a stream is read to its end. A toolkit
-    error raised while a path is parsed, in the block too, names the path.
+    The file is memory-mapped read-only. A toolkit error raised while it is
+    parsed, in the block too, names the path.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "rb") as handle:
-                # an empty file cannot be mapped; a pipe reports size 0 too
-                buf = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                       if os.fstat(handle.fileno()).st_size else handle.read())
-        except OSError as exc:
-            raise IoFailure(f"cannot read {source}: {exc}") from exc
-    else:
-        try:
-            buf = source.read() or b""
-        except (OSError, ValueError, AttributeError) as exc:
-            raise IoFailure(f"read failed: {exc}") from exc
+    try:
+        with open(path, "rb") as handle:
+            # an empty file cannot be mapped; a pipe reports size 0 too
+            buf = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                   if os.fstat(handle.fileno()).st_size else handle.read())
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     try:
         reader = _Reader(buf)
         got = reader.take(4, "magic")
@@ -232,9 +209,7 @@ def _read(source, magic: bytes, version: int) -> Iterator[_Reader]:
                                   f"{got_version}, expected {version}")
         yield reader
     except D2mError as exc:
-        if not isinstance(source, (str, Path)):
-            raise
-        raise type(exc)(f"{source}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}") from exc
     finally:
         if isinstance(buf, mmap.mmap):
             buf.close()
@@ -244,31 +219,25 @@ def _read(source, magic: bytes, version: int) -> Iterator[_Reader]:
 
 
 def write_trace(trace: ActivationTrace | SyntheticTrace, destination) -> int:
-    """Serialize a trace, in memory or synthetic; returns its size in bytes.
+    """Serialize a trace, in memory or synthetic, to the file at the path
+    ``destination``; returns its size in bytes.
 
-    Each (half, layer) block is cast to float32, checked, and written to its
-    slot. A ``SyntheticTrace`` is drawn one layer at a time as it is written,
-    so the trace is never held whole; an open stream destination must then
-    be able to seek.
+    Each (half, layer) block is cast to float32, checked, and written at its
+    slot's offset in the new file. A ``SyntheticTrace`` is drawn one layer at
+    a time as it is written, so the trace is never held whole.
     """
     num_layers, seq_len, hidden = trace.num_layers, trace.seq_len, trace.hidden_dim
     slots = (_synth_slots(trace) if isinstance(trace, SyntheticTrace)
              else enumerate(itertools.chain(trace.mlp_inputs, trace.layer_outputs)))
     layer_bytes = 4 * seq_len * hidden
-    with output_file(destination, binary=True) as stream:
-        start = pos = _write_header(stream, TRACE_MAGIC, TRACE_VERSION, num_layers, seq_len,
-                                    hidden)
-        end = start + 2 * num_layers * layer_bytes
+    with output_file(destination, binary=True) as handle:
+        start = _write_header(handle, TRACE_MAGIC, TRACE_VERSION, num_layers, seq_len, hidden)
         for slot, layer in slots:
             half, index = divmod(slot, num_layers)
             block = _float32(layer, f"{HALVES[half]} layer {index + 1}")
-            offset = start + slot * layer_bytes
-            if offset != pos:
-                _seek(stream, offset - pos)
-            pos = offset + _write(stream, block)
-        if pos != end:
-            _seek(stream, end - pos)
-        return end
+            handle.seek(start + slot * layer_bytes)
+            handle.write(block)
+    return start + 2 * num_layers * layer_bytes
 
 
 def _trace_dims(reader: _Reader) -> tuple[int, int, int]:
@@ -281,7 +250,8 @@ def _trace_dims(reader: _Reader) -> tuple[int, int, int]:
 
 
 def read_trace(source) -> ActivationTrace:
-    """Deserialize a trace, re-validating finiteness and dimensions."""
+    """Deserialize the trace file at the path ``source``, re-validating
+    finiteness and dimensions."""
     with _read(source, TRACE_MAGIC, TRACE_VERSION) as reader:
         dims = _trace_dims(reader)
         halves = reader.floats("<f4", (2, *dims), "trace payload")
@@ -515,27 +485,28 @@ def _check_finite(tensors: Mapping[str, np.ndarray]) -> None:
 
 
 def write_weights(container: WeightContainer, destination) -> int:
-    """Serialize a validated container, finite as float32; returns the number
-    of bytes emitted. Every tensor is cast and checked before anything is
-    written."""
+    """Serialize a validated container, finite as float32, to the file at the
+    path ``destination``; returns the number of bytes emitted. Every tensor
+    is cast and checked before anything is written."""
     validate_container(container)
     blocks = {name: _float32(tensor, f"tensor {name!r}")
               for name, tensor in container.tensors.items()}
     config = json.dumps(_container_doc(container), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    with output_file(destination, binary=True) as stream:
-        n = _write_header(stream, WEIGHTS_MAGIC, WEIGHTS_VERSION, len(config))
-        n += _write(stream, config)
+    with output_file(destination, binary=True) as handle:
+        n = _write_header(handle, WEIGHTS_MAGIC, WEIGHTS_VERSION, len(config))
+        n += handle.write(config)
         for name, block in blocks.items():
             encoded, dims = name.encode("utf-8"), container.tensors[name].shape
-            n += _write(stream, struct.pack(f"<I{len(encoded)}sI{len(dims)}I", len(encoded),
-                                            encoded, len(dims), *dims))
-            n += _write(stream, block)
+            n += handle.write(struct.pack(f"<I{len(encoded)}sI{len(dims)}I", len(encoded),
+                                          encoded, len(dims), *dims))
+            n += handle.write(block)
         return n
 
 
 def read_weights(source) -> WeightContainer:
-    """Deserialize and re-validate a weight container, rejecting non-finite values."""
+    """Deserialize and re-validate the weight container file at the path
+    ``source``, rejecting non-finite values."""
     tensors: dict[str, np.ndarray] = {}
     with _read(source, WEIGHTS_MAGIC, WEIGHTS_VERSION) as reader:
         (config_len,) = reader.u32s(1, "config length")

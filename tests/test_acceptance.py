@@ -6,7 +6,6 @@ independent hand/oracle computations, published tables, or pinned first-run
 regressions, never from the code under test.
 """
 
-import io
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -354,8 +353,9 @@ def test_c09_routing_health():
     assert all(checks)
 
 
-def test_c10_format_round_trips():
+def test_c10_format_round_trips(tmp_path):
     rng = np.random.default_rng(1010)
+    trace_path, weights_path = tmp_path / "t.d2mt", tmp_path / "m.d2mw"
     for _ in range(100):
         num_layers = int(rng.integers(1, 4))
         seq_len = int(rng.integers(1, 6))
@@ -363,10 +363,8 @@ def test_c10_format_round_trips():
         mats = [rng.standard_normal((seq_len, hidden)).astype(np.float32).astype(np.float64)
                 for _ in range(2 * num_layers)]
         trace = make_trace(mats[:num_layers], mats[num_layers:])
-        buf = io.BytesIO()
-        write_trace(trace, buf)
-        buf.seek(0)
-        back = read_trace(buf)
+        write_trace(trace, trace_path)
+        back = read_trace(trace_path)
         assert np.array_equal(back.mlp_inputs, trace.mlp_inputs)
         assert np.array_equal(back.layer_outputs, trace.layer_outputs)
 
@@ -378,21 +376,20 @@ def test_c10_format_round_trips():
         container = build_toy_container(
             shape if moe_layers else replace(shape, moe=None),
             seed=seed, moe_layers=moe_layers)
-        buf = io.BytesIO()
-        write_weights(container, buf)
-        buf.seek(0)
-        back = read_weights(buf)
+        write_weights(container, weights_path)
+        back = read_weights(weights_path)
         assert list(back.tensors) == list(container.tensors)
         for name in container.tensors:
             assert np.array_equal(container.tensors[name], back.tensors[name])
 
     # error taxonomy
+    trace_path.write_bytes(b"XXXX" + b"\x00" * 20)
     with pytest.raises(BadMagic):
-        read_trace(io.BytesIO(b"XXXX" + b"\x00" * 20))
-    good = io.BytesIO()
-    write_trace(synth_trace(1, 2, 2, seed=0), good)
+        read_trace(trace_path)
+    write_trace(synth_trace(1, 2, 2, seed=0), trace_path)
+    trace_path.write_bytes(trace_path.read_bytes()[:-3])
     with pytest.raises(TruncatedPayload):
-        read_trace(io.BytesIO(good.getvalue()[:-3]))
+        read_trace(trace_path)
     container = build_toy_container(replace(shape, moe=None), seed=0)
     del container.tensors["layer.1.mlp.down"]
     with pytest.raises(MissingTensor):

@@ -309,6 +309,34 @@ class TestSynthStream:
             "config.json": "b3da240cbf9e80ef78b530d486bac1dc61f392ae5ba34ed1a108e146a737b8b2",
         }
 
+    def test_readme_pipeline_artifacts_are_pinned(self, tmp_path):
+        # the artifacts that do not depend on BLAS summation order; the
+        # matrices, the training log and the trained model may differ by host
+        out = run_pipeline(tmp_path)
+        cost = tmp_path / "cost.json"
+        assert main(["estimate", "--config", str(out["synth"] / "config.json"),
+                     "--out", str(cost)]) == 0
+        assert {name: sha256_of(path) for name, path in (
+            ("plan", out["plan"]), ("fused", out["fused"]), ("prov", out["prov"]),
+            ("cost", cost))} == {
+            "plan": "442a65f3b93b27c22b641fd23f8952224768608cfdf13a9463721a7cc3272402",
+            "fused": "d7d7e6a537ce40e23bd5e4b4e081663520def15d6c12692399009ab101ddfe4c",
+            "prov": "62bfea4678093b9c0b986302b3852933bc2734113c3b9e31c424fe9b194693c9",
+            "cost": "178f91b7b19347a81e66b35157f039edadf769f9ac2be0de12d9cfa818cdf090",
+        }
+
+    def test_overflow_replaces_none_of_the_three_files(self, tmp_path, capsys):
+        # the trace is written first: its noise is the one thing that can
+        # still fail once the flags are checked
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "1", "--layers", "3"]) == 0
+        names = ("model.d2mw", "trace.d2mt", "config.json")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "2", "--layers", "3",
+                     "--redundant", "1:1:2e38"]) == 2
+        assert "--redundant noise overflows float32" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(tmp_path.rglob("*.tmp")) == []
+
     def test_overflow_mid_stream_keeps_the_existing_trace(self, tmp_path, capsys):
         assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
         before = (tmp_path / "trace.d2mt").read_bytes()
@@ -343,6 +371,35 @@ class TestFuse:
                      "--provenance-out", str(tmp_path / "p.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: expected ") and "Traceback" not in err
+        assert not (tmp_path / "f.d2mw").exists()
+
+
+    @pytest.mark.parametrize("plan, message", [
+        ('{"keep": [1, 2, 3, 4.9], "prune": [5], "blocks": [{"base": 4, "redundant": [5]}]}',
+         "plan keep: 4.9 is not a layer index"),
+        ('{"keep": [1, 2, 3, 4], "prune": [5], "blocks": [{"base": 4.2, "redundant": [5]}]}',
+         "plan base: 4.2 is not a layer index"),
+        ('{"keep": [1, 2, 3, 4], "prune": [5], "blocks": [{"base": 4, "redundant": ["5"]}]}',
+         "plan redundant: '5' is not a layer index"),
+        ('{"keep": [true, 2, 3, 4], "prune": [5], "blocks": [{"base": 4, "redundant": [5]}]}',
+         "plan keep: True is not a layer index"),
+        ('{"keep": [1, 2, 3, 4], "prune": [null], "blocks": [{"base": 4, "redundant": [5]}]}',
+         "plan prune: None is not a layer index"),
+        ("5", "a plan must be a JSON object, got int"),
+        ("null", "a plan must be a JSON object, got NoneType"),
+        ('"keep"', "a plan must be a JSON object, got str"),
+    ], ids=["keep-float", "base-float", "redundant-string", "keep-true", "prune-null",
+            "number", "null", "string"])
+    def test_plan_that_is_not_an_object_of_integers_exits_2(self, tmp_path, capsys, plan,
+                                                             message):
+        out = run_pipeline(tmp_path)
+        out["plan"].write_text(plan)
+        capsys.readouterr()
+        assert main(["fuse", "--model", str(out["synth"] / "model.d2mw"),
+                     "--plan", str(out["plan"]), "--base-copies", "1", "--supp-copies", "1",
+                     "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
+                     "--provenance-out", str(tmp_path / "p.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "f.d2mw").exists()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import MISSING, asdict, fields
 
 import pytest
@@ -130,6 +131,20 @@ class TestFusionPlan:
     def test_unknown_plan_key_rejected(self):
         with pytest.raises(InvalidPlan, match="unknown"):
             plan_from_json('{"keep": [1], "prune": [], "blocks": [], "extra": 1}')
+
+    @given(key=st.sampled_from(["keep", "prune", "base", "redundant"]),
+           value=st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+                           st.sampled_from([4.0, 4.9, True, "4", [4]])))
+    def test_layer_index_that_is_not_a_json_integer_is_invalid_plan(self, key, value):
+        doc = {"keep": [1, 2, 3, 4], "prune": [5], "blocks": [{"base": 4, "redundant": [5]}]}
+        if key == "base":
+            doc["blocks"][0]["base"] = value
+        else:  # the last index of the list
+            entry = doc["blocks"][0] if key == "redundant" else doc
+            entry[key][-1] = value
+        message = f"^plan {key}: {re.escape(repr(value))} is not a layer index$"
+        with pytest.raises(InvalidPlan, match=message):
+            plan_from_dict(doc)
 
 
 class TestThresholds:

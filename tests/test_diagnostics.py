@@ -1,7 +1,6 @@
 """Winner-takes-all diagnostics: load counting, metric identities, analytic
 bounds, and the CSV outputs."""
 
-import io
 import math
 
 import numpy as np
@@ -114,21 +113,21 @@ class TestWtaMetrics:
 
 
 class TestCsvOutputs:
-    def test_summary_has_six_metric_rows(self):
+    def test_summary_has_six_metric_rows(self, tmp_path):
         summary = wta_metrics([profile_from_loads(1, [0.5, 0.3, 0.2])], 3)
-        buf = io.StringIO()
-        write_summary_csv(summary, buf)
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "wta.csv"
+        write_summary_csv(summary, path)
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "metric,value"
         assert len(lines) == 7
         metrics = [line.split(",")[0] for line in lines[1:]]
         assert metrics == ["mean_top_expert_load", "layers_top_gt_40", "layers_top_gt_50",
                            "mean_top_uniform_ratio", "mean_top_bottom_gap", "mean_entropy"]
 
-    def test_per_layer_csv(self):
+    def test_per_layer_csv(self, tmp_path):
         profiles = [profile_from_loads(1, [0.6, 0.4]), profile_from_loads(2, [0.3, 0.7])]
-        buf = io.StringIO()
-        write_per_layer_csv(profiles, buf)
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "per_layer.csv"
+        write_per_layer_csv(profiles, path)
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "layer,winner,top_load,p_1,p_2"
         assert len(lines) == 3

@@ -1,7 +1,6 @@
 """Toy transformer: forward passes against straight-line scalar oracles,
 routing behaviour, the balancing loss, gradient checks, and the toy trainer."""
 
-import io
 import math
 
 import numpy as np
@@ -156,14 +155,13 @@ class TestDenseForward:
         np.testing.assert_allclose(trace.layer_outputs[0], y_ref, atol=1e-12)
         np.testing.assert_allclose(final, y_ref, atol=1e-12)
 
-    def test_trace_round_trips(self):
+    def test_trace_round_trips(self, tmp_path):
         container = build_toy_container(TOY, seed=8)
         x = np.random.default_rng(4).standard_normal((4, 4))
         _, trace = dense_forward(container, x)
-        buf = io.BytesIO()
-        write_trace(trace, buf)
-        buf.seek(0)
-        back = read_trace(buf)
+        path = tmp_path / "t.d2mt"
+        write_trace(trace, path)
+        back = read_trace(path)
         np.testing.assert_allclose(back.layer_outputs[0], trace.layer_outputs[0],
                                    atol=1e-6)
 

@@ -2,7 +2,6 @@
 exact identities (duplicates, scaling asymmetry, diagonals), and the chunked
 pass over a trace file: chunk boundaries, malformed files and its memory."""
 
-import io
 import math
 import os
 import re
@@ -278,14 +277,15 @@ def malformed_traces(draw):
     return bytes(data), tokens and chunk_budget(num_layers, hidden, tokens)
 
 
-def expected_failure(data: bytes) -> D2mError | None:
+def expected_failure(path: Path) -> D2mError | None:
     """The error of a whole-file read followed by the pairwise definitions:
     ``read_trace`` judges the format and finiteness, then the first zero row
-    of ``layer_outputs``, then of ``mlp_inputs``, by layer, then token."""
+    of ``layer_outputs``, then of ``mlp_inputs``, by layer, then token. The
+    message leaves out the path that ``read_trace`` puts first."""
     try:
-        trace = read_trace(io.BytesIO(data))
+        trace = read_trace(path)
     except D2mError as exc:
-        return exc
+        return type(exc)(str(exc).removeprefix(f"{path}: "))
     for label, half in (("layer_outputs", trace.layer_outputs),
                         ("mlp_inputs", trace.mlp_inputs)):
         for layer, states in enumerate(half, start=1):
@@ -324,12 +324,12 @@ class TestStreamMatrices:
     @given(malformed_traces())
     def test_malformed_files_fail_as_a_whole_read_would(self, case):
         data, budget = case
-        want = expected_failure(data)
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             out = Path(tmp)
             path = out / "trace.d2mt"
             path.write_bytes(data)
+            want = expected_failure(path)
             with mock.patch.object(traceio, "CHUNK_BYTES", budget or traceio.CHUNK_BYTES):
                 tracemalloc.start()
                 try:

@@ -2,7 +2,6 @@
 tampered headers and mutated files of all three formats, and the synthetic
 trace generator."""
 
-import io
 import json
 import re
 import struct
@@ -66,26 +65,33 @@ def random_trace(rng, num_layers=3, seq_len=5, hidden=4):
     return make_trace(mats(), mats())
 
 
+def written_bytes(write, value) -> bytes:
+    """The bytes of the file that ``write(value, path)`` leaves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        write(value, path)
+        return path.read_bytes()
+
+
 class TestTraceFormat:
-    def test_byte_accounting(self):
+    def test_byte_accounting(self, tmp_path):
         # 4 magic + 4*4 header words + 2 halves * L*T*d f32 payload
         trace = synth_trace(2, 3, 4, seed=0)
-        buf = io.BytesIO()
-        written = write_trace(trace, buf)
+        path = tmp_path / "t.d2mt"
+        written = write_trace(trace, path)
         assert written == 20 + 2 * 2 * 3 * 4 * 4 == 212
-        assert len(buf.getvalue()) == written
+        assert len(path.read_bytes()) == written
 
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(11)
+        path = tmp_path / "t.d2mt"
         for _ in range(100):
             num_layers = int(rng.integers(1, 5))
             seq_len = int(rng.integers(1, 7))
             hidden = int(rng.integers(1, 9))
             trace = random_trace(rng, num_layers, seq_len, hidden)
-            buf = io.BytesIO()
-            write_trace(trace, buf)
-            buf.seek(0)
-            back = read_trace(buf)
+            write_trace(trace, path)
+            back = read_trace(path)
             assert np.array_equal(back.mlp_inputs, trace.mlp_inputs)
             assert np.array_equal(back.layer_outputs, trace.layer_outputs)
 
@@ -97,38 +103,37 @@ class TestTraceFormat:
         write_trace(read_trace(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "t.d2mt"
+        path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(BadMagic):
-            read_trace(io.BytesIO(b"XXXX" + b"\x00" * 32))
+            read_trace(path)
 
-    def test_version_mismatch(self):
+    def test_version_mismatch(self, tmp_path):
         payload = b"D2MT" + struct.pack("<IIII", 9, 1, 1, 1) + b"\x00" * 8
+        path = tmp_path / "t.d2mt"
+        path.write_bytes(payload)
         with pytest.raises(VersionMismatch):
-            read_trace(io.BytesIO(payload))
+            read_trace(path)
 
-    def test_truncated_payload(self):
+    def test_truncated_payload(self, tmp_path):
         trace = synth_trace(2, 3, 4, seed=0)
-        buf = io.BytesIO()
-        write_trace(trace, buf)
-        clipped = buf.getvalue()[:-5]
+        path = tmp_path / "t.d2mt"
+        write_trace(trace, path)
+        clipped = path.read_bytes()[:-5]
+        path.write_bytes(clipped)
         with pytest.raises(TruncatedPayload):
-            read_trace(io.BytesIO(clipped))
+            read_trace(path)
 
-    def test_non_finite_value(self):
+    def test_non_finite_value(self, tmp_path):
         trace = synth_trace(1, 2, 2, seed=0)
-        buf = io.BytesIO()
-        write_trace(trace, buf)
-        raw = bytearray(buf.getvalue())
+        path = tmp_path / "t.d2mt"
+        write_trace(trace, path)
+        raw = bytearray(path.read_bytes())
         raw[20:24] = struct.pack("<f", float("nan"))
+        path.write_bytes(raw)
         with pytest.raises(NonFiniteValue):
-            read_trace(io.BytesIO(raw))
-
-    def test_closed_sink_is_io_failure(self, tmp_path):
-        trace = synth_trace(1, 2, 2, seed=0)
-        handle = open(tmp_path / "t.d2mt", "wb")
-        handle.close()
-        with pytest.raises(IoFailure):
-            write_trace(trace, handle)
+            read_trace(path)
 
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
@@ -218,11 +223,13 @@ class TestStreamedSynth:
     @example((4, 3, 2, ((2, 1, 0.5), (1, 1, 0.5), (2, 2, 0.01)), 3))  # base overwritten first
     def test_streamed_bytes_equal_the_whole_trace_writer(self, case):
         num_layers, seq_len, hidden, spec, seed = case
-        streamed, whole = io.BytesIO(), io.BytesIO()
-        size = write_trace(SyntheticTrace(num_layers, seq_len, hidden, spec, seed), streamed)
-        write_trace(synth_trace(num_layers, seq_len, hidden, spec, seed), whole)
-        assert streamed.getvalue() == whole.getvalue() == whole_trace_bytes(*case)
-        assert size == len(streamed.getvalue())
+        with tempfile.TemporaryDirectory() as tmp:
+            streamed, whole = Path(tmp) / "streamed.d2mt", Path(tmp) / "whole.d2mt"
+            size = write_trace(SyntheticTrace(num_layers, seq_len, hidden, spec, seed),
+                               streamed)
+            write_trace(synth_trace(num_layers, seq_len, hidden, spec, seed), whole)
+            assert streamed.read_bytes() == whole.read_bytes() == whole_trace_bytes(*case)
+            assert size == len(streamed.read_bytes())
 
     def test_peak_memory_is_one_layer_plus_kept_bases_not_the_trace(self, tmp_path):
         seq_len, hidden = 64, 256
@@ -244,14 +251,6 @@ class TestStreamedSynth:
         assert peaks[8] < bound and peaks[32] < bound
         assert abs(peaks[32] - peaks[8]) < layer32  # four times the layers, not the memory
         assert peaks[32] < 2 * 32 * layer32 / 4  # a quarter of the float32 trace
-
-    def test_unseekable_stream_is_io_failure(self):
-        class Unseekable(io.BytesIO):
-            def seek(self, *args):
-                raise io.UnsupportedOperation("seek")
-
-        with pytest.raises(IoFailure, match="seek"):
-            write_trace(SyntheticTrace(3, 2, 2, ((1, 1, 0.1),)), Unseekable())
 
 
 class TestWritersRefuseWhatTheirReaderRejects:
@@ -279,31 +278,30 @@ class TestWritersRefuseWhatTheirReaderRejects:
         write_weights(container, path)
         before = path.read_bytes()
         container.tensors["layer.2.mlp.down"][0, 0] = -1e39
-        buf = io.BytesIO()
+        fresh = tmp_path / "fresh.d2mw"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue, match="layer.2.mlp.down"):
-                write_weights(container, buf)
+                write_weights(container, fresh)
             with pytest.raises(NonFiniteValue, match="layer.2.mlp.down"):
                 write_weights(container, path)
-        assert buf.getvalue() == b""
+        assert not fresh.exists()
         assert path.read_bytes() == before
         assert sorted(tmp_path.glob("*.tmp")) == []
 
 
 class TestWeightsFormat:
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(5)
+        path = tmp_path / "m.d2mw"
         for i in range(100):
             moe = {2: 3} if i % 3 == 0 else None
             shape = TOY_SHAPE if moe is None else ModelShape(
                 num_layers=2, hidden_dim=16, mlp_dim=32, num_heads=2, num_kv_heads=1,
                 head_dim=8, vocab_size=24, moe=MoEShape(num_experts=3, top_k=1))
             container = build_toy_container(shape, seed=i, moe_layers=moe)
-            buf = io.BytesIO()
-            write_weights(container, buf)
-            buf.seek(0)
-            back = read_weights(buf)
+            write_weights(container, path)
+            back = read_weights(path)
             assert list(back.tensors) == list(container.tensors)
             assert back.moe_layers == container.moe_layers
             for name in container.tensors:
@@ -327,52 +325,56 @@ class TestWeightsFormat:
         with pytest.raises(DimensionMismatch, match="unexpected"):
             validate_container(container)
 
-    def test_read_rejects_tampered_dims(self):
+    def test_read_rejects_tampered_dims(self, tmp_path):
         container = build_toy_container(TOY_SHAPE, seed=1)
         container.tensors["layer.2.mlp.down"] = np.zeros((4, 4))
-        buf = io.BytesIO()
         with pytest.raises(DimensionMismatch):
-            write_weights(container, buf)
+            write_weights(container, tmp_path / "m.d2mw")
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "m.d2mw"
+        path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(BadMagic):
-            read_weights(io.BytesIO(b"NOPE" + b"\x00" * 16))
+            read_weights(path)
 
-    def test_truncated_entry(self):
+    def test_truncated_entry(self, tmp_path):
         container = build_toy_container(TOY_SHAPE, seed=2)
-        buf = io.BytesIO()
-        write_weights(container, buf)
-        clipped = buf.getvalue()[:-9]
+        path = tmp_path / "m.d2mw"
+        write_weights(container, path)
+        clipped = path.read_bytes()[:-9]
+        path.write_bytes(clipped)
         with pytest.raises(TruncatedPayload):
-            read_weights(io.BytesIO(clipped))
+            read_weights(path)
 
-    def test_write_rejects_non_finite_before_writing(self):
+    def test_write_rejects_non_finite_before_writing(self, tmp_path):
         container = build_toy_container(TOY_SHAPE, seed=3)
         container.tensors["layer.1.mlp.up"][0, 0] = np.nan
-        buf = io.BytesIO()
+        path = tmp_path / "m.d2mw"
         with pytest.raises(NonFiniteValue, match="layer.1.mlp.up"):
-            write_weights(container, buf)
-        assert buf.getvalue() == b""
+            write_weights(container, path)
+        assert not path.exists()
 
-    def test_read_rejects_non_finite(self):
+    def test_read_rejects_non_finite(self, tmp_path):
         container = build_toy_container(TOY_SHAPE, seed=3)
-        buf = io.BytesIO()
-        write_weights(container, buf)
-        raw = bytearray(buf.getvalue())
+        path = tmp_path / "m.d2mw"
+        write_weights(container, path)
+        raw = bytearray(path.read_bytes())
         last = list(container.tensors)[-1]
         raw[-4:] = struct.pack("<f", float("nan"))
+        path.write_bytes(raw)
         with pytest.raises(NonFiniteValue, match=last):
-            read_weights(io.BytesIO(raw))
+            read_weights(path)
 
-    def test_non_utf8_tensor_name_is_format_error(self):
+    def test_non_utf8_tensor_name_is_format_error(self, tmp_path):
         container = build_toy_container(TOY_SHAPE, seed=3)
-        buf = io.BytesIO()
-        write_weights(container, buf)
-        raw = bytearray(buf.getvalue())
+        path = tmp_path / "m.d2mw"
+        write_weights(container, path)
+        raw = bytearray(path.read_bytes())
         (config_len,) = struct.unpack("<I", raw[8:12])
         raw[12 + config_len + 4] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(raw)
         with pytest.raises(FormatError, match="UTF-8"):
-            read_weights(io.BytesIO(raw))
+            read_weights(path)
 
     def test_schema_matches_memory_accounting(self):
         schema = dict(tensor_schema(TOY_SHAPE))
@@ -398,15 +400,10 @@ MOE_SHAPE = ModelShape(num_layers=2, hidden_dim=8, mlp_dim=8, num_heads=2, num_k
 
 def valid_files() -> dict[str, bytes]:
     """One small valid file per format; the weights are a trainable MoE model."""
-    files = {}
-    for name, write, value in (
+    return {name: written_bytes(write, value) for name, write, value in (
             ("d2mt", write_trace, synth_trace(2, 3, 4, seed=0)),
             ("d2ms", write_matrices, build_matrices(synth_trace(3, 4, 5, seed=1))),
-            ("d2mw", write_weights, build_toy_container(MOE_SHAPE, seed=2, moe_layers={2: 2}))):
-        buf = io.BytesIO()
-        write(value, buf)
-        files[name] = buf.getvalue()
-    return files
+            ("d2mw", write_weights, build_toy_container(MOE_SHAPE, seed=2, moe_layers={2: 2})))}
 
 
 VALID = valid_files()
@@ -492,8 +489,6 @@ class TestTamperedHeaders:
         path.write_bytes(VALID[fmt] + bytes(8))
         with pytest.raises(FormatError, match="trailing"):
             READERS[fmt](path)
-        with pytest.raises(FormatError, match="trailing"):
-            READERS[fmt](io.BytesIO(VALID[fmt] + bytes(8)))
 
 
 def with_header(data: bytes, version: int | None = None, **entries) -> bytes:
@@ -508,15 +503,14 @@ def with_header(data: bytes, version: int | None = None, **entries) -> bytes:
 
 
 # one MoE layer of one expert, so a count or key that coerces to 1 or 2 fits it
-ONE_EXPERT = io.BytesIO()
-write_weights(build_toy_container(replace(MOE_SHAPE, moe=MoEShape(num_experts=1, top_k=1)),
-                                  seed=4, moe_layers={2: 1}), ONE_EXPERT)
+ONE_EXPERT = written_bytes(write_weights, build_toy_container(
+    replace(MOE_SHAPE, moe=MoEShape(num_experts=1, top_k=1)), seed=4, moe_layers={2: 1}))
 
 
 class TestMoeLayersMap:
     def test_canonical_map_reads(self, tmp_path):
         path = tmp_path / "one.d2mw"
-        path.write_bytes(with_header(ONE_EXPERT.getvalue(), moe_layers={"2": 1}))
+        path.write_bytes(with_header(ONE_EXPERT, moe_layers={"2": 1}))
         assert read_weights(path).moe_layers == {2: 1}
 
     @pytest.mark.parametrize("moe_layers", [
@@ -526,7 +520,7 @@ class TestMoeLayersMap:
             "key-02", "key-space", "key-plus", "key-2.0", "key-x", "not-an-object"])
     def test_non_canonical_map_is_invalid_config(self, tmp_path, capsys, moe_layers):
         path = tmp_path / "bad.d2mw"
-        path.write_bytes(with_header(ONE_EXPERT.getvalue(), moe_layers=moe_layers))
+        path.write_bytes(with_header(ONE_EXPERT, moe_layers=moe_layers))
         with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}: moe_layers"):
             read_weights(path)
         assert main(CLI_ARGS["d2mw"](str(path), tmp_path)) == 2
@@ -544,15 +538,11 @@ class TestWeightsVersion:
         message = f"^{re.escape(str(path))}: unsupported D2MW format version 1, expected 2$"
         with pytest.raises(VersionMismatch, match=message):
             read_weights(path)
-        with pytest.raises(VersionMismatch, match="^unsupported D2MW format version 1, "
-                                                  "expected 2$"):
-            read_weights(io.BytesIO(self.V1_MOE))
 
     def test_fuse_of_a_version_1_model_exits_2(self, tmp_path, capsys):
-        buf = io.BytesIO()
-        write_weights(build_toy_container(TOY_SHAPE, seed=0), buf)
         model = tmp_path / "old.d2mw"
-        model.write_bytes(with_header(buf.getvalue(), version=1))
+        write_weights(build_toy_container(TOY_SHAPE, seed=0), model)
+        model.write_bytes(with_header(model.read_bytes(), version=1))
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"keep": [1, 2], "prune": [], "blocks": []}))
         assert main(["fuse", "--model", str(model), "--plan", str(plan),
@@ -605,7 +595,6 @@ class TestMutatedFiles:
             out = Path(tmp)
             path = out / f"mutated.{fmt}"
             path.write_bytes(data)
-            for source in (path, io.BytesIO(data)):
-                _, peak = traced_read(fmt, source)
-                assert peak < 8 * len(data) + (32 << 10)
+            _, peak = traced_read(fmt, path)
+            assert peak < 8 * len(data) + (32 << 10)
             assert main(CLI_ARGS[fmt](str(path), out)) in (0, 2, 3, 4)

@@ -1,8 +1,6 @@
 """Reward arithmetic on the published candidate table, exponent calibration,
 argmax selection, and Pareto filtering against a brute-force filter."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -176,26 +174,31 @@ class TestParetoFrontier:
 
 
 class TestCandidatesCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         evaluated, _ = evaluate_candidates(table_candidates(), BASE_LATENCY, -0.15)
-        buf = io.StringIO()
-        write_candidates_csv(evaluated, buf, header_comment="w=-0.15")
-        buf.seek(0)
-        back = read_candidates_csv(buf)
+        path = tmp_path / "rewards.csv"
+        write_candidates_csv(evaluated, path, header_comment="w=-0.15")
+        back = read_candidates_csv(path)
         assert [c.config_id for c in back] == [c.config_id for c in evaluated]
         # rewards are serialized at table precision (two decimals)
         assert back[3].reward == pytest.approx(48.12, abs=0.005)
 
-    def test_rejects_wrong_header(self):
+    def test_rejects_wrong_header(self, tmp_path):
+        path = tmp_path / "candidates.csv"
+        path.write_text("foo,bar\n1,2\n", encoding="utf-8")
         with pytest.raises(InvalidConfig):
-            read_candidates_csv(io.StringIO("foo,bar\n1,2\n"))
+            read_candidates_csv(path)
 
     @pytest.mark.parametrize("row", ["L1,one,1.0,1.0,", "L1,1.5,1.0,1.0,", "L1,1,fast,1.0,",
                                      "L1,1,1.0,1.0,high"])
-    def test_rejects_malformed_cell(self, row):
+    def test_rejects_malformed_cell(self, tmp_path, row):
+        path = tmp_path / "candidates.csv"
+        path.write_text(f"config_id,depth,latency_ms,score,reward\n{row}\n", encoding="utf-8")
         with pytest.raises(InvalidConfig, match="L1"):
-            read_candidates_csv(io.StringIO(f"config_id,depth,latency_ms,score,reward\n{row}\n"))
+            read_candidates_csv(path)
 
-    def test_rejects_empty(self):
+    def test_rejects_empty(self, tmp_path):
+        path = tmp_path / "candidates.csv"
+        path.write_text("config_id,depth,latency_ms,score,reward\n", encoding="utf-8")
         with pytest.raises(EmptyRecord):
-            read_candidates_csv(io.StringIO("config_id,depth,latency_ms,score,reward\n"))
+            read_candidates_csv(path)
