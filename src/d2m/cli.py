@@ -12,7 +12,8 @@ manifest records that digest; outputs are hashed once they are written.
 Each ``cmd_*`` only does its stage's work and returns what it wrote.
 
 Each subcommand imports the modules it runs when it runs, so a stage pays
-only for its own imports: ``estimate`` and ``pareto`` never load numpy.
+only for its own imports: ``search`` (plan and sweep modes), ``estimate``,
+``pareto`` and ``diagnose`` never load numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .config import (
     load_config,
     load_plan,
     plan_to_dict,
+    read_matrices,
     validate_thresholds,
     write_json,
 )
@@ -248,7 +250,6 @@ def _parse_list(flag: str, text: str, cast=float) -> list:
 
 def cmd_search(args) -> Written:
     from .search import search, threshold_sweep, write_sweep_csv
-    from .similarity import read_matrices
 
     matrices = read_matrices(args.matrices)
     block_sizes = tuple(_parse_list("--block-sizes", args.block_sizes, int))
@@ -278,7 +279,7 @@ def cmd_fuse(args) -> Written:
     from .traceio import read_weights, write_weights
 
     model = read_weights(args.model)
-    plan = load_plan(args.plan)
+    plan = load_plan(args.plan, model.shape.num_layers)
     fused, provenance = surgery.fuse(model, plan, base_copies=args.base_copies,
                                      supp_copies=args.supp_copies, top_k=args.top_k)
     surgery.verify_fusion(model, fused, plan, provenance)

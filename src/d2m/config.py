@@ -1,10 +1,15 @@
 """Shared domain types: model shapes, hardware profiles, workloads, search
-thresholds and fusion plans; ``tensor_schema``, the one description of the
-tensors a model of a shape holds; ``section_from_dict``, which builds any of
-them from a JSON object; ``text_file``, through which every JSON and CSV input
-file is opened by its path; ``json_document``, through which every JSON input
-is parsed; and ``output_file``, through which every file the toolkit writes is
-written beside its destination path and renamed into place.
+thresholds, fusion plans and similarity matrices; ``tensor_schema``, the one
+description of the tensors a model of a shape holds; ``section_from_dict``,
+which builds any of them from a JSON object; ``text_file``, through which
+every JSON and CSV input file is opened by its path; ``json_document``,
+through which every JSON input is parsed; ``output_file``, through which every
+file the toolkit writes is written beside its destination path and renamed
+into place; and ``_read``, the one bounds-checked cursor through which every
+binary file is read.
+
+Nothing here imports numpy, so the stages that read only JSON, CSV and the
+similarity matrices cache start without it.
 
 All types are immutable value objects; layer indices are 1-based everywhere,
 including serialized files. Validation lives in explicit ``validate_*``
@@ -15,14 +20,28 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
+import struct
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import IO, Any, Iterator, Mapping, TextIO
+from typing import IO, Any, BinaryIO, Iterator, Mapping, Sequence, TextIO
 
-from .errors import D2mError, InvalidConfig, InvalidPlan, InvalidShape, IoFailure
+from .errors import (
+    BadMagic,
+    D2mError,
+    FormatError,
+    InvalidConfig,
+    InvalidPlan,
+    InvalidShape,
+    InvalidTrace,
+    IoFailure,
+    NonFiniteValue,
+    TruncatedPayload,
+    VersionMismatch,
+)
 
 
 @contextmanager
@@ -84,6 +103,83 @@ def write_json(destination, doc: Any) -> None:
     """``doc`` as indented JSON with sorted keys and a final newline."""
     with output_file(destination) as handle:
         handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+# --- binary files ---------------------------------------------------------------
+
+
+def _write_header(handle: BinaryIO, magic: bytes, version: int, *fields: int) -> int:
+    return handle.write(magic + struct.pack(f"<{len(fields) + 1}I", version, *fields))
+
+
+class _Reader:
+    """Bounds-checked cursor over the bytes of one binary file.
+
+    Every read compares its declared length with the bytes that remain
+    before it slices or allocates anything, so a tampered header raises
+    ``TruncatedPayload`` instead of asking for a header-sized buffer.
+    """
+
+    def __init__(self, buf):
+        self.buf = buf
+        self._pos = 0
+
+    def remaining(self) -> int:
+        return len(self.buf) - self._pos
+
+    def skip(self, count: int, what: str) -> int:
+        """Step past ``count`` bytes; returns the offset where they start."""
+        if count > self.remaining():
+            raise TruncatedPayload(
+                f"expected {count} bytes for {what}, got {self.remaining()}")
+        start = self._pos
+        self._pos += count
+        return start
+
+    def take(self, count: int, what: str) -> bytes:
+        start = self.skip(count, what)
+        return self.buf[start:self._pos]
+
+    def u32s(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{count}I", self.buf, self.skip(4 * count, what))
+
+    def f64s(self, count: int, what: str) -> tuple[float, ...]:
+        return struct.unpack_from(f"<{count}d", self.buf, self.skip(8 * count, what))
+
+    def end(self) -> None:
+        if self.remaining():
+            raise FormatError(f"{self.remaining()} trailing bytes after the payload")
+
+
+@contextmanager
+def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
+    """A reader past the checked magic and version of the file at ``path``.
+
+    The file is memory-mapped read-only. A toolkit error raised while it is
+    parsed, in the block too, names the path.
+    """
+    try:
+        with open(path, "rb") as handle:
+            # an empty file cannot be mapped; a pipe reports size 0 too
+            buf = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                   if os.fstat(handle.fileno()).st_size else handle.read())
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        reader = _Reader(buf)
+        got = reader.take(4, "magic")
+        if got != magic:
+            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
+        (got_version,) = reader.u32s(1, "version")
+        if got_version != version:
+            raise VersionMismatch(f"unsupported {magic.decode()} format version "
+                                  f"{got_version}, expected {version}")
+        yield reader
+    except D2mError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    finally:
+        if isinstance(buf, mmap.mmap):
+            buf.close()
 
 
 @dataclass(frozen=True)
@@ -307,7 +403,7 @@ def validate_plan(plan: FusionPlan, num_layers: int) -> FusionPlan:
     if keep & prune:
         raise InvalidPlan(f"keep and prune overlap: {sorted(keep & prune)}")
     if keep | prune != universe:
-        raise InvalidPlan("keep and prune do not cover layers 1..L exactly")
+        raise InvalidPlan(f"keep and prune do not cover layers 1..{num_layers} exactly")
     if list(plan.keep_layers) != sorted(keep):
         raise InvalidPlan("keep_layers must be ordered ascending")
     seen: set[int] = set()
@@ -378,10 +474,16 @@ def plan_from_json(text: str) -> FusionPlan:
     return plan_from_dict(json_document(text, "plan"))
 
 
-def load_plan(path: str | Path) -> FusionPlan:
+def load_plan(path: str | Path, num_layers: int) -> FusionPlan:
+    """The plan in the JSON file at ``path``, validated for a model of
+    ``num_layers`` layers; an ``InvalidPlan`` names the file."""
     with text_file(path) as handle:
         text = handle.read()
-    return plan_from_dict(json_document(text, path))
+    doc = json_document(text, path)
+    try:
+        return validate_plan(plan_from_dict(doc), num_layers)
+    except InvalidPlan as exc:
+        raise InvalidPlan(f"{path}: {exc}") from exc
 
 
 # --- pipeline configuration file ----------------------------------------------
@@ -440,3 +542,59 @@ def load_config(path: str | Path) -> PipelineConfig:
     with text_file(path) as handle:
         text = handle.read()
     return parse_config(json_document(text, f"config {path}"))
+
+
+# --- similarity matrices ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SimilarityMatrices:
+    """L x L statistics over all layer pairs.
+
+    Cosine matrices are symmetric; ``delta_norm[i][j]`` always places the
+    later of the two layers in the denominator, so it too is stored
+    symmetrically. Row/column ``i`` (0-based) refers to layer ``i + 1``.
+    Each matrix is read only as ``m[i][j]``, so the float64 arrays that
+    ``similarity`` builds and the float rows that ``read_matrices`` returns
+    serve alike.
+    """
+
+    s_out: Sequence[Sequence[float]]
+    s_mlp: Sequence[Sequence[float]]
+    delta_norm: Sequence[Sequence[float]]
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.s_out)
+
+
+# Binary cache so the search stage can re-load matrices at full precision:
+# magic D2MS | version u32=1 | L u32 | s_out, s_mlp, delta_norm as L*L f64-LE.
+CACHE_MAGIC = b"D2MS"
+CACHE_VERSION = 1
+MATRIX_NAMES = ("s_out", "s_mlp", "delta_norm")
+
+
+def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
+    values = [value for name in MATRIX_NAMES
+              for row in getattr(matrices, name) for value in row]
+    with output_file(path, binary=True) as handle:
+        _write_header(handle, CACHE_MAGIC, CACHE_VERSION, matrices.num_layers)
+        handle.write(struct.pack(f"<{len(values)}d", *values))
+
+
+def read_matrices(path: str | Path) -> SimilarityMatrices:
+    """The matrices cache at ``path``, each matrix a tuple of float rows."""
+    with _read(path, CACHE_MAGIC, CACHE_VERSION) as reader:
+        (num_layers,) = reader.u32s(1, "layer count")
+        if num_layers < 1:
+            raise InvalidTrace(f"degenerate matrices header L={num_layers}")
+        size = num_layers * num_layers
+        values = reader.f64s(3 * size, "matrices")
+        reader.end()
+        for index, name in enumerate(MATRIX_NAMES):
+            if not all(map(math.isfinite, values[index * size:(index + 1) * size])):
+                raise NonFiniteValue(f"matrices cache {name} contains non-finite values")
+    rows = [values[start:start + num_layers] for start in range(0, 3 * size, num_layers)]
+    return SimilarityMatrices(*(tuple(rows[start:start + num_layers])
+                                for start in range(0, 3 * num_layers, num_layers)))

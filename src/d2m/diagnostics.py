@@ -4,7 +4,8 @@ A layer's load profile is the distribution of hard top-1 assignments over its
 experts; the summary aggregates per-layer profiles into the six standard
 concentration metrics (mean dominant load, threshold exceedances, dominance
 ratio against uniform, top-bottom gap, and natural-log entropy). The toy
-trainer's log lives here too, so that ``diagnose`` loads no toy model.
+trainer's log lives here too, so that ``diagnose`` loads no toy model. The
+module works in plain Python floats, so ``diagnose`` starts without numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .config import output_file, text_file
 from .errors import DimensionMismatch, EmptyRecord, InvalidConfig
@@ -49,27 +48,31 @@ class WtaSummary:
 
 
 def load_profile(assignments, num_experts: int, layer: int = 1) -> LayerLoadProfile:
-    """Count hard top-1 assignments (0-based expert indices); winner ties
-    resolve to the smaller index."""
-    assignments = np.asarray(assignments, dtype=np.int64)
-    if assignments.size == 0:
+    """Count hard top-1 assignments (0-based expert indices, any iterable of
+    integers, an array included); winner ties resolve to the smaller index."""
+    assignments = [int(a) for a in assignments]
+    if not assignments:
         raise EmptyRecord("load_profile needs at least one token")
-    if assignments.min() < 0 or assignments.max() >= num_experts:
+    low, high = min(assignments), max(assignments)
+    if low < 0 or high >= num_experts:
         raise InvalidConfig(
             f"assignment indices must lie in [0, {num_experts}), "
-            f"got range [{assignments.min()}, {assignments.max()}]"
+            f"got range [{low}, {high}]"
         )
-    counts = np.bincount(assignments, minlength=num_experts)
-    loads = counts / assignments.size
-    winner = int(np.argmax(loads)) + 1
-    return LayerLoadProfile(layer=layer, loads=tuple(float(v) for v in loads), winner=winner)
+    counts = [0] * num_experts
+    for a in assignments:
+        counts[a] += 1
+    loads = tuple(count / len(assignments) for count in counts)
+    return LayerLoadProfile(layer=layer, loads=loads, winner=loads.index(max(loads)) + 1)
 
 
 def profile_entropy(profile: LayerLoadProfile) -> float:
     """Natural-log entropy with the 0*ln(0) := 0 convention."""
-    loads = np.asarray(profile.loads)
-    nz = loads[loads > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return -sum((p * math.log(p) for p in profile.loads if p > 0), 0.0)
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
 
 
 def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int,
@@ -82,20 +85,18 @@ def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int,
             raise DimensionMismatch(
                 f"layer {p.layer} profile has {len(p.loads)} experts, expected {num_experts}"
             )
-    tops = np.array([p.top_load for p in profiles])
-    bottoms = np.array([min(p.loads) for p in profiles])
-    entropies = np.array([profile_entropy(p) for p in profiles])
+    tops = [p.top_load for p in profiles]
     layers_above = tuple(
-        (float(th), int(np.sum(tops > th))) for th in sorted(thresholds)
+        (float(th), sum(top > th for top in tops)) for th in sorted(thresholds)
     )
     return WtaSummary(
         num_layers=len(profiles),
         num_experts=num_experts,
-        mean_top_load=float(tops.mean()),
+        mean_top_load=_mean(tops),
         layers_above=layers_above,
-        mean_top_uniform_ratio=float((tops * num_experts).mean()),
-        mean_top_bottom_gap=float((tops - bottoms).mean()),
-        mean_entropy=float(entropies.mean()),
+        mean_top_uniform_ratio=_mean([top * num_experts for top in tops]),
+        mean_top_bottom_gap=_mean([p.top_load - min(p.loads) for p in profiles]),
+        mean_entropy=_mean([profile_entropy(p) for p in profiles]),
     )
 
 

@@ -7,28 +7,32 @@ blocks are scored, sorted, and accepted greedily so that no layer is claimed
 twice (the base counts as claimed, so it can never double as another block's
 redundant member). Ties are broken by smaller base, then smaller size, which
 makes the result independent of enumeration order.
+
+The search reads each matrix only as ``m[i][j]`` and works in plain Python
+floats, so it runs alike on the numpy matrices ``similarity`` builds and on
+the float rows of a matrices cache, and the ``search`` stage never imports
+numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .config import (
     FusionBlock,
     FusionPlan,
     SearchThresholds,
+    SimilarityMatrices,
     output_file,
     validate_plan,
     validate_score_penalty,
     validate_thresholds,
 )
 from .errors import DepthUnreachable, OutOfRange
-from .similarity import SimilarityMatrices
 
 
 @dataclass(frozen=True)
@@ -41,67 +45,72 @@ class SweepCell:
     plan: FusionPlan
 
 
-@dataclass(frozen=True)
-class _BlockTable:
-    """Every (base, size) block that fits, sorted once by (-score, base, size).
+# One candidate block: (base, size, score, low, high).
+Block = tuple[int, int, float, float, float]
 
-    ``low`` is the least of both cosines over a block's offsets and ``high``
-    its largest norm gap, so a block clears the thresholds iff ``low`` and
-    ``high`` do: a minimum above a bar means every value is above it, and a
-    NaN anywhere in the block carries through and fails both tests.
-    """
 
-    num_layers: int
-    base: np.ndarray
-    size: np.ndarray
-    low: np.ndarray
-    high: np.ndarray
-    score: np.ndarray
+def _least(a: float, b: float) -> float:
+    """The smaller of ``a`` and ``b``, or NaN if either is one."""
+    return a if a <= b or a != a else b
 
-    def valid(self, cos_threshold: float, norm_tolerance: float) -> np.ndarray:
-        return (self.low > 1.0 - cos_threshold) & (self.high < norm_tolerance)
+
+def _greatest(a: float, b: float) -> float:
+    """The larger of ``a`` and ``b``, or NaN if either is one."""
+    return a if a >= b or a != a else b
 
 
 def _block_table(matrices: SimilarityMatrices, score_penalty: float,
-                 block_sizes: Iterable[int]) -> _BlockTable:
+                 block_sizes: Iterable[int]) -> list[Block]:
+    """Every (base, size) block that fits, sorted once by (-score, base, size).
+
+    ``score`` is the mean over the block's offsets of the two cosines'
+    average minus the penalized norm gap, summed in offset order. ``low`` is
+    the least of both cosines over the offsets and ``high`` the largest norm
+    gap, so a block clears the thresholds iff ``low`` and ``high`` do: a
+    minimum above a bar means every value is above it, and a NaN anywhere in
+    the block carries through and fails both tests.
+    """
     num_layers = matrices.num_layers
-    sizes = sorted(set(block_sizes))
-    if sizes and sizes[0] < 1:
-        raise OutOfRange(f"block sizes must be positive, got {sizes[0]}")
-    # Column k - 1 of row i holds offset k from base i + 1; columns past the
-    # end of the stack repeat the last layer and are never read, because
-    # every statistic below is a prefix along the row.
-    rows = np.arange(num_layers)[:, None]
-    cols = np.minimum(rows + np.arange(1, num_layers), num_layers - 1)
-    s_out, s_mlp, gap = (m[rows, cols] for m in (matrices.s_out, matrices.s_mlp,
-                                                 matrices.delta_norm))
-    low = np.minimum.accumulate(np.minimum(s_out, s_mlp), axis=1)
-    high = np.maximum.accumulate(gap, axis=1)
-    # mean over offsets of the two cosines' average minus the penalized gap;
-    # cumsum adds in offset order
-    total = np.cumsum((s_out + s_mlp) / 2.0 - score_penalty * gap, axis=1)
+    sizes = set(block_sizes)
+    if sizes and min(sizes) < 1:
+        raise OutOfRange(f"block sizes must be positive, got {min(sizes)}")
+    largest = max(sizes, default=0)
+    s_out, s_mlp, gaps = matrices.s_out, matrices.s_mlp, matrices.delta_norm
+    table = []
+    for base in range(1, num_layers + 1):
+        row = base - 1
+        # -0.0 adds nothing to any float, so the sum starts at its first term
+        total, low, high = -0.0, math.inf, -math.inf
+        for size in range(1, min(largest, num_layers - base) + 1):
+            col = row + size
+            out, mlp, gap = float(s_out[row][col]), float(s_mlp[row][col]), float(gaps[row][col])
+            total += (out + mlp) / 2.0 - score_penalty * gap
+            low = _least(low, _least(out, mlp))
+            high = _greatest(high, gap)
+            if size in sizes:
+                table.append((base, size, total / size, low, high))
+    # a stable sort of blocks built in (base, size) order; a NaN score sorts
+    # last, as numpy sorts it
+    table.sort(key=lambda block: (block[2] != block[2], -block[2]))
+    return table
 
-    base, size = np.array([(b, n) for b in range(1, num_layers + 1) for n in sizes
-                           if b + n <= num_layers], dtype=np.int64).reshape(-1, 2).T
-    i, k = base - 1, size - 1
-    score = total[i, k] / size
-    order = np.lexsort((size, base, -score))
-    return _BlockTable(num_layers, base[order], size[order], low[i, k][order],
-                       high[i, k][order], score[order])
+
+def _valid(table: list[Block], cos_threshold: float, norm_tolerance: float) -> list[Block]:
+    """The blocks of ``table`` that clear both thresholds, in table order."""
+    bar = 1.0 - cos_threshold
+    return [block for block in table if block[3] > bar and block[4] < norm_tolerance]
 
 
-def _search_raw(table: _BlockTable, cos_threshold: float,
-                norm_tolerance: float) -> FusionPlan:
-    num_layers = table.num_layers
-    accept = table.valid(cos_threshold, norm_tolerance)
+def _accept(valid: Sequence[Block], num_layers: int) -> FusionPlan:
+    """The plan of the valid blocks, taken greedily in order: each block is
+    accepted unless it shares a layer with one accepted before it."""
     occupied: set[int] = set()
     blocks: list[FusionBlock] = []
-    for base, size in zip(table.base[accept].tolist(), table.size[accept].tolist()):
-        span = set(range(base, base + size + 1))
-        if span & occupied:
-            continue
-        occupied |= span
-        blocks.append(FusionBlock(base=base, redundant=tuple(range(base + 1, base + size + 1))))
+    for base, size, *_ in valid:
+        span = range(base, base + size + 1)
+        if occupied.isdisjoint(span):
+            occupied.update(span)
+            blocks.append(FusionBlock(base=base, redundant=tuple(span[1:])))
     blocks.sort(key=lambda b: b.base)
     prune = frozenset(i for b in blocks for i in b.redundant)
     keep = tuple(i for i in range(1, num_layers + 1) if i not in prune)
@@ -113,7 +122,8 @@ def search(matrices: SimilarityMatrices, thresholds: SearchThresholds) -> Fusion
     """Run the full greedy block search with validated thresholds."""
     validate_thresholds(thresholds)
     table = _block_table(matrices, thresholds.score_penalty, thresholds.block_sizes)
-    return _search_raw(table, thresholds.cos_threshold, thresholds.norm_tolerance)
+    return _accept(_valid(table, thresholds.cos_threshold, thresholds.norm_tolerance),
+                   matrices.num_layers)
 
 
 def threshold_sweep(matrices: SimilarityMatrices,
@@ -125,16 +135,21 @@ def threshold_sweep(matrices: SimilarityMatrices,
     Grid values outside (0, 1) are legal here (a zero cosine threshold simply
     prunes nothing); cells are returned row-major in the given grid order.
     Blocks are scored and sorted once for the whole grid, since neither
-    depends on the thresholds.
+    depends on the thresholds, and cells whose thresholds pass the same
+    blocks share one plan.
     """
     if not len(cos_grid) or not len(norm_grid):
         raise OutOfRange("sweep grids must be non-empty")
     validate_score_penalty(score_penalty)
     table = _block_table(matrices, score_penalty, block_sizes)
+    plans: dict[tuple[Block, ...], FusionPlan] = {}
     cells = []
     for d in cos_grid:
         for e in norm_grid:
-            plan = _search_raw(table, d, e)
+            valid = tuple(_valid(table, d, e))
+            if valid not in plans:
+                plans[valid] = _accept(valid, matrices.num_layers)
+            plan = plans[valid]
             cells.append(SweepCell(d, e, len(plan.prune_layers), plan))
     return cells
 

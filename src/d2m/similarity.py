@@ -7,39 +7,24 @@ same code serves a trace in memory (``build_matrices``) and a trace file
 (``stream_matrices``), and a file is never loaded whole. ``seq_avg_cosine``
 and ``norm_mismatch`` define the statistics pair by pair and are the oracle
 the matrices are tested against. Every reader and writer here takes a file
-path.
+path. ``SimilarityMatrices`` and its binary cache (``write_matrices``,
+``read_matrices``) are defined in ``config``, which imports no numpy.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import output_file
-from .errors import DimensionMismatch, InvalidTrace, IoFailure, NonFiniteValue, ZeroVector
-from .traceio import HALVES, ActivationTrace, _read, _write_header, chunk_tokens, trace_chunks
-
-
-@dataclass(frozen=True)
-class SimilarityMatrices:
-    """L x L statistics over all layer pairs.
-
-    Cosine matrices are symmetric; ``delta_norm[i, j]`` always places the
-    later of the two layers in the denominator, so it too is stored
-    symmetrically. Row/column ``i`` (0-based) refers to layer ``i + 1``.
-    """
-
-    s_out: np.ndarray
-    s_mlp: np.ndarray
-    delta_norm: np.ndarray
-
-    @property
-    def num_layers(self) -> int:
-        return self.s_out.shape[0]
+# the matrices and their cache live in config, so search reads them without
+# numpy; they are re-exported here, where the matrices are built
+from .config import (MATRIX_NAMES, SimilarityMatrices, output_file,  # noqa: F401
+                     read_matrices, write_matrices)
+from .errors import DimensionMismatch, IoFailure, NonFiniteValue, ZeroVector
+from .traceio import HALVES, ActivationTrace, chunk_tokens, trace_chunks
 
 
 def _row_norms(mat: np.ndarray, label: str) -> np.ndarray:
@@ -161,7 +146,7 @@ def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[st
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out}: {exc}") from exc
-    paths = {name: out / f"{name}.csv" for name in ("s_out", "s_mlp", "delta_norm")}
+    paths = {name: out / f"{name}.csv" for name in MATRIX_NAMES}
     for name, path in paths.items():
         with output_file(path) as handle:
             writer = csv.writer(handle)
@@ -169,29 +154,3 @@ def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[st
             for i, row in enumerate(getattr(matrices, name), start=1):
                 writer.writerow([str(i)] + [f"{v:.8e}" for v in row])
     return paths
-
-
-# Binary cache so the search stage can re-load matrices at full precision:
-# magic D2MS | version u32=1 | L u32 | s_out, s_mlp, delta_norm as L*L f64-LE.
-CACHE_MAGIC = b"D2MS"
-CACHE_VERSION = 1
-
-
-def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
-    with output_file(path, binary=True) as handle:
-        _write_header(handle, CACHE_MAGIC, CACHE_VERSION, matrices.num_layers)
-        for mat in (matrices.s_out, matrices.s_mlp, matrices.delta_norm):
-            handle.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-
-
-def read_matrices(path: str | Path) -> SimilarityMatrices:
-    with _read(path, CACHE_MAGIC, CACHE_VERSION) as reader:
-        (num_layers,) = reader.u32s(1, "layer count")
-        if num_layers < 1:
-            raise InvalidTrace(f"degenerate matrices header L={num_layers}")
-        mats = reader.floats("<f8", (3, num_layers, num_layers), "matrices")
-        reader.end()
-        for name, mat in zip(("s_out", "s_mlp", "delta_norm"), mats):
-            if not np.isfinite(mat).all():
-                raise NonFiniteValue(f"matrices cache {name} contains non-finite values")
-    return SimilarityMatrices(*mats)

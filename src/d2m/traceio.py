@@ -17,9 +17,11 @@ Formats (all integers little-endian u32):
   weights magic ``D2MW`` | version=2 | config-length | UTF-8 JSON shape doc |
           entries: name-length | UTF-8 name | ndim | dims u32*ndim | f32 data
 
-These two and the similarity matrices cache are read through one cursor that
-checks every header-declared length against the bytes present before it
-slices or allocates, and rejects bytes left over after the payload.
+These two and the similarity matrices cache are read through one cursor,
+``config._read``, that checks every header-declared length against the bytes
+present before it slices or allocates, and rejects bytes left over after the
+payload. ``_floats`` decodes the float32 payloads of these two into numpy
+arrays.
 
 ``read_trace`` loads a whole trace. ``trace_chunks`` checks a trace file's
 header by the same rules and then reads its states a token chunk at a time
@@ -39,20 +41,26 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import mmap
 import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import ModelShape, json_document, output_file, shape_from_dict, tensor_schema
+from .config import (
+    ModelShape,
+    _read,
+    _Reader,
+    _write_header,
+    json_document,
+    output_file,
+    shape_from_dict,
+    tensor_schema,
+)
 from .errors import (
-    BadMagic,
-    D2mError,
     DimensionMismatch,
     FormatError,
     InvalidConfig,
@@ -62,7 +70,6 @@ from .errors import (
     NonFiniteValue,
     OutOfRange,
     TruncatedPayload,
-    VersionMismatch,
 )
 
 HALVES = ("mlp_inputs", "layer_outputs")  # trace halves, in file order
@@ -136,83 +143,14 @@ def _float32(values: np.ndarray, what: str) -> memoryview:
     return memoryview(block).cast("B")
 
 
-def _write_header(handle: BinaryIO, magic: bytes, version: int, *fields: int) -> int:
-    return handle.write(magic + struct.pack(f"<{len(fields) + 1}I", version, *fields))
-
-
-class _Reader:
-    """Bounds-checked cursor over the bytes of one binary file.
-
-    Every read compares its declared length with the bytes that remain
-    before it slices or allocates anything, so a tampered header raises
-    ``TruncatedPayload`` instead of asking for a header-sized buffer.
-    """
-
-    def __init__(self, buf):
-        self._buf = buf
-        self._pos = 0
-
-    def remaining(self) -> int:
-        return len(self._buf) - self._pos
-
-    def skip(self, count: int, what: str) -> int:
-        """Step past ``count`` bytes; returns the offset where they start."""
-        if count > self.remaining():
-            raise TruncatedPayload(
-                f"expected {count} bytes for {what}, got {self.remaining()}")
-        start = self._pos
-        self._pos += count
-        return start
-
-    def take(self, count: int, what: str) -> bytes:
-        start = self.skip(count, what)
-        return self._buf[start:self._pos]
-
-    def u32s(self, count: int, what: str) -> tuple[int, ...]:
-        return struct.unpack_from(f"<{count}I", self._buf, self.skip(4 * count, what))
-
-    def floats(self, dtype: str, dims: Sequence[int], what: str) -> np.ndarray:
-        """The next prod(dims) little-endian floats, as a float64 array of shape dims."""
-        count = math.prod(dims)
-        start = self.skip(count * np.dtype(dtype).itemsize, what)
-        # one expression, so no view of the buffer outlives the call
-        return (np.frombuffer(self._buf, dtype=dtype, count=count, offset=start)
-                .astype(np.float64).reshape(dims))
-
-    def end(self) -> None:
-        if self.remaining():
-            raise FormatError(f"{self.remaining()} trailing bytes after the payload")
-
-
-@contextmanager
-def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
-    """A reader past the checked magic and version of the file at ``path``.
-
-    The file is memory-mapped read-only. A toolkit error raised while it is
-    parsed, in the block too, names the path.
-    """
-    try:
-        with open(path, "rb") as handle:
-            # an empty file cannot be mapped; a pipe reports size 0 too
-            buf = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                   if os.fstat(handle.fileno()).st_size else handle.read())
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        reader = _Reader(buf)
-        got = reader.take(4, "magic")
-        if got != magic:
-            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
-        (got_version,) = reader.u32s(1, "version")
-        if got_version != version:
-            raise VersionMismatch(f"unsupported {magic.decode()} format version "
-                                  f"{got_version}, expected {version}")
-        yield reader
-    except D2mError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-    finally:
-        if isinstance(buf, mmap.mmap):
-            buf.close()
+def _floats(reader: _Reader, dims: Sequence[int], what: str) -> np.ndarray:
+    """The reader's next prod(dims) little-endian float32s, as a float64
+    array of shape dims."""
+    count = math.prod(dims)
+    start = reader.skip(4 * count, what)
+    # one expression, so no view of the buffer outlives the call
+    return (np.frombuffer(reader.buf, dtype="<f4", count=count, offset=start)
+            .astype(np.float64).reshape(dims))
 
 
 # --- trace format ---------------------------------------------------------------
@@ -254,7 +192,7 @@ def read_trace(source) -> ActivationTrace:
     finiteness and dimensions."""
     with _read(source, TRACE_MAGIC, TRACE_VERSION) as reader:
         dims = _trace_dims(reader)
-        halves = reader.floats("<f4", (2, *dims), "trace payload")
+        halves = _floats(reader, (2, *dims), "trace payload")
         reader.end()
         return make_trace(halves[0], halves[1])
 
@@ -524,7 +462,7 @@ def read_weights(source) -> WeightContainer:
             dims = reader.u32s(ndim, f"dims of {name!r}")
             if name in tensors:
                 raise DimensionMismatch(f"duplicate tensor {name!r} in stream")
-            tensors[name] = reader.floats("<f4", dims, f"data of {name!r}")
+            tensors[name] = _floats(reader, dims, f"data of {name!r}")
         _check_finite(tensors)
         return validate_container(WeightContainer(shape=shape, tensors=tensors,
                                                   moe_layers=moe_layers))

@@ -399,7 +399,21 @@ class TestFuse:
                      "--plan", str(out["plan"]), "--base-copies", "1", "--supp-copies", "1",
                      "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
                      "--provenance-out", str(tmp_path / "p.json")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        # the message names the plan file, as a binary reader's names its file
+        assert capsys.readouterr().err == f"error: {out['plan']}: {message}\n"
+        assert not (tmp_path / "f.d2mw").exists()
+
+    def test_plan_that_does_not_fit_the_model_exits_2_naming_the_plan(self, tmp_path, capsys):
+        out = run_pipeline(tmp_path)  # a 5-layer model
+        out["plan"].write_text('{"keep": [1, 2, 3], "prune": [4], '
+                               '"blocks": [{"base": 3, "redundant": [4]}]}')
+        capsys.readouterr()
+        assert main(["fuse", "--model", str(out["synth"] / "model.d2mw"),
+                     "--plan", str(out["plan"]), "--base-copies", "1", "--supp-copies", "1",
+                     "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
+                     "--provenance-out", str(tmp_path / "p.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out['plan']}: keep and prune do not cover layers 1..5 exactly\n")
         assert not (tmp_path / "f.d2mw").exists()
 
 

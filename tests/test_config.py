@@ -121,7 +121,7 @@ class TestFusionPlan:
         plan = self.plan()
         assert plan_from_dict(plan_to_dict(plan)) == plan
         write_json(tmp_path / "plan.json", plan_to_dict(plan))
-        assert load_plan(tmp_path / "plan.json") == plan
+        assert load_plan(tmp_path / "plan.json", 4) == plan
 
     def test_json_format(self, tmp_path):
         write_json(tmp_path / "plan.json", plan_to_dict(self.plan()))

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import d2m
+from d2m.config import SimilarityMatrices, write_matrices
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(d2m.__file__).resolve().parents[1]
@@ -45,6 +48,31 @@ class TestStartUp:
             "print(after_import, codes, 'numpy' in sys.modules)\n"
         )
         assert run_python(code, tmp_path) == "False (0, 0) False"
+
+    @pytest.mark.parametrize("argv, output", [
+        (["search", "--matrices", "m.d2ms", "--delta", "0.05", "--epsilon", "0.1",
+          "--plan-out", "plan.json"], "plan.json"),
+        (["search", "--matrices", "m.d2ms", "--sweep", "--delta-grid", "0.01,0.1",
+          "--epsilon-grid", "0.1", "--sweep-out", "sweep.csv"], "sweep.csv"),
+        (["diagnose", "--log", "log.csv", "--out", "wta.csv"], "wta.csv"),
+    ], ids=["search", "sweep", "diagnose"])
+    def test_search_sweep_and_diagnose_never_load_numpy(self, tmp_path, argv, output):
+        # layers 2 and 3 are near-copies, so the plan prunes layer 3
+        cos = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.99], [0.5, 0.99, 1.0]]
+        gap = [[0.0, 0.3, 0.3], [0.3, 0.0, 0.01], [0.3, 0.01, 0.0]]
+        write_matrices(SimilarityMatrices(s_out=cos, s_mlp=cos, delta_norm=gap),
+                       tmp_path / "m.d2ms")
+        (tmp_path / "log.csv").write_text(
+            "step,task_loss,lb_loss,load_e1,load_e2\n1,1.0,0.5,0.25,0.75\n")
+        code = (
+            "import sys, d2m.cli\n"
+            f"code = d2m.cli.main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        assert run_python(code, tmp_path) == "0 False"
+        assert (tmp_path / output).exists()
+        if output == "plan.json":
+            assert json.loads((tmp_path / output).read_text())["prune"] == [3]
 
     def test_diagnostics_does_not_load_the_toy_model(self, tmp_path):
         code = "import sys, d2m.diagnostics; print('d2m.nanomodel' in sys.modules)"

@@ -1,11 +1,13 @@
 """Similarity statistics against a per-token double-loop oracle, plus the
-exact identities (duplicates, scaling asymmetry, diagonals), and the chunked
-pass over a trace file: chunk boundaries, malformed files and its memory."""
+exact identities (duplicates, scaling asymmetry, diagonals), the chunked
+pass over a trace file: chunk boundaries, malformed files and its memory,
+and the matrices cache: its bytes, its values and the plans searched on it."""
 
 import math
 import os
 import re
 import struct
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -20,8 +22,11 @@ from hypothesis.extra.numpy import arrays
 
 from d2m import traceio
 from d2m.cli import main
-from d2m.errors import D2mError, DimensionMismatch, TruncatedPayload, ZeroVector
+from d2m.config import SearchThresholds
+from d2m.errors import D2mError, DimensionMismatch, NonFiniteValue, TruncatedPayload, ZeroVector
+from d2m.search import search, threshold_sweep
 from d2m.similarity import (
+    SimilarityMatrices,
     build_matrices,
     export_heatmap,
     norm_mismatch,
@@ -409,3 +414,72 @@ class TestHeatmapExport:
         assert np.array_equal(back.s_out, mats.s_out)
         assert np.array_equal(back.s_mlp, mats.s_mlp)
         assert np.array_equal(back.delta_norm, mats.delta_norm)
+
+
+# --- the matrices cache: exact bytes, exact values, same plans ----------------------
+
+# every finite float64, with the signed zeros, subnormals and extremes drawn
+# often; half the entries sit on or around the search bars, so that plans
+# are not all empty
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from((0.0, -0.0, 5e-324, -5e-324, sys.float_info.min,
+                                    sys.float_info.max, -sys.float_info.max)))
+NEAR_COSINES = st.sampled_from((1.0, 0.999, 0.99, 0.95, 0.9, 0.5))
+NEAR_GAPS = st.sampled_from((0.0, -0.0, 0.005, 0.01, 0.05, 0.1))
+CACHE_GRID = (0.0, 0.01, 0.05, 0.1, 0.5)
+
+
+@st.composite
+def cache_matrices(draw, cosines=st.one_of(FINITE, NEAR_COSINES),
+                   gaps=st.one_of(FINITE, NEAR_GAPS)):
+    num_layers = draw(st.integers(1, 6))
+    cells = num_layers * num_layers
+    return [np.array(draw(st.lists(values, min_size=cells, max_size=cells)),
+                     dtype=np.float64).reshape(num_layers, num_layers)
+            for values in (cosines, cosines, gaps)]
+
+
+class TestMatricesCache:
+    @settings(max_examples=150)
+    @given(mats=cache_matrices(), lam=st.sampled_from((0.0, 1.0, 2.5)),
+           sizes=st.sets(st.integers(1, 4), min_size=1))
+    def test_bytes_values_and_plans_survive_the_cache(self, mats, lam, sizes):
+        matrices = SimilarityMatrices(*mats)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.d2ms"
+            write_matrices(matrices, path)
+            data = path.read_bytes()
+            back = read_matrices(path)
+        num_layers = len(mats[0])
+        assert data == b"D2MS" + struct.pack("<II", 1, num_layers) + b"".join(
+            np.ascontiguousarray(m, "<f8").tobytes() for m in mats)
+        assert back.num_layers == num_layers
+        for name, m in zip(("s_out", "s_mlp", "delta_norm"), mats):
+            rows = getattr(back, name)
+            assert all(type(v) is float for row in rows for v in row)
+            assert np.array(rows, dtype="<f8").tobytes() == m.tobytes()  # signed zeros too
+
+        cells = threshold_sweep(matrices, CACHE_GRID, CACHE_GRID, lam, tuple(sizes))
+        assert threshold_sweep(back, CACHE_GRID, CACHE_GRID, lam, tuple(sizes)) == cells
+        for cell in cells:
+            if cell.cos_threshold > 0 and cell.norm_tolerance > 0:
+                thresholds = SearchThresholds(cos_threshold=cell.cos_threshold,
+                                              norm_tolerance=cell.norm_tolerance,
+                                              score_penalty=lam, block_sizes=tuple(sizes))
+                assert search(back, thresholds) == search(matrices, thresholds) == cell.plan
+
+    @settings(max_examples=100)
+    @given(mats=cache_matrices(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+           data=st.data())
+    def test_non_finite_value_is_refused_naming_its_matrix(self, mats, data):
+        index = data.draw(st.integers(0, 2))
+        num_layers = len(mats[0])
+        row, col = (data.draw(st.integers(0, num_layers - 1)) for _ in range(2))
+        mats[index][row, col] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        name = ("s_out", "s_mlp", "delta_norm")[index]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.d2ms"
+            write_matrices(SimilarityMatrices(*mats), path)
+            message = f"^{re.escape(str(path))}: matrices cache {name} contains non-finite values$"
+            with pytest.raises(NonFiniteValue, match=message):
+                read_matrices(path)
