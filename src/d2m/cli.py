@@ -299,7 +299,7 @@ def cmd_estimate(args) -> Written:
     doc = {
         "config_id": args.config_id or Path(args.config).stem,
         "L": shape.num_layers,
-        "N": shape.moe.num_experts if shape.moe else 1,
+        "N": max(shape.experts.values(), default=1),
         "k": shape.moe.top_k if shape.moe else 1,
         "prefill_s": breakdown.prefill_s,
         "decode_s": breakdown.decode_s,

@@ -184,10 +184,11 @@ def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
 
 @dataclass(frozen=True)
 class MoEShape:
-    """Expert-pool geometry of a sparse layer: pool size N and the top-k
-    experts each token runs."""
+    """The expert pools of a model: ``experts`` maps each MoE layer (1-based)
+    to its pool size N_l, and every token runs the top-k experts of a pool.
+    A layer the map does not name is dense."""
 
-    num_experts: int
+    experts: dict[int, int]
     top_k: int
 
 
@@ -205,6 +206,11 @@ class ModelShape:
     tied_embedding: bool = True
     moe: MoEShape | None = None
 
+    @property
+    def experts(self) -> Mapping[int, int]:
+        """Layer to pool size of each MoE layer; empty for a dense model."""
+        return self.moe.experts if self.moe is not None else {}
+
 
 @dataclass(frozen=True)
 class HardwareProfile:
@@ -218,9 +224,8 @@ class HardwareProfile:
 
 @dataclass(frozen=True)
 class Workload:
-    """Inference workload: batch size, prompt length, generated length."""
+    """Inference workload: prompt length and generated length."""
 
-    batch: int = 1
     prompt_len: int = 1000
     gen_len: int = 50
 
@@ -265,7 +270,12 @@ QWEN25_0_5B = ModelShape(
     tied_embedding=True,
 )
 THOR_U = HardwareProfile(peak_flops=350e12, mem_bandwidth=273e9)
-DEFAULT_WORKLOAD = Workload(batch=1, prompt_len=1000, gen_len=50)
+DEFAULT_WORKLOAD = Workload(prompt_len=1000, gen_len=50)
+
+
+def _is_count(value: Any) -> bool:
+    """A positive int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 def _check_fields(value: Any, section: str, error: type[D2mError]) -> None:
@@ -277,7 +287,7 @@ def _check_fields(value: Any, section: str, error: type[D2mError]) -> None:
         item = getattr(value, f.name)
         number = isinstance(item, (int, float)) and not isinstance(item, bool)
         if f.type == "int":
-            ok, want = number and isinstance(item, int) and item > 0, "a positive count"
+            ok, want = _is_count(item), "a positive count"
         elif f.type == "float":
             ok, want = number and 0 < item <= sys.float_info.max, "a finite positive number"
         elif f.type == "bool":
@@ -302,9 +312,15 @@ def validate_shape(shape: ModelShape) -> ModelShape:
     moe = shape.moe
     if moe is not None:
         _check_fields(moe, "model.moe", InvalidShape)
-        if moe.top_k > moe.num_experts:
-            raise InvalidShape(
-                f"top_k ({moe.top_k}) must not exceed num_experts ({moe.num_experts})")
+        if not isinstance(moe.experts, Mapping) or not moe.experts:
+            raise InvalidShape(f"model.moe.experts must map layers to counts: {moe.experts!r}")
+        for layer, count in moe.experts.items():
+            if not (_is_count(layer) and layer <= shape.num_layers):
+                raise InvalidShape(f"model.moe.experts layer {layer!r} not in 1..{shape.num_layers}")
+            if not _is_count(count):
+                raise InvalidShape(f"model.moe.experts[{layer}] must be a count, got {count!r}")
+            if moe.top_k > count:
+                raise InvalidShape(f"model.moe.top_k {moe.top_k} > {count} experts of layer {layer}")
     return shape
 
 
@@ -314,8 +330,7 @@ def attention_tensor_names(layer: int) -> tuple[str, ...]:
             f"{p}.q_norm", f"{p}.k_norm")
 
 
-def tensor_schema(shape: ModelShape, moe_layers: Mapping[int, int] | None = None
-                  ) -> Iterator[tuple[str, tuple[int, ...]]]:
+def tensor_schema(shape: ModelShape) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The canonical (name, dims) pairs of a container of this shape, in
     on-disk order and one at a time, so a caller that stops early never
     builds the whole schema a header declares.
@@ -326,7 +341,6 @@ def tensor_schema(shape: ModelShape, moe_layers: Mapping[int, int] | None = None
     head only when untied. The cost model counts parameters from it.
     """
     validate_shape(shape)
-    moe_layers = moe_layers or {}
     d, d_mid = shape.hidden_dim, shape.mlp_dim
     qdim = shape.num_heads * shape.head_dim
     kvdim = shape.num_kv_heads * shape.head_dim
@@ -343,8 +357,8 @@ def tensor_schema(shape: ModelShape, moe_layers: Mapping[int, int] | None = None
         yield f"layer.{layer}.attn.q_norm", (shape.head_dim,)
         yield f"layer.{layer}.attn.k_norm", (shape.head_dim,)
         yield f"layer.{layer}.mlp_norm", (d,)
-        if layer in moe_layers:
-            n_experts = moe_layers[layer]
+        n_experts = shape.experts.get(layer)
+        if n_experts:
             yield f"layer.{layer}.router", (d, n_experts)
             for e in range(1, n_experts + 1):
                 yield f"layer.{layer}.moe.expert.{e}.up", (d, d_mid)
@@ -519,9 +533,24 @@ def section_from_dict(cls: type, doc: Any, section: str) -> Any:
 
 
 def shape_from_dict(doc: Any) -> ModelShape:
+    """The validated shape in the JSON object ``doc``, a config's ``model``
+    section or a weights header. Each key of ``moe.experts`` must be a layer
+    index in canonical decimal (no sign, padding or leading zero)."""
     shape = section_from_dict(ModelShape, doc, "model")
     if shape.moe is not None:
-        shape = replace(shape, moe=section_from_dict(MoEShape, shape.moe, "model.moe"))
+        moe = section_from_dict(MoEShape, shape.moe, "model.moe")
+        if not isinstance(moe.experts, Mapping):
+            raise InvalidConfig("model.moe.experts must be an object, "
+                                f"got {type(moe.experts).__name__}")
+        for key in moe.experts:
+            try:
+                canonical = key.isdigit() and str(int(key)) == key
+            except ValueError:  # a digit int() does not read, or too many of them
+                canonical = False
+            if not canonical:
+                raise InvalidConfig(f"model.moe.experts key {key!r} is not a layer index")
+        experts = {int(key): count for key, count in moe.experts.items()}
+        shape = replace(shape, moe=replace(moe, experts=experts))
     return validate_shape(shape)
 
 

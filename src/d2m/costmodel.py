@@ -1,17 +1,20 @@
 """First-principles latency and memory accounting for dense and MoE decoders.
 
-Prefill is compute-bound and decode memory-bound, so the two phases reduce to
-closed forms over the layer shape: a compute coefficient 4 + 4/gqa + 6r for
+Every cost sums the layers, each dense or MoE(N_l, k) by the shape's expert
+map. Prefill is compute-bound and decode memory-bound, so the two phases
+reduce to closed forms per layer: a compute coefficient 4 + 4/gqa + 6r for
 prefill FLOPs and a weight-traffic coefficient 2 + 2/gqa + 3r plus KV reload
-for decode bytes, where r is the active FFN expansion ratio (top-k experts
-times mlp_dim/hidden_dim). Expert count never appears in either phase --
-inactive experts cost static memory only. The formulas cover decoder layers
-only; embeddings and the LM head are excluded by construction.
+for decode bytes, where r is k (1 for a dense layer) times mlp_dim/hidden_dim.
+Each form is evaluated once per distinct r, times its layer count, so a model
+of one width is the closed form of L layers. Expert count never appears in
+either phase -- inactive experts cost static memory only. The formulas cover
+decoder layers only; embeddings and the LM head are excluded by construction.
 
 Static memory counts weights only, from ``tensor_schema``: per layer the
 attention projections (2*n_h + 2*n_kv)*d_h*d, the two per-head q/k norms, two
-layer norms, a router N*d, and N GLU expert triples, plus the token embedding,
-final norm and untied LM head. Dense shapes drop the router for one MLP.
+layer norms, and one GLU triple for a dense layer or a router N_l*d and N_l
+expert triples for a MoE layer, plus the token embedding, final norm and
+untied LM head. Active parameters keep the whole router but k triples.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Callable
 from .config import (
     HardwareProfile,
     ModelShape,
+    MoEShape,
     Workload,
     gqa_ratio,
     tensor_schema,
@@ -47,18 +51,29 @@ class LatencyBreakdown:
         return self.prefill_s + self.decode_s
 
 
-def expansion_ratio(shape: ModelShape) -> float:
-    """Effective FFN expansion ratio: active experts times mlp_dim/hidden_dim."""
+def _widths(shape: ModelShape) -> list[tuple[int, float]]:
+    """(layer count, FFN expansion ratio) of each distinct active MLP width,
+    the widest last. A MoE layer runs top-k MLPs and a dense layer one, so
+    with top-1 every layer has the same width and the list has one entry."""
     validate_shape(shape)
-    active = shape.moe.top_k if shape.moe is not None else 1
-    return active * shape.mlp_dim / shape.hidden_dim
+    sparse, k = len(shape.experts), shape.moe.top_k if shape.moe is not None else 1
+    layers = {1: shape.num_layers - sparse}
+    layers[k] = layers.get(k, 0) + sparse
+    return [(count, active * shape.mlp_dim / shape.hidden_dim)
+            for active, count in layers.items() if count]
+
+
+def expansion_ratio(shape: ModelShape) -> float:
+    """FFN expansion ratio of the model's widest layer: active experts
+    (top-k, or 1 for a dense model) times mlp_dim/hidden_dim."""
+    return _widths(shape)[-1][1]
 
 
 def _check_lengths(wl: Workload) -> None:
     # the formulas admit a zero-length phase (zero seconds) even though
     # configured workloads require at least one token per phase
-    if wl.prompt_len < 0 or wl.gen_len < 0 or wl.batch < 1:
-        raise InvalidConfig("workload lengths must be non-negative, batch at least 1")
+    if wl.prompt_len < 0 or wl.gen_len < 0:
+        raise InvalidConfig("workload lengths must be non-negative")
 
 
 def _finite(what: str, compute: Callable[[], float]) -> float:
@@ -75,31 +90,35 @@ def _finite(what: str, compute: Callable[[], float]) -> float:
 
 
 def prefill_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> float:
-    """Seconds to process the prompt: L * S_in * d^2 * (4 + 4/gqa + 6r) / peak."""
+    """Seconds to process the prompt: the sum over widths of
+    L_r * S_in * d^2 * (4 + 4/gqa + 6r), over peak."""
     validate_hardware(hw)
     _check_lengths(wl)
-    flops = _finite("prefill FLOP count of the model and workload", lambda: (
-        shape.num_layers * wl.prompt_len * shape.hidden_dim ** 2
-        * (4.0 + 4.0 / gqa_ratio(shape) + 6.0 * expansion_ratio(shape))))
+    gqa = gqa_ratio(shape)
+    flops = _finite("prefill FLOP count of the model and workload", lambda: sum(
+        layers * wl.prompt_len * shape.hidden_dim ** 2 * (4.0 + 4.0 / gqa + 6.0 * ratio)
+        for layers, ratio in _widths(shape)))
     return _finite(f"prefill time at hardware.peak_flops={hw.peak_flops!r}",
                    lambda: flops / hw.peak_flops)
 
 
 def decode_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> float:
-    """Seconds to generate: per step the weights (2 + 2/gqa + 3r) * d^2 * b_w
-    plus the average-context KV reload 2 * S_bar * d * b_kv / gqa."""
+    """Seconds to generate: per step and layer the weights
+    (2 + 2/gqa + 3r) * d^2 * b_w plus the average-context KV reload
+    2 * S_bar * d * b_kv / gqa, summed over widths as L_r times that."""
     validate_hardware(hw)
     _check_lengths(wl)
+    gqa = gqa_ratio(shape)
 
-    def traffic() -> float:
-        gqa = gqa_ratio(shape)
-        xi_w = 2.0 + 2.0 / gqa + 3.0 * expansion_ratio(shape)
+    def traffic(layers: int, ratio: float) -> float:
+        xi_w = 2.0 + 2.0 / gqa + 3.0 * ratio
         s_bar = wl.prompt_len + (wl.gen_len + 1) / 2.0
         per_step_bytes = (xi_w * shape.hidden_dim ** 2 * hw.weight_bytes
                           + 2.0 * s_bar * shape.hidden_dim * hw.kv_bytes / gqa)
-        return shape.num_layers * wl.gen_len * per_step_bytes
+        return layers * wl.gen_len * per_step_bytes
 
-    moved = _finite("decode byte count of the model, workload and hardware byte widths", traffic)
+    moved = _finite("decode byte count of the model, workload and hardware byte widths",
+                    lambda: sum(traffic(*width) for width in _widths(shape)))
     return _finite(f"decode time at hardware.mem_bandwidth={hw.mem_bandwidth!r}",
                    lambda: moved / hw.mem_bandwidth)
 
@@ -114,29 +133,32 @@ def total_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> Laten
 
 
 def _param_count(shape: ModelShape, top_k: int | None = None) -> int:
-    """The schema's global tensors plus ``num_layers`` times one layer, dense
-    or MoE(N), keeping only top_k expert triples when given. The parts are
-    differences of schema counts at one or two layers and zero to two
-    experts, so the count walks neither num_layers nor N, nor reads names."""
+    """The schema's global tensors plus each layer's, dense or MoE(N_l),
+    keeping only top_k expert triples when given. The parts are differences
+    of schema counts at one or two layers and zero to two experts, so the
+    count walks neither num_layers nor any N_l, nor reads names."""
     validate_shape(shape)
 
     def count(layers: int, experts: int = 0) -> int:
+        moe = MoEShape({1: experts}, top_k=1) if experts else None
         return sum(math.prod(dims) for _, dims in tensor_schema(
-            replace(shape, num_layers=layers), {1: experts} if experts else {}))
+            replace(shape, num_layers=layers, moe=moe)))
 
-    dense_layer = per_layer = count(2) - count(1)
+    dense_layer = count(2) - count(1)
+    total = count(1) + (shape.num_layers - 1) * dense_layer
     if shape.moe is not None:  # the whole router stays active
         column = count(1, 1) - count(1)
         triple = count(1, 2) - count(1, 1) - column
-        kept = shape.moe.num_experts if top_k is None else top_k
-        per_layer += shape.moe.num_experts * column + (kept - 1) * triple
-    return count(1) - dense_layer + shape.num_layers * per_layer
+        for pool in shape.moe.experts.values():  # in place of one dense MLP
+            kept = pool if top_k is None else top_k
+            total += pool * column + (kept - 1) * triple
+    return total
 
 
 def static_memory(shape: ModelShape, bytes_per_param: float = 2.0) -> tuple[int, float]:
     """(total static parameter count, bytes at the given precision).
 
-    MoE shapes count all N experts plus the router; dense shapes count one
+    A MoE layer counts all N_l experts plus the router; a dense layer one
     MLP and no router. 1 GB convention: 1e9 bytes.
     """
     params = _param_count(shape)

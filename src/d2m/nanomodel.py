@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -290,19 +290,18 @@ def layers_of(container: WeightContainer) -> list[DenseLayer | MoELayer]:
             head_dim=shape.head_dim,
         )
         mlp_norm = t[f"layer.{l}.mlp_norm"]
-        if l in container.moe_layers:
-            n_experts = container.moe_layers[l]
+        if l in shape.experts:
             experts = tuple(
                 GluMlp(
                     up=t[f"layer.{l}.moe.expert.{e}.up"],
                     gate=t[f"layer.{l}.moe.expert.{e}.gate"],
                     down=t[f"layer.{l}.moe.expert.{e}.down"],
                 )
-                for e in range(1, n_experts + 1)
+                for e in range(1, shape.experts[l] + 1)
             )
             out.append(MoELayer(attn=attn, mlp_norm=mlp_norm, experts=experts,
                                 router=t[f"layer.{l}.router"],
-                                top_k=container.shape.moe.top_k))
+                                top_k=shape.moe.top_k))
         else:
             mlp = GluMlp(up=t[f"layer.{l}.mlp.up"], gate=t[f"layer.{l}.mlp.gate"],
                          down=t[f"layer.{l}.mlp.down"])
@@ -345,7 +344,7 @@ def forward_trace(container: WeightContainer, x: np.ndarray,
 
 def dense_forward(container: WeightContainer, x: np.ndarray) -> tuple[np.ndarray, ActivationTrace]:
     """Forward pass of a dense model, capturing the full activation trace."""
-    if container.moe_layers:
+    if container.shape.moe is not None:
         raise DimensionMismatch("dense_forward requires a model without MoE layers")
     state, trace, _ = forward_trace(container, x)
     return state, trace
@@ -491,9 +490,7 @@ def grad_check(layer: MoELayer, x: np.ndarray, step: float = 1e-5) -> float:
 # --- toy models and training ----------------------------------------------------------
 
 
-def build_toy_container(shape: ModelShape, seed: int,
-                        moe_layers: Mapping[int, int] | None = None,
-                        weight_scale: float = 0.02,
+def build_toy_container(shape: ModelShape, seed: int, weight_scale: float = 0.02,
                         duplicate_from: Iterable[tuple[int, int]] = ()) -> WeightContainer:
     """Seeded Gaussian toy weights (norm scales start at one).
 
@@ -503,7 +500,7 @@ def build_toy_container(shape: ModelShape, seed: int,
     """
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in tensor_schema(shape, moe_layers):
+    for name, dims in tensor_schema(shape):
         if name.endswith("norm"):
             tensors[name] = np.ones(dims)
         else:
@@ -517,9 +514,7 @@ def build_toy_container(shape: ModelShape, seed: int,
         for name in list(tensors):
             if name.startswith(src_prefix):
                 tensors[f"layer.{target}.{name[len(src_prefix):]}"] = tensors[name].copy()
-    container = WeightContainer(shape=shape, tensors=tensors,
-                                moe_layers=dict(moe_layers or {}))
-    return validate_container(container)
+    return validate_container(WeightContainer(shape=shape, tensors=tensors))
 
 
 def build_toy_moe_layer(hidden_dim: int, mlp_dim: int, n_experts: int, seed: int,
@@ -600,10 +595,10 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidConfig(f"alpha must be finite and non-negative, got {alpha}")
     num_layers = container.shape.num_layers
-    if list(container.moe_layers) != [num_layers]:
+    if list(container.shape.experts) != [num_layers]:
         raise UnsupportedTopology(
             "train_toy requires exactly one MoE layer, at the final position "
-            f"(got MoE layers {sorted(container.moe_layers)} of {num_layers})"
+            f"(got MoE layers {sorted(container.shape.experts)} of {num_layers})"
         )
     work = copy_container(container)
     shape = work.shape
@@ -651,7 +646,7 @@ def collect_top1_assignments(container: WeightContainer,
     data = np.asarray(data, dtype=np.int64)
     shape = container.shape
     positions = sinusoid_positions(data.shape[1], shape.hidden_dim, scale=POSITION_SCALE)
-    assignments: dict[int, list[np.ndarray]] = {l: [] for l in container.moe_layers}
+    assignments: dict[int, list[np.ndarray]] = {l: [] for l in shape.experts}
     for seq in data:
         x = container.tensors["embed"][seq] + positions
         _, _, records = forward_trace(container, x)

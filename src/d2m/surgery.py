@@ -64,7 +64,7 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
     same tensor of the dense layer it renumbers. Pure function of its arguments.
     """
     validate_container(container)
-    if container.moe_layers:
+    if container.shape.moe is not None:
         raise PlanModelMismatch("fuse requires a dense source model")
     num_layers = container.shape.num_layers
     try:
@@ -82,17 +82,13 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
                     for red in block.redundant for c in range(1, supp_copies + 1))
         for block in plan.blocks
     }
-    moe_layers = {layer: len(sources) for layer, sources in provenance.items()}
-    if moe_layers and top_k > min(moe_layers.values()):
-        raise PlanModelMismatch(f"top_k {top_k} exceeds the smallest fused expert pool "
-                                f"({min(moe_layers.values())})")
-    moe_meta = (MoEShape(num_experts=max(moe_layers.values()), top_k=top_k)
-                if moe_layers else None)
-    fused_shape = replace(container.shape, num_layers=len(keep), moe=moe_meta)
+    moe = (MoEShape({layer: len(sources) for layer, sources in provenance.items()}, top_k)
+           if provenance else None)
+    fused_shape = replace(container.shape, num_layers=len(keep), moe=moe)
 
     src = container.tensors
     tensors: dict[str, np.ndarray] = {}
-    for name, dims in tensor_schema(fused_shape, moe_layers):
+    for name, dims in tensor_schema(fused_shape):
         if not name.startswith("layer."):
             tensors[name] = src[name].copy()
             continue
@@ -105,7 +101,7 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
             tensors[name] = src[f"layer.{source}.mlp.{part}"].copy()
         else:
             tensors[name] = src[f"layer.{keep[int(layer) - 1]}.{rest}"].copy()
-    fused = WeightContainer(shape=fused_shape, tensors=tensors, moe_layers=moe_layers)
+    fused = WeightContainer(shape=fused_shape, tensors=tensors)
     return validate_container(fused), provenance
 
 
@@ -162,7 +158,7 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
     for block in plan.blocks:
         new_idx = base_to_new[block.base]
         sources = provenance.get(new_idx)
-        n_experts = fused.moe_layers.get(new_idx, 0)
+        n_experts = fused.shape.experts.get(new_idx, 0)
         add(f"provenance_present:layer.{new_idx}", sources is not None and len(sources) == n_experts,
             f"layer {new_idx} needs provenance for {n_experts} experts")
         if sources is None:

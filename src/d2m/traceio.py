@@ -14,8 +14,12 @@ Formats (all integers little-endian u32):
 
   trace   magic ``D2MT`` | version=1 | L | T | d |
           h^(1..L) row-major T*d f32 | y^(1..L) row-major T*d f32
-  weights magic ``D2MW`` | version=2 | config-length | UTF-8 JSON shape doc |
+  weights magic ``D2MW`` | version=3 | config-length | UTF-8 JSON shape doc |
           entries: name-length | UTF-8 name | ndim | dims u32*ndim | f32 data
+
+The shape document is ``asdict(shape)``, read back by ``config.shape_from_dict``:
+its ``moe`` is null for a dense model, or ``{"experts": {"4": 2}, "top_k": 1}``,
+the pool size of each MoE layer and the top-k every pool runs.
 
 These two and the similarity matrices cache are read through one cursor,
 ``config._read``, that checks every header-declared length against the bytes
@@ -44,9 +48,9 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -63,7 +67,6 @@ from .config import (
 from .errors import (
     DimensionMismatch,
     FormatError,
-    InvalidConfig,
     InvalidTrace,
     IoFailure,
     MissingTensor,
@@ -76,7 +79,7 @@ HALVES = ("mlp_inputs", "layer_outputs")  # trace halves, in file order
 TRACE_MAGIC = b"D2MT"
 TRACE_VERSION = 1
 WEIGHTS_MAGIC = b"D2MW"
-WEIGHTS_VERSION = 2
+WEIGHTS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -334,16 +337,11 @@ def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
 
 @dataclass
 class WeightContainer:
-    """A named-tensor map plus the shape that dictates its schema.
-
-    ``moe_layers`` maps 1-based layer index to that layer's expert count; it
-    is empty for dense models. Tensor insertion order is preserved and is the
-    on-disk order.
-    """
+    """A named-tensor map plus the shape that dictates its schema. Tensor
+    insertion order is preserved and is the on-disk order."""
 
     shape: ModelShape
     tensors: dict[str, np.ndarray]
-    moe_layers: dict[int, int] = field(default_factory=dict)
 
 
 def validate_container(container: WeightContainer) -> WeightContainer:
@@ -352,20 +350,8 @@ def validate_container(container: WeightContainer) -> WeightContainer:
     The schema is walked lazily and stops at the first tensor that is absent,
     so the work is bounded by the tensors present, whatever the shape claims.
     """
-    for layer in container.moe_layers:
-        if not 1 <= layer <= container.shape.num_layers:
-            raise DimensionMismatch(f"moe layer index {layer} outside 1..{container.shape.num_layers}")
-    if container.moe_layers and container.shape.moe is None:
-        raise DimensionMismatch("container has MoE layers but shape.moe is unset")
-    if container.shape.moe is not None:
-        k = container.shape.moe.top_k
-        for layer, n_experts in container.moe_layers.items():
-            if k > n_experts:
-                raise DimensionMismatch(
-                    f"top_k {k} exceeds expert count {n_experts} of layer {layer}"
-                )
     seen: set[str] = set()
-    for name, dims in tensor_schema(container.shape, container.moe_layers):
+    for name, dims in tensor_schema(container.shape):
         if name not in container.tensors:
             raise MissingTensor(f"tensor {name!r} is required but absent")
         got = tuple(container.tensors[name].shape)
@@ -383,37 +369,8 @@ def param_count(container: WeightContainer) -> int:
 
 
 def copy_container(container: WeightContainer) -> WeightContainer:
-    return WeightContainer(
-        shape=container.shape,
-        tensors={name: t.copy() for name, t in container.tensors.items()},
-        moe_layers=dict(container.moe_layers),
-    )
-
-
-def _container_doc(container: WeightContainer) -> dict[str, Any]:
-    doc = asdict(container.shape)
-    doc["moe_layers"] = {str(k): v for k, v in sorted(container.moe_layers.items())}
-    return doc
-
-
-def _container_meta(doc: Mapping[str, Any]) -> tuple[ModelShape, dict[int, int]]:
-    data = dict(doc)
-    moe_layers_doc = data.pop("moe_layers", {})
-    shape = shape_from_dict(data)
-    if not isinstance(moe_layers_doc, Mapping):
-        raise InvalidConfig("moe_layers must be an object, "
-                            f"got {type(moe_layers_doc).__name__}")
-    for key, count in moe_layers_doc.items():
-        try:  # canonical decimal, as written: no sign, padding or leading zero
-            canonical = key.isdigit() and str(int(key)) == key
-        except ValueError:  # a digit int() does not read, or too many of them
-            canonical = False
-        if not canonical:
-            raise InvalidConfig(f"moe_layers key {key!r} is not a layer index")
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise InvalidConfig(f"moe_layers[{key!r}] must be an expert count of "
-                                f"at least 1, got {count!r}")
-    return shape, {int(key): count for key, count in moe_layers_doc.items()}
+    return WeightContainer(container.shape,
+                           {name: t.copy() for name, t in container.tensors.items()})
 
 
 def _check_finite(tensors: Mapping[str, np.ndarray]) -> None:
@@ -429,7 +386,7 @@ def write_weights(container: WeightContainer, destination) -> int:
     validate_container(container)
     blocks = {name: _float32(tensor, f"tensor {name!r}")
               for name, tensor in container.tensors.items()}
-    config = json.dumps(_container_doc(container), sort_keys=True,
+    config = json.dumps(asdict(container.shape), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     with output_file(destination, binary=True) as handle:
         n = _write_header(handle, WEIGHTS_MAGIC, WEIGHTS_VERSION, len(config))
@@ -449,7 +406,7 @@ def read_weights(source) -> WeightContainer:
     with _read(source, WEIGHTS_MAGIC, WEIGHTS_VERSION) as reader:
         (config_len,) = reader.u32s(1, "config length")
         raw_config = reader.take(config_len, "config document")
-        shape, moe_layers = _container_meta(json_document(raw_config, "config document"))
+        shape = shape_from_dict(json_document(raw_config, "config document"))
         while reader.remaining():
             (name_len,) = reader.u32s(1, "tensor name length")
             try:
@@ -464,5 +421,4 @@ def read_weights(source) -> WeightContainer:
                 raise DimensionMismatch(f"duplicate tensor {name!r} in stream")
             tensors[name] = _floats(reader, dims, f"data of {name!r}")
         _check_finite(tensors)
-        return validate_container(WeightContainer(shape=shape, tensors=tensors,
-                                                  moe_layers=moe_layers))
+        return validate_container(WeightContainer(shape=shape, tensors=tensors))

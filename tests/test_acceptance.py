@@ -78,10 +78,15 @@ def test_c02_calibration():
     assert ok
 
 
+def every_layer(num_layers, num_experts):
+    """The expert map of a model whose every layer is MoE(num_experts)."""
+    return dict.fromkeys(range(1, num_layers + 1), num_experts)
+
+
 def test_c03_memory_formula():
     moe6 = replace(QWEN25_0_5B, num_layers=19,
-                   moe=MoEShape(num_experts=6, top_k=1))
-    moe10 = replace(moe6, moe=replace(moe6.moe, num_experts=10))
+                   moe=MoEShape(every_layer(19, 6), top_k=1))
+    moe10 = replace(moe6, moe=MoEShape(every_layer(19, 10), top_k=1))
     params6, bytes6 = static_memory(moe6)
     _, bytes10 = static_memory(moe10)
     active6 = active_params(moe6)
@@ -128,7 +133,7 @@ def test_c04_roofline_fidelity():
     # bit-identical across expert counts at top-1
     def moe_total(n):
         shape = replace(QWEN25_0_5B, num_layers=19,
-                        moe=MoEShape(num_experts=n, top_k=1))
+                        moe=MoEShape(every_layer(19, n), top_k=1))
         b = total_latency(shape, THOR_U, DEFAULT_WORKLOAD)
         return (b.prefill_s, b.decode_s)
 
@@ -325,7 +330,7 @@ def test_c09_routing_health():
 
     def mean_top(container):
         assignments = collect_top1_assignments(container, data)
-        profiles = [load_profile(a, container.moe_layers[l], layer=l)
+        profiles = [load_profile(a, container.shape.experts[l], layer=l)
                     for l, a in sorted(assignments.items())]
         return wta_metrics(profiles, 4).mean_top_load
 
@@ -370,12 +375,10 @@ def test_c10_format_round_trips(tmp_path):
 
     shape = ModelShape(num_layers=2, hidden_dim=8, mlp_dim=12, num_heads=2,
                        num_kv_heads=1, head_dim=4, vocab_size=16,
-                       moe=MoEShape(num_experts=3, top_k=1))
+                       moe=MoEShape({2: 3}, top_k=1))
     for seed in range(100):
-        moe_layers = {2: 3} if seed % 2 else None
-        container = build_toy_container(
-            shape if moe_layers else replace(shape, moe=None),
-            seed=seed, moe_layers=moe_layers)
+        container = build_toy_container(shape if seed % 2 else replace(shape, moe=None),
+                                        seed=seed)
         write_weights(container, weights_path)
         back = read_weights(weights_path)
         assert list(back.tensors) == list(container.tensors)

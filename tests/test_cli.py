@@ -20,7 +20,7 @@ QWEN_MODEL = {
     "tied_embedding": True, "moe": None,
 }
 THOR = {"peak_flops": 350e12, "mem_bandwidth": 273e9, "weight_bytes": 2, "kv_bytes": 2}
-WORKLOAD = {"batch": 1, "prompt_len": 1000, "gen_len": 50}
+WORKLOAD = {"prompt_len": 1000, "gen_len": 50}
 
 CANDIDATES_CSV = """config_id,depth,latency_ms,score,reward
 L13,13,135.78,29.85,
@@ -34,6 +34,12 @@ L23,23,201.05,47.93,
 
 def sha256_of(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def every_layer(num_layers, num_experts, top_k=1):
+    """The ``moe`` object of a model whose every layer is MoE(num_experts)."""
+    return {"experts": {str(layer): num_experts for layer in range(1, num_layers + 1)},
+            "top_k": top_k}
 
 
 def write_config(path, model=None):
@@ -305,8 +311,8 @@ class TestSynthStream:
         assert {name: sha256_of(tmp_path / name)
                 for name in ("trace.d2mt", "model.d2mw", "config.json")} == {
             "trace.d2mt": "92b14d5358997310b56576342170831427683c39a668d46977a4e5c17507192c",
-            "model.d2mw": "34a2ec5f7144a1faf8dd260722fe06b51242f6d06ba01c9b2f897e70a61bb747",
-            "config.json": "b3da240cbf9e80ef78b530d486bac1dc61f392ae5ba34ed1a108e146a737b8b2",
+            "model.d2mw": "a7d2894662cce60a64185aef31a3b25705a9113a5e803a684d9351b4aeefa5e1",
+            "config.json": "bccbb654d43ca59c44f2b43dab7a1afeeae02935f5c7bda1b22681cab8157f3d",
         }
 
     def test_readme_pipeline_artifacts_are_pinned(self, tmp_path):
@@ -320,7 +326,7 @@ class TestSynthStream:
             ("plan", out["plan"]), ("fused", out["fused"]), ("prov", out["prov"]),
             ("cost", cost))} == {
             "plan": "442a65f3b93b27c22b641fd23f8952224768608cfdf13a9463721a7cc3272402",
-            "fused": "d7d7e6a537ce40e23bd5e4b4e081663520def15d6c12692399009ab101ddfe4c",
+            "fused": "2c1b84d12ebc548d32aff021cd30a340e7bfd64ef2e63866e90246513f4d4623",
             "prov": "62bfea4678093b9c0b986302b3852933bc2734113c3b9e31c424fe9b194693c9",
             "cost": "178f91b7b19347a81e66b35157f039edadf769f9ac2be0de12d9cfa818cdf090",
         }
@@ -433,8 +439,7 @@ class TestEstimate:
     def test_expert_sweep_latency_invariant_memory_growing(self, tmp_path):
         results = {}
         for n in (2, 6, 10, 60):
-            model = dict(QWEN_MODEL, num_layers=19,
-                         moe={"num_experts": n, "top_k": 1})
+            model = dict(QWEN_MODEL, num_layers=19, moe=every_layer(19, n))
             config = tmp_path / f"n{n}.json"
             write_config(config, model)
             out = tmp_path / f"cost{n}.json"
@@ -468,8 +473,7 @@ class TestEstimate:
     ])
     def test_malformed_config_exits_2_naming_section(self, tmp_path, capsys,
                                                       section, key, value):
-        moe = {"num_experts": 6, "top_k": 1}
-        doc = {"model": dict(QWEN_MODEL, moe=moe), "hardware": dict(THOR),
+        doc = {"model": dict(QWEN_MODEL, moe=every_layer(24, 6)), "hardware": dict(THOR),
                "workload": dict(WORKLOAD)}
         target = doc
         for name in section.split("."):
@@ -485,6 +489,16 @@ class TestEstimate:
         assert section in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_batch_is_an_unknown_workload_key(self, tmp_path, capsys):
+        # no formula read it, so a config that still holds it is refused
+        config = tmp_path / "batch.json"
+        config.write_text(json.dumps({"model": QWEN_MODEL,
+                                      "workload": dict(WORKLOAD, batch=1)}))
+        out = tmp_path / "cost.json"
+        assert main(["estimate", "--config", str(config), "--out", str(out)]) == 2
+        assert "unknown keys in 'workload': ['batch']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_params_total_counts_the_synthesized_container(self, tmp_path):
         # one 8-wide head does not tile the 16-wide hidden state, so the
         # attention output projection holds 8*16 parameters, not 16*16
@@ -499,20 +513,24 @@ class TestEstimate:
         assert json.loads(out.read_text())["params_total"] == param_count(model)
 
     def test_a_trillion_layers_cost_no_loop(self, tmp_path):
+        # MoE(6, top-2) at the first and the last of 10**12 layers
+        moe = {"experts": {"1": 6, str(10**12): 6}, "top_k": 2}
         config = tmp_path / "deep.json"
-        write_config(config, dict(QWEN_MODEL, num_layers=10**12))
+        write_config(config, dict(QWEN_MODEL, num_layers=10**12, moe=moe))
         out = tmp_path / "cost.json"
         start = time.perf_counter()
         assert main(["estimate", "--config", str(config), "--out", str(out)]) == 0
         assert time.perf_counter() - start < 0.5
         doc = json.loads(out.read_text())
-        assert doc["L"] == 10**12 and doc["params_total"] == doc["params_active"]
+        assert doc["L"] == 10**12 and doc["N"] == 6 and doc["k"] == 2
+        # four inactive GLU triples in each of the two MoE layers
+        assert doc["params_total"] - doc["params_active"] == 2 * 4 * 3 * 896 * 4864
 
     @pytest.mark.parametrize("num_experts", [10**12, 10**400])
     def test_expert_count_costs_no_loop(self, tmp_path, capsys, num_experts):
         # 10**400 experts overflow the static memory in bytes, a float
         config = tmp_path / "wide.json"
-        write_config(config, dict(QWEN_MODEL, moe={"num_experts": num_experts, "top_k": 1}))
+        write_config(config, dict(QWEN_MODEL, moe=every_layer(24, num_experts)))
         out = tmp_path / "cost.json"
         start = time.perf_counter()
         code = main(["estimate", "--config", str(config), "--out", str(out)])

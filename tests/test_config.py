@@ -55,8 +55,21 @@ class TestValidateShape:
     def test_top_k_exceeding_experts_rejected(self):
         bad = ModelShape(num_layers=2, hidden_dim=8, mlp_dim=16, num_heads=2,
                          num_kv_heads=1, head_dim=4, vocab_size=16,
-                         moe=MoEShape(num_experts=6, top_k=7))
+                         moe=MoEShape({1: 6, 2: 8}, top_k=7))
         with pytest.raises(InvalidShape, match="top_k"):
+            validate_shape(bad)
+
+    @pytest.mark.parametrize("experts, message", [
+        ({}, "must map layers"), ([(1, 2)], "must map layers"),
+        ({0: 2}, "layer 0 not in 1..2"), ({3: 2}, "layer 3 not in 1..2"),
+        ({True: 2}, "layer True not in"), ({1: 0}, r"experts\[1\] must be"),
+        ({1: 2.0}, r"experts\[1\] must be"), ({1: 2, 2: 1}, "top_k 2 > 1 experts of layer 2"),
+    ])
+    def test_malformed_expert_map_rejected(self, experts, message):
+        bad = ModelShape(num_layers=2, hidden_dim=8, mlp_dim=16, num_heads=2,
+                         num_kv_heads=1, head_dim=4, vocab_size=16,
+                         moe=MoEShape(experts, top_k=2))
+        with pytest.raises(InvalidShape, match=message):
             validate_shape(bad)
 
     @pytest.mark.parametrize("field", ["num_layers", "hidden_dim", "mlp_dim", "num_heads",
@@ -176,7 +189,7 @@ class TestConfigDocument:
             },
             "hardware": {"peak_flops": 350e12, "mem_bandwidth": 273e9,
                          "weight_bytes": 2, "kv_bytes": 2},
-            "workload": {"batch": 1, "prompt_len": 1000, "gen_len": 50},
+            "workload": {"prompt_len": 1000, "gen_len": 50},
         }
 
     def test_parse_reference_config(self):
@@ -202,9 +215,9 @@ class TestConfigDocument:
 
     def test_moe_section(self):
         doc = self.doc()
-        doc["model"]["moe"] = {"num_experts": 6, "top_k": 1}
+        doc["model"]["moe"] = {"experts": {"4": 6, "20": 2}, "top_k": 1}
         config = parse_config(doc)
-        assert config.model.moe == MoEShape(6, 1)
+        assert config.model.moe == MoEShape({4: 6, 20: 2}, 1)
 
     def test_missing_model_rejected(self):
         with pytest.raises(InvalidConfig, match="model"):
@@ -234,21 +247,25 @@ positive_numbers = (st.floats(min_value=1e-300, max_value=1e300)
                     | st.integers(min_value=1, max_value=1 << 60))
 
 
-@st.composite
-def moe_shapes(draw):
-    num_experts = draw(st.integers(min_value=1, max_value=64))
-    return MoEShape(num_experts=num_experts,
-                    top_k=draw(st.integers(min_value=1, max_value=num_experts)))
+def moe_shapes(num_layers):
+    """Pools of 1..64 experts at up to five of the layers, and a top-k no
+    larger than the smallest."""
+    return st.dictionaries(st.integers(min_value=1, max_value=num_layers),
+                           st.integers(min_value=1, max_value=64), min_size=1, max_size=5
+                           ).flatmap(lambda experts: st.builds(
+                               MoEShape, st.just(experts),
+                               st.integers(min_value=1, max_value=min(experts.values()))))
 
 
 @st.composite
 def model_shapes(draw):
     num_kv_heads = draw(st.integers(min_value=1, max_value=16))
-    return ModelShape(num_layers=draw(counts), hidden_dim=draw(counts), mlp_dim=draw(counts),
+    num_layers = draw(counts)
+    return ModelShape(num_layers=num_layers, hidden_dim=draw(counts), mlp_dim=draw(counts),
                       num_heads=num_kv_heads * draw(st.integers(min_value=1, max_value=16)),
                       num_kv_heads=num_kv_heads, head_dim=draw(counts),
                       vocab_size=draw(counts), tied_embedding=draw(st.booleans()),
-                      moe=draw(st.none() | moe_shapes()))
+                      moe=draw(st.none() | moe_shapes(num_layers)))
 
 
 configs = st.builds(
@@ -256,7 +273,7 @@ configs = st.builds(
     hardware=st.builds(HardwareProfile, peak_flops=positive_numbers,
                        mem_bandwidth=positive_numbers, weight_bytes=positive_numbers,
                        kv_bytes=positive_numbers),
-    workload=st.builds(Workload, batch=counts, prompt_len=counts, gen_len=counts))
+    workload=st.builds(Workload, prompt_len=counts, gen_len=counts))
 
 SECTION_TYPES = {(): PipelineConfig, ("model",): ModelShape, ("model", "moe"): MoEShape,
                  ("hardware",): HardwareProfile, ("workload",): Workload}

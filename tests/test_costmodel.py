@@ -1,15 +1,18 @@
 """Latency and memory formulas against independent arithmetic, plus their
-structural properties (affinity in depth, invariance in expert count)."""
+structural properties (affinity in depth, invariance in expert count), and
+the per-layer counts against toy and fused containers."""
 
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2m.config import (
     DEFAULT_WORKLOAD,
+    FusionBlock,
+    FusionPlan,
     ModelShape,
     MoEShape,
     QWEN25_0_5B,
@@ -29,12 +32,16 @@ from d2m.costmodel import (
 )
 from d2m.errors import InvalidConfig, InvalidShape
 from d2m.nanomodel import build_toy_container
+from d2m.surgery import fuse, reference_pruned_model
 from d2m.traceio import param_count
+
+from test_surgery import fusion_cases
 
 
 def moe_reference(num_layers=19, num_experts=6, top_k=1):
+    """The reference shape cut to ``num_layers``, every layer MoE(N, k)."""
     return replace(QWEN25_0_5B, num_layers=num_layers,
-                   moe=MoEShape(num_experts=num_experts, top_k=top_k))
+                   moe=MoEShape(dict.fromkeys(range(1, num_layers + 1), num_experts), top_k))
 
 
 def exact_prefill_seconds():
@@ -91,8 +98,8 @@ class TestLatency:
         assert two == 2 * one
 
     def test_zero_length_phases_cost_nothing(self):
-        no_prompt = Workload(batch=1, prompt_len=0, gen_len=50)
-        no_gen = Workload(batch=1, prompt_len=1000, gen_len=0)
+        no_prompt = Workload(prompt_len=0, gen_len=50)
+        no_gen = Workload(prompt_len=1000, gen_len=0)
         assert prefill_latency(QWEN25_0_5B, THOR_U, no_prompt) == 0.0
         assert decode_latency(QWEN25_0_5B, THOR_U, no_gen) == 0.0
 
@@ -167,9 +174,8 @@ class TestStaticMemory:
     def test_moe_formula_matches_toy_container_exactly(self):
         shape = ModelShape(num_layers=3, hidden_dim=16, mlp_dim=40, num_heads=4,
                            num_kv_heads=2, head_dim=4, vocab_size=50,
-                           moe=MoEShape(num_experts=5, top_k=2))
-        container = build_toy_container(shape, seed=1,
-                                        moe_layers={1: 5, 2: 5, 3: 5})
+                           moe=MoEShape({1: 5, 2: 5, 3: 5}, top_k=2))
+        container = build_toy_container(shape, seed=1)
         params, _ = static_memory(shape)
         assert params == param_count(container)
 
@@ -182,17 +188,20 @@ class TestStaticMemory:
 @st.composite
 def small_shapes(draw):
     """Shapes whose query heads tile the hidden size or not, tied or untied,
-    dense or with a uniform MoE(N, k) in every layer."""
+    dense or with MoE layers at a random subset of layers, each with a pool
+    size of its own, and a top-k no larger than the smallest pool."""
     num_kv_heads = draw(st.integers(min_value=1, max_value=3))
     num_heads = num_kv_heads * draw(st.integers(min_value=1, max_value=3))
     head_dim = draw(st.integers(min_value=1, max_value=6))
     tiled = num_heads * head_dim
     hidden_dim = draw(st.just(tiled) | st.integers(min_value=1, max_value=20)
                       .filter(lambda d: d != tiled))
-    num_experts = draw(st.integers(min_value=1, max_value=4))
-    moe = draw(st.none() | st.builds(MoEShape, st.just(num_experts),
-                                     st.integers(min_value=1, max_value=num_experts)))
-    return ModelShape(num_layers=draw(st.integers(min_value=1, max_value=3)),
+    num_layers = draw(st.integers(min_value=1, max_value=4))
+    experts = draw(st.dictionaries(st.integers(min_value=1, max_value=num_layers),
+                                   st.integers(min_value=1, max_value=4)))
+    moe = (MoEShape(experts, draw(st.integers(min_value=1, max_value=min(experts.values()))))
+           if experts else None)
+    return ModelShape(num_layers=num_layers,
                       hidden_dim=hidden_dim, mlp_dim=draw(st.integers(min_value=1, max_value=12)),
                       num_heads=num_heads, num_kv_heads=num_kv_heads, head_dim=head_dim,
                       vocab_size=draw(st.integers(min_value=1, max_value=20)),
@@ -205,7 +214,7 @@ def top_k_path(shape):
     names = ["embed", "final_norm"] + ([] if shape.tied_embedding else ["lm_head"])
     for layer in range(1, shape.num_layers + 1):
         names += [*attention_tensor_names(layer), f"layer.{layer}.mlp_norm"]
-        if shape.moe is None:
+        if layer not in shape.experts:
             names += [f"layer.{layer}.mlp.{part}" for part in ("up", "gate", "down")]
             continue
         names.append(f"layer.{layer}.router")
@@ -214,16 +223,25 @@ def top_k_path(shape):
     return names
 
 
+def assert_counts_match(shape, container):
+    assert static_memory(shape)[0] == param_count(container)
+    assert active_params(shape) == sum(container.tensors[name].size
+                                       for name in top_k_path(shape))
+
+
 @given(small_shapes())
 @example(ModelShape(num_layers=3, hidden_dim=16, mlp_dim=8, num_heads=1, num_kv_heads=1,
                     head_dim=8, vocab_size=8))
 def test_counts_equal_the_toy_container(shape):
-    moe_layers = ({layer: shape.moe.num_experts for layer in range(1, shape.num_layers + 1)}
-                  if shape.moe is not None else None)
-    container = build_toy_container(shape, seed=0, moe_layers=moe_layers)
-    assert static_memory(shape)[0] == param_count(container)
-    assert active_params(shape) == sum(container.tensors[name].size
-                                       for name in top_k_path(shape))
+    assert_counts_match(shape, build_toy_container(shape, seed=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fusion_cases())
+def test_counts_equal_the_fused_container(case):
+    dense, plan, base_copies, supp_copies, top_k = case
+    fused, _ = fuse(dense, plan, base_copies, supp_copies, top_k)
+    assert_counts_match(fused.shape, fused)
 
 
 class TestActiveParams:
@@ -239,3 +257,39 @@ class TestActiveParams:
 
     def test_dense_active_equals_static(self):
         assert active_params(QWEN25_0_5B) == static_memory(QWEN25_0_5B)[0]
+
+
+class TestReadmeFusedModel:
+    """The README pipeline's fused model (synth seed 11, layer 5 fused into
+    layer 4 with K = M = 1): three dense layers and one MoE layer of two
+    experts."""
+
+    SHAPE = ModelShape(num_layers=5, hidden_dim=16, mlp_dim=32, num_heads=2,
+                       num_kv_heads=1, head_dim=8, vocab_size=32)
+    PLAN = FusionPlan(keep_layers=(1, 2, 3, 4), prune_layers=frozenset({5}),
+                      blocks=(FusionBlock(base=4, redundant=(5,)),))
+
+    def fused(self, top_k):
+        dense = build_toy_container(self.SHAPE, seed=11, duplicate_from=[(4, 1)])
+        return dense, fuse(dense, self.PLAN, base_copies=1, supp_copies=1, top_k=top_k)[0]
+
+    def test_top1_counts(self):
+        _, fused = self.fused(top_k=1)
+        assert fused.shape.experts == {4: 2}
+        assert static_memory(fused.shape)[0] == param_count(fused) == 11504
+        # all but expert 2's GLU triple
+        assert active_params(fused.shape) == 11504 - 3 * 16 * 32 == 9968
+
+    def test_top2_prefill_sums_three_dense_layers_and_one_moe_layer(self):
+        _, fused = self.fused(top_k=2)
+        # S_in * d^2 * (4 + 4/gqa + 6r) per layer, r = 2 dense and 4 at top-2
+        dense_layer, moe_layer = 1000 * 16 ** 2 * 18, 1000 * 16 ** 2 * 30
+        prefill = prefill_latency(fused.shape, THOR_U, DEFAULT_WORKLOAD)
+        assert prefill == (3 * dense_layer + moe_layer) / THOR_U.peak_flops
+        assert prefill == pytest.approx(6.144e-08, rel=1e-12)
+
+    def test_top1_latency_equals_the_plan_pruned_dense_model(self):
+        dense, fused = self.fused(top_k=1)
+        pruned = reference_pruned_model(dense, self.PLAN)
+        assert total_latency(fused.shape, THOR_U, DEFAULT_WORKLOAD) == \
+            total_latency(pruned.shape, THOR_U, DEFAULT_WORKLOAD)

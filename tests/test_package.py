@@ -32,9 +32,12 @@ def run_python(code: str, cwd: Path) -> str:
 
 class TestStartUp:
     def test_estimate_and_pareto_never_load_numpy(self, tmp_path):
-        config = {"model": {"num_layers": 4, "hidden_dim": 16, "mlp_dim": 32, "num_heads": 2,
-                            "num_kv_heads": 1, "head_dim": 8, "vocab_size": 32}}
-        (tmp_path / "config.json").write_text(json.dumps(config))
+        # a dense model, and one whose expert map the config module checks
+        model = {"num_layers": 4, "hidden_dim": 16, "mlp_dim": 32, "num_heads": 2,
+                 "num_kv_heads": 1, "head_dim": 8, "vocab_size": 32}
+        (tmp_path / "config.json").write_text(json.dumps({"model": model}))
+        moe = {"experts": {"2": 3, "4": 2}, "top_k": 2}
+        (tmp_path / "moe.json").write_text(json.dumps({"model": dict(model, moe=moe)}))
         (tmp_path / "candidates.csv").write_text(
             "config_id,depth,latency_ms,score,reward\nL3,3,10.0,1.0,\nL4,4,12.0,1.5,\n")
         code = (
@@ -42,12 +45,15 @@ class TestStartUp:
             "import d2m.cli, d2m.costmodel, d2m.tradeoff, d2m.config\n"
             "after_import = 'numpy' in sys.modules\n"
             "codes = (d2m.cli.main(['estimate', '--config', 'config.json', '--out', 'cost.json']),\n"
+            "         d2m.cli.main(['estimate', '--config', 'moe.json', '--out', 'moe_cost.json']),\n"
             "         d2m.cli.main(['pareto', '--candidates', 'candidates.csv',\n"
             "                       '--base-latency', '12', '--w', '-0.1',\n"
             "                       '--rewards-out', 'r.csv', '--frontier-out', 'f.csv']))\n"
             "print(after_import, codes, 'numpy' in sys.modules)\n"
         )
-        assert run_python(code, tmp_path) == "False (0, 0) False"
+        assert run_python(code, tmp_path) == "False (0, 0, 0) False"
+        cost = json.loads((tmp_path / "moe_cost.json").read_text())
+        assert (cost["N"], cost["k"]) == (3, 2)
 
     @pytest.mark.parametrize("argv, output", [
         (["search", "--matrices", "m.d2ms", "--delta", "0.05", "--epsilon", "0.1",

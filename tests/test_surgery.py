@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2m.config import FusionBlock, FusionPlan, ModelShape, tensor_schema, write_json
+from d2m.config import FusionBlock, FusionPlan, ModelShape, MoEShape, tensor_schema, write_json
 from d2m.errors import PlanModelMismatch, VerificationFailure
 from d2m.nanomodel import build_toy_container, forward_trace, moe_forward, layers_of
 from d2m.surgery import (
@@ -39,7 +39,7 @@ class TestFuse:
         plan = FusionPlan(keep_layers=(1, 2, 3, 4), prune_layers=frozenset(), blocks=())
         fused, provenance = fuse(dense, plan, base_copies=2, supp_copies=2, top_k=1)
         assert provenance == {}
-        assert fused.moe_layers == {}
+        assert fused.shape.moe is None
         assert list(fused.tensors) == list(dense.tensors)
         for name in dense.tensors:
             assert np.array_equal(fused.tensors[name], dense.tensors[name])
@@ -48,7 +48,7 @@ class TestFuse:
         dense = toy_dense()
         fused, provenance = fuse(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
         assert fused.shape.num_layers == 3
-        assert fused.moe_layers == {2: 2}
+        assert fused.shape.experts == {2: 2}
         # expert 1 is the base layer's MLP, expert 2 the pruned layer's, bit-exact
         for part in ("up", "gate", "down"):
             assert np.array_equal(fused.tensors[f"layer.2.moe.expert.1.{part}"],
@@ -62,8 +62,7 @@ class TestFuse:
         # one redundant source with 4 base copies and 2 copies per source: 6 experts
         dense = toy_dense()
         fused, provenance = fuse(dense, PLAN, base_copies=4, supp_copies=2, top_k=1)
-        assert fused.moe_layers == {2: 6}
-        assert fused.shape.moe.num_experts == 6
+        assert fused.shape.moe == MoEShape({2: 6}, top_k=1)
         kinds = [s.kind for s in provenance[2]]
         assert kinds == ["base"] * 4 + ["redundant"] * 2
 
@@ -121,8 +120,7 @@ class TestFuse:
             blocks=(FusionBlock(base=2, redundant=(3,)),
                     FusionBlock(base=4, redundant=(5, 6))))
         fused, provenance = fuse(dense, plan, base_copies=1, supp_copies=2, top_k=1)
-        assert fused.moe_layers == {2: 3, 3: 5}
-        assert fused.shape.moe.num_experts == 5  # the largest pool
+        assert fused.shape.moe == MoEShape({2: 3, 3: 5}, top_k=1)
         verify_fusion(dense, fused, plan, provenance)
         validate_container(fused)
 
@@ -269,7 +267,7 @@ class TestFusionProperties:
         fused, provenance = fuse(dense, plan, base_copies, supp_copies, top_k)
         report = verify_fusion(dense, fused, plan, provenance)
         assert list(fused.tensors) == [
-            name for name, _ in tensor_schema(fused.shape, fused.moe_layers)]
+            name for name, _ in tensor_schema(fused.shape)]
         named = Counter(c.name.partition(":")[2] for c in report.checks)
         assert all(named[name] == 1 for name in fused.tensors)
 
@@ -284,7 +282,7 @@ class TestFusionProperties:
             assert name in str(info.value)
             fused.tensors[name][...] = original
 
-        for layer in fused.moe_layers:
+        for layer in fused.shape.experts:
             extra = f"layer.{layer}.moe.expert.1.norm"
             fused.tensors[extra] = np.ones(dense.shape.hidden_dim)
             with pytest.raises(VerificationFailure, match=re.escape(extra)):

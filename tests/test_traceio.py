@@ -24,6 +24,7 @@ from d2m.errors import (
     DimensionMismatch,
     FormatError,
     InvalidConfig,
+    InvalidShape,
     InvalidTrace,
     IoFailure,
     MissingTensor,
@@ -295,15 +296,13 @@ class TestWeightsFormat:
         rng = np.random.default_rng(5)
         path = tmp_path / "m.d2mw"
         for i in range(100):
-            moe = {2: 3} if i % 3 == 0 else None
-            shape = TOY_SHAPE if moe is None else ModelShape(
-                num_layers=2, hidden_dim=16, mlp_dim=32, num_heads=2, num_kv_heads=1,
-                head_dim=8, vocab_size=24, moe=MoEShape(num_experts=3, top_k=1))
-            container = build_toy_container(shape, seed=i, moe_layers=moe)
+            shape = (replace(TOY_SHAPE, moe=MoEShape({2: 3}, top_k=1)) if i % 3 == 0
+                     else TOY_SHAPE)
+            container = build_toy_container(shape, seed=i)
             write_weights(container, path)
             back = read_weights(path)
             assert list(back.tensors) == list(container.tensors)
-            assert back.moe_layers == container.moe_layers
+            assert back.shape == container.shape
             for name in container.tensors:
                 assert np.array_equal(container.tensors[name], back.tensors[name])
 
@@ -382,7 +381,7 @@ class TestWeightsFormat:
         assert schema["layer.1.mlp.up"] == (d, d_mid)
         assert schema["layer.1.mlp.gate"] == (d, d_mid)
         assert schema["layer.1.mlp.down"] == (d_mid, d)
-        moe_schema = dict(tensor_schema(TOY_SHAPE, {2: 4}))
+        moe_schema = dict(tensor_schema(replace(TOY_SHAPE, moe=MoEShape({2: 4}, top_k=1))))
         assert moe_schema["layer.2.router"] == (d, 4)
         assert moe_schema["layer.2.moe.expert.4.down"] == (d_mid, d)
         assert "layer.2.mlp.up" not in moe_schema
@@ -395,7 +394,7 @@ class TestWeightsFormat:
 # --- tampered headers and mutated files ------------------------------------------
 
 MOE_SHAPE = ModelShape(num_layers=2, hidden_dim=8, mlp_dim=8, num_heads=2, num_kv_heads=1,
-                       head_dim=4, vocab_size=8, moe=MoEShape(num_experts=2, top_k=1))
+                       head_dim=4, vocab_size=8, moe=MoEShape({2: 2}, top_k=1))
 
 
 def valid_files() -> dict[str, bytes]:
@@ -403,7 +402,7 @@ def valid_files() -> dict[str, bytes]:
     return {name: written_bytes(write, value) for name, write, value in (
             ("d2mt", write_trace, synth_trace(2, 3, 4, seed=0)),
             ("d2ms", write_matrices, build_matrices(synth_trace(3, 4, 5, seed=1))),
-            ("d2mw", write_weights, build_toy_container(MOE_SHAPE, seed=2, moe_layers={2: 2})))}
+            ("d2mw", write_weights, build_toy_container(MOE_SHAPE, seed=2)))}
 
 
 VALID = valid_files()
@@ -502,29 +501,74 @@ def with_header(data: bytes, version: int | None = None, **entries) -> bytes:
     return data[:4] + word + struct.pack("<I", len(config)) + config + data[12 + config_len:]
 
 
+def with_experts(data: bytes, experts) -> bytes:
+    """The weights file ``data`` with a top-1 ``moe`` of ``experts`` in its
+    header document."""
+    return with_header(data, moe={"experts": experts, "top_k": 1})
+
+
 # one MoE layer of one expert, so a count or key that coerces to 1 or 2 fits it
 ONE_EXPERT = written_bytes(write_weights, build_toy_container(
-    replace(MOE_SHAPE, moe=MoEShape(num_experts=1, top_k=1)), seed=4, moe_layers={2: 1}))
+    replace(MOE_SHAPE, moe=MoEShape({2: 1}, top_k=1)), seed=4))
+ONE_EXPERT_DOC = json.loads(ONE_EXPERT[12:12 + struct.unpack_from("<I", ONE_EXPERT, 8)[0]])
 
 
 class TestMoeLayersMap:
+    """The ``moe.experts`` map of a header: anything but an object of plain
+    decimal layer keys and integer counts fails, as InvalidConfig (a key) or
+    InvalidShape (a count), naming the map and the file."""
+
     def test_canonical_map_reads(self, tmp_path):
         path = tmp_path / "one.d2mw"
-        path.write_bytes(with_header(ONE_EXPERT, moe_layers={"2": 1}))
-        assert read_weights(path).moe_layers == {2: 1}
+        path.write_bytes(with_experts(ONE_EXPERT, {"2": 1}))
+        assert read_weights(path).shape.moe == MoEShape({2: 1}, top_k=1)
 
-    @pytest.mark.parametrize("moe_layers", [
+    @pytest.mark.parametrize("experts", [
         {"2": 1.5}, {"2": True}, {"2": "1"}, {"2": 0}, {"2": None},
         {"02": 1}, {" 2": 1}, {"+2": 1}, {"2.0": 1}, {"x": 1}, [["2", 1]],
     ], ids=["count-1.5", "count-true", "count-string", "count-0", "count-null",
             "key-02", "key-space", "key-plus", "key-2.0", "key-x", "not-an-object"])
-    def test_non_canonical_map_is_invalid_config(self, tmp_path, capsys, moe_layers):
+    def test_non_canonical_map_is_invalid_config(self, tmp_path, capsys, experts):
         path = tmp_path / "bad.d2mw"
-        path.write_bytes(with_header(ONE_EXPERT, moe_layers=moe_layers))
-        with pytest.raises(InvalidConfig, match=f"^{re.escape(str(path))}: moe_layers"):
+        path.write_bytes(with_experts(ONE_EXPERT, experts))
+        with pytest.raises((InvalidConfig, InvalidShape),
+                           match=f"^{re.escape(str(path))}: model.moe.experts"):
             read_weights(path)
         assert main(CLI_ARGS["d2mw"](str(path), tmp_path)) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}: moe_layers")
+        assert capsys.readouterr().err.startswith(f"error: {path}: model.moe.experts")
+
+    @pytest.mark.parametrize("moe, extra, message", [
+        ({"experts": {"3": 1}, "top_k": 1}, {}, "layer 3 not in 1..2"),
+        ({"experts": {"0": 1}, "top_k": 1}, {}, "layer 0 not in 1..2"),
+        ({"experts": {}, "top_k": 1}, {}, "must map layers to counts"),
+        ({"experts": {"2": 1}, "top_k": 2}, {}, "top_k 2 > 1 experts of layer 2"),
+        ({"experts": {"2": 1}, "top_k": 1}, {"moe_layers": {"2": 1}}, "moe_layers"),
+        ({"experts": {"2": 1}, "top_k": 1, "num_experts": 1}, {}, "num_experts"),
+        ({"num_experts": 1, "top_k": 1}, {}, "num_experts"),
+    ], ids=["key-beyond-L", "key-0", "empty", "top-k-over-a-pool", "leftover-moe_layers",
+            "leftover-num_experts", "old-moe-object"])
+    def test_inconsistent_shape_exits_2_from_header_and_config(self, tmp_path, capsys,
+                                                               moe, extra, message):
+        # the header document is the config's model section: one check for both
+        model = dict(ONE_EXPERT_DOC, moe=moe, **extra)
+        path = tmp_path / "bad.d2mw"
+        path.write_bytes(with_header(ONE_EXPERT, **model))
+        with pytest.raises(D2mError, match=message):
+            read_weights(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": model}))
+        (tmp_path / "plan.json").write_text('{"keep": [1, 2], "prune": [], "blocks": []}')
+        for argv in (CLI_ARGS["d2mw"](str(path), tmp_path),
+                     ["fuse", "--model", str(path), "--plan", str(tmp_path / "plan.json"),
+                      "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                      "--out", str(tmp_path / "f.d2mw"),
+                      "--provenance-out", str(tmp_path / "p.json")],
+                     ["estimate", "--config", str(config), "--out", str(tmp_path / "c.json")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert re.search(message, err) and "Traceback" not in err
+        assert not any((tmp_path / name).exists()
+                       for name in ("trained.d2mw", "f.d2mw", "c.json"))
 
 
 class TestWeightsVersion:
@@ -535,14 +579,23 @@ class TestWeightsVersion:
     def test_version_1_names_the_path(self, tmp_path):
         path = tmp_path / "old.d2mw"
         path.write_bytes(self.V1_MOE)
-        message = f"^{re.escape(str(path))}: unsupported D2MW format version 1, expected 2$"
+        message = f"^{re.escape(str(path))}: unsupported D2MW format version 1, expected 3$"
         with pytest.raises(VersionMismatch, match=message):
             read_weights(path)
 
     def test_fuse_of_a_version_1_model_exits_2(self, tmp_path, capsys):
+        self.assert_fuse_refuses(tmp_path, capsys, version=1)
+
+    def test_fuse_of_a_version_2_model_exits_2(self, tmp_path, capsys):
+        # a version-2 header: the largest pool in moe, the per-layer map beside it
+        self.assert_fuse_refuses(tmp_path, capsys, version=2, moe_layers={})
+
+    def assert_fuse_refuses(self, tmp_path, capsys, version, **header):
         model = tmp_path / "old.d2mw"
         write_weights(build_toy_container(TOY_SHAPE, seed=0), model)
-        model.write_bytes(with_header(model.read_bytes(), version=1))
+        model.write_bytes(with_header(model.read_bytes(), version=version, **header))
+        with pytest.raises(VersionMismatch, match=f"format version {version}, expected 3$"):
+            read_weights(model)
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"keep": [1, 2], "prune": [], "blocks": []}))
         assert main(["fuse", "--model", str(model), "--plan", str(plan),
