@@ -172,7 +172,7 @@ def _overflow_names(flag: str):
 
 
 def cmd_synth(args) -> Written:
-    from .nanomodel import (POSITION_SCALE, build_toy_container, dense_forward,
+    from .nanomodel import (POSITION_SCALE, build_toy_container, forward_trace,
                             make_copy_stream, sinusoid_positions)
     from .traceio import SyntheticTrace, write_trace, write_weights
 
@@ -200,7 +200,7 @@ def cmd_synth(args) -> Written:
         tokens = make_copy_stream(shape.vocab_size, args.seq_len, 1, args.seed)[0]
         x = model.tensors["embed"][tokens] + sinusoid_positions(
             args.seq_len, shape.hidden_dim, scale=POSITION_SCALE)
-        _, trace = dense_forward(model, x)
+        _, trace, _ = forward_trace(model, x)
 
     out_dir = Path(args.out_dir)
     created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
@@ -297,7 +297,7 @@ def cmd_estimate(args) -> Written:
     params_total, size_bytes = costmodel.static_memory(
         shape, bytes_per_param=config.hardware.weight_bytes)
     doc = {
-        "config_id": args.config_id or Path(args.config).stem,
+        "config_id": Path(args.config).stem,
         "L": shape.num_layers,
         "N": max(shape.experts.values(), default=1),
         "k": shape.moe.top_k if shape.moe else 1,
@@ -345,10 +345,7 @@ def cmd_diagnose(args) -> Written:
         raise OutOfRange(f"--row {args.row} outside {-rows}..{rows - 1} "
                          f"for a log of {rows} rows")
     row = log.steps[args.row]
-    # the log stores load fractions, not raw assignments, so build the
-    # profile directly instead of re-counting; a tie goes to the smaller index
-    winner = row.loads.index(max(row.loads)) + 1
-    profiles = [LayerLoadProfile(layer=1, loads=row.loads, winner=winner)]
+    profiles = [LayerLoadProfile(layer=1, loads=row.loads)]
     summary = wta_metrics(profiles, len(row.loads))
     write_summary_csv(summary, args.out)
     outputs = [args.out]
@@ -416,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrices", required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--score-penalty", "--lambda", dest="score_penalty", type=float, default=1.0)
+    p.add_argument("--score-penalty", type=float, default=1.0)
     p.add_argument("--block-sizes", default="1,2,3")
     p.add_argument("--plan-out", default=None)
     p.add_argument("--sweep", action="store_true")
@@ -437,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="latency, memory, and parameter counts")
     p.add_argument("--config", required=True)
-    p.add_argument("--config-id", default=None)
     p.add_argument("--out", required=True)
     declare(p, cmd_estimate, "config")
 
@@ -481,6 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # before a stage creates anything
+            raise InvalidConfig(f"--seed must be non-negative, got {args.seed}")
         inputs = [getattr(args, name) for name in args.inputs]
         for path in inputs:
             if not Path(path).exists():

@@ -1,9 +1,10 @@
 """Winner-takes-all routing diagnostics.
 
 A layer's load profile is the distribution of hard top-1 assignments over its
-experts; the summary aggregates per-layer profiles into the six standard
-concentration metrics (mean dominant load, threshold exceedances, dominance
-ratio against uniform, top-bottom gap, and natural-log entropy). The toy
+experts (``nanomodel.load_profiles`` counts them for a model); the summary
+aggregates per-layer profiles into the six standard concentration metrics
+(mean dominant load, threshold exceedances, dominance ratio against uniform,
+top-bottom gap, and natural-log entropy). The toy
 trainer's log lives here too, so that ``diagnose`` loads no toy model. The
 module works in plain Python floats, so ``diagnose`` starts without numpy.
 """
@@ -27,11 +28,15 @@ class LayerLoadProfile:
 
     layer: int
     loads: tuple[float, ...]
-    winner: int
+
+    @property
+    def winner(self) -> int:
+        """The 1-based expert of the largest load; a tie goes to the smaller index."""
+        return self.loads.index(max(self.loads)) + 1
 
     @property
     def top_load(self) -> float:
-        return self.loads[self.winner - 1]
+        return max(self.loads)
 
 
 @dataclass(frozen=True)
@@ -47,25 +52,6 @@ class WtaSummary:
     mean_entropy: float
 
 
-def load_profile(assignments, num_experts: int, layer: int = 1) -> LayerLoadProfile:
-    """Count hard top-1 assignments (0-based expert indices, any iterable of
-    integers, an array included); winner ties resolve to the smaller index."""
-    assignments = [int(a) for a in assignments]
-    if not assignments:
-        raise EmptyRecord("load_profile needs at least one token")
-    low, high = min(assignments), max(assignments)
-    if low < 0 or high >= num_experts:
-        raise InvalidConfig(
-            f"assignment indices must lie in [0, {num_experts}), "
-            f"got range [{low}, {high}]"
-        )
-    counts = [0] * num_experts
-    for a in assignments:
-        counts[a] += 1
-    loads = tuple(count / len(assignments) for count in counts)
-    return LayerLoadProfile(layer=layer, loads=loads, winner=loads.index(max(loads)) + 1)
-
-
 def profile_entropy(profile: LayerLoadProfile) -> float:
     """Natural-log entropy with the 0*ln(0) := 0 convention."""
     return -sum((p * math.log(p) for p in profile.loads if p > 0), 0.0)
@@ -75,9 +61,9 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int,
-                thresholds: Sequence[float] = DEFAULT_THRESHOLDS) -> WtaSummary:
-    """Aggregate the six winner-takes-all metrics over layers."""
+def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int) -> WtaSummary:
+    """Aggregate the six winner-takes-all metrics over layers, counting the
+    layers whose top load exceeds each of DEFAULT_THRESHOLDS."""
     if not profiles:
         raise EmptyRecord("wta_metrics needs at least one layer profile")
     for p in profiles:
@@ -87,7 +73,7 @@ def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int,
             )
     tops = [p.top_load for p in profiles]
     layers_above = tuple(
-        (float(th), sum(top > th for top in tops)) for th in sorted(thresholds)
+        (th, sum(top > th for top in tops)) for th in DEFAULT_THRESHOLDS
     )
     return WtaSummary(
         num_layers=len(profiles),

@@ -8,6 +8,10 @@ embeddings; attention and embeddings are never trained, so no gradient ever
 flows through the attention stack, and the trainer takes each step on the
 whole token batch through ``moe_param_grads``, the gradient ``grad_check``
 compares against central differences.
+
+One builder makes every toy model, ``build_toy_container``; one function runs
+a layer, ``layer_forward``; and one count, ``top1_fractions``, gives both the
+trainer's loads and ``load_profiles``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import ModelShape, tensor_schema
-from .diagnostics import TrainLog, TrainStep
+from .diagnostics import LayerLoadProfile, TrainLog, TrainStep
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -135,19 +139,14 @@ class RoutingRecord:
     gates: np.ndarray
 
     @property
-    def num_tokens(self) -> int:
-        return self.probabilities.shape[0]
-
-    @property
     def num_experts(self) -> int:
         return self.probabilities.shape[1]
 
 
-def top1_fractions(record: RoutingRecord) -> np.ndarray:
-    """Fraction of tokens whose highest-probability expert is i."""
-    winners = np.argmax(record.probabilities, axis=1)
-    counts = np.bincount(winners, minlength=record.num_experts)
-    return counts / record.num_tokens
+def top1_fractions(probabilities: np.ndarray) -> np.ndarray:
+    """Fraction of tokens (rows) whose highest-probability expert is i."""
+    counts = np.bincount(np.argmax(probabilities, axis=1), minlength=probabilities.shape[1])
+    return counts / probabilities.shape[0]
 
 
 # --- forward ops ---------------------------------------------------------------
@@ -247,25 +246,24 @@ def pre_mlp_state(layer: DenseLayer | MoELayer, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def moe_forward(layer: MoELayer, x: np.ndarray,
-                forced_expert: int | None = None) -> tuple[np.ndarray, RoutingRecord]:
-    """One MoE layer: shared attention, then gated experts on the shared state.
+def layer_forward(layer: DenseLayer | MoELayer, x: np.ndarray,
+                  forced_expert: int | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, RoutingRecord | None]:
+    """One decoder layer: its MLP input h, its output y, and the routing
+    record of a MoE layer (None for a dense one).
 
-    ``forced_expert`` (1-based) is a test hook that routes every token to one
-    expert with gate 1.0, bypassing the router's selection.
+    ``forced_expert`` (1-based) routes every token of a MoE layer to one
+    expert with gate 1.0, bypassing the router's selection; a dense layer
+    ignores it.
     """
     h = pre_mlp_state(layer, x)
-    y, record, _ = _moe_from_h(layer, h, forced_expert)
+    if isinstance(layer, MoELayer):
+        y, record, _ = _moe_from_h(layer, h, forced_expert)
+    else:
+        y, record = h + mlp_apply(layer.mlp, rms_norm(h, layer.mlp_norm)), None
     if not np.isfinite(y).all():
-        raise NonFiniteActivation("moe layer output contains non-finite values")
-    return y, record
-
-
-def dense_layer_forward(layer: DenseLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (h, y) for one dense layer."""
-    h = pre_mlp_state(layer, x)
-    y = h + mlp_apply(layer.mlp, rms_norm(h, layer.mlp_norm))
-    return h, y
+        raise NonFiniteActivation("layer output contains non-finite values")
+    return h, y, record
 
 
 # --- whole-model forward ---------------------------------------------------------
@@ -328,26 +326,15 @@ def forward_trace(container: WeightContainer, x: np.ndarray,
     h_states, y_states = [], []
     state = x
     for idx, layer in enumerate(layers_of(container), start=1):
-        if isinstance(layer, MoELayer):
-            h = pre_mlp_state(layer, state)
-            y, record, _ = _moe_from_h(layer, h, forced_expert)
+        try:
+            h, state, record = layer_forward(layer, state, forced_expert)
+        except NonFiniteActivation as exc:
+            raise NonFiniteActivation(f"layer {idx}: {exc}") from None
+        if record is not None:
             records[idx] = record
-        else:
-            h, y = dense_layer_forward(layer, state)
-        if not np.isfinite(y).all():
-            raise NonFiniteActivation(f"layer {idx} produced non-finite values")
         h_states.append(h)
-        y_states.append(y)
-        state = y
+        y_states.append(state)
     return state, make_trace(h_states, y_states), records
-
-
-def dense_forward(container: WeightContainer, x: np.ndarray) -> tuple[np.ndarray, ActivationTrace]:
-    """Forward pass of a dense model, capturing the full activation trace."""
-    if container.shape.moe is not None:
-        raise DimensionMismatch("dense_forward requires a model without MoE layers")
-    state, trace, _ = forward_trace(container, x)
-    return state, trace
 
 
 # --- load balancing ---------------------------------------------------------------
@@ -363,7 +350,7 @@ def load_balance_loss(records: Sequence[RoutingRecord], alpha: float) -> float:
         raise EmptyRecord("load_balance_loss needs at least one routing record")
     total = 0.0
     for record in records:
-        f = top1_fractions(record)
+        f = top1_fractions(record.probabilities)
         mean_prob = record.probabilities.mean(axis=0)
         total += alpha * record.num_experts * float(f @ mean_prob)
     return total
@@ -421,7 +408,7 @@ def moe_param_grads(layer: MoELayer, h: np.ndarray, record: RoutingRecord,
         upstream = gates[:, None] * dy_rows
         expert_grads.append(glu_param_grads(layer.experts[e], cache.z[rows], upstream))
     if lb_alpha:
-        f = top1_fractions(record)
+        f = top1_fractions(record.probabilities)
         d_probs += lb_alpha * n_experts * f[None, :] / num_tokens
     inner = np.einsum("tn,tn->t", d_probs, record.probabilities)
     d_logits = record.probabilities * (d_probs - inner[:, None])
@@ -460,7 +447,7 @@ def grad_check(layer: MoELayer, x: np.ndarray, step: float = 1e-5) -> float:
     n_experts = len(layer.experts)
     d_y = (2.0 / y.size) * y
     grads = moe_param_grads(layer, h, record, cache, d_y, GRAD_CHECK_ALPHA)
-    frozen_f = top1_fractions(record)
+    frozen_f = top1_fractions(record.probabilities)
 
     def loss() -> float:
         y2, rec2, _ = _moe_from_h(layer, h)
@@ -515,37 +502,6 @@ def build_toy_container(shape: ModelShape, seed: int, weight_scale: float = 0.02
             if name.startswith(src_prefix):
                 tensors[f"layer.{target}.{name[len(src_prefix):]}"] = tensors[name].copy()
     return validate_container(WeightContainer(shape=shape, tensors=tensors))
-
-
-def build_toy_moe_layer(hidden_dim: int, mlp_dim: int, n_experts: int, seed: int,
-                        top_k: int = 1, n_heads: int = 2, n_kv_heads: int = 1,
-                        weight_scale: float = 0.5) -> MoELayer:
-    """Standalone random MoE layer for gradient and routing tests."""
-    rng = np.random.default_rng(seed)
-    head_dim = hidden_dim // n_heads
-
-    def mat(rows: int, cols: int) -> np.ndarray:
-        return rng.standard_normal((rows, cols)) * weight_scale
-
-    attn = AttentionParams(
-        norm=np.ones(hidden_dim),
-        q=mat(hidden_dim, n_heads * head_dim),
-        k=mat(hidden_dim, n_kv_heads * head_dim),
-        v=mat(hidden_dim, n_kv_heads * head_dim),
-        o=mat(n_heads * head_dim, hidden_dim),
-        q_norm=np.ones(head_dim),
-        k_norm=np.ones(head_dim),
-        n_heads=n_heads,
-        n_kv_heads=n_kv_heads,
-        head_dim=head_dim,
-    )
-    experts = tuple(
-        GluMlp(up=mat(hidden_dim, mlp_dim), gate=mat(hidden_dim, mlp_dim),
-               down=mat(mlp_dim, hidden_dim))
-        for _ in range(n_experts)
-    )
-    return MoELayer(attn=attn, mlp_norm=np.ones(hidden_dim), experts=experts,
-                    router=mat(hidden_dim, n_experts), top_k=top_k)
 
 
 def make_copy_stream(vocab_size: int, seq_len: int, num_sequences: int,
@@ -619,7 +575,7 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
     for seq in data:
         state = embed[seq] + positions
         for layer in layers[:-1]:
-            _, state = dense_layer_forward(layer, state)
+            _, state, _ = layer_forward(layer, state)
         routing_inputs.append(pre_mlp_state(moe_layer, state))
     h = np.concatenate(routing_inputs)
     targets = data.reshape(-1)
@@ -634,22 +590,23 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
         if not (np.isfinite(task_loss) and np.isfinite(lb_raw)):
             raise DivergenceDetected(f"loss became non-finite at step {step}")
         log.steps.append(TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,
-                                   loads=tuple(top1_fractions(record))))
+                                   loads=tuple(top1_fractions(record.probabilities))))
         for _, tensor, grad in _named_layer_params(moe_layer, grads):
             tensor -= lr * grad
     return log, work
 
 
-def collect_top1_assignments(container: WeightContainer,
-                             data: np.ndarray) -> dict[int, np.ndarray]:
-    """Pooled top-1 expert assignments per MoE layer over a token stream."""
+def load_profiles(container: WeightContainer, data: np.ndarray) -> list[LayerLoadProfile]:
+    """Pooled top-1 load fractions of each MoE layer over a token stream."""
     data = np.asarray(data, dtype=np.int64)
+    if data.ndim != 2 or data.size == 0:
+        raise EmptyRecord("load_profiles needs a non-empty (num_sequences, seq_len) array")
     shape = container.shape
     positions = sinusoid_positions(data.shape[1], shape.hidden_dim, scale=POSITION_SCALE)
-    assignments: dict[int, list[np.ndarray]] = {l: [] for l in shape.experts}
+    probabilities: dict[int, list[np.ndarray]] = {l: [] for l in shape.experts}
     for seq in data:
-        x = container.tensors["embed"][seq] + positions
-        _, _, records = forward_trace(container, x)
+        _, _, records = forward_trace(container, container.tensors["embed"][seq] + positions)
         for l, record in records.items():
-            assignments[l].append(np.argmax(record.probabilities, axis=1))
-    return {l: np.concatenate(parts) for l, parts in assignments.items()}
+            probabilities[l].append(record.probabilities)
+    return [LayerLoadProfile(layer=l, loads=tuple(top1_fractions(np.concatenate(p)).tolist()))
+            for l, p in sorted(probabilities.items())]

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .config import output_file, text_file
-from .errors import DegenerateCalibration, EmptyRecord, InvalidConfig, NonPositiveLatency
+from .errors import (D2mError, DegenerateCalibration, EmptyRecord, InvalidConfig,
+                     NonPositiveLatency, OutOfRange)
 
 
 @dataclass(frozen=True)
@@ -31,14 +32,21 @@ class CandidateEvaluation:
 
 def reward(score: float, latency_ms: float, base_latency_ms: float,
            exponent: float) -> float:
-    """score * (latency / base)^exponent."""
+    """score * (latency / base)^exponent, refused unless finite."""
     if not all(math.isfinite(v) and v > 0 for v in (latency_ms, base_latency_ms)):
         raise NonPositiveLatency(
             f"latencies must be finite and positive, got {latency_ms} and {base_latency_ms}"
         )
     if not (math.isfinite(score) and math.isfinite(exponent)):
         raise InvalidConfig(f"score and exponent must be finite, got {score} and {exponent}")
-    return score * (latency_ms / base_latency_ms) ** exponent
+    try:
+        value = score * (latency_ms / base_latency_ms) ** exponent
+    except (OverflowError, ZeroDivisionError):  # a power beyond float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise OutOfRange(f"reward of score {score} at latency {latency_ms} against "
+                         f"{base_latency_ms} with exponent {exponent} is not finite")
+    return value
 
 
 def calibrate_w(latency_factor: float, relative_gain: float) -> float:
@@ -64,10 +72,13 @@ def evaluate_candidates(candidates: Sequence[CandidateEvaluation],
     """Fill in rewards and report the argmax (ties go to lower latency)."""
     if not candidates:
         raise EmptyRecord("evaluate_candidates needs at least one candidate")
-    evaluated = [
-        replace(c, reward=reward(c.score, c.latency_ms, base_latency_ms, exponent))
-        for c in candidates
-    ]
+    evaluated = []
+    for c in candidates:
+        try:
+            evaluated.append(replace(c, reward=reward(c.score, c.latency_ms,
+                                                      base_latency_ms, exponent)))
+        except D2mError as exc:
+            raise type(exc)(f"candidate {c.config_id}: {exc}") from None
     best = min(evaluated, key=lambda c: (-c.reward, c.latency_ms))
     return evaluated, best
 

@@ -26,13 +26,12 @@ from d2m.config import (
     validate_plan,
 )
 from d2m.costmodel import active_params, decode_latency, prefill_latency, static_memory, total_latency
-from d2m.diagnostics import LayerLoadProfile, load_profile, wta_metrics
+from d2m.diagnostics import LayerLoadProfile, wta_metrics
 from d2m.errors import BadMagic, DimensionMismatch, MissingTensor, TruncatedPayload, VerificationFailure
 from d2m.nanomodel import (
     build_toy_container,
-    build_toy_moe_layer,
-    collect_top1_assignments,
     grad_check,
+    load_profiles,
     make_copy_stream,
     train_toy,
 )
@@ -51,6 +50,7 @@ from d2m.traceio import (
 )
 from d2m.tradeoff import CandidateEvaluation, calibrate_w, evaluate_candidates
 
+from test_nanomodel import toy_moe_layer
 from test_search import random_matrices, reference_search
 
 
@@ -295,12 +295,12 @@ def test_c08_gradient_correctness():
     worst = 0.0
     for seed in range(10):
         top_k = 1 if seed % 2 == 0 else 2
-        layer = build_toy_moe_layer(8, 16, 3 + seed % 3, seed=800 + seed, top_k=top_k)
+        layer = toy_moe_layer(8, 16, 3 + seed % 3, seed=800 + seed, top_k=top_k)
         x = np.random.default_rng(900 + seed).standard_normal((5, 8))
         worst = max(worst, grad_check(layer, x, step=1e-5))
 
     # a never-selected expert gets an exactly zero output-loss gradient
-    layer = build_toy_moe_layer(8, 16, 3, seed=42, top_k=1)
+    layer = toy_moe_layer(8, 16, 3, seed=42, top_k=1)
     layer.router[:, 2] = layer.router[:, 0]  # ties resolve away from expert 3
     x = np.random.default_rng(43).standard_normal((6, 8))
     h = nano.pre_mlp_state(layer, x)
@@ -329,17 +329,14 @@ def test_c09_routing_health():
     min_load = min(log_lb.steps[-1].loads)
 
     def mean_top(container):
-        assignments = collect_top1_assignments(container, data)
-        profiles = [load_profile(a, container.shape.experts[l], layer=l)
-                    for l, a in sorted(assignments.items())]
-        return wta_metrics(profiles, 4).mean_top_load
+        return wta_metrics(load_profiles(container, data), 4).mean_top_load
 
     top_lb = mean_top(trained_lb)
     top_0 = mean_top(trained_0)
 
     # published-table identity and analytic bounds
-    profiles = [LayerLoadProfile(layer=i + 1, loads=(0.48, 0.2, 0.12, 0.1, 0.06, 0.04),
-                                 winner=1) for i in range(19)]
+    profiles = [LayerLoadProfile(layer=i + 1, loads=(0.48, 0.2, 0.12, 0.1, 0.06, 0.04))
+                for i in range(19)]
     summary = wta_metrics(profiles, 6)
     identity = abs(summary.mean_top_load * 6 - 2.88) <= 1e-12 and \
         abs(summary.mean_top_uniform_ratio - 2.88) <= 1e-12
@@ -347,7 +344,7 @@ def test_c09_routing_health():
     bounds = True
     for _ in range(100):
         loads = rng.dirichlet(np.ones(6))
-        s = wta_metrics([LayerLoadProfile(1, tuple(loads), int(np.argmax(loads)) + 1)], 6)
+        s = wta_metrics([LayerLoadProfile(1, tuple(loads))], 6)
         bounds &= 0.0 <= s.mean_entropy <= math.log(6) + 1e-12
 
     checks = [finite, min_load >= 0.02, top_lb < top_0, identity, bounds]

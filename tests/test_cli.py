@@ -266,8 +266,9 @@ class TestSynth:
         # finite, but inf once passed through float32
         (["--weight-scale", "1e300"], "--weight-scale"),
         (["--redundant", "1:1:1e300"], "--redundant"),
+        (["--seed", "-1"], "--seed"),
     ], ids=["scale-nan", "scale-inf", "scale-minus-inf", "noise-nan", "second-noise-inf",
-            "scale-overflows-float32", "noise-overflows-float32"])
+            "scale-overflows-float32", "noise-overflows-float32", "seed-negative"])
     def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, flags, flag):
         out_dir = tmp_path / "x" / "a"
         assert main(["synth", "--out-dir", str(out_dir), "--layers", "3", *flags]) == 2
@@ -596,13 +597,16 @@ class TestPareto:
         ("L1,1,1.0,1.0,", ["--w", "nan"]),
         ("L1,1,1.0,1.0,", ["--w", "-0.15", "--base-latency", "inf"]),
         ("L1,1,1.0,1.0,", ["--w", "-0.15", "--base-latency", "nan"]),
+        ("L1,1,1.0,1e308,", ["--w", "100", "--base-latency", "1e-300"]),  # power overflows
+        ("L1,1,1.0,1e308,", ["--w", "1", "--base-latency", "0.5"]),  # product is infinite
     ])
-    def test_bad_candidate_or_flag_exits_2(self, tmp_path, row, flags):
+    def test_bad_candidate_or_flag_exits_2(self, tmp_path, capsys, row, flags):
         cands = tmp_path / "cands.csv"
         cands.write_text(f"config_id,depth,latency_ms,score,reward\n{row}\n")
         assert main(["pareto", "--candidates", str(cands), "--base-latency", "100", *flags,
                      "--rewards-out", str(tmp_path / "r.csv"),
                      "--frontier-out", str(tmp_path / "f.csv")]) == 2
+        assert "L1" in capsys.readouterr().err  # the message names the candidate
         assert not (tmp_path / "r.csv").exists()
 
     def test_empty_candidates_exits_2(self, tmp_path):
@@ -641,7 +645,7 @@ class TestTrainAndDiagnose:
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--alpha", "nan"), ("--alpha", "inf"),
-        ("--seq-len", "-3"), ("--sequences", "-1"),
+        ("--seq-len", "-3"), ("--sequences", "-1"), ("--seed", "-5"),
     ])
     def test_bad_train_flag_exits_2(self, tmp_path, capsys, flag, value):
         out = run_pipeline(tmp_path)
@@ -649,7 +653,9 @@ class TestTrainAndDiagnose:
                      "--seq-len", "8", "--sequences", "2", flag, value,
                      "--log-out", str(out["log"]), "--model-out", str(out["trained"])])
         assert code == 2
-        assert "non-finite at step" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite at step" not in err
+        assert flag.lstrip("-").replace("-", "_") in err
         assert not out["log"].exists() and not out["trained"].exists()
 
     def test_diagnose_row_range(self, tmp_path, capsys):

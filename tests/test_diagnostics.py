@@ -5,54 +5,90 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import d2m.nanomodel as nano
+from d2m.config import ModelShape, MoEShape
 from d2m.diagnostics import (
     LayerLoadProfile,
-    load_profile,
     write_per_layer_csv,
     write_summary_csv,
     wta_metrics,
 )
 from d2m.errors import DimensionMismatch, EmptyRecord
-from d2m.nanomodel import RoutingRecord
 
 
 def profile_from_loads(layer, loads):
-    return LayerLoadProfile(layer=layer, loads=tuple(loads),
-                            winner=int(np.argmax(loads)) + 1)
+    return LayerLoadProfile(layer=layer, loads=tuple(loads))
+
+
+@st.composite
+def moe_models(draw):
+    """A seeded toy model with one to three MoE layers among one to four,
+    and a copy-task stream of one to three short sequences."""
+    num_layers = draw(st.integers(1, 4))
+    moe_layers = draw(st.lists(st.integers(1, num_layers), min_size=1,
+                               max_size=min(3, num_layers), unique=True))
+    experts = {layer: draw(st.integers(1, 4)) for layer in moe_layers}
+    shape = ModelShape(num_layers=num_layers, hidden_dim=8, mlp_dim=8, num_heads=2,
+                       num_kv_heads=1, head_dim=4, vocab_size=16,
+                       tied_embedding=draw(st.booleans()),
+                       moe=MoEShape(experts, top_k=draw(st.integers(1, min(experts.values())))))
+    seed = draw(st.integers(0, 2**16))
+    container = nano.build_toy_container(shape, seed,
+                                         weight_scale=draw(st.sampled_from([0.02, 0.5, 2.0])))
+    data = nano.make_copy_stream(16, draw(st.integers(1, 6)), draw(st.integers(1, 3)), seed)
+    return container, data
 
 
 class TestLoadProfile:
     def test_all_tokens_to_one_expert(self):
-        profile = load_profile([2] * 10, num_experts=6)
-        assert profile.loads == (0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        profile = LayerLoadProfile(layer=1, loads=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
         assert profile.winner == 3
         assert profile.top_load == 1.0
 
     def test_one_token_per_expert(self):
-        profile = load_profile(list(range(6)), num_experts=6)
-        assert profile.loads == tuple([1 / 6] * 6)
+        profile = LayerLoadProfile(layer=1, loads=tuple([1 / 6] * 6))
         assert profile.winner == 1  # tie resolves to the smaller index
+        assert profile.top_load == 1 / 6
 
-    def test_matches_hand_tally(self):
-        rng = np.random.default_rng(9)
-        assignments = rng.integers(0, 6, size=1000)
-        profile = load_profile(assignments, num_experts=6)
-        for e in range(6):
-            assert profile.loads[e] == pytest.approx(
-                sum(1 for a in assignments if a == e) / 1000, abs=1e-15)
+    def test_winner_tie_goes_to_the_first_largest_load(self):
+        for loads, winner in [((0.1, 0.4, 0.1, 0.4), 2), ((0.5, 0.5), 1),
+                              ((0.0, 0.25, 0.25, 0.5), 4), ((1.0,), 1)]:
+            assert LayerLoadProfile(layer=7, loads=loads).winner == winner
 
-    def test_accepts_routing_record(self):
-        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.6, 0.3, 0.1]])
-        record = RoutingRecord(probs, np.argmax(probs, axis=1)[:, None],
-                               probs.max(axis=1)[:, None])
-        profile = load_profile(np.argmax(record.probabilities, axis=1), num_experts=3, layer=4)
-        assert profile.layer == 4
-        assert profile.loads == (2 / 3, 1 / 3, 0.0)
+    @settings(max_examples=40)
+    @given(model=moe_models())
+    def test_matches_hand_tally(self, model):
+        """``load_profiles`` against per-token argmaxes counted by hand from
+        each sequence's own forward pass, pooled over the stream."""
+        container, data = model
+        positions = nano.sinusoid_positions(data.shape[1], container.shape.hidden_dim,
+                                            scale=nano.POSITION_SCALE)
+        counts = {layer: [0] * n for layer, n in container.shape.experts.items()}
+        for seq in data:
+            _, _, records = nano.forward_trace(container,
+                                               container.tensors["embed"][seq] + positions)
+            for layer, record in records.items():
+                for row in record.probabilities.tolist():
+                    counts[layer][row.index(max(row))] += 1
+        profiles = nano.load_profiles(container, data)
+        assert [p.layer for p in profiles] == sorted(counts)
+        for profile in profiles:
+            assert profile.loads == tuple(c / data.size for c in counts[profile.layer])
+            assert math.fsum(profile.loads) == pytest.approx(1.0, abs=1e-12)
+            first_largest = min(i for i, v in enumerate(profile.loads)
+                                if v == max(profile.loads))
+            assert profile.winner == first_largest + 1
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyRecord):
-            load_profile([], num_experts=4)
+        shape = ModelShape(num_layers=1, hidden_dim=8, mlp_dim=8, num_heads=2, num_kv_heads=1,
+                           head_dim=4, vocab_size=16, moe=MoEShape({1: 2}, top_k=1))
+        container = nano.build_toy_container(shape, seed=0)
+        for dims in [(0, 4), (2, 0), (4,)]:
+            with pytest.raises(EmptyRecord):
+                nano.load_profiles(container, np.zeros(dims, dtype=np.int64))
 
 
 class TestWtaMetrics:

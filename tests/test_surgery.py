@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from d2m.config import FusionBlock, FusionPlan, ModelShape, MoEShape, tensor_schema, write_json
 from d2m.errors import PlanModelMismatch, VerificationFailure
-from d2m.nanomodel import build_toy_container, forward_trace, moe_forward, layers_of
+from d2m.nanomodel import build_toy_container, forward_trace, layer_forward, layers_of
 from d2m.surgery import (
     functional_equivalence_check,
     fuse,
@@ -72,7 +72,7 @@ class TestFuse:
         assert not np.any(fused.tensors["layer.2.router"])
         layer = layers_of(fused)[1]
         x = np.random.default_rng(0).standard_normal((5, 16))
-        _, record = moe_forward(layer, x)
+        _, _, record = layer_forward(layer, x)
         np.testing.assert_allclose(record.probabilities, 0.25, atol=1e-15)
 
     def test_kept_layers_renumbered_in_order(self):
@@ -311,14 +311,12 @@ class TestFunctionalEquivalence:
         ref_layers = layers_of(reference)
         fused_layers = layers_of(fused)
         # walk to the fused block and apply the source MLP by hand
-        from d2m.nanomodel import dense_layer_forward
-
-        _, state = dense_layer_forward(ref_layers[0], state)
+        _, state, _ = layer_forward(ref_layers[0], state)
         h = pre_mlp_state(fused_layers[1], state)
         src = GluMlp(dense.tensors["layer.3.mlp.up"], dense.tensors["layer.3.mlp.gate"],
                      dense.tensors["layer.3.mlp.down"])
         expected_block = h + mlp_apply(src, rms_norm(h, fused_layers[1].mlp_norm))
-        y, _ = moe_forward(fused_layers[1], state, forced_expert=2)
+        _, y, _ = layer_forward(fused_layers[1], state, forced_expert=2)
         np.testing.assert_allclose(y, expected_block, atol=0)
 
     def test_twenty_seeded_probes(self):
@@ -337,12 +335,12 @@ class TestFunctionalEquivalence:
         layer = layers_of(fused)[1]
         # non-trivial router so gates differ across experts
         layer.router[...] = np.random.default_rng(4).standard_normal(layer.router.shape)
-        y, _ = moe_forward(layer, probe)
+        _, y, _ = layer_forward(layer, probe)
         perm = [3, 1, 0, 2]
         from d2m.nanomodel import MoELayer
 
         permuted = MoELayer(attn=layer.attn, mlp_norm=layer.mlp_norm,
                             experts=tuple(layer.experts[p] for p in perm),
                             router=layer.router[:, perm], top_k=2)
-        y_perm, _ = moe_forward(permuted, probe)
+        _, y_perm, _ = layer_forward(permuted, probe)
         np.testing.assert_allclose(y_perm, y, atol=1e-12)

@@ -1,10 +1,15 @@
 """Reward arithmetic on the published candidate table, exponent calibration,
 argmax selection, and Pareto filtering against a brute-force filter."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from d2m.errors import DegenerateCalibration, EmptyRecord, InvalidConfig, NonPositiveLatency
+from d2m.errors import (D2mError, DegenerateCalibration, EmptyRecord, InvalidConfig,
+                        NonPositiveLatency, OutOfRange)
 from d2m.tradeoff import (
     CandidateEvaluation,
     calibrate_w,
@@ -61,10 +66,28 @@ class TestReward:
         ((float("nan"), 10.0, 100.0, -0.15), InvalidConfig),
         ((1.0, 10.0, 100.0, float("nan")), InvalidConfig),
         ((1.0, 10.0, 100.0, float("-inf")), InvalidConfig),
+        # finite inputs whose reward is not: the power overflows, the product
+        # does, and a ratio that underflows to zero meets a negative power
+        ((1e308, 1.0, 1e-300, 100.0), OutOfRange),
+        ((1e308, 1.0, 0.5, 1.0), OutOfRange),
+        ((1e308, 1e-300, 1e300, -1.0), OutOfRange),
     ])
     def test_non_finite_inputs(self, args, error):
         with pytest.raises(error):
             reward(*args)
+
+    @given(score=st.floats(allow_nan=False, allow_infinity=False),
+           latency=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           base=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           exponent=st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_or_refused(self, score, latency, base, exponent):
+        """Over finite positive latencies and finite scores and exponents, a
+        reward is a finite float or a D2mError, never an OverflowError."""
+        try:
+            value = reward(score, latency, base, exponent)
+        except D2mError:
+            return
+        assert isinstance(value, float) and math.isfinite(value)
 
 
 class TestCalibrateW:
