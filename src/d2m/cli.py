@@ -13,13 +13,13 @@ Each ``cmd_*`` only does its stage's work and returns what it wrote.
 
 Each subcommand imports the modules it runs when it runs, so a stage pays
 only for its own imports: ``search`` (plan and sweep modes), ``estimate``,
-``pareto`` and ``diagnose`` never load numpy.
+``pareto`` and ``diagnose`` never load numpy, and only a stage given
+--run-dir loads ``hashlib``, whose OpenSSL takes about 3.6 MiB.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -73,6 +73,8 @@ class CorruptManifest(D2mError):
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # OpenSSL: only a --run-dir stage loads it
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:

@@ -2,9 +2,9 @@
 layer outputs and MLP inputs, and the mean relative norm mismatch that guards
 against scale shifts when distant MLPs are reused as experts.
 
-All three matrices come from one pass over the trace in token chunks, so the
-same code serves a trace in memory (``build_matrices``) and a trace file
-(``stream_matrices``), and a file is never loaded whole. ``seq_avg_cosine``
+All three matrices come from one pass over the trace, one half's token chunk
+at a time, so the same code serves a trace in memory (``build_matrices``) and
+a trace file (``stream_matrices``), and a file is never loaded whole. ``seq_avg_cosine``
 and ``norm_mismatch`` define the statistics pair by pair and are the oracle
 the matrices are tested against. Every reader and writer here takes a file
 path. ``SimilarityMatrices`` and its binary cache (``write_matrices``,
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +24,7 @@ import numpy as np
 from .config import (MATRIX_NAMES, SimilarityMatrices, output_file,  # noqa: F401
                      read_matrices, write_matrices)
 from .errors import DimensionMismatch, IoFailure, NonFiniteValue, ZeroVector
-from .traceio import HALVES, ActivationTrace, chunk_tokens, trace_chunks
+from .traceio import HALVES, ActivationTrace, Chunk, chunk_slices, chunk_tokens, trace_chunks
 
 
 def _row_norms(mat: np.ndarray, label: str) -> np.ndarray:
@@ -69,53 +69,65 @@ def build_matrices(trace: ActivationTrace) -> SimilarityMatrices:
     Output cosine comes from the per-layer outputs, MLP cosine and the norm
     mismatch from the MLP-input states; the mismatch denominator for a pair
     is the later layer's per-token norm. The halves are fed to the same
-    chunked pass as a trace file, a slice of ``chunk_tokens`` tokens at a
+    chunked pass as a trace file, one half's ``chunk_tokens`` tokens at a
     time, so the temporaries stay one chunk in size.
     """
-    step = chunk_tokens(trace.num_layers, trace.seq_len, trace.hidden_dim)
-    return _accumulate((trace.mlp_inputs[:, t:t + step], trace.layer_outputs[:, t:t + step])
-                       for t in range(0, trace.seq_len, step))
+    halves = (trace.mlp_inputs, trace.layer_outputs)
+    dims = halves[0].shape
+    return _accumulate(dims, ((half, tokens, halves[half][:, tokens])
+                              for half, tokens in chunk_slices(*dims)))
 
 
 def stream_matrices(path: str | Path) -> SimilarityMatrices:
-    """``build_matrices`` of the trace file at ``path``, read a token chunk at
-    a time; an error names the path."""
-    with trace_chunks(path) as chunks:
-        return _accumulate(chunks)
+    """``build_matrices`` of the trace file at ``path``, read one half's token
+    chunk at a time; an error names the path."""
+    with trace_chunks(path) as (dims, chunks):
+        return _accumulate(dims, chunks)
 
 
-def _accumulate(chunks: Iterable[Sequence[np.ndarray]]) -> SimilarityMatrices:
-    """The matrices of a trace fed as consecutive token chunks, each a pair of
-    (L, n, d) halves in file order.
+def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> SimilarityMatrices:
+    """The matrices of an (L, T, d) trace fed as ``(half, tokens, states)``
+    chunks in ``chunk_slices`` order: the (L, n, d) states of one half over
+    the token slice ``tokens``.
 
-    Each cosine matrix is the Gram matrix ``U @ U.T / T`` of the unit token
-    rows viewed as (L, T*d), summed one chunk at a time; the (2, L, T) token
-    norms are kept. The trace is judged after the pass, from the norms, so
-    the error names the same place whatever the chunking: ``NonFiniteValue``
-    the first half, then layer, holding a NaN or infinity; ``ZeroVector``
-    the first zero-norm row in ``layer_outputs``, then ``mlp_inputs``, by
-    layer, then token.
+    Each cosine matrix is the Gram matrix ``U @ U.T / T`` of the half's unit
+    token rows viewed as (L, T*d), summed one chunk at a time. A chunk is
+    copied into one float64 working buffer, allocated once, and squared in
+    place; the squares are summed over d into the chunk's slice of one
+    (2, L, T) array of token norms. The chunk is then copied in again and
+    divided in place by those norms. The trace is judged after the pass,
+    from the norms, so the error names the same place whatever the chunking
+    and order: ``NonFiniteValue`` the first half, then layer, holding a NaN
+    or infinity; ``ZeroVector`` the first zero-norm row in
+    ``layer_outputs``, then ``mlp_inputs``, by layer, then token.
     """
-    grams = None
-    kept = []
+    num_layers, seq_len, hidden = dims
+    grams = np.zeros((2, num_layers, num_layers))
+    norms = np.empty((2, num_layers, seq_len))
+    work = np.empty(num_layers * chunk_tokens(*dims) * hidden)
     clean = True
-    for chunk in chunks:
-        num_layers, width = chunk[0].shape[:2]
-        if grams is None:
-            grams = np.zeros((2, num_layers, num_layers))
-        norms = np.empty((2, num_layers, width))
-        for half, gram, half_norms in zip(chunk, grams, norms):
-            units = np.array(half, dtype=np.float64)  # a copy, normalised in place
-            half_norms[...] = np.linalg.norm(units, axis=2)
-            # a non-finite or zero row fails the trace below; the Grams are
-            # then never used, so skip them rather than divide by it
-            clean = clean and np.isfinite(half_norms).all() and half_norms.all()
-            if clean:
-                units /= half_norms[:, :, None]
-                units = units.reshape(num_layers, -1)
-                gram += units @ units.T
-        kept.append(norms)
-    norms = np.concatenate(kept, axis=2)
+    for half, tokens, states in chunks:
+        units = work[:states.size].reshape(states.shape)
+        chunk_norms = norms[half, :, tokens]
+        # sqrt(add.reduce(x * x)) over d is np.linalg.norm's arithmetic, so
+        # these are its bits, without its two chunk-sized temporaries; the
+        # copy comes first because a ufunc that casts float32 inputs runs
+        # through numpy's small cast buffers, 2.5x slower than copy and square
+        np.copyto(units, states)
+        np.multiply(units, units, out=units)
+        np.add.reduce(units, axis=2, out=chunk_norms)
+        np.sqrt(chunk_norms, out=chunk_norms)
+        # a non-finite or zero row fails the trace below; the Grams are
+        # then never used, so skip them rather than divide by it
+        clean = clean and np.isfinite(chunk_norms).all() and chunk_norms.all()
+        if clean:
+            np.copyto(units, states)
+            units /= chunk_norms[:, :, None]
+            units = units.reshape(num_layers, -1)
+            grams[half] += units @ units.T
+    # free the buffers behind the last chunk's views before the matrices'
+    # temporaries are made
+    del states, units, work
 
     finite = np.isfinite(norms).all(axis=2)
     if not finite.all():
@@ -129,7 +141,7 @@ def _accumulate(chunks: Iterable[Sequence[np.ndarray]]) -> SimilarityMatrices:
                 f"{HALVES[half]} layer {layer + 1} has zero-norm token row at index {token}"
             )
 
-    s_mlp, s_out = np.clip(grams / norms.shape[2], -1.0, 1.0)
+    s_mlp, s_out = np.clip(grams / seq_len, -1.0, 1.0)
     # upper[i, j] averages |n_i - n_j| / n_j over tokens for i < j, putting
     # the later layer in the denominator; mirror for symmetric storage
     h_norms = norms[0]

@@ -28,9 +28,10 @@ payload. ``_floats`` decodes the float32 payloads of these two into numpy
 arrays.
 
 ``read_trace`` loads a whole trace. ``trace_chunks`` checks a trace file's
-header by the same rules and then reads its states a token chunk at a time
-into one reused buffer of at most ``CHUNK_BYTES``, so a pass over a trace
-never holds more of it than one chunk.
+header by the same rules and then reads its states one half at a time: all
+of ``mlp_inputs``, then all of ``layer_outputs``, each a token chunk at a
+time into one reused buffer. ``CHUNK_BYTES`` budgets one half's chunk (at
+least one token), so a pass over a trace never holds more of it than that.
 
 ``write_trace`` writes each (half, layer) block at its slot's offset in the
 new file. An in-memory trace goes out in file order. A ``SyntheticTrace`` is
@@ -200,53 +201,63 @@ def read_trace(source) -> ActivationTrace:
         return make_trace(halves[0], halves[1])
 
 
-# float32 bytes of one token chunk of both halves; its float64 working copies
-# take about twice that. On the reference trace (L=24, d=896, 6 tokens a
-# chunk) budgets from 0.5 to 8 MiB ran equally fast while peak RSS grew with
-# the budget.
-CHUNK_BYTES = 1 << 20
+# float32 bytes of one token chunk of one half; its float64 working copy takes
+# twice that. The chunk length sets the order of the Gram sums, so the value
+# keeps the matrices' bits: 6 tokens a chunk on the reference trace (L=24,
+# d=896). Half of it holds about 0.8 MiB less there but moves those bits.
+CHUNK_BYTES = 1 << 19
+Chunk = tuple[int, slice, np.ndarray]  # (half, token slice, (L, n, d) states)
 
 
 def chunk_tokens(num_layers: int, seq_len: int, hidden_dim: int) -> int:
-    """Tokens per chunk: as many as fit in ``CHUNK_BYTES``, at least one and
-    at most the whole sequence."""
-    return max(1, min(seq_len, CHUNK_BYTES // (2 * num_layers * hidden_dim * 4)))
+    """Tokens per chunk: as many as fit one half's (L, n, d) float32 states
+    in ``CHUNK_BYTES``, at least one and at most the whole sequence."""
+    return max(1, min(seq_len, CHUNK_BYTES // (num_layers * hidden_dim * 4)))
+
+
+def chunk_slices(num_layers: int, seq_len: int, hidden_dim: int) -> Iterator[tuple[int, slice]]:
+    """The order of a chunked pass: (half, token slice) of every chunk of
+    ``mlp_inputs`` in token order, then of every chunk of ``layer_outputs``."""
+    step = chunk_tokens(num_layers, seq_len, hidden_dim)
+    for half in range(len(HALVES)):
+        for first in range(0, seq_len, step):
+            yield half, slice(first, min(first + step, seq_len))
 
 
 @contextmanager
-def trace_chunks(path: str | Path) -> Iterator[Iterator[np.ndarray]]:
-    """The states of the trace file at ``path``, one token chunk at a time.
+def trace_chunks(path: str | Path) -> Iterator[tuple[tuple[int, int, int], Iterator[Chunk]]]:
+    """The states of the trace file at ``path``, one half's token chunk at a
+    time.
 
     The header is checked as ``read_trace`` checks it, payload length against
     the file size and trailing bytes included, before anything sized by it is
-    allocated. The block gets an iterator over consecutive chunks in token
-    order: float32 (2, L, n, d) views, halves in file order, of one reused
-    buffer that the next chunk overwrites. A file that shrinks under the
-    reader raises ``TruncatedPayload``. A toolkit error raised in the block,
-    by the chunks' consumer too, names the path.
+    allocated. The block gets the trace's (L, T, d) and an iterator over
+    ``(half, tokens, states)`` in ``chunk_slices`` order: ``states`` is the
+    float32 (L, n, d) view of the half's rows ``tokens``, in one reused
+    buffer of one half's chunk that the next chunk overwrites. A file that
+    shrinks under the reader raises ``TruncatedPayload``. A toolkit error
+    raised in the block, by the chunks' consumer too, names the path.
     """
     with _read(path, TRACE_MAGIC, TRACE_VERSION) as reader:
-        num_layers, seq_len, hidden = _trace_dims(reader)
-        start = reader.skip(2 * num_layers * seq_len * hidden * 4, "trace payload")
+        dims = _trace_dims(reader)
+        start = reader.skip(2 * math.prod(dims) * 4, "trace payload")
         reader.end()
         try:
             handle = open(path, "rb", buffering=0)
         except OSError as exc:
             raise IoFailure(f"cannot read: {exc}") from exc
         with handle:
-            yield _read_chunks(handle.fileno(), start, num_layers, seq_len, hidden)
+            yield dims, _read_chunks(handle.fileno(), start, dims)
 
 
-def _read_chunks(fd: int, start: int, num_layers: int, seq_len: int,
-                 hidden: int) -> Iterator[np.ndarray]:
-    step = chunk_tokens(num_layers, seq_len, hidden)
-    buf = np.empty((2, num_layers, step, hidden), dtype="<f4")
-    for first in range(0, seq_len, step):
-        chunk = buf[:, :, :min(step, seq_len - first)]
-        # the file holds each (half, layer) as T contiguous rows of d floats
-        for index in range(2 * num_layers):
-            rows = chunk[divmod(index, num_layers)]  # a view: reads land in buf
-            offset = start + 4 * hidden * (index * seq_len + first)
+def _read_chunks(fd: int, start: int, dims: tuple[int, int, int]) -> Iterator[Chunk]:
+    num_layers, seq_len, hidden = dims
+    buf = np.empty((num_layers, chunk_tokens(*dims), hidden), dtype="<f4")
+    for half, tokens in chunk_slices(*dims):
+        states = buf[:, :tokens.stop - tokens.start]
+        for layer, rows in enumerate(states):  # views: reads land in buf
+            # the file holds each (half, layer) as T contiguous rows of d floats
+            offset = start + 4 * hidden * ((half * num_layers + layer) * seq_len + tokens.start)
             try:
                 got = os.preadv(fd, [rows], offset)
             except OSError as exc:
@@ -254,7 +265,7 @@ def _read_chunks(fd: int, start: int, num_layers: int, seq_len: int,
             if got != rows.nbytes:
                 raise TruncatedPayload(
                     f"expected {rows.nbytes} bytes at offset {offset}, got {got}")
-        yield chunk
+        yield half, tokens, states
 
 
 class SyntheticTrace:

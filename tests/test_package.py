@@ -3,6 +3,7 @@ through which the package writes files and parses JSON, and the README's
 library quick start, executed as written."""
 
 import ast
+import hashlib
 import json
 import os
 import re
@@ -79,6 +80,30 @@ class TestStartUp:
         assert (tmp_path / output).exists()
         if output == "plan.json":
             assert json.loads((tmp_path / output).read_text())["prune"] == [3]
+
+    def test_only_a_run_dir_loads_openssl(self, tmp_path):
+        cos, gap = [[1.0, 0.5], [0.5, 1.0]], [[0.0, 0.3], [0.3, 0.0]]
+        write_matrices(SimilarityMatrices(s_out=cos, s_mlp=cos, delta_norm=gap),
+                       tmp_path / "m.d2ms")
+        sweep = ["search", "--matrices", "m.d2ms", "--sweep", "--delta-grid", "0.01,0.1",
+                 "--epsilon-grid", "0.1", "--sweep-out", "sweep.csv"]
+        code = (
+            "import sys, d2m.cli\n"
+            f"code = d2m.cli.main({sweep!r})\n"
+            "print(code, '_hashlib' in sys.modules)\n"
+        )
+        assert run_python(code, tmp_path) == "0 False"
+        code = (
+            "import sys, d2m.cli\n"
+            f"code = d2m.cli.main({sweep + ['--run-dir', '.']!r})\n"
+            "print(code, '_hashlib' in sys.modules)\n"
+        )
+        assert run_python(code, tmp_path) == "0 True"
+        # the manifest's digests are the files' sha256
+        stage = json.loads((tmp_path / "manifest.json").read_text())["stages"]["search"]
+        digests = {**stage["inputs"], **stage["outputs"]}
+        assert digests == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                           for name in ("m.d2ms", "sweep.csv")}
 
     def test_diagnostics_does_not_load_the_toy_model(self, tmp_path):
         code = "import sys, d2m.diagnostics; print('d2m.nanomodel' in sys.modules)"
