@@ -174,8 +174,7 @@ def _overflow_names(flag: str):
 
 
 def cmd_synth(args) -> Written:
-    from .nanomodel import (POSITION_SCALE, build_toy_container, forward_trace,
-                            make_copy_stream, sinusoid_positions)
+    from .nanomodel import build_toy_container, embed_tokens, forward_trace, make_copy_stream
     from .traceio import SyntheticTrace, write_trace, write_weights
 
     # every flag is checked before anything is created
@@ -200,9 +199,7 @@ def cmd_synth(args) -> Written:
                                redundant, args.seed)
     else:
         tokens = make_copy_stream(shape.vocab_size, args.seq_len, 1, args.seed)[0]
-        x = model.tensors["embed"][tokens] + sinusoid_positions(
-            args.seq_len, shape.hidden_dim, scale=POSITION_SCALE)
-        _, trace, _ = forward_trace(model, x)
+        _, trace, _ = forward_trace(model, embed_tokens(model, tokens))
 
     out_dir = Path(args.out_dir)
     created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))

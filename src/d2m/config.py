@@ -6,7 +6,7 @@ every JSON and CSV input file is opened by its path; ``json_document``,
 through which every JSON input is parsed; ``output_file``, through which every
 file the toolkit writes is written beside its destination path and renamed
 into place; and ``_read``, the one bounds-checked cursor through which every
-binary file is read.
+binary file, opened once, is read by positioned reads.
 
 Nothing here imports numpy, so the stages that read only JSON, CSV and the
 similarity matrices cache start without it.
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import os
+import stat
 import struct
 import sys
 from contextlib import contextmanager, suppress
@@ -113,19 +113,19 @@ def _write_header(handle: BinaryIO, magic: bytes, version: int, *fields: int) ->
 
 
 class _Reader:
-    """Bounds-checked cursor over the bytes of one binary file.
+    """Bounds-checked cursor over one open regular file of ``size`` bytes.
 
     Every read compares its declared length with the bytes that remain
-    before it slices or allocates anything, so a tampered header raises
+    before it allocates anything, so a tampered header raises
     ``TruncatedPayload`` instead of asking for a header-sized buffer.
     """
 
-    def __init__(self, buf):
-        self.buf = buf
+    def __init__(self, fd: int, size: int):
+        self.fd, self.size = fd, size
         self._pos = 0
 
     def remaining(self) -> int:
-        return len(self.buf) - self._pos
+        return self.size - self._pos
 
     def skip(self, count: int, what: str) -> int:
         """Step past ``count`` bytes; returns the offset where they start."""
@@ -136,15 +136,29 @@ class _Reader:
         self._pos += count
         return start
 
+    def read_into(self, buf, offset: int, what: str):
+        """``buf``, a writable buffer, filled by positioned reads from the
+        file's ``offset`` on. A file that ends first, because it shrank under
+        the reader, raises ``TruncatedPayload``."""
+        view = memoryview(buf)
+        done = os.preadv(self.fd, [view], offset)
+        while done < view.nbytes:  # Linux returns at most about 2 GiB a read
+            got = os.preadv(self.fd, [view.cast("B")[done:]], offset + done)
+            if not got:
+                raise TruncatedPayload(f"expected {view.nbytes} bytes for {what} "
+                                       f"at offset {offset}, got {done}")
+            done += got
+        return buf
+
     def take(self, count: int, what: str) -> bytes:
-        start = self.skip(count, what)
-        return self.buf[start:self._pos]
+        start = self.skip(count, what)  # first: a tampered count sizes no buffer
+        return bytes(self.read_into(bytearray(count), start, what))
 
     def u32s(self, count: int, what: str) -> tuple[int, ...]:
-        return struct.unpack_from(f"<{count}I", self.buf, self.skip(4 * count, what))
+        return struct.unpack(f"<{count}I", self.take(4 * count, what))
 
     def f64s(self, count: int, what: str) -> tuple[float, ...]:
-        return struct.unpack_from(f"<{count}d", self.buf, self.skip(8 * count, what))
+        return struct.unpack(f"<{count}d", self.take(8 * count, what))
 
     def end(self) -> None:
         if self.remaining():
@@ -155,31 +169,28 @@ class _Reader:
 def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
     """A reader past the checked magic and version of the file at ``path``.
 
-    The file is memory-mapped read-only. A toolkit error raised while it is
-    parsed, in the block too, names the path.
+    The file stays open for the block. One that is not a regular file, such
+    as a pipe, and an ``OSError`` while it is read raise ``IoFailure``. A
+    toolkit error raised while it is parsed, in the block too, names the path.
     """
     try:
-        with open(path, "rb") as handle:
-            # an empty file cannot be mapped; a pipe reports size 0 too
-            buf = (mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                   if os.fstat(handle.fileno()).st_size else handle.read())
-    except OSError as exc:
+        with open(path, "rb", buffering=0) as handle:
+            info = os.fstat(handle.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise IoFailure("not a regular file")
+            reader = _Reader(handle.fileno(), info.st_size)
+            got = reader.take(4, "magic")
+            if got != magic:
+                raise BadMagic(f"expected magic {magic!r}, got {got!r}")
+            (got_version,) = reader.u32s(1, "version")
+            if got_version != version:
+                raise VersionMismatch(f"unsupported {magic.decode()} format version "
+                                      f"{got_version}, expected {version}")
+            yield reader
+    except OSError as exc:  # the reader's reads too
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        reader = _Reader(buf)
-        got = reader.take(4, "magic")
-        if got != magic:
-            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
-        (got_version,) = reader.u32s(1, "version")
-        if got_version != version:
-            raise VersionMismatch(f"unsupported {magic.decode()} format version "
-                                  f"{got_version}, expected {version}")
-        yield reader
     except D2mError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    finally:
-        if isinstance(buf, mmap.mmap):
-            buf.close()
 
 
 @dataclass(frozen=True)
@@ -322,12 +333,6 @@ def validate_shape(shape: ModelShape) -> ModelShape:
             if moe.top_k > count:
                 raise InvalidShape(f"model.moe.top_k {moe.top_k} > {count} experts of layer {layer}")
     return shape
-
-
-def attention_tensor_names(layer: int) -> tuple[str, ...]:
-    p = f"layer.{layer}.attn"
-    return (f"layer.{layer}.attn_norm", f"{p}.q", f"{p}.k", f"{p}.v", f"{p}.o",
-            f"{p}.q_norm", f"{p}.k_norm")
 
 
 def tensor_schema(shape: ModelShape) -> Iterator[tuple[str, tuple[int, ...]]]:

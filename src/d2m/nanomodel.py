@@ -77,15 +77,25 @@ def rms_norm_input_grad(x: np.ndarray, scale: np.ndarray, d_out: np.ndarray) -> 
     return gy * inv - x * (dot * inv ** 3 / x.shape[-1])
 
 
-def sinusoid_positions(seq_len: int, dim: int, scale: float = 1.0) -> np.ndarray:
-    """Fixed additive positional offsets (parameter-free by design)."""
+POSITION_SCALE = 0.1
+
+
+def sinusoid_positions(seq_len: int, dim: int) -> np.ndarray:
+    """Fixed additive positional offsets, scaled by ``POSITION_SCALE``."""
     pos = np.arange(seq_len, dtype=np.float64)[:, None]
     idx = np.arange(dim // 2, dtype=np.float64)
     ang = pos / np.power(10000.0, 2.0 * idx / dim)
     enc = np.zeros((seq_len, dim))
     enc[:, 0::2] = np.sin(ang)
     enc[:, 1 ::2] = np.cos(ang[:, : enc[:, 1::2].shape[1]])
-    return enc * scale
+    return enc * POSITION_SCALE
+
+
+def embed_tokens(container: WeightContainer, tokens: np.ndarray) -> np.ndarray:
+    """The (T, d) input states of the token ids ``tokens``: their embeddings
+    plus the sinusoidal positions."""
+    return (container.tensors["embed"][tokens]
+            + sinusoid_positions(len(tokens), container.shape.hidden_dim))
 
 
 # --- layer views ----------------------------------------------------------------
@@ -525,9 +535,6 @@ def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, grad / len(targets)
 
 
-POSITION_SCALE = 0.1
-
-
 def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
               lr: float, alpha: float) -> tuple[TrainLog, WeightContainer]:
     """Full-batch SGD on router and expert weights of a fused toy model.
@@ -569,11 +576,10 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
     embed = work.tensors["embed"]
     final_norm = work.tensors["final_norm"]
     head = embed.T if shape.tied_embedding else work.tensors["lm_head"]
-    positions = sinusoid_positions(data.shape[1], shape.hidden_dim, scale=POSITION_SCALE)
     # the frozen prefix: routing inputs stay fixed while router and experts train
     routing_inputs = []
     for seq in data:
-        state = embed[seq] + positions
+        state = embed_tokens(work, seq)
         for layer in layers[:-1]:
             _, state, _ = layer_forward(layer, state)
         routing_inputs.append(pre_mlp_state(moe_layer, state))
@@ -601,11 +607,9 @@ def load_profiles(container: WeightContainer, data: np.ndarray) -> list[LayerLoa
     data = np.asarray(data, dtype=np.int64)
     if data.ndim != 2 or data.size == 0:
         raise EmptyRecord("load_profiles needs a non-empty (num_sequences, seq_len) array")
-    shape = container.shape
-    positions = sinusoid_positions(data.shape[1], shape.hidden_dim, scale=POSITION_SCALE)
-    probabilities: dict[int, list[np.ndarray]] = {l: [] for l in shape.experts}
+    probabilities: dict[int, list[np.ndarray]] = {l: [] for l in container.shape.experts}
     for seq in data:
-        _, _, records = forward_trace(container, container.tensors["embed"][seq] + positions)
+        _, _, records = forward_trace(container, embed_tokens(container, seq))
         for l, record in records.items():
             probabilities[l].append(record.probabilities)
     return [LayerLoadProfile(layer=l, loads=tuple(top1_fractions(np.concatenate(p)).tolist()))

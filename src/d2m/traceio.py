@@ -22,16 +22,16 @@ its ``moe`` is null for a dense model, or ``{"experts": {"4": 2}, "top_k": 1}``,
 the pool size of each MoE layer and the top-k every pool runs.
 
 These two and the similarity matrices cache are read through one cursor,
-``config._read``, that checks every header-declared length against the bytes
-present before it slices or allocates, and rejects bytes left over after the
-payload. ``_floats`` decodes the float32 payloads of these two into numpy
-arrays.
+``config._read``, that checks every header-declared length against the file
+size before it allocates, rejects bytes left over after the payload, and
+reads every byte by a positioned read into a given buffer (``read_into``).
+``_floats`` reads the float32 payloads of these two into numpy arrays.
 
 ``read_trace`` loads a whole trace. ``trace_chunks`` checks a trace file's
-header by the same rules and then reads its states one half at a time: all
-of ``mlp_inputs``, then all of ``layer_outputs``, each a token chunk at a
-time into one reused buffer. ``CHUNK_BYTES`` budgets one half's chunk (at
-least one token), so a pass over a trace never holds more of it than that.
+header by the same rules and then reads its states through the same cursor
+one half at a time: all of ``mlp_inputs``, then all of ``layer_outputs``,
+each a token chunk at a time into one reused buffer. ``CHUNK_BYTES`` budgets
+one half's chunk (at least one token), so a pass holds no more than that.
 
 ``write_trace`` writes each (half, layer) block at its slot's offset in the
 new file. An in-memory trace goes out in file order. A ``SyntheticTrace`` is
@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -69,7 +68,6 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     InvalidTrace,
-    IoFailure,
     MissingTensor,
     NonFiniteValue,
     OutOfRange,
@@ -110,7 +108,8 @@ class ActivationTrace:
 
 def make_trace(mlp_inputs: Sequence[np.ndarray],
                layer_outputs: Sequence[np.ndarray]) -> ActivationTrace:
-    """Build a validated trace from per-layer matrices or (L, T, d) arrays."""
+    """Build a validated trace from per-layer matrices or (L, T, d) arrays,
+    every value finite as float32, the precision of a trace file."""
     if len(mlp_inputs) == 0 or len(mlp_inputs) != len(layer_outputs):
         raise InvalidTrace(
             f"need equal non-zero layer counts, got {len(mlp_inputs)} mlp inputs "
@@ -128,8 +127,13 @@ def make_trace(mlp_inputs: Sequence[np.ndarray],
                 raise InvalidTrace(
                     f"{label} layer {idx} has shape {np.shape(m)}, expected {(t, d)}"
                 )
-            if not np.isfinite(m).all():
+            extremes = np.array([np.min(m), np.max(m)])  # NaN and inf show here too
+            if not np.isfinite(extremes).all():
                 raise NonFiniteValue(f"{label} layer {idx} contains non-finite values")
+            with np.errstate(over="ignore"):  # the check below reports an overflow
+                if not np.isfinite(extremes.astype(np.float32)).all():
+                    raise NonFiniteValue(
+                        f"{label} layer {idx} contains values that are not finite as float32")
     return ActivationTrace(mlp_inputs=np.asarray(mlp_inputs, dtype=np.float64),
                            layer_outputs=np.asarray(layer_outputs, dtype=np.float64))
 
@@ -151,10 +155,9 @@ def _floats(reader: _Reader, dims: Sequence[int], what: str) -> np.ndarray:
     """The reader's next prod(dims) little-endian float32s, as a float64
     array of shape dims."""
     count = math.prod(dims)
-    start = reader.skip(4 * count, what)
-    # one expression, so no view of the buffer outlives the call
-    return (np.frombuffer(reader.buf, dtype="<f4", count=count, offset=start)
-            .astype(np.float64).reshape(dims))
+    start = reader.skip(4 * count, what)  # first: tampered dims size no buffer
+    block = reader.read_into(np.empty(count, dtype="<f4"), start, what)
+    return block.astype(np.float64).reshape(dims)
 
 
 # --- trace format ---------------------------------------------------------------
@@ -242,15 +245,10 @@ def trace_chunks(path: str | Path) -> Iterator[tuple[tuple[int, int, int], Itera
         dims = _trace_dims(reader)
         start = reader.skip(2 * math.prod(dims) * 4, "trace payload")
         reader.end()
-        try:
-            handle = open(path, "rb", buffering=0)
-        except OSError as exc:
-            raise IoFailure(f"cannot read: {exc}") from exc
-        with handle:
-            yield dims, _read_chunks(handle.fileno(), start, dims)
+        yield dims, _read_chunks(reader, start, dims)
 
 
-def _read_chunks(fd: int, start: int, dims: tuple[int, int, int]) -> Iterator[Chunk]:
+def _read_chunks(reader: _Reader, start: int, dims: tuple[int, int, int]) -> Iterator[Chunk]:
     num_layers, seq_len, hidden = dims
     buf = np.empty((num_layers, chunk_tokens(*dims), hidden), dtype="<f4")
     for half, tokens in chunk_slices(*dims):
@@ -258,13 +256,7 @@ def _read_chunks(fd: int, start: int, dims: tuple[int, int, int]) -> Iterator[Ch
         for layer, rows in enumerate(states):  # views: reads land in buf
             # the file holds each (half, layer) as T contiguous rows of d floats
             offset = start + 4 * hidden * ((half * num_layers + layer) * seq_len + tokens.start)
-            try:
-                got = os.preadv(fd, [rows], offset)
-            except OSError as exc:
-                raise IoFailure(f"read failed: {exc}") from exc
-            if got != rows.nbytes:
-                raise TruncatedPayload(
-                    f"expected {rows.nbytes} bytes at offset {offset}, got {got}")
+            reader.read_into(rows, offset, "trace payload")
         yield half, tokens, states
 
 

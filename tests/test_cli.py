@@ -3,7 +3,10 @@ exit codes, and the run-directory manifest."""
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -13,6 +16,8 @@ import pytest
 from d2m import cli
 from d2m.cli import main
 from d2m.traceio import param_count, read_weights
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 QWEN_MODEL = {
     "num_layers": 24, "hidden_dim": 896, "mlp_dim": 4864, "num_heads": 14,
@@ -238,6 +243,35 @@ class TestUnreadableTextInputs:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read") and "a_directory" in err
+
+
+class TestBinaryInputThatIsNotAFile:
+    @pytest.mark.parametrize("stage", ["analyze", "search", "fuse"])
+    def test_fifo_exits_3_naming_it(self, tmp_path, stage):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"keep": [1], "prune": [], "blocks": []}))
+        argv = {
+            "analyze": ["analyze", "--trace", str(fifo), "--out-dir", str(tmp_path / "a")],
+            "search": ["search", "--matrices", str(fifo), "--delta", "0.05",
+                       "--epsilon", "0.1", "--plan-out", str(tmp_path / "p.json")],
+            "fuse": ["fuse", "--model", str(fifo), "--plan", str(plan), "--base-copies", "1",
+                     "--supp-copies", "1", "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
+                     "--provenance-out", str(tmp_path / "prov.json")],
+        }[stage]
+        # held open for writing, so opening the pipe to read waits for no one;
+        # a stage that read it to its end would wait for ever, so it runs apart
+        held = os.open(fifo, os.O_RDWR)
+        try:
+            done = subprocess.run([sys.executable, "-m", "d2m.cli", *argv],
+                                  capture_output=True, text=True, timeout=30,
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                      p for p in (SRC, os.environ.get("PYTHONPATH")) if p)})
+        finally:
+            os.close(held)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == f"error: {fifo}: not a regular file\n"
 
 
 class TestSynth:

@@ -18,7 +18,6 @@ from d2m.config import (
     QWEN25_0_5B,
     THOR_U,
     Workload,
-    attention_tensor_names,
 )
 from d2m.costmodel import (
     COMPUTE_BOUND,
@@ -213,7 +212,10 @@ def top_k_path(shape):
     every layer attention, norms, and the MLP, or the router and experts 1..k."""
     names = ["embed", "final_norm"] + ([] if shape.tied_embedding else ["lm_head"])
     for layer in range(1, shape.num_layers + 1):
-        names += [*attention_tensor_names(layer), f"layer.{layer}.mlp_norm"]
+        names += [f"layer.{layer}.attn_norm",
+                  *(f"layer.{layer}.attn.{part}"
+                    for part in ("q", "k", "v", "o", "q_norm", "k_norm")),
+                  f"layer.{layer}.mlp_norm"]
         if layer not in shape.experts:
             names += [f"layer.{layer}.mlp.{part}" for part in ("up", "gate", "down")]
             continue

@@ -64,12 +64,9 @@ class TestLoadProfile:
         """``load_profiles`` against per-token argmaxes counted by hand from
         each sequence's own forward pass, pooled over the stream."""
         container, data = model
-        positions = nano.sinusoid_positions(data.shape[1], container.shape.hidden_dim,
-                                            scale=nano.POSITION_SCALE)
         counts = {layer: [0] * n for layer, n in container.shape.experts.items()}
         for seq in data:
-            _, _, records = nano.forward_trace(container,
-                                               container.tensors["embed"][seq] + positions)
+            _, _, records = nano.forward_trace(container, nano.embed_tokens(container, seq))
             for layer, record in records.items():
                 for row in record.probabilities.tolist():
                     counts[layer][row.index(max(row))] += 1

@@ -466,15 +466,12 @@ class TestTrainToy:
         alpha = 1e-3
 
         def batch_loss(container, frozen_f=None):
-            shape = container.shape
             layers = nano.layers_of(container)
             embed = container.tensors["embed"]
-            positions = nano.sinusoid_positions(data.shape[1], shape.hidden_dim,
-                                                scale=nano.POSITION_SCALE)
             total_ce = 0.0
             probs_all = []
             for seq in data:
-                state = embed[seq] + positions
+                state = nano.embed_tokens(container, seq)
                 for layer in layers[:-1]:
                     _, state, _ = layer_forward(layer, state)
                 _, y, record = layer_forward(layers[-1], state)
@@ -541,7 +538,6 @@ def train_toy_oracle(container, data, steps, lr, alpha):
     final_norm = work.tensors["final_norm"]
     head = embed if shape.tied_embedding else work.tensors["lm_head"]
     num_seqs, seq_len = data.shape
-    positions = nano.sinusoid_positions(seq_len, shape.hidden_dim, scale=nano.POSITION_SCALE)
     total_tokens = num_seqs * seq_len
     log = TrainLog()
     for step in range(1, steps + 1):
@@ -553,7 +549,7 @@ def train_toy_oracle(container, data, steps, lr, alpha):
         prob_sums = np.zeros(n_experts)
         lb_router_inputs = []
         for seq in data:
-            state = embed[seq] + positions
+            state = nano.embed_tokens(work, seq)
             for layer in layers[:-1]:
                 _, state, _ = layer_forward(layer, state)
             h = nano.pre_mlp_state(moe_layer, state)

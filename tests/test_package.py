@@ -1,6 +1,6 @@
 """The package surface: the import cost of each CLI stage, the single paths
-through which the package writes files and parses JSON, and the README's
-library quick start, executed as written."""
+through which the package writes files, reads binary files and parses JSON,
+and the README's library quick start, executed as written."""
 
 import ast
 import hashlib
@@ -122,15 +122,25 @@ class TestStartUp:
 
 WRITE_HELPER = "output_file"
 JSON_HELPER = "json_document"
+READ_HELPERS = ("_read", "_Reader", "_sha256")
 
 
 def scoped_calls(tree: ast.AST, inside: str | None = None):
-    """(enclosing function, call) of every call in ``tree``."""
+    """(enclosing scope, call) of every call in ``tree``; a scope is a dotted
+    name such as ``_Reader.read_into``."""
     for node in ast.iter_child_nodes(tree):
-        scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else inside
+        scope = inside
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{inside}.{node.name}" if inside else node.name
         if isinstance(node, ast.Call):
             yield scope, node
         yield from scoped_calls(node, scope)
+
+
+def open_mode(call: ast.Call) -> ast.expr | None:
+    """The mode argument of an ``open`` call, if it has one."""
+    return call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg in ("mode", "flags")), None)
 
 
 def write_calls(tree: ast.AST):
@@ -143,8 +153,7 @@ def write_calls(tree: ast.AST):
         if name in ("write_text", "write_bytes"):
             yield scope, node.lineno, name
         elif name == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (k.value for k in node.keywords if k.arg in ("mode", "flags")), None)
+            mode = open_mode(node)
             reads = mode is None or (isinstance(mode, ast.Constant)
                                      and isinstance(mode.value, str)
                                      and not set(mode.value) & set("wax+"))
@@ -167,13 +176,41 @@ def json_parses(tree: ast.AST):
             yield scope, node.lineno, f"json.{func.attr}"
 
 
-def guarded_calls(find, helper: str) -> list[str]:
-    """Every call ``find`` reports in the package's modules outside ``helper``."""
+def binary_reads(tree: ast.AST):
+    """(scope, line, what) of every import of ``mmap``, of ``pread`` or
+    ``preadv`` from ``os``, and of every call that reads a file's bytes:
+    ``os.pread``, ``os.preadv`` and any ``open`` in a literal binary read
+    mode."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "mmap":
+                    yield None, node.lineno, "import mmap"
+        elif isinstance(node, ast.ImportFrom) and node.module in ("mmap", "os"):
+            for alias in node.names:
+                if node.module == "mmap" or alias.name in ("pread", "preadv"):
+                    yield None, node.lineno, f"from {node.module} import {alias.name}"
+    for scope, node in scoped_calls(tree):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("pread", "preadv")
+                and isinstance(func.value, ast.Name) and func.value.id == "os"):
+            yield scope, node.lineno, f"os.{func.attr}"
+        elif getattr(func, "id", None) == "open":
+            mode = open_mode(node)
+            if (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and "b" in mode.value and not set(mode.value) & set("wax+")):
+                yield scope, node.lineno, f"open mode {mode.value!r}"
+
+
+def guarded_calls(find, *helpers: str) -> list[str]:
+    """Every call ``find`` reports in the package's modules outside the
+    ``helpers``, functions or classes, and all they hold."""
     found = []
     for path in sorted(SRC.joinpath("d2m").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{line} {what} in {scope}"
-                  for scope, line, what in find(tree) if scope != helper]
+                  for scope, line, what in find(tree)
+                  if (scope or "").split(".")[0] not in helpers]
     return found
 
 
@@ -183,6 +220,11 @@ def test_every_write_goes_through_the_output_helper():
 
 def test_every_json_input_goes_through_the_parse_helper():
     assert guarded_calls(json_parses, JSON_HELPER) == []
+
+
+def test_every_binary_read_goes_through_the_reader():
+    # the run-directory manifest hashes each file through its own open
+    assert guarded_calls(binary_reads, *READ_HELPERS) == []
 
 
 def test_json_guard_flags_a_second_parse_path():
@@ -196,6 +238,24 @@ def test_json_guard_flags_a_second_parse_path():
     assert list(json_parses(ast.parse(code))) == [
         (None, 1, "from json import loads"), ("read", 3, "json.loads"),
         ("read", 4, "json.load"), ("json_document", 7, "json.loads")]
+
+
+def test_read_guard_flags_a_second_read_path():
+    code = ("import mmap\n"
+            "from os import preadv\n"
+            "class _Reader:\n"
+            "    def read_into(self, buf):\n"
+            "        os.preadv(self.fd, [buf], 0)\n"
+            "def load(path, fd):\n"
+            "    open(path, 'rb')\n"
+            "    open(path, mode='rb', buffering=0)\n"
+            "    open(path)\n"
+            "    open(path, 'wb')\n"
+            "    os.pread(fd, 4, 0)\n")
+    assert list(binary_reads(ast.parse(code))) == [
+        (None, 1, "import mmap"), (None, 2, "from os import preadv"),
+        ("_Reader.read_into", 5, "os.preadv"), ("load", 7, "open mode 'rb'"),
+        ("load", 8, "open mode 'rb'"), ("load", 11, "os.pread")]
 
 
 def test_write_guard_flags_a_second_write_path():

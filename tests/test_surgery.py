@@ -20,9 +20,11 @@ from d2m.surgery import (
     reference_pruned_model,
     verify_fusion,
 )
-from d2m.config import attention_tensor_names
 from d2m.traceio import param_count, validate_container
 
+# the seven attention tensors of a layer, after its "layer.{l}." prefix
+ATTENTION_PARTS = ("attn_norm", "attn.q", "attn.k", "attn.v", "attn.o",
+                   "attn.q_norm", "attn.k_norm")
 SHAPE = ModelShape(num_layers=4, hidden_dim=16, mlp_dim=32, num_heads=2,
                    num_kv_heads=1, head_dim=8, vocab_size=24)
 PLAN = FusionPlan(keep_layers=(1, 2, 4), prune_layers=frozenset({3}),
@@ -78,9 +80,8 @@ class TestFuse:
     def test_kept_layers_renumbered_in_order(self):
         dense = toy_dense()
         fused, _ = fuse(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
-        for name in attention_tensor_names(4):
-            suffix = name.split(".", 2)[2]
-            assert np.array_equal(fused.tensors[f"layer.3.{suffix}"], dense.tensors[name])
+        for part in ATTENTION_PARTS:
+            assert np.array_equal(fused.tensors[f"layer.3.{part}"], dense.tensors[f"layer.4.{part}"])
 
     def test_pure_function_of_inputs(self):
         a, _ = fuse(toy_dense(), PLAN, base_copies=2, supp_copies=1, top_k=1)
@@ -137,7 +138,7 @@ class TestFuse:
 
         attn = sum(dense.tensors[n].size
                    for layer in plan.prune_layers
-                   for n in attention_tensor_names(layer)
+                   for n in (f"layer.{layer}.{part}" for part in ATTENTION_PARTS)
                    if "norm" not in n)
         norms = sum(dense.tensors[f"layer.{layer}.attn_norm"].size
                     + dense.tensors[f"layer.{layer}.mlp_norm"].size

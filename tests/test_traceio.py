@@ -3,8 +3,11 @@ tampered headers and mutated files of all three formats, and the synthetic
 trace generator."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import d2m
 from d2m.cli import main
 from d2m.config import ModelShape, MoEShape
 from d2m.errors import (
@@ -139,6 +143,24 @@ class TestTraceFormat:
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IoFailure):
             read_trace(tmp_path / "absent.d2mt")
+
+    def test_layer_beyond_float32_is_refused_before_the_matrices(self):
+        # a trace file holds float32; squared in float64, 1e200 would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="^mlp_inputs layer 1 contains values "
+                                                     "that are not finite as float32$"):
+                build_matrices(make_trace([np.full((3, 4), 1e200)] * 2,
+                                          [np.ones((3, 4))] * 2))
+
+    def test_layer_at_the_float32_maximum_is_accepted(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        trace = make_trace([np.full((3, 4), top), np.full((3, 4), -top)],
+                           [np.ones((3, 4))] * 2)
+        path = tmp_path / "t.d2mt"
+        write_trace(trace, path)
+        assert np.array_equal(read_trace(path).mlp_inputs, trace.mlp_inputs)
+        assert build_matrices(trace).s_mlp[0, 1] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("first", [np.ones(3), np.ones((2, 3, 4)), np.float64(1.0)],
                              ids=["vector", "3-d", "scalar"])
@@ -630,6 +652,51 @@ def mutated_files(draw) -> tuple[str, bytes]:
         offset = draw(st.sampled_from(header_u32_offsets(fmt)))
         data[offset:offset + 4] = struct.pack("<I", draw(st.sampled_from([0, 1, 2**16, 2**32 - 1])))
     return fmt, bytes(data)
+
+
+# Reads the file argv[2] with the reader of format argv[1], after cutting the
+# file to its first page inside the reader's block, once the header is
+# checked; prints the error. Run apart: a reader that mapped the file dies of
+# SIGBUS on the pages past the new end.
+SHRINK_WHILE_READING = """
+import os, sys
+from contextlib import contextmanager
+from d2m import config, traceio
+
+opened = config._read
+
+@contextmanager
+def shrinking(path, magic, version):
+    with opened(path, magic, version) as reader:
+        os.truncate(path, 4096)
+        yield reader
+
+config._read = traceio._read = shrinking
+read = {"d2mt": traceio.read_trace, "d2ms": config.read_matrices,
+        "d2mw": traceio.read_weights}[sys.argv[1]]
+try:
+    read(sys.argv[2])
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("fmt, value", [
+    ("d2mt", synth_trace(2, 64, 32, seed=5)),  # 32 KiB: several pages each
+    ("d2ms", build_matrices(synth_trace(24, 4, 5, seed=6))),
+    ("d2mw", build_toy_container(TOY_SHAPE, seed=7)),
+], ids=["d2mt", "d2ms", "d2mw"])
+def test_file_shrinking_under_each_reader_is_truncated_payload(tmp_path, fmt, value):
+    path = tmp_path / f"shrinking.{fmt}"
+    {"d2mt": write_trace, "d2ms": write_matrices, "d2mw": write_weights}[fmt](value, path)
+    assert path.stat().st_size > 3 * 4096
+    src = str(Path(d2m.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", SHRINK_WHILE_READING, fmt, str(path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"TruncatedPayload {path}: expected "), done.stdout
 
 
 class TestMutatedFiles:
