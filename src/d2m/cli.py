@@ -12,9 +12,10 @@ manifest records that digest; outputs are hashed once they are written.
 Each ``cmd_*`` only does its stage's work and returns what it wrote.
 
 Each subcommand imports the modules it runs when it runs, so a stage pays
-only for its own imports: ``search`` (plan and sweep modes), ``estimate``,
-``pareto`` and ``diagnose`` never load numpy, and only a stage given
---run-dir loads ``hashlib``, whose OpenSSL takes about 3.6 MiB.
+only for its own imports: ``search`` (plan and sweep modes), ``fuse``,
+``estimate``, ``pareto`` and ``diagnose`` never load numpy (``fuse`` copies
+and checks the weight file's float32 bytes as they are), and only a stage
+given --run-dir loads ``hashlib``, whose OpenSSL takes about 3.6 MiB.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .config import (
     json_document,
     load_config,
     load_plan,
+    output_file,
     plan_to_dict,
     read_matrices,
     validate_thresholds,
@@ -275,14 +277,19 @@ def cmd_search(args) -> Written:
 
 def cmd_fuse(args) -> Written:
     from . import surgery
-    from .traceio import read_weights, write_weights
+    from .weightfile import open_weights
 
-    model = read_weights(args.model)
-    plan = load_plan(args.plan, model.shape.num_layers)
-    fused, provenance = surgery.fuse(model, plan, base_copies=args.base_copies,
-                                     supp_copies=args.supp_copies, top_k=args.top_k)
-    surgery.verify_fusion(model, fused, plan, provenance)
-    write_weights(fused, args.out)
+    # the plan and the copy counts are checked against the header first, and
+    # the fused file is checked byte for byte before it replaces --out
+    with open_weights(args.model) as dense:
+        plan = load_plan(args.plan, dense.shape.num_layers)
+        with output_file(args.out, binary=True) as out:
+            _, provenance = surgery.fuse(dense, plan, base_copies=args.base_copies,
+                                         supp_copies=args.supp_copies, top_k=args.top_k,
+                                         out=out)
+            out.flush()
+            with open_weights(out.name) as fused:
+                surgery.verify_fusion(dense, fused, plan, provenance)
     write_json(args.provenance_out, surgery.provenance_to_dict(provenance))
     return [args.out, args.provenance_out], ""
 
@@ -355,9 +362,13 @@ def cmd_diagnose(args) -> Written:
 
 
 def cmd_train_toy(args) -> Written:
-    from .nanomodel import make_copy_stream, train_toy
+    from .nanomodel import check_topology, make_copy_stream, train_toy
     from .traceio import read_weights, write_weights
+    from .weightfile import open_weights
 
+    with open_weights(args.model) as header:
+        shape = header.shape
+    check_topology(shape)  # from the header, before any tensor is read
     model = read_weights(args.model)
     data = make_copy_stream(model.shape.vocab_size, args.seq_len, args.sequences, args.seed)
     log, trained = train_toy(model, data, steps=args.steps, lr=args.lr, alpha=args.alpha)

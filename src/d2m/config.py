@@ -6,7 +6,8 @@ every JSON and CSV input file is opened by its path; ``json_document``,
 through which every JSON input is parsed; ``output_file``, through which every
 file the toolkit writes is written beside its destination path and renamed
 into place; and ``_read``, the one bounds-checked cursor through which every
-binary file, opened once, is read by positioned reads.
+binary file, opened once, is read by positioned reads (``weightfile`` walks a
+weights file's header through it).
 
 Nothing here imports numpy, so the stages that read only JSON, CSV and the
 similarity matrices cache start without it.
@@ -39,7 +40,9 @@ from .errors import (
     InvalidTrace,
     IoFailure,
     NonFiniteValue,
+    PlanModelMismatch,
     TruncatedPayload,
+    VerificationFailure,
     VersionMismatch,
 )
 
@@ -165,32 +168,46 @@ class _Reader:
             raise FormatError(f"{self.remaining()} trailing bytes after the payload")
 
 
+# What a block that reads a file may raise about something else: a plan, a
+# fusion, or a file it writes. Each names its own subject, so it passes as is.
+_NOT_THE_FILE = (InvalidPlan, IoFailure, PlanModelMismatch, VerificationFailure)
+
+
 @contextmanager
 def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
     """A reader past the checked magic and version of the file at ``path``.
 
-    The file stays open for the block. One that is not a regular file, such
-    as a pipe, and an ``OSError`` while it is read raise ``IoFailure``. A
-    toolkit error raised while it is parsed, in the block too, names the path.
+    The file stays open for the block. It is opened non-blocking, so a pipe
+    with no writer is refused at once, as is any file that is not a regular
+    file, with ``IoFailure``; an ``OSError`` while it is read raises
+    ``IoFailure`` too. A toolkit error raised while it is parsed, in the
+    block too, names the path, unless it is about something else.
     """
     try:
-        with open(path, "rb", buffering=0) as handle:
-            info = os.fstat(handle.fileno())
-            if not stat.S_ISREG(info.st_mode):
-                raise IoFailure("not a regular file")
-            reader = _Reader(handle.fileno(), info.st_size)
-            got = reader.take(4, "magic")
-            if got != magic:
-                raise BadMagic(f"expected magic {magic!r}, got {got!r}")
-            (got_version,) = reader.u32s(1, "version")
-            if got_version != version:
-                raise VersionMismatch(f"unsupported {magic.decode()} format version "
-                                      f"{got_version}, expected {version}")
-            yield reader
-    except OSError as exc:  # the reader's reads too
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise IoFailure(f"{path}: not a regular file")
+        reader = _Reader(fd, info.st_size)
+        got = reader.take(4, "magic")
+        if got != magic:
+            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
+        (got_version,) = reader.u32s(1, "version")
+        if got_version != version:
+            raise VersionMismatch(f"unsupported {magic.decode()} format version "
+                                  f"{got_version}, expected {version}")
+        yield reader
+    except OSError as exc:  # the reader's reads
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except _NOT_THE_FILE:
+        raise
     except D2mError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)

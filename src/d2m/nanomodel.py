@@ -535,6 +535,16 @@ def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, grad / len(targets)
 
 
+def check_topology(shape: ModelShape) -> None:
+    """The toy trainer's one topology: exactly one MoE layer, the last. A
+    shape alone decides it, so a weights file is refused from its header."""
+    if list(shape.experts) != [shape.num_layers]:
+        raise UnsupportedTopology(
+            "train_toy requires exactly one MoE layer, at the final position "
+            f"(got MoE layers {sorted(shape.experts)} of {shape.num_layers})"
+        )
+
+
 def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
               lr: float, alpha: float) -> tuple[TrainLog, WeightContainer]:
     """Full-batch SGD on router and expert weights of a fused toy model.
@@ -557,12 +567,7 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
         raise InvalidConfig(f"lr must be finite, got {lr}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise InvalidConfig(f"alpha must be finite and non-negative, got {alpha}")
-    num_layers = container.shape.num_layers
-    if list(container.shape.experts) != [num_layers]:
-        raise UnsupportedTopology(
-            "train_toy requires exactly one MoE layer, at the final position "
-            f"(got MoE layers {sorted(container.shape.experts)} of {num_layers})"
-        )
+    check_topology(container.shape)
     work = copy_container(container)
     shape = work.shape
     data = np.asarray(data, dtype=np.int64)

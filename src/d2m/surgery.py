@@ -6,21 +6,31 @@ expert pool: K bit-exact copies of its own MLP followed by M copies of each
 redundant layer's MLP, in source order. The redundant layers' attention and
 norm tensors are dropped entirely; the router starts at zero, which makes the
 initial routing exactly uniform. ``fuse`` builds that layout from the fused
-``tensor_schema``; ``verify_fusion`` checks it against the plan-pruned dense
-reference, a second derivation that shares no code with the first.
+``tensor_schema``, once, and carries it out either on arrays in memory or on
+the bytes of a weights file, one tensor at a time; ``verify_fusion`` checks
+the result byte for byte against the plan-pruned dense reference, a second
+derivation that shares no code with the first.
+
+Only the in-memory paths load numpy, so the ``fuse`` stage, which copies and
+checks a file's bytes, starts without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-import numpy as np
-
-from .config import FusionPlan, MoEShape, tensor_schema, validate_plan
+from .config import FusionPlan, ModelShape, MoEShape, tensor_schema, validate_plan, validate_shape
 from .errors import InvalidPlan, PlanModelMismatch, VerificationFailure
-from .nanomodel import forward_trace
-from .traceio import WeightContainer, validate_container
+from .weightfile import WeightsFile, write_entry, write_weights_header
+
+if TYPE_CHECKING:
+    from typing import BinaryIO
+
+    import numpy as np
+
+    from .traceio import WeightContainer
 
 
 @dataclass(frozen=True)
@@ -51,22 +61,18 @@ class FusionReport:
         return all(c.passed for c in self.checks)
 
 
-def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
-         supp_copies: int, top_k: int) -> tuple[WeightContainer, ExpertProvenance]:
-    """Apply a fusion plan to a dense container.
+# each fused tensor, in on-disk order: (name, dims, the dense tensor it
+# copies, or None for a router, which is all zero bytes)
+Layout = Iterator[tuple[str, tuple[int, ...], "str | None"]]
 
-    Kept layers keep their order under new 1-based indices; each block base
-    becomes a MoE layer of N = K + n*M experts (K ``base_copies``, then M
-    ``supp_copies`` of each of its n redundant layers), as the provenance
-    records. The container is built by walking its ``tensor_schema``: a
-    router is zeros, the least-biased start for the balancing loss; an expert
-    copies its provenance source's dense MLP; any other tensor copies the
-    same tensor of the dense layer it renumbers. Pure function of its arguments.
-    """
-    validate_container(container)
-    if container.shape.moe is not None:
+
+def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: int,
+            top_k: int) -> tuple[ModelShape, ExpertProvenance, Layout]:
+    """The fused shape, its experts' provenance and its layout, checked
+    against the dense ``shape`` alone, so a refusal touches no tensor."""
+    if shape.moe is not None:
         raise PlanModelMismatch("fuse requires a dense source model")
-    num_layers = container.shape.num_layers
+    num_layers = shape.num_layers
     try:
         validate_plan(plan, num_layers)
     except InvalidPlan as exc:
@@ -84,25 +90,65 @@ def fuse(container: WeightContainer, plan: FusionPlan, base_copies: int,
     }
     moe = (MoEShape({layer: len(sources) for layer, sources in provenance.items()}, top_k)
            if provenance else None)
-    fused_shape = replace(container.shape, num_layers=len(keep), moe=moe)
+    fused_shape = validate_shape(replace(shape, num_layers=len(keep), moe=moe))
 
-    src = container.tensors
-    tensors: dict[str, np.ndarray] = {}
-    for name, dims in tensor_schema(fused_shape):
-        if not name.startswith("layer."):
-            tensors[name] = src[name].copy()
-            continue
-        _, layer, rest = name.split(".", 2)
-        if rest == "router":
-            tensors[name] = np.zeros(dims)
-        elif rest.startswith("moe.expert."):
-            _, _, expert, part = rest.split(".")
-            source = provenance[int(layer)][int(expert) - 1].source_layer
-            tensors[name] = src[f"layer.{source}.mlp.{part}"].copy()
-        else:
-            tensors[name] = src[f"layer.{keep[int(layer) - 1]}.{rest}"].copy()
-    fused = WeightContainer(shape=fused_shape, tensors=tensors)
-    return validate_container(fused), provenance
+    def layout() -> Layout:
+        for name, dims in tensor_schema(fused_shape):
+            if not name.startswith("layer."):
+                yield name, dims, name
+                continue
+            _, layer, rest = name.split(".", 2)
+            if rest == "router":
+                yield name, dims, None
+            elif rest.startswith("moe.expert."):
+                _, _, expert, part = rest.split(".")
+                source = provenance[int(layer)][int(expert) - 1].source_layer
+                yield name, dims, f"layer.{source}.mlp.{part}"
+            else:
+                yield name, dims, f"layer.{keep[int(layer) - 1]}.{rest}"
+
+    return fused_shape, provenance, layout()
+
+
+def fuse(dense: WeightContainer | WeightsFile, plan: FusionPlan, base_copies: int,
+         supp_copies: int, top_k: int, out: BinaryIO | None = None
+         ) -> tuple[WeightContainer | None, ExpertProvenance]:
+    """Apply a fusion plan to a dense model.
+
+    Kept layers keep their order under new 1-based indices; each block base
+    becomes a MoE layer of N = K + n*M experts (K ``base_copies``, then M
+    ``supp_copies`` of each of its n redundant layers), as the provenance
+    records. The fused model is laid out by walking its ``tensor_schema``
+    once: a router is zeros, the least-biased start for the balancing loss;
+    an expert copies its provenance source's dense MLP; any other tensor
+    copies the same tensor of the dense layer it renumbers. The dense shape
+    is checked against the plan and the copy counts before any tensor is.
+
+    With no ``out``, ``dense`` is a container and the fused container is
+    returned. Otherwise ``dense`` is a weights file (``weightfile.WeightsFile``):
+    its every tensor is checked finite, and then the fused model's float32
+    bytes are written to ``out``, a binary file open for writing, one tensor
+    at a time, and None is returned for the model. The same arguments give
+    the same fused model.
+    """
+    fused_shape, provenance, layout = _layout(dense.shape, plan, base_copies, supp_copies,
+                                              top_k)
+    if out is None:
+        import numpy as np
+
+        from .traceio import WeightContainer, validate_container
+
+        validate_container(dense)
+        tensors = {name: np.zeros(dims) if source is None else dense.tensors[source].copy()
+                   for name, dims, source in layout}
+        return validate_container(WeightContainer(fused_shape, tensors)), provenance
+    for name in dense.tensors:  # all of them, in file order, before any is written
+        dense.read(name, finite=True)
+    write_weights_header(out, fused_shape)
+    for name, dims, source in layout:
+        write_entry(out, name, dims,
+                    bytes(4 * math.prod(dims)) if source is None else dense.read(source))
+    return None, provenance
 
 
 def provenance_to_dict(provenance: ExpertProvenance) -> dict[str, Any]:
@@ -115,27 +161,32 @@ def provenance_to_dict(provenance: ExpertProvenance) -> dict[str, Any]:
     }
 
 
-def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPlan,
-                  provenance: ExpertProvenance) -> FusionReport:
-    """Audit a fused model against its source, plan, and provenance.
+def verify_fusion(dense: WeightContainer | WeightsFile, fused: WeightContainer | WeightsFile,
+                  plan: FusionPlan, provenance: ExpertProvenance) -> FusionReport:
+    """Audit a fused model against its source, plan, and provenance, byte for
+    byte.
 
-    Checks (all listed in the report): layer count, absence of pruned layers'
-    attention, a bit-exact ``copy:{name}`` of every tensor of the plan-pruned
-    dense reference except a block base's MLP triple, and per block: its
-    provenance, a zero router, one shared mlp norm (no per-expert norm
-    tensors), and bit-exact expert copies per provenance. Every fused tensor
-    is named by exactly one check. The expectations come from
-    ``reference_pruned_model``, never from ``fuse``'s own renaming. Raises
-    VerificationFailure naming the first failing check; the full report rides
-    on the exception.
+    ``dense`` and ``fused`` are both containers or both weights files
+    (``weightfile.WeightsFile``). Tensors are compared by dtype, dims and bytes,
+    so a copy passes only when it is bit-exact: -0.0 is not 0.0. Checks (all
+    listed in the report): layer count, absence of pruned layers' attention,
+    a bit-exact ``copy:{name}`` of every tensor of the plan-pruned dense
+    reference except a block base's MLP triple, and per block: its
+    provenance, a zero router (every byte zero), one shared mlp norm (no
+    per-expert norm tensors), and bit-exact expert copies per provenance.
+    Every fused tensor is named by exactly one check. The expectations come
+    from the renumbering of ``reference_pruned_model``, never from ``fuse``'s
+    own layout. Raises VerificationFailure naming the first failing check;
+    the full report rides on the exception.
     """
+    validate_plan(plan, dense.shape.num_layers)
     checks: list[FusionCheck] = []
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append(FusionCheck(name=name, passed=passed, detail=detail))
 
-    def same(name: str, expected: np.ndarray) -> bool:
-        return name in fused.tensors and np.array_equal(fused.tensors[name], expected)
+    def same(name: str, source: str) -> bool:
+        return name in fused.tensors and fused.tensor_bytes(name) == dense.tensor_bytes(source)
 
     expected_layers = len(plan.keep_layers)
     add("layer_count", fused.shape.num_layers == expected_layers,
@@ -149,10 +200,9 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
     base_to_new = {old: new for new, old in enumerate(plan.keep_layers, start=1)}
     replaced = {f"layer.{base_to_new[b.base]}.mlp.{part}"
                 for b in plan.blocks for part in ("up", "gate", "down")}
-    reference = reference_pruned_model(dense, plan)
-    for name, tensor in reference.tensors.items():
+    for name, source in _pruned_names(dense.tensors, plan).items():
         if name not in replaced:
-            add(f"copy:{name}", same(name, tensor),
+            add(f"copy:{name}", same(name, source),
                 f"{name} must equal the plan-pruned dense model's {name}")
 
     for block in plan.blocks:
@@ -164,8 +214,9 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
         if sources is None:
             continue
         router_name = f"layer.{new_idx}.router"
-        router_ok = router_name in fused.tensors and not np.any(fused.tensors[router_name])
-        add(f"zero_router:{router_name}", router_ok, "router must be all zeros")
+        router = fused.tensor_bytes(router_name)[2] if router_name in fused.tensors else None
+        add(f"zero_router:{router_name}", router is not None and router.count(0) == len(router),
+            "router must be all zero bytes")
         per_expert_norms = sorted(
             n for n in fused.tensors
             if n.startswith(f"layer.{new_idx}.moe.expert.") and n.endswith("norm")
@@ -177,7 +228,7 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
             for part in ("up", "gate", "down"):
                 fused_name = f"layer.{new_idx}.moe.expert.{e}.{part}"
                 src_name = f"layer.{source.source_layer}.mlp.{part}"
-                add(f"expert_copy:{fused_name}", same(fused_name, dense.tensors[src_name]),
+                add(f"expert_copy:{fused_name}", same(fused_name, src_name),
                     f"{fused_name} must be a bit-exact copy of dense {src_name}")
 
     report = FusionReport(checks=tuple(checks))
@@ -187,19 +238,30 @@ def verify_fusion(dense: WeightContainer, fused: WeightContainer, plan: FusionPl
     return report
 
 
+def _pruned_names(dense_names: Iterable[str], plan: FusionPlan) -> dict[str, str]:
+    """Each tensor name of the dense model with the plan's redundant layers
+    deleted outright, and its kept layers renumbered in order, to the dense
+    tensor it is."""
+    new_index = {old: new for new, old in enumerate(plan.keep_layers, start=1)}
+    names: dict[str, str] = {}
+    for name in dense_names:
+        if not name.startswith("layer."):
+            names[name] = name
+            continue
+        _, layer, rest = name.split(".", 2)
+        if int(layer) in new_index:
+            names[f"layer.{new_index[int(layer)]}.{rest}"] = name
+    return names
+
+
 def reference_pruned_model(dense: WeightContainer, plan: FusionPlan) -> WeightContainer:
     """Dense model with the plan's redundant layers deleted outright."""
+    from .traceio import WeightContainer, validate_container
+
     validate_container(dense)
     validate_plan(plan, dense.shape.num_layers)
-    tensors: dict[str, np.ndarray] = {"embed": dense.tensors["embed"].copy()}
-    if not dense.shape.tied_embedding:
-        tensors["lm_head"] = dense.tensors["lm_head"].copy()
-    tensors["final_norm"] = dense.tensors["final_norm"].copy()
-    for new_idx, old_idx in enumerate(plan.keep_layers, start=1):
-        prefix = f"layer.{old_idx}."
-        for name, tensor in dense.tensors.items():
-            if name.startswith(prefix):
-                tensors[f"layer.{new_idx}.{name[len(prefix):]}"] = tensor.copy()
+    tensors = {name: dense.tensors[source].copy()
+               for name, source in _pruned_names(dense.tensors, plan).items()}
     shape = replace(dense.shape, num_layers=len(plan.keep_layers))
     return validate_container(WeightContainer(shape=shape, tensors=tensors))
 
@@ -208,6 +270,10 @@ def functional_equivalence_check(dense: WeightContainer, fused: WeightContainer,
                                  plan: FusionPlan, probe: np.ndarray) -> float:
     """Max |deviation| between the fused model (router forced to a base-copy
     expert with gate one) and the plan-pruned dense reference on a probe."""
+    import numpy as np
+
+    from .nanomodel import forward_trace
+
     reference = reference_pruned_model(dense, plan)
     ref_out, _, _ = forward_trace(reference, probe)
     # expert 1 is always a base copy (base_copies >= 1)

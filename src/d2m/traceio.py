@@ -25,7 +25,12 @@ These two and the similarity matrices cache are read through one cursor,
 ``config._read``, that checks every header-declared length against the file
 size before it allocates, rejects bytes left over after the payload, and
 reads every byte by a positioned read into a given buffer (``read_into``).
-``_floats`` reads the float32 payloads of these two into numpy arrays.
+A weights file's header is walked by one numpy-free walker,
+``weightfile.WeightsFile``: its shape document first, then each entry's header,
+stepping past the data, into an index that is checked against the schema.
+``read_weights`` reads the tensors of that index into float64 arrays; the
+``fuse`` stage copies their bytes without numpy. ``_floats`` reads a trace's
+float32 payload into a numpy array.
 
 ``read_trace`` loads a whole trace. ``trace_chunks`` checks a trace file's
 header by the same rules and then reads its states through the same cursor
@@ -44,13 +49,11 @@ into place. That pass holds one layer plus the kept bases, never the trace.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,26 +62,14 @@ from .config import (
     _read,
     _Reader,
     _write_header,
-    json_document,
     output_file,
-    shape_from_dict,
-    tensor_schema,
 )
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    InvalidTrace,
-    MissingTensor,
-    NonFiniteValue,
-    OutOfRange,
-    TruncatedPayload,
-)
+from .errors import InvalidTrace, NonFiniteValue, OutOfRange
+from .weightfile import check_tensors, open_weights, write_entry, write_weights_header
 
 HALVES = ("mlp_inputs", "layer_outputs")  # trace halves, in file order
 TRACE_MAGIC = b"D2MT"
 TRACE_VERSION = 1
-WEIGHTS_MAGIC = b"D2MW"
-WEIGHTS_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -346,24 +337,16 @@ class WeightContainer:
     shape: ModelShape
     tensors: dict[str, np.ndarray]
 
+    def tensor_bytes(self, name: str) -> tuple[str, tuple[int, ...], bytes]:
+        """The dtype, dims and bytes of the tensor ``name``."""
+        tensor = self.tensors[name]
+        return tensor.dtype.str, tensor.shape, tensor.tobytes()
+
 
 def validate_container(container: WeightContainer) -> WeightContainer:
-    """Every schema tensor present with matching dims, and nothing extra.
-
-    The schema is walked lazily and stops at the first tensor that is absent,
-    so the work is bounded by the tensors present, whatever the shape claims.
-    """
-    seen: set[str] = set()
-    for name, dims in tensor_schema(container.shape):
-        if name not in container.tensors:
-            raise MissingTensor(f"tensor {name!r} is required but absent")
-        got = tuple(container.tensors[name].shape)
-        if got != dims:
-            raise DimensionMismatch(f"tensor {name!r} has dims {got}, expected {dims}")
-        seen.add(name)
-    extras = container.tensors.keys() - seen
-    if extras:
-        raise DimensionMismatch(f"unexpected tensors not in schema: {sorted(extras)}")
+    """Every schema tensor present with matching dims, and nothing extra
+    (``weightfile.check_tensors``)."""
+    check_tensors(container.shape, {name: t.shape for name, t in container.tensors.items()})
     return container
 
 
@@ -376,12 +359,6 @@ def copy_container(container: WeightContainer) -> WeightContainer:
                            {name: t.copy() for name, t in container.tensors.items()})
 
 
-def _check_finite(tensors: Mapping[str, np.ndarray]) -> None:
-    for name, tensor in tensors.items():
-        if not np.isfinite(tensor).all():
-            raise NonFiniteValue(f"tensor {name!r} contains non-finite values")
-
-
 def write_weights(container: WeightContainer, destination) -> int:
     """Serialize a validated container, finite as float32, to the file at the
     path ``destination``; returns the number of bytes emitted. Every tensor
@@ -389,39 +366,19 @@ def write_weights(container: WeightContainer, destination) -> int:
     validate_container(container)
     blocks = {name: _float32(tensor, f"tensor {name!r}")
               for name, tensor in container.tensors.items()}
-    config = json.dumps(asdict(container.shape), sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
     with output_file(destination, binary=True) as handle:
-        n = _write_header(handle, WEIGHTS_MAGIC, WEIGHTS_VERSION, len(config))
-        n += handle.write(config)
+        n = write_weights_header(handle, container.shape)
         for name, block in blocks.items():
-            encoded, dims = name.encode("utf-8"), container.tensors[name].shape
-            n += handle.write(struct.pack(f"<I{len(encoded)}sI{len(dims)}I", len(encoded),
-                                          encoded, len(dims), *dims))
-            n += handle.write(block)
+            n += write_entry(handle, name, container.tensors[name].shape, block)
         return n
 
 
 def read_weights(source) -> WeightContainer:
-    """Deserialize and re-validate the weight container file at the path
-    ``source``, rejecting non-finite values."""
+    """Deserialize the weight container file at the path ``source``, its
+    index checked by ``weightfile.WeightsFile``, rejecting non-finite values."""
     tensors: dict[str, np.ndarray] = {}
-    with _read(source, WEIGHTS_MAGIC, WEIGHTS_VERSION) as reader:
-        (config_len,) = reader.u32s(1, "config length")
-        raw_config = reader.take(config_len, "config document")
-        shape = shape_from_dict(json_document(raw_config, "config document"))
-        while reader.remaining():
-            (name_len,) = reader.u32s(1, "tensor name length")
-            try:
-                name = reader.take(name_len, "tensor name").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"tensor name is not UTF-8: {exc}") from exc
-            (ndim,) = reader.u32s(1, f"ndim of {name!r}")
-            if ndim < 1 or ndim > 8:
-                raise TruncatedPayload(f"implausible ndim {ndim} for tensor {name!r}")
-            dims = reader.u32s(ndim, f"dims of {name!r}")
-            if name in tensors:
-                raise DimensionMismatch(f"duplicate tensor {name!r} in stream")
-            tensors[name] = _floats(reader, dims, f"data of {name!r}")
-        _check_finite(tensors)
-        return validate_container(WeightContainer(shape=shape, tensors=tensors))
+    with open_weights(source) as weights:
+        for name, (dims, _) in weights.tensors.items():
+            block = np.frombuffer(weights.read(name, finite=True), dtype="<f4")
+            tensors[name] = block.astype(np.float64).reshape(dims)
+    return WeightContainer(shape=weights.shape, tensors=tensors)

@@ -3,19 +3,23 @@ exit codes, and the run-directory manifest."""
 
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
-from d2m import cli
+from d2m import cli, surgery
 from d2m.cli import main
-from d2m.traceio import param_count, read_weights
+from d2m.config import FusionBlock, FusionPlan, ModelShape, tensor_schema
+from d2m.nanomodel import build_toy_container
+from d2m.traceio import param_count, read_weights, write_weights
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -246,8 +250,10 @@ class TestUnreadableTextInputs:
 
 
 class TestBinaryInputThatIsNotAFile:
-    @pytest.mark.parametrize("stage", ["analyze", "search", "fuse"])
-    def test_fifo_exits_3_naming_it(self, tmp_path, stage):
+    @pytest.mark.parametrize("stage, writer", [
+        pytest.param(stage, writer, id=stage if writer else f"{stage}-no-writer")
+        for stage in ("analyze", "search", "fuse") for writer in (True, False)])
+    def test_fifo_exits_3_naming_it(self, tmp_path, stage, writer):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         plan = tmp_path / "plan.json"
@@ -260,16 +266,17 @@ class TestBinaryInputThatIsNotAFile:
                      "--supp-copies", "1", "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
                      "--provenance-out", str(tmp_path / "prov.json")],
         }[stage]
-        # held open for writing, so opening the pipe to read waits for no one;
-        # a stage that read it to its end would wait for ever, so it runs apart
-        held = os.open(fifo, os.O_RDWR)
+        # held open for writing, or by no one: a stage that waited for a writer
+        # or read the pipe to its end would wait for ever, so it runs apart
+        held = os.open(fifo, os.O_RDWR) if writer else None
         try:
             done = subprocess.run([sys.executable, "-m", "d2m.cli", *argv],
                                   capture_output=True, text=True, timeout=30,
                                   env={**os.environ, "PYTHONPATH": os.pathsep.join(
                                       p for p in (SRC, os.environ.get("PYTHONPATH")) if p)})
         finally:
-            os.close(held)
+            if held is not None:
+                os.close(held)
         assert done.returncode == 3, done.stderr
         assert done.stderr == f"error: {fifo}: not a regular file\n"
 
@@ -456,6 +463,56 @@ class TestFuse:
         assert capsys.readouterr().err == (
             f"error: {out['plan']}: keep and prune do not cover layers 1..5 exactly\n")
         assert not (tmp_path / "f.d2mw").exists()
+
+    def test_an_expert_copied_from_the_wrong_layer_exits_4_writing_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        out = run_pipeline(tmp_path)  # the plan fuses layers 4 and 5 into layer 4
+        layout = surgery._layout
+
+        def wrong_source(*args):
+            shape, provenance, entries = layout(*args)
+            return shape, provenance, (
+                (name, dims, "layer.1.mlp.up" if name == "layer.4.moe.expert.1.up" else source)
+                for name, dims, source in entries)
+
+        monkeypatch.setattr(surgery, "_layout", wrong_source)
+        capsys.readouterr()
+        assert main(["fuse", "--model", str(out["synth"] / "model.d2mw"),
+                     "--plan", str(out["plan"]), "--base-copies", "1", "--supp-copies", "1",
+                     "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
+                     "--provenance-out", str(tmp_path / "p.json")]) == 4
+        assert capsys.readouterr().err == (
+            "error: expert_copy:layer.4.moe.expert.1.up: layer.4.moe.expert.1.up must be "
+            "a bit-exact copy of dense layer.4.mlp.up\n")
+        assert not (tmp_path / "f.d2mw").exists() and not (tmp_path / "p.json").exists()
+        assert sorted(tmp_path.glob(".*.tmp")) == []
+
+    def test_traced_peak_grows_with_the_largest_tensor_not_the_model(self, tmp_path):
+        # fuse holds a few tensors' bytes at a time, never the model
+        shape = ModelShape(num_layers=8, hidden_dim=64, mlp_dim=256, num_heads=4,
+                           num_kv_heads=2, head_dim=16, vocab_size=64)
+        model = tmp_path / "model.d2mw"
+        write_weights(build_toy_container(shape, seed=5), model)
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"keep": [1, 2, 4, 5, 7, 8], "prune": [3, 6],
+             "blocks": [{"base": 2, "redundant": [3]}, {"base": 5, "redundant": [6]}]}))
+        argv = ["fuse", "--model", str(model), "--plan", str(tmp_path / "plan.json"),
+                "--base-copies", "2", "--supp-copies", "2", "--top-k", "1",
+                "--out", str(tmp_path / "fused.d2mw"), "--provenance-out", str(tmp_path / "p.json")]
+        assert main(argv) == 0  # once untraced, so the stage's imports are done
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(4 * math.prod(dims) for _, dims in tensor_schema(shape))
+        # the parser, the header index, the layout, the check report and the
+        # JSON documents
+        slack = 256 << 10
+        bound = 3 * largest + slack
+        assert bound < model.stat().st_size / 2 < (tmp_path / "fused.d2mw").stat().st_size / 2
+        assert peak <= bound, peak
 
 
 class TestEstimate:
@@ -676,6 +733,25 @@ class TestTrainAndDiagnose:
                          "--model-out", str(tmp_path / (name + ".d2mw"))]) == 0
             logs.append((tmp_path / name).read_bytes())
         assert logs[0] == logs[1]
+
+    def test_topology_is_refused_from_the_header(self, tmp_path, capsys):
+        # the MoE layer is not last, and the payload is cut short: only the
+        # header is read before the refusal
+        shape = ModelShape(num_layers=4, hidden_dim=16, mlp_dim=32, num_heads=2,
+                           num_kv_heads=1, head_dim=8, vocab_size=24)
+        plan = FusionPlan(keep_layers=(1, 2, 4), prune_layers=frozenset({3}),
+                          blocks=(FusionBlock(base=2, redundant=(3,)),))
+        fused, _ = surgery.fuse(build_toy_container(shape, seed=1), plan, 1, 1, 1)
+        model = tmp_path / "fused.d2mw"
+        write_weights(fused, model)
+        model.write_bytes(model.read_bytes()[:model.stat().st_size // 2])
+        assert main(["train-toy", "--model", str(model), "--steps", "2",
+                     "--log-out", str(tmp_path / "log.csv"),
+                     "--model-out", str(tmp_path / "trained.d2mw")]) == 2
+        assert capsys.readouterr().err == (
+            "error: train_toy requires exactly one MoE layer, at the final position "
+            "(got MoE layers [2] of 3)\n")
+        assert not (tmp_path / "log.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--alpha", "nan"), ("--alpha", "inf"),

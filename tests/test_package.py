@@ -81,6 +81,27 @@ class TestStartUp:
         if output == "plan.json":
             assert json.loads((tmp_path / output).read_text())["prune"] == [3]
 
+    def test_fuse_never_loads_numpy(self, tmp_path):
+        from d2m.config import ModelShape
+        from d2m.nanomodel import build_toy_container
+        from d2m.traceio import write_weights
+
+        shape = ModelShape(num_layers=3, hidden_dim=8, mlp_dim=16, num_heads=2,
+                           num_kv_heads=1, head_dim=4, vocab_size=16)
+        write_weights(build_toy_container(shape, seed=2), tmp_path / "model.d2mw")
+        (tmp_path / "plan.json").write_text(json.dumps(
+            {"keep": [1, 3], "prune": [2], "blocks": [{"base": 1, "redundant": [2]}]}))
+        argv = ["fuse", "--model", "model.d2mw", "--plan", "plan.json", "--base-copies", "2",
+                "--supp-copies", "1", "--top-k", "1", "--out", "fused.d2mw",
+                "--provenance-out", "prov.json"]
+        code = (
+            "import sys, d2m.cli\n"
+            f"code = d2m.cli.main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        assert run_python(code, tmp_path) == "0 False"
+        assert json.loads((tmp_path / "prov.json").read_text())["1"][2]["source_layer"] == 2
+
     def test_only_a_run_dir_loads_openssl(self, tmp_path):
         cos, gap = [[1.0, 0.5], [0.5, 1.0]], [[0.0, 0.3], [0.3, 0.0]]
         write_matrices(SimilarityMatrices(s_out=cos, s_mlp=cos, delta_norm=gap),
@@ -143,10 +164,26 @@ def open_mode(call: ast.Call) -> ast.expr | None:
         (k.value for k in call.keywords if k.arg in ("mode", "flags")), None)
 
 
+def is_os_open(call: ast.Call) -> bool:
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id == "os")
+
+
+def read_only_flags(flags: ast.expr | None) -> bool:
+    """Whether ``flags``, those of an ``os.open`` call, are ``os.O_*`` names
+    joined by ``|`` that open for reading only."""
+    if isinstance(flags, ast.BinOp) and isinstance(flags.op, ast.BitOr):
+        return read_only_flags(flags.left) and read_only_flags(flags.right)
+    return (isinstance(flags, ast.Attribute) and isinstance(flags.value, ast.Name)
+            and flags.value.id == "os" and flags.attr in ("O_RDONLY", "O_NONBLOCK", "O_CLOEXEC"))
+
+
 def write_calls(tree: ast.AST):
     """(function, line, call) of every call in ``tree`` that writes a file:
-    ``.write_text``, ``.write_bytes``, and any ``open`` whose mode is not a
-    literal read mode."""
+    ``.write_text``, ``.write_bytes``, any ``os.open`` whose flags are not
+    read-only ones, and any other ``open`` whose mode is not a literal read
+    mode."""
     for scope, node in scoped_calls(tree):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -154,11 +191,14 @@ def write_calls(tree: ast.AST):
             yield scope, node.lineno, name
         elif name == "open":
             mode = open_mode(node)
-            reads = mode is None or (isinstance(mode, ast.Constant)
-                                     and isinstance(mode.value, str)
-                                     and not set(mode.value) & set("wax+"))
+            if is_os_open(node):
+                reads = read_only_flags(mode)
+            else:
+                reads = mode is None or (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax+"))
             if not reads:
-                yield scope, node.lineno, f"open mode {ast.unparse(mode)}"
+                yield scope, node.lineno, f"open mode {ast.unparse(mode) if mode else None}"
 
 
 def json_parses(tree: ast.AST):
@@ -179,8 +219,8 @@ def json_parses(tree: ast.AST):
 def binary_reads(tree: ast.AST):
     """(scope, line, what) of every import of ``mmap``, of ``pread`` or
     ``preadv`` from ``os``, and of every call that reads a file's bytes:
-    ``os.pread``, ``os.preadv`` and any ``open`` in a literal binary read
-    mode."""
+    ``os.pread``, ``os.preadv``, an ``os.open`` for reading and any ``open``
+    in a literal binary read mode."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -195,6 +235,8 @@ def binary_reads(tree: ast.AST):
         if (isinstance(func, ast.Attribute) and func.attr in ("pread", "preadv")
                 and isinstance(func.value, ast.Name) and func.value.id == "os"):
             yield scope, node.lineno, f"os.{func.attr}"
+        elif is_os_open(node) and read_only_flags(open_mode(node)):
+            yield scope, node.lineno, "os.open for reading"
         elif getattr(func, "id", None) == "open":
             mode = open_mode(node)
             if (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
@@ -251,11 +293,14 @@ def test_read_guard_flags_a_second_read_path():
             "    open(path, mode='rb', buffering=0)\n"
             "    open(path)\n"
             "    open(path, 'wb')\n"
-            "    os.pread(fd, 4, 0)\n")
+            "    os.pread(fd, 4, 0)\n"
+            "    os.open(path, os.O_RDONLY | os.O_NONBLOCK)\n"
+            "    os.open(path, os.O_RDWR)\n")
     assert list(binary_reads(ast.parse(code))) == [
         (None, 1, "import mmap"), (None, 2, "from os import preadv"),
         ("_Reader.read_into", 5, "os.preadv"), ("load", 7, "open mode 'rb'"),
-        ("load", 8, "open mode 'rb'"), ("load", 11, "os.pread")]
+        ("load", 8, "open mode 'rb'"), ("load", 11, "os.pread"),
+        ("load", 12, "os.open for reading")]
 
 
 def test_write_guard_flags_a_second_write_path():
@@ -263,9 +308,13 @@ def test_write_guard_flags_a_second_write_path():
             "    path.write_text(text)\n"
             "    open(path, 'ab')\n"
             "    open(path, mode)\n"
-            "    open(path, 'rb')\n")
+            "    open(path, 'rb')\n"
+            "    os.open(path, os.O_RDONLY | os.O_NONBLOCK)\n"
+            "    os.open(path, os.O_WRONLY | os.O_CREAT)\n"
+            "    os.open(path, flags)\n")
     assert [(line, what) for _, line, what in write_calls(ast.parse(code))] == [
-        (2, "write_text"), (3, "open mode 'ab'"), (4, "open mode mode")]
+        (2, "write_text"), (3, "open mode 'ab'"), (4, "open mode mode"),
+        (7, "open mode os.O_WRONLY | os.O_CREAT"), (8, "open mode flags")]
 
 
 def test_stage_functions_leave_the_manifest_to_main():

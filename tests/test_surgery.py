@@ -3,14 +3,24 @@ functional equivalence against plan-pruned references, and exact parameter
 accounting."""
 
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2m.config import FusionBlock, FusionPlan, ModelShape, MoEShape, tensor_schema, write_json
+from d2m.config import (
+    FusionBlock,
+    FusionPlan,
+    ModelShape,
+    MoEShape,
+    output_file,
+    tensor_schema,
+    write_json,
+)
 from d2m.errors import PlanModelMismatch, VerificationFailure
 from d2m.nanomodel import build_toy_container, forward_trace, layer_forward, layers_of
 from d2m.surgery import (
@@ -20,7 +30,8 @@ from d2m.surgery import (
     reference_pruned_model,
     verify_fusion,
 )
-from d2m.traceio import param_count, validate_container
+from d2m.traceio import param_count, read_weights, validate_container, write_weights
+from d2m.weightfile import open_weights
 
 # the seven attention tensors of a layer, after its "layer.{l}." prefix
 ATTENTION_PARTS = ("attn_norm", "attn.q", "attn.k", "attn.v", "attn.o",
@@ -257,7 +268,20 @@ def fusion_cases(draw):
     for name, tensor in dense.tensors.items():
         if name.endswith("norm"):
             tensor += rng.standard_normal(tensor.shape)
+    # a zero of either sign in every tensor, so that a copy that turns -0.0
+    # into 0.0, or a check that compares values rather than bits, shows
+    for tensor in dense.tensors.values():
+        tensor.reshape(-1)[rng.integers(tensor.size)] = -0.0 if rng.integers(2) else 0.0
     return dense, plan, base_copies, supp_copies, draw(st.integers(1, smallest))
+
+
+def failed_checks(verify) -> list[str]:
+    """The tensor names of the checks that ``verify()`` fails; it must fail."""
+    with pytest.raises(VerificationFailure) as info:
+        verify()
+    failed = [c.name.partition(":")[2] for c in info.value.report.checks if not c.passed]
+    assert failed[0] in str(info.value)
+    return failed
 
 
 class TestFusionProperties:
@@ -272,16 +296,18 @@ class TestFusionProperties:
         named = Counter(c.name.partition(":")[2] for c in report.checks)
         assert all(named[name] == 1 for name in fused.tensors)
 
-        for name in list(fused.tensors):
-            original = fused.tensors[name].copy()
-            flat = fused.tensors[name].reshape(-1)
-            flat[0] += 1e-6 * (1 + abs(flat[0]))
-            with pytest.raises(VerificationFailure) as info:
-                verify_fusion(dense, fused, plan, provenance)
-            failed = [c.name for c in info.value.report.checks if not c.passed]
-            assert [c.partition(":")[2] for c in failed] == [name]
-            assert name in str(info.value)
-            fused.tensors[name][...] = original
+        def verify():
+            verify_fusion(dense, fused, plan, provenance)
+
+        for name, tensor in fused.tensors.items():
+            flat = tensor.reshape(-1)
+            zero = int(np.flatnonzero(flat == 0)[0])
+            # one ulp away, and a zero of the other sign: both equal as values
+            for index, value in ((0, np.nextafter(flat[0], np.inf)), (zero, -flat[zero])):
+                original = flat[index]
+                flat[index] = value
+                assert failed_checks(verify) == [name]
+                flat[index] = original
 
         for layer in fused.shape.experts:
             extra = f"layer.{layer}.moe.expert.1.norm"
@@ -289,6 +315,44 @@ class TestFusionProperties:
             with pytest.raises(VerificationFailure, match=re.escape(extra)):
                 verify_fusion(dense, fused, plan, provenance)
             del fused.tensors[extra]
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=fusion_cases(), data=st.data())
+    def test_file_fusion_copies_bytes_and_any_flipped_bit_is_named(self, case, data):
+        dense, plan, base_copies, supp_copies, top_k = case
+        with tempfile.TemporaryDirectory() as tmp:
+            dense_path, fused_path, whole_path = (Path(tmp, name) for name in
+                                                  ("dense.d2mw", "fused.d2mw", "whole.d2mw"))
+            write_weights(dense, dense_path)
+            with open_weights(dense_path) as source, output_file(fused_path, True) as out:
+                model, provenance = fuse(source, plan, base_copies, supp_copies, top_k, out=out)
+            assert model is None
+            # the same bytes as the in-memory fusion of the same file, written
+            whole, whole_provenance = fuse(read_weights(dense_path), plan, base_copies,
+                                           supp_copies, top_k)
+            write_weights(whole, whole_path)
+            assert fused_path.read_bytes() == whole_path.read_bytes()
+            assert provenance == whole_provenance
+
+            def verify():
+                with open_weights(dense_path) as source, open_weights(fused_path) as result:
+                    return verify_fusion(source, result, plan, provenance)
+
+            assert [c.name for c in verify().checks] == [
+                c.name for c in verify_fusion(read_weights(dense_path), whole, plan,
+                                              provenance).checks]
+            # flip the sign bit of a zero, then the lowest bit (one ulp) of the
+            # first float
+            name = data.draw(st.sampled_from(list(whole.tensors)))
+            with open_weights(fused_path) as result:
+                _, offset = result.tensors[name]
+                zero = int(np.flatnonzero(np.frombuffer(result.read(name), "<f4") == 0)[0])
+            raw = bytearray(fused_path.read_bytes())
+            for at, change in ((offset + 4 * zero + 3, 0x80), (offset, 0x01)):
+                raw[at] ^= change
+                fused_path.write_bytes(raw)
+                assert failed_checks(verify) == [name]
+                raw[at] ^= change
 
 
 class TestFunctionalEquivalence:

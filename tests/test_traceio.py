@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import d2m
 from d2m.cli import main
-from d2m.config import ModelShape, MoEShape
+from d2m.config import ModelShape, MoEShape, tensor_schema
 from d2m.errors import (
     BadMagic,
     D2mError,
@@ -52,7 +52,6 @@ from d2m.traceio import (
     read_trace,
     read_weights,
     synth_trace,
-    tensor_schema,
     validate_container,
     write_trace,
     write_weights,
@@ -661,7 +660,7 @@ def mutated_files(draw) -> tuple[str, bytes]:
 SHRINK_WHILE_READING = """
 import os, sys
 from contextlib import contextmanager
-from d2m import config, traceio
+from d2m import config, traceio, weightfile
 
 opened = config._read
 
@@ -671,7 +670,7 @@ def shrinking(path, magic, version):
         os.truncate(path, 4096)
         yield reader
 
-config._read = traceio._read = shrinking
+config._read = traceio._read = weightfile._read = shrinking
 read = {"d2mt": traceio.read_trace, "d2ms": config.read_matrices,
         "d2mw": traceio.read_weights}[sys.argv[1]]
 try:
