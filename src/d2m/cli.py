@@ -36,9 +36,9 @@ from .config import (
     json_document,
     load_config,
     load_plan,
-    output_file,
     plan_to_dict,
     read_matrices,
+    staged_outputs,
     validate_thresholds,
     write_json,
 )
@@ -207,19 +207,16 @@ def cmd_synth(args) -> Written:
     created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "model.d2mw", out_dir / "trace.d2mt", out_dir / "config.json"]
-    model_path, trace_path, config_path = outputs
     try:
-        # the trace first: only its noise can still overflow float32, once
-        # drawn (the model was cast when built), so a refused trace replaces
-        # none of the three files
-        with _overflow_names("--redundant noise"):
-            write_trace(trace, trace_path)
-        write_weights(model, model_path)
-        write_json(config_path, asdict(PipelineConfig(model=shape)))
+        # all three are written before any is renamed into place; the trace
+        # first, as only its noise can still overflow float32 once drawn
+        with staged_outputs(*outputs) as (model_path, trace_path, config_path):
+            with _overflow_names("--redundant noise"):
+                write_trace(trace, trace_path)
+            write_weights(model, model_path)
+            write_json(config_path, asdict(PipelineConfig(model=shape)))
     except BaseException:
         if created:  # so a failed synth leaves no directory it made
-            for path in outputs:
-                path.unlink(missing_ok=True)
             for directory in created:  # deepest first
                 with suppress(OSError):
                     directory.rmdir()
@@ -279,17 +276,12 @@ def cmd_fuse(args) -> Written:
     from . import surgery
     from .weightfile import open_weights
 
-    # the plan and the copy counts are checked against the header first, and
-    # the fused file is checked byte for byte before it replaces --out
-    with open_weights(args.model) as dense:
-        plan = load_plan(args.plan, dense.shape.num_layers)
-        with output_file(args.out, binary=True) as out:
-            _, provenance = surgery.fuse(dense, plan, base_copies=args.base_copies,
-                                         supp_copies=args.supp_copies, top_k=args.top_k,
-                                         out=out)
-            out.flush()
-            with open_weights(out.name) as fused:
-                surgery.verify_fusion(dense, fused, plan, provenance)
+    with open_weights(args.model) as header:
+        num_layers = header.shape.num_layers
+    plan = load_plan(args.plan, num_layers)
+    provenance, _ = surgery.fuse(args.model, plan, base_copies=args.base_copies,
+                                 supp_copies=args.supp_copies, top_k=args.top_k,
+                                 destination=args.out)
     write_json(args.provenance_out, surgery.provenance_to_dict(provenance))
     return [args.out, args.provenance_out], ""
 

@@ -5,9 +5,10 @@ which builds any of them from a JSON object; ``text_file``, through which
 every JSON and CSV input file is opened by its path; ``json_document``,
 through which every JSON input is parsed; ``output_file``, through which every
 file the toolkit writes is written beside its destination path and renamed
-into place; and ``_read``, the one bounds-checked cursor through which every
-binary file, opened once, is read by positioned reads (``weightfile`` walks a
-weights file's header through it).
+into place by ``staged_outputs``, which renames several together; and
+``_read``, the one bounds-checked cursor through which every binary file,
+opened once, is read by positioned reads (``weightfile`` walks a weights
+file's header through it).
 
 Nothing here imports numpy, so the stages that read only JSON, CSV and the
 similarity matrices cache start without it.
@@ -75,31 +76,39 @@ def json_document(text: str | bytes, source) -> Any:
 
 
 @contextmanager
+def staged_outputs(*destinations) -> Iterator[list[Path]]:
+    """A new path beside each of the paths ``destinations`` for the block to
+    write; each replaces its destination only once the block completes, so a
+    failure replaces none of them. On any exception the new files are
+    removed and the destinations left as they were; an ``OSError`` raises
+    ``IoFailure`` naming the destinations."""
+    paths = [Path(d) for d in destinations]
+    # random, so a killed writer's leftover blocks no one
+    temps = [path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp") for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp in temps:
+            with suppress(OSError):
+                os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {', '.join(map(str, paths))}: {exc}") from exc
+        raise
+
+
+@contextmanager
 def output_file(destination, binary: bool = False) -> Iterator[IO]:
     """A new file beside the path ``destination`` (binary, or UTF-8 text
-    without newline translation) that replaces it only when the block
-    completes; on any exception the file is removed and the destination left
-    as it was. An ``OSError`` raises ``IoFailure`` naming the destination.
-    """
-    path = Path(destination)
-    # random, so a killed writer's leftover blocks no one; created exclusively,
-    # so it gets the umask's permissions and no other file is truncated
-    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        handle = (open(temp, "xb") if binary
-                  else open(temp, "x", newline="", encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-    try:
-        with handle:
+    without newline translation), open for the block and then renamed over
+    it by ``staged_outputs``."""
+    with staged_outputs(destination) as (temp,):
+        # created exclusively, so it gets the umask's permissions and no
+        # other file is truncated
+        with (open(temp, "xb") if binary
+              else open(temp, "x", newline="", encoding="utf-8")) as handle:
             yield handle
-        os.replace(temp, path)
-    except BaseException as exc:
-        with suppress(OSError):
-            os.unlink(temp)
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
-        raise
 
 
 def write_json(destination, doc: Any) -> None:

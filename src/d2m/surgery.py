@@ -6,13 +6,11 @@ expert pool: K bit-exact copies of its own MLP followed by M copies of each
 redundant layer's MLP, in source order. The redundant layers' attention and
 norm tensors are dropped entirely; the router starts at zero, which makes the
 initial routing exactly uniform. ``fuse`` builds that layout from the fused
-``tensor_schema``, once, and carries it out either on arrays in memory or on
-the bytes of a weights file, one tensor at a time; ``verify_fusion`` checks
-the result byte for byte against the plan-pruned dense reference, a second
-derivation that shares no code with the first.
-
-Only the in-memory paths load numpy, so the ``fuse`` stage, which copies and
-checks a file's bytes, starts without it.
+``tensor_schema``, once, and carries it out on the bytes of a weights file,
+one tensor at a time; ``verify_fusion`` checks the new file byte for byte
+against the plan-pruned dense reference, a second derivation that shares no
+code with the first. Only the functional check on containers, with its
+``reference_pruned_model``, loads numpy.
 """
 
 from __future__ import annotations
@@ -21,13 +19,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .config import FusionPlan, ModelShape, MoEShape, tensor_schema, validate_plan, validate_shape
+from .config import (FusionPlan, ModelShape, MoEShape, output_file, tensor_schema,
+                     validate_plan, validate_shape)
 from .errors import InvalidPlan, PlanModelMismatch, VerificationFailure
-from .weightfile import WeightsFile, write_entry, write_weights_header
+from .weightfile import WeightsFile, open_weights, write_entry, write_weights_header
 
 if TYPE_CHECKING:
-    from typing import BinaryIO
-
     import numpy as np
 
     from .traceio import WeightContainer
@@ -110,10 +107,10 @@ def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: 
     return fused_shape, provenance, layout()
 
 
-def fuse(dense: WeightContainer | WeightsFile, plan: FusionPlan, base_copies: int,
-         supp_copies: int, top_k: int, out: BinaryIO | None = None
-         ) -> tuple[WeightContainer | None, ExpertProvenance]:
-    """Apply a fusion plan to a dense model.
+def fuse(model, plan: FusionPlan, base_copies: int, supp_copies: int, top_k: int,
+         destination) -> tuple[ExpertProvenance, FusionReport]:
+    """Apply a fusion plan to the dense weights file at the path ``model``,
+    writing the verified fused model to the path ``destination``.
 
     Kept layers keep their order under new 1-based indices; each block base
     becomes a MoE layer of N = K + n*M experts (K ``base_copies``, then M
@@ -121,34 +118,27 @@ def fuse(dense: WeightContainer | WeightsFile, plan: FusionPlan, base_copies: in
     records. The fused model is laid out by walking its ``tensor_schema``
     once: a router is zeros, the least-biased start for the balancing loss;
     an expert copies its provenance source's dense MLP; any other tensor
-    copies the same tensor of the dense layer it renumbers. The dense shape
-    is checked against the plan and the copy counts before any tensor is.
-
-    With no ``out``, ``dense`` is a container and the fused container is
-    returned. Otherwise ``dense`` is a weights file (``weightfile.WeightsFile``):
-    its every tensor is checked finite, and then the fused model's float32
-    bytes are written to ``out``, a binary file open for writing, one tensor
-    at a time, and None is returned for the model. The same arguments give
-    the same fused model.
+    copies the same tensor of the dense layer it renumbers. The plan and the
+    copy counts are checked against the model's header, then every dense
+    tensor is checked finite, before anything is written. The fused float32
+    bytes are copied one tensor at a time into a new file that
+    ``verify_fusion`` reads back before it replaces ``destination``, so a
+    failed check leaves ``destination`` as it was.
     """
-    fused_shape, provenance, layout = _layout(dense.shape, plan, base_copies, supp_copies,
-                                              top_k)
-    if out is None:
-        import numpy as np
-
-        from .traceio import WeightContainer, validate_container
-
-        validate_container(dense)
-        tensors = {name: np.zeros(dims) if source is None else dense.tensors[source].copy()
-                   for name, dims, source in layout}
-        return validate_container(WeightContainer(fused_shape, tensors)), provenance
-    for name in dense.tensors:  # all of them, in file order, before any is written
-        dense.read(name, finite=True)
-    write_weights_header(out, fused_shape)
-    for name, dims, source in layout:
-        write_entry(out, name, dims,
-                    bytes(4 * math.prod(dims)) if source is None else dense.read(source))
-    return None, provenance
+    with open_weights(model) as dense:
+        fused_shape, provenance, layout = _layout(dense.shape, plan, base_copies, supp_copies,
+                                                  top_k)
+        for name in dense.tensors:  # all of them, in file order, before any is written
+            dense.read(name, finite=True)
+        with output_file(destination, binary=True) as out:
+            write_weights_header(out, fused_shape)
+            for name, dims, source in layout:
+                write_entry(out, name, dims,
+                            bytes(4 * math.prod(dims)) if source is None else dense.read(source))
+            out.flush()
+            with open_weights(out.name) as fused:
+                report = verify_fusion(dense, fused, plan, provenance)
+    return provenance, report
 
 
 def provenance_to_dict(provenance: ExpertProvenance) -> dict[str, Any]:
@@ -161,14 +151,13 @@ def provenance_to_dict(provenance: ExpertProvenance) -> dict[str, Any]:
     }
 
 
-def verify_fusion(dense: WeightContainer | WeightsFile, fused: WeightContainer | WeightsFile,
-                  plan: FusionPlan, provenance: ExpertProvenance) -> FusionReport:
-    """Audit a fused model against its source, plan, and provenance, byte for
-    byte.
+def verify_fusion(dense: WeightsFile, fused: WeightsFile, plan: FusionPlan,
+                  provenance: ExpertProvenance) -> FusionReport:
+    """Audit a fused weights file against its dense source, plan, and
+    provenance, byte for byte.
 
-    ``dense`` and ``fused`` are both containers or both weights files
-    (``weightfile.WeightsFile``). Tensors are compared by dtype, dims and bytes,
-    so a copy passes only when it is bit-exact: -0.0 is not 0.0. Checks (all
+    Tensors are compared by dims and float32 bytes, so a copy passes only
+    when it is bit-exact: -0.0 is not 0.0. Checks (all
     listed in the report): layer count, absence of pruned layers' attention,
     a bit-exact ``copy:{name}`` of every tensor of the plan-pruned dense
     reference except a block base's MLP triple, and per block: its
@@ -186,7 +175,8 @@ def verify_fusion(dense: WeightContainer | WeightsFile, fused: WeightContainer |
         checks.append(FusionCheck(name=name, passed=passed, detail=detail))
 
     def same(name: str, source: str) -> bool:
-        return name in fused.tensors and fused.tensor_bytes(name) == dense.tensor_bytes(source)
+        return (name in fused.tensors and fused.tensors[name][0] == dense.tensors[source][0]
+                and fused.read(name) == dense.read(source))
 
     expected_layers = len(plan.keep_layers)
     add("layer_count", fused.shape.num_layers == expected_layers,
@@ -214,7 +204,7 @@ def verify_fusion(dense: WeightContainer | WeightsFile, fused: WeightContainer |
         if sources is None:
             continue
         router_name = f"layer.{new_idx}.router"
-        router = fused.tensor_bytes(router_name)[2] if router_name in fused.tensors else None
+        router = fused.read(router_name) if router_name in fused.tensors else None
         add(f"zero_router:{router_name}", router is not None and router.count(0) == len(router),
             "router must be all zero bytes")
         per_expert_norms = sorted(

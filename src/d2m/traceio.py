@@ -28,8 +28,8 @@ reads every byte by a positioned read into a given buffer (``read_into``).
 A weights file's header is walked by one numpy-free walker,
 ``weightfile.WeightsFile``: its shape document first, then each entry's header,
 stepping past the data, into an index that is checked against the schema.
-``read_weights`` reads the tensors of that index into float64 arrays; the
-``fuse`` stage copies their bytes without numpy. ``_floats`` reads a trace's
+``read_weights`` reads the tensors of that index into float64 arrays;
+``surgery.fuse`` copies their bytes without numpy. ``_floats`` reads a trace's
 float32 payload into a numpy array.
 
 ``read_trace`` loads a whole trace. ``trace_chunks`` checks a trace file's
@@ -336,11 +336,6 @@ class WeightContainer:
 
     shape: ModelShape
     tensors: dict[str, np.ndarray]
-
-    def tensor_bytes(self, name: str) -> tuple[str, tuple[int, ...], bytes]:
-        """The dtype, dims and bytes of the tensor ``name``."""
-        tensor = self.tensors[name]
-        return tensor.dtype.str, tensor.shape, tensor.tobytes()
 
 
 def validate_container(container: WeightContainer) -> WeightContainer:

@@ -6,7 +6,8 @@ document first, so a caller can refuse a file from it, then each entry's
 header, stepping past the data with ``skip``, into an index of name to dims
 and data offset, checked against the shape's ``tensor_schema``. ``read``
 reads one tensor's float32 bytes. ``traceio.read_weights`` decodes them into
-float64 arrays; the ``fuse`` stage copies them as they are.
+float64 arrays; ``surgery.fuse`` copies them as they are into a new weights
+file and ``surgery.verify_fusion`` compares them.
 
 A module of its own, not part of ``config``: every CLI stage loads
 ``config``, and only the stages that take a weights file load this one.
@@ -137,10 +138,6 @@ class WeightsFile:
         if finite and not _finite_f32(data):
             raise NonFiniteValue(f"tensor {name!r} contains non-finite values")
         return data
-
-    def tensor_bytes(self, name: str) -> tuple[str, tuple[int, ...], bytearray]:
-        """The dtype, dims and bytes of the tensor ``name``."""
-        return "<f4", self.tensors[name][0], self.read(name)
 
 
 @contextmanager

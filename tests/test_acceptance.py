@@ -37,7 +37,7 @@ from d2m.nanomodel import (
 )
 from d2m.search import search, threshold_sweep
 from d2m.similarity import build_matrices, norm_mismatch, seq_avg_cosine
-from d2m.surgery import functional_equivalence_check, fuse, verify_fusion
+from d2m.surgery import functional_equivalence_check
 from d2m.traceio import (
     make_trace,
     param_count,
@@ -52,6 +52,7 @@ from d2m.tradeoff import CandidateEvaluation, calibrate_w, evaluate_candidates
 
 from test_nanomodel import toy_moe_layer
 from test_search import random_matrices, reference_search
+from test_surgery import ULP, fused_files, fused_model
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -247,32 +248,32 @@ ACCEPT_SHAPE = ModelShape(num_layers=4, hidden_dim=16, mlp_dim=32, num_heads=2,
                           num_kv_heads=1, head_dim=8, vocab_size=32)
 
 
-def test_c07_fusion_equivalence():
+def test_c07_fusion_equivalence(tmp_path):
     plan = FusionPlan(keep_layers=(1, 2, 4), prune_layers=frozenset({3}),
                       blocks=(FusionBlock(base=2, redundant=(3,)),))
     worst = 0.0
     for seed in range(20):
         dense = build_toy_container(ACCEPT_SHAPE, seed=seed, weight_scale=0.3,
                                     duplicate_from=[(2, 1)])
-        fused, provenance = fuse(dense, plan, base_copies=2, supp_copies=2, top_k=1)
-        verify_fusion(dense, fused, plan, provenance)
+        # fuse runs verify_fusion on the file it writes
+        fused, _ = fused_model(dense, plan, base_copies=2, supp_copies=2, top_k=1)
         probe = np.random.default_rng(7000 + seed).standard_normal((5, 16))
         worst = max(worst, functional_equivalence_check(dense, fused, plan, probe))
 
-    # every single-tensor tampering must trip the verifier
+    # every single-tensor tampering, one ulp in the fused file, must trip the
+    # verifier
     dense = build_toy_container(ACCEPT_SHAPE, seed=99, weight_scale=0.3)
-    fused, provenance = fuse(dense, plan, base_copies=2, supp_copies=2, top_k=1)
     undetected = []
-    for name in fused.tensors:
-        tampered_value = fused.tensors[name].copy()
-        flat = fused.tensors[name].reshape(-1)
-        flat[0] += 1e-6 if name.endswith("router") else 1e-6 * (1 + abs(flat[0]))
-        try:
-            verify_fusion(dense, fused, plan, provenance)
-            undetected.append(name)
-        except VerificationFailure:
-            pass
-        fused.tensors[name][...] = tampered_value
+    with fused_files(tmp_path, dense, plan, base_copies=2, supp_copies=2, top_k=1) as f:
+        for name in f.fused.tensors:
+            f.flip(name, 0, ULP)
+            try:
+                f.verify(plan)
+                undetected.append(name)
+            except VerificationFailure:
+                pass
+            f.flip(name, 0, ULP)
+    fused = read_weights(f.path)
 
     # exact parameter accounting against tensor-size sums
     attn = sum(dense.tensors[n].size for n in
@@ -318,7 +319,7 @@ def test_c09_routing_health():
     plan = FusionPlan(keep_layers=(1, 2, 3), prune_layers=frozenset({4}),
                       blocks=(FusionBlock(base=3, redundant=(4,)),))
     dense = build_toy_container(ACCEPT_SHAPE, seed=11, weight_scale=0.3)
-    fused, _ = fuse(dense, plan, base_copies=2, supp_copies=2, top_k=1)
+    fused, _ = fused_model(dense, plan, base_copies=2, supp_copies=2, top_k=1)
     data = make_copy_stream(32, seq_len=64, num_sequences=4, seed=23)
 
     log_lb, trained_lb = train_toy(fused, data, steps=500, lr=5.0, alpha=1e-3)

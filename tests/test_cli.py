@@ -18,8 +18,11 @@ import pytest
 from d2m import cli, surgery
 from d2m.cli import main
 from d2m.config import FusionBlock, FusionPlan, ModelShape, tensor_schema
+from d2m.errors import IoFailure
 from d2m.nanomodel import build_toy_container
 from d2m.traceio import param_count, read_weights, write_weights
+
+from test_surgery import wrong_expert_source
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -385,6 +388,22 @@ class TestSynthStream:
         assert {name: (tmp_path / name).read_bytes() for name in names} == before
         assert sorted(tmp_path.rglob("*.tmp")) == []
 
+    @pytest.mark.parametrize("writer", ["d2m.traceio.write_weights", "d2m.cli.write_json"])
+    def test_an_io_failure_after_the_trace_replaces_none_of_the_three_files(
+            self, tmp_path, capsys, monkeypatch, writer):
+        assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
+        names = ("model.d2mw", "trace.d2mt", "config.json")
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+
+        def full_disk(*args):
+            raise IoFailure("cannot write: no space left on device")
+
+        monkeypatch.setattr(writer, full_disk)
+        assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH, "--seed", "12"]) == 3
+        assert capsys.readouterr().err == "error: cannot write: no space left on device\n"
+        assert {name: (tmp_path / name).read_bytes() for name in names} == before
+        assert sorted(tmp_path.rglob("*.tmp")) == []
+
     def test_overflow_mid_stream_keeps_the_existing_trace(self, tmp_path, capsys):
         assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
         before = (tmp_path / "trace.d2mt").read_bytes()
@@ -467,15 +486,7 @@ class TestFuse:
     def test_an_expert_copied_from_the_wrong_layer_exits_4_writing_nothing(
             self, tmp_path, capsys, monkeypatch):
         out = run_pipeline(tmp_path)  # the plan fuses layers 4 and 5 into layer 4
-        layout = surgery._layout
-
-        def wrong_source(*args):
-            shape, provenance, entries = layout(*args)
-            return shape, provenance, (
-                (name, dims, "layer.1.mlp.up" if name == "layer.4.moe.expert.1.up" else source)
-                for name, dims, source in entries)
-
-        monkeypatch.setattr(surgery, "_layout", wrong_source)
+        wrong_expert_source(monkeypatch)
         capsys.readouterr()
         assert main(["fuse", "--model", str(out["synth"] / "model.d2mw"),
                      "--plan", str(out["plan"]), "--base-copies", "1", "--supp-copies", "1",
@@ -741,9 +752,9 @@ class TestTrainAndDiagnose:
                            num_kv_heads=1, head_dim=8, vocab_size=24)
         plan = FusionPlan(keep_layers=(1, 2, 4), prune_layers=frozenset({3}),
                           blocks=(FusionBlock(base=2, redundant=(3,)),))
-        fused, _ = surgery.fuse(build_toy_container(shape, seed=1), plan, 1, 1, 1)
+        write_weights(build_toy_container(shape, seed=1), tmp_path / "dense.d2mw")
         model = tmp_path / "fused.d2mw"
-        write_weights(fused, model)
+        surgery.fuse(tmp_path / "dense.d2mw", plan, 1, 1, 1, model)
         model.write_bytes(model.read_bytes()[:model.stat().st_size // 2])
         assert main(["train-toy", "--model", str(model), "--steps", "2",
                      "--log-out", str(tmp_path / "log.csv"),

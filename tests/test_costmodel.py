@@ -31,10 +31,10 @@ from d2m.costmodel import (
 )
 from d2m.errors import InvalidConfig, InvalidShape
 from d2m.nanomodel import build_toy_container
-from d2m.surgery import fuse, reference_pruned_model
+from d2m.surgery import reference_pruned_model
 from d2m.traceio import param_count
 
-from test_surgery import fusion_cases
+from test_surgery import fused_model, fusion_cases
 
 
 def moe_reference(num_layers=19, num_experts=6, top_k=1):
@@ -242,7 +242,7 @@ def test_counts_equal_the_toy_container(shape):
 @given(fusion_cases())
 def test_counts_equal_the_fused_container(case):
     dense, plan, base_copies, supp_copies, top_k = case
-    fused, _ = fuse(dense, plan, base_copies, supp_copies, top_k)
+    fused, _ = fused_model(dense, plan, base_copies, supp_copies, top_k)
     assert_counts_match(fused.shape, fused)
 
 
@@ -273,7 +273,7 @@ class TestReadmeFusedModel:
 
     def fused(self, top_k):
         dense = build_toy_container(self.SHAPE, seed=11, duplicate_from=[(4, 1)])
-        return dense, fuse(dense, self.PLAN, base_copies=1, supp_copies=1, top_k=top_k)[0]
+        return dense, fused_model(dense, self.PLAN, base_copies=1, supp_copies=1, top_k=top_k)[0]
 
     def test_top1_counts(self):
         _, fused = self.fused(top_k=1)

@@ -37,8 +37,9 @@ from d2m.nanomodel import (
     route,
     train_toy,
 )
-from d2m.surgery import fuse
 from d2m.traceio import read_trace, write_trace
+
+from test_surgery import fused_model
 
 TOY = ModelShape(num_layers=1, hidden_dim=4, mlp_dim=6, num_heads=2, num_kv_heads=1,
                  head_dim=2, vocab_size=8)
@@ -400,7 +401,7 @@ class TestTrainToy:
         dense = build_toy_container(shape, seed=model_seed, weight_scale=0.3)
         plan = FusionPlan(keep_layers=(1, 2, 3), prune_layers=frozenset({4}),
                           blocks=(FusionBlock(base=3, redundant=(4,)),))
-        fused, _ = fuse(dense, plan, base_copies=2, supp_copies=2, top_k=1)
+        fused, _ = fused_model(dense, plan, base_copies=2, supp_copies=2, top_k=1)
         return fused
 
     def test_zero_lr_freezes_losses(self):
@@ -449,7 +450,7 @@ class TestTrainToy:
         dense = build_toy_container(shape, seed=1, weight_scale=0.3)
         plan = FusionPlan(keep_layers=(1, 2, 4), prune_layers=frozenset({3}),
                           blocks=(FusionBlock(base=2, redundant=(3,)),))
-        fused, _ = fuse(dense, plan, base_copies=1, supp_copies=1, top_k=1)
+        fused, _ = fused_model(dense, plan, base_copies=1, supp_copies=1, top_k=1)
         with pytest.raises(UnsupportedTopology):
             train_toy(fused, make_copy_stream(32, 64, 4, seed=0), steps=1, lr=0.1, alpha=1e-3)
 
@@ -596,7 +597,7 @@ def fused_last_layer(num_layers, seed, tied=True, copies=(2, 2), top_k=1, router
     plan = FusionPlan(keep_layers=tuple(range(1, num_layers)),
                       prune_layers=frozenset({num_layers}),
                       blocks=(FusionBlock(base=base, redundant=(num_layers,)),))
-    fused, _ = fuse(dense, plan, base_copies=copies[0], supp_copies=copies[1], top_k=top_k)
+    fused, _ = fused_model(dense, plan, base_copies=copies[0], supp_copies=copies[1], top_k=top_k)
     router = fused.tensors[f"layer.{base}.router"]
     router[...] = router_scale * np.random.default_rng(seed).standard_normal(router.shape)
     return fused

@@ -244,6 +244,44 @@ def binary_reads(tree: ast.AST):
                 yield scope, node.lineno, f"open mode {mode.value!r}"
 
 
+STREAM_TYPES = ("BinaryIO", "TextIO", "IO")
+# the format encoders, which write into the file an output_file block opened
+STREAM_ENCODERS = ("config._write_header", "weightfile.write_weights_header",
+                   "weightfile.write_entry")
+
+
+def names_a_stream(annotation: ast.expr) -> bool:
+    """Whether an annotation names ``BinaryIO``, ``TextIO`` or ``IO``: bare,
+    dotted, subscripted, in a union, or quoted."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                if names_a_stream(ast.parse(node.value, mode="eval")):
+                    return True
+            except SyntaxError:
+                pass
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in STREAM_TYPES:
+            return True
+    return False
+
+
+def stream_parameters(tree: ast.AST, inside: str | None = None):
+    """(function, line, parameter) of every parameter in ``tree`` annotated
+    with an open stream type (``names_a_stream``)."""
+    for node in ast.iter_child_nodes(tree):
+        scope = inside
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{inside}.{node.name}" if inside else node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                        args.kwarg):
+                if arg is not None and arg.annotation and names_a_stream(arg.annotation):
+                    yield scope, arg.lineno, f"{arg.arg}: {ast.unparse(arg.annotation)}"
+        yield from stream_parameters(node, scope)
+
+
 def guarded_calls(find, *helpers: str) -> list[str]:
     """Every call ``find`` reports in the package's modules outside the
     ``helpers``, functions or classes, and all they hold."""
@@ -267,6 +305,30 @@ def test_every_json_input_goes_through_the_parse_helper():
 def test_every_binary_read_goes_through_the_reader():
     # the run-directory manifest hashes each file through its own open
     assert guarded_calls(binary_reads, *READ_HELPERS) == []
+
+
+def test_no_function_takes_an_open_stream():
+    # every reader and writer takes a file path, never an open stream
+    found = []
+    for path in sorted(SRC.joinpath("d2m").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line} {what} in {scope}"
+                  for scope, line, what in stream_parameters(tree)
+                  if f"{path.stem}.{scope}" not in STREAM_ENCODERS]
+    assert found == []
+
+
+def test_stream_guard_flags_a_stream_parameter():
+    code = ("def fuse(model, plan, out: BinaryIO | None = None) -> Report:\n"
+            "    pass\n"
+            "class Writer:\n"
+            "    def write(self, handle: 'typing.IO[bytes]', *, log: TextIO, size: int):\n"
+            "        def inner(path: str, *sinks: list[IO]): pass\n"
+            "def save(path: Path, data: bytes) -> BinaryIO:\n"
+            "    pass\n")
+    assert list(stream_parameters(ast.parse(code))) == [
+        ("fuse", 1, "out: BinaryIO | None"), ("Writer.write", 4, "handle: 'typing.IO[bytes]'"),
+        ("Writer.write", 4, "log: TextIO"), ("Writer.write.inner", 5, "sinks: list[IO]")]
 
 
 def test_json_guard_flags_a_second_parse_path():

@@ -2,36 +2,41 @@
 functional equivalence against plan-pruned references, and exact parameter
 accounting."""
 
+import os
 import re
+import struct
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2m import surgery
 from d2m.config import (
     FusionBlock,
     FusionPlan,
     ModelShape,
     MoEShape,
-    output_file,
     tensor_schema,
     write_json,
 )
-from d2m.errors import PlanModelMismatch, VerificationFailure
+from d2m.errors import DimensionMismatch, NonFiniteValue, PlanModelMismatch, VerificationFailure
 from d2m.nanomodel import build_toy_container, forward_trace, layer_forward, layers_of
 from d2m.surgery import (
+    ExpertProvenance,
+    FusionReport,
     functional_equivalence_check,
     fuse,
     provenance_to_dict,
     reference_pruned_model,
     verify_fusion,
 )
-from d2m.traceio import param_count, read_weights, validate_container, write_weights
-from d2m.weightfile import open_weights
+from d2m.traceio import WeightContainer, param_count, read_weights, validate_container, write_weights
+from d2m.weightfile import WeightsFile, open_weights, write_entry
 
 # the seven attention tensors of a layer, after its "layer.{l}." prefix
 ATTENTION_PARTS = ("attn_norm", "attn.q", "attn.k", "attn.v", "attn.o",
@@ -40,17 +45,94 @@ SHAPE = ModelShape(num_layers=4, hidden_dim=16, mlp_dim=32, num_heads=2,
                    num_kv_heads=1, head_dim=8, vocab_size=24)
 PLAN = FusionPlan(keep_layers=(1, 2, 4), prune_layers=frozenset({3}),
                   blocks=(FusionBlock(base=2, redundant=(3,)),))
+SIGN, ULP = 0x80000000, 0x1  # float32 bit masks: the sign and the lowest bit
 
 
 def toy_dense(seed=3, duplicates=((2, 1),)):
     return build_toy_container(SHAPE, seed=seed, duplicate_from=duplicates)
 
 
+def fused_model(dense: WeightContainer, plan: FusionPlan, base_copies: int, supp_copies: int,
+                top_k: int) -> tuple[WeightContainer, ExpertProvenance]:
+    """``fuse`` of ``dense``, written to a weights file, and the fused file
+    read back, with the provenance. Writing rounds ``dense`` to float32."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dense_path, fused_path = Path(tmp, "dense.d2mw"), Path(tmp, "fused.d2mw")
+        write_weights(dense, dense_path)
+        provenance, _ = fuse(dense_path, plan, base_copies, supp_copies, top_k, fused_path)
+        return read_weights(fused_path), provenance
+
+
+def flip_bits(path: Path, offset: int, mask: int) -> None:
+    """XOR ``mask`` into the little-endian u32 at ``offset`` of the file at
+    ``path``, in place, so a second flip undoes it."""
+    fd = os.open(path, os.O_RDWR)
+    try:
+        (bits,) = struct.unpack("<I", os.pread(fd, 4, offset))
+        os.pwrite(fd, struct.pack("<I", bits ^ mask), offset)
+    finally:
+        os.close(fd)
+
+
+@dataclass
+class Fusion:
+    """A dense weights file and its fusion at ``path``, both open."""
+
+    dense: WeightsFile
+    fused: WeightsFile
+    path: Path
+    provenance: ExpertProvenance
+    report: FusionReport
+
+    def flip(self, name: str, index: int, mask: int) -> None:
+        """``flip_bits`` of the float32 at flat ``index`` of the fused tensor
+        ``name``, under the open files."""
+        flip_bits(self.path, self.fused.tensors[name][1] + 4 * index, mask)
+
+    def verify(self, plan: FusionPlan) -> FusionReport:
+        return verify_fusion(self.dense, self.fused, plan, self.provenance)
+
+
+@contextmanager
+def fused_files(root, dense: WeightContainer, plan: FusionPlan, base_copies: int,
+                supp_copies: int, top_k: int):
+    """``dense`` written under ``root`` and fused there, then both files open
+    for the block as a ``Fusion``."""
+    dense_path, fused_path = Path(root, "dense.d2mw"), Path(root, "fused.d2mw")
+    write_weights(dense, dense_path)
+    provenance, report = fuse(dense_path, plan, base_copies, supp_copies, top_k, fused_path)
+    with open_weights(dense_path) as source, open_weights(fused_path) as result:
+        yield Fusion(source, result, fused_path, provenance, report)
+
+
+def inject(path: Path, name: str, dims: tuple[int, ...], destination: Path) -> None:
+    """The weights file at ``path`` with one more entry, of zeros, at
+    ``destination``."""
+    with open(destination, "wb") as out:
+        out.write(path.read_bytes())
+        write_entry(out, name, dims, bytes(4 * int(np.prod(dims))))
+
+
+def wrong_expert_source(monkeypatch) -> None:
+    """Make ``fuse`` copy layer 1's up projection into the first expert of
+    every MoE layer, a fault only ``verify_fusion`` can see."""
+    layout = surgery._layout
+
+    def wrong_source(*args):
+        shape, provenance, entries = layout(*args)
+        return shape, provenance, (
+            (name, dims, "layer.1.mlp.up" if re.fullmatch(r"layer\.\d+\.moe\.expert\.1\.up",
+                                                           name) else source)
+            for name, dims, source in entries)
+
+    monkeypatch.setattr(surgery, "_layout", wrong_source)
+
+
 class TestFuse:
     def test_empty_plan_is_identity(self):
         dense = toy_dense()
         plan = FusionPlan(keep_layers=(1, 2, 3, 4), prune_layers=frozenset(), blocks=())
-        fused, provenance = fuse(dense, plan, base_copies=2, supp_copies=2, top_k=1)
+        fused, provenance = fused_model(dense, plan, base_copies=2, supp_copies=2, top_k=1)
         assert provenance == {}
         assert fused.shape.moe is None
         assert list(fused.tensors) == list(dense.tensors)
@@ -59,7 +141,7 @@ class TestFuse:
 
     def test_single_block_copy_semantics(self):
         dense = toy_dense()
-        fused, provenance = fuse(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
+        fused, provenance = fused_model(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
         assert fused.shape.num_layers == 3
         assert fused.shape.experts == {2: 2}
         # expert 1 is the base layer's MLP, expert 2 the pruned layer's, bit-exact
@@ -74,14 +156,14 @@ class TestFuse:
     def test_paper_style_expert_pool_size(self):
         # one redundant source with 4 base copies and 2 copies per source: 6 experts
         dense = toy_dense()
-        fused, provenance = fuse(dense, PLAN, base_copies=4, supp_copies=2, top_k=1)
+        fused, provenance = fused_model(dense, PLAN, base_copies=4, supp_copies=2, top_k=1)
         assert fused.shape.moe == MoEShape({2: 6}, top_k=1)
         kinds = [s.kind for s in provenance[2]]
         assert kinds == ["base"] * 4 + ["redundant"] * 2
 
     def test_router_zero_initialized_and_uniform(self):
         dense = toy_dense()
-        fused, _ = fuse(dense, PLAN, base_copies=2, supp_copies=2, top_k=1)
+        fused, _ = fused_model(dense, PLAN, base_copies=2, supp_copies=2, top_k=1)
         assert not np.any(fused.tensors["layer.2.router"])
         layer = layers_of(fused)[1]
         x = np.random.default_rng(0).standard_normal((5, 16))
@@ -90,30 +172,30 @@ class TestFuse:
 
     def test_kept_layers_renumbered_in_order(self):
         dense = toy_dense()
-        fused, _ = fuse(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
+        fused, _ = fused_model(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
         for part in ATTENTION_PARTS:
             assert np.array_equal(fused.tensors[f"layer.3.{part}"], dense.tensors[f"layer.4.{part}"])
 
-    def test_pure_function_of_inputs(self):
-        a, _ = fuse(toy_dense(), PLAN, base_copies=2, supp_copies=1, top_k=1)
-        b, _ = fuse(toy_dense(), PLAN, base_copies=2, supp_copies=1, top_k=1)
-        assert list(a.tensors) == list(b.tensors)
-        for name in a.tensors:
-            assert np.array_equal(a.tensors[name], b.tensors[name])
+    def test_pure_function_of_inputs(self, tmp_path):
+        write_weights(toy_dense(), tmp_path / "dense.d2mw")
+        for name in ("a.d2mw", "b.d2mw"):
+            fuse(tmp_path / "dense.d2mw", PLAN, base_copies=2, supp_copies=1, top_k=1,
+                 destination=tmp_path / name)
+        assert (tmp_path / "a.d2mw").read_bytes() == (tmp_path / "b.d2mw").read_bytes()
 
     def test_moe_source_rejected(self):
         dense = toy_dense()
-        fused, _ = fuse(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
+        fused, _ = fused_model(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
         inner_plan = FusionPlan(keep_layers=(1, 2, 3), prune_layers=frozenset(), blocks=())
         with pytest.raises(PlanModelMismatch):
-            fuse(fused, inner_plan, base_copies=1, supp_copies=1, top_k=1)
+            fused_model(fused, inner_plan, base_copies=1, supp_copies=1, top_k=1)
 
     def test_plan_layer_count_mismatch(self):
         small = build_toy_container(
             ModelShape(num_layers=2, hidden_dim=16, mlp_dim=32, num_heads=2,
                        num_kv_heads=1, head_dim=8, vocab_size=24), seed=1)
         with pytest.raises(PlanModelMismatch):
-            fuse(small, PLAN, base_copies=1, supp_copies=1, top_k=1)
+            fused_model(small, PLAN, base_copies=1, supp_copies=1, top_k=1)
 
     def test_only_an_invalid_plan_becomes_a_mismatch(self, monkeypatch):
         def broken(plan, num_layers):
@@ -121,9 +203,9 @@ class TestFuse:
 
         monkeypatch.setattr("d2m.surgery.validate_plan", broken)
         with pytest.raises(RuntimeError, match="a bug in the validator"):
-            fuse(toy_dense(), PLAN, base_copies=1, supp_copies=1, top_k=1)
+            fused_model(toy_dense(), PLAN, base_copies=1, supp_copies=1, top_k=1)
 
-    def test_multi_block_heterogeneous_sizes(self):
+    def test_multi_block_heterogeneous_sizes(self, tmp_path):
         shape = ModelShape(num_layers=7, hidden_dim=16, mlp_dim=32, num_heads=2,
                            num_kv_heads=1, head_dim=8, vocab_size=24)
         dense = build_toy_container(shape, seed=9)
@@ -131,10 +213,10 @@ class TestFuse:
             keep_layers=(1, 2, 4, 7), prune_layers=frozenset({3, 5, 6}),
             blocks=(FusionBlock(base=2, redundant=(3,)),
                     FusionBlock(base=4, redundant=(5, 6))))
-        fused, provenance = fuse(dense, plan, base_copies=1, supp_copies=2, top_k=1)
-        assert fused.shape.moe == MoEShape({2: 3, 3: 5}, top_k=1)
-        verify_fusion(dense, fused, plan, provenance)
-        validate_container(fused)
+        with fused_files(tmp_path, dense, plan, base_copies=1, supp_copies=2, top_k=1) as f:
+            assert f.fused.shape.moe == MoEShape({2: 3, 3: 5}, top_k=1)
+            assert f.verify(plan) == f.report
+        validate_container(read_weights(f.path))
 
     def test_parameter_accounting_identity(self):
         shape = ModelShape(num_layers=7, hidden_dim=16, mlp_dim=32, num_heads=2,
@@ -145,7 +227,7 @@ class TestFuse:
             blocks=(FusionBlock(base=2, redundant=(3,)),
                     FusionBlock(base=4, redundant=(5, 6))))
         base_copies, supp_copies = 2, 2
-        fused, _ = fuse(dense, plan, base_copies, supp_copies, top_k=1)
+        fused, _ = fused_model(dense, plan, base_copies, supp_copies, top_k=1)
 
         attn = sum(dense.tensors[n].size
                    for layer in plan.prune_layers
@@ -165,54 +247,84 @@ class TestFuse:
             added += n_experts * shape.hidden_dim  # router
         assert param_count(fused) == param_count(dense) - attn - norms + added
 
+    def test_a_failed_check_keeps_the_destination_and_leaves_no_temp(self, tmp_path,
+                                                                     monkeypatch):
+        write_weights(toy_dense(), tmp_path / "dense.d2mw")
+        destination = tmp_path / "fused.d2mw"
+        destination.write_bytes(b"an earlier fused model")
+        wrong_expert_source(monkeypatch)
+        with pytest.raises(VerificationFailure, match=re.escape(
+                "expert_copy:layer.2.moe.expert.1.up: layer.2.moe.expert.1.up must be a "
+                "bit-exact copy of dense layer.2.mlp.up")):
+            fuse(tmp_path / "dense.d2mw", PLAN, 1, 1, 1, destination)
+        assert destination.read_bytes() == b"an earlier fused model"
+        assert sorted(tmp_path.glob(".fused.d2mw.*.tmp")) == []
+
+    def test_a_non_finite_dense_tensor_is_refused_before_the_destination_exists(self,
+                                                                               tmp_path):
+        dense_path, destination = tmp_path / "dense.d2mw", tmp_path / "fused.d2mw"
+        write_weights(toy_dense(), dense_path)
+        with open_weights(dense_path) as dense:
+            _, offset = dense.tensors["layer.4.mlp.down"]
+        fd = os.open(dense_path, os.O_WRONLY)
+        try:
+            os.pwrite(fd, struct.pack("<f", float("nan")), offset + 4)
+        finally:
+            os.close(fd)
+        with pytest.raises(NonFiniteValue, match=re.escape(
+                f"{dense_path}: tensor 'layer.4.mlp.down' contains non-finite values")):
+            fuse(dense_path, PLAN, 1, 1, 1, destination)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dense.d2mw"]
+
 
 class TestVerifyFusion:
-    def fused(self):
-        dense = toy_dense()
-        fused, provenance = fuse(dense, PLAN, base_copies=2, supp_copies=1, top_k=1)
-        return dense, fused, provenance
+    @pytest.fixture
+    def fusion(self, tmp_path):
+        with fused_files(tmp_path, toy_dense(), PLAN, base_copies=2, supp_copies=1,
+                         top_k=1) as fusion:
+            yield fusion
 
-    def test_clean_fusion_passes_all_checks(self):
-        dense, fused, provenance = self.fused()
-        report = verify_fusion(dense, fused, PLAN, provenance)
+    def test_clean_fusion_passes_all_checks(self, fusion):
+        report = fusion.verify(PLAN)
         assert report.ok
         assert all(c.passed for c in report.checks)
+        assert report == fusion.report
 
-    def test_tampered_expert_named(self):
-        dense, fused, provenance = self.fused()
-        fused.tensors["layer.2.moe.expert.2.gate"][0, 0] += 1e-8
+    def test_tampered_expert_named(self, fusion):
+        fusion.flip("layer.2.moe.expert.2.gate", 0, ULP)
         with pytest.raises(VerificationFailure, match="layer.2.moe.expert.2.gate"):
-            verify_fusion(dense, fused, PLAN, provenance)
+            fusion.verify(PLAN)
 
-    def test_nonzero_router_detected(self):
-        dense, fused, provenance = self.fused()
-        fused.tensors["layer.2.router"][3, 1] = 1e-9
+    def test_nonzero_router_detected(self, fusion):
+        router = "layer.2.router"
+        fusion.flip(router, 3 * fusion.fused.tensors[router][0][1] + 1, ULP)
         with pytest.raises(VerificationFailure, match="zero_router"):
-            verify_fusion(dense, fused, PLAN, provenance)
+            fusion.verify(PLAN)
 
-    def test_per_expert_norm_injection_detected(self):
-        dense, fused, provenance = self.fused()
-        fused.tensors["layer.2.moe.expert.1.norm"] = np.ones(16)
-        with pytest.raises(VerificationFailure, match="single_shared_norm"):
-            verify_fusion(dense, fused, PLAN, provenance)
+    def test_per_expert_norm_injection_detected(self, fusion, tmp_path):
+        # a file cannot hold a tensor its shape has no place for: the header
+        # walker refuses it, naming it, before any check runs
+        extra = "layer.2.moe.expert.1.norm"
+        inject(fusion.path, extra, (16,), tmp_path / "injected.d2mw")
+        with open_weights(tmp_path / "injected.d2mw") as injected:
+            with pytest.raises(DimensionMismatch, match=re.escape(
+                    f"unexpected tensors not in schema: [{extra!r}]")):
+                verify_fusion(fusion.dense, injected, PLAN, fusion.provenance)
 
-    def test_tampered_attention_detected(self):
-        dense, fused, provenance = self.fused()
-        fused.tensors["layer.3.attn.q"][0, 0] *= 1.0000001
+    def test_tampered_attention_detected(self, fusion):
+        fusion.flip("layer.3.attn.q", 0, ULP)
         with pytest.raises(VerificationFailure, match="layer.3.attn.q"):
-            verify_fusion(dense, fused, PLAN, provenance)
+            fusion.verify(PLAN)
 
-    def test_report_rides_on_exception(self):
-        dense, fused, provenance = self.fused()
-        fused.tensors["layer.2.router"][0, 0] = 1.0
+    def test_report_rides_on_exception(self, fusion):
+        fusion.flip("layer.2.router", 0, 0x3F800000)  # 1.0
         with pytest.raises(VerificationFailure) as info:
-            verify_fusion(dense, fused, PLAN, provenance)
+            fusion.verify(PLAN)
         assert info.value.report is not None
         assert not info.value.report.ok
 
-    def test_provenance_document_as_written(self, tmp_path):
-        _, _, provenance = self.fused()
-        write_json(tmp_path / "prov.json", provenance_to_dict(provenance))
+    def test_provenance_document_as_written(self, fusion, tmp_path):
+        write_json(tmp_path / "prov.json", provenance_to_dict(fusion.provenance))
         assert (tmp_path / "prov.json").read_text() == (
             '{\n'
             '  "2": [\n'
@@ -289,82 +401,89 @@ class TestFusionProperties:
     @given(case=fusion_cases())
     def test_fuse_passes_verification_and_any_tampering_is_named(self, case):
         dense, plan, base_copies, supp_copies, top_k = case
-        fused, provenance = fuse(dense, plan, base_copies, supp_copies, top_k)
-        report = verify_fusion(dense, fused, plan, provenance)
-        assert list(fused.tensors) == [
-            name for name, _ in tensor_schema(fused.shape)]
-        named = Counter(c.name.partition(":")[2] for c in report.checks)
-        assert all(named[name] == 1 for name in fused.tensors)
+        with tempfile.TemporaryDirectory() as tmp, \
+                fused_files(tmp, dense, plan, base_copies, supp_copies, top_k) as f:
+            assert list(f.fused.tensors) == [name for name, _ in tensor_schema(f.fused.shape)]
+            named = Counter(c.name.partition(":")[2] for c in f.report.checks)
+            assert all(named[name] == 1 for name in f.fused.tensors)
 
-        def verify():
-            verify_fusion(dense, fused, plan, provenance)
-
-        for name, tensor in fused.tensors.items():
-            flat = tensor.reshape(-1)
-            zero = int(np.flatnonzero(flat == 0)[0])
             # one ulp away, and a zero of the other sign: both equal as values
-            for index, value in ((0, np.nextafter(flat[0], np.inf)), (zero, -flat[zero])):
-                original = flat[index]
-                flat[index] = value
-                assert failed_checks(verify) == [name]
-                flat[index] = original
+            for name in f.fused.tensors:
+                zero = int(np.flatnonzero(np.frombuffer(f.fused.read(name), "<f4") == 0)[0])
+                for index, mask in ((0, ULP), (zero, SIGN)):
+                    f.flip(name, index, mask)
+                    assert failed_checks(lambda: f.verify(plan)) == [name]
+                    f.flip(name, index, mask)
+            assert f.verify(plan) == f.report
 
-        for layer in fused.shape.experts:
-            extra = f"layer.{layer}.moe.expert.1.norm"
-            fused.tensors[extra] = np.ones(dense.shape.hidden_dim)
-            with pytest.raises(VerificationFailure, match=re.escape(extra)):
-                verify_fusion(dense, fused, plan, provenance)
-            del fused.tensors[extra]
+            for layer in f.fused.shape.experts:
+                extra = f"layer.{layer}.moe.expert.1.norm"
+                injected = Path(tmp, "injected.d2mw")
+                inject(f.path, extra, (dense.shape.hidden_dim,), injected)
+                with open_weights(injected) as result, \
+                        pytest.raises(DimensionMismatch, match=re.escape(repr(extra))):
+                    verify_fusion(f.dense, result, plan, f.provenance)
 
     @settings(max_examples=25, deadline=None)
     @given(case=fusion_cases(), data=st.data())
     def test_file_fusion_copies_bytes_and_any_flipped_bit_is_named(self, case, data):
         dense, plan, base_copies, supp_copies, top_k = case
         with tempfile.TemporaryDirectory() as tmp:
-            dense_path, fused_path, whole_path = (Path(tmp, name) for name in
-                                                  ("dense.d2mw", "fused.d2mw", "whole.d2mw"))
-            write_weights(dense, dense_path)
-            with open_weights(dense_path) as source, output_file(fused_path, True) as out:
-                model, provenance = fuse(source, plan, base_copies, supp_copies, top_k, out=out)
-            assert model is None
-            # the same bytes as the in-memory fusion of the same file, written
-            whole, whole_provenance = fuse(read_weights(dense_path), plan, base_copies,
-                                           supp_copies, top_k)
-            write_weights(whole, whole_path)
-            assert fused_path.read_bytes() == whole_path.read_bytes()
-            assert provenance == whole_provenance
+            with fused_files(tmp, dense, plan, base_copies, supp_copies, top_k) as f:
+                # each fused tensor, by a derivation of this test's own: the
+                # dense tensor it copies, or None for a router of zero bytes
+                keep = plan.keep_layers
+                sources = {}
+                for name in f.fused.tensors:
+                    parts = name.split(".")
+                    if parts[0] != "layer":
+                        sources[name] = name
+                    elif parts[2] == "router":
+                        sources[name] = None
+                    elif parts[2] == "moe":
+                        source = f.provenance[int(parts[1])][int(parts[4]) - 1].source_layer
+                        sources[name] = f"layer.{source}.mlp.{parts[5]}"
+                    else:
+                        sources[name] = ".".join(["layer", str(keep[int(parts[1]) - 1]),
+                                                  *parts[2:]])
+                for name, source in sources.items():
+                    want = (bytes(len(f.fused.read(name))) if source is None
+                            else f.dense.read(source))
+                    assert f.fused.read(name) == want, name
+            # the file fuse writes is the one write_weights writes for the
+            # model it holds
+            whole = Path(tmp, "whole.d2mw")
+            write_weights(read_weights(f.path), whole)
+            assert f.path.read_bytes() == whole.read_bytes()
+
+            # one ulp of a dense tensor changed after the fusion: exactly the
+            # fused tensors copied from it fail, in the report's order
+            dense_path = Path(tmp, "dense.d2mw")
+            name = data.draw(st.sampled_from(list(dense.tensors)))
+            with open_weights(dense_path) as source:
+                flip_bits(dense_path, source.tensors[name][1], ULP)
+            copies = [fused for fused, source in sources.items() if source == name]
 
             def verify():
-                with open_weights(dense_path) as source, open_weights(fused_path) as result:
-                    return verify_fusion(source, result, plan, provenance)
+                with open_weights(dense_path) as source, open_weights(f.path) as result:
+                    return verify_fusion(source, result, plan, f.provenance)
 
-            assert [c.name for c in verify().checks] == [
-                c.name for c in verify_fusion(read_weights(dense_path), whole, plan,
-                                              provenance).checks]
-            # flip the sign bit of a zero, then the lowest bit (one ulp) of the
-            # first float
-            name = data.draw(st.sampled_from(list(whole.tensors)))
-            with open_weights(fused_path) as result:
-                _, offset = result.tensors[name]
-                zero = int(np.flatnonzero(np.frombuffer(result.read(name), "<f4") == 0)[0])
-            raw = bytearray(fused_path.read_bytes())
-            for at, change in ((offset + 4 * zero + 3, 0x80), (offset, 0x01)):
-                raw[at] ^= change
-                fused_path.write_bytes(raw)
-                assert failed_checks(verify) == [name]
-                raw[at] ^= change
+            if copies:
+                assert sorted(failed_checks(verify)) == sorted(copies)
+            else:
+                assert verify().ok
 
 
 class TestFunctionalEquivalence:
     def test_duplicate_layer_fixture(self):
         dense = toy_dense()
-        fused, _ = fuse(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
+        fused, _ = fused_model(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
         probe = np.random.default_rng(1).standard_normal((6, 16))
         assert functional_equivalence_check(dense, fused, PLAN, probe) < 1e-12
 
     def test_forced_redundant_expert_copy_semantics(self):
         dense = toy_dense()
-        fused, _ = fuse(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
+        fused, _ = fused_model(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
         probe = np.random.default_rng(2).standard_normal((5, 16))
         # forcing the redundant-source expert reproduces the source MLP applied
         # to the shared normed state
@@ -388,14 +507,14 @@ class TestFunctionalEquivalence:
         worst = 0.0
         for seed in range(20):
             dense = toy_dense(seed=seed)
-            fused, _ = fuse(dense, PLAN, base_copies=2, supp_copies=2, top_k=1)
+            fused, _ = fused_model(dense, PLAN, base_copies=2, supp_copies=2, top_k=1)
             probe = np.random.default_rng(1000 + seed).standard_normal((4, 16))
             worst = max(worst, functional_equivalence_check(dense, fused, PLAN, probe))
         assert worst < 1e-12
 
     def test_expert_permutation_preserves_outputs(self):
         dense = toy_dense()
-        fused, _ = fuse(dense, PLAN, base_copies=2, supp_copies=2, top_k=2)
+        fused, _ = fused_model(dense, PLAN, base_copies=2, supp_copies=2, top_k=2)
         probe = np.random.default_rng(3).standard_normal((5, 16))
         layer = layers_of(fused)[1]
         # non-trivial router so gates differ across experts
