@@ -79,22 +79,30 @@ def json_document(text: str | bytes, source) -> Any:
 def staged_outputs(*destinations) -> Iterator[list[Path]]:
     """A new path beside each of the paths ``destinations`` for the block to
     write; each replaces its destination only once the block completes, so a
-    failure replaces none of them. On any exception the new files are
-    removed and the destinations left as they were; an ``OSError`` raises
-    ``IoFailure`` naming the destinations."""
+    failure replaces none of them. A destination that is a directory, which
+    no rename can replace, is refused before the first rename. On any
+    exception the new files are removed and the destinations left as they
+    were; an ``OSError`` raises ``IoFailure`` naming the destinations, or
+    the one whose rename failed."""
     paths = [Path(d) for d in destinations]
     # random, so a killed writer's leftover blocks no one
     temps = [path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp") for path in paths]
+    named = paths  # what an OSError names
     try:
         yield temps
+        for path in paths:
+            with suppress(FileNotFoundError):  # lstat: a symlink is replaced, not followed
+                if stat.S_ISDIR(os.lstat(path).st_mode):
+                    raise IoFailure(f"cannot write {path}: it is a directory")
         for temp, path in zip(temps, paths):
+            named = [path]
             os.replace(temp, path)
     except BaseException as exc:
         for temp in temps:
             with suppress(OSError):
                 os.unlink(temp)
         if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write {', '.join(map(str, paths))}: {exc}") from exc
+            raise IoFailure(f"cannot write {', '.join(map(str, named))}: {exc}") from exc
         raise
 
 

@@ -356,15 +356,14 @@ def copy_container(container: WeightContainer) -> WeightContainer:
 
 def write_weights(container: WeightContainer, destination) -> int:
     """Serialize a validated container, finite as float32, to the file at the
-    path ``destination``; returns the number of bytes emitted. Every tensor
-    is cast and checked before anything is written."""
+    path ``destination``; returns the number of bytes emitted. Each tensor is
+    cast, checked and written in turn, so one tensor's float32 copy is held
+    at a time; a failed check leaves ``destination`` as it was."""
     validate_container(container)
-    blocks = {name: _float32(tensor, f"tensor {name!r}")
-              for name, tensor in container.tensors.items()}
     with output_file(destination, binary=True) as handle:
         n = write_weights_header(handle, container.shape)
-        for name, block in blocks.items():
-            n += write_entry(handle, name, container.tensors[name].shape, block)
+        for name, tensor in container.tensors.items():
+            n += write_entry(handle, name, tensor.shape, _float32(tensor, f"tensor {name!r}"))
         return n
 
 

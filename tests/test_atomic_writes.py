@@ -10,6 +10,7 @@ import errno
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 import d2m.config
 from d2m.cli import main
-from d2m.config import output_file
+from d2m.config import output_file, staged_outputs
 from d2m.errors import D2mError, IoFailure
 from d2m.similarity import read_matrices
 from d2m.traceio import read_trace, read_weights
@@ -126,6 +127,35 @@ class TestOutputFile:
             handle.write("new\n")
         assert not link.is_symlink() and link.read_text() == "new\n"
         assert target.read_text() == "old\n"
+
+
+class TestStagedOutputs:
+    def test_a_symlink_to_a_directory_is_replaced_not_followed(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        link = tmp_path / "link.bin"
+        link.symlink_to(tmp_path / "dir")
+        with staged_outputs(link) as (temp,):
+            temp.write_bytes(b"new")
+        assert not link.is_symlink() and link.read_bytes() == b"new"
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_a_failed_rename_names_its_destination(self, tmp_path, monkeypatch):
+        rename = os.replace
+
+        def cross_device(source, destination):
+            if Path(destination).name == "b.bin":
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            rename(source, destination)
+
+        monkeypatch.setattr(os, "replace", cross_device)
+        paths = [tmp_path / name for name in ("a.bin", "b.bin", "c.bin")]
+        with pytest.raises(IoFailure) as info, staged_outputs(*paths) as temps:
+            for temp in temps:
+                temp.write_bytes(b"new")
+        assert str(info.value) == (
+            f"cannot write {tmp_path / 'b.bin'}: [Errno {errno.EXDEV}] Invalid cross-device link")
+        assert not (tmp_path / "c.bin").exists()
+        assert temp_files(tmp_path) == []
 
 
 SYNTH_ARGS = ["--seed", "1", "--layers", "3", "--hidden", "8", "--mlp-dim", "8",

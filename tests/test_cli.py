@@ -1,28 +1,35 @@
 """Command-line pipeline: stage composability, deterministic artifact trees,
 exit codes, and the run-directory manifest."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2m import cli, surgery
 from d2m.cli import main
-from d2m.config import FusionBlock, FusionPlan, ModelShape, tensor_schema
-from d2m.errors import IoFailure
+from d2m.config import FusionBlock, FusionPlan, ModelShape, load_plan, tensor_schema
+from d2m.errors import IoFailure, VerificationFailure
 from d2m.nanomodel import build_toy_container
 from d2m.traceio import param_count, read_weights, write_weights
+from d2m.weightfile import open_weights
 
-from test_surgery import wrong_expert_source
+from test_surgery import ULP, Fusion, wrong_expert_source
+from test_traceio import repeat_entry
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -82,6 +89,17 @@ def run_pipeline(root: Path, seed: int = 11) -> dict[str, Path]:
                  "--supp-copies", "1", "--top-k", "1",
                  "--out", str(out["fused"]), "--provenance-out", str(out["prov"])]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory) -> dict[str, Path]:
+    """The outputs of ``run_pipeline``, made once for the tests that only
+    read them."""
+    return run_pipeline(tmp_path_factory.mktemp("readme"))
+
+
+def files_under(root: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 class TestPipeline:
@@ -404,6 +422,23 @@ class TestSynthStream:
         assert {name: (tmp_path / name).read_bytes() for name in names} == before
         assert sorted(tmp_path.rglob("*.tmp")) == []
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["empty", "after-a-synth"])
+    def test_a_directory_in_place_of_an_output_replaces_none_of_the_three_files(
+            self, tmp_path, capsys, earlier):
+        if earlier:
+            assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
+            (tmp_path / "config.json").unlink()
+        (tmp_path / "config.json").mkdir()
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(["synth", "--out-dir", str(tmp_path), "--layers", "3",
+                     "--seq-len", "8"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / 'config.json'}: it is a directory\n")
+        assert files_under(tmp_path) == before
+        assert (tmp_path / "config.json").is_dir()
+        assert sorted(tmp_path.rglob("*.tmp")) == []
+
     def test_overflow_mid_stream_keeps_the_existing_trace(self, tmp_path, capsys):
         assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
         before = (tmp_path / "trace.d2mt").read_bytes()
@@ -423,6 +458,83 @@ class TestSynthStream:
                          "--weight-scale", "1e30", "--trace-mode", "forward"]) == 2
         assert "not finite as float32" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+@st.composite
+def plan_documents(draw, num_layers: int) -> dict:
+    """A valid plan document for a ``num_layers``-layer model: 1..L cut into
+    runs, a run longer than one a block whose first layer is the base."""
+    blocks, layer = [], 1
+    while layer <= num_layers:
+        run = draw(st.integers(1, num_layers - layer + 1))
+        if run > 1:
+            blocks.append({"base": layer, "redundant": list(range(layer + 1, layer + run))})
+        layer += run
+    prune = [r for block in blocks for r in block["redundant"]]
+    return {"keep": [n for n in range(1, num_layers + 1) if n not in prune],
+            "prune": prune, "blocks": blocks}
+
+
+def break_plan(rule: str, doc: dict, draw, num_layers: int) -> str:
+    """Break ``rule`` in the valid plan document ``doc``, in place, with what
+    ``draw`` draws; returns the message that refuses the plan."""
+    keep, prune, blocks = doc["keep"], doc["prune"], doc["blocks"]
+    if rule == "keep-prune-overlap":
+        layer = draw(st.sampled_from(keep))
+        doc["prune"] = sorted([*prune, layer])
+        return f"keep and prune overlap: [{layer}]"
+    if rule == "not-covered":
+        keep.remove(draw(st.sampled_from(keep)))
+        return f"keep and prune do not cover layers 1..{num_layers} exactly"
+    if rule == "unordered-keep":
+        doc["keep"] = list(draw(st.permutations(keep).filter(lambda p: list(p) != keep)))
+        return "keep_layers must be ordered ascending"
+    if rule == "no-redundant-layers":
+        base = draw(st.sampled_from(keep))
+        blocks.insert(draw(st.integers(0, len(blocks))), {"base": base, "redundant": []})
+        return f"block at base {base} has no redundant layers"
+    if rule == "blocks-overlap":
+        block = draw(st.sampled_from(blocks))
+        blocks.insert(blocks.index(block) + 1, dict(block))
+        return f"blocks overlap at layers {sorted([block['base'], *block['redundant']])}"
+    if rule == "not-contiguous":
+        base = draw(st.sampled_from(keep))
+        blocks.insert(0, {"base": base, "redundant": [base + 2]})
+        return (f"redundant set of base {base} must be the contiguous run {(base + 1,)}, "
+                f"got {(base + 2,)}")
+    if rule == "beyond-the-layers":
+        base = draw(st.one_of(st.integers(-2, 0), st.integers(num_layers + 1, num_layers + 3)))
+        redundant = tuple(range(base + 1, base + 1 + draw(st.integers(1, 2))))
+        blocks.insert(0, {"base": base, "redundant": list(redundant)})
+        return f"block ({base}, {redundant}) exceeds 1..{num_layers}"
+    if rule == "pruned-base":
+        base = draw(st.sampled_from([r for r in prune if r < num_layers]))
+        blocks.insert(0, {"base": base, "redundant": [base + 1]})
+        return f"base layer {base} cannot be pruned"
+    if rule == "prune-is-not-the-blocks":
+        blocks.pop(draw(st.integers(0, len(blocks) - 1)))
+        return "prune_layers must equal the union of block redundant sets"
+    assert rule == "malformed"
+    key = draw(st.sampled_from(["keep", "prune", "blocks", "blocks-not-a-list"]
+                               + (["base", "redundant"] if blocks else [])))
+    if key == "blocks-not-a-list":
+        doc["blocks"] = len(blocks)
+        return "malformed plan document: 'int' object is not iterable"
+    target = draw(st.sampled_from(blocks)) if key in ("base", "redundant") else doc
+    del target[key]
+    return f"malformed plan document: {key!r}"
+
+
+PLAN_RULES = ("keep-prune-overlap", "not-covered", "unordered-keep", "no-redundant-layers",
+              "blocks-overlap", "not-contiguous", "beyond-the-layers", "pruned-base",
+              "prune-is-not-the-blocks", "malformed")
+# what a rule needs of the valid plan it breaks, for a 5-layer model
+PLAN_NEEDS = {
+    "unordered-keep": lambda doc: len(doc["keep"]) > 1,
+    "blocks-overlap": lambda doc: doc["blocks"],
+    "pruned-base": lambda doc: any(r < 5 for r in doc["prune"]),
+    "prune-is-not-the-blocks": lambda doc: doc["blocks"],
+}
 
 
 class TestFuse:
@@ -524,6 +636,145 @@ class TestFuse:
         bound = 3 * largest + slack
         assert bound < model.stat().st_size / 2 < (tmp_path / "fused.d2mw").stat().st_size / 2
         assert peak <= bound, peak
+
+    @pytest.mark.parametrize("rule", PLAN_RULES)
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_a_plan_that_breaks_a_rule_exits_2_naming_it_and_writes_nothing(
+            self, readme_run, rule, data):
+        doc = data.draw(plan_documents(5).filter(PLAN_NEEDS.get(rule, lambda doc: True)),
+                        "plan")
+        message = break_plan(rule, doc, data.draw, 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            plan = Path(tmp, "plan.json")
+            plan.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["fuse", "--model", str(readme_run["synth"] / "model.d2mw"),
+                             "--plan", str(plan), "--base-copies", "1", "--supp-copies", "1",
+                             "--top-k", "1", "--out", str(Path(tmp, "f.d2mw")),
+                             "--provenance-out", str(Path(tmp, "p.json"))])
+            assert (code, err.getvalue()) == (2, f"error: {plan}: {message}\n")
+            assert [p.name for p in Path(tmp).iterdir()] == ["plan.json"]
+
+    @pytest.mark.parametrize("stage", ["fuse", "train-toy"])
+    def test_a_repeated_entry_exits_2_naming_it_and_writes_nothing(self, tmp_path, capsys,
+                                                                    readme_run, stage):
+        model = tmp_path / "model.d2mw"
+        if stage == "fuse":
+            repeat_entry(readme_run["synth"] / "model.d2mw", "layer.2.attn.v", model)
+            argv = ["fuse", "--model", str(model), "--plan", str(readme_run["plan"]),
+                    "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                    "--out", str(tmp_path / "f.d2mw"),
+                    "--provenance-out", str(tmp_path / "p.json")]
+        else:
+            repeat_entry(readme_run["fused"], "layer.2.attn.v", model)
+            argv = ["train-toy", "--model", str(model), "--steps", "2",
+                    "--log-out", str(tmp_path / "log.csv"),
+                    "--model-out", str(tmp_path / "trained.d2mw")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: duplicate tensor 'layer.2.attn.v' in stream\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.d2mw"]
+
+
+def flipped(fusion: Fusion, name: str, plan: FusionPlan):
+    fusion.flip(name, 0, ULP)
+    return plan, fusion.provenance
+
+
+# each kind of check in the README model's report, and a tamper that makes
+# it the first check to fail: the plan and provenance to verify with
+README_TAMPERS = {
+    "layer_count": lambda f, plan: (  # another plan
+        FusionPlan(keep_layers=(1, 2, 3, 4, 5), prune_layers=frozenset(), blocks=()),
+        f.provenance),
+    "copy": lambda f, plan: flipped(f, "layer.3.attn.q", plan),
+    "provenance_present": lambda f, plan: (plan, {}),  # the block's entry dropped
+    "zero_router": lambda f, plan: flipped(f, "layer.4.router", plan),
+    "expert_copy": lambda f, plan: flipped(f, "layer.4.moe.expert.2.down", plan),
+}
+
+
+class TestFusionReport:
+    def test_every_kind_of_check_can_fail_first(self, tmp_path, readme_run):
+        # a kind of check that no tamper can make fail first is one that
+        # re-decides what an earlier check, or the header walker, decided
+        dense = readme_run["synth"] / "model.d2mw"
+        plan = load_plan(readme_run["plan"], 5)
+        provenance, report = surgery.fuse(dense, plan, 1, 1, 1, tmp_path / "fused.d2mw")
+        assert len(report.checks) == 52  # 50 fused tensors, the layer count, 1 block
+        assert {c.name.partition(":")[0] for c in report.checks} == set(README_TAMPERS)
+        for kind, tamper in README_TAMPERS.items():
+            path = tmp_path / f"{kind}.d2mw"
+            path.write_bytes((tmp_path / "fused.d2mw").read_bytes())
+            with open_weights(dense) as source, open_weights(path) as fused:
+                fusion = Fusion(source, fused, path, provenance, report)
+                with pytest.raises(VerificationFailure) as info:
+                    surgery.verify_fusion(source, fused, *tamper(fusion, plan))
+            first = next(c for c in info.value.report.checks if not c.passed)
+            assert first.name.partition(":")[0] == kind
+            assert str(info.value) == f"{first.name}: {first.detail}"
+
+
+# each argv exits 2 with its message and writes nothing: {matrices} and
+# {fused} are the README pipeline's, {out} the test's own directory
+PLAN_MODE = ["search", "--matrices", "{matrices}", "--delta", "0.05", "--epsilon", "0.1",
+             "--plan-out", "{out}/plan.json"]
+SWEEP_MODE = ["search", "--matrices", "{matrices}", "--sweep", "--delta-grid", "0.05",
+              "--epsilon-grid", "0.1", "--sweep-out", "{out}/sweep.csv"]
+
+
+def without(argv: list[str], flag: str) -> list[str]:
+    """``argv`` with ``flag`` and its value removed."""
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 2:]
+
+
+REFUSALS = {
+    **{f"plan-mode-without-{flag[2:]}": (
+        without(PLAN_MODE, flag), "plan mode requires --delta, --epsilon, --plan-out")
+       for flag in ("--delta", "--epsilon", "--plan-out")},
+    **{f"sweep-mode-without-{flag[2:]}": (
+        without(SWEEP_MODE, flag), "--sweep requires --delta-grid, --epsilon-grid, --sweep-out")
+       for flag in ("--delta-grid", "--epsilon-grid", "--sweep-out")},
+    "block-sizes-comma": ([*PLAN_MODE, "--block-sizes", ","],
+                          "--block-sizes: list ',' is empty"),
+    "plan-mode-block-size-0": ([*PLAN_MODE, "--block-sizes", "0"],
+                               "thresholds.block_sizes must be positive counts"),
+    "sweep-mode-block-size-0": ([*SWEEP_MODE, "--block-sizes", "0"],
+                                "block sizes must be positive, got 0"),
+    "epsilon-1.5": ([*without(PLAN_MODE, "--epsilon"), "--epsilon", "1.5"],
+                    "thresholds.norm_tolerance must lie in (0, 1)"),
+    "pareto-without-w-or-calibrate": (
+        ["pareto", "--candidates", "{out}/candidates.csv", "--base-latency", "100",
+         "--rewards-out", "{out}/rewards.csv", "--frontier-out", "{out}/frontier.csv"],
+        "provide either --w or --calibrate FACTOR GAIN"),
+    "train-toy-steps-0": (
+        ["train-toy", "--model", "{fused}", "--steps", "0", "--log-out", "{out}/log.csv",
+         "--model-out", "{out}/trained.d2mw"], "steps must be at least 1"),
+    "diagnose-bad-header": (["diagnose", "--log", "{out}/bad_header.csv",
+                             "--out", "{out}/wta.csv"], "not a training log CSV (bad header)"),
+    "diagnose-header-only": (["diagnose", "--log", "{out}/header_only.csv",
+                              "--out", "{out}/wta.csv"], "training log has no data rows"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, message", REFUSALS.values(), ids=REFUSALS)
+    def test_exits_2_with_its_message_writing_nothing(self, tmp_path, capsys, readme_run,
+                                                      argv, message):
+        (tmp_path / "candidates.csv").write_text(CANDIDATES_CSV)
+        (tmp_path / "bad_header.csv").write_text("step,loss\n1,0.5\n")
+        (tmp_path / "header_only.csv").write_text("step,task_loss,lb_loss,load_e1,load_e2\n")
+        before = files_under(tmp_path)
+        paths = {"matrices": readme_run["analysis"] / "matrices.d2ms",
+                 "fused": readme_run["fused"], "out": tmp_path}
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert files_under(tmp_path) == before
 
 
 class TestEstimate:

@@ -3,6 +3,7 @@ tampered headers and mutated files of all three formats, and the synthetic
 trace generator."""
 
 import json
+import math
 import os
 import re
 import struct
@@ -56,6 +57,7 @@ from d2m.traceio import (
     write_trace,
     write_weights,
 )
+from d2m.weightfile import open_weights
 
 TOY_SHAPE = ModelShape(num_layers=2, hidden_dim=16, mlp_dim=32, num_heads=2,
                        num_kv_heads=1, head_dim=8, vocab_size=24)
@@ -311,6 +313,35 @@ class TestWritersRefuseWhatTheirReaderRejects:
         assert path.read_bytes() == before
         assert sorted(tmp_path.glob("*.tmp")) == []
 
+    def test_weights_writer_holds_one_tensor_in_float32_not_the_model(self, tmp_path):
+        shape = ModelShape(num_layers=8, hidden_dim=64, mlp_dim=256, num_heads=4,
+                           num_kv_heads=2, head_dim=16, vocab_size=64)
+        container = build_toy_container(shape, seed=5)
+        write_weights(build_toy_container(TOY_SHAPE, seed=0), tmp_path / "warm.d2mw")
+        tracemalloc.start()
+        try:
+            write_weights(container, tmp_path / "m.d2mw")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(4 * t.size for t in container.tensors.values())
+        # one tensor's float32 copy and finiteness mask, the shape document
+        # and the file object
+        bound = 2 * largest + (64 << 10)
+        assert bound < 4 * param_count(container) / 2
+        assert peak <= bound, peak
+
+
+def repeat_entry(path: Path, name: str, destination: Path) -> None:
+    """The weights file at ``path`` with the entry of tensor ``name`` written
+    twice in a row, at ``destination``."""
+    with open_weights(path) as weights:
+        dims, offset = weights.tensors[name]
+    start = offset - 4 * (2 + len(dims)) - len(name.encode("utf-8"))
+    end = offset + 4 * math.prod(dims)
+    data = path.read_bytes()
+    destination.write_bytes(data[:end] + data[start:end] + data[end:])
+
 
 class TestWeightsFormat:
     def test_round_trip_identity(self, tmp_path):
@@ -365,6 +396,18 @@ class TestWeightsFormat:
         path.write_bytes(clipped)
         with pytest.raises(TruncatedPayload):
             read_weights(path)
+
+    def test_a_repeated_entry_is_refused_naming_the_file_and_the_tensor(self, tmp_path):
+        # the names of a file with one entry twice are still the schema's, so
+        # only the walker's duplicate check can refuse it
+        path, repeated = tmp_path / "m.d2mw", tmp_path / "repeated.d2mw"
+        container = build_toy_container(TOY_SHAPE, seed=4)
+        write_weights(container, path)
+        for name in container.tensors:
+            repeat_entry(path, name, repeated)
+            with pytest.raises(DimensionMismatch, match=re.escape(
+                    f"{repeated}: duplicate tensor {name!r} in stream")):
+                read_weights(repeated)
 
     def test_write_rejects_non_finite_before_writing(self, tmp_path):
         container = build_toy_container(TOY_SHAPE, seed=3)
