@@ -1,14 +1,15 @@
 """Shared domain types: model shapes, hardware profiles, workloads, search
 thresholds, fusion plans and similarity matrices; ``tensor_schema``, the one
 description of the tensors a model of a shape holds; ``section_from_dict``,
-which builds any of them from a JSON object; ``text_file``, through which
-every JSON and CSV input file is opened by its path; ``json_document``,
-through which every JSON input is parsed; ``output_file``, through which every
-file the toolkit writes is written beside its destination path and renamed
-into place by ``staged_outputs``, which renames several together; and
-``_read``, the one bounds-checked cursor through which every binary file,
-opened once, is read by positioned reads (``weightfile`` walks a weights
-file's header through it).
+which builds any of them from a JSON object; ``input_file``, through which
+every input file, text or binary, is opened by its path: a regular file or
+nothing, and every refusal names it; ``text_file``, through which every JSON
+and CSV input is read; ``json_document``, through which every JSON input is
+parsed; ``output_file``, through which every file the toolkit writes is
+written beside its destination path and renamed into place by
+``staged_outputs``, which renames several together; and ``_read``, the one
+bounds-checked cursor through which every binary file is read by positioned
+reads (``weightfile`` walks a weights file's header through it).
 
 Nothing here imports numpy, so the stages that read only JSON, CSV and the
 similarity matrices cache start without it.
@@ -20,6 +21,7 @@ functions so that deliberately broken values can be constructed in tests.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -46,23 +48,6 @@ from .errors import (
     VerificationFailure,
     VersionMismatch,
 )
-
-
-@contextmanager
-def text_file(path) -> Iterator[TextIO]:
-    """The UTF-8 file at ``path`` opened for reading without newline
-    translation, so the csv module sees line ends.
-
-    An ``OSError`` while opening or reading raises ``IoFailure``; undecodable
-    bytes raise ``InvalidConfig``; both name the file.
-    """
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as handle:
-            yield handle
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def json_document(text: str | bytes, source) -> Any:
@@ -185,20 +170,20 @@ class _Reader:
             raise FormatError(f"{self.remaining()} trailing bytes after the payload")
 
 
-# What a block that reads a file may raise about something else: a plan, a
-# fusion, or a file it writes. Each names its own subject, so it passes as is.
-_NOT_THE_FILE = (InvalidPlan, IoFailure, PlanModelMismatch, VerificationFailure)
+# What a block that reads a file may raise about something else: a fusion, a
+# file it writes, or a plan the model's header refuses. Each names its own
+# subject, so it passes as is.
+_NOT_THE_FILE = (IoFailure, PlanModelMismatch, VerificationFailure)
 
 
 @contextmanager
-def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
-    """A reader past the checked magic and version of the file at ``path``.
+def input_file(path) -> Iterator[_Reader]:
+    """A reader over the file at ``path``, which stays open for the block.
 
-    The file stays open for the block. It is opened non-blocking, so a pipe
-    with no writer is refused at once, as is any file that is not a regular
-    file, with ``IoFailure``; an ``OSError`` while it is read raises
-    ``IoFailure`` too. A toolkit error raised while it is parsed, in the
-    block too, names the path, unless it is about something else.
+    The file is opened non-blocking, so a pipe with no writer is refused at
+    once, as is any file that is not a regular file, with ``IoFailure``; an
+    ``OSError`` while it is read raises ``IoFailure`` too. A toolkit error
+    raised in the block names the path, unless it is about something else.
     """
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -208,15 +193,7 @@ def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
         info = os.fstat(fd)
         if not stat.S_ISREG(info.st_mode):
             raise IoFailure(f"{path}: not a regular file")
-        reader = _Reader(fd, info.st_size)
-        got = reader.take(4, "magic")
-        if got != magic:
-            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
-        (got_version,) = reader.u32s(1, "version")
-        if got_version != version:
-            raise VersionMismatch(f"unsupported {magic.decode()} format version "
-                                  f"{got_version}, expected {version}")
-        yield reader
+        yield _Reader(fd, info.st_size)
     except OSError as exc:  # the reader's reads
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except _NOT_THE_FILE:
@@ -225,6 +202,37 @@ def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
         raise type(exc)(f"{path}: {exc}") from exc
     finally:
         os.close(fd)
+
+
+@contextmanager
+def text_file(path) -> Iterator[TextIO]:
+    """The UTF-8 text of the file at ``path``, read whole through
+    ``input_file`` and given to the block as a stream without newline
+    translation, so the csv module sees line ends. Undecodable bytes raise
+    ``InvalidConfig``; a toolkit error raised while the block parses the
+    text names the file, as ``input_file`` names it.
+    """
+    with input_file(path) as reader:
+        try:
+            text = reader.take(reader.size, "text").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"not UTF-8 text: {exc}") from exc
+        yield io.StringIO(text, newline="")
+
+
+@contextmanager
+def _read(path, magic: bytes, version: int) -> Iterator[_Reader]:
+    """A reader past the checked magic and version of the file at ``path``,
+    opened by ``input_file``."""
+    with input_file(path) as reader:
+        got = reader.take(4, "magic")
+        if got != magic:
+            raise BadMagic(f"expected magic {magic!r}, got {got!r}")
+        (got_version,) = reader.u32s(1, "version")
+        if got_version != version:
+            raise VersionMismatch(f"unsupported {magic.decode()} format version "
+                                  f"{got_version}, expected {version}")
+        yield reader
 
 
 @dataclass(frozen=True)
@@ -529,14 +537,9 @@ def plan_from_json(text: str) -> FusionPlan:
 
 def load_plan(path: str | Path, num_layers: int) -> FusionPlan:
     """The plan in the JSON file at ``path``, validated for a model of
-    ``num_layers`` layers; an ``InvalidPlan`` names the file."""
+    ``num_layers`` layers."""
     with text_file(path) as handle:
-        text = handle.read()
-    doc = json_document(text, path)
-    try:
-        return validate_plan(plan_from_dict(doc), num_layers)
-    except InvalidPlan as exc:
-        raise InvalidPlan(f"{path}: {exc}") from exc
+        return validate_plan(plan_from_json(handle.read()), num_layers)
 
 
 # --- pipeline configuration file ----------------------------------------------
@@ -608,8 +611,7 @@ def parse_config(doc: Any) -> PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     with text_file(path) as handle:
-        text = handle.read()
-    return parse_config(json_document(text, f"config {path}"))
+        return parse_config(json_document(handle.read(), "config"))
 
 
 # --- similarity matrices ---------------------------------------------------------

@@ -63,12 +63,6 @@ def _widths(shape: ModelShape) -> list[tuple[int, float]]:
             for active, count in layers.items() if count]
 
 
-def expansion_ratio(shape: ModelShape) -> float:
-    """FFN expansion ratio of the model's widest layer: active experts
-    (top-k, or 1 for a dense model) times mlp_dim/hidden_dim."""
-    return _widths(shape)[-1][1]
-
-
 def _check_lengths(wl: Workload) -> None:
     # the formulas admit a zero-length phase (zero seconds) even though
     # configured workloads require at least one token per phase

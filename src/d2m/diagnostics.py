@@ -149,25 +149,25 @@ def train_log_from_csv(source) -> TrainLog:
     LOAD_SUM_TOLERANCE."""
     with text_file(source) as handle:
         rows = list(csv.reader(handle))
-    if not rows or rows[0][:3] != ["step", "task_loss", "lb_loss"] or len(rows[0]) < 4:
-        raise InvalidConfig("not a training log CSV (bad header)")
-    log = TrainLog()
-    for number, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise InvalidConfig(f"training log row {number} has {len(row)} cells "
-                                f"for {len(rows[0])} columns")
-        try:
-            step = TrainStep(step=int(row[0]), task_loss=float(row[1]),
-                             lb_loss=float(row[2]), loads=tuple(float(v) for v in row[3:]))
-        except ValueError as exc:
-            raise InvalidConfig(f"training log row {number} is malformed: {exc}") from exc
-        if not all(map(math.isfinite, (step.task_loss, step.lb_loss, *step.loads))):
-            raise InvalidConfig(f"training log row {number} has a non-finite value: {row}")
-        if not (all(0.0 <= v <= 1.0 for v in step.loads)
-                and abs(math.fsum(step.loads) - 1.0) <= LOAD_SUM_TOLERANCE):
-            raise InvalidConfig(f"training log row {number} has loads outside [0, 1] "
-                                f"or not summing to 1: {row}")
-        log.steps.append(step)
-    if not log.steps:
-        raise InvalidConfig("training log has no data rows")
-    return log
+        if not rows or rows[0][:3] != ["step", "task_loss", "lb_loss"] or len(rows[0]) < 4:
+            raise InvalidConfig("not a training log CSV (bad header)")
+        log = TrainLog()
+        for number, row in enumerate(rows[1:], start=2):
+            if len(row) != len(rows[0]):
+                raise InvalidConfig(f"training log row {number} has {len(row)} cells "
+                                    f"for {len(rows[0])} columns")
+            try:
+                step = TrainStep(step=int(row[0]), task_loss=float(row[1]),
+                                 lb_loss=float(row[2]), loads=tuple(float(v) for v in row[3:]))
+            except ValueError as exc:
+                raise InvalidConfig(f"training log row {number} is malformed: {exc}") from exc
+            if not all(map(math.isfinite, (step.task_loss, step.lb_loss, *step.loads))):
+                raise InvalidConfig(f"training log row {number} has a non-finite value: {row}")
+            if not (all(0.0 <= v <= 1.0 for v in step.loads)
+                    and abs(math.fsum(step.loads) - 1.0) <= LOAD_SUM_TOLERANCE):
+                raise InvalidConfig(f"training log row {number} has loads outside [0, 1] "
+                                    f"or not summing to 1: {row}")
+            log.steps.append(step)
+        if not log.steps:
+            raise InvalidConfig("training log has no data rows")
+        return log

@@ -29,14 +29,15 @@ A weights file's header is walked by one numpy-free walker,
 ``weightfile.WeightsFile``: its shape document first, then each entry's header,
 stepping past the data, into an index that is checked against the schema.
 ``read_weights`` reads the tensors of that index into float64 arrays;
-``surgery.fuse`` copies their bytes without numpy. ``_floats`` reads a trace's
-float32 payload into a numpy array.
+``surgery.fuse`` copies their bytes without numpy.
 
-``read_trace`` loads a whole trace. ``trace_chunks`` checks a trace file's
-header by the same rules and then reads its states through the same cursor
-one half at a time: all of ``mlp_inputs``, then all of ``layer_outputs``,
-each a token chunk at a time into one reused buffer. ``CHUNK_BYTES`` budgets
-one half's chunk (at least one token), so a pass holds no more than that.
+A trace file has one reader, ``trace_chunks``. It checks the header by the
+same rules and then reads the states through the same cursor one half at a
+time: all of ``mlp_inputs``, then all of ``layer_outputs``, each a token
+chunk at a time into one reused buffer. ``CHUNK_BYTES`` budgets one half's
+chunk (at least one token), so a pass holds no more than that.
+``read_trace`` collects those chunks into a whole float64 trace, so it holds
+that trace plus one chunk.
 
 ``write_trace`` writes each (half, layer) block at its slot's offset in the
 new file. An in-memory trace goes out in file order. A ``SyntheticTrace`` is
@@ -142,15 +143,6 @@ def _float32(values: np.ndarray, what: str) -> memoryview:
     return memoryview(block).cast("B")
 
 
-def _floats(reader: _Reader, dims: Sequence[int], what: str) -> np.ndarray:
-    """The reader's next prod(dims) little-endian float32s, as a float64
-    array of shape dims."""
-    count = math.prod(dims)
-    start = reader.skip(4 * count, what)  # first: tampered dims size no buffer
-    block = reader.read_into(np.empty(count, dtype="<f4"), start, what)
-    return block.astype(np.float64).reshape(dims)
-
-
 # --- trace format ---------------------------------------------------------------
 
 
@@ -186,12 +178,12 @@ def _trace_dims(reader: _Reader) -> tuple[int, int, int]:
 
 
 def read_trace(source) -> ActivationTrace:
-    """Deserialize the trace file at the path ``source``, re-validating
-    finiteness and dimensions."""
-    with _read(source, TRACE_MAGIC, TRACE_VERSION) as reader:
-        dims = _trace_dims(reader)
-        halves = _floats(reader, (2, *dims), "trace payload")
-        reader.end()
+    """Deserialize the trace file at the path ``source``, collected from
+    ``trace_chunks`` into float64 halves, re-validating finiteness."""
+    with trace_chunks(source) as (dims, chunks):
+        halves = np.empty((len(HALVES), *dims))
+        for half, tokens, states in chunks:
+            halves[half][:, tokens] = states
         return make_trace(halves[0], halves[1])
 
 
@@ -223,9 +215,8 @@ def trace_chunks(path: str | Path) -> Iterator[tuple[tuple[int, int, int], Itera
     """The states of the trace file at ``path``, one half's token chunk at a
     time.
 
-    The header is checked as ``read_trace`` checks it, payload length against
-    the file size and trailing bytes included, before anything sized by it is
-    allocated. The block gets the trace's (L, T, d) and an iterator over
+    The header is checked, payload length against the file size and
+    trailing bytes included, before anything sized by it is allocated. The block gets the trace's (L, T, d) and an iterator over
     ``(half, tokens, states)`` in ``chunk_slices`` order: ``states`` is the
     float32 (L, n, d) view of the half's rows ``tokens``, in one reused
     buffer of one half's chunk that the next chunk overwrites. A file that

@@ -117,23 +117,27 @@ def read_candidates_csv(source) -> list[CandidateEvaluation]:
     Leading '#' comment lines are skipped."""
     with text_file(source) as handle:
         rows = [r for r in csv.reader(handle) if r and not r[0].startswith("#")]
-    if not rows or [c.strip() for c in rows[0][:4]] != _HEADER[:4]:
-        raise InvalidConfig("candidate CSV must start with header "
-                            "config_id,depth,latency_ms,score[,reward]")
-    out = []
-    for row in rows[1:]:
-        if len(row) < 4:
-            raise InvalidConfig(f"candidate row too short: {row}")
-        try:
-            rew = float(row[4]) if len(row) > 4 and row[4].strip() else None
-            out.append(CandidateEvaluation(config_id=row[0], retained_depth=int(row[1]),
-                                           latency_ms=float(row[2]), score=float(row[3]),
-                                           reward=rew))
-        except ValueError as exc:
-            raise InvalidConfig(f"candidate row {row} is malformed: {exc}") from exc
-    if not out:
-        raise EmptyRecord("candidate CSV has no data rows")
-    return out
+        if not rows or [c.strip() for c in rows[0][:4]] != _HEADER[:4]:
+            raise InvalidConfig("candidate CSV must start with header "
+                                "config_id,depth,latency_ms,score[,reward]")
+        out = []
+        for row in rows[1:]:
+            if len(row) < 4:
+                raise InvalidConfig(f"candidate row too short: {row}")
+            try:
+                rew = float(row[4]) if len(row) > 4 and row[4].strip() else None
+                candidate = CandidateEvaluation(config_id=row[0], retained_depth=int(row[1]),
+                                                latency_ms=float(row[2]), score=float(row[3]),
+                                                reward=rew)
+            except ValueError as exc:
+                raise InvalidConfig(f"candidate row {row} is malformed: {exc}") from exc
+            if not (0 < candidate.latency_ms < math.inf and math.isfinite(candidate.score)):
+                raise InvalidConfig(f"candidate row {row} needs a finite positive latency "
+                                    "and a finite score")
+            out.append(candidate)
+        if not out:
+            raise EmptyRecord("candidate CSV has no data rows")
+        return out
 
 
 def write_candidates_csv(candidates: Iterable[CandidateEvaluation], destination,

@@ -266,27 +266,48 @@ class TestUnreadableTextInputs:
         argv = text_input_argv(tmp_path, stage, unreadable)
         capsys.readouterr()
         assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot read") and "a_directory" in err
+        assert capsys.readouterr().err == f"error: {unreadable}: not a regular file\n"
+
+
+# the stage that reads each text input, by the input's name
+TEXT_INPUT_STAGES = {"plan": "fuse", "config": "estimate", "log": "diagnose",
+                     "candidates": "pareto"}
 
 
 class TestBinaryInputThatIsNotAFile:
-    @pytest.mark.parametrize("stage, writer", [
-        pytest.param(stage, writer, id=stage if writer else f"{stage}-no-writer")
-        for stage in ("analyze", "search", "fuse") for writer in (True, False)])
-    def test_fifo_exits_3_naming_it(self, tmp_path, stage, writer):
-        fifo = tmp_path / "pipe"
+    @pytest.mark.parametrize("case, writer", [
+        pytest.param(case, writer, id=case if writer else f"{case}-no-writer")
+        for case in ("analyze", "search", "fuse", *TEXT_INPUT_STAGES, "analyze-run-dir",
+                     "search-run-dir", "fuse-run-dir", "manifest")
+        for writer in (True, False)])
+    def test_fifo_exits_3_naming_it(self, tmp_path, case, writer):
+        # a binary input, a text input, an input a run directory hashes, or
+        # the run directory's manifest
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        fifo = run_dir / "manifest.json" if case == "manifest" else tmp_path / "pipe"
         os.mkfifo(fifo)
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"keep": [1], "prune": [], "blocks": []}))
-        argv = {
-            "analyze": ["analyze", "--trace", str(fifo), "--out-dir", str(tmp_path / "a")],
-            "search": ["search", "--matrices", str(fifo), "--delta", "0.05",
-                       "--epsilon", "0.1", "--plan-out", str(tmp_path / "p.json")],
-            "fuse": ["fuse", "--model", str(fifo), "--plan", str(plan), "--base-copies", "1",
-                     "--supp-copies", "1", "--top-k", "1", "--out", str(tmp_path / "f.d2mw"),
-                     "--provenance-out", str(tmp_path / "prov.json")],
-        }[stage]
+        config = tmp_path / "config.json"
+        write_config(config)
+        if case in TEXT_INPUT_STAGES:
+            argv = text_input_argv(tmp_path, TEXT_INPUT_STAGES[case], fifo)
+        elif case == "manifest":
+            argv = ["estimate", "--config", str(config), "--out", str(tmp_path / "c.json"),
+                    "--run-dir", str(run_dir)]
+        else:
+            stage, _, run = case.partition("-")
+            argv = {
+                "analyze": ["analyze", "--trace", str(fifo), "--out-dir", str(tmp_path / "a")],
+                "search": ["search", "--matrices", str(fifo), "--delta", "0.05",
+                           "--epsilon", "0.1", "--plan-out", str(tmp_path / "p.json")],
+                "fuse": ["fuse", "--model", str(fifo), "--plan", str(plan), "--base-copies",
+                         "1", "--supp-copies", "1", "--top-k", "1",
+                         "--out", str(tmp_path / "f.d2mw"),
+                         "--provenance-out", str(tmp_path / "prov.json")],
+            }[stage] + (["--run-dir", str(run_dir)] if run else [])
+        before = files_under(tmp_path)
         # held open for writing, or by no one: a stage that waited for a writer
         # or read the pipe to its end would wait for ever, so it runs apart
         held = os.open(fifo, os.O_RDWR) if writer else None
@@ -300,6 +321,7 @@ class TestBinaryInputThatIsNotAFile:
                 os.close(held)
         assert done.returncode == 3, done.stderr
         assert done.stderr == f"error: {fifo}: not a regular file\n"
+        assert files_under(tmp_path) == before
 
 
 class TestSynth:
@@ -755,9 +777,11 @@ REFUSALS = {
         ["train-toy", "--model", "{fused}", "--steps", "0", "--log-out", "{out}/log.csv",
          "--model-out", "{out}/trained.d2mw"], "steps must be at least 1"),
     "diagnose-bad-header": (["diagnose", "--log", "{out}/bad_header.csv",
-                             "--out", "{out}/wta.csv"], "not a training log CSV (bad header)"),
+                             "--out", "{out}/wta.csv"],
+                            "{out}/bad_header.csv: not a training log CSV (bad header)"),
     "diagnose-header-only": (["diagnose", "--log", "{out}/header_only.csv",
-                              "--out", "{out}/wta.csv"], "training log has no data rows"),
+                              "--out", "{out}/wta.csv"],
+                             "{out}/header_only.csv: training log has no data rows"),
 }
 
 
@@ -773,7 +797,7 @@ class TestRefusals:
                  "fused": readme_run["fused"], "out": tmp_path}
         capsys.readouterr()
         assert main([arg.format(**paths) for arg in argv]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
         assert files_under(tmp_path) == before
 
 
@@ -1105,6 +1129,77 @@ class TestUnparseableJson:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def text_sources(tmp_path_factory) -> tuple[Path, dict[str, bytes]]:
+    """A three-layer model, and a valid file of each text input by its name:
+    the plan, the config, the training log, the candidates, and the manifest
+    that ``estimate --run-dir`` leaves beside that config."""
+    root = tmp_path_factory.mktemp("text-inputs")
+    assert main(["synth", "--out-dir", str(root), "--layers", "3", "--hidden", "16",
+                 "--seq-len", "8"]) == 0
+    (root / "plan.json").write_text(json.dumps(
+        {"keep": [1, 3], "prune": [2], "blocks": [{"base": 1, "redundant": [2]}]}, indent=2))
+    (root / "log.csv").write_text("step,task_loss,lb_loss,load_e1,load_e2\n"
+                                  "1,1.5e+00,5.0e-01,2.5e-01,7.5e-01\n"
+                                  "2,1.25e+00,4.0e-01,5.0e-01,5.0e-01\n")
+    (root / "candidates.csv").write_text(CANDIDATES_CSV)
+    assert main(["estimate", "--config", str(root / "config.json"),
+                 "--out", str(root / "cost.json"), "--run-dir", str(root)]) == 0
+    names = ("plan.json", "config.json", "log.csv", "candidates.csv", "manifest.json")
+    return root / "model.d2mw", {name: (root / name).read_bytes() for name in names}
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """``data`` cut short at a drawn byte, or with a drawn byte replaced."""
+    at = draw(st.integers(0, len(data) - 1), "at")
+    if draw(st.booleans(), "truncate"):
+        return data[:at]
+    byte = draw(st.one_of(st.just(0xFF), st.integers(0, 255)), "byte")
+    return data[:at] + bytes([byte]) + data[at + 1:]
+
+
+class TestDamagedTextInputs:
+    # the input's file name, and the exit code of its refusals
+    INPUTS = {"plan": ("plan.json", 2), "config": ("config.json", 2), "log": ("log.csv", 2),
+              "candidates": ("candidates.csv", 2), "manifest": ("manifest.json", 4)}
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_refusal_names_the_file_and_writes_nothing(self, text_sources, kind, data):
+        model, sources = text_sources
+        name, code = self.INPUTS[kind]
+        content = data.draw(damaged(sources[name]), name)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / name).write_bytes(content)
+            if kind == "manifest":  # the config it records, unchanged
+                (root / "config.json").write_bytes(sources["config.json"])
+            text_input = str(root / name)
+            argv = {
+                "plan": ["fuse", "--model", str(model), "--plan", text_input,
+                         "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                         "--out", str(root / "f.d2mw"), "--provenance-out", str(root / "p.json")],
+                "config": ["estimate", "--config", text_input, "--out", str(root / "c.json")],
+                "log": ["diagnose", "--log", text_input, "--out", str(root / "w.csv")],
+                "candidates": ["pareto", "--candidates", text_input, "--base-latency", "100",
+                               "--w", "-0.15", "--rewards-out", str(root / "r.csv"),
+                               "--frontier-out", str(root / "f.csv")],
+                "manifest": ["estimate", "--config", str(root / "config.json"),
+                             "--out", str(root / "cost.json"), "--run-dir", tmp],
+            }[kind]
+            before = files_under(root)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                got = main(argv)
+            if got:
+                assert got in (code, 3), err.getvalue()
+                assert err.getvalue().startswith(f"error: {text_input}: ")
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+                assert files_under(root) == before
+
+
 class TestManifest:
     def test_stale_artifact_detected(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -1229,7 +1324,7 @@ class TestManifest:
             had_manifest = (root / "manifest.json").exists()
             assert main([*argv, "--run-dir", "."]) == 0, argv
             assert sorted(hashed) == sorted([*inputs, *outputs]), argv
-            assert parsed == (["manifest.json"] if had_manifest else []), argv
+            assert parsed == (["manifest"] if had_manifest else []), argv
             manifest = json.loads((root / "manifest.json").read_text())
             record = manifest["stages"][argv[0]]
             assert record["inputs"] == {p: sha256_of(root / p) for p in inputs}
@@ -1266,6 +1361,5 @@ class TestManifest:
         capsys.readouterr()
         assert main(["estimate", "--config", str(config), "--out", str(run_dir / "c.json"),
                      "--run-dir", str(run_dir)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot read") and "config.json" in err
+        assert capsys.readouterr().err == f"error: {config}: not a regular file\n"
         assert (run_dir / "manifest.json").read_bytes() == manifest

@@ -22,9 +22,9 @@ from d2m.config import (
 from d2m.costmodel import (
     COMPUTE_BOUND,
     MEMORY_BOUND,
+    _widths,
     active_params,
     decode_latency,
-    expansion_ratio,
     prefill_latency,
     static_memory,
     total_latency,
@@ -58,16 +58,21 @@ def exact_decode_seconds():
     return Fraction(24) * 50 * per_step / Fraction(int(273e9))
 
 
+def widest_ratio(shape):
+    """The FFN expansion ratio of the model's widest layer."""
+    return _widths(shape)[-1][1]
+
+
 class TestExpansionRatio:
     def test_dense_reference(self):
-        assert expansion_ratio(QWEN25_0_5B) == pytest.approx(4864 / 896, abs=1e-12)
+        assert widest_ratio(QWEN25_0_5B) == pytest.approx(4864 / 896, abs=1e-12)
 
     def test_top1_moe_equals_dense(self):
-        assert expansion_ratio(moe_reference(top_k=1)) == expansion_ratio(QWEN25_0_5B)
+        assert widest_ratio(moe_reference(top_k=1)) == widest_ratio(QWEN25_0_5B)
 
     def test_top2_doubles(self):
-        assert expansion_ratio(moe_reference(top_k=2)) == pytest.approx(
-            2 * expansion_ratio(QWEN25_0_5B), abs=1e-12)
+        assert widest_ratio(moe_reference(top_k=2)) == pytest.approx(
+            2 * widest_ratio(QWEN25_0_5B), abs=1e-12)
 
 
 class TestLatency:

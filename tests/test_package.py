@@ -1,9 +1,13 @@
 """The package surface: the import cost of each CLI stage, the single paths
-through which the package writes files, reads binary files and parses JSON,
-and the README's library quick start, executed as written."""
+through which the package writes files, reads files and parses JSON, the
+names the benchmark reaches into, and the README's library quick start,
+executed as written."""
 
 import ast
+import functools
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import re
@@ -143,7 +147,7 @@ class TestStartUp:
 
 WRITE_HELPER = "output_file"
 JSON_HELPER = "json_document"
-READ_HELPERS = ("_read", "_Reader", "_sha256")
+READ_HELPERS = ("input_file", "_Reader")
 
 
 def scoped_calls(tree: ast.AST, inside: str | None = None):
@@ -218,9 +222,10 @@ def json_parses(tree: ast.AST):
 
 def binary_reads(tree: ast.AST):
     """(scope, line, what) of every import of ``mmap``, of ``pread`` or
-    ``preadv`` from ``os``, and of every call that reads a file's bytes:
-    ``os.pread``, ``os.preadv``, an ``os.open`` for reading and any ``open``
-    in a literal binary read mode."""
+    ``preadv`` from ``os``, and of every call that reads a file, text or
+    binary: ``os.pread``, ``os.preadv``, an ``os.open`` for reading,
+    ``.read_bytes``, ``.read_text``, and any other ``open`` whose mode is
+    not a literal write mode."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -232,16 +237,20 @@ def binary_reads(tree: ast.AST):
                     yield None, node.lineno, f"from {node.module} import {alias.name}"
     for scope, node in scoped_calls(tree):
         func = node.func
-        if (isinstance(func, ast.Attribute) and func.attr in ("pread", "preadv")
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if (isinstance(func, ast.Attribute) and name in ("pread", "preadv")
                 and isinstance(func.value, ast.Name) and func.value.id == "os"):
-            yield scope, node.lineno, f"os.{func.attr}"
-        elif is_os_open(node) and read_only_flags(open_mode(node)):
-            yield scope, node.lineno, "os.open for reading"
-        elif getattr(func, "id", None) == "open":
+            yield scope, node.lineno, f"os.{name}"
+        elif name in ("read_bytes", "read_text"):
+            yield scope, node.lineno, name
+        elif is_os_open(node):
+            if read_only_flags(open_mode(node)):
+                yield scope, node.lineno, "os.open for reading"
+        elif name == "open":
             mode = open_mode(node)
-            if (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                    and "b" in mode.value and not set(mode.value) & set("wax+")):
-                yield scope, node.lineno, f"open mode {mode.value!r}"
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and set(mode.value) & set("wax+")):
+                yield scope, node.lineno, f"open mode {ast.unparse(mode) if mode else None}"
 
 
 STREAM_TYPES = ("BinaryIO", "TextIO", "IO")
@@ -303,7 +312,7 @@ def test_every_json_input_goes_through_the_parse_helper():
 
 
 def test_every_binary_read_goes_through_the_reader():
-    # the run-directory manifest hashes each file through its own open
+    # text inputs, binary inputs and the files a run directory hashes alike
     assert guarded_calls(binary_reads, *READ_HELPERS) == []
 
 
@@ -357,12 +366,22 @@ def test_read_guard_flags_a_second_read_path():
             "    open(path, 'wb')\n"
             "    os.pread(fd, 4, 0)\n"
             "    os.open(path, os.O_RDONLY | os.O_NONBLOCK)\n"
-            "    os.open(path, os.O_RDWR)\n")
+            "    os.open(path, os.O_RDWR)\n"
+            "def load_text(path, mode):\n"
+            "    Path(path).read_bytes()\n"
+            "    path.read_text(encoding='utf-8')\n"
+            "    open(path, 'r', newline='', encoding='utf-8')\n"
+            "    path.open()\n"
+            "    open(path, mode)\n"
+            "    open(path, 'x', newline='')\n"
+            "    text.read()\n")
     assert list(binary_reads(ast.parse(code))) == [
         (None, 1, "import mmap"), (None, 2, "from os import preadv"),
         ("_Reader.read_into", 5, "os.preadv"), ("load", 7, "open mode 'rb'"),
-        ("load", 8, "open mode 'rb'"), ("load", 11, "os.pread"),
-        ("load", 12, "os.open for reading")]
+        ("load", 8, "open mode 'rb'"), ("load", 9, "open mode None"), ("load", 11, "os.pread"),
+        ("load", 12, "os.open for reading"), ("load_text", 15, "read_bytes"),
+        ("load_text", 16, "read_text"), ("load_text", 17, "open mode 'r'"),
+        ("load_text", 18, "open mode None"), ("load_text", 19, "open mode mode")]
 
 
 def test_write_guard_flags_a_second_write_path():
@@ -390,6 +409,80 @@ def test_stage_functions_leave_the_manifest_to_main():
         names = {getattr(node, "id", None) or getattr(node, "attr", None)
                  for node in ast.walk(stage)}
         assert not names & {"PipelineRun", "run_dir", "_sha256", "print"}, stage.name
+
+
+BENCH = ROOT / "bench"
+# The parameters of each function whose arguments bench/tracer.py's
+# _record_attrs reads by position, in order from the first; a traced method
+# gets self first.
+TRACED_PARAMETERS = {
+    "cli.PipelineRun.check_inputs": ("self", "inputs"),
+    "cli.PipelineRun.record": ("self", "stage", "inputs", "outputs"),
+    "traceio.read_trace": ("source",),
+    "traceio.write_trace": ("trace", "destination"),
+    "traceio.read_weights": ("source",),
+    "traceio.write_weights": ("container", "destination"),
+    "similarity.build_matrices": ("trace",),
+    "search.threshold_sweep": ("matrices", "cos_grid", "norm_grid", "score_penalty",
+                               "block_sizes"),
+    "nanomodel.train_toy": ("container", "data", "steps"),
+}
+
+
+def bench_names() -> tuple[list[str], list[str]]:
+    """The names, ``module.attribute`` within d2m, that bench/tracer.py wraps
+    (its ``TARGETS``) and that bench/workloads.py imports, read from their
+    source without importing either."""
+    tracer = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    workloads = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    imports = [f"{node.module.removeprefix('d2m.')}.{alias.name}"
+               for node in ast.walk(workloads)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("d2m.")
+               for alias in node.names]
+    return [f"{module}.{attr}" for module, attr in targets], imports
+
+
+def resolve(name: str):
+    """The object ``d2m.MODULE`` holds under ``ATTR`` for ``name`` =
+    ``MODULE.ATTR``, a dotted ``ATTR`` naming a class attribute."""
+    module, _, attr = name.partition(".")
+    return functools.reduce(getattr, attr.split("."), importlib.import_module(f"d2m.{module}"))
+
+
+def unresolved(names) -> list[str]:
+    """The names among ``names`` that d2m does not define."""
+    missing = []
+    for name in names:
+        try:
+            resolve(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    return missing
+
+
+def test_every_name_the_bench_reaches_into_resolves():
+    # the tracer skips a name it cannot find, so a renamed function would
+    # only drop its per-layer metrics from the benchmark's result
+    targets, imports = bench_names()
+    assert targets and imports
+    assert unresolved([*targets, *imports]) == []
+    assert set(TRACED_PARAMETERS) <= set(targets)
+    for name, parameters in TRACED_PARAMETERS.items():
+        found = tuple(inspect.signature(resolve(name)).parameters)
+        assert found[:len(parameters)] == parameters, name
+
+
+def test_bench_guard_reports_a_removed_name(monkeypatch):
+    from d2m import cli, traceio
+
+    monkeypatch.delattr(traceio, "read_trace")
+    monkeypatch.delattr(cli.PipelineRun, "record")
+    targets, imports = bench_names()
+    assert unresolved([*targets, *imports]) == ["traceio.read_trace", "cli.PipelineRun.record"]
+    assert unresolved(["nosuchmodule.f", "search.plan_from_depth"]) == ["nosuchmodule.f"]
 
 
 def test_readme_quick_start_runs(capsys):

@@ -47,7 +47,9 @@ from d2m.similarity import (
     write_matrices,
 )
 from d2m.traceio import (
+    CHUNK_BYTES,
     SyntheticTrace,
+    chunk_tokens,
     make_trace,
     param_count,
     read_trace,
@@ -108,6 +110,24 @@ class TestTraceFormat:
         write_trace(trace, first)
         write_trace(read_trace(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_read_holds_one_float64_copy(self, tmp_path):
+        # three chunks a half, collected into the float64 trace in place
+        dims = (2, 5000, 32)
+        assert 2 * chunk_tokens(*dims) < dims[1] <= 3 * chunk_tokens(*dims)
+        path = tmp_path / "t.d2mt"
+        write_trace(SyntheticTrace(*dims, [(1, 1, 0.5)], seed=3), path)
+        tracemalloc.start()
+        try:
+            back = read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = back.mlp_inputs.nbytes + back.layer_outputs.nbytes
+        assert peak <= size + 2 * CHUNK_BYTES + (64 << 10), (peak, size)
+        trace = synth_trace(*dims, [(1, 1, 0.5)], seed=3)
+        assert np.array_equal(back.mlp_inputs, trace.mlp_inputs)
+        assert np.array_equal(back.layer_outputs, trace.layer_outputs)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.d2mt"

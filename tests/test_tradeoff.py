@@ -213,7 +213,8 @@ class TestCandidatesCsv:
             read_candidates_csv(path)
 
     @pytest.mark.parametrize("row", ["L1,one,1.0,1.0,", "L1,1.5,1.0,1.0,", "L1,1,fast,1.0,",
-                                     "L1,1,1.0,1.0,high"])
+                                     "L1,1,1.0,1.0,high", "L1,1,-1.0,1.0,", "L1,1,0,1.0,",
+                                     "L1,1,inf,1.0,", "L1,1,1.0,-inf,"])
     def test_rejects_malformed_cell(self, tmp_path, row):
         path = tmp_path / "candidates.csv"
         path.write_text(f"config_id,depth,latency_ms,score,reward\n{row}\n", encoding="utf-8")
