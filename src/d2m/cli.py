@@ -304,7 +304,11 @@ def cmd_estimate(args) -> Written:
         "N": max(shape.experts.values(), default=1),
         "k": shape.moe.top_k if shape.moe else 1,
         "prefill_s": breakdown.prefill_s,
+        "prefill_memory_s": breakdown.prefill_memory_s,
+        "prefill_bound": breakdown.prefill_bound,
         "decode_s": breakdown.decode_s,
+        "decode_compute_s": breakdown.decode_compute_s,
+        "decode_bound": breakdown.decode_bound,
         "total_s": breakdown.total_s,
         "params_total": params_total,
         "params_active": costmodel.active_params(shape),

@@ -1,12 +1,16 @@
 """First-principles latency and memory accounting for dense and MoE decoders.
 
 Every cost sums the layers, each dense or MoE(N_l, k) by the shape's expert
-map. Prefill is compute-bound and decode memory-bound, so the two phases
-reduce to closed forms per layer: a compute coefficient 4 + 4/gqa + 6r for
-prefill FLOPs and a weight-traffic coefficient 2 + 2/gqa + 3r plus KV reload
-for decode bytes, where r is k (1 for a dense layer) times mlp_dim/hidden_dim.
-Each form is evaluated once per distinct r, times its layer count, so a model
-of one width is the closed form of L layers. Expert count never appears in
+map. The latency of each phase is the paper's closed form per layer, which
+takes prefill's compute side and decode's memory side: a compute coefficient
+4 + 4/gqa + 6r for prefill FLOPs per token and a weight-traffic coefficient
+2 + 2/gqa + 3r plus KV reload for decode bytes, where r is k (1 for a dense
+layer) times mlp_dim/hidden_dim. The same two coefficients give each phase's
+other side: prefill reads the layer weights once, and decode runs prefill's
+FLOPs per token for each generated token. The roofline labels name the larger
+side of each phase, so they hold for any shape, hardware and workload. Each
+form is evaluated once per distinct r, times its layer count, so a model of
+one width is the closed form of L layers. Expert count never appears in
 either phase -- inactive experts cost static memory only. The formulas cover
 decoder layers only; embeddings and the LM head are excluded by construction.
 
@@ -39,16 +43,40 @@ COMPUTE_BOUND = "compute-bound"
 MEMORY_BOUND = "memory-bound"
 
 
+def _bound(compute_s: float, memory_s: float) -> str:
+    """The roofline side that takes longer; a tie is compute-bound."""
+    return COMPUTE_BOUND if compute_s >= memory_s else MEMORY_BOUND
+
+
 @dataclass(frozen=True)
 class LatencyBreakdown:
+    """Each phase's latency (its closed form) and its other roofline side."""
+
     prefill_s: float
     decode_s: float
-    prefill_bound: str = COMPUTE_BOUND
-    decode_bound: str = MEMORY_BOUND
+    prefill_memory_s: float
+    decode_compute_s: float
 
     @property
     def total_s(self) -> float:
         return self.prefill_s + self.decode_s
+
+    @property
+    def prefill_bound(self) -> str:
+        return _bound(self.prefill_s, self.prefill_memory_s)
+
+    @property
+    def decode_bound(self) -> str:
+        return _bound(self.decode_compute_s, self.decode_s)
+
+
+def _coefficients(shape: ModelShape) -> list[tuple[int, float, float]]:
+    """(layer count, FLOP coefficient 4 + 4/gqa + 6r, weight coefficient
+    2 + 2/gqa + 3r) of each of ``_widths``: times d^2, a layer's FLOPs per
+    token and its weights."""
+    gqa = gqa_ratio(shape)
+    return [(layers, 4.0 + 4.0 / gqa + 6.0 * ratio, 2.0 + 2.0 / gqa + 3.0 * ratio)
+            for layers, ratio in _widths(shape)]
 
 
 def _widths(shape: ModelShape) -> list[tuple[int, float]]:
@@ -88,10 +116,9 @@ def prefill_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> flo
     L_r * S_in * d^2 * (4 + 4/gqa + 6r), over peak."""
     validate_hardware(hw)
     _check_lengths(wl)
-    gqa = gqa_ratio(shape)
     flops = _finite("prefill FLOP count of the model and workload", lambda: sum(
-        layers * wl.prompt_len * shape.hidden_dim ** 2 * (4.0 + 4.0 / gqa + 6.0 * ratio)
-        for layers, ratio in _widths(shape)))
+        layers * wl.prompt_len * shape.hidden_dim ** 2 * xi_f
+        for layers, xi_f, _ in _coefficients(shape)))
     return _finite(f"prefill time at hardware.peak_flops={hw.peak_flops!r}",
                    lambda: flops / hw.peak_flops)
 
@@ -104,23 +131,37 @@ def decode_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> floa
     _check_lengths(wl)
     gqa = gqa_ratio(shape)
 
-    def traffic(layers: int, ratio: float) -> float:
-        xi_w = 2.0 + 2.0 / gqa + 3.0 * ratio
+    def traffic(layers: int, _: float, xi_w: float) -> float:
         s_bar = wl.prompt_len + (wl.gen_len + 1) / 2.0
         per_step_bytes = (xi_w * shape.hidden_dim ** 2 * hw.weight_bytes
                           + 2.0 * s_bar * shape.hidden_dim * hw.kv_bytes / gqa)
         return layers * wl.gen_len * per_step_bytes
 
     moved = _finite("decode byte count of the model, workload and hardware byte widths",
-                    lambda: sum(traffic(*width) for width in _widths(shape)))
+                    lambda: sum(traffic(*width) for width in _coefficients(shape)))
     return _finite(f"decode time at hardware.mem_bandwidth={hw.mem_bandwidth!r}",
                    lambda: moved / hw.mem_bandwidth)
 
 
 def total_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> LatencyBreakdown:
+    """Both phases' closed forms and their other sides: the layer weights
+    sum_r L_r * (2 + 2/gqa + 3r) * d^2 * b_w read once over bandwidth, and
+    gen_len times prefill's per-token FLOPs over peak. A zero-length phase
+    costs zero on both sides."""
+    prefill_s, decode_s = prefill_latency(shape, hw, wl), decode_latency(shape, hw, wl)
+    weights = _finite("layer weight byte count of the model and hardware byte width",
+                      lambda: sum(layers * xi_w * shape.hidden_dim ** 2 * hw.weight_bytes
+                                  for layers, _, xi_w in _coefficients(shape)))
+    flops = _finite("decode FLOP count of the model and workload", lambda: wl.gen_len * sum(
+        layers * shape.hidden_dim ** 2 * xi_f for layers, xi_f, _ in _coefficients(shape)))
     breakdown = LatencyBreakdown(
-        prefill_s=prefill_latency(shape, hw, wl),
-        decode_s=decode_latency(shape, hw, wl),
+        prefill_s=prefill_s,
+        decode_s=decode_s,
+        prefill_memory_s=_finite(
+            f"prefill weight-read time at hardware.mem_bandwidth={hw.mem_bandwidth!r}",
+            lambda: weights / hw.mem_bandwidth if wl.prompt_len else 0.0),
+        decode_compute_s=_finite(f"decode compute time at hardware.peak_flops={hw.peak_flops!r}",
+                                 lambda: flops / hw.peak_flops),
     )
     _finite("total latency of the model on this hardware", lambda: breakdown.total_s)
     return breakdown

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -219,21 +219,10 @@ class _MoeCache:
 
     z: np.ndarray
     items: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
-    forced: bool
 
 
-def _moe_from_h(layer: MoELayer, h: np.ndarray,
-                forced_expert: int | None = None) -> tuple[np.ndarray, RoutingRecord, _MoeCache]:
-    seq_len = h.shape[0]
+def _moe_from_h(layer: MoELayer, h: np.ndarray) -> tuple[np.ndarray, RoutingRecord, _MoeCache]:
     record = route(layer.router, h, layer.top_k)
-    if forced_expert is not None:
-        if not 1 <= forced_expert <= len(layer.experts):
-            raise OutOfRange(f"forced expert {forced_expert} outside 1..{len(layer.experts)}")
-        record = RoutingRecord(
-            probabilities=record.probabilities,
-            selected=np.full((seq_len, 1), forced_expert - 1, dtype=np.int64),
-            gates=np.ones((seq_len, 1)),
-        )
     z = rms_norm(h, layer.mlp_norm)
     y = h.copy()
     items = []
@@ -245,7 +234,7 @@ def _moe_from_h(layer: MoELayer, h: np.ndarray,
         gates = record.gates[rows, slots]
         y[rows] += gates[:, None] * outputs
         items.append((e, rows, gates, outputs))
-    return y, record, _MoeCache(z=z, items=tuple(items), forced=forced_expert is not None)
+    return y, record, _MoeCache(z=z, items=tuple(items))
 
 
 def pre_mlp_state(layer: DenseLayer | MoELayer, x: np.ndarray) -> np.ndarray:
@@ -256,19 +245,15 @@ def pre_mlp_state(layer: DenseLayer | MoELayer, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def layer_forward(layer: DenseLayer | MoELayer, x: np.ndarray,
-                  forced_expert: int | None = None,
-                  ) -> tuple[np.ndarray, np.ndarray, RoutingRecord | None]:
+def layer_forward(layer: DenseLayer | MoELayer,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, RoutingRecord | None]:
     """One decoder layer: its MLP input h, its output y, and the routing
-    record of a MoE layer (None for a dense one).
-
-    ``forced_expert`` (1-based) routes every token of a MoE layer to one
-    expert with gate 1.0, bypassing the router's selection; a dense layer
-    ignores it.
+    record of a MoE layer (None for a dense one). A MoE layer of one expert
+    under top-1 routing gives every token that expert with gate exactly 1.0.
     """
     h = pre_mlp_state(layer, x)
     if isinstance(layer, MoELayer):
-        y, record, _ = _moe_from_h(layer, h, forced_expert)
+        y, record, _ = _moe_from_h(layer, h)
     else:
         y, record = h + mlp_apply(layer.mlp, rms_norm(h, layer.mlp_norm)), None
     if not np.isfinite(y).all():
@@ -317,9 +302,8 @@ def layers_of(container: WeightContainer) -> list[DenseLayer | MoELayer]:
     return out
 
 
-def forward_trace(container: WeightContainer, x: np.ndarray,
-                  forced_expert: int | None = None,
-                  ) -> tuple[np.ndarray, ActivationTrace, dict[int, RoutingRecord]]:
+def forward_trace(container: WeightContainer,
+                  x: np.ndarray) -> tuple[np.ndarray, ActivationTrace, dict[int, RoutingRecord]]:
     """Run all layers on embedded input, capturing h/y per layer.
 
     Returns the final layer output (which equals the last captured y), the
@@ -337,7 +321,7 @@ def forward_trace(container: WeightContainer, x: np.ndarray,
     state = x
     for idx, layer in enumerate(layers_of(container), start=1):
         try:
-            h, state, record = layer_forward(layer, state, forced_expert)
+            h, state, record = layer_forward(layer, state)
         except NonFiniteActivation as exc:
             raise NonFiniteActivation(f"layer {idx}: {exc}") from None
         if record is not None:
@@ -350,20 +334,14 @@ def forward_trace(container: WeightContainer, x: np.ndarray,
 # --- load balancing ---------------------------------------------------------------
 
 
-def load_balance_loss(records: Sequence[RoutingRecord], alpha: float) -> float:
-    """Switch-style auxiliary loss: alpha * N * sum_i f_i * P_i per record.
-
-    f_i is the hard top-1 assignment fraction (no gradient), P_i the mean
-    routing probability of expert i; record contributions are summed.
+def load_balance_loss(record: RoutingRecord) -> float:
+    """Switch-style balance term N * sum_i f_i * P_i of one routing record,
+    unweighted: f_i is the hard top-1 assignment fraction (no gradient), P_i
+    the mean routing probability of expert i. The training objective weights
+    it by ``moe_param_grads``' ``lb_alpha``.
     """
-    if not records:
-        raise EmptyRecord("load_balance_loss needs at least one routing record")
-    total = 0.0
-    for record in records:
-        f = top1_fractions(record.probabilities)
-        mean_prob = record.probabilities.mean(axis=0)
-        total += alpha * record.num_experts * float(f @ mean_prob)
-    return total
+    f = top1_fractions(record.probabilities)
+    return record.num_experts * float(f @ record.probabilities.mean(axis=0))
 
 
 # --- gradients ----------------------------------------------------------------------
@@ -399,8 +377,6 @@ def moe_param_grads(layer: MoELayer, h: np.ndarray, record: RoutingRecord,
     The routing input h is held fixed (no gradient flows back through
     attention), matching the trainer's frozen-attention regime.
     """
-    if cache.forced:
-        raise InvalidConfig("gradients are undefined under forced routing")
     n_experts = len(layer.experts)
     num_tokens = h.shape[0]
     d_probs = np.zeros_like(record.probabilities)
@@ -597,7 +573,7 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
         task_loss, d_logits = _softmax_xent(rms_norm(y, final_norm) @ head, targets)
         d_y = rms_norm_input_grad(y, final_norm, d_logits @ head.T)
         grads = moe_param_grads(moe_layer, h, record, cache, d_y, lb_alpha=alpha)
-        lb_raw = load_balance_loss([record], 1.0)
+        lb_raw = load_balance_loss(record)
         if not (np.isfinite(task_loss) and np.isfinite(lb_raw)):
             raise DivergenceDetected(f"loss became non-finite at step {step}")
         log.steps.append(TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,

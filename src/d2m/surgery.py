@@ -248,14 +248,21 @@ def reference_pruned_model(dense: WeightContainer, plan: FusionPlan) -> WeightCo
 
 def functional_equivalence_check(dense: WeightContainer, fused: WeightContainer,
                                  plan: FusionPlan, probe: np.ndarray) -> float:
-    """Max |deviation| between the fused model (router forced to a base-copy
-    expert with gate one) and the plan-pruned dense reference on a probe."""
+    """Max |deviation| between the fused model, every token on a base-copy
+    expert with gate one, and the plan-pruned dense reference on a probe. The
+    fused model runs with each MoE layer cut to expert 1, always a base copy
+    (``base_copies`` >= 1), and its router column, under top-1 routing."""
     import numpy as np
 
     from .nanomodel import forward_trace
+    from .traceio import WeightContainer, validate_container
 
     reference = reference_pruned_model(dense, plan)
     ref_out, _, _ = forward_trace(reference, probe)
-    # expert 1 is always a base copy (base_copies >= 1)
-    fused_out, _, _ = forward_trace(fused, probe, forced_expert=1)
+    experts = dict.fromkeys(fused.shape.experts, 1)
+    shape = replace(fused.shape, moe=MoEShape(experts, top_k=1) if experts else None)
+    view = validate_container(WeightContainer(shape, {
+        name: fused.tensors[name][:, :1] if name.endswith(".router") else fused.tensors[name]
+        for name, _ in tensor_schema(shape)}))
+    fused_out, _, _ = forward_trace(view, probe)
     return float(np.max(np.abs(fused_out - ref_out)))

@@ -413,7 +413,7 @@ class TestSynthStream:
             "plan": "442a65f3b93b27c22b641fd23f8952224768608cfdf13a9463721a7cc3272402",
             "fused": "2c1b84d12ebc548d32aff021cd30a340e7bfd64ef2e63866e90246513f4d4623",
             "prov": "62bfea4678093b9c0b986302b3852933bc2734113c3b9e31c424fe9b194693c9",
-            "cost": "178f91b7b19347a81e66b35157f039edadf769f9ac2be0de12d9cfa818cdf090",
+            "cost": "4c375db4556e5a77baebc97db3a5e270d17184589032133f1ff31aa95e8011fc",
         }
 
     def test_overflow_replaces_none_of_the_three_files(self, tmp_path, capsys):

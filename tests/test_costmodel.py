@@ -13,6 +13,7 @@ from d2m.config import (
     DEFAULT_WORKLOAD,
     FusionBlock,
     FusionPlan,
+    HardwareProfile,
     ModelShape,
     MoEShape,
     QWEN25_0_5B,
@@ -139,7 +140,14 @@ class TestLatency:
 
     def test_boundedness_tags(self):
         breakdown = total_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
-        assert breakdown.prefill_bound == COMPUTE_BOUND
+        # prefill's 2.0447 ms of compute is shorter than reading the
+        # 715.65 MB of layer weights once at 273 GB/s
+        assert breakdown.prefill_s == pytest.approx(2.0447e-3, rel=5e-5)
+        assert breakdown.prefill_memory_s == pytest.approx(715_653_120 / 273e9, rel=1e-12)
+        assert breakdown.prefill_bound == MEMORY_BOUND
+        # decode moves 133.38 ms of bytes against 0.102 ms of FLOPs
+        assert breakdown.decode_s == pytest.approx(133.38e-3, rel=5e-5)
+        assert breakdown.decode_compute_s == pytest.approx(0.10223616e-3, rel=1e-12)
         assert breakdown.decode_bound == MEMORY_BOUND
         assert breakdown.total_s == breakdown.prefill_s + breakdown.decode_s
 
@@ -249,6 +257,39 @@ def test_counts_equal_the_fused_container(case):
     dense, plan, base_copies, supp_copies, top_k = case
     fused, _ = fused_model(dense, plan, base_copies, supp_copies, top_k)
     assert_counts_match(fused.shape, fused)
+
+
+@st.composite
+def hardware(draw):
+    return HardwareProfile(peak_flops=draw(st.floats(1e9, 1e16)),
+                           mem_bandwidth=draw(st.floats(1e8, 1e13)),
+                           weight_bytes=draw(st.sampled_from((0.5, 1.0, 2.0, 4.0))),
+                           kv_bytes=draw(st.sampled_from((0.5, 1.0, 2.0, 4.0))))
+
+
+@given(shape=small_shapes(), hw=hardware(),
+       wl=st.builds(Workload, prompt_len=st.integers(0, 4096), gen_len=st.integers(0, 512)))
+@example(shape=QWEN25_0_5B, hw=THOR_U, wl=Workload(prompt_len=0, gen_len=0))
+@example(shape=QWEN25_0_5B, hw=replace(THOR_U, peak_flops=1e9), wl=DEFAULT_WORKLOAD)
+def test_each_roofline_label_names_the_larger_side(shape, hw, wl):
+    breakdown = total_latency(shape, hw, wl)
+    assert breakdown.prefill_s == prefill_latency(shape, hw, wl)
+    assert breakdown.decode_s == decode_latency(shape, hw, wl)
+    # a token costs two FLOPs per layer weight, in either phase, and a
+    # prompt of any length reads each layer weight once
+    if wl.prompt_len:
+        flops_per_token = breakdown.prefill_s * hw.peak_flops / wl.prompt_len
+        assert breakdown.prefill_memory_s == pytest.approx(
+            flops_per_token / 2 * hw.weight_bytes / hw.mem_bandwidth, rel=1e-9)
+        assert breakdown.decode_compute_s == pytest.approx(
+            wl.gen_len * flops_per_token / hw.peak_flops, rel=1e-9)
+    else:
+        assert breakdown.prefill_memory_s == breakdown.prefill_s == 0.0
+    sides = {"prefill": (breakdown.prefill_s, breakdown.prefill_memory_s),
+             "decode": (breakdown.decode_compute_s, breakdown.decode_s)}
+    for phase, (compute_s, memory_s) in sides.items():
+        larger = COMPUTE_BOUND if compute_s >= memory_s else MEMORY_BOUND  # a tie computes
+        assert getattr(breakdown, f"{phase}_bound") == larger, phase
 
 
 class TestActiveParams:

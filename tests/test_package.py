@@ -1,7 +1,7 @@
 """The package surface: the import cost of each CLI stage, the single paths
 through which the package writes files, reads files and parses JSON, the
-names the benchmark reaches into, and the README's library quick start,
-executed as written."""
+names the benchmark reaches into and the calls it makes with them, and the
+README's library quick start, executed as written."""
 
 import ast
 import functools
@@ -437,12 +437,42 @@ def bench_names() -> tuple[list[str], list[str]]:
     targets = next(ast.literal_eval(node.value) for node in tracer.body
                    if isinstance(node, ast.Assign)
                    and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    return [f"{module}.{attr}" for module, attr in targets], list(workload_imports().values())
+
+
+def workload_imports() -> dict[str, str]:
+    """Each local name bench/workloads.py binds with ``from d2m.… import``,
+    to the ``module.attribute`` within d2m it names."""
     workloads = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
-    imports = [f"{node.module.removeprefix('d2m.')}.{alias.name}"
-               for node in ast.walk(workloads)
-               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("d2m.")
-               for alias in node.names]
-    return [f"{module}.{attr}" for module, attr in targets], imports
+    return {alias.asname or alias.name: f"{node.module.removeprefix('d2m.')}.{alias.name}"
+            for node in ast.walk(workloads)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("d2m.")
+            for alias in node.names}
+
+
+def unbound_bench_calls() -> list[str]:
+    """Each call in bench/workloads.py to a name it imports from d2m whose
+    arguments would not bind: as many positional placeholders and the same
+    keyword names, against the signature of the object the name resolves
+    to. A call whose arguments are unpacked cannot be checked, so it is
+    reported too."""
+    imported = workload_imports()
+    workloads = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    failures = []
+    for node in ast.walk(workloads):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        name = imported[node.func.id]
+        keywords = [keyword.arg for keyword in node.keywords]
+        try:
+            if None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                raise TypeError("unpacked arguments")
+            inspect.signature(resolve(name)).bind(*[None] * len(node.args),
+                                                  **dict.fromkeys(keywords))
+        except TypeError as exc:
+            failures.append(f"{name} at workloads.py:{node.lineno}: {exc}")
+    return failures
 
 
 def resolve(name: str):
@@ -483,6 +513,21 @@ def test_bench_guard_reports_a_removed_name(monkeypatch):
     targets, imports = bench_names()
     assert unresolved([*targets, *imports]) == ["traceio.read_trace", "cli.PipelineRun.record"]
     assert unresolved(["nosuchmodule.f", "search.plan_from_depth"]) == ["nosuchmodule.f"]
+
+
+def test_every_call_the_bench_makes_binds():
+    # a call that raises fails every chain's output check, not one metric
+    assert unbound_bench_calls() == []
+
+
+def test_bench_call_guard_reports_a_changed_signature(monkeypatch):
+    from d2m import surgery
+
+    monkeypatch.setattr(surgery, "functional_equivalence_check",
+                        lambda dense, fused, plan: 0.0)
+    failures = unbound_bench_calls()
+    assert len(failures) == 1
+    assert failures[0].startswith("surgery.functional_equivalence_check at workloads.py:")
 
 
 def test_readme_quick_start_runs(capsys):

@@ -8,7 +8,7 @@ import struct
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 import numpy as np
 import pytest
@@ -25,7 +25,8 @@ from d2m.config import (
     write_json,
 )
 from d2m.errors import DimensionMismatch, NonFiniteValue, PlanModelMismatch, VerificationFailure
-from d2m.nanomodel import build_toy_container, forward_trace, layer_forward, layers_of
+from d2m.nanomodel import (GluMlp, build_toy_container, forward_trace, layer_forward,
+                           layers_of, mlp_apply, rms_norm)
 from d2m.surgery import (
     ExpertProvenance,
     FusionReport,
@@ -387,6 +388,17 @@ def fusion_cases(draw):
     return dense, plan, base_copies, supp_copies, draw(st.integers(1, smallest))
 
 
+def one_expert_view(fused: WeightContainer, expert: int) -> WeightContainer:
+    """``fused`` with every MoE layer cut to its expert ``expert`` (1-based),
+    renumbered 1, and that expert's router column, under top-1 routing."""
+    shape = replace(fused.shape, moe=MoEShape(dict.fromkeys(fused.shape.experts, 1), top_k=1))
+    tensors = {}
+    for name, _ in tensor_schema(shape):
+        tensor = fused.tensors[name.replace("moe.expert.1.", f"moe.expert.{expert}.")]
+        tensors[name] = tensor[:, expert - 1:expert] if name.endswith(".router") else tensor
+    return validate_container(WeightContainer(shape, tensors))
+
+
 def failed_checks(verify) -> list[str]:
     """The tensor names of the checks that ``verify()`` fails; it must fail."""
     with pytest.raises(VerificationFailure) as info:
@@ -475,6 +487,33 @@ class TestFusionProperties:
 
 
 class TestFunctionalEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(case=fusion_cases().filter(lambda case: case[1].blocks),
+           probe_seed=st.integers(0, 2 ** 16))
+    def test_a_base_copy_matches_the_pruned_model_and_a_redundant_copy_does_not(
+            self, case, probe_seed):
+        # no duplicated layers, so a block's redundant MLPs differ from its base
+        dense, plan, base_copies, supp_copies, top_k = case
+        dense = WeightContainer(dense.shape, {  # the values the weights file holds
+            name: t.astype(np.float32).astype(np.float64) for name, t in dense.tensors.items()})
+        fused, _ = fused_model(dense, plan, base_copies, supp_copies, top_k)
+        probe = np.random.default_rng(probe_seed).standard_normal((4, dense.shape.hidden_dim))
+        assert functional_equivalence_check(dense, fused, plan, probe) == 0.0
+
+        reference = reference_pruned_model(dense, plan)
+        ref_out, trace, _ = forward_trace(reference, probe)
+        redundant_out, _, _ = forward_trace(one_expert_view(fused, base_copies + 1), probe)
+        # the earliest block's base and first redundant MLP on the state
+        # entering it, which the view and the reference share
+        first = min(plan.blocks, key=lambda block: block.base)
+        index = plan.keep_layers.index(first.base)
+        z = rms_norm(trace.mlp_inputs[index], layers_of(reference)[index].mlp_norm)
+        base, redundant = (mlp_apply(GluMlp(*(dense.tensors[f"layer.{l}.mlp.{part}"]
+                                              for part in ("up", "gate", "down"))), z)
+                           for l in (first.base, first.redundant[0]))
+        if not np.array_equal(base, redundant):  # a zeroed tiny MLP can hide the difference
+            assert np.max(np.abs(redundant_out - ref_out)) > 0
+
     def test_duplicate_layer_fixture(self):
         dense = toy_dense()
         fused, _ = fused_model(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
@@ -485,10 +524,9 @@ class TestFunctionalEquivalence:
         dense = toy_dense()
         fused, _ = fused_model(dense, PLAN, base_copies=1, supp_copies=1, top_k=1)
         probe = np.random.default_rng(2).standard_normal((5, 16))
-        # forcing the redundant-source expert reproduces the source MLP applied
-        # to the shared normed state
-        out, _, _ = forward_trace(fused, probe, forced_expert=2)
-        from d2m.nanomodel import mlp_apply, pre_mlp_state, rms_norm, GluMlp
+        # a view of the block holding only the redundant-source expert
+        # reproduces the source MLP applied to the shared normed state
+        from d2m.nanomodel import MoELayer, pre_mlp_state
 
         reference = reference_pruned_model(dense, PLAN)
         state = probe
@@ -500,8 +538,13 @@ class TestFunctionalEquivalence:
         src = GluMlp(dense.tensors["layer.3.mlp.up"], dense.tensors["layer.3.mlp.gate"],
                      dense.tensors["layer.3.mlp.down"])
         expected_block = h + mlp_apply(src, rms_norm(h, fused_layers[1].mlp_norm))
-        _, y, _ = layer_forward(fused_layers[1], state, forced_expert=2)
+        block = fused_layers[1]
+        one = MoELayer(attn=block.attn, mlp_norm=block.mlp_norm, experts=(block.experts[1],),
+                       router=block.router[:, 1:2], top_k=1)
+        _, y, record = layer_forward(one, state)
         np.testing.assert_allclose(y, expected_block, atol=0)
+        assert np.all(record.selected == 0)
+        assert np.all(record.gates == 1.0)
 
     def test_twenty_seeded_probes(self):
         worst = 0.0
