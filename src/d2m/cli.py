@@ -44,7 +44,6 @@ from .config import (
     read_matrices,
     staged_outputs,
     text_file,
-    validate_thresholds,
     write_json,
 )
 from .errors import (
@@ -95,6 +94,10 @@ class PipelineRun:
     read once, when the run is opened, and written once, by ``record``."""
 
     def __init__(self, run_dir: Path):
+        # refused before the stage runs, not when its manifest is written
+        existing = next(d for d in (run_dir, *run_dir.parents) if d.exists())
+        if not existing.is_dir():
+            raise IoFailure(f"--run-dir {run_dir}: {existing} is not a directory")
         self.run_dir = run_dir
         self.path = run_dir / "manifest.json"
         self.data = self._load()
@@ -268,10 +271,9 @@ def cmd_search(args) -> Written:
 
     if args.delta is None or args.epsilon is None or not args.plan_out:
         raise InvalidConfig("plan mode requires --delta, --epsilon, --plan-out")
-    thresholds = validate_thresholds(SearchThresholds(
+    plan = search(matrices, SearchThresholds(
         cos_threshold=args.delta, norm_tolerance=args.epsilon,
         score_penalty=args.score_penalty, block_sizes=block_sizes))
-    plan = search(matrices, thresholds)
     write_json(args.plan_out, plan_to_dict(plan))
     return [args.plan_out], f" (prune {sorted(plan.prune_layers)})"
 
@@ -423,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrices", required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--score-penalty", type=float, default=1.0)
-    p.add_argument("--block-sizes", default="1,2,3")
+    p.add_argument("--score-penalty", type=float, default=SearchThresholds.score_penalty)
+    p.add_argument("--block-sizes", default=",".join(map(str, SearchThresholds.block_sizes)))
     p.add_argument("--plan-out", default=None)
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--delta-grid", default=None)

@@ -433,23 +433,12 @@ def validate_workload(wl: Workload) -> Workload:
     return wl
 
 
-def validate_score_penalty(score_penalty: float) -> float:
-    if not (math.isfinite(score_penalty) and score_penalty >= 0):
-        raise InvalidConfig(
-            f"thresholds.score_penalty must be finite and non-negative, got {score_penalty}")
-    return score_penalty
-
-
 def validate_thresholds(th: SearchThresholds) -> SearchThresholds:
+    """Check the two bars; the scoring knobs are ``search._block_table``'s."""
     if not 0.0 < th.cos_threshold < 1.0:
         raise InvalidConfig("thresholds.cos_threshold must lie in (0, 1)")
     if not 0.0 < th.norm_tolerance < 1.0:
         raise InvalidConfig("thresholds.norm_tolerance must lie in (0, 1)")
-    validate_score_penalty(th.score_penalty)
-    if not th.block_sizes:
-        raise InvalidConfig("thresholds.block_sizes must be non-empty")
-    if any((not isinstance(n, int)) or n < 1 for n in th.block_sizes):
-        raise InvalidConfig("thresholds.block_sizes must be positive counts")
     return th
 
 

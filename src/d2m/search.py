@@ -27,12 +27,12 @@ from .config import (
     FusionPlan,
     SearchThresholds,
     SimilarityMatrices,
+    _is_count,
     output_file,
     validate_plan,
-    validate_score_penalty,
     validate_thresholds,
 )
-from .errors import DepthUnreachable, OutOfRange
+from .errors import DepthUnreachable, InvalidConfig, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,11 @@ def _greatest(a: float, b: float) -> float:
 
 def _block_table(matrices: SimilarityMatrices, score_penalty: float,
                  block_sizes: Iterable[int]) -> list[Block]:
-    """Every (base, size) block that fits, sorted once by (-score, base, size).
+    """Every (base, size) block that fits, sorted once by (-score, base, size),
+    after the one check of the scoring knobs, for search and sweep alike:
+    ``score_penalty`` finite and non-negative, ``block_sizes`` a non-empty set
+    of positive counts (no bool or float); a refusal is an ``InvalidConfig``
+    naming the knob.
 
     ``score`` is the mean over the block's offsets of the two cosines'
     average minus the penalized norm gap, summed in offset order. ``low`` is
@@ -70,11 +74,12 @@ def _block_table(matrices: SimilarityMatrices, score_penalty: float,
     minimum above a bar means every value is above it, and a NaN anywhere in
     the block carries through and fails both tests.
     """
-    num_layers = matrices.num_layers
-    sizes = set(block_sizes)
-    if sizes and min(sizes) < 1:
-        raise OutOfRange(f"block sizes must be positive, got {min(sizes)}")
-    largest = max(sizes, default=0)
+    if not (math.isfinite(score_penalty) and score_penalty >= 0):
+        raise InvalidConfig(f"score_penalty must be finite and non-negative, got {score_penalty}")
+    sizes = tuple(block_sizes)
+    if not sizes or not all(map(_is_count, sizes)):
+        raise InvalidConfig(f"block_sizes must be a non-empty set of positive counts, got {sizes}")
+    num_layers, largest = matrices.num_layers, max(sizes)
     s_out, s_mlp, gaps = matrices.s_out, matrices.s_mlp, matrices.delta_norm
     table = []
     for base in range(1, num_layers + 1):
@@ -128,19 +133,20 @@ def search(matrices: SimilarityMatrices, thresholds: SearchThresholds) -> Fusion
 
 def threshold_sweep(matrices: SimilarityMatrices,
                     cos_grid: Sequence[float], norm_grid: Sequence[float],
-                    score_penalty: float = 1.0,
-                    block_sizes: Sequence[int] = (1, 2, 3)) -> list[SweepCell]:
+                    score_penalty: float = SearchThresholds.score_penalty,
+                    block_sizes: Sequence[int] = SearchThresholds.block_sizes
+                    ) -> list[SweepCell]:
     """Run the search over the grid and record each cell's pruned-layer count.
 
     Grid values outside (0, 1) are legal here (a zero cosine threshold simply
     prunes nothing); cells are returned row-major in the given grid order.
-    Blocks are scored and sorted once for the whole grid, since neither
-    depends on the thresholds, and cells whose thresholds pass the same
-    blocks share one plan.
+    The scoring knobs default to ``SearchThresholds``' and are checked by
+    ``_block_table``, as ``search``'s are. Blocks are scored and sorted once
+    for the whole grid, since neither depends on the thresholds, and cells
+    whose thresholds pass the same blocks share one plan.
     """
     if not len(cos_grid) or not len(norm_grid):
         raise OutOfRange("sweep grids must be non-empty")
-    validate_score_penalty(score_penalty)
     table = _block_table(matrices, score_penalty, block_sizes)
     plans: dict[tuple[Block, ...], FusionPlan] = {}
     cells = []

@@ -23,7 +23,7 @@ import numpy as np
 # numpy; they are re-exported here, where the matrices are built
 from .config import (MATRIX_NAMES, SimilarityMatrices, output_file,  # noqa: F401
                      read_matrices, write_matrices)
-from .errors import DimensionMismatch, IoFailure, NonFiniteValue, ZeroVector
+from .errors import DimensionMismatch, NonFiniteValue, ZeroVector
 from .traceio import HALVES, ActivationTrace, Chunk, chunk_slices, chunk_tokens, trace_chunks
 
 
@@ -152,12 +152,11 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
 
 
 def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[str, Path]:
-    """Write s_out.csv, s_mlp.csv, and delta_norm.csv (9 significant digits)."""
+    """Write s_out.csv, s_mlp.csv, and delta_norm.csv (9 significant digits)
+    into ``out_dir``, made if absent. A directory that cannot be made raises
+    the ``OSError``, which the CLI maps to exit 3 as it maps every one."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in MATRIX_NAMES}
     for name, path in paths.items():
         with output_file(path) as handle:

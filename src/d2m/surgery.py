@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .config import (FusionPlan, ModelShape, MoEShape, output_file, tensor_schema,
+from .config import (FusionPlan, ModelShape, MoEShape, _is_count, output_file, tensor_schema,
                      validate_plan, validate_shape)
 from .errors import InvalidPlan, PlanModelMismatch, VerificationFailure
 from .weightfile import WeightsFile, open_weights, write_entry, write_weights_header
@@ -66,7 +66,12 @@ Layout = Iterator[tuple[str, tuple[int, ...], "str | None"]]
 def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: int,
             top_k: int) -> tuple[ModelShape, ExpertProvenance, Layout]:
     """The fused shape, its experts' provenance and its layout, checked
-    against the dense ``shape`` alone, so a refusal touches no tensor."""
+    against the dense ``shape`` alone, so a refusal touches no tensor. The
+    three counts have one rule, whatever the plan: each is a positive int,
+    and ``top_k`` fits every fused pool; a refusal names the count."""
+    if not all(map(_is_count, (base_copies, supp_copies, top_k))):
+        raise PlanModelMismatch("base_copies, supp_copies and top_k must be positive counts, "
+                                f"got {base_copies!r}, {supp_copies!r}, {top_k!r}")
     if shape.moe is not None:
         raise PlanModelMismatch("fuse requires a dense source model")
     num_layers = shape.num_layers
@@ -74,8 +79,6 @@ def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: 
         validate_plan(plan, num_layers)
     except InvalidPlan as exc:
         raise PlanModelMismatch(f"plan invalid for a {num_layers}-layer model: {exc}") from exc
-    if base_copies < 1 or supp_copies < 1:
-        raise PlanModelMismatch("base_copies and supp_copies must be at least 1")
 
     keep = plan.keep_layers
     provenance: ExpertProvenance = {
@@ -85,6 +88,9 @@ def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: 
                     for red in block.redundant for c in range(1, supp_copies + 1))
         for block in plan.blocks
     }
+    smallest = min(map(len, provenance.values()), default=top_k)
+    if top_k > smallest:
+        raise PlanModelMismatch(f"top_k {top_k} exceeds the {smallest} experts of a fused layer")
     moe = (MoEShape({layer: len(sources) for layer, sources in provenance.items()}, top_k)
            if provenance else None)
     fused_shape = validate_shape(replace(shape, num_layers=len(keep), moe=moe))

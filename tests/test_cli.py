@@ -2,6 +2,7 @@
 exit codes, and the run-directory manifest."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2m import cli, surgery
@@ -228,6 +229,30 @@ class TestSearchCommand:
         assert main(argv) == 2
         assert "score_penalty" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists() and not (tmp_path / "p.json").exists()
+
+    @settings(max_examples=40)
+    @given(sizes=st.lists(st.integers(-2, 4), min_size=1, max_size=3),
+           penalty=st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "0", "0.5", "2"]))
+    def test_plan_and_sweep_modes_refuse_a_scoring_knob_alike(self, readme_run, sizes,
+                                                               penalty):
+        knobs = [f"--block-sizes={','.join(map(str, sizes))}", f"--score-penalty={penalty}"]
+        penalty_ok = 0 <= float(penalty) < math.inf
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"matrices": readme_run["analysis"] / "matrices.d2ms", "out": tmp}
+            results = []
+            for mode in (PLAN_MODE, SWEEP_MODE):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([*(arg.format(**paths) for arg in mode), *knobs])
+                results.append((code, err.getvalue()))
+            if penalty_ok and min(sizes) >= 1:
+                assert results == [(0, ""), (0, "")]
+            else:
+                assert results[0] == results[1], results
+                code, message = results[0]
+                assert code == 2 and message.count("\n") == 1, message
+                assert ("block_sizes" if penalty_ok else "score_penalty") in message
+                assert os.listdir(tmp) == []
 
 
 def text_input_argv(tmp_path: Path, stage: str, text_input: Path) -> list[str]:
@@ -719,6 +744,40 @@ README_TAMPERS = {
 }
 
 
+class TestFuseCounts:
+    @settings(max_examples=40)
+    @given(counts=st.tuples(*[st.integers(-3, 6)] * 3), fuses=st.booleans())
+    @example(counts=(1, 1, -7), fuses=False)
+    @example(counts=(1, 1, 3), fuses=True)
+    @example(counts=(2, 3, 6), fuses=True)
+    @example(counts=(2, 3, 5), fuses=True)
+    def test_counts_are_refused_alike_for_every_plan(self, readme_run, counts, fuses):
+        # the README plan fuses layer 5 into layer 4: one pool of K + M experts
+        base_copies, supp_copies, top_k = counts
+        model = readme_run["synth"] / "model.d2mw"
+        with tempfile.TemporaryDirectory() as tmp:
+            plan = Path(tmp, "plan.json")
+            plan.write_text(readme_run["plan"].read_text() if fuses else
+                            '{"keep": [1, 2, 3, 4, 5], "prune": [], "blocks": []}')
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["fuse", "--model", str(model), "--plan", str(plan),
+                             f"--base-copies={base_copies}", f"--supp-copies={supp_copies}",
+                             f"--top-k={top_k}", "--out", str(Path(tmp, "f.d2mw")),
+                             "--provenance-out", str(Path(tmp, "p.json"))])
+            if min(counts) < 1:
+                message = ("base_copies, supp_copies and top_k must be positive counts, "
+                           f"got {base_copies}, {supp_copies}, {top_k}")
+            elif fuses and top_k > base_copies + supp_copies:
+                message = (f"top_k {top_k} exceeds the {base_copies + supp_copies} experts "
+                           "of a fused layer")
+            else:
+                assert code == 0, err.getvalue()
+                return
+            assert (code, err.getvalue()) == (2, f"error: {message}\n")
+            assert os.listdir(tmp) == ["plan.json"]
+
+
 class TestFusionReport:
     def test_every_kind_of_check_can_fail_first(self, tmp_path, readme_run):
         # a kind of check that no tamper can make fail first is one that
@@ -754,6 +813,7 @@ def without(argv: list[str], flag: str) -> list[str]:
     return argv[:at] + argv[at + 2:]
 
 
+BLOCK_SIZE_0 = "block_sizes must be a non-empty set of positive counts, got (0,)"
 REFUSALS = {
     **{f"plan-mode-without-{flag[2:]}": (
         without(PLAN_MODE, flag), "plan mode requires --delta, --epsilon, --plan-out")
@@ -763,10 +823,8 @@ REFUSALS = {
        for flag in ("--delta-grid", "--epsilon-grid", "--sweep-out")},
     "block-sizes-comma": ([*PLAN_MODE, "--block-sizes", ","],
                           "--block-sizes: list ',' is empty"),
-    "plan-mode-block-size-0": ([*PLAN_MODE, "--block-sizes", "0"],
-                               "thresholds.block_sizes must be positive counts"),
-    "sweep-mode-block-size-0": ([*SWEEP_MODE, "--block-sizes", "0"],
-                                "block sizes must be positive, got 0"),
+    "plan-mode-block-size-0": ([*PLAN_MODE, "--block-sizes", "0"], BLOCK_SIZE_0),
+    "sweep-mode-block-size-0": ([*SWEEP_MODE, "--block-sizes", "0"], BLOCK_SIZE_0),
     "epsilon-1.5": ([*without(PLAN_MODE, "--epsilon"), "--epsilon", "1.5"],
                     "thresholds.norm_tolerance must lie in (0, 1)"),
     "pareto-without-w-or-calibrate": (
@@ -1363,3 +1421,38 @@ class TestManifest:
                      "--run-dir", str(run_dir)]) == 3
         assert capsys.readouterr().err == f"error: {config}: not a regular file\n"
         assert (run_dir / "manifest.json").read_bytes() == manifest
+
+
+class TestDirectories:
+    @staticmethod
+    def stage_argv(stage: str, trace: Path, out_dir: Path) -> list[str]:
+        return {"analyze": ["analyze", "--trace", str(trace), "--out-dir", str(out_dir)],
+                "synth": ["synth", "--out-dir", str(out_dir), "--layers", "3", "--hidden", "16",
+                          "--seq-len", "8"]}[stage]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("stage", ["analyze", "synth"])
+    def test_a_run_dir_that_is_not_a_directory_is_refused_before_the_stage(
+            self, tmp_path, capsys, readme_run, stage, below):
+        notadir = tmp_path / "notadir"
+        notadir.write_text("")
+        run_dir = notadir / "sub" if below else notadir
+        argv = self.stage_argv(stage, readme_run["synth"] / "trace.d2mt", tmp_path / "out")
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main([*argv, "--run-dir", str(run_dir)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: --run-dir {run_dir}: {notadir} is not a directory\n")
+        assert files_under(tmp_path) == before and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["analyze", "synth"])
+    def test_an_output_directory_that_cannot_be_made_exits_3_naming_it(
+            self, tmp_path, capsys, readme_run, stage):
+        (tmp_path / "afile").write_text("")
+        out_dir = tmp_path / "afile" / "sub"
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(self.stage_argv(stage, readme_run["synth"] / "trace.d2mt", out_dir)) == 3
+        error = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert files_under(tmp_path) == before

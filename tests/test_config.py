@@ -19,6 +19,7 @@ from d2m.config import (
     PipelineConfig,
     QWEN25_0_5B,
     SearchThresholds,
+    SimilarityMatrices,
     THOR_U,
     Workload,
     gqa_ratio,
@@ -28,12 +29,14 @@ from d2m.config import (
     plan_from_dict,
     plan_from_json,
     plan_to_dict,
+    shape_from_dict,
     validate_plan,
     validate_shape,
     validate_thresholds,
     write_json,
 )
 from d2m.errors import D2mError, InvalidConfig, InvalidPlan, InvalidShape
+from d2m.search import search
 
 
 class TestValidateShape:
@@ -174,9 +177,26 @@ class TestThresholds:
 
     @pytest.mark.parametrize("penalty", [-1.0, float("nan"), float("inf")])
     def test_score_penalty_finite_non_negative(self, penalty):
+        # the scoring knobs are checked where the search scores its blocks
+        eye = [[1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(InvalidConfig, match="score_penalty"):
-            validate_thresholds(SearchThresholds(cos_threshold=0.05, norm_tolerance=0.1,
-                                                 score_penalty=penalty))
+            search(SimilarityMatrices(eye, eye, eye),
+                   SearchThresholds(cos_threshold=0.05, norm_tolerance=0.1,
+                                    score_penalty=penalty))
+
+
+# digits that str.isdigit() accepts and int() refuses, such as superscript two
+UNREADABLE_DIGITS = [chr(c) for c in range(0x3000) if chr(c).isdigit() and not chr(c).isdecimal()]
+
+
+class TestExpertKeys:
+    @given(key=st.tuples(st.sampled_from(["", "1", "2"]),
+                         st.sampled_from(UNREADABLE_DIGITS)).map("".join))
+    def test_a_digit_int_cannot_read_is_not_a_layer_index(self, key):
+        doc = dict(asdict(QWEN25_0_5B), moe={"experts": {key: 2}, "top_k": 1})
+        message = f"model.moe.experts key {key!r} is not a layer index"
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            shape_from_dict(doc)
 
 
 class TestConfigDocument:

@@ -341,3 +341,11 @@ class TestReadmeFusedModel:
         pruned = reference_pruned_model(dense, self.PLAN)
         assert total_latency(fused.shape, THOR_U, DEFAULT_WORKLOAD) == \
             total_latency(pruned.shape, THOR_U, DEFAULT_WORKLOAD)
+
+
+@given(length=st.integers(max_value=-1), phase=st.sampled_from(["prompt_len", "gen_len"]),
+       latency=st.sampled_from([prefill_latency, decode_latency]))
+def test_a_negative_phase_length_is_refused(length, phase, latency):
+    workload = replace(DEFAULT_WORKLOAD, **{phase: length})
+    with pytest.raises(InvalidConfig, match="^workload lengths must be non-negative$"):
+        latency(QWEN25_0_5B, THOR_U, workload)

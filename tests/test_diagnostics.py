@@ -164,3 +164,15 @@ class TestCsvOutputs:
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "layer,winner,top_load,p_1,p_2"
         assert len(lines) == 3
+
+
+class TestEmptyProfiles:
+    @given(num_experts=st.integers(1, 8))
+    def test_wta_metrics_needs_a_profile(self, num_experts):
+        with pytest.raises(EmptyRecord, match="^wta_metrics needs at least one layer profile$"):
+            wta_metrics([], num_experts)
+
+    def test_per_layer_csv_needs_a_profile(self, tmp_path):
+        with pytest.raises(EmptyRecord, match="^no profiles to write$"):
+            write_per_layer_csv([], tmp_path / "per_layer.csv")
+        assert list(tmp_path.iterdir()) == []

@@ -2,10 +2,11 @@
 routing behaviour, the balancing loss, gradient checks, and the toy trainer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import d2m.nanomodel as nano
@@ -140,6 +141,15 @@ class TestMlpApply:
         with pytest.raises(DimensionMismatch):
             mlp_apply(mlp, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("gate, down", [((4, 5), (6, 4)), ((4, 6), (6, 3)),
+                                            ((4, 6), (4, 6))],
+                             ids=["gate", "down-width", "down-transposed"])
+    def test_inconsistent_glu_triple(self, gate, down):
+        mlp = GluMlp(np.zeros((4, 6)), np.zeros(gate), np.zeros(down))
+        message = f"inconsistent GLU triple: up (4, 6), gate {gate}, down {down}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            mlp_apply(mlp, np.zeros((2, 4)))
+
 
 class TestDenseForward:
     def test_residual_passthrough_with_zero_projections(self):
@@ -174,6 +184,12 @@ class TestDenseForward:
         np.testing.assert_allclose(back.layer_outputs[0], trace.layer_outputs[0],
                                    atol=1e-6)
 
+    @given(width=st.integers(0, 9).filter(lambda w: w != TOY.hidden_dim))
+    def test_wrong_input_width_rejected(self, width):
+        container = build_toy_container(TOY, seed=9)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"expected (T, {TOY.hidden_dim})")):
+            forward_trace(container, np.zeros((2, width)))
+
     def test_non_finite_input_rejected(self):
         container = build_toy_container(TOY, seed=9)
         x = np.zeros((2, 4))
@@ -200,6 +216,12 @@ class TestLayerForward:
 
 
 class TestRoute:
+    @given(n_experts=st.integers(1, 5), top_k=st.integers(-2, 8))
+    def test_top_k_outside_the_pool_rejected(self, n_experts, top_k):
+        assume(not 1 <= top_k <= n_experts)
+        with pytest.raises(OutOfRange, match=f"^top_k {top_k} outside 1..{n_experts}$"):
+            route(np.zeros((4, n_experts)), np.ones((3, 4)), top_k)
+
     def test_zero_router_uniform(self):
         h = np.random.default_rng(5).standard_normal((6, 4))
         record = route(np.zeros((4, 5)), h, top_k=2)
@@ -659,6 +681,21 @@ class TestFrozenPrefix:
 
 
 class TestTrainToyFlags:
+    @pytest.mark.parametrize("dims", [(0, 4), (2, 0), (4,)], ids=["no-rows", "no-tokens", "1-d"])
+    def test_empty_data_rejected(self, dims):
+        with pytest.raises(OutOfRange, match=r"^data must be a non-empty \(num_sequences, "):
+            train_toy(fused_last_layer(2, seed=1), np.zeros(dims, dtype=np.int64), steps=1,
+                      lr=0.5, alpha=1e-3)
+
+    @given(token=st.one_of(st.integers(-3, -1), st.integers(16, 20)))
+    def test_token_outside_the_vocabulary_rejected(self, token):
+        fused = fused_last_layer(2, seed=1)  # vocab_size 16
+        assert fused.shape.vocab_size == 16
+        data = make_copy_stream(16, 8, 2, seed=0)
+        data[1, 3] = token
+        with pytest.raises(OutOfRange, match=r"^token ids must lie in \[0, vocab_size\)$"):
+            train_toy(fused, data, steps=1, lr=0.5, alpha=1e-3)
+
     @pytest.mark.parametrize("lr, alpha", [
         (float("nan"), 1e-3), (float("inf"), 1e-3), (-float("inf"), 1e-3),
         (0.5, float("nan")), (0.5, float("inf")), (0.5, -1e-3),

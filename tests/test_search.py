@@ -1,13 +1,15 @@
 """Block search against an independently written reference simulation, plus
 threshold-sweep behaviour and depth selection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2m.config import FusionBlock, SearchThresholds, validate_plan
-from d2m.errors import DepthUnreachable, InvalidConfig
+from d2m.errors import DepthUnreachable, InvalidConfig, OutOfRange
 from d2m.search import plan_from_depth, search, threshold_sweep, write_sweep_csv
 from d2m.similarity import SimilarityMatrices, build_matrices
 from d2m.traceio import synth_trace
@@ -289,6 +291,30 @@ class TestThresholdSweep:
     def test_score_penalty_checked_like_search(self, penalty):
         with pytest.raises(InvalidConfig, match="score_penalty"):
             threshold_sweep(self.fixture_matrices(), [0.05], [0.1], score_penalty=penalty)
+
+    @settings(max_examples=80)
+    @given(penalty=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0]),
+                             st.floats(-4, 4)),
+           sizes=st.lists(st.one_of(st.integers(-2, 4), st.sampled_from([2.0, 1.0, True, False])),
+                          max_size=4).map(tuple))
+    def test_search_and_sweep_agree_on_every_knob(self, penalty, sizes):
+        mats = self.fixture_matrices()
+        outcomes = []
+        for run in (lambda: search(mats, SearchThresholds(0.05, 0.1, penalty, sizes)),
+                    lambda: threshold_sweep(mats, [0.05], [0.1], penalty, sizes)[0].plan):
+            try:
+                outcomes.append(run())
+            except InvalidConfig as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        counts = all(type(n) is int and n >= 1 for n in sizes)
+        valid = math.isfinite(penalty) and penalty >= 0 and sizes and counts
+        assert isinstance(outcomes[0], str) != bool(valid), outcomes[0]
+
+    @pytest.mark.parametrize("cos_grid, norm_grid", [([], [0.1]), ([0.05], [])])
+    def test_empty_grid_rejected(self, cos_grid, norm_grid):
+        with pytest.raises(OutOfRange, match="^sweep grids must be non-empty$"):
+            threshold_sweep(self.fixture_matrices(), cos_grid, norm_grid)
 
     def test_candidate_count_monotone_in_thresholds(self):
         mats = self.fixture_matrices()

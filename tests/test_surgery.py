@@ -198,6 +198,16 @@ class TestFuse:
         with pytest.raises(PlanModelMismatch):
             fused_model(small, PLAN, base_copies=1, supp_copies=1, top_k=1)
 
+    @pytest.mark.parametrize("counts", [(1.5, 1, 1), (1, True, 1), (1, 1, 2.0), (1, 1, 0)],
+                             ids=["float-K", "bool-M", "float-top-k", "zero-top-k"])
+    def test_a_count_that_is_not_a_positive_int_is_refused_naming_it(self, tmp_path, counts):
+        write_weights(toy_dense(), tmp_path / "dense.d2mw")
+        message = ("base_copies, supp_copies and top_k must be positive counts, got "
+                   + ", ".join(map(repr, counts)))
+        with pytest.raises(PlanModelMismatch, match=f"^{re.escape(message)}$"):
+            fuse(tmp_path / "dense.d2mw", PLAN, *counts, destination=tmp_path / "f.d2mw")
+        assert [p.name for p in tmp_path.iterdir()] == ["dense.d2mw"]
+
     def test_only_an_invalid_plan_becomes_a_mismatch(self, monkeypatch):
         def broken(plan, num_layers):
             raise RuntimeError("a bug in the validator, not a bad plan")

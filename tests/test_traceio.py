@@ -165,6 +165,18 @@ class TestTraceFormat:
         with pytest.raises(IoFailure):
             read_trace(tmp_path / "absent.d2mt")
 
+    def test_a_failing_read_is_io_failure_naming_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.d2mt"
+        write_trace(synth_trace(1, 2, 2, seed=0), path)
+
+        def failing(*args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "preadv", failing)
+        message = f"cannot read {path}: [Errno 5] Input/output error"
+        with pytest.raises(IoFailure, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
     def test_layer_beyond_float32_is_refused_before_the_matrices(self):
         # a trace file holds float32; squared in float64, 1e200 would overflow
         with warnings.catch_warnings():
@@ -188,6 +200,19 @@ class TestTraceFormat:
     def test_first_layer_not_a_matrix_is_invalid_trace(self, first):
         with pytest.raises(InvalidTrace, match="mlp_inputs layer 1 has shape"):
             make_trace([first], [first])
+
+    @pytest.mark.parametrize("mlp_inputs, layer_outputs, message", [
+        ([], [], "need equal non-zero layer counts, got 0 mlp inputs and 0 outputs"),
+        ([np.ones((3, 4))] * 2, [np.ones((3, 4))],
+         "need equal non-zero layer counts, got 2 mlp inputs and 1 outputs"),
+        ([np.ones((0, 4))], [np.ones((0, 4))], "degenerate trace dimensions T=0, d=4"),
+        ([np.ones((3, 0))], [np.ones((3, 0))], "degenerate trace dimensions T=3, d=0"),
+        ([np.ones((3, 4))] * 2, [np.ones((3, 4)), np.ones((3, 5))],
+         "layer_outputs layer 2 has shape (3, 5), expected (3, 4)"),
+    ], ids=["no-layers", "unequal-counts", "no-tokens", "no-width", "ragged-layer"])
+    def test_inconsistent_shapes_are_invalid_trace(self, mlp_inputs, layer_outputs, message):
+        with pytest.raises(InvalidTrace, match=f"^{re.escape(message)}$"):
+            make_trace(mlp_inputs, layer_outputs)
 
 
 class TestSynthTrace:

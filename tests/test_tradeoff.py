@@ -158,6 +158,10 @@ class TestEvaluateCandidates:
         with pytest.raises(EmptyRecord):
             evaluate_candidates([], 100.0, -0.15)
 
+    def test_empty_frontier_rejected(self):
+        with pytest.raises(EmptyRecord, match="^pareto_frontier needs at least one point$"):
+            pareto_frontier([])
+
 
 def brute_force_frontier(points):
     keep = []
