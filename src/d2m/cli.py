@@ -246,10 +246,6 @@ def _parse_list(flag: str, text: str, cast=float) -> list:
         values = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise InvalidConfig(f"{flag}: bad list {text!r}: {exc}") from exc
-    if not values:
-        raise InvalidConfig(f"{flag}: list {text!r} is empty")
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidConfig(f"{flag} values must be finite, got {text!r}")
     return values
 
 

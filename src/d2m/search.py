@@ -32,7 +32,7 @@ from .config import (
     validate_plan,
     validate_thresholds,
 )
-from .errors import DepthUnreachable, InvalidConfig, OutOfRange
+from .errors import DepthUnreachable, InvalidConfig
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,20 @@ def threshold_sweep(matrices: SimilarityMatrices,
                     ) -> list[SweepCell]:
     """Run the search over the grid and record each cell's pruned-layer count.
 
-    Grid values outside (0, 1) are legal here (a zero cosine threshold simply
-    prunes nothing); cells are returned row-major in the given grid order.
-    The scoring knobs default to ``SearchThresholds``' and are checked by
-    ``_block_table``, as ``search``'s are. Blocks are scored and sorted once
-    for the whole grid, since neither depends on the thresholds, and cells
-    whose thresholds pass the same blocks share one plan.
+    Each grid must be a non-empty list of finite values, checked here for
+    the library and the CLI alike; a refusal is an ``InvalidConfig`` naming
+    the grid. Finite values outside (0, 1) are legal (a zero cosine
+    threshold simply prunes nothing); cells are returned row-major in the
+    given grid order. The scoring knobs default to ``SearchThresholds``' and
+    are checked by ``_block_table``, as ``search``'s are. Blocks are scored
+    and sorted once for the whole grid, since neither depends on the
+    thresholds, and cells whose thresholds pass the same blocks share one
+    plan.
     """
-    if not len(cos_grid) or not len(norm_grid):
-        raise OutOfRange("sweep grids must be non-empty")
+    for name, grid in (("cos_grid", cos_grid), ("norm_grid", norm_grid)):
+        if not len(grid) or not all(map(math.isfinite, grid)):
+            raise InvalidConfig(
+                f"{name} must be a non-empty list of finite values, got {list(grid)}")
     table = _block_table(matrices, score_penalty, block_sizes)
     plans: dict[tuple[Block, ...], FusionPlan] = {}
     cells = []

@@ -4,10 +4,13 @@ against scale shifts when distant MLPs are reused as experts.
 
 All three matrices come from one pass over the trace, one half's token chunk
 at a time, so the same code serves a trace in memory (``build_matrices``) and
-a trace file (``stream_matrices``), and a file is never loaded whole. ``seq_avg_cosine``
-and ``norm_mismatch`` define the statistics pair by pair and are the oracle
-the matrices are tested against. Every reader and writer here takes a file
-path. ``SimilarityMatrices`` and its binary cache (``write_matrices``,
+a trace file (``stream_matrices``), and a file is never loaded whole. The
+cosines are taken token by token, each token's Gram matrix of layer states
+divided by its norms, and summed in token order, so the matrices' bits do not
+depend on how the tokens are chunked. ``seq_avg_cosine`` and
+``norm_mismatch`` define the statistics pair by pair and are the oracle the
+matrices are tested against. Every reader and writer here takes a file path.
+``SimilarityMatrices`` and its binary cache (``write_matrices``,
 ``read_matrices``) are defined in ``config``, which imports no numpy.
 """
 
@@ -90,15 +93,17 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
     chunks in ``chunk_slices`` order: the (L, n, d) states of one half over
     the token slice ``tokens``.
 
-    Each cosine matrix is the Gram matrix ``U @ U.T / T`` of the half's unit
-    token rows viewed as (L, T*d), summed one chunk at a time. A chunk is
-    copied into one float64 working buffer, allocated once, and squared in
-    place; the squares are summed over d into the chunk's slice of one
-    (2, L, T) array of token norms. The chunk is then copied in again and
-    divided in place by those norms. The trace is judged after the pass,
-    from the norms, so the error names the same place whatever the chunking
-    and order: ``NonFiniteValue`` the first half, then layer, holding a NaN
-    or infinity; ``ZeroVector`` the first zero-norm row in
+    Each cosine matrix sums, over tokens, the L x L cosines of one token's
+    layer states: its Gram matrix divided by ``n_i * n_j``, the pairwise
+    definition's own formula. A chunk is copied into one float64 working
+    buffer, allocated once; the (n, L, L) Grams of its tokens are taken from
+    it, then it is squared in place and the squares are summed over d into
+    the chunk's slice of one (2, L, T) array of token norms. The cosines are
+    added in token order and the matrices symmetrised after the pass, so
+    their bits do not depend on the chunk length. The trace is judged after
+    the pass, from the norms, so the error names the same place whatever the
+    chunking and order: ``NonFiniteValue`` the first half, then layer,
+    holding a NaN or infinity; ``ZeroVector`` the first zero-norm row in
     ``layer_outputs``, then ``mlp_inputs``, by layer, then token.
     """
     num_layers, seq_len, hidden = dims
@@ -109,11 +114,16 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
     for half, tokens, states in chunks:
         units = work[:states.size].reshape(states.shape)
         chunk_norms = norms[half, :, tokens]
-        # sqrt(add.reduce(x * x)) over d is np.linalg.norm's arithmetic, so
-        # these are its bits, without its two chunk-sized temporaries; the
-        # copy comes first because a ufunc that casts float32 inputs runs
+        # the copy comes first because a ufunc that casts float32 inputs runs
         # through numpy's small cast buffers, 2.5x slower than copy and square
         np.copyto(units, states)
+        if clean:
+            # a NaN or infinity makes NaN products, which the norms refuse
+            # below, so the matmul must not warn of them
+            with np.errstate(invalid="ignore"):
+                token_grams = units.transpose(1, 0, 2) @ units.transpose(1, 2, 0)
+        # sqrt(add.reduce(x * x)) over d is np.linalg.norm's arithmetic, so
+        # these are its bits, without its two chunk-sized temporaries
         np.multiply(units, units, out=units)
         np.add.reduce(units, axis=2, out=chunk_norms)
         np.sqrt(chunk_norms, out=chunk_norms)
@@ -121,10 +131,12 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
         # then never used, so skip them rather than divide by it
         clean = clean and np.isfinite(chunk_norms).all() and chunk_norms.all()
         if clean:
-            np.copyto(units, states)
-            units /= chunk_norms[:, :, None]
-            units = units.reshape(num_layers, -1)
-            grams[half] += units @ units.T
+            # token by token: as fast at L=24 as one broadcast (n, L, L)
+            # product of the norms, and without the broadcast's buffers
+            total = grams[half]
+            for gram, token_norms in zip(token_grams, chunk_norms.T):
+                gram /= np.multiply.outer(token_norms, token_norms)
+                total += gram
     # free the buffers behind the last chunk's views before the matrices'
     # temporaries are made
     del states, units, work
@@ -141,7 +153,10 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
                 f"{HALVES[half]} layer {layer + 1} has zero-norm token row at index {token}"
             )
 
-    s_mlp, s_out = np.clip(grams / seq_len, -1.0, 1.0)
+    # a Gram's two triangles may differ in their last bit; the mean of the
+    # two makes each matrix exactly symmetric
+    grams += grams.transpose(0, 2, 1)
+    s_mlp, s_out = np.clip(grams / (2 * seq_len), -1.0, 1.0)
     # upper[i, j] averages |n_i - n_j| / n_j over tokens for i < j, putting
     # the later layer in the denominator; mirror for symmetric storage
     h_norms = norms[0]

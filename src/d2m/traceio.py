@@ -188,9 +188,8 @@ def read_trace(source) -> ActivationTrace:
 
 
 # float32 bytes of one token chunk of one half; its float64 working copy takes
-# twice that. The chunk length sets the order of the Gram sums, so the value
-# keeps the matrices' bits: 6 tokens a chunk on the reference trace (L=24,
-# d=896). Half of it holds about 0.8 MiB less there but moves those bits.
+# twice that: 6 tokens a chunk on the reference trace (L=24, d=896). The
+# matrices sum their cosines token by token, so their bits do not depend on it.
 CHUNK_BYTES = 1 << 19
 Chunk = tuple[int, slice, np.ndarray]  # (half, token slice, (L, n, d) states)
 

@@ -3,10 +3,13 @@
 Runs the suite in this process under ``sys.settrace`` (and
 ``threading.settrace``, for any worker thread), tracing only the frames whose
 code lives in ``src/d2m``, then prints each statement (docstrings excluded)
-that no test reached, as ``path:line: source``, and their count. It uses
-only the standard library, and its name keeps pytest from collecting it.
-A test that runs the CLI in a subprocess is not traced, so a statement only
-such a test reaches is listed too.
+that no test reached, as ``path:line: source``, and their count. The bodies
+of ``if TYPE_CHECKING:`` (read by type checkers only) and of
+``if __name__ == "__main__":`` (run only when the module is a script) are
+not listed, since no test can reach them. It uses only the standard library,
+and its name keeps pytest from collecting it. A test that runs the CLI in a
+subprocess is not traced, so a statement only such a test reaches is listed
+too.
 
 Run it from the repository root, with any pytest arguments after it:
 
@@ -35,16 +38,30 @@ def _is_docstring(node: ast.stmt, parent: ast.AST) -> bool:
             and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))
 
 
+def _unreachable_body(node: ast.AST) -> bool:
+    """Whether ``node`` is an ``if TYPE_CHECKING:`` or an
+    ``if __name__ == "__main__":``, whose body no test runs."""
+    test = node.test if isinstance(node, ast.If) else None
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+            or isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and test.left.id == "__name__")
+
+
 def statements(path: Path) -> dict[int, range]:
     """Each statement's first line, to the lines of it that a line event
     can name: all of a simple statement's, and a compound statement's header
-    up to its first child statement (decorators included)."""
+    up to its first child statement (decorators included). The statements
+    in an unreachable body (``_unreachable_body``) are left out."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    skipped = {id(inner) for node in ast.walk(tree) if _unreachable_body(node)
+               for child in node.body for inner in ast.walk(child)}
     spans = {}
-    for parent in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for parent in ast.walk(tree):
         for field in ("body", "orelse", "finalbody", "handlers", "cases"):
             children = getattr(parent, field, None)
             for node in children if isinstance(children, list) else ():
-                if not isinstance(node, ast.stmt) or _is_docstring(node, parent):
+                if (not isinstance(node, ast.stmt) or _is_docstring(node, parent)
+                        or id(node) in skipped):
                     continue
                 start = min([node.lineno, *(d.lineno for d in
                                             getattr(node, "decorator_list", ()))])

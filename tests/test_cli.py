@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 
 from d2m import cli, surgery
 from d2m.cli import main
-from d2m.config import FusionBlock, FusionPlan, ModelShape, load_plan, tensor_schema
-from d2m.errors import IoFailure, VerificationFailure
+from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, read_matrices,
+                        tensor_schema)
+from d2m.errors import InvalidConfig, IoFailure, VerificationFailure
 from d2m.nanomodel import build_toy_container
+from d2m.search import threshold_sweep
 from d2m.traceio import param_count, read_weights, write_weights
 from d2m.weightfile import open_weights
 
@@ -204,7 +206,9 @@ class TestSearchCommand:
                      "--sweep", *(f"{name}={grid}" for name, grid in grids.items()),
                      "--sweep-out", str(tmp_path / "s.csv")])
         assert code == 2
-        assert flag in capsys.readouterr().err
+        grid = {"--delta-grid": "cos_grid", "--epsilon-grid": "norm_grid"}[flag]
+        assert f"error: {grid} must be a non-empty list of finite values" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "s.csv").exists()
 
     def test_finite_sweep_grid_outside_unit_interval_is_legal(self, tmp_path):
@@ -253,6 +257,29 @@ class TestSearchCommand:
                 assert code == 2 and message.count("\n") == 1, message
                 assert ("block_sizes" if penalty_ok else "score_penalty") in message
                 assert os.listdir(tmp) == []
+
+    @settings(max_examples=40)
+    @given(grids=st.tuples(*[st.lists(st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.5, 0.0, 0.05, 0.1, 1.5]), max_size=3)] * 2))
+    def test_library_and_cli_refuse_a_sweep_grid_alike(self, readme_run, grids):
+        matrices = readme_run["analysis"] / "matrices.d2ms"
+        try:
+            threshold_sweep(read_matrices(matrices), *grids)
+            want = (0, "")
+        except InvalidConfig as exc:
+            want = (2, f"error: {exc}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            # an empty grid is a lone comma: an empty flag is refused as absent
+            text = [",".join(map(repr, grid)) or "," for grid in grids]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["search", "--matrices", str(matrices), "--sweep",
+                             f"--delta-grid={text[0]}", f"--epsilon-grid={text[1]}",
+                             "--sweep-out", f"{tmp}/sweep.csv"])
+            assert (code, err.getvalue()) == want
+            assert (os.listdir(tmp) == []) == (code == 2)
+        valid = all(grid and all(map(math.isfinite, grid)) for grid in grids)
+        assert (code == 0) == valid
 
 
 def text_input_argv(tmp_path: Path, stage: str, text_input: Path) -> list[str]:
@@ -822,7 +849,7 @@ REFUSALS = {
         without(SWEEP_MODE, flag), "--sweep requires --delta-grid, --epsilon-grid, --sweep-out")
        for flag in ("--delta-grid", "--epsilon-grid", "--sweep-out")},
     "block-sizes-comma": ([*PLAN_MODE, "--block-sizes", ","],
-                          "--block-sizes: list ',' is empty"),
+                          "block_sizes must be a non-empty set of positive counts, got ()"),
     "plan-mode-block-size-0": ([*PLAN_MODE, "--block-sizes", "0"], BLOCK_SIZE_0),
     "sweep-mode-block-size-0": ([*SWEEP_MODE, "--block-sizes", "0"], BLOCK_SIZE_0),
     "epsilon-1.5": ([*without(PLAN_MODE, "--epsilon"), "--epsilon", "1.5"],

@@ -17,6 +17,7 @@ from d2m.errors import (
     DivergenceDetected,
     InvalidConfig,
     NonFiniteActivation,
+    NonFiniteGradient,
     OutOfRange,
     UnsupportedTopology,
 )
@@ -214,6 +215,15 @@ class TestLayerForward:
             with pytest.raises(NonFiniteActivation, match="^layer 2: "):
                 forward_trace(container, x)
 
+    def test_non_finite_attention_rejected_before_the_mlp(self):
+        layer = toy_moe_layer(8, 12, 3, seed=10)
+        layer.attn.o[0, 0] = np.inf
+        x = np.random.default_rng(5).standard_normal((4, 8))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteActivation,
+                               match="^attention produced non-finite values$"):
+                layer_forward(layer, x)
+
 
 class TestRoute:
     @given(n_experts=st.integers(1, 5), top_k=st.integers(-2, 8))
@@ -389,6 +399,17 @@ class TestGradCheck:
         layer = toy_moe_layer(8, 12, 3, seed=9)
         with pytest.raises(OutOfRange):
             grad_check(layer, np.zeros((2, 8)), step=1e-2)
+
+    def test_overflowing_loss_is_a_non_finite_gradient(self):
+        # the forward pass stays finite, but its squares overflow the loss
+        layer = toy_moe_layer(8, 12, 3, seed=9)
+        for expert in layer.experts:
+            expert.down[:] *= 1e160
+        x = np.random.default_rng(3).standard_normal((4, 8))
+        assert np.isfinite(layer_forward(layer, x)[1]).all()
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteGradient, match=r"^non-finite gradient in \S+\[0\]$"):
+                grad_check(layer, x, step=1e-5)
 
 
 class TestRmsNormBackward:

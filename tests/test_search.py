@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2m.config import FusionBlock, SearchThresholds, validate_plan
-from d2m.errors import DepthUnreachable, InvalidConfig, OutOfRange
+from d2m.errors import DepthUnreachable, InvalidConfig
 from d2m.search import plan_from_depth, search, threshold_sweep, write_sweep_csv
 from d2m.similarity import SimilarityMatrices, build_matrices
 from d2m.traceio import synth_trace
@@ -313,7 +313,9 @@ class TestThresholdSweep:
 
     @pytest.mark.parametrize("cos_grid, norm_grid", [([], [0.1]), ([0.05], [])])
     def test_empty_grid_rejected(self, cos_grid, norm_grid):
-        with pytest.raises(OutOfRange, match="^sweep grids must be non-empty$"):
+        name = "cos_grid" if not cos_grid else "norm_grid"
+        with pytest.raises(InvalidConfig,
+                           match=rf"^{name} must be a non-empty list of finite values, got \[\]$"):
             threshold_sweep(self.fixture_matrices(), cos_grid, norm_grid)
 
     def test_candidate_count_monotone_in_thresholds(self):

@@ -343,7 +343,7 @@ class TestStreamMatrices:
                                    chunk_budget(num_layers, hidden, chunk)):
                 streamed = stream_matrices(path)
         for name in ("s_out", "s_mlp", "delta_norm"):
-            assert np.abs(getattr(streamed, name) - getattr(in_memory, name)).max() <= 1e-12
+            assert np.array_equal(getattr(streamed, name), getattr(in_memory, name))
             assert np.array_equal(getattr(streamed, name), getattr(streamed, name).T)
         for i in range(num_layers):
             for j in range(i, num_layers):
@@ -386,7 +386,9 @@ class TestStreamMatrices:
     @given(planted_defects())
     def test_every_chunk_budget_gives_the_same_error_and_norm_bits(self, case):
         # the pass reads one half at a time, so the error is judged from the
-        # norms after it, never from the chunk in which the defect was met
+        # norms after it, never from the chunk in which the defect was met;
+        # the cosines are summed token by token, so no matrix's bits depend
+        # on the chunk length
         data, states, want = case
         num_layers, seq_len, hidden = states.shape[1:]
         budgets = [chunk_budget(num_layers, hidden, tokens) for tokens in range(1, seq_len + 1)]
@@ -407,11 +409,27 @@ class TestStreamMatrices:
             return
         h, y = states
         for mats in results:
-            assert np.array_equal(mats.delta_norm, results[0].delta_norm)
+            for name in ("s_out", "s_mlp", "delta_norm"):
+                assert np.array_equal(getattr(mats, name), getattr(results[0], name))
             for i in range(num_layers):
                 for j in range(i, num_layers):
                     assert abs(mats.s_out[i, j] - seq_avg_cosine(y[i], y[j])) <= 1e-12
                     assert abs(mats.s_mlp[i, j] - seq_avg_cosine(h[i], h[j])) <= 1e-12
+
+    @pytest.mark.parametrize("second", [0.0, -np.inf])
+    def test_infinity_in_a_chunk_is_refused_without_a_warning(self, tmp_path, second):
+        # the Grams are taken before the norms judge the chunk: an infinity
+        # times a zero, or plus a minus infinity, makes a NaN there
+        states = np.ones((2, 3, 2, 4), dtype=np.float32)
+        states[0, 0, 1, 2] = np.inf
+        states[0, 2, 1, :] = 0.0
+        states[0, 1, 1, 3] = second
+        path = tmp_path / "trace.d2mt"
+        path.write_bytes(b"D2MT" + struct.pack("<4I", 1, 3, 2, 4) + states.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteValue, match="mlp_inputs layer 1 contains non-finite"):
+                stream_matrices(path)
 
     def test_file_shrinking_under_the_reader_is_truncated_payload(self, tmp_path):
         path = tmp_path / "trace.d2mt"

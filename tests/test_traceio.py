@@ -14,6 +14,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,6 +103,26 @@ class TestTraceFormat:
             back = read_trace(path)
             assert np.array_equal(back.mlp_inputs, trace.mlp_inputs)
             assert np.array_equal(back.layer_outputs, trace.layer_outputs)
+
+    @pytest.mark.parametrize("per_call", [1, 7])
+    def test_short_reads_are_continued(self, tmp_path, per_call):
+        # a positioned read may return fewer bytes than asked (Linux stops
+        # at about 2 GiB); the reader asks again from where it stopped
+        real_preadv = os.preadv
+        calls = []
+
+        def short_preadv(fd, buffers, offset):
+            calls.append(offset)
+            return real_preadv(fd, [memoryview(buffers[0]).cast("B")[:per_call]], offset)
+
+        path = tmp_path / "t.d2mt"
+        write_trace(synth_trace(2, 3, 4, seed=5), path)
+        whole = read_trace(path)
+        with mock.patch.object(os, "preadv", short_preadv):
+            back = read_trace(path)
+        assert len(calls) > 2 * 2 * 3 * 4 * 4 // per_call
+        assert np.array_equal(back.mlp_inputs, whole.mlp_inputs)
+        assert np.array_equal(back.layer_outputs, whole.layer_outputs)
 
     def test_file_round_trip_is_fixed_point(self, tmp_path):
         trace = synth_trace(3, 4, 6, [(1, 1, 0.05)], seed=9)
