@@ -7,11 +7,12 @@ at a time, so the same code serves a trace in memory (``build_matrices``) and
 a trace file (``stream_matrices``), and a file is never loaded whole. The
 cosines are taken token by token, each token's Gram matrix of layer states
 divided by its norms, and summed in token order, so the matrices' bits do not
-depend on how the tokens are chunked. ``seq_avg_cosine`` and
-``norm_mismatch`` define the statistics pair by pair and are the oracle the
-matrices are tested against. Every reader and writer here takes a file path.
-``SimilarityMatrices`` and its binary cache (``write_matrices``,
-``read_matrices``) are defined in ``config``, which imports no numpy.
+depend on how the tokens are chunked, and only one token is copied to float64.
+``seq_avg_cosine`` and ``norm_mismatch`` define the statistics pair by pair
+and are the oracle the matrices are tested against. Every reader and writer
+here takes a file path. ``SimilarityMatrices`` and its binary cache
+(``write_matrices``, ``read_matrices``) are defined in ``config``, which
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .config import (MATRIX_NAMES, SimilarityMatrices, output_file,  # noqa: F401
                      read_matrices, write_matrices)
 from .errors import DimensionMismatch, NonFiniteValue, ZeroVector
-from .traceio import HALVES, ActivationTrace, Chunk, chunk_slices, chunk_tokens, trace_chunks
+from .traceio import HALVES, ActivationTrace, Chunk, chunk_slices, trace_chunks
 
 
 def _row_norms(mat: np.ndarray, label: str) -> np.ndarray:
@@ -95,51 +96,48 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
 
     Each cosine matrix sums, over tokens, the L x L cosines of one token's
     layer states: its Gram matrix divided by ``n_i * n_j``, the pairwise
-    definition's own formula. A chunk is copied into one float64 working
-    buffer, allocated once; the (n, L, L) Grams of its tokens are taken from
-    it, then it is squared in place and the squares are summed over d into
-    the chunk's slice of one (2, L, T) array of token norms. The cosines are
-    added in token order and the matrices symmetrised after the pass, so
-    their bits do not depend on the chunk length. The trace is judged after
-    the pass, from the norms, so the error names the same place whatever the
-    chunking and order: ``NonFiniteValue`` the first half, then layer,
-    holding a NaN or infinity; ``ZeroVector`` the first zero-norm row in
-    ``layer_outputs``, then ``mlp_inputs``, by layer, then token.
+    definition's own formula. Each token's (L, d) states are copied into one
+    float64 buffer, allocated once; its Gram is taken from it, then it is
+    squared in place and the squares are summed over d into the token's
+    column of one (2, L, T) array of token norms. The cosines are added in
+    token order and the matrices symmetrised after the pass, so their bits do
+    not depend on the chunk length. The trace is judged after the pass, from
+    the norms, so the error names the same place whatever the chunking and
+    order: ``NonFiniteValue`` the first half, then layer, holding a NaN or
+    infinity; ``ZeroVector`` the first zero-norm row in ``layer_outputs``,
+    then ``mlp_inputs``, by layer, then token.
     """
     num_layers, seq_len, hidden = dims
     grams = np.zeros((2, num_layers, num_layers))
     norms = np.empty((2, num_layers, seq_len))
-    work = np.empty(num_layers * chunk_tokens(*dims) * hidden)
+    unit = np.empty((num_layers, hidden))
+    gram, denom = np.empty((2, num_layers, num_layers))
     clean = True
     for half, tokens, states in chunks:
-        units = work[:states.size].reshape(states.shape)
-        chunk_norms = norms[half, :, tokens]
-        # the copy comes first because a ufunc that casts float32 inputs runs
-        # through numpy's small cast buffers, 2.5x slower than copy and square
-        np.copyto(units, states)
-        if clean:
-            # a NaN or infinity makes NaN products, which the norms refuse
-            # below, so the matmul must not warn of them
-            with np.errstate(invalid="ignore"):
-                token_grams = units.transpose(1, 0, 2) @ units.transpose(1, 2, 0)
-        # sqrt(add.reduce(x * x)) over d is np.linalg.norm's arithmetic, so
-        # these are its bits, without its two chunk-sized temporaries
-        np.multiply(units, units, out=units)
-        np.add.reduce(units, axis=2, out=chunk_norms)
-        np.sqrt(chunk_norms, out=chunk_norms)
-        # a non-finite or zero row fails the trace below; the Grams are
-        # then never used, so skip them rather than divide by it
-        clean = clean and np.isfinite(chunk_norms).all() and chunk_norms.all()
-        if clean:
-            # token by token: as fast at L=24 as one broadcast (n, L, L)
-            # product of the norms, and without the broadcast's buffers
-            total = grams[half]
-            for gram, token_norms in zip(token_grams, chunk_norms.T):
-                gram /= np.multiply.outer(token_norms, token_norms)
+        total = grams[half]
+        for token, token_norms in enumerate(norms[half, :, tokens].T):
+            # the copy comes first: a ufunc that casts float32 inputs runs
+            # through numpy's small cast buffers, 2.5x slower than copy and square
+            np.copyto(unit, states[:, token])
+            if clean:
+                # a NaN or infinity makes NaN products, which the norms
+                # refuse below, so the matmul must not warn of them
+                with np.errstate(invalid="ignore"):
+                    np.matmul(unit, unit.T, out=gram)
+            # sqrt(add.reduce(x * x)) over d is np.linalg.norm's arithmetic,
+            # so these are its bits, without its temporaries
+            np.multiply(unit, unit, out=unit)
+            np.add.reduce(unit, axis=1, out=token_norms)
+            np.sqrt(token_norms, out=token_norms)
+            # a non-finite or zero row fails the trace below; the Grams are
+            # then never used, so skip them rather than divide by it
+            clean = clean and np.isfinite(token_norms).all() and token_norms.all()
+            if clean:
+                np.multiply.outer(token_norms, token_norms, out=denom)
+                gram /= denom
                 total += gram
-    # free the buffers behind the last chunk's views before the matrices'
-    # temporaries are made
-    del states, units, work
+    # free the chunk buffer and the token's rows before the temporaries below
+    del states, unit
 
     finite = np.isfinite(norms).all(axis=2)
     if not finite.all():

@@ -135,10 +135,11 @@ def make_trace(mlp_inputs: Sequence[np.ndarray],
 
 def _float32(values: np.ndarray, what: str) -> memoryview:
     """``values`` as the bytes of little-endian float32s, checked finite after
-    the cast, so a value beyond float32 range raises as a NaN does."""
+    the cast, so a value beyond float32 range raises as a NaN does; the check
+    reads the block's extremes, not a mask the size of the block."""
     with np.errstate(over="ignore"):  # the check below reports an overflow
         block = np.ascontiguousarray(values, dtype="<f4")
-    if not np.isfinite(block).all():
+    if not np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all():
         raise NonFiniteValue(f"{what} contains values that are not finite as float32")
     return memoryview(block).cast("B")
 
@@ -187,9 +188,9 @@ def read_trace(source) -> ActivationTrace:
         return make_trace(halves[0], halves[1])
 
 
-# float32 bytes of one token chunk of one half; its float64 working copy takes
-# twice that: 6 tokens a chunk on the reference trace (L=24, d=896). The
-# matrices sum their cosines token by token, so their bits do not depend on it.
+# float32 bytes of one token chunk of one half: 6 tokens a chunk on the
+# reference trace (L=24, d=896). The matrices copy one token at a time to
+# float64 and sum cosines token by token, so their bits do not depend on it.
 CHUNK_BYTES = 1 << 19
 Chunk = tuple[int, slice, np.ndarray]  # (half, token slice, (L, n, d) states)
 
@@ -215,7 +216,8 @@ def trace_chunks(path: str | Path) -> Iterator[tuple[tuple[int, int, int], Itera
     time.
 
     The header is checked, payload length against the file size and
-    trailing bytes included, before anything sized by it is allocated. The block gets the trace's (L, T, d) and an iterator over
+    trailing bytes included, before anything sized by it is allocated. The
+    block gets the trace's (L, T, d) and an iterator over
     ``(half, tokens, states)`` in ``chunk_slices`` order: ``states`` is the
     float32 (L, n, d) view of the half's rows ``tokens``, in one reused
     buffer of one half's chunk that the next chunk overwrites. A file that

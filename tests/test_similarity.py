@@ -213,18 +213,23 @@ class TestBuildMatrices:
             build_matrices(make_trace(h, y))
 
     def test_traced_peak_stays_one_half(self):
-        # the states are divided and the norms squared one half at a time,
-        # so nothing the size of both halves is ever allocated
+        # the chunks are views of the trace, and the pass copies one token's
+        # states at a time, so it allocates the token norms and one token's
+        # float64 rows, nothing the size of a chunk or a half
         num_layers, seq_len, hidden = 24, 256, 128
         trace = synth_trace(num_layers, seq_len, hidden, seed=8)
-        half_bytes = num_layers * seq_len * hidden * 8
+        norm_bytes = 2 * num_layers * seq_len * 8
+        row_bytes = num_layers * hidden * 8
+        # the norm mismatch's (L - 1, T) temporaries after the pass (about
+        # 160 KiB here), the L x L sums and the masks
+        slack = 256 << 10
         tracemalloc.start()
         try:
             build_matrices(trace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * half_bytes, f"peak {peak / half_bytes:.2f} halves"
+        assert peak <= norm_bytes + row_bytes + slack, peak
 
 
 def chunk_budget(num_layers, hidden, tokens):
@@ -441,7 +446,7 @@ class TestStreamMatrices:
                     pass
 
     def test_traced_peak_grows_with_the_chunk_not_the_trace(self, tmp_path):
-        # one half's float32 chunk buffer and its float64 working copy do not
+        # one half's float32 chunk buffer and one token's float64 rows do not
         # grow with T; only the (2, L, T) token norms do
         num_layers, hidden = 4, 128
         chunk = traceio.chunk_tokens(num_layers, 4096, hidden)
@@ -459,11 +464,37 @@ class TestStreamMatrices:
         half_bytes = num_layers * 4096 * hidden * 8
         norm_bytes = 2 * num_layers * 4096 * 8
         half_chunk = num_layers * chunk * hidden
-        # numpy's casting buffer (8192 float64s) and the Gram products and
-        # masks
+        # the L x L Grams and sums, the masks and the norm mismatch's
+        # temporaries after the pass
         slack = 128 << 10
         assert peaks[4096] - peaks[1024] <= 4 * norm_bytes < half_bytes / 8, peaks
-        assert peaks[4096] <= 4 * half_chunk + 8 * half_chunk + norm_bytes + slack, peaks
+        assert peaks[4096] <= 4 * half_chunk + 8 * num_layers * hidden + norm_bytes + slack, peaks
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 6), st.integers(1, 48), st.integers(1, 512),
+           st.sampled_from([1, 2, 3, None]))
+    def test_traced_peak_is_the_chunk_buffer_and_one_token(self, num_layers, seq_len,
+                                                           hidden, tokens):
+        # the pass holds the reader's float32 chunk buffer, one token's
+        # float64 (L, d) rows and the (2, L, T) norms; a float64 copy of the
+        # chunk would not fit the bound once L * n * d passes 4096 values
+        budget = (traceio.CHUNK_BYTES if tokens is None
+                  else chunk_budget(num_layers, hidden, tokens))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.d2mt"
+            write_trace(synth_trace(num_layers, seq_len, hidden, seed=seq_len), path)
+            with mock.patch.object(traceio, "CHUNK_BYTES", budget):
+                chunk = traceio.chunk_tokens(num_layers, seq_len, hidden)
+                stream_matrices(path)
+                tracemalloc.start()
+                try:
+                    stream_matrices(path)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        bound = (4 * num_layers * chunk * hidden + 8 * num_layers * hidden
+                 + 2 * num_layers * seq_len * 8 + (32 << 10))
+        assert peak <= bound, (peak, bound)
 
 
 class TestHeatmapExport:
