@@ -44,6 +44,7 @@ from .config import (
     read_matrices,
     staged_outputs,
     text_file,
+    validate_shape,
     write_json,
 )
 from .errors import (
@@ -187,27 +188,29 @@ def cmd_synth(args) -> Written:
     from .traceio import SyntheticTrace, write_trace, write_weights
 
     # every flag is checked before anything is created
-    shape = ModelShape(
+    shape = validate_shape(ModelShape(
         num_layers=args.layers, hidden_dim=args.hidden, mlp_dim=args.mlp_dim,
         num_heads=args.heads, num_kv_heads=args.kv_heads, head_dim=args.head_dim,
         vocab_size=args.vocab, tied_embedding=not args.untied,
-    )
+    ))
     if not math.isfinite(args.weight_scale):
         raise InvalidConfig(f"--weight-scale must be finite, got {args.weight_scale}")
     redundant = _parse_redundant(args.redundant)
     if args.trace_mode == "forward" and any(noise != 0 for _, _, noise in redundant):
         raise InvalidConfig("--trace-mode forward copies layers exactly, so every "
                             "--redundant noise must be 0")
-    duplicates = [(base, offset) for base, offset, _ in redundant]
-    with _overflow_names(f"--weight-scale {args.weight_scale:g}"):
-        model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
-                                    duplicate_from=duplicates)
+    # the trace's arguments are checked before the model is drawn
     if args.trace_mode == "synthetic":
         # drawn as write_trace writes it, so it is never held whole
         trace = SyntheticTrace(shape.num_layers, args.seq_len, shape.hidden_dim,
                                redundant, args.seed)
     else:
         tokens = make_copy_stream(shape.vocab_size, args.seq_len, 1, args.seed)[0]
+    duplicates = [(base, offset) for base, offset, _ in redundant]
+    with _overflow_names(f"--weight-scale {args.weight_scale:g}"):
+        model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
+                                    duplicate_from=duplicates)
+    if args.trace_mode == "forward":
         _, trace, _ = forward_trace(model, embed_tokens(model, tokens))
 
     out_dir = Path(args.out_dir)

@@ -1,18 +1,20 @@
 """First-principles latency and memory accounting for dense and MoE decoders.
 
 Every cost sums the layers, each dense or MoE(N_l, k) by the shape's expert
-map. The latency of each phase is the paper's closed form per layer, which
-takes prefill's compute side and decode's memory side: a compute coefficient
-4 + 4/gqa + 6r for prefill FLOPs per token and a weight-traffic coefficient
-2 + 2/gqa + 3r plus KV reload for decode bytes, where r is k (1 for a dense
-layer) times mlp_dim/hidden_dim. The same two coefficients give each phase's
-other side: prefill reads the layer weights once, and decode runs prefill's
-FLOPs per token for each generated token. The roofline labels name the larger
-side of each phase, so they hold for any shape, hardware and workload. Each
-form is evaluated once per distinct r, times its layer count, so a model of
-one width is the closed form of L layers. Expert count never appears in
-either phase -- inactive experts cost static memory only. The formulas cover
-decoder layers only; embeddings and the LM head are excluded by construction.
+map. One function, ``total_latency``, gives all four roofline sides in one
+pass, under the config's workload rule (at least one token per phase). Each
+phase's latency is the paper's closed form per layer, which takes prefill's
+compute side and decode's memory side: a compute coefficient 4 + 4/gqa + 6r
+for prefill FLOPs per token and a weight-traffic coefficient 2 + 2/gqa + 3r
+plus KV reload for decode bytes, where r is k (1 for a dense layer) times
+mlp_dim/hidden_dim. The same two coefficients give each phase's other side:
+prefill reads the layer weights once, and decode runs prefill's FLOPs per
+token for each generated token. The roofline labels name the larger side of
+each phase, so they hold for any shape, hardware and workload. Each form is
+evaluated once per distinct r, times its layer count, so a model of one width
+is the closed form of L layers. Expert count never appears in either phase --
+inactive experts cost static memory only. The formulas cover decoder layers
+only; embeddings and the LM head are excluded by construction.
 
 Static memory counts weights only, from ``tensor_schema``: per layer the
 attention projections (2*n_h + 2*n_kv)*d_h*d, the two per-head q/k norms, two
@@ -36,6 +38,7 @@ from .config import (
     tensor_schema,
     validate_hardware,
     validate_shape,
+    validate_workload,
 )
 from .errors import InvalidConfig
 
@@ -70,15 +73,6 @@ class LatencyBreakdown:
         return _bound(self.decode_compute_s, self.decode_s)
 
 
-def _coefficients(shape: ModelShape) -> list[tuple[int, float, float]]:
-    """(layer count, FLOP coefficient 4 + 4/gqa + 6r, weight coefficient
-    2 + 2/gqa + 3r) of each of ``_widths``: times d^2, a layer's FLOPs per
-    token and its weights."""
-    gqa = gqa_ratio(shape)
-    return [(layers, 4.0 + 4.0 / gqa + 6.0 * ratio, 2.0 + 2.0 / gqa + 3.0 * ratio)
-            for layers, ratio in _widths(shape)]
-
-
 def _widths(shape: ModelShape) -> list[tuple[int, float]]:
     """(layer count, FFN expansion ratio) of each distinct active MLP width,
     the widest last. A MoE layer runs top-k MLPs and a dense layer one, so
@@ -89,13 +83,6 @@ def _widths(shape: ModelShape) -> list[tuple[int, float]]:
     layers[k] = layers.get(k, 0) + sparse
     return [(count, active * shape.mlp_dim / shape.hidden_dim)
             for active, count in layers.items() if count]
-
-
-def _check_lengths(wl: Workload) -> None:
-    # the formulas admit a zero-length phase (zero seconds) even though
-    # configured workloads require at least one token per phase
-    if wl.prompt_len < 0 or wl.gen_len < 0:
-        raise InvalidConfig("workload lengths must be non-negative")
 
 
 def _finite(what: str, compute: Callable[[], float]) -> float:
@@ -111,57 +98,46 @@ def _finite(what: str, compute: Callable[[], float]) -> float:
     return value
 
 
-def prefill_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> float:
-    """Seconds to process the prompt: the sum over widths of
-    L_r * S_in * d^2 * (4 + 4/gqa + 6r), over peak."""
+def total_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> LatencyBreakdown:
+    """The four roofline sides in one pass over ``_widths``, each width's
+    layer count L_r with xi_f = 4 + 4/gqa + 6r and xi_w = 2 + 2/gqa + 3r.
+    Over peak: prefill's L_r * S_in * d^2 * xi_f FLOPs and decode's gen_len
+    times L_r * d^2 * xi_f. Over bandwidth: the layer weights
+    L_r * xi_w * d^2 * b_w, read once in prefill, and per decode step and
+    layer those weights plus the average-context KV reload
+    2 * S_bar * d * b_kv / gqa, times L_r * gen_len."""
     validate_hardware(hw)
-    _check_lengths(wl)
-    flops = _finite("prefill FLOP count of the model and workload", lambda: sum(
-        layers * wl.prompt_len * shape.hidden_dim ** 2 * xi_f
-        for layers, xi_f, _ in _coefficients(shape)))
-    return _finite(f"prefill time at hardware.peak_flops={hw.peak_flops!r}",
-                   lambda: flops / hw.peak_flops)
+    validate_workload(wl)
+    gqa, d = gqa_ratio(shape), shape.hidden_dim
+    widths = [(layers, 4.0 + 4.0 / gqa + 6.0 * ratio, 2.0 + 2.0 / gqa + 3.0 * ratio)
+              for layers, ratio in _widths(shape)]
 
+    def seconds(count: str, amount: Callable[[], float], side: str, knob: str) -> float:
+        total, rate = _finite(count, amount), getattr(hw, knob)
+        return _finite(f"{side} at hardware.{knob}={rate!r}", lambda: total / rate)
 
-def decode_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> float:
-    """Seconds to generate: per step and layer the weights
-    (2 + 2/gqa + 3r) * d^2 * b_w plus the average-context KV reload
-    2 * S_bar * d * b_kv / gqa, summed over widths as L_r times that."""
-    validate_hardware(hw)
-    _check_lengths(wl)
-    gqa = gqa_ratio(shape)
-
-    def traffic(layers: int, _: float, xi_w: float) -> float:
+    def traffic(layers: int, xi_w: float) -> float:
         s_bar = wl.prompt_len + (wl.gen_len + 1) / 2.0
-        per_step_bytes = (xi_w * shape.hidden_dim ** 2 * hw.weight_bytes
-                          + 2.0 * s_bar * shape.hidden_dim * hw.kv_bytes / gqa)
+        per_step_bytes = xi_w * d ** 2 * hw.weight_bytes + 2.0 * s_bar * d * hw.kv_bytes / gqa
         return layers * wl.gen_len * per_step_bytes
 
-    moved = _finite("decode byte count of the model, workload and hardware byte widths",
-                    lambda: sum(traffic(*width) for width in _coefficients(shape)))
-    return _finite(f"decode time at hardware.mem_bandwidth={hw.mem_bandwidth!r}",
-                   lambda: moved / hw.mem_bandwidth)
-
-
-def total_latency(shape: ModelShape, hw: HardwareProfile, wl: Workload) -> LatencyBreakdown:
-    """Both phases' closed forms and their other sides: the layer weights
-    sum_r L_r * (2 + 2/gqa + 3r) * d^2 * b_w read once over bandwidth, and
-    gen_len times prefill's per-token FLOPs over peak. A zero-length phase
-    costs zero on both sides."""
-    prefill_s, decode_s = prefill_latency(shape, hw, wl), decode_latency(shape, hw, wl)
-    weights = _finite("layer weight byte count of the model and hardware byte width",
-                      lambda: sum(layers * xi_w * shape.hidden_dim ** 2 * hw.weight_bytes
-                                  for layers, _, xi_w in _coefficients(shape)))
-    flops = _finite("decode FLOP count of the model and workload", lambda: wl.gen_len * sum(
-        layers * shape.hidden_dim ** 2 * xi_f for layers, xi_f, _ in _coefficients(shape)))
     breakdown = LatencyBreakdown(
-        prefill_s=prefill_s,
-        decode_s=decode_s,
-        prefill_memory_s=_finite(
-            f"prefill weight-read time at hardware.mem_bandwidth={hw.mem_bandwidth!r}",
-            lambda: weights / hw.mem_bandwidth if wl.prompt_len else 0.0),
-        decode_compute_s=_finite(f"decode compute time at hardware.peak_flops={hw.peak_flops!r}",
-                                 lambda: flops / hw.peak_flops),
+        prefill_s=seconds(
+            "prefill FLOP count of the model and workload",
+            lambda: sum(layers * wl.prompt_len * d ** 2 * xi_f for layers, xi_f, _ in widths),
+            "prefill time", "peak_flops"),
+        decode_s=seconds(
+            "decode byte count of the model, workload and hardware byte widths",
+            lambda: sum(traffic(layers, xi_w) for layers, _, xi_w in widths),
+            "decode time", "mem_bandwidth"),
+        prefill_memory_s=seconds(
+            "layer weight byte count of the model and hardware byte width",
+            lambda: sum(layers * xi_w * d ** 2 * hw.weight_bytes for layers, _, xi_w in widths),
+            "prefill weight-read time", "mem_bandwidth"),
+        decode_compute_s=seconds(
+            "decode FLOP count of the model and workload",
+            lambda: wl.gen_len * sum(layers * d ** 2 * xi_f for layers, xi_f, _ in widths),
+            "decode compute time", "peak_flops"),
     )
     _finite("total latency of the model on this hardware", lambda: breakdown.total_s)
     return breakdown

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import ModelShape, tensor_schema
+from .config import ModelShape, tensor_schema, validate_shape
 from .diagnostics import LayerLoadProfile, TrainLog, TrainStep
 from .errors import (
     DimensionMismatch,
@@ -37,6 +37,7 @@ from .errors import (
 from .traceio import (
     ActivationTrace,
     WeightContainer,
+    check_redundancy,
     copy_container,
     make_trace,
     validate_container,
@@ -93,7 +94,9 @@ def sinusoid_positions(seq_len: int, dim: int) -> np.ndarray:
 
 def embed_tokens(container: WeightContainer, tokens: np.ndarray) -> np.ndarray:
     """The (T, d) input states of the token ids ``tokens``: their embeddings
-    plus the sinusoidal positions."""
+    plus the sinusoidal positions. Every id must lie in [0, vocab_size)."""
+    if tokens.min() < 0 or tokens.max() >= container.shape.vocab_size:
+        raise OutOfRange("token ids must lie in [0, vocab_size)")
     return (container.tensors["embed"][tokens]
             + sinusoid_positions(len(tokens), container.shape.hidden_dim))
 
@@ -469,8 +472,10 @@ def build_toy_container(shape: ModelShape, seed: int, weight_scale: float = 0.02
 
     ``duplicate_from`` entries (base, offset) copy every tensor of layer
     ``base`` onto layer ``base+offset``, producing exactly redundant layers.
-    Values pass through float32 so containers serialize losslessly.
+    Values pass through float32 so containers serialize losslessly. The
+    entries are checked before any weight is drawn.
     """
+    duplicate_from = check_redundancy(validate_shape(shape).num_layers, duplicate_from)
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, dims in tensor_schema(shape):
@@ -480,13 +485,10 @@ def build_toy_container(shape: ModelShape, seed: int, weight_scale: float = 0.02
             raw = rng.standard_normal(dims) * weight_scale
             tensors[name] = raw.astype(np.float32).astype(np.float64)
     for base, offset in duplicate_from:
-        target = base + offset
-        if not (1 <= base <= shape.num_layers and base < target <= shape.num_layers):
-            raise OutOfRange(f"duplicate entry (base={base}, offset={offset}) out of range")
         src_prefix = f"layer.{base}."
         for name in list(tensors):
             if name.startswith(src_prefix):
-                tensors[f"layer.{target}.{name[len(src_prefix):]}"] = tensors[name].copy()
+                tensors[f"layer.{base + offset}.{name[len(src_prefix):]}"] = tensors[name].copy()
     return validate_container(WeightContainer(shape=shape, tensors=tensors))
 
 
@@ -549,8 +551,6 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
     data = np.asarray(data, dtype=np.int64)
     if data.ndim != 2 or data.size == 0:
         raise OutOfRange("data must be a non-empty (num_sequences, seq_len) array")
-    if data.min() < 0 or data.max() >= shape.vocab_size:
-        raise OutOfRange("token ids must lie in [0, vocab_size)")
 
     layers = layers_of(work)
     moe_layer = layers[-1]

@@ -243,6 +243,21 @@ def _read_chunks(reader: _Reader, start: int, dims: tuple[int, int, int]) -> Ite
         yield half, tokens, states
 
 
+def check_redundancy(num_layers: int, entries: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The entries, each ``(base, offset)`` or ``(base, offset, noise_scale)``,
+    as a tuple once each names a later layer ``base+offset`` of
+    ``1..num_layers`` and a non-negative noise scale: the one rule of a
+    redundancy entry, for toy weights and synthetic traces alike."""
+    entries = tuple(entries)
+    for base, offset, *noise in entries:
+        if base < 1 or offset < 1 or base + offset > num_layers:
+            raise OutOfRange(f"redundancy entry (base={base}, offset={offset}) "
+                             f"outside 1..{num_layers}")
+        if noise and noise[0] < 0:
+            raise OutOfRange(f"noise_scale must be non-negative, got {noise[0]}")
+    return entries
+
+
 class SyntheticTrace:
     """A deterministic random trace with controllable layer redundancy, not
     yet drawn: ``write_trace`` draws it one layer at a time as it writes it,
@@ -263,13 +278,7 @@ class SyntheticTrace:
                  redundancy_spec: Iterable[tuple[int, int, float]] = (), seed: int = 0):
         if num_layers < 1 or seq_len < 1 or hidden_dim < 1:
             raise InvalidTrace("num_layers, seq_len, and hidden_dim must be positive")
-        self.redundancy_spec = tuple(redundancy_spec)
-        for base, offset, scale in self.redundancy_spec:
-            if base < 1 or offset < 1 or base + offset > num_layers:
-                raise OutOfRange(f"redundancy entry (base={base}, offset={offset}) "
-                                 f"outside 1..{num_layers}")
-            if scale < 0:
-                raise OutOfRange(f"noise_scale must be non-negative, got {scale}")
+        self.redundancy_spec = check_redundancy(num_layers, redundancy_spec)
         self.num_layers, self.seq_len, self.hidden_dim = num_layers, seq_len, hidden_dim
         self.seed = seed
 
@@ -335,10 +344,6 @@ def validate_container(container: WeightContainer) -> WeightContainer:
     (``weightfile.check_tensors``)."""
     check_tensors(container.shape, {name: t.shape for name, t in container.tensors.items()})
     return container
-
-
-def param_count(container: WeightContainer) -> int:
-    return sum(int(t.size) for t in container.tensors.values())
 
 
 def copy_container(container: WeightContainer) -> WeightContainer:

@@ -25,7 +25,7 @@ from d2m.config import (
     THOR_U,
     validate_plan,
 )
-from d2m.costmodel import active_params, decode_latency, prefill_latency, static_memory, total_latency
+from d2m.costmodel import active_params, static_memory, total_latency
 from d2m.diagnostics import LayerLoadProfile, wta_metrics
 from d2m.errors import BadMagic, DimensionMismatch, MissingTensor, TruncatedPayload, VerificationFailure
 from d2m.nanomodel import (
@@ -40,7 +40,6 @@ from d2m.similarity import build_matrices, norm_mismatch, seq_avg_cosine
 from d2m.surgery import functional_equivalence_check
 from d2m.traceio import (
     make_trace,
-    param_count,
     read_trace,
     read_weights,
     synth_trace,
@@ -115,8 +114,8 @@ def test_c04_roofline_fidelity():
     per_step = xi_w * 896 ** 2 * 2 + 2 * s_bar * 896 * 2 / Fraction(7)
     hand_decode = Fraction(24) * 50 * per_step / Fraction(int(273e9))
 
-    prefill = prefill_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
-    decode = decode_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+    full = total_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+    prefill, decode = full.prefill_s, full.decode_s
     checks = [
         abs(prefill - float(hand_prefill)) / float(hand_prefill) < 0.005,
         abs(decode - float(hand_decode)) / float(hand_decode) < 0.005,
@@ -142,7 +141,6 @@ def test_c04_roofline_fidelity():
     checks.append(all(moe_total(n) == baseline for n in (6, 10, 60)))
 
     pruned = total_latency(replace(QWEN25_0_5B, num_layers=19), THOR_U, DEFAULT_WORKLOAD)
-    full = total_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
     checks.append(pruned.total_s < full.total_s)
 
     report(4, all(checks),
@@ -282,9 +280,9 @@ def test_c07_fusion_equivalence(tmp_path):
     norms = dense.tensors["layer.3.attn_norm"].size + dense.tensors["layer.3.mlp_norm"].size
     mlp_params = sum(dense.tensors[f"layer.3.mlp.{p}"].size for p in ("up", "gate", "down"))
     n_experts = 2 + 1 * 2
-    expected = (param_count(dense) - attn - norms
+    expected = (sum(t.size for t in dense.tensors.values()) - attn - norms
                 + (n_experts - 1 - 1) * mlp_params + n_experts * 16)
-    accounting = param_count(fused) == expected
+    accounting = sum(t.size for t in fused.tensors.values()) == expected
 
     ok = worst < 1e-12 and not undetected and accounting
     report(7, ok, f"max deviation {worst:.2e}, undetected tampering {undetected}, "

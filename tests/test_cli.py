@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -25,10 +26,10 @@ from d2m import cli, surgery
 from d2m.cli import main
 from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, read_matrices,
                         tensor_schema)
-from d2m.errors import InvalidConfig, IoFailure, VerificationFailure
+from d2m.errors import InvalidConfig, IoFailure, OutOfRange, VerificationFailure
 from d2m.nanomodel import build_toy_container
 from d2m.search import threshold_sweep
-from d2m.traceio import param_count, read_weights, write_weights
+from d2m.traceio import read_weights, write_weights
 from d2m.weightfile import open_weights
 
 from test_surgery import ULP, Fusion, wrong_expert_source
@@ -409,6 +410,45 @@ class TestSynth:
         out_dir = tmp_path / "x" / "a"
         assert main(["synth", "--out-dir", str(out_dir), "--layers", "3", *flags]) == 2
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--redundant", "4:1:0"], "redundancy entry (base=4, offset=1) outside 1..4"),
+        (["--redundant", "4:1:0", "--trace-mode", "forward"],
+         "redundancy entry (base=4, offset=1) outside 1..4"),
+        (["--redundant", "3:1:-1"], "noise_scale must be non-negative, got -1.0"),
+        (["--redundant", "0:1:0", "--trace-mode", "forward"],
+         "redundancy entry (base=0, offset=1) outside 1..4"),
+        (["--seq-len", "0"], "num_layers, seq_len, and hidden_dim must be positive"),
+        (["--seq-len", "0", "--trace-mode", "forward"],
+         "copy stream needs positive vocab_size, seq_len and num_sequences, got 256, 0, 1"),
+        (None, "redundancy entry (base=4, offset=1) outside 1..4"),  # the library call
+    ], ids=["range", "forward-range", "noise", "forward-base-0", "empty-sequence",
+            "forward-empty-sequence", "build_toy_container"])
+    def test_a_refused_flag_draws_no_weight(self, tmp_path, capsys, flags, message):
+        # 4 layers of 256 wide, about 32 MB of float64 weights
+        argv = ["synth", "--out-dir", str(tmp_path / "x"), "--layers", "4", "--hidden", "256",
+                "--mlp-dim", "1024", "--heads", "4", "--kv-heads", "2", "--head-dim", "64",
+                "--vocab", "256", "--seq-len", "8"]
+        shape = ModelShape(num_layers=4, hidden_dim=256, mlp_dim=1024, num_heads=4,
+                           num_kv_heads=2, head_dim=64, vocab_size=256)
+        assert main([*argv, "--redundant", "1:1:x"]) == 2  # the stage's imports are done
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            if flags is None:
+                with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+                    build_toy_container(shape, seed=0, duplicate_from=[(4, 1)])
+            else:
+                assert main([*argv, *flags]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if flags is not None:
+            assert capsys.readouterr().err == f"error: {message}\n"
+        model_bytes = 8 * sum(math.prod(dims) for _, dims in tensor_schema(shape))
+        assert model_bytes > 30 << 20
+        assert peak < model_bytes / 32, peak
         assert not (tmp_path / "x").exists()
 
     def test_forward_trace_feeds_analyze_and_search(self, tmp_path):
@@ -973,7 +1013,8 @@ class TestEstimate:
         assert main(["estimate", "--config", str(synth / "config.json"),
                      "--out", str(out)]) == 0
         model = read_weights(synth / "model.d2mw")
-        assert json.loads(out.read_text())["params_total"] == param_count(model)
+        assert json.loads(out.read_text())["params_total"] == \
+            sum(t.size for t in model.tensors.values())
 
     def test_a_trillion_layers_cost_no_loop(self, tmp_path):
         # MoE(6, top-2) at the first and the last of 10**12 layers

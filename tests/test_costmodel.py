@@ -2,6 +2,7 @@
 structural properties (affinity in depth, invariance in expert count), and
 the per-layer counts against toy and fused containers."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,15 +26,12 @@ from d2m.costmodel import (
     MEMORY_BOUND,
     _widths,
     active_params,
-    decode_latency,
-    prefill_latency,
     static_memory,
     total_latency,
 )
 from d2m.errors import InvalidConfig, InvalidShape
 from d2m.nanomodel import build_toy_container
 from d2m.surgery import reference_pruned_model
-from d2m.traceio import param_count
 
 from test_surgery import fused_model, fusion_cases
 
@@ -59,6 +57,11 @@ def exact_decode_seconds():
     return Fraction(24) * 50 * per_step / Fraction(int(273e9))
 
 
+def stored_params(container):
+    """The parameters a container holds: the sum of its tensor sizes."""
+    return sum(t.size for t in container.tensors.values())
+
+
 def widest_ratio(shape):
     """The FFN expansion ratio of the model's widest layer."""
     return _widths(shape)[-1][1]
@@ -79,13 +82,13 @@ class TestExpansionRatio:
 class TestLatency:
     def test_prefill_matches_exact_rational(self):
         expected = float(exact_prefill_seconds())
-        got = prefill_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+        got = total_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD).prefill_s
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(2.0447e-3, rel=5e-3)
 
     def test_decode_matches_exact_rational(self):
         expected = float(exact_decode_seconds())
-        got = decode_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+        got = total_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD).decode_s
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(133.4e-3, rel=5e-3)
 
@@ -98,33 +101,23 @@ class TestLatency:
             assert breakdown.total_s == pytest.approx(layers * per_layer.total_s, rel=1e-12)
 
     def test_doubling_layers_doubles_prefill_exactly(self):
-        one = prefill_latency(replace(QWEN25_0_5B, num_layers=12), THOR_U, DEFAULT_WORKLOAD)
-        two = prefill_latency(replace(QWEN25_0_5B, num_layers=24), THOR_U, DEFAULT_WORKLOAD)
+        one, two = (total_latency(replace(QWEN25_0_5B, num_layers=layers), THOR_U,
+                                  DEFAULT_WORKLOAD).prefill_s for layers in (12, 24))
         assert two == 2 * one
-
-    def test_zero_length_phases_cost_nothing(self):
-        no_prompt = Workload(prompt_len=0, gen_len=50)
-        no_gen = Workload(prompt_len=1000, gen_len=0)
-        assert prefill_latency(QWEN25_0_5B, THOR_U, no_prompt) == 0.0
-        assert decode_latency(QWEN25_0_5B, THOR_U, no_gen) == 0.0
 
     def test_phases_that_each_fit_a_float_but_not_their_sum_are_rejected(self):
         # each phase takes 1.5e308 s, just under the largest float
         scale = 1.5e308
-        hw = replace(THOR_U,
-                     peak_flops=prefill_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
-                     * THOR_U.peak_flops / scale,
-                     mem_bandwidth=decode_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
-                     * THOR_U.mem_bandwidth / scale)
-        assert prefill_latency(QWEN25_0_5B, hw, DEFAULT_WORKLOAD) == pytest.approx(scale)
-        assert decode_latency(QWEN25_0_5B, hw, DEFAULT_WORKLOAD) == pytest.approx(scale)
+        reference = total_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+        hw = replace(THOR_U, peak_flops=reference.prefill_s * THOR_U.peak_flops / scale,
+                     mem_bandwidth=reference.decode_s * THOR_U.mem_bandwidth / scale)
         with pytest.raises(InvalidConfig, match="total latency"):
             total_latency(QWEN25_0_5B, hw, DEFAULT_WORKLOAD)
 
     def test_halving_bandwidth_doubles_decode_exactly(self):
         slow = replace(THOR_U, mem_bandwidth=THOR_U.mem_bandwidth / 2)
-        assert decode_latency(QWEN25_0_5B, slow, DEFAULT_WORKLOAD) == \
-            2 * decode_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD)
+        assert total_latency(QWEN25_0_5B, slow, DEFAULT_WORKLOAD).decode_s == \
+            2 * total_latency(QWEN25_0_5B, THOR_U, DEFAULT_WORKLOAD).decode_s
 
     def test_expert_count_never_changes_latency(self):
         baseline = total_latency(moe_reference(num_experts=2), THOR_U, DEFAULT_WORKLOAD)
@@ -181,7 +174,7 @@ class TestStaticMemory:
                            num_kv_heads=2, head_dim=4, vocab_size=50)
         container = build_toy_container(shape, seed=0)
         params, _ = static_memory(shape)
-        assert params == param_count(container)
+        assert params == stored_params(container)
 
     def test_moe_formula_matches_toy_container_exactly(self):
         shape = ModelShape(num_layers=3, hidden_dim=16, mlp_dim=40, num_heads=4,
@@ -189,7 +182,7 @@ class TestStaticMemory:
                            moe=MoEShape({1: 5, 2: 5, 3: 5}, top_k=2))
         container = build_toy_container(shape, seed=1)
         params, _ = static_memory(shape)
-        assert params == param_count(container)
+        assert params == stored_params(container)
 
     def test_untied_embedding_counts_twice(self):
         tied, _ = static_memory(QWEN25_0_5B)
@@ -239,7 +232,7 @@ def top_k_path(shape):
 
 
 def assert_counts_match(shape, container):
-    assert static_memory(shape)[0] == param_count(container)
+    assert static_memory(shape)[0] == stored_params(container)
     assert active_params(shape) == sum(container.tensors[name].size
                                        for name in top_k_path(shape))
 
@@ -267,29 +260,55 @@ def hardware(draw):
                            kv_bytes=draw(st.sampled_from((0.5, 1.0, 2.0, 4.0))))
 
 
-@given(shape=small_shapes(), hw=hardware(),
-       wl=st.builds(Workload, prompt_len=st.integers(0, 4096), gen_len=st.integers(0, 512)))
-@example(shape=QWEN25_0_5B, hw=THOR_U, wl=Workload(prompt_len=0, gen_len=0))
+workloads = st.builds(Workload, prompt_len=st.integers(1, 4096), gen_len=st.integers(1, 512))
+
+
+@given(shape=small_shapes(), hw=hardware(), wl=workloads)
 @example(shape=QWEN25_0_5B, hw=replace(THOR_U, peak_flops=1e9), wl=DEFAULT_WORKLOAD)
 def test_each_roofline_label_names_the_larger_side(shape, hw, wl):
     breakdown = total_latency(shape, hw, wl)
-    assert breakdown.prefill_s == prefill_latency(shape, hw, wl)
-    assert breakdown.decode_s == decode_latency(shape, hw, wl)
     # a token costs two FLOPs per layer weight, in either phase, and a
     # prompt of any length reads each layer weight once
-    if wl.prompt_len:
-        flops_per_token = breakdown.prefill_s * hw.peak_flops / wl.prompt_len
-        assert breakdown.prefill_memory_s == pytest.approx(
-            flops_per_token / 2 * hw.weight_bytes / hw.mem_bandwidth, rel=1e-9)
-        assert breakdown.decode_compute_s == pytest.approx(
-            wl.gen_len * flops_per_token / hw.peak_flops, rel=1e-9)
-    else:
-        assert breakdown.prefill_memory_s == breakdown.prefill_s == 0.0
+    flops_per_token = breakdown.prefill_s * hw.peak_flops / wl.prompt_len
+    assert breakdown.prefill_memory_s == pytest.approx(
+        flops_per_token / 2 * hw.weight_bytes / hw.mem_bandwidth, rel=1e-9)
+    assert breakdown.decode_compute_s == pytest.approx(
+        wl.gen_len * flops_per_token / hw.peak_flops, rel=1e-9)
     sides = {"prefill": (breakdown.prefill_s, breakdown.prefill_memory_s),
              "decode": (breakdown.decode_compute_s, breakdown.decode_s)}
     for phase, (compute_s, memory_s) in sides.items():
         larger = COMPUTE_BOUND if compute_s >= memory_s else MEMORY_BOUND  # a tie computes
         assert getattr(breakdown, f"{phase}_bound") == larger, phase
+
+
+def exact_sides(shape, hw, wl):
+    """The four roofline sides in exact rationals, layer by layer: each
+    layer's active width r = k * mlp_dim / d (k = 1 for a dense layer)."""
+    gqa, d = shape.num_heads // shape.num_kv_heads, shape.hidden_dim
+    peak, bandwidth = Fraction(hw.peak_flops), Fraction(hw.mem_bandwidth)
+    weight_bytes, kv_bytes = Fraction(hw.weight_bytes), Fraction(hw.kv_bytes)
+    s_bar = wl.prompt_len + Fraction(wl.gen_len + 1, 2)
+    flops = weights = moved = Fraction(0)
+    for layer in range(1, shape.num_layers + 1):
+        r = Fraction((shape.moe.top_k if layer in shape.experts else 1) * shape.mlp_dim, d)
+        flops += d ** 2 * (4 + Fraction(4, gqa) + 6 * r)
+        weights += d ** 2 * (2 + Fraction(2, gqa) + 3 * r) * weight_bytes
+        moved += wl.gen_len * (d ** 2 * (2 + Fraction(2, gqa) + 3 * r) * weight_bytes
+                               + 2 * s_bar * d * kv_bytes / gqa)
+    return {"prefill_s": wl.prompt_len * flops / peak, "decode_s": moved / bandwidth,
+            "prefill_memory_s": weights / bandwidth, "decode_compute_s": wl.gen_len * flops / peak}
+
+
+@given(shape=small_shapes(), hw=hardware(), wl=workloads)
+# dense layers of ratio 1/2 beside a top-2 MoE layer of ratio 1
+@example(shape=ModelShape(num_layers=3, hidden_dim=8, mlp_dim=4, num_heads=4, num_kv_heads=2,
+                          head_dim=2, vocab_size=8, moe=MoEShape({2: 3}, top_k=2)),
+         hw=THOR_U, wl=DEFAULT_WORKLOAD)
+@example(shape=QWEN25_0_5B, hw=THOR_U, wl=DEFAULT_WORKLOAD)
+def test_every_side_matches_the_exact_closed_form(shape, hw, wl):
+    breakdown = total_latency(shape, hw, wl)
+    for side, exact in exact_sides(shape, hw, wl).items():
+        assert getattr(breakdown, side) == pytest.approx(float(exact), rel=1e-12), side
 
 
 class TestActiveParams:
@@ -324,7 +343,7 @@ class TestReadmeFusedModel:
     def test_top1_counts(self):
         _, fused = self.fused(top_k=1)
         assert fused.shape.experts == {4: 2}
-        assert static_memory(fused.shape)[0] == param_count(fused) == 11504
+        assert static_memory(fused.shape)[0] == stored_params(fused) == 11504
         # all but expert 2's GLU triple
         assert active_params(fused.shape) == 11504 - 3 * 16 * 32 == 9968
 
@@ -332,7 +351,7 @@ class TestReadmeFusedModel:
         _, fused = self.fused(top_k=2)
         # S_in * d^2 * (4 + 4/gqa + 6r) per layer, r = 2 dense and 4 at top-2
         dense_layer, moe_layer = 1000 * 16 ** 2 * 18, 1000 * 16 ** 2 * 30
-        prefill = prefill_latency(fused.shape, THOR_U, DEFAULT_WORKLOAD)
+        prefill = total_latency(fused.shape, THOR_U, DEFAULT_WORKLOAD).prefill_s
         assert prefill == (3 * dense_layer + moe_layer) / THOR_U.peak_flops
         assert prefill == pytest.approx(6.144e-08, rel=1e-12)
 
@@ -343,9 +362,11 @@ class TestReadmeFusedModel:
             total_latency(pruned.shape, THOR_U, DEFAULT_WORKLOAD)
 
 
-@given(length=st.integers(max_value=-1), phase=st.sampled_from(["prompt_len", "gen_len"]),
-       latency=st.sampled_from([prefill_latency, decode_latency]))
-def test_a_negative_phase_length_is_refused(length, phase, latency):
+@given(length=st.integers(max_value=0), phase=st.sampled_from(["prompt_len", "gen_len"]))
+@example(length=0, phase="prompt_len")
+def test_a_negative_phase_length_is_refused(length, phase):
+    # the config's rule: every phase has at least one token
     workload = replace(DEFAULT_WORKLOAD, **{phase: length})
-    with pytest.raises(InvalidConfig, match="^workload lengths must be non-negative$"):
-        latency(QWEN25_0_5B, THOR_U, workload)
+    message = f"workload.{phase} must be a positive count, got {length!r}"
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        total_latency(QWEN25_0_5B, THOR_U, workload)

@@ -708,14 +708,20 @@ class TestTrainToyFlags:
             train_toy(fused_last_layer(2, seed=1), np.zeros(dims, dtype=np.int64), steps=1,
                       lr=0.5, alpha=1e-3)
 
+    @pytest.mark.parametrize("consume", [
+        lambda model, data: train_toy(model, data, steps=1, lr=0.5, alpha=1e-3),
+        nano.load_profiles,
+    ], ids=["train_toy", "load_profiles"])
     @given(token=st.one_of(st.integers(-3, -1), st.integers(16, 20)))
-    def test_token_outside_the_vocabulary_rejected(self, token):
+    def test_token_outside_the_vocabulary_rejected(self, consume, token):
+        # the one rule sits where ids enter the model: id -1 would otherwise
+        # read the last embedding row, and id 16 raise a bare IndexError
         fused = fused_last_layer(2, seed=1)  # vocab_size 16
         assert fused.shape.vocab_size == 16
         data = make_copy_stream(16, 8, 2, seed=0)
         data[1, 3] = token
         with pytest.raises(OutOfRange, match=r"^token ids must lie in \[0, vocab_size\)$"):
-            train_toy(fused, data, steps=1, lr=0.5, alpha=1e-3)
+            consume(fused, data)
 
     @pytest.mark.parametrize("lr, alpha", [
         (float("nan"), 1e-3), (float("inf"), 1e-3), (-float("inf"), 1e-3),

@@ -52,7 +52,6 @@ from d2m.traceio import (
     SyntheticTrace,
     chunk_tokens,
     make_trace,
-    param_count,
     read_trace,
     read_weights,
     synth_trace,
@@ -394,7 +393,7 @@ class TestWritersRefuseWhatTheirReaderRejects:
         # one tensor's float32 copy (its finiteness is read from its extremes,
         # with no mask), the shape document and the file object
         bound = largest + (64 << 10)
-        assert bound < 4 * param_count(container) / 2
+        assert bound < 4 * sum(t.size for t in container.tensors.values()) / 2
         assert peak <= bound, (peak, bound)
 
 
@@ -515,10 +514,6 @@ class TestWeightsFormat:
         assert moe_schema["layer.2.router"] == (d, 4)
         assert moe_schema["layer.2.moe.expert.4.down"] == (d_mid, d)
         assert "layer.2.mlp.up" not in moe_schema
-
-    def test_param_count(self):
-        container = build_toy_container(TOY_SHAPE, seed=0)
-        assert param_count(container) == sum(t.size for t in container.tensors.values())
 
 
 # --- tampered headers and mutated files ------------------------------------------
