@@ -24,7 +24,6 @@ given --run-dir loads ``hashlib``, whose OpenSSL takes about 3.6 MiB.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -165,8 +164,6 @@ def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
             entries.append((int(base), int(offset), float(noise)))
         except ValueError as exc:  # wrong field count or a non-number
             raise InvalidConfig(f"--redundant expects base:offset:noise, got {spec!r}") from exc
-        if not math.isfinite(entries[-1][2]):
-            raise InvalidConfig(f"--redundant noise must be finite, got {spec!r}")
     return entries
 
 
@@ -193,8 +190,6 @@ def cmd_synth(args) -> Written:
         num_heads=args.heads, num_kv_heads=args.kv_heads, head_dim=args.head_dim,
         vocab_size=args.vocab, tied_embedding=not args.untied,
     ))
-    if not math.isfinite(args.weight_scale):
-        raise InvalidConfig(f"--weight-scale must be finite, got {args.weight_scale}")
     redundant = _parse_redundant(args.redundant)
     if args.trace_mode == "forward" and any(noise != 0 for _, _, noise in redundant):
         raise InvalidConfig("--trace-mode forward copies layers exactly, so every "
@@ -322,13 +317,10 @@ def cmd_estimate(args) -> Written:
 def cmd_pareto(args) -> Written:
     from . import tradeoff
 
-    candidates = tradeoff.read_candidates_csv(args.candidates)
-    if args.calibrate:
-        exponent = tradeoff.calibrate_w(args.calibrate[0], args.calibrate[1])
-    elif args.w is not None:
-        exponent = args.w
-    else:
+    if (args.w is None) == (args.calibrate is None):  # neither, or both
         raise InvalidConfig("provide either --w or --calibrate FACTOR GAIN")
+    candidates = tradeoff.read_candidates_csv(args.candidates)
+    exponent = args.w if args.calibrate is None else tradeoff.calibrate_w(*args.calibrate)
     evaluated, best = tradeoff.evaluate_candidates(candidates, args.base_latency, exponent)
     note = f"base_latency_ms={args.base_latency:g} w={exponent:.6f} argmax={best.config_id}"
     tradeoff.write_candidates_csv(evaluated, args.rewards_out, header_comment=note)
@@ -343,23 +335,15 @@ def cmd_pareto(args) -> Written:
 
 
 def cmd_diagnose(args) -> Written:
-    from .diagnostics import (LayerLoadProfile, train_log_from_csv, write_per_layer_csv,
-                              write_summary_csv, wta_metrics)
+    from .diagnostics import train_log_from_csv, write_summary_csv, wta_metrics
 
     log = train_log_from_csv(args.log)
     rows = len(log.steps)
     if not -rows <= args.row < rows:
         raise OutOfRange(f"--row {args.row} outside {-rows}..{rows - 1} "
                          f"for a log of {rows} rows")
-    row = log.steps[args.row]
-    profiles = [LayerLoadProfile(layer=1, loads=row.loads)]
-    summary = wta_metrics(profiles, len(row.loads))
-    write_summary_csv(summary, args.out)
-    outputs = [args.out]
-    if args.per_layer_out:
-        write_per_layer_csv(profiles, args.per_layer_out)
-        outputs.append(args.per_layer_out)
-    return outputs, ""
+    write_summary_csv(wta_metrics([log.steps[args.row].loads]), args.out)
+    return [args.out], ""
 
 
 def cmd_train_toy(args) -> Written:
@@ -463,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", type=int, default=-1,
                    help="log row to diagnose (default: final step)")
     p.add_argument("--out", required=True)
-    p.add_argument("--per-layer-out", default=None)
     declare(p, cmd_diagnose, "log")
 
     p = sub.add_parser("train-toy", help="SGD on a fused toy model's router and experts")

@@ -499,18 +499,27 @@ def _layer_index(value: Any, key: str) -> int:
     return value
 
 
-def plan_from_dict(doc: Mapping[str, Any]) -> FusionPlan:
+def _plan_object(doc: Any, keys: tuple[str, ...], what: str) -> Mapping[str, Any]:
+    """``doc``, once it is a JSON object with no key but ``keys``: the one
+    rule of a plan's objects, the plan and each of its blocks."""
     if not isinstance(doc, Mapping):
-        raise InvalidPlan(f"a plan must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - {"keep", "prune", "blocks"}
+        raise InvalidPlan(f"a {what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise InvalidPlan(f"unknown plan keys: {sorted(unknown)}")
+        raise InvalidPlan(f"unknown {what} keys: {sorted(unknown)}")
+    return doc
+
+
+def _plan_block(doc: Any) -> FusionBlock:
+    block = _plan_object(doc, ("base", "redundant"), "plan block")
+    return FusionBlock(base=_layer_index(block["base"], "base"),
+                       redundant=tuple(_layer_index(r, "redundant") for r in block["redundant"]))
+
+
+def plan_from_dict(doc: Mapping[str, Any]) -> FusionPlan:
+    doc = _plan_object(doc, ("keep", "prune", "blocks"), "plan")
     try:
-        blocks = tuple(
-            FusionBlock(base=_layer_index(b["base"], "base"),
-                        redundant=tuple(_layer_index(r, "redundant") for r in b["redundant"]))
-            for b in doc["blocks"]
-        )
+        blocks = tuple(map(_plan_block, doc["blocks"]))
         return FusionPlan(
             keep_layers=tuple(_layer_index(x, "keep") for x in doc["keep"]),
             prune_layers=frozenset(_layer_index(x, "prune") for x in doc["prune"]),

@@ -1,12 +1,15 @@
 """Winner-takes-all routing diagnostics.
 
-A layer's load profile is the distribution of hard top-1 assignments over its
-experts (``nanomodel.load_profiles`` counts them for a model); the summary
-aggregates per-layer profiles into the six standard concentration metrics
-(mean dominant load, threshold exceedances, dominance ratio against uniform,
-top-bottom gap, and natural-log entropy). The toy
-trainer's log lives here too, so that ``diagnose`` loads no toy model. The
-module works in plain Python floats, so ``diagnose`` starts without numpy.
+A layer's load profile is a plain tuple of its experts' top-1 load fractions,
+the share of tokens whose largest routing probability picks each expert
+(``nanomodel.load_profiles`` counts them for each MoE layer of a model, keyed
+by layer; a training log row holds them for the trainer's one MoE layer). The
+summary aggregates a sequence of profiles, one per layer, into the six
+standard concentration metrics (mean dominant load, threshold exceedances,
+dominance ratio against uniform, top-bottom gap, and natural-log entropy).
+The toy trainer's log lives here too, so that ``diagnose`` loads no toy
+model. The module works in plain Python floats, so ``diagnose`` starts
+without numpy.
 """
 
 from __future__ import annotations
@@ -23,28 +26,9 @@ DEFAULT_THRESHOLDS = (0.4, 0.5)
 
 
 @dataclass(frozen=True)
-class LayerLoadProfile:
-    """Per-expert top-1 load fractions of one layer."""
-
-    layer: int
-    loads: tuple[float, ...]
-
-    @property
-    def winner(self) -> int:
-        """The 1-based expert of the largest load; a tie goes to the smaller index."""
-        return self.loads.index(max(self.loads)) + 1
-
-    @property
-    def top_load(self) -> float:
-        return max(self.loads)
-
-
-@dataclass(frozen=True)
 class WtaSummary:
     """Aggregate concentration metrics over per-layer profiles."""
 
-    num_layers: int
-    num_experts: int
     mean_top_load: float
     layers_above: tuple[tuple[float, int], ...]
     mean_top_uniform_ratio: float
@@ -52,37 +36,36 @@ class WtaSummary:
     mean_entropy: float
 
 
-def profile_entropy(profile: LayerLoadProfile) -> float:
+def profile_entropy(loads: Sequence[float]) -> float:
     """Natural-log entropy with the 0*ln(0) := 0 convention."""
-    return -sum((p * math.log(p) for p in profile.loads if p > 0), 0.0)
+    return -sum((p * math.log(p) for p in loads if p > 0), 0.0)
 
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def wta_metrics(profiles: Sequence[LayerLoadProfile], num_experts: int) -> WtaSummary:
-    """Aggregate the six winner-takes-all metrics over layers, counting the
-    layers whose top load exceeds each of DEFAULT_THRESHOLDS."""
+def wta_metrics(profiles: Sequence[Sequence[float]]) -> WtaSummary:
+    """Aggregate the six winner-takes-all metrics over layers, one load
+    profile each, counting the layers whose top load exceeds each of
+    DEFAULT_THRESHOLDS. The first profile sets the expert count."""
     if not profiles:
         raise EmptyRecord("wta_metrics needs at least one layer profile")
-    for p in profiles:
-        if len(p.loads) != num_experts:
-            raise DimensionMismatch(
-                f"layer {p.layer} profile has {len(p.loads)} experts, expected {num_experts}"
-            )
-    tops = [p.top_load for p in profiles]
+    num_experts = len(profiles[0])
+    for position, loads in enumerate(profiles):
+        if len(loads) != num_experts:
+            raise DimensionMismatch(f"profile {position} has {len(loads)} experts, "
+                                    f"profile 0 has {num_experts}")
+    tops = [max(loads) for loads in profiles]
     layers_above = tuple(
         (th, sum(top > th for top in tops)) for th in DEFAULT_THRESHOLDS
     )
     return WtaSummary(
-        num_layers=len(profiles),
-        num_experts=num_experts,
         mean_top_load=_mean(tops),
         layers_above=layers_above,
         mean_top_uniform_ratio=_mean([top * num_experts for top in tops]),
-        mean_top_bottom_gap=_mean([p.top_load - min(p.loads) for p in profiles]),
-        mean_entropy=_mean([profile_entropy(p) for p in profiles]),
+        mean_top_bottom_gap=_mean([top - min(loads) for top, loads in zip(tops, profiles)]),
+        mean_entropy=_mean([profile_entropy(loads) for loads in profiles]),
     )
 
 
@@ -97,19 +80,6 @@ def write_summary_csv(summary: WtaSummary, destination) -> None:
         ["mean_top_bottom_gap", f"{summary.mean_top_bottom_gap:.6f}"],
         ["mean_entropy", f"{summary.mean_entropy:.6f}"],
     ]
-    with output_file(destination) as handle:
-        csv.writer(handle).writerows(rows)
-
-
-def write_per_layer_csv(profiles: Sequence[LayerLoadProfile], destination) -> None:
-    if not profiles:
-        raise EmptyRecord("no profiles to write")
-    num_experts = len(profiles[0].loads)
-    rows = [["layer", "winner", "top_load"]
-            + [f"p_{i}" for i in range(1, num_experts + 1)]]
-    for p in profiles:
-        rows.append([str(p.layer), str(p.winner), f"{p.top_load:.6f}"]
-                    + [f"{v:.6f}" for v in p.loads])
     with output_file(destination) as handle:
         csv.writer(handle).writerows(rows)
 

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ModelShape, tensor_schema, validate_shape
-from .diagnostics import LayerLoadProfile, TrainLog, TrainStep
+from .diagnostics import TrainLog, TrainStep
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -473,9 +473,12 @@ def build_toy_container(shape: ModelShape, seed: int, weight_scale: float = 0.02
     ``duplicate_from`` entries (base, offset) copy every tensor of layer
     ``base`` onto layer ``base+offset``, producing exactly redundant layers.
     Values pass through float32 so containers serialize losslessly. The
-    entries are checked before any weight is drawn.
+    entries and a finite ``weight_scale`` are checked before any weight is
+    drawn.
     """
     duplicate_from = check_redundancy(validate_shape(shape).num_layers, duplicate_from)
+    if not math.isfinite(weight_scale):
+        raise InvalidConfig(f"weight_scale must be finite, got {weight_scale}")
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, dims in tensor_schema(shape):
@@ -583,8 +586,9 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
     return log, work
 
 
-def load_profiles(container: WeightContainer, data: np.ndarray) -> list[LayerLoadProfile]:
-    """Pooled top-1 load fractions of each MoE layer over a token stream."""
+def load_profiles(container: WeightContainer, data: np.ndarray) -> dict[int, tuple[float, ...]]:
+    """Each MoE layer's top-1 load fractions, pooled over a token stream and
+    keyed by layer, ascending."""
     data = np.asarray(data, dtype=np.int64)
     if data.ndim != 2 or data.size == 0:
         raise EmptyRecord("load_profiles needs a non-empty (num_sequences, seq_len) array")
@@ -593,5 +597,5 @@ def load_profiles(container: WeightContainer, data: np.ndarray) -> list[LayerLoa
         _, _, records = forward_trace(container, embed_tokens(container, seq))
         for l, record in records.items():
             probabilities[l].append(record.probabilities)
-    return [LayerLoadProfile(layer=l, loads=tuple(top1_fractions(np.concatenate(p)).tolist()))
-            for l, p in sorted(probabilities.items())]
+    return {l: tuple(top1_fractions(np.concatenate(p)).tolist())
+            for l, p in sorted(probabilities.items())}

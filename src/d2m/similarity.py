@@ -156,11 +156,15 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
     grams += grams.transpose(0, 2, 1)
     s_mlp, s_out = np.clip(grams / (2 * seq_len), -1.0, 1.0)
     # upper[i, j] averages |n_i - n_j| / n_j over tokens for i < j, putting
-    # the later layer in the denominator; mirror for symmetric storage
-    h_norms = norms[0]
+    # the later layer in the denominator; mirror for symmetric storage. The
+    # outputs' norms are spent, so their rows hold each j's ratios in place
+    h_norms, ratios = norms
     upper = np.zeros_like(s_mlp)
     for j in range(1, len(h_norms)):
-        upper[:j, j] = np.mean(np.abs(h_norms[:j] - h_norms[j]) / h_norms[j], axis=1)
+        np.subtract(h_norms[:j], h_norms[j], out=ratios[:j])
+        np.abs(ratios[:j], out=ratios[:j])
+        ratios[:j] /= h_norms[j]
+        upper[:j, j] = np.mean(ratios[:j], axis=1)
     return SimilarityMatrices(s_out=s_out, s_mlp=s_mlp, delta_norm=upper + upper.T)
 
 

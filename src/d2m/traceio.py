@@ -246,15 +246,16 @@ def _read_chunks(reader: _Reader, start: int, dims: tuple[int, int, int]) -> Ite
 def check_redundancy(num_layers: int, entries: Iterable[tuple]) -> tuple[tuple, ...]:
     """The entries, each ``(base, offset)`` or ``(base, offset, noise_scale)``,
     as a tuple once each names a later layer ``base+offset`` of
-    ``1..num_layers`` and a non-negative noise scale: the one rule of a
-    redundancy entry, for toy weights and synthetic traces alike."""
+    ``1..num_layers`` and a finite, non-negative noise scale: the one rule of
+    a redundancy entry, for toy weights, synthetic traces and ``synth``'s
+    ``--redundant`` alike."""
     entries = tuple(entries)
     for base, offset, *noise in entries:
+        if noise and not 0 <= noise[0] < math.inf:  # NaN fails both comparisons
+            raise OutOfRange(f"noise_scale must be finite and non-negative, got {noise[0]}")
         if base < 1 or offset < 1 or base + offset > num_layers:
             raise OutOfRange(f"redundancy entry (base={base}, offset={offset}) "
                              f"outside 1..{num_layers}")
-        if noise and noise[0] < 0:
-            raise OutOfRange(f"noise_scale must be non-negative, got {noise[0]}")
     return entries
 
 

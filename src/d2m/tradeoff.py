@@ -30,15 +30,25 @@ class CandidateEvaluation:
     reward: float | None = None
 
 
+def _check_knobs(base_latency_ms: float, exponent: float) -> None:
+    """The one rule of the reward's two knobs, for ``reward`` and
+    ``evaluate_candidates`` alike: a finite, positive ``base_latency_ms`` and
+    a finite ``exponent``. A refusal names the knob."""
+    if not 0 < base_latency_ms < math.inf:
+        raise NonPositiveLatency(
+            f"base_latency_ms must be finite and positive, got {base_latency_ms}")
+    if not math.isfinite(exponent):
+        raise InvalidConfig(f"exponent must be finite, got {exponent}")
+
+
 def reward(score: float, latency_ms: float, base_latency_ms: float,
            exponent: float) -> float:
     """score * (latency / base)^exponent, refused unless finite."""
-    if not all(math.isfinite(v) and v > 0 for v in (latency_ms, base_latency_ms)):
-        raise NonPositiveLatency(
-            f"latencies must be finite and positive, got {latency_ms} and {base_latency_ms}"
-        )
-    if not (math.isfinite(score) and math.isfinite(exponent)):
-        raise InvalidConfig(f"score and exponent must be finite, got {score} and {exponent}")
+    _check_knobs(base_latency_ms, exponent)
+    if not 0 < latency_ms < math.inf:
+        raise NonPositiveLatency(f"latency_ms must be finite and positive, got {latency_ms}")
+    if not math.isfinite(score):
+        raise InvalidConfig(f"score must be finite, got {score}")
     try:
         value = score * (latency_ms / base_latency_ms) ** exponent
     except (OverflowError, ZeroDivisionError):  # a power beyond float range
@@ -69,9 +79,12 @@ def calibrate_w(latency_factor: float, relative_gain: float) -> float:
 def evaluate_candidates(candidates: Sequence[CandidateEvaluation],
                         base_latency_ms: float, exponent: float,
                         ) -> tuple[list[CandidateEvaluation], CandidateEvaluation]:
-    """Fill in rewards and report the argmax (ties go to lower latency)."""
+    """Fill in rewards and report the argmax (ties go to lower latency). The
+    knobs are checked once, before any candidate, so a refusal of one names
+    the knob; a refusal of a candidate's reward names the candidate."""
     if not candidates:
         raise EmptyRecord("evaluate_candidates needs at least one candidate")
+    _check_knobs(base_latency_ms, exponent)
     evaluated = []
     for c in candidates:
         try:

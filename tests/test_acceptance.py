@@ -26,7 +26,7 @@ from d2m.config import (
     validate_plan,
 )
 from d2m.costmodel import active_params, static_memory, total_latency
-from d2m.diagnostics import LayerLoadProfile, wta_metrics
+from d2m.diagnostics import wta_metrics
 from d2m.errors import BadMagic, DimensionMismatch, MissingTensor, TruncatedPayload, VerificationFailure
 from d2m.nanomodel import (
     build_toy_container,
@@ -328,22 +328,20 @@ def test_c09_routing_health():
     min_load = min(log_lb.steps[-1].loads)
 
     def mean_top(container):
-        return wta_metrics(load_profiles(container, data), 4).mean_top_load
+        return wta_metrics(list(load_profiles(container, data).values())).mean_top_load
 
     top_lb = mean_top(trained_lb)
     top_0 = mean_top(trained_0)
 
     # published-table identity and analytic bounds
-    profiles = [LayerLoadProfile(layer=i + 1, loads=(0.48, 0.2, 0.12, 0.1, 0.06, 0.04))
-                for i in range(19)]
-    summary = wta_metrics(profiles, 6)
+    summary = wta_metrics([(0.48, 0.2, 0.12, 0.1, 0.06, 0.04)] * 19)
     identity = abs(summary.mean_top_load * 6 - 2.88) <= 1e-12 and \
         abs(summary.mean_top_uniform_ratio - 2.88) <= 1e-12
     rng = np.random.default_rng(909)
     bounds = True
     for _ in range(100):
         loads = rng.dirichlet(np.ones(6))
-        s = wta_metrics([LayerLoadProfile(1, tuple(loads))], 6)
+        s = wta_metrics([tuple(loads)])
         bounds &= 0.0 <= s.mean_entropy <= math.log(6) + 1e-12
 
     checks = [finite, min_load >= 0.02, top_lb < top_0, identity, bounds]

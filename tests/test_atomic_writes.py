@@ -208,9 +208,8 @@ STAGES = {
     "train-toy": (["train-toy", "--model", "fused.d2mw", "--steps", "2", "--seq-len", "4",
                    "--sequences", "1", "--log-out", "log.csv", "--model-out", "trained.d2mw"],
                   ["--lr", "nan"], ["fused.d2mw"], ["log.csv", "trained.d2mw"]),
-    "diagnose": (["diagnose", "--log", "log.csv", "--out", "wta.csv",
-                  "--per-layer-out", "per_layer.csv"], ["--row", "99"],
-                 ["log.csv"], ["wta.csv", "per_layer.csv"]),
+    "diagnose": (["diagnose", "--log", "log.csv", "--out", "wta.csv"], ["--row", "99"],
+                 ["log.csv"], ["wta.csv"]),
     "pareto": (["pareto", "--candidates", "candidates.csv", "--base-latency", "12",
                 "--w", "-0.1", "--rewards-out", "rewards.csv", "--frontier-out", "frontier.csv"],
                ["--w", "nan"], ["candidates.csv"], ["rewards.csv", "frontier.csv"]),
@@ -219,7 +218,7 @@ ARTIFACTS = sorted({p for _, _, ins, outs in STAGES.values() for p in (*ins, *ou
                    | {"manifest.json"})
 PATH_FLAGS = {"--out-dir", "--trace", "--matrices", "--plan-out", "--sweep-out", "--model",
               "--plan", "--out", "--provenance-out", "--config", "--log-out", "--model-out",
-              "--log", "--per-layer-out", "--candidates", "--rewards-out", "--frontier-out"}
+              "--log", "--candidates", "--rewards-out", "--frontier-out"}
 
 
 def is_complete(path: Path) -> bool:

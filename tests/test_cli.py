@@ -26,10 +26,10 @@ from d2m import cli, surgery
 from d2m.cli import main
 from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, read_matrices,
                         tensor_schema)
-from d2m.errors import InvalidConfig, IoFailure, OutOfRange, VerificationFailure
+from d2m.errors import D2mError, InvalidConfig, IoFailure, OutOfRange, VerificationFailure
 from d2m.nanomodel import build_toy_container
 from d2m.search import threshold_sweep
-from d2m.traceio import read_weights, write_weights
+from d2m.traceio import SyntheticTrace, read_weights, write_weights
 from d2m.weightfile import open_weights
 
 from test_surgery import ULP, Fusion, wrong_expert_source
@@ -378,6 +378,13 @@ class TestBinaryInputThatIsNotAFile:
 
 
 class TestSynth:
+    # 4 layers of 256 wide, about 32 MB of float64 weights
+    BIG_FLAGS = ["--layers", "4", "--hidden", "256", "--mlp-dim", "1024", "--heads", "4",
+                 "--kv-heads", "2", "--head-dim", "64", "--vocab", "256", "--seq-len", "8"]
+    BIG_SHAPE = ModelShape(num_layers=4, hidden_dim=256, mlp_dim=1024, num_heads=4,
+                           num_kv_heads=2, head_dim=64, vocab_size=256)
+    BIG_BYTES = 8 * sum(math.prod(dims) for _, dims in tensor_schema(BIG_SHAPE))
+
     def test_non_integer_redundant_spec_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--out-dir", str(tmp_path), "--redundant", "a:1:0"])
         assert code == 2
@@ -395,11 +402,11 @@ class TestSynth:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flags, flag", [
-        (["--weight-scale", "nan"], "--weight-scale"),
-        (["--weight-scale", "inf"], "--weight-scale"),
-        (["--weight-scale=-inf"], "--weight-scale"),
-        (["--redundant", "1:1:nan"], "--redundant"),
-        (["--redundant", "1:1:0.1", "--redundant", "0:1:inf"], "--redundant"),
+        (["--weight-scale", "nan"], "weight_scale"),
+        (["--weight-scale", "inf"], "weight_scale"),
+        (["--weight-scale=-inf"], "weight_scale"),
+        (["--redundant", "1:1:nan"], "noise_scale"),
+        (["--redundant", "1:1:0.1", "--redundant", "0:1:inf"], "noise_scale"),
         # finite, but inf once passed through float32
         (["--weight-scale", "1e300"], "--weight-scale"),
         (["--redundant", "1:1:1e300"], "--redundant"),
@@ -416,7 +423,7 @@ class TestSynth:
         (["--redundant", "4:1:0"], "redundancy entry (base=4, offset=1) outside 1..4"),
         (["--redundant", "4:1:0", "--trace-mode", "forward"],
          "redundancy entry (base=4, offset=1) outside 1..4"),
-        (["--redundant", "3:1:-1"], "noise_scale must be non-negative, got -1.0"),
+        (["--redundant", "3:1:-1"], "noise_scale must be finite and non-negative, got -1.0"),
         (["--redundant", "0:1:0", "--trace-mode", "forward"],
          "redundancy entry (base=0, offset=1) outside 1..4"),
         (["--seq-len", "0"], "num_layers, seq_len, and hidden_dim must be positive"),
@@ -426,19 +433,14 @@ class TestSynth:
     ], ids=["range", "forward-range", "noise", "forward-base-0", "empty-sequence",
             "forward-empty-sequence", "build_toy_container"])
     def test_a_refused_flag_draws_no_weight(self, tmp_path, capsys, flags, message):
-        # 4 layers of 256 wide, about 32 MB of float64 weights
-        argv = ["synth", "--out-dir", str(tmp_path / "x"), "--layers", "4", "--hidden", "256",
-                "--mlp-dim", "1024", "--heads", "4", "--kv-heads", "2", "--head-dim", "64",
-                "--vocab", "256", "--seq-len", "8"]
-        shape = ModelShape(num_layers=4, hidden_dim=256, mlp_dim=1024, num_heads=4,
-                           num_kv_heads=2, head_dim=64, vocab_size=256)
+        argv = ["synth", "--out-dir", str(tmp_path / "x"), *self.BIG_FLAGS]
         assert main([*argv, "--redundant", "1:1:x"]) == 2  # the stage's imports are done
         capsys.readouterr()
         tracemalloc.start()
         try:
             if flags is None:
                 with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
-                    build_toy_container(shape, seed=0, duplicate_from=[(4, 1)])
+                    build_toy_container(self.BIG_SHAPE, seed=0, duplicate_from=[(4, 1)])
             else:
                 assert main([*argv, *flags]) == 2
             peak = tracemalloc.get_traced_memory()[1]
@@ -446,10 +448,38 @@ class TestSynth:
             tracemalloc.stop()
         if flags is not None:
             assert capsys.readouterr().err == f"error: {message}\n"
-        model_bytes = 8 * sum(math.prod(dims) for _, dims in tensor_schema(shape))
-        assert model_bytes > 30 << 20
-        assert peak < model_bytes / 32, peak
+        assert self.BIG_BYTES > 30 << 20
+        assert peak < self.BIG_BYTES / 32, peak
         assert not (tmp_path / "x").exists()
+
+    @settings(max_examples=30)
+    @given(knob=st.one_of(
+        st.tuples(st.just("weight_scale"), st.sampled_from([math.nan, math.inf, -math.inf])),
+        st.tuples(st.just("noise_scale"),
+                  st.one_of(st.just(math.nan), st.floats(max_value=-5e-324)))))
+    def test_library_and_cli_refuse_a_scale_alike(self, knob):
+        # weight_scale refuses what is not finite, noise_scale also a negative
+        name, value = knob
+        library = {
+            "weight_scale": lambda: build_toy_container(self.BIG_SHAPE, 0, weight_scale=value),
+            "noise_scale": lambda: SyntheticTrace(4, 8, 256, [(1, 1, value)]),
+        }[name]
+        flags = {"weight_scale": [f"--weight-scale={value!r}"],
+                 "noise_scale": ["--redundant", f"1:1:{value!r}"]}[name]
+        tracemalloc.start()
+        try:
+            with pytest.raises(D2mError, match=f"^{name} must be finite") as refusal:
+                library()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BIG_BYTES / 32, peak
+        with tempfile.TemporaryDirectory() as tmp:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["synth", "--out-dir", f"{tmp}/x", *self.BIG_FLAGS, *flags])
+            assert (code, err.getvalue()) == (2, f"error: {refusal.value}\n")
+            assert os.listdir(tmp) == []
 
     def test_forward_trace_feeds_analyze_and_search(self, tmp_path):
         synth = tmp_path / "synth"
@@ -628,6 +658,11 @@ def break_plan(rule: str, doc: dict, draw, num_layers: int) -> str:
     if rule == "prune-is-not-the-blocks":
         blocks.pop(draw(st.integers(0, len(blocks) - 1)))
         return "prune_layers must equal the union of block redundant sets"
+    if rule == "unknown-key":
+        key = draw(st.sampled_from(["size", "Keep", "blocks "]))
+        target = draw(st.sampled_from([doc, *blocks]))
+        target[key] = draw(st.integers(0, 7))
+        return f"unknown {'plan' if target is doc else 'plan block'} keys: [{key!r}]"
     assert rule == "malformed"
     key = draw(st.sampled_from(["keep", "prune", "blocks", "blocks-not-a-list"]
                                + (["base", "redundant"] if blocks else [])))
@@ -641,7 +676,7 @@ def break_plan(rule: str, doc: dict, draw, num_layers: int) -> str:
 
 PLAN_RULES = ("keep-prune-overlap", "not-covered", "unordered-keep", "no-redundant-layers",
               "blocks-overlap", "not-contiguous", "beyond-the-layers", "pruned-base",
-              "prune-is-not-the-blocks", "malformed")
+              "prune-is-not-the-blocks", "unknown-key", "malformed")
 # what a rule needs of the valid plan it breaks, for a 5-layer model
 PLAN_NEEDS = {
     "unordered-keep": lambda doc: len(doc["keep"]) > 1,
@@ -898,6 +933,11 @@ REFUSALS = {
         ["pareto", "--candidates", "{out}/candidates.csv", "--base-latency", "100",
          "--rewards-out", "{out}/rewards.csv", "--frontier-out", "{out}/frontier.csv"],
         "provide either --w or --calibrate FACTOR GAIN"),
+    "pareto-with-w-and-calibrate": (
+        ["pareto", "--candidates", "{out}/candidates.csv", "--base-latency", "100",
+         "--w", "5", "--calibrate", "2", "1.11",
+         "--rewards-out", "{out}/rewards.csv", "--frontier-out", "{out}/frontier.csv"],
+        "provide either --w or --calibrate FACTOR GAIN"),
     "train-toy-steps-0": (
         ["train-toy", "--model", "{fused}", "--steps", "0", "--log-out", "{out}/log.csv",
          "--model-out", "{out}/trained.d2mw"], "steps must be at least 1"),
@@ -1109,7 +1149,12 @@ class TestPareto:
         assert main(["pareto", "--candidates", str(cands), "--base-latency", "100", *flags,
                      "--rewards-out", str(tmp_path / "r.csv"),
                      "--frontier-out", str(tmp_path / "f.csv")]) == 2
-        assert "L1" in capsys.readouterr().err  # the message names the candidate
+        err = capsys.readouterr().err
+        # a non-finite knob is refused naming the knob, before any candidate;
+        # anything else the candidate's row or reward, naming the candidate
+        knobs = {"--w": "exponent", "--base-latency": "base_latency_ms"}
+        bad = [knobs[f] for f, v in zip(flags[::2], flags[1::2]) if not math.isfinite(float(v))]
+        assert (bad[0] in err and "L1" not in err) if bad else "L1" in err, err
         assert not (tmp_path / "r.csv").exists()
 
     def test_empty_candidates_exits_2(self, tmp_path):

@@ -10,17 +10,8 @@ from hypothesis import strategies as st
 
 import d2m.nanomodel as nano
 from d2m.config import ModelShape, MoEShape
-from d2m.diagnostics import (
-    LayerLoadProfile,
-    write_per_layer_csv,
-    write_summary_csv,
-    wta_metrics,
-)
+from d2m.diagnostics import write_summary_csv, wta_metrics
 from d2m.errors import DimensionMismatch, EmptyRecord
-
-
-def profile_from_loads(layer, loads):
-    return LayerLoadProfile(layer=layer, loads=tuple(loads))
 
 
 @st.composite
@@ -43,21 +34,6 @@ def moe_models(draw):
 
 
 class TestLoadProfile:
-    def test_all_tokens_to_one_expert(self):
-        profile = LayerLoadProfile(layer=1, loads=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-        assert profile.winner == 3
-        assert profile.top_load == 1.0
-
-    def test_one_token_per_expert(self):
-        profile = LayerLoadProfile(layer=1, loads=tuple([1 / 6] * 6))
-        assert profile.winner == 1  # tie resolves to the smaller index
-        assert profile.top_load == 1 / 6
-
-    def test_winner_tie_goes_to_the_first_largest_load(self):
-        for loads, winner in [((0.1, 0.4, 0.1, 0.4), 2), ((0.5, 0.5), 1),
-                              ((0.0, 0.25, 0.25, 0.5), 4), ((1.0,), 1)]:
-            assert LayerLoadProfile(layer=7, loads=loads).winner == winner
-
     @settings(max_examples=40)
     @given(model=moe_models())
     def test_matches_hand_tally(self, model):
@@ -71,13 +47,10 @@ class TestLoadProfile:
                 for row in record.probabilities.tolist():
                     counts[layer][row.index(max(row))] += 1
         profiles = nano.load_profiles(container, data)
-        assert [p.layer for p in profiles] == sorted(counts)
-        for profile in profiles:
-            assert profile.loads == tuple(c / data.size for c in counts[profile.layer])
-            assert math.fsum(profile.loads) == pytest.approx(1.0, abs=1e-12)
-            first_largest = min(i for i, v in enumerate(profile.loads)
-                                if v == max(profile.loads))
-            assert profile.winner == first_largest + 1
+        assert list(profiles) == sorted(counts)
+        for layer, loads in profiles.items():
+            assert loads == tuple(c / data.size for c in counts[layer])
+            assert math.fsum(loads) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_rejected(self):
         shape = ModelShape(num_layers=1, hidden_dim=8, mlp_dim=8, num_heads=2, num_kv_heads=1,
@@ -91,23 +64,20 @@ class TestLoadProfile:
 class TestWtaMetrics:
     def test_dominance_ratio_identity(self):
         # mean top load 0.48 over 6 experts is a 2.88x dominance ratio
-        profiles = [profile_from_loads(i + 1, [0.48, 0.2, 0.12, 0.1, 0.06, 0.04])
-                    for i in range(5)]
-        summary = wta_metrics(profiles, num_experts=6)
+        profiles = [(0.48, 0.2, 0.12, 0.1, 0.06, 0.04)] * 5
+        summary = wta_metrics(profiles)
         assert summary.mean_top_load == pytest.approx(0.480, abs=1e-12)
         assert summary.mean_top_uniform_ratio == pytest.approx(2.88, abs=1e-12)
 
     def test_uniform_profiles(self):
-        profiles = [profile_from_loads(1, [1 / 6] * 6)]
-        summary = wta_metrics(profiles, num_experts=6)
+        summary = wta_metrics([(1 / 6,) * 6])
         assert summary.mean_entropy == pytest.approx(math.log(6), abs=1e-12)
         assert summary.mean_top_bottom_gap == 0.0
         assert summary.mean_top_uniform_ratio == pytest.approx(1.0, abs=1e-12)
         assert dict(summary.layers_above) == {0.4: 0, 0.5: 0}
 
     def test_one_hot_profiles(self):
-        profiles = [profile_from_loads(1, [0, 0, 1.0, 0, 0, 0])]
-        summary = wta_metrics(profiles, num_experts=6)
+        summary = wta_metrics([(0, 0, 1.0, 0, 0, 0)])
         assert summary.mean_entropy == 0.0
         assert summary.mean_top_load == 1.0
         assert summary.mean_top_bottom_gap == 1.0
@@ -118,7 +88,7 @@ class TestWtaMetrics:
         for _ in range(50):
             n = int(rng.integers(2, 9))
             loads = rng.dirichlet(np.ones(n))
-            summary = wta_metrics([profile_from_loads(1, loads)], num_experts=n)
+            summary = wta_metrics([tuple(loads)])
             assert 0.0 <= summary.mean_entropy <= math.log(n) + 1e-12
             assert 1.0 - 1e-12 <= summary.mean_top_uniform_ratio <= n + 1e-12
 
@@ -126,28 +96,27 @@ class TestWtaMetrics:
         rng = np.random.default_rng(12)
         loads = rng.dirichlet(np.ones(6))
         perm = rng.permutation(6)
-        a = wta_metrics([profile_from_loads(1, loads)], 6)
-        b = wta_metrics([profile_from_loads(1, loads[perm])], 6)
+        a = wta_metrics([tuple(loads)])
+        b = wta_metrics([tuple(loads[perm])])
         assert a.mean_top_load == pytest.approx(b.mean_top_load, abs=1e-15)
         assert a.mean_entropy == pytest.approx(b.mean_entropy, abs=1e-12)
         assert a.mean_top_bottom_gap == pytest.approx(b.mean_top_bottom_gap, abs=1e-15)
 
     def test_threshold_counts(self):
-        profiles = [profile_from_loads(1, [0.55, 0.45, 0.0, 0.0]),
-                    profile_from_loads(2, [0.45, 0.3, 0.15, 0.10]),
-                    profile_from_loads(3, [0.30, 0.3, 0.2, 0.2])]
-        summary = wta_metrics(profiles, num_experts=4)
+        profiles = [(0.55, 0.45, 0.0, 0.0), (0.45, 0.3, 0.15, 0.10), (0.30, 0.3, 0.2, 0.2)]
+        summary = wta_metrics(profiles)
         assert dict(summary.layers_above) == {0.4: 2, 0.5: 1}
 
     def test_expert_count_mismatch(self):
-        profiles = [profile_from_loads(1, [0.25] * 4), profile_from_loads(2, [0.5, 0.3, 0.2])]
-        with pytest.raises(DimensionMismatch, match="layer 2 profile has 3 experts, expected 4"):
-            wta_metrics(profiles, num_experts=4)
+        profiles = [(0.25,) * 4, (0.25,) * 4, (0.5, 0.3, 0.2)]
+        with pytest.raises(DimensionMismatch,
+                           match="^profile 2 has 3 experts, profile 0 has 4$"):
+            wta_metrics(profiles)
 
 
 class TestCsvOutputs:
     def test_summary_has_six_metric_rows(self, tmp_path):
-        summary = wta_metrics([profile_from_loads(1, [0.5, 0.3, 0.2])], 3)
+        summary = wta_metrics([(0.5, 0.3, 0.2)])
         path = tmp_path / "wta.csv"
         write_summary_csv(summary, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
@@ -157,22 +126,9 @@ class TestCsvOutputs:
         assert metrics == ["mean_top_expert_load", "layers_top_gt_40", "layers_top_gt_50",
                            "mean_top_uniform_ratio", "mean_top_bottom_gap", "mean_entropy"]
 
-    def test_per_layer_csv(self, tmp_path):
-        profiles = [profile_from_loads(1, [0.6, 0.4]), profile_from_loads(2, [0.3, 0.7])]
-        path = tmp_path / "per_layer.csv"
-        write_per_layer_csv(profiles, path)
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "layer,winner,top_load,p_1,p_2"
-        assert len(lines) == 3
-
 
 class TestEmptyProfiles:
-    @given(num_experts=st.integers(1, 8))
-    def test_wta_metrics_needs_a_profile(self, num_experts):
+    def test_wta_metrics_needs_a_profile(self):
         with pytest.raises(EmptyRecord, match="^wta_metrics needs at least one layer profile$"):
-            wta_metrics([], num_experts)
+            wta_metrics([])
 
-    def test_per_layer_csv_needs_a_profile(self, tmp_path):
-        with pytest.raises(EmptyRecord, match="^no profiles to write$"):
-            write_per_layer_csv([], tmp_path / "per_layer.csv")
-        assert list(tmp_path.iterdir()) == []

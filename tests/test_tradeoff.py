@@ -158,6 +158,21 @@ class TestEvaluateCandidates:
         with pytest.raises(EmptyRecord):
             evaluate_candidates([], 100.0, -0.15)
 
+    @pytest.mark.parametrize("base, exponent, error, message", [
+        (math.nan, -0.15, NonPositiveLatency, "base_latency_ms must be finite and positive"),
+        (math.inf, -0.15, NonPositiveLatency, "base_latency_ms must be finite and positive"),
+        (0.0, -0.15, NonPositiveLatency, "base_latency_ms must be finite and positive"),
+        (100.0, math.nan, InvalidConfig, "exponent must be finite"),
+        (100.0, -math.inf, InvalidConfig, "exponent must be finite"),
+    ], ids=["base-nan", "base-inf", "base-0", "exponent-nan", "exponent-minus-inf"])
+    def test_a_bad_knob_is_named_before_any_candidate(self, base, exponent, error, message):
+        # the knob's own rule, as ``reward`` refuses it, not the first candidate's
+        with pytest.raises(error, match=f"^{message}, got ") as refusal:
+            evaluate_candidates(table_candidates(), base, exponent)
+        with pytest.raises(error) as direct:
+            reward(1.0, 1.0, base, exponent)
+        assert str(refusal.value) == str(direct.value)
+
     def test_empty_frontier_rejected(self):
         with pytest.raises(EmptyRecord, match="^pareto_frontier needs at least one point$"):
             pareto_frontier([])
