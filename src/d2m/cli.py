@@ -9,10 +9,12 @@ content hashes) and refuses to run a stage whose declared inputs no longer
 hash-match what an earlier stage produced. ``main`` keeps that protocol for
 every stage: each input is hashed once, before the stage runs, and the
 manifest records that digest; outputs are hashed once they are written.
-Each ``cmd_*`` only does its stage's work and returns what it wrote. Every
-input file, the manifest and each file hashed included, is opened through
-``config.input_file``: one that is not a regular file, such as a pipe, is
-refused with exit 3, and every refusal names its file.
+Each ``cmd_*`` only does its stage's work and returns what it wrote; a stage
+with several outputs writes them in one ``config.staged_outputs`` group, so
+one that fails replaces none of them. Every input file, the manifest and
+each file hashed included, is opened through ``config.input_file``: one that
+is not a regular file, such as a pipe, is refused with exit 3, and every
+refusal names its file.
 
 Each subcommand imports the modules it runs when it runs, so a stage pays
 only for its own imports: ``search`` (plan and sweep modes), ``fuse``,
@@ -233,10 +235,14 @@ def cmd_analyze(args) -> Written:
     from . import similarity
 
     matrices = similarity.stream_matrices(args.trace)
-    paths = similarity.export_heatmap(matrices, args.out_dir)
-    cache_path = Path(args.out_dir) / "matrices.d2ms"
-    similarity.write_matrices(matrices, cache_path)
-    return [*paths.values(), cache_path], ""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [*(out_dir / f"{name}.csv" for name in similarity.MATRIX_NAMES),
+               out_dir / "matrices.d2ms"]
+    with staged_outputs(*outputs) as (*heatmaps, cache):
+        similarity.export_heatmap(matrices, *heatmaps)
+        similarity.write_matrices(matrices, cache)
+    return outputs, ""
 
 
 def _parse_list(flag: str, text: str, cast=float) -> list:
@@ -279,11 +285,13 @@ def cmd_fuse(args) -> Written:
     with open_weights(args.model) as header:
         num_layers = header.shape.num_layers
     plan = load_plan(args.plan, num_layers)
-    provenance, _ = surgery.fuse(args.model, plan, base_copies=args.base_copies,
-                                 supp_copies=args.supp_copies, top_k=args.top_k,
-                                 destination=args.out)
-    write_json(args.provenance_out, surgery.provenance_to_dict(provenance))
-    return [args.out, args.provenance_out], ""
+    outputs = [args.out, args.provenance_out]
+    with staged_outputs(*outputs) as (fused, provenance_path):
+        provenance, _ = surgery.fuse(args.model, plan, base_copies=args.base_copies,
+                                     supp_copies=args.supp_copies, top_k=args.top_k,
+                                     destination=fused)
+        write_json(provenance_path, surgery.provenance_to_dict(provenance))
+    return outputs, ""
 
 
 def cmd_estimate(args) -> Written:
@@ -323,15 +331,11 @@ def cmd_pareto(args) -> Written:
     exponent = args.w if args.calibrate is None else tradeoff.calibrate_w(*args.calibrate)
     evaluated, best = tradeoff.evaluate_candidates(candidates, args.base_latency, exponent)
     note = f"base_latency_ms={args.base_latency:g} w={exponent:.6f} argmax={best.config_id}"
-    tradeoff.write_candidates_csv(evaluated, args.rewards_out, header_comment=note)
-
-    frontier_points = set(tradeoff.pareto_frontier(
-        [(c.latency_ms, c.score) for c in evaluated]))
-    frontier = sorted((c for c in evaluated if (c.latency_ms, c.score) in frontier_points),
-                      key=lambda c: (c.latency_ms, c.config_id))
-    tradeoff.write_candidates_csv(frontier, args.frontier_out, header_comment=note)
-    return ([args.rewards_out, args.frontier_out],
-            f"; argmax {best.config_id} (reward {best.reward:.2f})")
+    outputs = [args.rewards_out, args.frontier_out]
+    with staged_outputs(*outputs) as (rewards, frontier):
+        tradeoff.write_candidates_csv(evaluated, rewards, note)
+        tradeoff.write_candidates_csv(tradeoff.pareto_frontier(evaluated), frontier, note)
+    return outputs, f"; argmax {best.config_id} (reward {best.reward:.2f})"
 
 
 def cmd_diagnose(args) -> Written:
@@ -357,11 +361,12 @@ def cmd_train_toy(args) -> Written:
     model = read_weights(args.model)
     data = make_copy_stream(model.shape.vocab_size, args.seq_len, args.sequences, args.seed)
     log, trained = train_toy(model, data, steps=args.steps, lr=args.lr, alpha=args.alpha)
-    log.to_csv(args.log_out)
-    write_weights(trained, args.model_out)
+    outputs = [args.log_out, args.model_out]
+    with staged_outputs(*outputs) as (log_path, model_path):
+        log.to_csv(log_path)
+        write_weights(trained, model_path)
     final = log.steps[-1]
-    return ([args.log_out, args.model_out],
-            f"; final task loss {final.task_loss:.4f}, balance {final.lb_loss:.4f}")
+    return outputs, f"; final task loss {final.task_loss:.4f}, balance {final.lb_loss:.4f}"
 
 
 # --- parser & dispatch -----------------------------------------------------------------

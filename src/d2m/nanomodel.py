@@ -82,9 +82,11 @@ POSITION_SCALE = 0.1
 
 
 def sinusoid_positions(seq_len: int, dim: int) -> np.ndarray:
-    """Fixed additive positional offsets, scaled by ``POSITION_SCALE``."""
+    """Fixed additive positional offsets, scaled by ``POSITION_SCALE``: column
+    c at position t is the sine (c even) or cosine (c odd) of
+    t / 10000^(2 * (c // 2) / dim), at any width, odd ones included."""
     pos = np.arange(seq_len, dtype=np.float64)[:, None]
-    idx = np.arange(dim // 2, dtype=np.float64)
+    idx = np.arange((dim + 1) // 2, dtype=np.float64)
     ang = pos / np.power(10000.0, 2.0 * idx / dim)
     enc = np.zeros((seq_len, dim))
     enc[:, 0::2] = np.sin(ang)
@@ -416,10 +418,12 @@ def _named_layer_params(layer: MoELayer, grads: MoeGrads):
 
 GRAD_DENOM_FLOOR = 1e-3
 GRAD_CHECK_ALPHA = 1e-3
+GRAD_CHECK_STEP = 1e-5
 
 
-def grad_check(layer: MoELayer, x: np.ndarray, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def grad_check(layer: MoELayer, x: np.ndarray) -> float:
+    """Max relative error between analytic and central-difference gradients,
+    each difference taken over +-GRAD_CHECK_STEP.
 
     Loss = mean(output**2) + load-balancing term weighted GRAD_CHECK_ALPHA,
     with assignment fractions frozen at the unperturbed routing (stop-gradient
@@ -428,8 +432,6 @@ def grad_check(layer: MoELayer, x: np.ndarray, step: float = 1e-5) -> float:
     carry ~1e-10 absolute roundoff, so entries below the floor are held to a
     ~1e-9 absolute bound instead of a meaningless relative one.
     """
-    if not 1e-7 <= step <= 1e-4:
-        raise OutOfRange(f"step {step} outside [1e-7, 1e-4]")
     x = np.asarray(x, dtype=np.float64)
     h = pre_mlp_state(layer, x)
     y, record, cache = _moe_from_h(layer, h)
@@ -449,12 +451,12 @@ def grad_check(layer: MoELayer, x: np.ndarray, step: float = 1e-5) -> float:
         flat_g = grad.reshape(-1)
         for i in range(flat_t.size):
             original = flat_t[i]
-            flat_t[i] = original + step
+            flat_t[i] = original + GRAD_CHECK_STEP
             up = loss()
-            flat_t[i] = original - step
+            flat_t[i] = original - GRAD_CHECK_STEP
             down = loss()
             flat_t[i] = original
-            fd = (up - down) / (2.0 * step)
+            fd = (up - down) / (2.0 * GRAD_CHECK_STEP)
             analytic = flat_g[i]
             if not (np.isfinite(fd) and np.isfinite(analytic)):
                 raise NonFiniteGradient(f"non-finite gradient in {name}[{i}]")

@@ -168,17 +168,13 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
     return SimilarityMatrices(s_out=s_out, s_mlp=s_mlp, delta_norm=upper + upper.T)
 
 
-def export_heatmap(matrices: SimilarityMatrices, out_dir: str | Path) -> dict[str, Path]:
-    """Write s_out.csv, s_mlp.csv, and delta_norm.csv (9 significant digits)
-    into ``out_dir``, made if absent. A directory that cannot be made raises
-    the ``OSError``, which the CLI maps to exit 3 as it maps every one."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / f"{name}.csv" for name in MATRIX_NAMES}
-    for name, path in paths.items():
+def export_heatmap(matrices: SimilarityMatrices, *paths: str | Path) -> None:
+    """Write the matrices named by ``MATRIX_NAMES`` (s_out, s_mlp, delta_norm)
+    as CSV with 9 significant digits, one to each path of ``paths``, in that
+    order."""
+    for name, path in zip(MATRIX_NAMES, paths, strict=True):
         with output_file(path) as handle:
             writer = csv.writer(handle)
             writer.writerow(["layer"] + [str(i) for i in range(1, matrices.num_layers + 1)])
             for i, row in enumerate(getattr(matrices, name), start=1):
                 writer.writerow([str(i)] + [f"{v:.8e}" for v in row])
-    return paths

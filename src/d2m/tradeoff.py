@@ -41,14 +41,21 @@ def _check_knobs(base_latency_ms: float, exponent: float) -> None:
         raise InvalidConfig(f"exponent must be finite, got {exponent}")
 
 
-def reward(score: float, latency_ms: float, base_latency_ms: float,
-           exponent: float) -> float:
-    """score * (latency / base)^exponent, refused unless finite."""
-    _check_knobs(base_latency_ms, exponent)
+def _check_cells(latency_ms: float, score: float) -> None:
+    """The one rule of a candidate's two cells, for ``reward`` and
+    ``read_candidates_csv`` alike: a finite, positive ``latency_ms`` and a
+    finite ``score``."""
     if not 0 < latency_ms < math.inf:
         raise NonPositiveLatency(f"latency_ms must be finite and positive, got {latency_ms}")
     if not math.isfinite(score):
         raise InvalidConfig(f"score must be finite, got {score}")
+
+
+def reward(score: float, latency_ms: float, base_latency_ms: float,
+           exponent: float) -> float:
+    """score * (latency / base)^exponent, refused unless finite."""
+    _check_knobs(base_latency_ms, exponent)
+    _check_cells(latency_ms, score)
     try:
         value = score * (latency_ms / base_latency_ms) ** exponent
     except (OverflowError, ZeroDivisionError):  # a power beyond float range
@@ -96,28 +103,20 @@ def evaluate_candidates(candidates: Sequence[CandidateEvaluation],
     return evaluated, best
 
 
-def pareto_frontier(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Non-dominated subset of (latency, score) points, latency ascending.
+def pareto_frontier(candidates: Sequence[CandidateEvaluation]) -> list[CandidateEvaluation]:
+    """The candidates no other candidate dominates, sorted by
+    ``(latency_ms, config_id)``.
 
-    q dominates p when q is no slower and no worse with at least one strict
-    inequality; exact duplicates never dominate each other, so both survive.
+    q dominates p when q is no slower and scores no worse, with at least one
+    strict inequality, so no candidate dominates itself and exact duplicates
+    all survive.
     """
-    if not points:
-        raise EmptyRecord("pareto_frontier needs at least one point")
-    survivors = []
-    for i, (lat_p, score_p) in enumerate(points):
-        dominated = False
-        for j, (lat_q, score_q) in enumerate(points):
-            if j == i:
-                continue
-            if (lat_q <= lat_p and score_q >= score_p
-                    and (lat_q < lat_p or score_q > score_p)):
-                dominated = True
-                break
-        if not dominated:
-            survivors.append((i, lat_p, score_p))
-    survivors.sort(key=lambda t: (t[1], t[2], t[0]))
-    return [(lat, score) for _, lat, score in survivors]
+    if not candidates:
+        raise EmptyRecord("pareto_frontier needs at least one candidate")
+    frontier = [p for p in candidates if not any(
+        q.latency_ms <= p.latency_ms and q.score >= p.score
+        and (q.latency_ms < p.latency_ms or q.score > p.score) for q in candidates)]
+    return sorted(frontier, key=lambda c: (c.latency_ms, c.config_id))
 
 
 # --- CSV interchange -----------------------------------------------------------
@@ -144,9 +143,10 @@ def read_candidates_csv(source) -> list[CandidateEvaluation]:
                                                 reward=rew)
             except ValueError as exc:
                 raise InvalidConfig(f"candidate row {row} is malformed: {exc}") from exc
-            if not (0 < candidate.latency_ms < math.inf and math.isfinite(candidate.score)):
-                raise InvalidConfig(f"candidate row {row} needs a finite positive latency "
-                                    "and a finite score")
+            try:
+                _check_cells(candidate.latency_ms, candidate.score)
+            except D2mError as exc:
+                raise type(exc)(f"candidate {candidate.config_id}: {exc}") from None
             out.append(candidate)
         if not out:
             raise EmptyRecord("candidate CSV has no data rows")
@@ -154,13 +154,11 @@ def read_candidates_csv(source) -> list[CandidateEvaluation]:
 
 
 def write_candidates_csv(candidates: Iterable[CandidateEvaluation], destination,
-                         header_comment: str | None = None) -> None:
-    """Emit candidates with rewards rounded to two decimals (presentation
-    precision; recompute for anything downstream)."""
-    rows: list[list[str]] = []
-    if header_comment:
-        rows.append([f"# {header_comment}"])
-    rows.append(_HEADER)
+                         header_comment: str) -> None:
+    """Emit candidates after a ``# header_comment`` line, with rewards
+    rounded to two decimals (presentation precision; recompute for anything
+    downstream)."""
+    rows = [[f"# {header_comment}"], _HEADER]
     for c in candidates:
         rew = "" if c.reward is None else f"{c.reward:.2f}"
         rows.append([c.config_id, str(c.retained_depth), f"{c.latency_ms:.6g}",

@@ -9,7 +9,8 @@ of ``if TYPE_CHECKING:`` (read by type checkers only) and of
 not listed, since no test can reach them. It uses only the standard library,
 and its name keeps pytest from collecting it. A test that runs the CLI in a
 subprocess is not traced, so a statement only such a test reaches is listed
-too.
+too, and so is one reached only after Python dropped the tracer in a test:
+each such test is named, and tracing restarts after it.
 
 Run it from the repository root, with any pytest arguments after it:
 
@@ -89,13 +90,30 @@ def main(argv: list[str]) -> int:
             return local
         return None
 
+    class Retrace:
+        """Puts the tracer back after a test in which Python dropped it. A
+        trace function called at the recursion limit raises, and Python then
+        turns tracing off: a garbage collection that runs deep in a recursive
+        parse can close a suspended generator there, which is such a call."""
+
+        def __init__(self):
+            self.dropped: list[str] = []
+
+        def pytest_runtest_logfinish(self, nodeid, location):
+            if sys.gettrace() is not tracer:
+                self.dropped.append(nodeid)
+                sys.settrace(tracer)
+
+    retrace = Retrace()
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *argv], plugins=[retrace])
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    for nodeid in retrace.dropped:
+        print(f"tracing stopped during {nodeid} and was restarted after it")
 
     ran = defaultdict(set)
     for filename, lines in hits.items():

@@ -296,7 +296,7 @@ def test_c08_gradient_correctness():
         top_k = 1 if seed % 2 == 0 else 2
         layer = toy_moe_layer(8, 16, 3 + seed % 3, seed=800 + seed, top_k=top_k)
         x = np.random.default_rng(900 + seed).standard_normal((5, 8))
-        worst = max(worst, grad_check(layer, x, step=1e-5))
+        worst = max(worst, grad_check(layer, x))
 
     # a never-selected expert gets an exactly zero output-loss gradient
     layer = toy_moe_layer(8, 16, 3, seed=42, top_k=1)

@@ -495,6 +495,23 @@ class TestSynth:
                      "--plan-out", str(tmp_path / "plan.json")]) == 0
         assert json.loads((tmp_path / "plan.json").read_text())["prune"] == [3]
 
+    def test_an_odd_width_runs_forward_and_trains(self, tmp_path):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--seed", "3", "--layers", "3",
+                     "--hidden", "5", "--mlp-dim", "8", "--heads", "2", "--kv-heads", "1",
+                     "--head-dim", "4", "--vocab", "16", "--seq-len", "12",
+                     "--redundant", "2:1:0", "--trace-mode", "forward"]) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"keep": [1, 2], "prune": [3],
+                                    "blocks": [{"base": 2, "redundant": [3]}]}))
+        assert main(["fuse", "--model", str(synth / "model.d2mw"), "--plan", str(plan),
+                     "--base-copies", "1", "--supp-copies", "1", "--top-k", "1",
+                     "--out", str(tmp_path / "fused.d2mw"),
+                     "--provenance-out", str(tmp_path / "prov.json")]) == 0
+        assert main(["train-toy", "--model", str(tmp_path / "fused.d2mw"), "--steps", "2",
+                     "--seq-len", "8", "--sequences", "1", "--log-out", str(tmp_path / "log.csv"),
+                     "--model-out", str(tmp_path / "trained.d2mw")]) == 0
+
     def test_forward_trace_rejects_noise(self, tmp_path, capsys):
         code = main(["synth", "--out-dir", str(tmp_path / "synth"), "--layers", "5",
                      "--redundant", "4:1:0.5", "--trace-mode", "forward"])
@@ -1569,3 +1586,49 @@ class TestDirectories:
         error = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
         assert capsys.readouterr().err == f"error: {error}\n"
         assert files_under(tmp_path) == before
+
+
+class TestOutputsReplaceTogether:
+    """A stage with several outputs renames them into place only once all
+    are written, so one that cannot be replaced leaves every other as it
+    was."""
+
+    @staticmethod
+    def stage(name: str, inputs: dict[str, Path], out: Path) -> tuple[list[str], list[Path]]:
+        """The stage's argv over the README run's files, and its outputs."""
+        if name == "analyze":
+            outputs = [out / f"{m}.csv" for m in ("s_out", "s_mlp", "delta_norm")]
+            return (["analyze", "--trace", str(inputs["synth"] / "trace.d2mt"),
+                     "--out-dir", str(out)], [*outputs, out / "matrices.d2ms"])
+        if name == "fuse":
+            outputs = [out / "fused.d2mw", out / "prov.json"]
+            return (["fuse", "--model", str(inputs["synth"] / "model.d2mw"),
+                     "--plan", str(inputs["plan"]), "--base-copies", "1", "--supp-copies", "1",
+                     "--top-k", "1", "--out", str(outputs[0]),
+                     "--provenance-out", str(outputs[1])], outputs)
+        if name == "train-toy":
+            outputs = [out / "train_log.csv", out / "trained.d2mw"]
+            return (["train-toy", "--model", str(inputs["fused"]), "--steps", "2",
+                     "--seq-len", "8", "--sequences", "1", "--log-out", str(outputs[0]),
+                     "--model-out", str(outputs[1])], outputs)
+        candidates = out / "candidates.csv"
+        candidates.write_text(CANDIDATES_CSV)
+        outputs = [out / "rewards.csv", out / "frontier.csv"]
+        return (["pareto", "--candidates", str(candidates), "--base-latency", "195.87",
+                 "--w", "-0.15", "--rewards-out", str(outputs[0]),
+                 "--frontier-out", str(outputs[1])], outputs)
+
+    @pytest.mark.parametrize("name", ["analyze", "fuse", "train-toy", "pareto"])
+    def test_a_directory_as_the_last_output_replaces_no_other(self, tmp_path, capsys,
+                                                              readme_run, name):
+        argv, outputs = self.stage(name, readme_run, tmp_path)
+        *others, last = outputs
+        for path in others:
+            path.write_bytes(b"before " + path.name.encode())
+        last.mkdir()
+        before = files_under(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: cannot write {last}: it is a directory\n"
+        assert files_under(tmp_path) == before
+        assert last.is_dir() and sorted(tmp_path.rglob("*.tmp")) == []

@@ -117,6 +117,18 @@ def scalar_dense_layer(layer, x):
     return np.array(h_state), np.array(y_state)
 
 
+class TestSinusoidPositions:
+    @given(seq_len=st.integers(1, 16), dim=st.integers(1, 40))
+    def test_each_column_is_its_closed_form(self, seq_len, dim):
+        enc = nano.sinusoid_positions(seq_len, dim)
+        assert enc.shape == (seq_len, dim)
+        for t in range(seq_len):
+            for c in range(dim):
+                wave = math.sin if c % 2 == 0 else math.cos
+                expected = nano.POSITION_SCALE * wave(t / 10000.0 ** (2 * (c // 2) / dim))
+                assert enc[t, c] == pytest.approx(expected, rel=1e-12, abs=1e-15), (t, c)
+
+
 class TestMlpApply:
     def test_zero_input(self):
         mlp = GluMlp(*(np.random.default_rng(0).standard_normal(s)
@@ -365,12 +377,12 @@ class TestGradCheck:
     def test_reference_layer_under_tolerance(self):
         layer = toy_moe_layer(8, 16, 3, seed=5, top_k=1)
         x = np.random.default_rng(0).standard_normal((5, 8))
-        assert grad_check(layer, x, step=1e-5) < 1e-6
+        assert grad_check(layer, x) < 1e-6
 
     def test_top2_layer_under_tolerance(self):
         layer = toy_moe_layer(8, 12, 4, seed=6, top_k=2)
         x = np.random.default_rng(1).standard_normal((4, 8))
-        assert grad_check(layer, x, step=1e-5) < 1e-6
+        assert grad_check(layer, x) < 1e-6
 
     def test_zero_input_zero_router_balance_gradient_vanishes(self):
         layer = toy_moe_layer(8, 12, 3, seed=7, top_k=1)
@@ -395,11 +407,6 @@ class TestGradCheck:
         for g in grads.experts[2]:
             assert np.array_equal(g, np.zeros_like(g))
 
-    def test_step_out_of_range(self):
-        layer = toy_moe_layer(8, 12, 3, seed=9)
-        with pytest.raises(OutOfRange):
-            grad_check(layer, np.zeros((2, 8)), step=1e-2)
-
     def test_overflowing_loss_is_a_non_finite_gradient(self):
         # the forward pass stays finite, but its squares overflow the loss
         layer = toy_moe_layer(8, 12, 3, seed=9)
@@ -409,7 +416,7 @@ class TestGradCheck:
         assert np.isfinite(layer_forward(layer, x)[1]).all()
         with np.errstate(all="ignore"):
             with pytest.raises(NonFiniteGradient, match=r"^non-finite gradient in \S+\[0\]$"):
-                grad_check(layer, x, step=1e-5)
+                grad_check(layer, x)
 
 
 class TestRmsNormBackward:

@@ -26,6 +26,7 @@ from d2m.config import SearchThresholds
 from d2m.errors import D2mError, DimensionMismatch, NonFiniteValue, TruncatedPayload, ZeroVector
 from d2m.search import search, threshold_sweep
 from d2m.similarity import (
+    MATRIX_NAMES,
     SimilarityMatrices,
     build_matrices,
     export_heatmap,
@@ -500,8 +501,9 @@ class TestStreamMatrices:
 class TestHeatmapExport:
     def test_three_files_with_headers(self, tmp_path):
         mats = build_matrices(synth_trace(2, 3, 4, seed=4))
-        paths = export_heatmap(mats, tmp_path)
-        assert sorted(p.name for p in paths.values()) == [
+        paths = {name: tmp_path / f"{name}.csv" for name in MATRIX_NAMES}
+        export_heatmap(mats, *paths.values())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
             "delta_norm.csv", "s_mlp.csv", "s_out.csv"]
         lines = paths["s_out"].read_text().strip().splitlines()
         assert lines[0] == "layer,1,2"
@@ -509,7 +511,8 @@ class TestHeatmapExport:
 
     def test_round_trip_precision(self, tmp_path):
         mats = build_matrices(synth_trace(4, 5, 6, seed=5))
-        paths = export_heatmap(mats, tmp_path)
+        paths = {name: tmp_path / f"{name}.csv" for name in MATRIX_NAMES}
+        export_heatmap(mats, *paths.values())
         rows = [line.split(",")[1:] for line in
                 paths["s_mlp"].read_text().strip().splitlines()[1:]]
         parsed = np.array([[float(v) for v in row] for row in rows])

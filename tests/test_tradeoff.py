@@ -2,6 +2,9 @@
 argmax selection, and Pareto filtering against a brute-force filter."""
 
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,45 +177,63 @@ class TestEvaluateCandidates:
         assert str(refusal.value) == str(direct.value)
 
     def test_empty_frontier_rejected(self):
-        with pytest.raises(EmptyRecord, match="^pareto_frontier needs at least one point$"):
+        with pytest.raises(EmptyRecord, match="^pareto_frontier needs at least one candidate$"):
             pareto_frontier([])
 
 
-def brute_force_frontier(points):
+def candidates_at(points):
+    """One candidate per (latency, score) point, named by its position."""
+    return [CandidateEvaluation(f"c{i}", 1, float(lat), float(score))
+            for i, (lat, score) in enumerate(points)]
+
+
+def cells(candidates):
+    return [(c.latency_ms, c.score) for c in candidates]
+
+
+def brute_force_frontier(candidates):
     keep = []
-    for i, p in enumerate(points):
+    for p in candidates:
         dominated = False
-        for j, q in enumerate(points):
-            if i != j and q[0] <= p[0] and q[1] >= p[1] and q != p:
+        for q in candidates:
+            if (q.latency_ms <= p.latency_ms and q.score >= p.score
+                    and (q.latency_ms, q.score) != (p.latency_ms, p.score)):
                 dominated = True
         if not dominated:
             keep.append(p)
-    return sorted(keep)
+    return sorted(keep, key=lambda c: (c.latency_ms, c.config_id))
+
+
+# few values, so latencies, scores, ids and whole candidates repeat
+REPEATING_CANDIDATES = st.lists(st.builds(
+    CandidateEvaluation, config_id=st.sampled_from("abc"), retained_depth=st.integers(1, 3),
+    latency_ms=st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+    score=st.sampled_from([-1.0, 0.0, 0.5, 2.0])), min_size=1, max_size=12)
 
 
 class TestParetoFrontier:
     def test_three_point_example(self):
-        assert pareto_frontier([(100, 40), (120, 50), (130, 45)]) == [(100, 40), (120, 50)]
+        frontier = pareto_frontier(candidates_at([(100, 40), (120, 50), (130, 45)]))
+        assert cells(frontier) == [(100, 40), (120, 50)]
 
     def test_single_point(self):
-        assert pareto_frontier([(5.0, 1.0)]) == [(5.0, 1.0)]
+        only = candidates_at([(5.0, 1.0)])
+        assert pareto_frontier(only) == only
 
     def test_identical_points_both_survive(self):
-        assert pareto_frontier([(10.0, 3.0), (10.0, 3.0)]) == [(10.0, 3.0), (10.0, 3.0)]
+        a, b = candidates_at([(10.0, 3.0), (10.0, 3.0)])
+        assert pareto_frontier([b, a]) == [a, b]
+        assert pareto_frontier([a, a]) == [a, a]
 
-    def test_matches_brute_force_on_random_inputs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            n = int(rng.integers(1, 200))
-            pts = [(float(lat), float(score))
-                   for lat, score in zip(rng.integers(1, 50, n), rng.integers(1, 50, n))]
-            assert sorted(pareto_frontier(pts)) == brute_force_frontier(pts)
+    @given(candidates=REPEATING_CANDIDATES.flatmap(
+        lambda cs: st.lists(st.sampled_from(cs), max_size=4).map(lambda extra: cs + extra)))
+    def test_matches_brute_force_on_random_inputs(self, candidates):
+        assert pareto_frontier(candidates) == brute_force_frontier(candidates)
 
     def test_sorted_by_latency(self):
         rng = np.random.default_rng(7)
-        pts = [(float(v), float(s)) for v, s in rng.uniform(1, 100, size=(50, 2))]
-        frontier = pareto_frontier(pts)
-        assert frontier == sorted(frontier)
+        frontier = pareto_frontier(candidates_at(rng.uniform(1, 100, size=(50, 2))))
+        assert frontier == sorted(frontier, key=lambda c: (c.latency_ms, c.config_id))
 
 
 class TestCandidatesCsv:
@@ -237,8 +258,37 @@ class TestCandidatesCsv:
     def test_rejects_malformed_cell(self, tmp_path, row):
         path = tmp_path / "candidates.csv"
         path.write_text(f"config_id,depth,latency_ms,score,reward\n{row}\n", encoding="utf-8")
-        with pytest.raises(InvalidConfig, match="L1"):
+        # a latency that parses but is not finite and positive is refused as
+        # the reward refuses it; any other bad cell as a malformed row
+        bad_latency = row in ("L1,1,-1.0,1.0,", "L1,1,0,1.0,", "L1,1,inf,1.0,")
+        with pytest.raises(NonPositiveLatency if bad_latency else InvalidConfig,
+                           match=f"^{re.escape(str(path))}: .*L1"):
             read_candidates_csv(path)
+
+    @given(latency=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+           | st.floats(-1e6, 1e6),
+           score=st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-1e6, 1e6))
+    def test_one_refusal_per_bad_cell(self, latency, score):
+        """The reader, the evaluation and the reward accept the same cells,
+        and refuse the others with one class and one message, after the
+        file's and the candidate's prefixes. Finite cells stay within 1e6,
+        so no accepted cell's reward leaves float range."""
+        def refusal(call, prefix):
+            try:
+                call()
+            except D2mError as exc:
+                assert str(exc).startswith(prefix), exc
+                return type(exc), str(exc)[len(prefix):]
+            return None
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "candidates.csv"
+            path.write_text(f"config_id,depth,latency_ms,score,reward\n"
+                            f"L1,1,{latency!r},{score!r},\n", encoding="utf-8")
+            read = refusal(lambda: read_candidates_csv(path), f"{path}: candidate L1: ")
+        evaluated = refusal(lambda: evaluate_candidates(
+            [CandidateEvaluation("L1", 1, latency, score)], 1.0, -0.15), "candidate L1: ")
+        assert read == evaluated == refusal(lambda: reward(score, latency, 1.0, -0.15), "")
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "candidates.csv"
