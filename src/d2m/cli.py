@@ -9,12 +9,12 @@ content hashes) and refuses to run a stage whose declared inputs no longer
 hash-match what an earlier stage produced. ``main`` keeps that protocol for
 every stage: each input is hashed once, before the stage runs, and the
 manifest records that digest; outputs are hashed once they are written.
-Each ``cmd_*`` only does its stage's work and returns what it wrote; a stage
-with several outputs writes them in one ``config.staged_outputs`` group, so
-one that fails replaces none of them. Every input file, the manifest and
-each file hashed included, is opened through ``config.input_file``: one that
-is not a regular file, such as a pipe, is refused with exit 3, and every
-refusal names its file.
+Each ``cmd_*`` only does its stage's work and returns its note; ``main``
+runs it in one ``config.staged_outputs`` group, so a stage that fails
+replaces none of its outputs and removes the ``--out-dir`` it made. Every
+input file, the manifest and each file hashed included, is opened through
+``config.input_file``: one that is not a regular file, such as a pipe, is
+refused with exit 3, and every refusal names its file.
 
 Each subcommand imports the modules it runs when it runs, so a stage pays
 only for its own imports: ``search`` (plan and sweep modes), ``fuse``,
@@ -28,9 +28,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import takewhile
 from pathlib import Path
 
 from .config import (
@@ -41,6 +40,7 @@ from .config import (
     json_document,
     load_config,
     load_plan,
+    output_dir,
     plan_to_dict,
     read_matrices,
     staged_outputs,
@@ -154,9 +154,6 @@ class PipelineRun:
 
 # --- subcommands ---------------------------------------------------------------------
 
-# What a stage wrote, and the note that ends its "wrote ..." line.
-Written = tuple[list[str | Path], str]
-
 
 def _parse_redundant(specs: list[str]) -> list[tuple[int, int, float]]:
     entries = []
@@ -182,7 +179,7 @@ def _overflow_names(flag: str):
             raise InvalidConfig(f"{flag} overflows float32") from None
 
 
-def cmd_synth(args) -> Written:
+def cmd_synth(args) -> str:
     from .nanomodel import build_toy_container, embed_tokens, forward_trace, make_copy_stream
     from .traceio import SyntheticTrace, write_trace, write_weights
 
@@ -210,39 +207,24 @@ def cmd_synth(args) -> Written:
     if args.trace_mode == "forward":
         _, trace, _ = forward_trace(model, embed_tokens(model, tokens))
 
-    out_dir = Path(args.out_dir)
-    created = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / "model.d2mw", out_dir / "trace.d2mt", out_dir / "config.json"]
-    try:
-        # all three are written before any is renamed into place; the trace
-        # first, as only its noise can still overflow float32 once drawn
-        with staged_outputs(*outputs) as (model_path, trace_path, config_path):
-            with _overflow_names("--redundant noise"):
-                write_trace(trace, trace_path)
-            write_weights(model, model_path)
-            write_json(config_path, asdict(PipelineConfig(model=shape)))
-    except BaseException:
-        if created:  # so a failed synth leaves no directory it made
-            for directory in created:  # deepest first
-                with suppress(OSError):
-                    directory.rmdir()
-        raise
-    return outputs, ""
+    out_dir = output_dir(args.out_dir)
+    # the trace first, as only its noise can still overflow float32 once drawn
+    with _overflow_names("--redundant noise"):
+        write_trace(trace, out_dir / "trace.d2mt")
+    write_weights(model, out_dir / "model.d2mw")
+    write_json(out_dir / "config.json", asdict(PipelineConfig(model=shape)))
+    return ""
 
 
-def cmd_analyze(args) -> Written:
+def cmd_analyze(args) -> str:
     from . import similarity
 
+    out_dir = output_dir(args.out_dir)  # before the trace is read
     matrices = similarity.stream_matrices(args.trace)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [*(out_dir / f"{name}.csv" for name in similarity.MATRIX_NAMES),
-               out_dir / "matrices.d2ms"]
-    with staged_outputs(*outputs) as (*heatmaps, cache):
-        similarity.export_heatmap(matrices, *heatmaps)
-        similarity.write_matrices(matrices, cache)
-    return outputs, ""
+    similarity.export_heatmap(matrices, *(out_dir / f"{name}.csv"
+                                          for name in similarity.MATRIX_NAMES))
+    similarity.write_matrices(matrices, out_dir / "matrices.d2ms")
+    return ""
 
 
 def _parse_list(flag: str, text: str, cast=float) -> list:
@@ -253,7 +235,7 @@ def _parse_list(flag: str, text: str, cast=float) -> list:
     return values
 
 
-def cmd_search(args) -> Written:
+def cmd_search(args) -> str:
     from .search import search, threshold_sweep, write_sweep_csv
 
     matrices = read_matrices(args.matrices)
@@ -267,7 +249,7 @@ def cmd_search(args) -> Written:
             _parse_list("--epsilon-grid", args.epsilon_grid),
             score_penalty=args.score_penalty, block_sizes=block_sizes)
         write_sweep_csv(cells, args.sweep_out)
-        return [args.sweep_out], f" ({len(cells)} cells)"
+        return f" ({len(cells)} cells)"
 
     if args.delta is None or args.epsilon is None or not args.plan_out:
         raise InvalidConfig("plan mode requires --delta, --epsilon, --plan-out")
@@ -275,26 +257,24 @@ def cmd_search(args) -> Written:
         cos_threshold=args.delta, norm_tolerance=args.epsilon,
         score_penalty=args.score_penalty, block_sizes=block_sizes))
     write_json(args.plan_out, plan_to_dict(plan))
-    return [args.plan_out], f" (prune {sorted(plan.prune_layers)})"
+    return f" (prune {sorted(plan.prune_layers)})"
 
 
-def cmd_fuse(args) -> Written:
+def cmd_fuse(args) -> str:
     from . import surgery
     from .weightfile import open_weights
 
     with open_weights(args.model) as header:
         num_layers = header.shape.num_layers
     plan = load_plan(args.plan, num_layers)
-    outputs = [args.out, args.provenance_out]
-    with staged_outputs(*outputs) as (fused, provenance_path):
-        provenance, _ = surgery.fuse(args.model, plan, base_copies=args.base_copies,
-                                     supp_copies=args.supp_copies, top_k=args.top_k,
-                                     destination=fused)
-        write_json(provenance_path, surgery.provenance_to_dict(provenance))
-    return outputs, ""
+    provenance, _ = surgery.fuse(args.model, plan, base_copies=args.base_copies,
+                                 supp_copies=args.supp_copies, top_k=args.top_k,
+                                 destination=args.out)
+    write_json(args.provenance_out, surgery.provenance_to_dict(provenance))
+    return ""
 
 
-def cmd_estimate(args) -> Written:
+def cmd_estimate(args) -> str:
     from . import costmodel
 
     config = load_config(args.config)
@@ -319,10 +299,10 @@ def cmd_estimate(args) -> Written:
         "bytes": size_bytes,
     }
     write_json(args.out, doc)
-    return [args.out], ""
+    return ""
 
 
-def cmd_pareto(args) -> Written:
+def cmd_pareto(args) -> str:
     from . import tradeoff
 
     if (args.w is None) == (args.calibrate is None):  # neither, or both
@@ -331,14 +311,12 @@ def cmd_pareto(args) -> Written:
     exponent = args.w if args.calibrate is None else tradeoff.calibrate_w(*args.calibrate)
     evaluated, best = tradeoff.evaluate_candidates(candidates, args.base_latency, exponent)
     note = f"base_latency_ms={args.base_latency:g} w={exponent:.6f} argmax={best.config_id}"
-    outputs = [args.rewards_out, args.frontier_out]
-    with staged_outputs(*outputs) as (rewards, frontier):
-        tradeoff.write_candidates_csv(evaluated, rewards, note)
-        tradeoff.write_candidates_csv(tradeoff.pareto_frontier(evaluated), frontier, note)
-    return outputs, f"; argmax {best.config_id} (reward {best.reward:.2f})"
+    tradeoff.write_candidates_csv(evaluated, args.rewards_out, note)
+    tradeoff.write_candidates_csv(tradeoff.pareto_frontier(evaluated), args.frontier_out, note)
+    return f"; argmax {best.config_id} (reward {best.reward:.2f})"
 
 
-def cmd_diagnose(args) -> Written:
+def cmd_diagnose(args) -> str:
     from .diagnostics import train_log_from_csv, write_summary_csv, wta_metrics
 
     log = train_log_from_csv(args.log)
@@ -347,10 +325,10 @@ def cmd_diagnose(args) -> Written:
         raise OutOfRange(f"--row {args.row} outside {-rows}..{rows - 1} "
                          f"for a log of {rows} rows")
     write_summary_csv(wta_metrics([log.steps[args.row].loads]), args.out)
-    return [args.out], ""
+    return ""
 
 
-def cmd_train_toy(args) -> Written:
+def cmd_train_toy(args) -> str:
     from .nanomodel import check_topology, make_copy_stream, train_toy
     from .traceio import read_weights, write_weights
     from .weightfile import open_weights
@@ -361,12 +339,10 @@ def cmd_train_toy(args) -> Written:
     model = read_weights(args.model)
     data = make_copy_stream(model.shape.vocab_size, args.seq_len, args.sequences, args.seed)
     log, trained = train_toy(model, data, steps=args.steps, lr=args.lr, alpha=args.alpha)
-    outputs = [args.log_out, args.model_out]
-    with staged_outputs(*outputs) as (log_path, model_path):
-        log.to_csv(log_path)
-        write_weights(trained, model_path)
+    log.to_csv(args.log_out)
+    write_weights(trained, args.model_out)
     final = log.steps[-1]
-    return outputs, f"; final task loss {final.task_loss:.4f}, balance {final.lb_loss:.4f}"
+    return f"; final task loss {final.task_loss:.4f}, balance {final.lb_loss:.4f}"
 
 
 # --- parser & dispatch -----------------------------------------------------------------
@@ -470,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one stage. Its declared inputs must exist. With --run-dir, each
-    input is hashed once before the stage runs (a stale one is refused), and
-    after it runs the manifest records those digests and its outputs'."""
+    """Run one stage in one output group. Its declared inputs must exist. With
+    --run-dir, each input is hashed once before the stage runs (a stale one is
+    refused), and the manifest records those digests and its outputs'."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -484,10 +460,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise MissingInput(f"input does not exist: {path}")
         run = PipelineRun(Path(args.run_dir)) if args.run_dir else None
         digests = run.check_inputs(inputs) if run else {}
-        outputs, note = args.func(args)
+        with staged_outputs() as group:
+            note = args.func(args)
         if run:
-            run.record(args.command, digests, outputs)
-        print(f"wrote {', '.join(str(p) for p in outputs)}{note}")
+            run.record(args.command, digests, group.written)
+        print(f"wrote {', '.join(map(str, group.written))}{note}")
         return EXIT_OK
     except (VerificationFailure, NonFiniteActivation, NonFiniteGradient,
             DivergenceDetected, StaleArtifact, CorruptManifest) as exc:

@@ -6,10 +6,10 @@ every input file, text or binary, is opened by its path: a regular file or
 nothing, and every refusal names it; ``text_file``, through which every JSON
 and CSV input is read; ``json_document``, through which every JSON input is
 parsed; ``output_file``, through which every file the toolkit writes is
-written beside its destination path and renamed into place by
-``staged_outputs``, which renames several together; and ``_read``, the one
-bounds-checked cursor through which every binary file is read by positioned
-reads (``weightfile`` walks a weights file's header through it).
+written once beside its destination path and renamed into place with the
+rest of its ``staged_outputs`` group, one per CLI stage; and ``_read``, the
+one bounds-checked cursor through which every binary file is read by
+positioned reads (``weightfile`` walks a weights file's header through it).
 
 Nothing here imports numpy, so the stages that read only JSON, CSV and the
 similarity matrices cache start without it.
@@ -30,8 +30,9 @@ import struct
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import takewhile
 from pathlib import Path
-from typing import IO, Any, BinaryIO, Iterator, Mapping, Sequence, TextIO
+from typing import IO, Any, BinaryIO, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (
     BadMagic,
@@ -60,48 +61,90 @@ def json_document(text: str | bytes, source) -> Any:
         raise InvalidConfig(f"{source} is not valid JSON: {exc}") from exc
 
 
+class OutputGroup(NamedTuple):
+    """What an open ``staged_outputs`` group has written."""
+    written: list[Path]  # each destination, in write order
+    temps: list[Path]  # the new file written for it
+    made: list[Path]  # the directories ``output_dir`` made, parents first
+
+
+_open: list[OutputGroup] = []  # the group ``staged_outputs`` holds open, if any
+
+
+def _cannot_write(path: Path, exc: OSError) -> IoFailure:
+    # the errno and its text alone: the error's own file names are temporary
+    return IoFailure(f"cannot write {path}: [Errno {exc.errno}] {exc.strerror}")
+
+
 @contextmanager
-def staged_outputs(*destinations) -> Iterator[list[Path]]:
-    """A new path beside each of the paths ``destinations`` for the block to
-    write; each replaces its destination only once the block completes, so a
-    failure replaces none of them. A destination that is a directory, which
-    no rename can replace, is refused before the first rename. On any
-    exception the new files are removed and the destinations left as they
-    were; an ``OSError`` raises ``IoFailure`` naming the destinations, or
-    the one whose rename failed."""
-    paths = [Path(d) for d in destinations]
-    # random, so a killed writer's leftover blocks no one
-    temps = [path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp") for path in paths]
-    named = paths  # what an OSError names
+def staged_outputs() -> Iterator[OutputGroup]:
+    """One output group, for the ``output_file`` blocks inside its block to
+    join. Once the block completes, each new file replaces its destination,
+    one that is a directory refused before the first rename; on any
+    exception the new files and ``output_dir``'s directories are removed. A
+    group opened inside another is that outer group."""
+    if _open:
+        yield _open[0]
+        return
+    group = OutputGroup([], [], [])
+    _open.append(group)
     try:
-        yield temps
-        for path in paths:
-            with suppress(FileNotFoundError):  # lstat: a symlink is replaced, not followed
-                if stat.S_ISDIR(os.lstat(path).st_mode):
-                    raise IoFailure(f"cannot write {path}: it is a directory")
-        for temp, path in zip(temps, paths):
-            named = [path]
-            os.replace(temp, path)
-    except BaseException as exc:
-        for temp in temps:
+        yield group
+        for path in group.written:  # a symlink is replaced, not followed
+            if path.is_dir() and not path.is_symlink():
+                raise IoFailure(f"cannot write {path}: it is a directory")
+        for temp, path in zip(group.temps, group.written):
+            try:
+                os.replace(temp, path)
+            except OSError as exc:
+                raise _cannot_write(path, exc) from exc
+    except BaseException:
+        for temp in group.temps:
             with suppress(OSError):
                 os.unlink(temp)
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write {', '.join(map(str, named))}: {exc}") from exc
+        for directory in reversed(group.made):
+            with suppress(OSError):
+                directory.rmdir()
         raise
+    finally:
+        _open.clear()
 
 
 @contextmanager
 def output_file(destination, binary: bool = False) -> Iterator[IO]:
     """A new file beside the path ``destination`` (binary, or UTF-8 text
-    without newline translation), open for the block and then renamed over
-    it by ``staged_outputs``."""
-    with staged_outputs(destination) as (temp,):
-        # created exclusively, so it gets the umask's permissions and no
-        # other file is truncated
-        with (open(temp, "xb") if binary
-              else open(temp, "x", newline="", encoding="utf-8")) as handle:
-            yield handle
+    without newline translation), open for the block; it then joins the open
+    output group, or a group of its own. A failed block removes it, and an
+    ``OSError`` raises ``IoFailure`` naming ``destination``."""
+    path = Path(destination)
+    # random, so a killed writer's leftover blocks no one
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    with staged_outputs() as group:
+        try:
+            # created exclusively, so it gets the umask's permissions and no
+            # other file is truncated
+            with (open(temp, "xb") if binary
+                  else open(temp, "x", newline="", encoding="utf-8")) as handle:
+                yield handle
+        except BaseException as exc:
+            with suppress(OSError):
+                os.unlink(temp)
+            if isinstance(exc, OSError):
+                raise _cannot_write(path, exc) from exc
+            raise
+        group.written.append(path)
+        group.temps.append(temp)
+
+
+def output_dir(path) -> Path:
+    """The directory ``path``, made with its missing parents in the open
+    output group, or a group of its own, which removes them if it fails."""
+    path = Path(path)
+    missing = takewhile(lambda d: not d.exists(), (path, *path.parents))
+    with staged_outputs() as group:
+        group.made.extend(reversed(list(missing)))
+        path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def write_json(destination, doc: Any) -> None:

@@ -1,8 +1,10 @@
 """Atomic outputs: every file the toolkit writes goes through
-``config.output_file``, which writes beside the destination and renames into
-place, so a stage that fails mid-write never leaves a truncated artifact.
-Checked on the helper, on one CLI stage with a write that fails after k
-bytes, and by a state machine over the whole CLI in one run directory."""
+``config.output_file``, which writes it once beside the destination, to be
+renamed into place with the rest of its ``staged_outputs`` group, so a stage
+that fails mid-write never leaves a truncated artifact. Checked on the
+helpers, by a property over groups of destinations of every kind, on CLI
+stages with a write that fails after k bytes, and by a state machine over
+the whole CLI in one run directory."""
 
 import contextlib
 import csv
@@ -10,18 +12,20 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import d2m.config
 from d2m.cli import main
-from d2m.config import output_file, staged_outputs
+from d2m.config import output_dir, output_file, staged_outputs
 from d2m.errors import D2mError, IoFailure
 from d2m.similarity import read_matrices
 from d2m.traceio import read_trace, read_weights
@@ -45,8 +49,8 @@ class FailingFile:
         self._budget.left -= len(data)
         return self._handle.write(data)
 
-    def seek(self, offset):
-        return self._handle.seek(offset)
+    def __getattr__(self, name):  # seek, flush, name: the file's own
+        return getattr(self._handle, name)
 
     def __enter__(self):
         return self
@@ -56,17 +60,21 @@ class FailingFile:
 
 
 class Budget:
-    def __init__(self, left: int, only: str = ""):
+    def __init__(self, left: float, only: str = ""):
         self.left = left
         self.only = only  # the budget covers only files whose name holds this
         self.fired = False
+        self.opened: list[Path] = []  # every file opened for writing, in order
 
 
 @contextlib.contextmanager
 def failing_writes(budget: Budget):
-    """Make every file that ``output_file`` opens fail after the budget."""
+    """Make every file that ``output_file`` opens fail after the budget, and
+    record each in ``budget.opened``."""
     def fake_open(file, mode="r", *args, **kwargs):
         handle = open(file, mode, *args, **kwargs)
+        if "x" in mode:
+            budget.opened.append(Path(file))
         covered = "x" in mode and budget.only in Path(file).name
         return FailingFile(handle, budget) if covered else handle
 
@@ -79,6 +87,56 @@ def failing_writes(budget: Budget):
 
 def temp_files(root: Path) -> list[Path]:
     return sorted(root.rglob("*.tmp"))
+
+
+def staged_destination(opened: Path) -> Path | None:
+    """The destination whose new file ``opened`` is, when its name is one
+    ``.NAME.<8 hex>.tmp``; else None."""
+    match = re.fullmatch(r"\.(.+)\.[0-9a-f]{8}\.tmp", opened.name)
+    return opened.with_name(match.group(1)) if match else None
+
+
+KINDS = ("absent", "file", "link-to-file", "link-to-dir", "dir", "in-missing-dir")
+
+
+class Stop(Exception):
+    """Raised at a chosen point of a group's block."""
+
+
+def make_destination(root: Path, i: int, kind: str) -> Path:
+    """Destination ``i`` under ``root``, made to be of ``kind``."""
+    path = root / f"out{i}.bin"
+    if kind == "file":
+        path.write_bytes(b"old %d" % i)
+    elif kind == "link-to-file":
+        (root / f"target{i}").write_bytes(b"target %d" % i)
+        path.symlink_to(root / f"target{i}")
+    elif kind == "link-to-dir":
+        (root / f"targetdir{i}").mkdir()
+        path.symlink_to(root / f"targetdir{i}")
+    elif kind == "dir":
+        path.mkdir()
+        (path / "inside").write_bytes(b"inside %d" % i)
+    elif kind == "in-missing-dir":
+        path = root / f"new{i}" / "sub" / path.name
+    return path
+
+
+def tree(root: Path) -> dict[str, tuple]:
+    """Every entry under ``root``, links not followed: a link's target, a
+    file's bytes, or a directory."""
+    entries = {}
+    for directory, dirs, files in os.walk(root):
+        for name in (*dirs, *files):
+            path = Path(directory) / name
+            key = path.relative_to(root).as_posix()
+            if path.is_symlink():
+                entries[key] = ("link", os.readlink(path))
+            elif path.is_dir():
+                entries[key] = ("dir",)
+            else:
+                entries[key] = ("file", path.read_bytes())
+    return entries
 
 
 class TestOutputFile:
@@ -134,8 +192,8 @@ class TestStagedOutputs:
         (tmp_path / "dir").mkdir()
         link = tmp_path / "link.bin"
         link.symlink_to(tmp_path / "dir")
-        with staged_outputs(link) as (temp,):
-            temp.write_bytes(b"new")
+        with staged_outputs(), output_file(link, binary=True) as handle:
+            handle.write(b"new")
         assert not link.is_symlink() and link.read_bytes() == b"new"
         assert list((tmp_path / "dir").iterdir()) == []
 
@@ -149,13 +207,73 @@ class TestStagedOutputs:
 
         monkeypatch.setattr(os, "replace", cross_device)
         paths = [tmp_path / name for name in ("a.bin", "b.bin", "c.bin")]
-        with pytest.raises(IoFailure) as info, staged_outputs(*paths) as temps:
-            for temp in temps:
-                temp.write_bytes(b"new")
+        with pytest.raises(IoFailure) as info, staged_outputs():
+            for path in paths:
+                with output_file(path, binary=True) as handle:
+                    handle.write(b"new")
         assert str(info.value) == (
             f"cannot write {tmp_path / 'b.bin'}: [Errno {errno.EXDEV}] Invalid cross-device link")
         assert not (tmp_path / "c.bin").exists()
         assert temp_files(tmp_path) == []
+
+    @given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+           budget=st.one_of(st.just(math.inf), st.integers(0, 200)),
+           stop=st.one_of(st.none(), st.integers(0, 8)))
+    @settings(max_examples=150, deadline=None)
+    def test_every_destination_is_new_or_all_are_as_they_were(self, kinds, budget, stop):
+        """Destinations of every kind, written in one group whose block may
+        fail on a write after ``budget`` bytes or stop at a point: 2i before
+        destination i, 2i + 1 inside its block, 2n after the last."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            destinations = [make_destination(root, i, kind) for i, kind in enumerate(kinds)]
+            before = tree(root)
+            contents = [b"new %d " % i * 8 for i in range(len(kinds))]
+
+            def at(point):
+                if point == stop:
+                    raise Stop
+
+            error = None
+            spy = Budget(budget)
+            try:
+                with failing_writes(spy), staged_outputs() as group:
+                    for i, (path, data) in enumerate(zip(destinations, contents)):
+                        if kinds[i] == "in-missing-dir":
+                            output_dir(path.parent)
+                        at(2 * i)
+                        with output_file(path, binary=True) as handle:
+                            handle.write(data)
+                            at(2 * i + 1)
+                    at(2 * len(kinds))
+            except (Stop, IoFailure) as exc:
+                error = exc
+
+            # each file opened is one .NAME.<8 hex>.tmp beside its destination
+            assert [staged_destination(p) for p in spy.opened] == destinations[:len(spy.opened)]
+            assert temp_files(root) == []
+            directories = [p for p, kind in zip(destinations, kinds) if kind == "dir"]
+            if spy.fired:
+                assert str(error) == (f"cannot write {destinations[len(spy.opened) - 1]}: "
+                                      f"[Errno {errno.ENOSPC}] No space left on device")
+            elif stop is not None and stop <= 2 * len(kinds):
+                assert isinstance(error, Stop)
+            elif directories:
+                assert str(error) == f"cannot write {directories[0]}: it is a directory"
+            else:
+                assert error is None
+            if error is not None:
+                assert tree(root) == before
+                return
+            assert group.written == destinations and len(spy.opened) == len(destinations)
+            after = tree(root)
+            for path, data in zip(destinations, contents):
+                assert after.pop(path.relative_to(root).as_posix()) == ("file", data)
+            # every other entry is as it was, beside the directories made
+            assert {k: v for k, v in after.items() if k in before} == {
+                k: v for k, v in before.items() if root / k not in destinations}
+            assert all(v == ("dir",) and k.startswith("new") for k, v in after.items()
+                       if k not in before)
 
 
 SYNTH_ARGS = ["--seed", "1", "--layers", "3", "--hidden", "8", "--mlp-dim", "8",
@@ -177,6 +295,19 @@ def test_failed_write_leaves_existing_model_intact(tmp_path, capsys, budget):
     assert err.startswith("error: cannot write") and "model.d2mw" in err
     assert (tmp_path / "model.d2mw").read_bytes() == before
     assert temp_files(tmp_path) == []
+
+
+def test_a_failed_analyze_removes_the_out_dir_it_made(tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path / "synth"), *SYNTH_ARGS]) == 0
+    out_dir = tmp_path / "new1" / "new2"
+    capsys.readouterr()
+    with failing_writes(Budget(0, only="matrices.d2ms")):
+        code = main(["analyze", "--trace", str(tmp_path / "synth" / "trace.d2mt"),
+                     "--out-dir", str(out_dir)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: cannot write {out_dir / 'matrices.d2ms'}: "
+                                       f"[Errno {errno.ENOSPC}] No space left on device\n")
+    assert not (tmp_path / "new1").exists()
 
 
 # --- the CLI as a state machine -------------------------------------------------
@@ -326,23 +457,24 @@ class CliRun(RuleBasedStateMachine):
         refusal = self.expected_refusal(inputs)
         before = self.files
         inputs_before = tuple(before.get(p) for p in inputs)
-        budget, self.budget = self.budget, None
+        budget, self.budget = self.budget or Budget(math.inf), None
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            if budget is None:
+            with failing_writes(budget):
                 code = main([*argv, "--run-dir", str(self.root)])
-            else:
-                with failing_writes(budget):
-                    code = main([*argv, "--run-dir", str(self.root)])
         self.files = self.snapshot()
 
-        fired = budget is not None and budget.fired
         message = err.getvalue()
+        written = [self.root / p for p in [*outputs, "manifest.json"]]
+        # each output is written once, to one .NAME.<8 hex>.tmp beside it
+        staged = [staged_destination(p) for p in budget.opened]
+        assert len(set(staged)) == len(staged) and set(staged) <= set(written), staged
+        assert ".tmp" not in message, message
         if refusal is not None:
             assert code == refusal, message
-        elif fired:
-            assert code == 3 and message.startswith("error: cannot write"), message
-            assert any(Path(p).name in message for p in [*outputs, "manifest.json"]), message
+        elif budget.fired:
+            assert code == 3, message
+            assert any(message.startswith(f"error: cannot write {p}: ") for p in written), message
         elif invalid:
             assert code == 2, message
         else:  # 2 for an input damaged where no manifest records it
@@ -355,10 +487,10 @@ class CliRun(RuleBasedStateMachine):
         if code != 0:
             # outputs are renamed together, and before the manifest is
             # written, so only a failed manifest write leaves them replaced
-            manifest_failed = fired and "manifest.json" in message
+            manifest_failed = budget.fired and "manifest.json" in message
             assert changed <= (set(outputs) if manifest_failed else set()), message
             return
-        assert all(p in self.files for p in outputs)
+        assert all(p in self.files for p in outputs) and sorted(staged) == sorted(written)
         key = (stage, inputs_before)
         produced = tuple(self.files[p] for p in outputs)
         assert self.results.setdefault(key, produced) == produced, "rerun differs"

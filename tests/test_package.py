@@ -146,6 +146,9 @@ class TestStartUp:
 
 
 WRITE_HELPER = "output_file"
+# where an output group is opened: main's one group per stage, and the
+# write helpers, which join it
+GROUP_OPENERS = ("cli.main", "config.output_file", "config.output_dir")
 JSON_HELPER = "json_document"
 READ_HELPERS = ("input_file", "_Reader")
 
@@ -305,6 +308,41 @@ def guarded_calls(find, *helpers: str) -> list[str]:
 
 def test_every_write_goes_through_the_output_helper():
     assert guarded_calls(write_calls, WRITE_HELPER) == []
+
+
+def stray_group_openings(tree: ast.AST, module: str) -> list[tuple[str, int]]:
+    """(scope, line) of every call to ``staged_outputs`` in ``tree``, the
+    source of ``module``, outside ``GROUP_OPENERS``."""
+    found = []
+    for scope, node in scoped_calls(tree):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "staged_outputs" and f"{module}.{scope}" not in GROUP_OPENERS:
+            found.append((scope, node.lineno))
+    return found
+
+
+def test_only_main_opens_a_stage_output_group():
+    # a stage nested in a second group would stage its outputs twice
+    found = []
+    for path in sorted(SRC.joinpath("d2m").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line} in {scope}"
+                  for scope, line in stray_group_openings(tree, path.stem)]
+    assert found == []
+
+
+def test_group_guard_flags_a_second_opener():
+    code = ("def main(argv):\n"
+            "    with staged_outputs() as outputs:\n"
+            "        cmd_fuse(argv)\n"
+            "def cmd_fuse(args):\n"
+            "    with config.staged_outputs():\n"
+            "        pass\n"
+            "group = staged_outputs()\n")
+    assert stray_group_openings(ast.parse(code), "cli") == [("cmd_fuse", 5), (None, 7)]
+    assert stray_group_openings(ast.parse(code), "surgery") == [
+        ("main", 2), ("cmd_fuse", 5), (None, 7)]
 
 
 def test_every_json_input_goes_through_the_parse_helper():
