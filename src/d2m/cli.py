@@ -11,7 +11,8 @@ every stage: each input is hashed once, before the stage runs, and the
 manifest records that digest; outputs are hashed once they are written.
 Each ``cmd_*`` only does its stage's work and returns its note; ``main``
 runs it in one ``config.staged_outputs`` group, so a stage that fails
-replaces none of its outputs and removes the ``--out-dir`` it made. Every
+replaces none of its outputs and removes the ``--out-dir`` it made; one
+that runs out of memory exits 3 with a line naming the stage. Every
 input file, the manifest and each file hashed included, is opened through
 ``config.input_file``: one that is not a regular file, such as a pipe, is
 refused with exit 3, and every refusal names its file.
@@ -478,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # a backstop: no flag-sized allocation is checked first
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

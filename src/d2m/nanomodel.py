@@ -10,14 +10,17 @@ whole token batch through ``moe_param_grads``, the gradient ``grad_check``
 compares against central differences.
 
 One builder makes every toy model, ``build_toy_container``; one function runs
-a layer, ``layer_forward``; and one count, ``top1_fractions``, gives both the
-trainer's loads and ``load_profiles``.
+a layer, ``layer_forward``; one GLU forward, ``_glu``, serves a dense MLP and
+every routed expert, and keeps the values the expert's backward reuses; and
+one count, ``top1_fractions``, gives both ``load_profiles`` and a routing
+record's ``loads``, which a training step counts once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -52,10 +55,6 @@ RMS_EPS = 1e-6
 def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))  # never overflows, on either branch
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -157,6 +156,11 @@ class RoutingRecord:
     def num_experts(self) -> int:
         return self.probabilities.shape[1]
 
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """The top-1 load fractions, counted once per record."""
+        return top1_fractions(self.probabilities)
+
 
 def top1_fractions(probabilities: np.ndarray) -> np.ndarray:
     """Fraction of tokens (rows) whose highest-probability expert is i."""
@@ -165,6 +169,17 @@ def top1_fractions(probabilities: np.ndarray) -> np.ndarray:
 
 
 # --- forward ops ---------------------------------------------------------------
+
+
+def _glu(mlp: GluMlp, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """GLU feed-forward of a checked input, with the values its gradient
+    reads: the output and ``(x, u, v, sigmoid(u), silu(u))``, where u and v
+    are x's up and gate projections."""
+    u = x @ mlp.up
+    v = x @ mlp.gate
+    sig = sigmoid(u)
+    act = u * sig
+    return (act * v) @ mlp.down, (x, u, v, sig, act)
 
 
 def mlp_apply(mlp: GluMlp, x: np.ndarray) -> np.ndarray:
@@ -179,7 +194,7 @@ def mlp_apply(mlp: GluMlp, x: np.ndarray) -> np.ndarray:
             f"inconsistent GLU triple: up {mlp.up.shape}, gate {mlp.gate.shape}, "
             f"down {mlp.down.shape}"
         )
-    return (silu(x @ mlp.up) * (x @ mlp.gate)) @ mlp.down
+    return _glu(mlp, x)[0]
 
 
 def attention_forward(attn: AttentionParams, x: np.ndarray) -> np.ndarray:
@@ -218,28 +233,23 @@ def route(router: np.ndarray, h: np.ndarray, top_k: int) -> RoutingRecord:
     return RoutingRecord(probabilities=probs, selected=selected, gates=gates)
 
 
-@dataclass(frozen=True)
-class _MoeCache:
-    """Intermediates needed to backpropagate through the expert branch."""
-
-    z: np.ndarray
-    items: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def _moe_from_h(layer: MoELayer, h: np.ndarray) -> tuple[np.ndarray, RoutingRecord, _MoeCache]:
+def _moe_from_h(layer: MoELayer, h: np.ndarray) -> tuple[np.ndarray, RoutingRecord, list]:
+    """The layer's output, its routing record, and one ``(e, rows, gates,
+    outputs, values)`` entry per routed expert e, where ``values`` are its
+    ``_glu`` values, which the backward reuses."""
     record = route(layer.router, h, layer.top_k)
     z = rms_norm(h, layer.mlp_norm)
     y = h.copy()
-    items = []
-    for e in range(len(layer.experts)):
+    routed = []
+    for e, expert in enumerate(layer.experts):
         rows, slots = np.nonzero(record.selected == e)
         if rows.size == 0:
             continue
-        outputs = mlp_apply(layer.experts[e], z[rows])
+        outputs, values = _glu(expert, z[rows])
         gates = record.gates[rows, slots]
         y[rows] += gates[:, None] * outputs
-        items.append((e, rows, gates, outputs))
-    return y, record, _MoeCache(z=z, items=tuple(items))
+        routed.append((e, rows, gates, outputs, values))
+    return y, record, routed
 
 
 def pre_mlp_state(layer: DenseLayer | MoELayer, x: np.ndarray) -> np.ndarray:
@@ -345,8 +355,7 @@ def load_balance_loss(record: RoutingRecord) -> float:
     the mean routing probability of expert i. The training objective weights
     it by ``moe_param_grads``' ``lb_alpha``.
     """
-    f = top1_fractions(record.probabilities)
-    return record.num_experts * float(f @ record.probabilities.mean(axis=0))
+    return record.num_experts * float(record.loads @ record.probabilities.mean(axis=0))
 
 
 # --- gradients ----------------------------------------------------------------------
@@ -358,26 +367,14 @@ class MoeGrads:
     experts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def glu_param_grads(mlp: GluMlp, z: np.ndarray,
-                    d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a GLU MLP's three matrices given upstream d_out (input fixed)."""
-    u = z @ mlp.up
-    v = z @ mlp.gate
-    sig = sigmoid(u)
-    act = u * sig
-    d_pre = d_out @ mlp.down.T
-    d_down = (act * v).T @ d_out
-    d_u = d_pre * v * (sig * (1.0 + u * (1.0 - sig)))
-    d_v = d_pre * act
-    return z.T @ d_u, z.T @ d_v, d_down
-
-
 def moe_param_grads(layer: MoELayer, h: np.ndarray, record: RoutingRecord,
-                    cache: _MoeCache, d_output: np.ndarray,
+                    routed: list, d_output: np.ndarray,
                     lb_alpha: float) -> MoeGrads:
     """Analytic gradients w.r.t. router and expert weights for a loss whose
     gradient on the layer output is d_output, plus the lb_alpha-weighted
-    balancing term (top-1 fractions treated as constants).
+    balancing term (top-1 fractions treated as constants). ``routed`` is
+    ``_moe_from_h``'s list, so each expert's gradients come from the values
+    its forward kept; an expert no token chose gets zeros.
 
     The routing input h is held fixed (no gradient flows back through
     attention), matching the trainer's frozen-attention regime.
@@ -385,22 +382,17 @@ def moe_param_grads(layer: MoELayer, h: np.ndarray, record: RoutingRecord,
     n_experts = len(layer.experts)
     num_tokens = h.shape[0]
     d_probs = np.zeros_like(record.probabilities)
-    expert_grads = []
-    by_expert = {e: (rows, gates, outputs) for e, rows, gates, outputs in cache.items}
-    for e in range(n_experts):
-        if e not in by_expert:
-            expert_grads.append((np.zeros_like(layer.experts[e].up),
-                                 np.zeros_like(layer.experts[e].gate),
-                                 np.zeros_like(layer.experts[e].down)))
-            continue
-        rows, gates, outputs = by_expert[e]
+    expert_grads = [(np.zeros_like(mlp.up), np.zeros_like(mlp.gate), np.zeros_like(mlp.down))
+                    for mlp in layer.experts]
+    for e, rows, gates, outputs, (z, u, v, sig, act) in routed:
         dy_rows = d_output[rows]
         d_probs[rows, e] += np.einsum("td,td->t", dy_rows, outputs)
         upstream = gates[:, None] * dy_rows
-        expert_grads.append(glu_param_grads(layer.experts[e], cache.z[rows], upstream))
+        d_pre = upstream @ layer.experts[e].down.T
+        d_u = d_pre * v * (sig * (1.0 + u * (1.0 - sig)))
+        expert_grads[e] = (z.T @ d_u, z.T @ (d_pre * act), (act * v).T @ upstream)
     if lb_alpha:
-        f = top1_fractions(record.probabilities)
-        d_probs += lb_alpha * n_experts * f[None, :] / num_tokens
+        d_probs += lb_alpha * n_experts * record.loads[None, :] / num_tokens
     inner = np.einsum("tn,tn->t", d_probs, record.probabilities)
     d_logits = record.probabilities * (d_probs - inner[:, None])
     router_grad = h.T @ d_logits
@@ -434,11 +426,11 @@ def grad_check(layer: MoELayer, x: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=np.float64)
     h = pre_mlp_state(layer, x)
-    y, record, cache = _moe_from_h(layer, h)
+    y, record, routed = _moe_from_h(layer, h)
     n_experts = len(layer.experts)
     d_y = (2.0 / y.size) * y
-    grads = moe_param_grads(layer, h, record, cache, d_y, GRAD_CHECK_ALPHA)
-    frozen_f = top1_fractions(record.probabilities)
+    grads = moe_param_grads(layer, h, record, routed, d_y, GRAD_CHECK_ALPHA)
+    frozen_f = record.loads
 
     def loss() -> float:
         y2, rec2, _ = _moe_from_h(layer, h)
@@ -574,15 +566,15 @@ def train_toy(container: WeightContainer, data: np.ndarray, steps: int,
 
     log = TrainLog()
     for step in range(1, steps + 1):
-        y, record, cache = _moe_from_h(moe_layer, h)
+        y, record, routed = _moe_from_h(moe_layer, h)
         task_loss, d_logits = _softmax_xent(rms_norm(y, final_norm) @ head, targets)
         d_y = rms_norm_input_grad(y, final_norm, d_logits @ head.T)
-        grads = moe_param_grads(moe_layer, h, record, cache, d_y, lb_alpha=alpha)
+        grads = moe_param_grads(moe_layer, h, record, routed, d_y, lb_alpha=alpha)
         lb_raw = load_balance_loss(record)
         if not (np.isfinite(task_loss) and np.isfinite(lb_raw)):
             raise DivergenceDetected(f"loss became non-finite at step {step}")
         log.steps.append(TrainStep(step=step, task_loss=task_loss, lb_loss=lb_raw,
-                                   loads=tuple(top1_fractions(record.probabilities))))
+                                   loads=tuple(record.loads)))
         for _, tensor, grad in _named_layer_params(moe_layer, grads):
             tensor -= lr * grad
     return log, work

@@ -8,6 +8,7 @@ a trace file (``stream_matrices``), and a file is never loaded whole. The
 cosines are taken token by token, each token's Gram matrix of layer states
 divided by its norms, and summed in token order, so the matrices' bits do not
 depend on how the tokens are chunked, and only one token is copied to float64.
+No token is tested: the trace is judged once, from its norms, after the pass.
 ``seq_avg_cosine`` and ``norm_mismatch`` define the statistics pair by pair
 and are the oracle the matrices are tested against. Every reader and writer
 here takes a file path. ``SimilarityMatrices`` and its binary cache
@@ -101,38 +102,33 @@ def _accumulate(dims: tuple[int, int, int], chunks: Iterable[Chunk]) -> Similari
     squared in place and the squares are summed over d into the token's
     column of one (2, L, T) array of token norms. The cosines are added in
     token order and the matrices symmetrised after the pass, so their bits do
-    not depend on the chunk length. The trace is judged after the pass, from
-    the norms, so the error names the same place whatever the chunking and
-    order: ``NonFiniteValue`` the first half, then layer, holding a NaN or
-    infinity; ``ZeroVector`` the first zero-norm row in ``layer_outputs``,
-    then ``mlp_inputs``, by layer, then token.
+    not depend on the chunk length. The pass tests no token: it runs whole
+    under one ``np.errstate`` that silences invalid and divide, so a NaN,
+    infinity or zero row only makes cosines that are never used. The trace
+    is judged once, after the pass, from the norms, so the error names the
+    same place whatever the chunking and order: ``NonFiniteValue`` the first
+    half, then layer, holding a NaN or infinity; ``ZeroVector`` the first
+    zero-norm row in ``layer_outputs``, then ``mlp_inputs``, by layer, then
+    token.
     """
     num_layers, seq_len, hidden = dims
     grams = np.zeros((2, num_layers, num_layers))
     norms = np.empty((2, num_layers, seq_len))
     unit = np.empty((num_layers, hidden))
     gram, denom = np.empty((2, num_layers, num_layers))
-    clean = True
-    for half, tokens, states in chunks:
-        total = grams[half]
-        for token, token_norms in enumerate(norms[half, :, tokens].T):
-            # the copy comes first: a ufunc that casts float32 inputs runs
-            # through numpy's small cast buffers, 2.5x slower than copy and square
-            np.copyto(unit, states[:, token])
-            if clean:
-                # a NaN or infinity makes NaN products, which the norms
-                # refuse below, so the matmul must not warn of them
-                with np.errstate(invalid="ignore"):
-                    np.matmul(unit, unit.T, out=gram)
-            # sqrt(add.reduce(x * x)) over d is np.linalg.norm's arithmetic,
-            # so these are its bits, without its temporaries
-            np.multiply(unit, unit, out=unit)
-            np.add.reduce(unit, axis=1, out=token_norms)
-            np.sqrt(token_norms, out=token_norms)
-            # a non-finite or zero row fails the trace below; the Grams are
-            # then never used, so skip them rather than divide by it
-            clean = clean and np.isfinite(token_norms).all() and token_norms.all()
-            if clean:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for half, tokens, states in chunks:
+            total = grams[half]
+            for token, token_norms in enumerate(norms[half, :, tokens].T):
+                # the copy comes first: a ufunc that casts float32 inputs runs
+                # through numpy's small cast buffers, 2.5x slower than copy and square
+                np.copyto(unit, states[:, token])
+                np.matmul(unit, unit.T, out=gram)
+                # sqrt(add.reduce(x * x)) over d is np.linalg.norm's arithmetic,
+                # so these are its bits, without its temporaries
+                np.multiply(unit, unit, out=unit)
+                np.add.reduce(unit, axis=1, out=token_norms)
+                np.sqrt(token_norms, out=token_norms)
                 np.multiply.outer(token_norms, token_norms, out=denom)
                 gram /= denom
                 total += gram

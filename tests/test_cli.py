@@ -22,10 +22,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from d2m import cli, surgery
+from d2m import cli, surgery, traceio
 from d2m.cli import main
-from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, read_matrices,
-                        tensor_schema)
+from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, output_file,
+                        read_matrices, tensor_schema)
 from d2m.errors import D2mError, InvalidConfig, IoFailure, OutOfRange, VerificationFailure
 from d2m.nanomodel import build_toy_container
 from d2m.search import threshold_sweep
@@ -1586,6 +1586,36 @@ class TestDirectories:
         error = NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
         assert capsys.readouterr().err == f"error: {error}\n"
         assert files_under(tmp_path) == before
+
+
+class TestOutOfMemory:
+    """A stage that runs out of memory exits 3 with one line naming the
+    stage, and leaves nothing behind. The allocation is faked: no test asks
+    for a huge array."""
+
+    MESSAGE = ("Unable to allocate 477. GiB for an array with shape (2000000000, 32) "
+               "and data type float64")
+
+    @pytest.mark.parametrize("stage, writer", [("synth", "write_trace"),
+                                               ("train-toy", "write_weights")])
+    def test_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch, readme_run,
+                                        stage, writer):
+        def exhausted(_, path):
+            with output_file(path, binary=True) as handle:
+                handle.write(b"half a file")
+                raise MemoryError(self.MESSAGE)
+
+        monkeypatch.setattr(traceio, writer, exhausted)
+        argv = {"synth": ["synth", "--out-dir", str(tmp_path / "new1" / "new2"),
+                          "--layers", "3", "--hidden", "16", "--seq-len", "8"],
+                "train-toy": ["train-toy", "--model", str(readme_run["fused"]), "--steps", "1",
+                              "--seq-len", "8", "--sequences", "1",
+                              "--log-out", str(tmp_path / "log.csv"),
+                              "--model-out", str(tmp_path / "trained.d2mw")]}[stage]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {stage}: out of memory: {self.MESSAGE}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputsReplaceTogether:

@@ -2,6 +2,7 @@
 structural properties (affinity in depth, invariance in expert count), and
 the per-layer counts against toy and fused containers."""
 
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -20,6 +21,7 @@ from d2m.config import (
     QWEN25_0_5B,
     THOR_U,
     Workload,
+    tensor_schema,
 )
 from d2m.costmodel import (
     COMPUTE_BOUND,
@@ -31,9 +33,9 @@ from d2m.costmodel import (
 )
 from d2m.errors import InvalidConfig, InvalidShape
 from d2m.nanomodel import build_toy_container
-from d2m.surgery import reference_pruned_model
+from d2m.surgery import _layout, reference_pruned_model
 
-from test_surgery import fused_model, fusion_cases
+from test_surgery import draw_plan, fused_model, fusion_cases
 
 
 def moe_reference(num_layers=19, num_experts=6, top_k=1):
@@ -309,6 +311,52 @@ def test_every_side_matches_the_exact_closed_form(shape, hw, wl):
     breakdown = total_latency(shape, hw, wl)
     for side, exact in exact_sides(shape, hw, wl).items():
         assert getattr(breakdown, side) == pytest.approx(float(exact), rel=1e-12), side
+
+
+@st.composite
+def dense_fusions(draw):
+    """A dense ``small_shapes`` shape, a valid plan over it, K and M in
+    1..3, and a top-k no larger than the smallest fused pool."""
+    shape = replace(draw(small_shapes()), moe=None)
+    plan = draw_plan(draw, shape.num_layers)
+    base_copies, supp_copies = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    smallest = min((base_copies + len(b.redundant) * supp_copies for b in plan.blocks),
+                   default=3)
+    return shape, plan, base_copies, supp_copies, draw(st.integers(1, smallest))
+
+
+@given(case=dense_fusions(), hw=hardware(), wl=workloads)
+def test_a_fused_block_costs_no_latency_while_top_k_fits_its_layers(case, hw, wl):
+    """The abstract's claim. A block of n redundant layers fused at top-k
+    <= n + 1 runs one attention and at most n + 1 MLPs where the dense model
+    ran n + 1 of each, so each roofline side is strictly lower. Its active
+    count drops by the n pruned attentions and norms, each at least 6d + 2
+    weights (q, k, v and o are d x >= 1 each, plus two d-wide norms and two
+    head norms), less the (K + n*M)*d router, at most 6*n*d for K, M <= 3,
+    and by the n + 1 - k MLPs it no longer runs. With no block the fused
+    shape is the dense one. The static count changes by exactly
+    sum_b [(K + n_b*M - 1 - n_b) * MLP + router_b - n_b * (attention and
+    norms)]."""
+    shape, plan, base_copies, supp_copies, top_k = case
+    fused = _layout(shape, plan, base_copies, supp_copies, top_k)[0]
+    dense_cost, fused_cost = (total_latency(s, hw, wl) for s in (shape, fused))
+    if not plan.blocks:
+        assert fused == shape and fused_cost == dense_cost
+        assert active_params(fused) == active_params(shape)
+    elif all(top_k <= len(b.redundant) + 1 for b in plan.blocks):
+        for side in ("prefill_s", "decode_s", "prefill_memory_s", "decode_compute_s"):
+            assert getattr(fused_cost, side) < getattr(dense_cost, side), side
+        assert active_params(fused) < active_params(shape)
+
+    sizes = {name: Fraction(math.prod(dims)) for name, dims in tensor_schema(shape)}
+    mlp = sum(sizes[f"layer.1.mlp.{part}"] for part in ("up", "gate", "down"))
+    attention_and_norms = sum(size for name, size in sizes.items()
+                              if name.startswith("layer.1.") and ".mlp." not in name)
+    change = Fraction(0)
+    for block in plan.blocks:
+        n, pool = len(block.redundant), base_copies + len(block.redundant) * supp_copies
+        change += (pool - 1 - n) * mlp + pool * shape.hidden_dim - n * attention_and_norms
+    assert static_memory(fused)[0] - static_memory(shape)[0] == change
 
 
 class TestActiveParams:

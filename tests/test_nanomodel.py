@@ -316,13 +316,13 @@ class TestMoeForward:
         layer = toy_moe_layer(8, 12, 4, seed=26, top_k=1)
         x = np.random.default_rng(27).standard_normal((16, 8))
         calls = []
-        real = nano.mlp_apply
+        real = nano._glu
 
         def counting(mlp, rows):
             calls.append(rows.shape[0])
             return real(mlp, rows)
 
-        monkeypatch.setattr(nano, "mlp_apply", counting)
+        monkeypatch.setattr(nano, "_glu", counting)
         _, _, record = layer_forward(layer, x)
         assert sum(calls) == 16
         assert len(calls) == len(np.unique(record.selected))
@@ -679,7 +679,7 @@ class TestFrozenPrefix:
     def test_routing_and_gradients_run_once_per_step(self, monkeypatch, steps):
         fused = fused_last_layer(3, seed=4)
         data = make_copy_stream(16, 6, 3, seed=4)
-        calls = {"route": 0, "moe_param_grads": 0}
+        calls = {"route": 0, "moe_param_grads": 0, "top1_fractions": 0}
         for name in calls:
             real = getattr(nano, name)
 
@@ -689,7 +689,7 @@ class TestFrozenPrefix:
 
             monkeypatch.setattr(nano, name, counting)
         train_toy(fused, data, steps=steps, lr=0.5, alpha=1e-3)
-        assert calls == {"route": steps, "moe_param_grads": steps}
+        assert calls == {"route": steps, "moe_param_grads": steps, "top1_fractions": steps}
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_attention_runs_once_per_layer_and_sequence(self, monkeypatch, steps):

@@ -359,6 +359,21 @@ class TestVerifyFusion:
             '}\n')
 
 
+def draw_plan(draw, num_layers: int) -> FusionPlan:
+    """A valid plan over ``num_layers`` layers, its blocks in any order: 1..L
+    cut into runs, where a run of one is a plain kept layer and a longer run
+    a block whose first layer is the base."""
+    blocks, layer = [], 1
+    while layer <= num_layers:
+        run = draw(st.integers(1, num_layers - layer + 1))
+        if run > 1:
+            blocks.append(FusionBlock(base=layer, redundant=tuple(range(layer + 1, layer + run))))
+        layer += run
+    prune = frozenset(r for b in blocks for r in b.redundant)
+    return FusionPlan(keep_layers=tuple(n for n in range(1, num_layers + 1) if n not in prune),
+                      prune_layers=prune, blocks=tuple(draw(st.permutations(blocks))))
+
+
 @st.composite
 def fusion_cases(draw):
     """A small dense model (tied or untied, L in 2..7), a valid plan over it
@@ -370,20 +385,10 @@ def fusion_cases(draw):
                        num_heads=num_kv_heads * draw(st.integers(1, 2)),
                        num_kv_heads=num_kv_heads, head_dim=draw(st.integers(1, 4)),
                        vocab_size=draw(st.integers(1, 8)), tied_embedding=draw(st.booleans()))
-    # cut 1..L into runs: a run of one is a plain kept layer, a longer run is
-    # a block whose first layer is the base
-    blocks, layer = [], 1
-    while layer <= shape.num_layers:
-        run = draw(st.integers(1, shape.num_layers - layer + 1))
-        if run > 1:
-            blocks.append(FusionBlock(base=layer, redundant=tuple(range(layer + 1, layer + run))))
-        layer += run
-    prune = frozenset(r for b in blocks for r in b.redundant)
-    plan = FusionPlan(
-        keep_layers=tuple(n for n in range(1, shape.num_layers + 1) if n not in prune),
-        prune_layers=prune, blocks=tuple(draw(st.permutations(blocks))))
+    plan = draw_plan(draw, shape.num_layers)
     base_copies, supp_copies = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    smallest = min((base_copies + len(b.redundant) * supp_copies for b in blocks), default=1)
+    smallest = min((base_copies + len(b.redundant) * supp_copies for b in plan.blocks),
+                   default=1)
     seed = draw(st.integers(0, 2 ** 16))
     dense = build_toy_container(shape, seed=seed)
     # norm scales start at one in every layer; make them differ, so that a
