@@ -181,10 +181,16 @@ def _overflow_names(flag: str):
 
 
 def cmd_synth(args) -> str:
-    from .nanomodel import build_toy_container, embed_tokens, forward_trace, make_copy_stream
+    """The toy model, its trace and its config. Every flag, and the outputs'
+    size against the free space, is checked before anything is drawn or
+    created. In synthetic mode both are drawn as they are written: the model
+    tensor by tensor from ``toy_tensors``, holding one row chunk plus the
+    layers that ``--redundant`` copies, never the whole model."""
+    from .costmodel import static_memory
+    from .nanomodel import (build_toy_container, embed_tokens, forward_trace, make_copy_stream,
+                            toy_tensors)
     from .traceio import SyntheticTrace, write_trace, write_weights
 
-    # every flag is checked before anything is created
     shape = validate_shape(ModelShape(
         num_layers=args.layers, hidden_dim=args.hidden, mlp_dim=args.mlp_dim,
         num_heads=args.heads, num_kv_heads=args.kv_heads, head_dim=args.head_dim,
@@ -194,7 +200,7 @@ def cmd_synth(args) -> str:
     if args.trace_mode == "forward" and any(noise != 0 for _, _, noise in redundant):
         raise InvalidConfig("--trace-mode forward copies layers exactly, so every "
                             "--redundant noise must be 0")
-    # the trace's arguments are checked before the model is drawn
+    # the trace's arguments are checked before the model's
     if args.trace_mode == "synthetic":
         # drawn as write_trace writes it, so it is never held whole
         trace = SyntheticTrace(shape.num_layers, args.seq_len, shape.hidden_dim,
@@ -202,17 +208,27 @@ def cmd_synth(args) -> str:
     else:
         tokens = make_copy_stream(shape.vocab_size, args.seq_len, 1, args.seed)[0]
     duplicates = [(base, offset) for base, offset, _ in redundant]
-    with _overflow_names(f"--weight-scale {args.weight_scale:g}"):
-        model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
-                                    duplicate_from=duplicates)
+    model = shape, toy_tensors(shape, args.seed, args.weight_scale, duplicates)
+    # in closed form: the trace, and at least 4 bytes a parameter for the model
+    size = 20 + 8 * shape.num_layers * args.seq_len * shape.hidden_dim
+    size += 4 * static_memory(shape)[0]
+    out_dir = Path(args.out_dir)
+    disk = os.statvfs(next(d for d in (out_dir, *out_dir.parents) if d.exists()))
+    if size > (free := disk.f_bavail * disk.f_frsize):
+        raise IoFailure(f"cannot write {out_dir}: its outputs need {size} bytes, {free} are free")
     if args.trace_mode == "forward":
+        with _overflow_names(f"--weight-scale {args.weight_scale:g}"):
+            model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
+                                        duplicate_from=duplicates)
         _, trace, _ = forward_trace(model, embed_tokens(model, tokens))
 
-    out_dir = output_dir(args.out_dir)
-    # the trace first, as only its noise can still overflow float32 once drawn
+    output_dir(out_dir)
+    # the trace first, then the model; the noise and the weight scale can
+    # each still overflow float32 as they are drawn
     with _overflow_names("--redundant noise"):
         write_trace(trace, out_dir / "trace.d2mt")
-    write_weights(model, out_dir / "model.d2mw")
+    with _overflow_names(f"--weight-scale {args.weight_scale:g}"):
+        write_weights(model, out_dir / "model.d2mw")
     write_json(out_dir / "config.json", asdict(PipelineConfig(model=shape)))
     return ""
 
@@ -268,10 +284,12 @@ def cmd_fuse(args) -> str:
     with open_weights(args.model) as header:
         num_layers = header.shape.num_layers
     plan = load_plan(args.plan, num_layers)
-    provenance, _ = surgery.fuse(args.model, plan, base_copies=args.base_copies,
-                                 supp_copies=args.supp_copies, top_k=args.top_k,
-                                 destination=args.out)
-    write_json(args.provenance_out, surgery.provenance_to_dict(provenance))
+    provenance, report = surgery.fuse(args.model, plan, base_copies=args.base_copies,
+                                      supp_copies=args.supp_copies, top_k=args.top_k,
+                                      destination=args.out)
+    # the layer keys, and what verify_fusion checked, in report order
+    write_json(args.provenance_out, {**surgery.provenance_to_dict(provenance),
+                                     "checks": [asdict(check) for check in report.checks]})
     return ""
 
 

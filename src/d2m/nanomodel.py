@@ -9,9 +9,10 @@ flows through the attention stack, and the trainer takes each step on the
 whole token batch through ``moe_param_grads``, the gradient ``grad_check``
 compares against central differences.
 
-One builder makes every toy model, ``build_toy_container``; one function runs
-a layer, ``layer_forward``; one GLU forward, ``_glu``, serves a dense MLP and
-every routed expert, and keeps the values the expert's backward reuses; and
+One weight stream makes every toy model, ``toy_tensors``: ``synth`` writes
+it, and ``build_toy_container`` collects it into a float64 container; one
+function runs a layer, ``layer_forward``; one GLU forward, ``_glu``, serves a
+dense MLP and every routed expert, and keeps the values its backward reuses; and
 one count, ``top1_fractions``, gives both ``load_profiles`` and a routing
 record's ``loads``, which a training step counts once.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -460,33 +461,74 @@ def grad_check(layer: MoELayer, x: np.ndarray) -> float:
 # --- toy models and training ----------------------------------------------------------
 
 
-def build_toy_container(shape: ModelShape, seed: int, weight_scale: float = 0.02,
-                        duplicate_from: Iterable[tuple[int, int]] = ()) -> WeightContainer:
-    """Seeded Gaussian toy weights (norm scales start at one).
+# float64 bytes of one row chunk of draws, at least one row: with its float32
+# copy, the working set of ``toy_tensors`` beside the layers it keeps whole
+DRAW_CHUNK_BYTES = 1 << 20
 
-    ``duplicate_from`` entries (base, offset) copy every tensor of layer
-    ``base`` onto layer ``base+offset``, producing exactly redundant layers.
-    Values pass through float32 so containers serialize losslessly. The
-    entries and a finite ``weight_scale`` are checked before any weight is
-    drawn.
-    """
-    duplicate_from = check_redundancy(validate_shape(shape).num_layers, duplicate_from)
+
+def toy_tensors(shape: ModelShape, seed: int, weight_scale: float = 0.02,
+                duplicate_from: Iterable[tuple[int, int]] = ()
+                ) -> Iterator[tuple[str, np.ndarray]]:
+    """Seeded Gaussian toy weights, streamed: each tensor of
+    ``tensor_schema(shape)`` in schema order as ``(name, block)`` pairs of its
+    float32 row blocks, a block valid until the next pair is taken. Weights
+    are drawn from ``default_rng(seed)`` in row chunks (the values of one
+    whole draw), scaled and rounded to float32 once; norm scales are ones.
+    ``duplicate_from`` entries (base, offset) copy layer ``base`` onto layer
+    ``base+offset`` in order, each target resolved once to the drawn layer it
+    ends up holding; only those layers are kept whole, and a target still
+    spends its own draws. The entries, a finite ``weight_scale`` and like
+    layers for each copy are checked before this returns."""
+    holds: dict[int, int] = {}  # copy target -> the drawn layer it holds
+    for base, offset in check_redundancy(validate_shape(shape).num_layers, duplicate_from):
+        holds[base + offset] = holds.get(base, base)
     if not math.isfinite(weight_scale):
         raise InvalidConfig(f"weight_scale must be finite, got {weight_scale}")
+    for target, source in holds.items():
+        if shape.experts.get(target) != shape.experts.get(source):
+            raise DimensionMismatch(f"layer {target} cannot hold a copy of layer {source}: "
+                                    "their expert counts differ")
+    return _toy_stream(shape, seed, weight_scale, holds)
+
+
+def _toy_stream(shape: ModelShape, seed: int, weight_scale: float,
+                holds: dict[int, int]) -> Iterator[tuple[str, np.ndarray]]:
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
+    kept: dict[str, np.ndarray] = {}  # each tensor of a layer that a target holds
     for name, dims in tensor_schema(shape):
         if name.endswith("norm"):
-            tensors[name] = np.ones(dims)
-        else:
-            raw = rng.standard_normal(dims) * weight_scale
-            tensors[name] = raw.astype(np.float32).astype(np.float64)
-    for base, offset in duplicate_from:
-        src_prefix = f"layer.{base}."
-        for name in list(tensors):
-            if name.startswith(src_prefix):
-                tensors[f"layer.{base + offset}.{name[len(src_prefix):]}"] = tensors[name].copy()
-    return validate_container(WeightContainer(shape=shape, tensors=tensors))
+            yield name, np.ones(dims, dtype=np.float32)
+            continue
+        layer, _, part = name.removeprefix("layer.").partition(".")
+        layer = int(layer) if part else 0  # 0: the embedding or the LM head
+        keep, (rows, cols) = layer in holds.values(), dims
+        step = max(1, DRAW_CHUNK_BYTES // (8 * cols))
+        draws = np.empty((min(step, rows), cols))
+        out = np.empty(dims if keep else draws.shape, dtype=np.float32)
+        for first in range(0, rows, step):
+            chunk = draws[:min(step, rows - first)]
+            rng.standard_normal(out=chunk)
+            block = out[first:first + len(chunk)] if keep else out[:len(chunk)]
+            np.multiply(chunk, weight_scale, out=block, casting="same_kind")  # rounded once
+            if not (keep or layer in holds):
+                yield name, block
+        if keep:
+            kept[name] = out
+        if keep or layer in holds:
+            yield name, kept[f"layer.{holds.get(layer, layer)}.{part}"]
+
+
+def build_toy_container(shape: ModelShape, seed: int, weight_scale: float = 0.02,
+                        duplicate_from: Iterable[tuple[int, int]] = ()) -> WeightContainer:
+    """The float64 container of ``toy_tensors``' stream for these arguments,
+    each tensor's row blocks gathered in order: every value is a float32, so
+    the container serializes losslessly. Refuses what ``toy_tensors`` does,
+    before any weight is drawn."""
+    tensors: dict[str, list[np.ndarray]] = {}
+    for name, block in toy_tensors(shape, seed, weight_scale, duplicate_from):
+        tensors.setdefault(name, []).append(block.astype(np.float64))
+    return WeightContainer(shape, {name: np.concatenate(blocks)
+                                   for name, blocks in tensors.items()})
 
 
 def make_copy_stream(vocab_size: int, seq_len: int, num_sequences: int,

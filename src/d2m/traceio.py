@@ -45,6 +45,9 @@ drawn as it is written: each layer goes to its slot as soon as it is drawn,
 only the layers that a redundancy entry reads as its base are kept, and each
 entry's target slot is then overwritten in place before the file is renamed
 into place. That pass holds one layer plus the kept bases, never the trace.
+
+``write_weights`` writes a container or a stream of ``(name, tensor)`` pairs
+alike, tensor by tensor, so a stream is never held whole.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ from .config import (
     _Reader,
     _write_header,
     output_file,
+    tensor_schema,
 )
-from .errors import InvalidTrace, NonFiniteValue, OutOfRange
+from .errors import DimensionMismatch, InvalidTrace, NonFiniteValue, OutOfRange
 from .weightfile import check_tensors, open_weights, write_entry, write_weights_header
 
 HALVES = ("mlp_inputs", "layer_outputs")  # trace halves, in file order
@@ -333,8 +337,8 @@ def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
 
 @dataclass
 class WeightContainer:
-    """A named-tensor map plus the shape that dictates its schema. Tensor
-    insertion order is preserved and is the on-disk order."""
+    """A named-tensor map plus the shape that dictates its schema; a writer
+    writes its tensors in schema order."""
 
     shape: ModelShape
     tensors: dict[str, np.ndarray]
@@ -352,16 +356,33 @@ def copy_container(container: WeightContainer) -> WeightContainer:
                            {name: t.copy() for name, t in container.tensors.items()})
 
 
-def write_weights(container: WeightContainer, destination) -> int:
-    """Serialize a validated container, finite as float32, to the file at the
-    path ``destination``; returns the number of bytes emitted. Each tensor is
-    cast, checked and written in turn, so one tensor's float32 copy is held
-    at a time; a failed check leaves ``destination`` as it was."""
-    validate_container(container)
+def write_weights(container: WeightContainer | tuple[ModelShape, Iterable[tuple[str, np.ndarray]]],
+                  destination) -> int:
+    """Serialize a model, finite as float32, to the file at the path
+    ``destination``; returns the number of bytes emitted. ``container`` is a
+    ``WeightContainer``, validated first, or a stream: a shape and its
+    ``(name, tensor)`` pairs, a tensor perhaps in consecutive row blocks under
+    its name. Either is written in schema order, checked against the schema
+    as it is written, one block's float32 copy at a time; a failed check
+    leaves ``destination`` as it was."""
+    shape, pairs = container if isinstance(container, tuple) else (
+        validate_container(container).shape,
+        ((name, container.tensors[name]) for name, _ in tensor_schema(container.shape)))
+    pairs = iter(pairs)
     with output_file(destination, binary=True) as handle:
-        n = write_weights_header(handle, container.shape)
-        for name, tensor in container.tensors.items():
-            n += write_entry(handle, name, tensor.shape, _float32(tensor, f"tensor {name!r}"))
+        n = write_weights_header(handle, shape)
+        for name, dims in tensor_schema(shape):
+            n += write_entry(handle, name, dims, b"")  # the data follows, block by block
+            rows = 0
+            while rows < dims[0]:
+                got, block = next(pairs, (None, None))
+                if got != name or block.shape[1:] != dims[1:] or rows + len(block) > dims[0]:
+                    raise DimensionMismatch(f"tensor {name!r} of dims {dims} is due at row "
+                                            f"{rows}, got {got!r} of dims {np.shape(block)}")
+                n += handle.write(_float32(block, f"tensor {name!r}"))
+                rows += len(block)
+        if (extra := next(pairs, None)) is not None:
+            raise DimensionMismatch(f"unexpected tensors not in schema: [{extra[0]!r}]")
         return n
 
 

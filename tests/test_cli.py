@@ -15,21 +15,23 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from d2m import cli, surgery, traceio
+from d2m import cli, nanomodel, surgery, traceio
 from d2m.cli import main
 from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, output_file,
                         read_matrices, tensor_schema)
 from d2m.errors import D2mError, InvalidConfig, IoFailure, OutOfRange, VerificationFailure
 from d2m.nanomodel import build_toy_container
 from d2m.search import threshold_sweep
-from d2m.traceio import SyntheticTrace, read_weights, write_weights
+from d2m.traceio import SyntheticTrace, WeightContainer, read_weights, write_weights
 from d2m.weightfile import open_weights
 
 from test_surgery import ULP, Fusion, wrong_expert_source
@@ -519,10 +521,73 @@ class TestSynth:
         assert "--redundant noise must be 0" in capsys.readouterr().err
         assert not (tmp_path / "synth" / "model.d2mw").exists()
 
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.fixed_dictionaries({flag: st.integers(1, 2 ** 31 - 1) for flag in (
+        "--layers", "--seq-len", "--hidden", "--vocab")}))
+    @example(sizes={"--layers": 2_000_000_000, "--seq-len": 96, "--hidden": 32, "--vocab": 64})
+    def test_outputs_larger_than_the_free_space_exit_3_creating_nothing(self, sizes):
+        # sized in closed form before the first draw, so no flag sizes an
+        # allocation; the smallest outputs, every size 1, take 1260 bytes
+        def small_disk(path):
+            return types.SimpleNamespace(f_bavail=1, f_frsize=1024)
+
+        argv = [f"{flag}={value}" for flag, value in sizes.items()]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "statvfs", small_disk)
+            out = Path(tmp, "x", "y")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                main(["synth", "--out-dir", str(out)])  # the stage's imports are done
+                tracemalloc.start()
+                start = time.perf_counter()
+                try:
+                    code = main(["synth", "--out-dir", str(out), *argv])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and peak < 256 << 10, (code, peak)
+            assert err.getvalue().splitlines()[-1].startswith(f"error: cannot write {out}: ")
+            assert err.getvalue().endswith(" bytes, 1024 are free\n")
+            assert os.listdir(tmp) == []
+
 
 README_SYNTH = ["--seed", "11", "--layers", "5", "--hidden", "16", "--mlp-dim", "32",
                 "--heads", "2", "--kv-heads", "1", "--head-dim", "8", "--vocab", "32",
                 "--seq-len", "48", "--redundant", "4:1:0.0"]
+
+
+def whole_model_oracle(shape: ModelShape, seed: int, scale: float,
+                       copies: list[tuple[int, int]]) -> WeightContainer:
+    """The toy weights as ``synth`` drew them before they were streamed: each
+    tensor drawn whole in schema order and rounded to float32, then each
+    copy applied in order against its base's current contents."""
+    rng = np.random.default_rng(seed)
+    tensors = {name: np.ones(dims) if name.endswith("norm")
+               else (rng.standard_normal(dims) * scale).astype(np.float32)
+               for name, dims in tensor_schema(shape)}
+    for base, offset in copies:
+        prefix = f"layer.{base}."
+        for name in list(tensors):
+            if name.startswith(prefix):
+                tensors[f"layer.{base + offset}.{name[len(prefix):]}"] = tensors[name].copy()
+    return WeightContainer(shape, tensors)
+
+
+@st.composite
+def streamed_models(draw):
+    """A small dense shape, a seed, a weight scale, and copy entries, chains
+    in either order among them."""
+    heads = draw(st.integers(1, 3))
+    shape = ModelShape(num_layers=draw(st.integers(2, 7)), hidden_dim=draw(st.integers(1, 9)),
+                       mlp_dim=draw(st.integers(1, 9)), num_heads=heads * draw(st.integers(1, 2)),
+                       num_kv_heads=heads, head_dim=draw(st.integers(1, 4)),
+                       vocab_size=draw(st.integers(1, 12)), tied_embedding=draw(st.booleans()))
+    copies = draw(st.lists(st.integers(1, shape.num_layers - 1).flatmap(
+        lambda base: st.tuples(st.just(base), st.integers(1, shape.num_layers - base))),
+        max_size=5))
+    scale = draw(st.floats(-50, 50, allow_nan=False))
+    return shape, draw(st.integers(0, 2 ** 32)), scale, copies
 
 
 class TestSynthStream:
@@ -551,7 +616,7 @@ class TestSynthStream:
             ("cost", cost))} == {
             "plan": "442a65f3b93b27c22b641fd23f8952224768608cfdf13a9463721a7cc3272402",
             "fused": "2c1b84d12ebc548d32aff021cd30a340e7bfd64ef2e63866e90246513f4d4623",
-            "prov": "62bfea4678093b9c0b986302b3852933bc2734113c3b9e31c424fe9b194693c9",
+            "prov": "ea4cf276eac2f0806a1e92f9828df26b767e52212e2727b2ef4a5ca849ff6924",
             "cost": "4c375db4556e5a77baebc97db3a5e270d17184589032133f1ff31aa95e8011fc",
         }
 
@@ -610,6 +675,65 @@ class TestSynthStream:
         assert "--redundant" in err and "Traceback" not in err
         assert (tmp_path / "trace.d2mt").read_bytes() == before
         assert sorted(tmp_path.rglob("*.tmp")) == []
+
+    def test_synthetic_mode_never_builds_the_whole_model(self, tmp_path, monkeypatch):
+        def whole_model(*args, **kwargs):
+            raise AssertionError("synthetic mode built the whole model")
+
+        monkeypatch.setattr("d2m.nanomodel.build_toy_container", whole_model)
+        assert main(["synth", "--out-dir", str(tmp_path), *README_SYNTH]) == 0
+        assert sha256_of(tmp_path / "model.d2mw") == (
+            "a7d2894662cce60a64185aef31a3b25705a9113a5e803a684d9351b4aeefa5e1")
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=streamed_models(), chunk=st.integers(1, 400))
+    @example(case=(ModelShape(num_layers=6, hidden_dim=4, mlp_dim=3, num_heads=2,
+                              num_kv_heads=1, head_dim=2, vocab_size=5), 11, 0.02,
+                   [(5, 1), (4, 1)]), chunk=8)
+    @example(case=(ModelShape(num_layers=6, hidden_dim=4, mlp_dim=3, num_heads=2,
+                              num_kv_heads=1, head_dim=2, vocab_size=5), 11, 0.02,
+                   [(4, 1), (5, 1)]), chunk=8)
+    def test_the_streamed_model_is_the_whole_model_drawn_then_copied(self, case, chunk):
+        # a chunk budget of a few bytes draws one row at a time
+        shape, seed, scale, copies = case
+        flags = [f"--layers={shape.num_layers}", f"--hidden={shape.hidden_dim}",
+                 f"--mlp-dim={shape.mlp_dim}", f"--heads={shape.num_heads}",
+                 f"--kv-heads={shape.num_kv_heads}", f"--head-dim={shape.head_dim}",
+                 f"--vocab={shape.vocab_size}", f"--seed={seed}", f"--weight-scale={scale!r}",
+                 "--seq-len=2", *(f"--redundant={base}:{offset}:0" for base, offset in copies),
+                 *([] if shape.tied_embedding else ["--untied"])]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nanomodel, "DRAW_CHUNK_BYTES", chunk)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["synth", "--out-dir", tmp, *flags]) == 0
+            write_weights(whole_model_oracle(shape, seed, scale, copies), Path(tmp, "oracle.d2mw"))
+            assert Path(tmp, "model.d2mw").read_bytes() == Path(tmp, "oracle.d2mw").read_bytes()
+
+    def test_synth_holds_a_chunk_and_the_copied_layer_not_the_model(self, tmp_path):
+        # the layer count and the vocab each take two sizes; the peak stays
+        # under one bound: the chunk budget, layer 2 kept for its copy, and
+        # the trace's layer and kept base at T=8
+        flags = ["--hidden", "128", "--mlp-dim", "512", "--heads", "4", "--kv-heads", "2",
+                 "--head-dim", "32", "--seq-len", "8", "--redundant", "2:1:0"]
+        shape = ModelShape(num_layers=6, hidden_dim=128, mlp_dim=512, num_heads=4,
+                           num_kv_heads=2, head_dim=32, vocab_size=2048)
+        kept = 4 * sum(math.prod(dims) for name, dims in tensor_schema(shape)
+                       if name.startswith("layer.2."))
+        bound = 2 * nanomodel.DRAW_CHUNK_BYTES + kept + (256 << 10)
+        assert main(["synth", "--out-dir", str(tmp_path / "warm"), *flags]) == 0
+        peaks = {}
+        for layers, vocab in ((6, 2048), (12, 2048), (6, 8192)):
+            tracemalloc.start()
+            try:
+                assert main(["synth", "--out-dir", str(tmp_path / f"{layers}-{vocab}"), *flags,
+                             "--layers", str(layers), "--vocab", str(vocab)]) == 0
+                peaks[layers, vocab] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        model = (tmp_path / "6-2048" / "model.d2mw").stat().st_size
+        assert bound < model / 2
+        assert max(peaks.values()) <= bound, (peaks, bound)
+        assert max(peaks.values()) - min(peaks.values()) < 64 << 10, peaks
 
     def test_forward_trace_beyond_float32_exits_2_leaving_nothing(self, tmp_path, capsys):
         out_dir = tmp_path / "x" / "a"
@@ -916,6 +1040,17 @@ class TestFusionReport:
             first = next(c for c in info.value.report.checks if not c.passed)
             assert first.name.partition(":")[0] == kind
             assert str(info.value) == f"{first.name}: {first.detail}"
+
+    def test_prov_json_lists_every_check_in_report_order(self, tmp_path, readme_run):
+        # beside the layer keys, which stay where they were
+        plan = load_plan(readme_run["plan"], 5)
+        _, report = surgery.fuse(readme_run["synth"] / "model.d2mw", plan, 1, 1, 1,
+                                 tmp_path / "fused.d2mw")
+        prov = json.loads(readme_run["prov"].read_text())
+        assert sorted(prov) == ["4", "checks"]
+        assert prov["checks"] == [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                                  for c in report.checks]
+        assert len(prov["checks"]) == 52 and all(c["passed"] for c in prov["checks"])
 
 
 # each argv exits 2 with its message and writes nothing: {matrices} and

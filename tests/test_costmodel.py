@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from d2m.config import (
@@ -357,6 +357,39 @@ def test_a_fused_block_costs_no_latency_while_top_k_fits_its_layers(case, hw, wl
         n, pool = len(block.redundant), base_copies + len(block.redundant) * supp_copies
         change += (pool - 1 - n) * mlp + pool * shape.hidden_dim - n * attention_and_norms
     assert static_memory(fused)[0] - static_memory(shape)[0] == change
+
+
+@given(case=dense_fusions(), hw=hardware(), wl=workloads)
+def test_past_top_k_n_plus_1_a_fused_block_decodes_by_its_break_even(case, hw, wl):
+    """The other side of the abstract's claim: with a block whose top-k
+    exceeds n_b + 1, a fused layer streams k MLPs where its block streamed
+    n_b + 1. From ``total_latency``, fused minus dense ``decode_s`` is
+    gen_len / bandwidth times
+
+        3r(k - 1) * d^2 * b_w * B
+          - sum_b n_b * (xi_w(r) * d^2 * b_w + 2 * S_bar * d * b_kv / gqa)
+
+    for B blocks, with r = mlp_dim / d, xi_w(r) = 2 + 2/gqa + 3r and
+    S_bar = prompt_len + (gen_len + 1) / 2: each fused layer reads k - 1 more
+    MLPs of 3r * d^2 weights, and each pruned layer no longer reads its
+    weights or its KV cache. The difference has the sign of that break-even,
+    taken in ``Fraction`` arithmetic, wherever it exceeds float rounding."""
+    shape, plan, base_copies, supp_copies, top_k = case
+    assume(any(top_k > len(block.redundant) + 1 for block in plan.blocks))
+    fused = _layout(shape, plan, base_copies, supp_copies, top_k)[0]
+    gqa, d = shape.num_heads // shape.num_kv_heads, shape.hidden_dim
+    r, weight_bytes = Fraction(shape.mlp_dim, d), Fraction(hw.weight_bytes)
+    s_bar = wl.prompt_len + Fraction(wl.gen_len + 1, 2)
+    pruned = ((2 + Fraction(2, gqa) + 3 * r) * d ** 2 * weight_bytes
+              + 2 * s_bar * d * Fraction(hw.kv_bytes) / gqa)
+    break_even = (3 * r * (top_k - 1) * d ** 2 * weight_bytes * len(plan.blocks)
+                  - sum(len(block.redundant) for block in plan.blocks) * pruned)
+    gap = wl.gen_len * break_even / Fraction(hw.mem_bandwidth)
+    dense_s = total_latency(shape, hw, wl).decode_s
+    difference = total_latency(fused, hw, wl).decode_s - dense_s
+    assert difference == pytest.approx(float(gap), rel=1e-9, abs=1e-12 * dense_s)
+    if abs(gap) > 1e-12 * dense_s:  # beyond float rounding
+        assert (difference > 0) == (gap > 0), (difference, float(gap))
 
 
 class TestActiveParams:

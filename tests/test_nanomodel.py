@@ -36,6 +36,7 @@ from d2m.nanomodel import (
     mlp_apply,
     moe_param_grads,
     route,
+    toy_tensors,
     train_toy,
 )
 from d2m.traceio import read_trace, write_trace
@@ -162,6 +163,28 @@ class TestMlpApply:
         message = f"inconsistent GLU triple: up (4, 6), gate {gate}, down {down}"
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             mlp_apply(mlp, np.zeros((2, 4)))
+
+
+class TestToyTensors:
+    SHAPE = ModelShape(num_layers=4, hidden_dim=8, mlp_dim=12, num_heads=2, num_kv_heads=1,
+                       head_dim=4, vocab_size=8, moe=MoEShape({2: 3, 3: 3}, top_k=1))
+
+    @pytest.mark.parametrize("copies, message", [
+        ([(1, 1)], "layer 2 cannot hold a copy of layer 1: their expert counts differ"),
+        ([(2, 2)], "layer 4 cannot hold a copy of layer 2: their expert counts differ"),
+        # layer 3 ends up holding drawn layer 1, a dense one
+        ([(2, 1), (1, 2)], "layer 3 cannot hold a copy of layer 1: their expert counts differ"),
+    ], ids=["dense-onto-moe", "moe-onto-dense", "chained"])
+    def test_a_copy_between_unlike_layers_is_refused_before_any_draw(self, copies, message):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            toy_tensors(self.SHAPE, seed=0, duplicate_from=copies)
+
+    def test_a_copy_between_like_moe_layers_holds_the_drawn_base(self):
+        container = build_toy_container(self.SHAPE, seed=0, duplicate_from=[(2, 1)])
+        for name, tensor in container.tensors.items():
+            if name.startswith("layer.3."):
+                base = container.tensors[name.replace("layer.3.", "layer.2.", 1)]
+                assert tensor.tobytes() == base.tobytes(), name
 
 
 class TestDenseForward:

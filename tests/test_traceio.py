@@ -378,6 +378,32 @@ class TestWritersRefuseWhatTheirReaderRejects:
         assert path.read_bytes() == before
         assert sorted(tmp_path.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda pairs: pairs[:2] + pairs[3:],
+         "tensor 'layer.1.attn_norm' of dims (16,) is due at row 0, got 'layer.1.attn.q' "
+         "of dims (16, 16)"),
+        (lambda pairs: pairs[:2] + [("layer.1.attn_norm", np.ones((16, 1)))] + pairs[3:],
+         "tensor 'layer.1.attn_norm' of dims (16,) is due at row 0, got 'layer.1.attn_norm' "
+         "of dims (16, 1)"),
+        (lambda pairs: pairs[:1] + [("final_norm", np.ones(9)), ("final_norm", np.ones(9))]
+         + pairs[2:], "tensor 'final_norm' of dims (16,) is due at row 9, got 'final_norm' "
+                      "of dims (9,)"),
+        (lambda pairs: pairs[:-1], "tensor 'layer.2.mlp.down' of dims (32, 16) is due at row "
+                                   "0, got None of dims ()"),
+        (lambda pairs: [*pairs, ("bias", np.zeros(4))],
+         "unexpected tensors not in schema: ['bias']"),
+    ], ids=["missing", "wrong-dims", "too-many-rows", "ends-early", "extra"])
+    def test_a_stream_off_the_schema_is_refused_as_it_is_written(self, tmp_path, change,
+                                                                 message):
+        path = tmp_path / "m.d2mw"
+        pairs = list(build_toy_container(TOY_SHAPE, seed=3).tensors.items())
+        write_weights((TOY_SHAPE, pairs), path)
+        before = path.read_bytes()
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            write_weights((TOY_SHAPE, change(pairs)), path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.glob("*.tmp")) == []
+
     def test_weights_writer_holds_one_tensor_in_float32_not_the_model(self, tmp_path):
         shape = ModelShape(num_layers=8, hidden_dim=128, mlp_dim=1024, num_heads=4,
                            num_kv_heads=2, head_dim=32, vocab_size=64)
