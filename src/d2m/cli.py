@@ -8,12 +8,13 @@ An optional --run-dir records a stage manifest (inputs and outputs with
 content hashes) and refuses to run a stage whose declared inputs no longer
 hash-match what an earlier stage produced. ``main`` keeps that protocol for
 every stage: each input is hashed once, before the stage runs, and the
-manifest records that digest; outputs are hashed once they are written.
+manifest records that digest; each output is hashed once it is written.
 Each ``cmd_*`` only does its stage's work and returns its note; ``main``
-runs it in one ``config.staged_outputs`` group, so a stage that fails
-replaces none of its outputs and removes the ``--out-dir`` it made; one
-that runs out of memory exits 3 with a line naming the stage. Every
-input file, the manifest and each file hashed included, is opened through
+runs it in one ``config.staged_outputs`` group, which the manifest joins
+last, so a stage that fails replaces none of its outputs, nor the
+manifest, and removes the ``--out-dir`` it made; one that runs out of
+memory exits 3 with a line naming the stage. Every input file, the
+manifest and each file hashed included, is opened through
 ``config.input_file``: one that is not a regular file, such as a pipe, is
 refused with exit 3, and every refusal names its file.
 
@@ -37,6 +38,7 @@ from .config import (
     ModelShape,
     PipelineConfig,
     SearchThresholds,
+    check_free_space,
     input_file,
     json_document,
     load_config,
@@ -44,6 +46,7 @@ from .config import (
     output_dir,
     plan_to_dict,
     read_matrices,
+    replaced_file,
     staged_outputs,
     text_file,
     validate_shape,
@@ -94,7 +97,8 @@ def _sha256(path) -> str:
 
 class PipelineRun:
     """Manifest bookkeeping for one stage in a run directory: the manifest is
-    read once, when the run is opened, and written once, by ``record``."""
+    read once, when the run is opened, and written once, by ``record``, as
+    the last file of the stage's output group."""
 
     def __init__(self, run_dir: Path):
         # refused before the stage runs, not when its manifest is written
@@ -120,8 +124,8 @@ class PipelineRun:
             raise CorruptManifest(str(exc)) from exc
         return data
 
-    def _rel(self, path: str | Path) -> str:
-        return os.path.relpath(Path(path).resolve(), self.run_dir.resolve())
+    def _rel(self, resolved: str | Path) -> str:
+        return os.path.relpath(resolved, os.path.realpath(self.run_dir))
 
     def check_inputs(self, inputs: list[str | Path]) -> dict[str | Path, str]:
         """Each input's digest, hashed once; any input an earlier stage
@@ -132,7 +136,7 @@ class PipelineRun:
         digests = {}
         for path in inputs:
             digests[path] = _sha256(path)
-            rel = self._rel(path)
+            rel = self._rel(os.path.realpath(path))
             if rel in recorded and recorded[rel] != digests[path]:
                 raise StaleArtifact(
                     f"input {path} no longer matches the hash recorded by an earlier stage"
@@ -140,16 +144,20 @@ class PipelineRun:
         return digests
 
     def record(self, stage: str, inputs: dict[str | Path, str],
-               outputs: list[str | Path]) -> None:
-        """Replace the stage's inputs with the digests ``check_inputs`` took;
-        add its outputs to those it recorded before, so ``search``'s plan and
-        sweep modes both stay checked."""
+               outputs: dict[Path, Path]) -> None:
+        """Inside the stage's open output group: replace the stage's inputs
+        with the digests ``check_inputs`` took, and add its outputs to those
+        it recorded before, so ``search``'s plan and sweep modes both stay
+        checked. ``outputs`` maps each new file, not yet renamed, to its
+        destination: the file is hashed, and the digest keyed by the file
+        its rename replaces. The manifest joins the group, renamed last."""
         earlier = self.data["stages"].get(stage, {}).get("outputs", {})
         self.data["stages"][stage] = {
-            "inputs": {self._rel(p): digest for p, digest in inputs.items()},
-            "outputs": {**earlier, **{self._rel(p): _sha256(p) for p in outputs}},
+            "inputs": {self._rel(os.path.realpath(p)): digest for p, digest in inputs.items()},
+            "outputs": {**earlier, **{self._rel(replaced_file(path)): _sha256(new)
+                                      for new, path in outputs.items()}},
         }
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        output_dir(self.run_dir)
         write_json(self.path, self.data)
 
 
@@ -189,7 +197,7 @@ def cmd_synth(args) -> str:
     from .costmodel import static_memory
     from .nanomodel import (build_toy_container, embed_tokens, forward_trace, make_copy_stream,
                             toy_tensors)
-    from .traceio import SyntheticTrace, write_trace, write_weights
+    from .traceio import synthetic_trace, write_trace, write_weights
 
     shape = validate_shape(ModelShape(
         num_layers=args.layers, hidden_dim=args.hidden, mlp_dim=args.mlp_dim,
@@ -203,8 +211,8 @@ def cmd_synth(args) -> str:
     # the trace's arguments are checked before the model's
     if args.trace_mode == "synthetic":
         # drawn as write_trace writes it, so it is never held whole
-        trace = SyntheticTrace(shape.num_layers, args.seq_len, shape.hidden_dim,
-                               redundant, args.seed)
+        trace = synthetic_trace(shape.num_layers, args.seq_len, shape.hidden_dim,
+                                redundant, args.seed)
     else:
         tokens = make_copy_stream(shape.vocab_size, args.seq_len, 1, args.seed)[0]
     duplicates = [(base, offset) for base, offset, _ in redundant]
@@ -212,17 +220,14 @@ def cmd_synth(args) -> str:
     # in closed form: the trace, and at least 4 bytes a parameter for the model
     size = 20 + 8 * shape.num_layers * args.seq_len * shape.hidden_dim
     size += 4 * static_memory(shape)[0]
-    out_dir = Path(args.out_dir)
-    disk = os.statvfs(next(d for d in (out_dir, *out_dir.parents) if d.exists()))
-    if size > (free := disk.f_bavail * disk.f_frsize):
-        raise IoFailure(f"cannot write {out_dir}: its outputs need {size} bytes, {free} are free")
+    check_free_space(args.out_dir, size)
     if args.trace_mode == "forward":
         with _overflow_names(f"--weight-scale {args.weight_scale:g}"):
             model = build_toy_container(shape, seed=args.seed, weight_scale=args.weight_scale,
                                         duplicate_from=duplicates)
         _, trace, _ = forward_trace(model, embed_tokens(model, tokens))
 
-    output_dir(out_dir)
+    out_dir = output_dir(args.out_dir)
     # the trace first, then the model; the noise and the weight scale can
     # each still overflow float32 as they are drawn
     with _overflow_names("--redundant noise"):
@@ -467,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one stage in one output group. Its declared inputs must exist. With
     --run-dir, each input is hashed once before the stage runs (a stale one is
-    refused), and the manifest records those digests and its outputs'."""
+    refused), and the manifest, the group's last file, records those digests
+    and its outputs'."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -481,8 +487,8 @@ def main(argv: list[str] | None = None) -> int:
         digests = run.check_inputs(inputs) if run else {}
         with staged_outputs() as group:
             note = args.func(args)
-        if run:
-            run.record(args.command, digests, group.written)
+            if run:
+                run.record(args.command, digests, dict(zip(group.temps, group.written)))
         print(f"wrote {', '.join(map(str, group.written))}{note}")
         return EXIT_OK
     except (VerificationFailure, NonFiniteActivation, NonFiniteGradient,

@@ -7,9 +7,10 @@ nothing, and every refusal names it; ``text_file``, through which every JSON
 and CSV input is read; ``json_document``, through which every JSON input is
 parsed; ``output_file``, through which every file the toolkit writes is
 written once beside its destination path and renamed into place with the
-rest of its ``staged_outputs`` group, one per CLI stage; and ``_read``, the
-one bounds-checked cursor through which every binary file is read by
-positioned reads (``weightfile`` walks a weights file's header through it).
+rest of its ``staged_outputs`` group, one per CLI stage, which takes each
+file once; and ``_read``, the one bounds-checked cursor through which every
+binary file is read by positioned reads (``weightfile`` walks a weights
+file's header through it).
 
 Nothing here imports numpy, so the stages that read only JSON, CSV and the
 similarity matrices cache start without it.
@@ -110,16 +111,27 @@ def staged_outputs() -> Iterator[OutputGroup]:
         _open.clear()
 
 
+def replaced_file(destination) -> Path:
+    """The file a rename onto ``destination`` replaces: its directory
+    resolved and its name kept, so a symlink counts as a file of its own."""
+    path = Path(destination)
+    return Path(os.path.realpath(path.parent), path.name)
+
+
 @contextmanager
 def output_file(destination, binary: bool = False) -> Iterator[IO]:
     """A new file beside the path ``destination`` (binary, or UTF-8 text
     without newline translation), open for the block; it then joins the open
-    output group, or a group of its own. A failed block removes it, and an
-    ``OSError`` raises ``IoFailure`` naming ``destination``."""
+    output group, or a group of its own. A destination whose
+    ``replaced_file`` the group already holds raises ``InvalidConfig``
+    naming it, before anything is created. A failed block removes the new
+    file, and an ``OSError`` raises ``IoFailure`` naming ``destination``."""
     path = Path(destination)
     # random, so a killed writer's leftover blocks no one
     temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     with staged_outputs() as group:
+        if replaced_file(path) in map(replaced_file, group.written):
+            raise InvalidConfig(f"two outputs of the stage name one file: {path}")
         try:
             # created exclusively, so it gets the umask's permissions and no
             # other file is truncated
@@ -145,6 +157,16 @@ def output_dir(path) -> Path:
         group.made.extend(reversed(list(missing)))
         path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def check_free_space(destination, size: int) -> None:
+    """Refuse, with ``IoFailure`` naming the path ``destination``, an output
+    of ``size`` bytes larger than the free space of the file system that
+    holds its nearest existing path."""
+    path = Path(destination)
+    disk = os.statvfs(next(d for d in (path, *path.parents) if d.exists()))
+    if size > (free := disk.f_bavail * disk.f_frsize):
+        raise IoFailure(f"cannot write {path}: need {size} bytes, {free} are free")
 
 
 def write_json(destination, doc: Any) -> None:
@@ -687,8 +709,15 @@ MATRIX_NAMES = ("s_out", "s_mlp", "delta_norm")
 
 
 def write_matrices(matrices: SimilarityMatrices, path: str | Path) -> None:
-    values = [value for name in MATRIX_NAMES
-              for row in getattr(matrices, name) for value in row]
+    """The matrices cache of ``matrices`` at ``path``; a value that is not
+    finite raises ``NonFiniteValue`` naming its matrix, before anything is
+    written."""
+    values = []
+    for name in MATRIX_NAMES:
+        matrix = [value for row in getattr(matrices, name) for value in row]
+        if not all(map(math.isfinite, matrix)):
+            raise NonFiniteValue(f"matrix {name} contains non-finite values")
+        values += matrix
     with output_file(path, binary=True) as handle:
         _write_header(handle, CACHE_MAGIC, CACHE_VERSION, matrices.num_layers)
         handle.write(struct.pack(f"<{len(values)}d", *values))

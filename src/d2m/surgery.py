@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from .config import (FusionPlan, ModelShape, MoEShape, _is_count, output_file, tensor_schema,
-                     validate_plan, validate_shape)
+from .config import (FusionPlan, ModelShape, MoEShape, _is_count, check_free_space, output_file,
+                     tensor_schema, validate_plan, validate_shape)
+from .costmodel import static_memory
 from .errors import InvalidPlan, PlanModelMismatch, VerificationFailure
 from .weightfile import WeightsFile, open_weights, write_entry, write_weights_header
 
@@ -63,12 +64,13 @@ class FusionReport:
 Layout = Iterator[tuple[str, tuple[int, ...], "str | None"]]
 
 
-def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: int,
-            top_k: int) -> tuple[ModelShape, ExpertProvenance, Layout]:
-    """The fused shape, its experts' provenance and its layout, checked
-    against the dense ``shape`` alone, so a refusal touches no tensor. The
-    three counts have one rule, whatever the plan: each is a positive int,
-    and ``top_k`` fits every fused pool; a refusal names the count."""
+def fused_shape(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: int,
+                top_k: int) -> ModelShape:
+    """The shape ``fuse`` makes of the dense ``shape``, in closed form: each
+    block base's pool holds K + n*M experts. Checked against ``shape`` alone,
+    so a refusal touches no tensor. The three counts have one rule, whatever
+    the plan: each is a positive int, and ``top_k`` fits every fused pool; a
+    refusal names the count."""
     if not all(map(_is_count, (base_copies, supp_copies, top_k))):
         raise PlanModelMismatch("base_copies, supp_copies and top_k must be positive counts, "
                                 f"got {base_copies!r}, {supp_copies!r}, {top_k!r}")
@@ -81,6 +83,20 @@ def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: 
         raise PlanModelMismatch(f"plan invalid for a {num_layers}-layer model: {exc}") from exc
 
     keep = plan.keep_layers
+    pools = {keep.index(block.base) + 1: base_copies + len(block.redundant) * supp_copies
+             for block in plan.blocks}
+    smallest = min(pools.values(), default=top_k)
+    if top_k > smallest:
+        raise PlanModelMismatch(f"top_k {top_k} exceeds the {smallest} experts of a fused layer")
+    return validate_shape(replace(shape, num_layers=len(keep),
+                                  moe=MoEShape(pools, top_k) if pools else None))
+
+
+def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int,
+            supp_copies: int) -> tuple[ExpertProvenance, Layout]:
+    """The experts' provenance and the tensor layout of ``shape``, the
+    ``fused_shape`` of the plan and the two copy counts."""
+    keep = plan.keep_layers
     provenance: ExpertProvenance = {
         keep.index(block.base) + 1:
             tuple(ExpertSource("base", block.base, c) for c in range(1, base_copies + 1))
@@ -88,15 +104,9 @@ def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: 
                     for red in block.redundant for c in range(1, supp_copies + 1))
         for block in plan.blocks
     }
-    smallest = min(map(len, provenance.values()), default=top_k)
-    if top_k > smallest:
-        raise PlanModelMismatch(f"top_k {top_k} exceeds the {smallest} experts of a fused layer")
-    moe = (MoEShape({layer: len(sources) for layer, sources in provenance.items()}, top_k)
-           if provenance else None)
-    fused_shape = validate_shape(replace(shape, num_layers=len(keep), moe=moe))
 
     def layout() -> Layout:
-        for name, dims in tensor_schema(fused_shape):
+        for name, dims in tensor_schema(shape):
             if not name.startswith("layer."):
                 yield name, dims, name
                 continue
@@ -110,7 +120,7 @@ def _layout(shape: ModelShape, plan: FusionPlan, base_copies: int, supp_copies: 
             else:
                 yield name, dims, f"layer.{keep[int(layer) - 1]}.{rest}"
 
-    return fused_shape, provenance, layout()
+    return provenance, layout()
 
 
 def fuse(model, plan: FusionPlan, base_copies: int, supp_copies: int, top_k: int,
@@ -125,19 +135,22 @@ def fuse(model, plan: FusionPlan, base_copies: int, supp_copies: int, top_k: int
     once: a router is zeros, the least-biased start for the balancing loss;
     an expert copies its provenance source's dense MLP; any other tensor
     copies the same tensor of the dense layer it renumbers. The plan and the
-    copy counts are checked against the model's header, then every dense
-    tensor is checked finite, before anything is written. The fused float32
+    copy counts are checked against the model's header, a fused model larger
+    than the free space at ``destination`` (at least 4 bytes a parameter)
+    is refused before any provenance is built, and every dense tensor is
+    checked finite, all before anything is written. The fused float32
     bytes are copied one tensor at a time into a new file that
     ``verify_fusion`` reads back before it replaces ``destination``, so a
     failed check leaves ``destination`` as it was.
     """
     with open_weights(model) as dense:
-        fused_shape, provenance, layout = _layout(dense.shape, plan, base_copies, supp_copies,
-                                                  top_k)
+        shape = fused_shape(dense.shape, plan, base_copies, supp_copies, top_k)
+        check_free_space(destination, 4 * static_memory(shape)[0])
+        provenance, layout = _layout(shape, plan, base_copies, supp_copies)
         for name in dense.tensors:  # all of them, in file order, before any is written
             dense.read(name, finite=True)
         with output_file(destination, binary=True) as out:
-            write_weights_header(out, fused_shape)
+            write_weights_header(out, shape)
             for name, dims, source in layout:
                 write_entry(out, name, dims,
                             bytes(4 * math.prod(dims)) if source is None else dense.read(source))

@@ -39,12 +39,14 @@ chunk (at least one token), so a pass holds no more than that.
 ``read_trace`` collects those chunks into a whole float64 trace, so it holds
 that trace plus one chunk.
 
-``write_trace`` writes each (half, layer) block at its slot's offset in the
-new file. An in-memory trace goes out in file order. A ``SyntheticTrace`` is
-drawn as it is written: each layer goes to its slot as soon as it is drawn,
-only the layers that a redundancy entry reads as its base are kept, and each
-entry's target slot is then overwritten in place before the file is renamed
-into place. That pass holds one layer plus the kept bases, never the trace.
+``write_trace`` writes an in-memory trace or a stream of ``(slot, layer)``
+pairs alike, each block at its slot's offset in the new file. An in-memory
+trace goes out in file order. ``synthetic_trace``'s stream is drawn as it is
+written: each layer goes to its slot as soon as it is drawn, only the layers
+that a redundancy entry reads as its base are kept, and each entry's target
+slot is then overwritten in place before the file is renamed into place.
+That pass holds one layer plus the kept bases, never the trace;
+``synth_trace`` collects the same stream into an in-memory trace.
 
 ``write_weights`` writes a container or a stream of ``(name, tensor)`` pairs
 alike, tensor by tensor, so a stream is never held whole.
@@ -151,17 +153,21 @@ def _float32(values: np.ndarray, what: str) -> memoryview:
 # --- trace format ---------------------------------------------------------------
 
 
-def write_trace(trace: ActivationTrace | SyntheticTrace, destination) -> int:
-    """Serialize a trace, in memory or synthetic, to the file at the path
-    ``destination``; returns its size in bytes.
+TraceStream = tuple[tuple[int, int, int], Iterator[tuple[int, np.ndarray]]]
 
-    Each (half, layer) block is cast to float32, checked, and written at its
-    slot's offset in the new file. A ``SyntheticTrace`` is drawn one layer at
-    a time as it is written, so the trace is never held whole.
+
+def write_trace(trace: ActivationTrace | TraceStream, destination) -> int:
+    """Serialize a trace to the file at the path ``destination``; returns its
+    size in bytes. ``trace`` is an ``ActivationTrace`` or a stream: its
+    (L, T, d) and ``(slot, layer)`` pairs, slot ``half * L + layer - 1``, a
+    slot perhaps more than once, the last one counting.
+
+    Each block is cast to float32, checked, and written at its slot's offset
+    in the new file, so a stream is never held whole.
     """
-    num_layers, seq_len, hidden = trace.num_layers, trace.seq_len, trace.hidden_dim
-    slots = (_synth_slots(trace) if isinstance(trace, SyntheticTrace)
-             else enumerate(itertools.chain(trace.mlp_inputs, trace.layer_outputs)))
+    (num_layers, seq_len, hidden), slots = trace if isinstance(trace, tuple) else (
+        (trace.num_layers, trace.seq_len, trace.hidden_dim),
+        enumerate(itertools.chain(trace.mlp_inputs, trace.layer_outputs)))
     layer_bytes = 4 * seq_len * hidden
     with output_file(destination, binary=True) as handle:
         start = _write_header(handle, TRACE_MAGIC, TRACE_VERSION, num_layers, seq_len, hidden)
@@ -263,11 +269,13 @@ def check_redundancy(num_layers: int, entries: Iterable[tuple]) -> tuple[tuple, 
     return entries
 
 
-class SyntheticTrace:
-    """A deterministic random trace with controllable layer redundancy, not
-    yet drawn: ``write_trace`` draws it one layer at a time as it writes it,
-    ``synth_trace`` draws it whole. Its arguments are checked when it is
-    built, so a caller can refuse them before it creates anything.
+def synthetic_trace(num_layers: int, seq_len: int, hidden_dim: int,
+                    redundancy_spec: Iterable[tuple[int, int, float]] = (),
+                    seed: int = 0) -> TraceStream:
+    """A deterministic random trace with controllable layer redundancy, as
+    the stream ``write_trace`` writes: its (L, T, d) and its ``(slot, float32
+    layer)`` pairs, drawn as they are taken. The arguments are checked before
+    this returns, so a caller can refuse them before it creates anything.
 
     Each ``(base, offset, noise_scale)`` entry rewrites layer ``base+offset``
     as layer ``base`` plus seeded Gaussian noise of the given scale, in both
@@ -276,19 +284,14 @@ class SyntheticTrace:
     current contents of the base layer. Values pass through float32 so the
     trace serializes losslessly.
     """
-
-    # a plain class: a frozen dataclass would add about 0.7 ms to the import
-    # of this module, which every CLI stage but estimate and pareto pays
-    def __init__(self, num_layers: int, seq_len: int, hidden_dim: int,
-                 redundancy_spec: Iterable[tuple[int, int, float]] = (), seed: int = 0):
-        if num_layers < 1 or seq_len < 1 or hidden_dim < 1:
-            raise InvalidTrace("num_layers, seq_len, and hidden_dim must be positive")
-        self.redundancy_spec = check_redundancy(num_layers, redundancy_spec)
-        self.num_layers, self.seq_len, self.hidden_dim = num_layers, seq_len, hidden_dim
-        self.seed = seed
+    if num_layers < 1 or seq_len < 1 or hidden_dim < 1:
+        raise InvalidTrace("num_layers, seq_len, and hidden_dim must be positive")
+    dims = (num_layers, seq_len, hidden_dim)
+    return dims, _synth_slots(dims, check_redundancy(num_layers, redundancy_spec), seed)
 
 
-def _synth_slots(trace: SyntheticTrace) -> Iterator[tuple[int, np.ndarray]]:
+def _synth_slots(dims: tuple[int, int, int], spec: tuple,
+                 seed: int) -> Iterator[tuple[int, np.ndarray]]:
     """The (slot, float32 layer) pairs of a synthetic trace, in its RNG order.
 
     Slot ``half * L + layer - 1`` is a layer of the MLP inputs (half 0) or of
@@ -298,9 +301,9 @@ def _synth_slots(trace: SyntheticTrace) -> Iterator[tuple[int, np.ndarray]]:
     last one counts. Only base layers are kept, in their current form. A
     yielded layer is overwritten by the next one.
     """
-    num_layers, shape = trace.num_layers, (trace.seq_len, trace.hidden_dim)
-    rng = np.random.default_rng(trace.seed)
-    bases = {base - 1 for base, _, _ in trace.redundancy_spec}
+    num_layers, shape = dims[0], dims[1:]
+    rng = np.random.default_rng(seed)
+    bases = {base - 1 for base, _, _ in spec}
     kept: dict[int, np.ndarray] = {}
     draw = np.empty(shape)
     layer = np.empty(shape, dtype=np.float32)
@@ -310,7 +313,7 @@ def _synth_slots(trace: SyntheticTrace) -> Iterator[tuple[int, np.ndarray]]:
         if slot % num_layers in bases:
             kept[slot] = layer.copy()
         yield slot, layer
-    for base, offset, scale in trace.redundancy_spec:
+    for base, offset, scale in spec:
         for first in (0, num_layers):  # the first slot of each half
             rng.standard_normal(out=draw)
             np.multiply(draw, scale, out=draw)
@@ -324,10 +327,10 @@ def _synth_slots(trace: SyntheticTrace) -> Iterator[tuple[int, np.ndarray]]:
 def synth_trace(num_layers: int, seq_len: int, hidden_dim: int,
                 redundancy_spec: Iterable[tuple[int, int, float]] = (),
                 seed: int = 0) -> ActivationTrace:
-    """The ``SyntheticTrace`` of these arguments, drawn whole into memory."""
-    trace = SyntheticTrace(num_layers, seq_len, hidden_dim, redundancy_spec, seed)
+    """The ``synthetic_trace`` of these arguments, collected into memory."""
+    _, slots = synthetic_trace(num_layers, seq_len, hidden_dim, redundancy_spec, seed)
     states = np.empty((2 * num_layers, seq_len, hidden_dim))
-    for slot, layer in _synth_slots(trace):
+    for slot, layer in slots:
         states[slot] = layer
     return make_trace(states[:num_layers], states[num_layers:])
 

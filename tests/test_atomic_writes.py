@@ -310,6 +310,21 @@ def test_a_failed_analyze_removes_the_out_dir_it_made(tmp_path, capsys):
     assert not (tmp_path / "new1").exists()
 
 
+def test_a_failed_manifest_write_replaces_no_output(tmp_path, capsys):
+    # the manifest is the last file of the stage's group, not a later commit
+    argv = ["synth", "--out-dir", str(tmp_path / "synth"), *SYNTH_ARGS,
+            "--run-dir", str(tmp_path)]
+    assert main(argv) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    with failing_writes(Budget(0, only="manifest.json")):
+        code = main([*argv, "--seed", "2"])  # outputs that differ
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: cannot write {tmp_path / 'manifest.json'}: "
+                                       f"[Errno {errno.ENOSPC}] No space left on device\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 # --- the CLI as a state machine -------------------------------------------------
 
 CANDIDATES_CSV = ("config_id,depth,latency_ms,score,reward\n"
@@ -484,11 +499,8 @@ class CliRun(RuleBasedStateMachine):
         assert changed <= {*outputs, "manifest.json"}
         for p in changed:
             assert is_complete(self.root / p), p
-        if code != 0:
-            # outputs are renamed together, and before the manifest is
-            # written, so only a failed manifest write leaves them replaced
-            manifest_failed = budget.fired and "manifest.json" in message
-            assert changed <= (set(outputs) if manifest_failed else set()), message
+        if code != 0:  # the manifest is renamed with the outputs, or none is
+            assert changed == set(), message
             return
         assert all(p in self.files for p in outputs) and sorted(staged) == sorted(written)
         key = (stage, inputs_before)

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, output_f
 from d2m.errors import D2mError, InvalidConfig, IoFailure, OutOfRange, VerificationFailure
 from d2m.nanomodel import build_toy_container
 from d2m.search import threshold_sweep
-from d2m.traceio import SyntheticTrace, WeightContainer, read_weights, write_weights
+from d2m.traceio import WeightContainer, read_weights, synthetic_trace, write_weights
 from d2m.weightfile import open_weights
 
 from test_surgery import ULP, Fusion, wrong_expert_source
@@ -464,7 +465,7 @@ class TestSynth:
         name, value = knob
         library = {
             "weight_scale": lambda: build_toy_container(self.BIG_SHAPE, 0, weight_scale=value),
-            "noise_scale": lambda: SyntheticTrace(4, 8, 256, [(1, 1, value)]),
+            "noise_scale": lambda: synthetic_trace(4, 8, 256, [(1, 1, value)]),
         }[name]
         flags = {"weight_scale": [f"--weight-scale={value!r}"],
                  "noise_scale": ["--redundant", f"1:1:{value!r}"]}[name]
@@ -926,6 +927,39 @@ class TestFuse:
         bound = 3 * largest + slack
         assert bound < model.stat().st_size / 2 < (tmp_path / "fused.d2mw").stat().st_size / 2
         assert peak <= bound, peak
+
+    @settings(max_examples=20, deadline=None)
+    @given(counts=st.tuples(st.integers(1, 2 ** 31 - 1), st.integers(1, 2 ** 31 - 1)))
+    @example(counts=(2_000_000_000, 1))
+    def test_an_output_larger_than_the_free_space_exits_3_writing_nothing(self, readme_run,
+                                                                         counts):
+        # sized in closed form from the model's header and the plan, before
+        # any expert's provenance is built; the README's fused model at
+        # K = M = 1 takes more than the 1024 bytes free
+        def small_disk(path):
+            return types.SimpleNamespace(f_bavail=1, f_frsize=1024)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "statvfs", small_disk)
+            out = Path(tmp, "fused.d2mw")
+            argv = ["fuse", "--model", str(readme_run["synth"] / "model.d2mw"),
+                    "--plan", str(readme_run["plan"]), "--supp-copies", str(counts[1]),
+                    "--top-k", "1", "--out", str(out), "--provenance-out", str(Path(tmp, "p.json"))]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                main([*argv, "--base-copies", "1"])  # the stage's imports are done
+                tracemalloc.start()
+                start = time.perf_counter()
+                try:
+                    code = main([*argv, "--base-copies", str(counts[0])])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and peak < 256 << 10, (code, peak)
+            assert err.getvalue().splitlines()[-1].startswith(f"error: cannot write {out}: need ")
+            assert err.getvalue().endswith(" bytes, 1024 are free\n")
+            assert os.listdir(tmp) == []
 
     @pytest.mark.parametrize("rule", PLAN_RULES)
     @settings(max_examples=8)
@@ -1591,7 +1625,8 @@ class TestManifest:
     def test_each_file_is_hashed_once_per_stage(self, tmp_path, monkeypatch, capsys):
         # every stage of the README pipeline, in one run directory: each input
         # is hashed once (before the stage runs, and that digest is recorded)
-        # and each output once, and the manifest is parsed once
+        # and each output once, as its new file, counted by its destination,
+        # and the manifest is parsed once
         root = tmp_path / "run"
         root.mkdir()
         (root / "candidates.csv").write_text(CANDIDATES_CSV)
@@ -1631,7 +1666,10 @@ class TestManifest:
         real_sha256, real_json_document = cli._sha256, cli.json_document
 
         def counted_sha256(path):
-            hashed.append(Path(path).resolve().relative_to(root).as_posix())
+            path = Path(path).resolve()
+            new = re.fullmatch(r"\.(.+)\.[0-9a-f]{8}\.tmp", path.name)
+            hashed.append((path.with_name(new.group(1)) if new else path)
+                          .relative_to(root).as_posix())
             return real_sha256(path)
 
         def counted_json_document(text, source):
@@ -1797,3 +1835,96 @@ class TestOutputsReplaceTogether:
         assert capsys.readouterr().err == f"error: cannot write {last}: it is a directory\n"
         assert files_under(tmp_path) == before
         assert last.is_dir() and sorted(tmp_path.rglob("*.tmp")) == []
+
+
+# each stage's argv in a run directory, and its output flags in the order it
+# writes them, each with its file
+ONE_FILE_STAGES = {
+    "search": (["search", "--matrices", "analysis/matrices.d2ms", "--delta", "0.05",
+                "--epsilon", "0.1"], {"--plan-out": "plan.json"}),
+    "sweep": (["search", "--matrices", "analysis/matrices.d2ms", "--sweep",
+               "--delta-grid", "0.01,0.1", "--epsilon-grid", "0.1"], {"--sweep-out": "sweep.csv"}),
+    "fuse": (["fuse", "--model", "synth/model.d2mw", "--plan", "plan.json", "--base-copies", "1",
+              "--supp-copies", "1", "--top-k", "1"],
+             {"--out": "fused.d2mw", "--provenance-out": "prov.json"}),
+    "estimate": (["estimate", "--config", "synth/config.json"], {"--out": "cost.json"}),
+    "train-toy": (["train-toy", "--model", "fused.d2mw", "--steps", "2", "--seq-len", "8",
+                   "--sequences", "1"],
+                  {"--log-out": "train_log.csv", "--model-out": "trained.d2mw"}),
+    "diagnose": (["diagnose", "--log", "train_log.csv"], {"--out": "wta.csv"}),
+    "pareto": (["pareto", "--candidates", "candidates.csv", "--base-latency", "195.87",
+                "--w", "-0.15"],
+               {"--rewards-out": "rewards.csv", "--frontier-out": "frontier.csv"}),
+}
+# one output on the manifest, for every output flag; or a stage's second
+# output on its first one's file, spelt as it is, from ".", or through a
+# symlink to the run directory
+ONE_FILE_CASES = [
+    *[(stage, flag, "manifest") for stage, (_, flags) in ONE_FILE_STAGES.items()
+      for flag in flags],
+    *[(stage, list(flags)[1], spelling) for stage, (_, flags) in ONE_FILE_STAGES.items()
+      if len(flags) == 2 for spelling in ("same", "dot", "linked-dir")],
+]
+
+
+@pytest.fixture(scope="module")
+def run_tree(tmp_path_factory) -> Path:
+    """A run directory where ``synth``, ``analyze`` and every stage of
+    ``ONE_FILE_STAGES`` have run once, with their manifest."""
+    root = tmp_path_factory.mktemp("onefile") / "run"
+    root.mkdir()
+    (root / "candidates.csv").write_text(CANDIDATES_CSV)
+    argvs = [["synth", "--out-dir", "synth", *README_SYNTH],
+             ["analyze", "--trace", "synth/trace.d2mt", "--out-dir", "analysis"],
+             *([*argv, *(a for item in flags.items() for a in item)]
+               for argv, flags in ONE_FILE_STAGES.values())]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.chdir(root):
+        for argv in argvs:
+            assert main([*argv, "--run-dir", "."]) == 0, argv
+    return root
+
+
+class TestEachFileOnce:
+    """A stage's output group takes each file once: two outputs on one file,
+    or an output on the run's manifest, exit 2 naming the file, before
+    anything is replaced."""
+
+    @pytest.mark.parametrize("stage, flag, spelling", ONE_FILE_CASES)
+    def test_a_file_named_twice_exits_2_naming_it_and_replaces_nothing(
+            self, tmp_path, capsys, monkeypatch, run_tree, stage, flag, spelling):
+        root = tmp_path / "run"
+        shutil.copytree(run_tree, root)
+        (tmp_path / "link").symlink_to(root, target_is_directory=True)
+        argv, flags = ONE_FILE_STAGES[stage]
+        first = flags[list(flags)[0]]
+        named = {"manifest": "manifest.json", "same": first, "dot": f"./{first}",
+                 "linked-dir": f"../link/{first}"}[spelling]
+        flags = {**flags, flag: named}
+        # the group refuses the second of the two: the manifest, written
+        # last, or the stage's second output
+        refused = Path(named)
+        monkeypatch.chdir(root)
+        before = files_under(root)
+        capsys.readouterr()
+        assert main([*argv, *(a for item in flags.items() for a in item), "--run-dir", "."]) == 2
+        assert (capsys.readouterr().err
+                == f"error: two outputs of the stage name one file: {refused}\n")
+        assert files_under(root) == before
+
+    def test_two_outputs_through_a_symlink_to_one_file_are_both_written(
+            self, tmp_path, monkeypatch, run_tree):
+        # a symlink is replaced, not followed, so it is a file of its own
+        root = tmp_path / "run"
+        shutil.copytree(run_tree, root)
+        (root / "link.csv").symlink_to("frontier.csv")
+        argv, _ = ONE_FILE_STAGES["pareto"]
+        monkeypatch.chdir(root)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--rewards-out", "link.csv", "--frontier-out", "frontier.csv",
+                         "--run-dir", "."]) == 0
+        assert not (root / "link.csv").is_symlink()
+        for name, like in (("link.csv", "rewards.csv"), ("frontier.csv", "frontier.csv")):
+            assert (root / name).read_bytes() == (run_tree / like).read_bytes()
+        outputs = json.loads((root / "manifest.json").read_text())["stages"]["pareto"]["outputs"]
+        assert outputs["link.csv"] == sha256_of(root / "link.csv")
+        assert outputs["frontier.csv"] == sha256_of(root / "frontier.csv")

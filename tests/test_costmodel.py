@@ -33,7 +33,7 @@ from d2m.costmodel import (
 )
 from d2m.errors import InvalidConfig, InvalidShape
 from d2m.nanomodel import build_toy_container
-from d2m.surgery import _layout, reference_pruned_model
+from d2m.surgery import fused_shape, reference_pruned_model
 
 from test_surgery import draw_plan, fused_model, fusion_cases
 
@@ -338,7 +338,7 @@ def test_a_fused_block_costs_no_latency_while_top_k_fits_its_layers(case, hw, wl
     sum_b [(K + n_b*M - 1 - n_b) * MLP + router_b - n_b * (attention and
     norms)]."""
     shape, plan, base_copies, supp_copies, top_k = case
-    fused = _layout(shape, plan, base_copies, supp_copies, top_k)[0]
+    fused = fused_shape(shape, plan, base_copies, supp_copies, top_k)
     dense_cost, fused_cost = (total_latency(s, hw, wl) for s in (shape, fused))
     if not plan.blocks:
         assert fused == shape and fused_cost == dense_cost
@@ -376,7 +376,7 @@ def test_past_top_k_n_plus_1_a_fused_block_decodes_by_its_break_even(case, hw, w
     taken in ``Fraction`` arithmetic, wherever it exceeds float rounding."""
     shape, plan, base_copies, supp_copies, top_k = case
     assume(any(top_k > len(block.redundant) + 1 for block in plan.blocks))
-    fused = _layout(shape, plan, base_copies, supp_copies, top_k)[0]
+    fused = fused_shape(shape, plan, base_copies, supp_copies, top_k)
     gqa, d = shape.num_heads // shape.num_kv_heads, shape.hidden_dim
     r, weight_bytes = Fraction(shape.mlp_dim, d), Fraction(hw.weight_bytes)
     s_bar = wl.prompt_len + Fraction(wl.gen_len + 1, 2)

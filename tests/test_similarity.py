@@ -551,6 +551,18 @@ def cache_matrices(draw, cosines=st.one_of(FINITE, NEAR_COSINES),
             for values in (cosines, cosines, gaps)]
 
 
+@st.composite
+def non_finite_matrices(draw) -> tuple[list[np.ndarray], str]:
+    """Matrices of the cache's ranges with one NaN or infinity, and the name
+    of the matrix that holds it."""
+    mats = draw(cache_matrices(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)))
+    index = draw(st.integers(0, 2))
+    num_layers = len(mats[0])
+    row, col = (draw(st.integers(0, num_layers - 1)) for _ in range(2))
+    mats[index][row, col] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    return mats, MATRIX_NAMES[index]
+
+
 class TestMatricesCache:
     @settings(max_examples=150)
     @given(mats=cache_matrices(), lam=st.sampled_from((0.0, 1.0, 2.5)),
@@ -581,17 +593,25 @@ class TestMatricesCache:
                 assert search(back, thresholds) == search(matrices, thresholds) == cell.plan
 
     @settings(max_examples=100)
-    @given(mats=cache_matrices(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
-           data=st.data())
-    def test_non_finite_value_is_refused_naming_its_matrix(self, mats, data):
-        index = data.draw(st.integers(0, 2))
-        num_layers = len(mats[0])
-        row, col = (data.draw(st.integers(0, num_layers - 1)) for _ in range(2))
-        mats[index][row, col] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
-        name = ("s_out", "s_mlp", "delta_norm")[index]
+    @given(case=non_finite_matrices())
+    def test_non_finite_value_is_refused_naming_its_matrix(self, case):
+        mats, name = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.d2ms"
-            write_matrices(SimilarityMatrices(*mats), path)
+            # the bytes the writer would write, which it refuses to
+            path.write_bytes(b"D2MS" + struct.pack("<II", 1, len(mats[0])) + b"".join(
+                np.ascontiguousarray(m, "<f8").tobytes() for m in mats))
             message = f"^{re.escape(str(path))}: matrices cache {name} contains non-finite values$"
             with pytest.raises(NonFiniteValue, match=message):
                 read_matrices(path)
+
+    @settings(max_examples=100)
+    @given(case=non_finite_matrices())
+    def test_the_writer_refuses_a_non_finite_value_writing_nothing(self, case):
+        mats, name = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.d2ms"
+            path.write_bytes(b"old")
+            with pytest.raises(NonFiniteValue, match=f"^matrix {name} contains non-finite values$"):
+                write_matrices(SimilarityMatrices(*mats), path)
+            assert os.listdir(tmp) == ["m.d2ms"] and path.read_bytes() == b"old"

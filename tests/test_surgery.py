@@ -120,8 +120,8 @@ def wrong_expert_source(monkeypatch) -> None:
     layout = surgery._layout
 
     def wrong_source(*args):
-        shape, provenance, entries = layout(*args)
-        return shape, provenance, (
+        provenance, entries = layout(*args)
+        return provenance, (
             (name, dims, "layer.1.mlp.up" if re.fullmatch(r"layer\.\d+\.moe\.expert\.1\.up",
                                                            name) else source)
             for name, dims, source in entries)

@@ -49,12 +49,12 @@ from d2m.similarity import (
 )
 from d2m.traceio import (
     CHUNK_BYTES,
-    SyntheticTrace,
     chunk_tokens,
     make_trace,
     read_trace,
     read_weights,
     synth_trace,
+    synthetic_trace,
     validate_container,
     write_trace,
     write_weights,
@@ -136,7 +136,7 @@ class TestTraceFormat:
         dims = (2, 5000, 32)
         assert 2 * chunk_tokens(*dims) < dims[1] <= 3 * chunk_tokens(*dims)
         path = tmp_path / "t.d2mt"
-        write_trace(SyntheticTrace(*dims, [(1, 1, 0.5)], seed=3), path)
+        write_trace(synthetic_trace(*dims, [(1, 1, 0.5)], seed=3), path)
         tracemalloc.start()
         try:
             back = read_trace(path)
@@ -302,8 +302,8 @@ def synth_specs(draw):
 
 
 class TestStreamedSynth:
-    """``write_trace`` of a ``SyntheticTrace`` draws each layer as it writes
-    it and overwrites each entry's target slot in place."""
+    """``write_trace`` of ``synthetic_trace``'s stream draws each layer as it
+    writes it and overwrites each entry's target slot in place."""
 
     @settings(max_examples=60)
     @given(synth_specs())
@@ -314,7 +314,7 @@ class TestStreamedSynth:
         num_layers, seq_len, hidden, spec, seed = case
         with tempfile.TemporaryDirectory() as tmp:
             streamed, whole = Path(tmp) / "streamed.d2mt", Path(tmp) / "whole.d2mt"
-            size = write_trace(SyntheticTrace(num_layers, seq_len, hidden, spec, seed),
+            size = write_trace(synthetic_trace(num_layers, seq_len, hidden, spec, seed),
                                streamed)
             write_trace(synth_trace(num_layers, seq_len, hidden, spec, seed), whole)
             assert streamed.read_bytes() == whole.read_bytes() == whole_trace_bytes(*case)
@@ -324,12 +324,12 @@ class TestStreamedSynth:
         seq_len, hidden = 64, 256
         spec = ((1, 1, 0.1), (3, 2, 0.1), (2, 3, 0.2))  # bases 1, 2, 3 in both halves
         kept = 2 * 3
-        write_trace(SyntheticTrace(2, 2, 2, spec[:1]), tmp_path / "warm.d2mt")  # imports
+        write_trace(synthetic_trace(2, 2, 2, spec[:1]), tmp_path / "warm.d2mt")  # imports
         peaks = {}
         for num_layers in (8, 32):
             tracemalloc.start()
             try:
-                write_trace(SyntheticTrace(num_layers, seq_len, hidden, spec, 5),
+                write_trace(synthetic_trace(num_layers, seq_len, hidden, spec, 5),
                             tmp_path / f"{num_layers}.d2mt")
                 peaks[num_layers] = tracemalloc.get_traced_memory()[1]
             finally:
