@@ -7,8 +7,10 @@ input or validation failure, 3 I/O failure, 4 internal invariant violation.
 An optional --run-dir records a stage manifest (inputs and outputs with
 content hashes) and refuses to run a stage whose declared inputs no longer
 hash-match what an earlier stage produced. ``main`` keeps that protocol for
-every stage: each input is hashed once, before the stage runs, and the
-manifest records that digest; each output is hashed once it is written.
+every stage: each input is hashed once, on a second thread beside the
+stage's work (sha256 and the reads release the GIL), and the manifest
+records that digest; a stale or unreadable input still wins over whatever
+the stage raised. Each output is hashed once it is written.
 Each ``cmd_*`` only does its stage's work and returns its note; ``main``
 runs it in one ``config.staged_outputs`` group, which the manifest joins
 last, so a stage that fails replaces none of its outputs, nor the
@@ -22,7 +24,8 @@ Each subcommand imports the modules it runs when it runs, so a stage pays
 only for its own imports: ``search`` (plan and sweep modes), ``fuse``,
 ``estimate``, ``pareto`` and ``diagnose`` never load numpy (``fuse`` copies
 and checks the weight file's float32 bytes as they are), and only a stage
-given --run-dir loads ``hashlib``, whose OpenSSL takes about 3.6 MiB.
+given --run-dir loads ``hashlib``, whose OpenSSL takes about 3.6 MiB, and
+starts a thread.
 """
 
 from __future__ import annotations
@@ -101,6 +104,9 @@ class PipelineRun:
     the last file of the stage's output group."""
 
     def __init__(self, run_dir: Path):
+        # OpenSSL is loaded here, on the main thread: loaded by the digests'
+        # thread, it takes that thread's own malloc arena (0.45 MiB more RSS)
+        import hashlib  # noqa: F401
         # refused before the stage runs, not when its manifest is written
         existing = next(d for d in (run_dir, *run_dir.parents) if d.exists())
         if not existing.is_dir():
@@ -129,7 +135,9 @@ class PipelineRun:
 
     def check_inputs(self, inputs: list[str | Path]) -> dict[str | Path, str]:
         """Each input's digest, hashed once; any input an earlier stage
-        produced must still match the digest that stage recorded."""
+        produced must still match the digest that stage recorded. ``main``
+        runs it beside the stage and takes its result, or its refusal,
+        before the stage's outputs are renamed, also when the stage fails."""
         recorded: dict[str, str] = {}
         for stage in self.data["stages"].values():
             recorded.update(stage.get("outputs", {}))
@@ -159,6 +167,31 @@ class PipelineRun:
         }
         output_dir(self.run_dir)
         write_json(self.path, self.data)
+
+
+def _in_background(func, *args):
+    """Start ``func(*args)`` on a daemon thread; the callable returned waits
+    for it, then returns its result or raises its exception."""
+    import threading  # only a --run-dir stage starts one
+
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = func(*args)
+        except BaseException as exc:  # raised where the result is taken
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+
+    def result():
+        thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return result
 
 
 # --- subcommands ---------------------------------------------------------------------
@@ -353,13 +386,19 @@ def cmd_diagnose(args) -> str:
 
 
 def cmd_train_toy(args) -> str:
+    from .costmodel import static_memory
     from .nanomodel import check_topology, make_copy_stream, train_toy
     from .traceio import read_weights, write_weights
     from .weightfile import open_weights
 
     with open_weights(args.model) as header:
         shape = header.shape
-    check_topology(shape)  # from the header, before any tensor is read
+    # from the header, before any tensor is read: the topology, then the
+    # outputs' size as lower bounds, 8 bytes a cell for each row of the log
+    # (its header row is that short, a step's row longer) and 4 a parameter
+    check_topology(shape)
+    check_free_space(args.log_out, (args.steps + 1) * 8 * (3 + sum(shape.experts.values())))
+    check_free_space(args.model_out, 4 * static_memory(shape)[0])
     model = read_weights(args.model)
     data = make_copy_stream(model.shape.vocab_size, args.seq_len, args.sequences, args.seed)
     log, trained = train_toy(model, data, steps=args.steps, lr=args.lr, alpha=args.alpha)
@@ -471,9 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one stage in one output group. Its declared inputs must exist. With
-    --run-dir, each input is hashed once before the stage runs (a stale one is
-    refused), and the manifest, the group's last file, records those digests
-    and its outputs'."""
+    --run-dir, each input is hashed once, beside the stage, and the manifest,
+    the group's last file, records those digests and its outputs'. A stale or
+    unreadable input is refused before any output is renamed, even if the
+    stage failed; an interrupt does not wait for the digests."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -484,11 +524,15 @@ def main(argv: list[str] | None = None) -> int:
             if not Path(path).exists():
                 raise MissingInput(f"input does not exist: {path}")
         run = PipelineRun(Path(args.run_dir)) if args.run_dir else None
-        digests = run.check_inputs(inputs) if run else {}
         with staged_outputs() as group:
-            note = args.func(args)
+            digests = _in_background(run.check_inputs, inputs) if run else dict
+            try:
+                note = args.func(args)
+            except Exception:
+                digests()  # a stale or unreadable input wins over the stage's error
+                raise
             if run:
-                run.record(args.command, digests, dict(zip(group.temps, group.written)))
+                run.record(args.command, digests(), dict(zip(group.temps, group.written)))
         print(f"wrote {', '.join(map(str, group.written))}{note}")
         return EXIT_OK
     except (VerificationFailure, NonFiniteActivation, NonFiniteGradient,

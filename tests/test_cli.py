@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import types
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from d2m import cli, nanomodel, surgery, traceio
+from d2m import cli, diagnostics, nanomodel, similarity, surgery, tradeoff, traceio
 from d2m.cli import main
 from d2m.config import (FusionBlock, FusionPlan, ModelShape, load_plan, output_file,
                         read_matrices, tensor_schema)
@@ -1426,6 +1427,58 @@ class TestTrainAndDiagnose:
         assert not (tmp_path / "bad.csv").exists()
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(steps=st.integers(1, 2 ** 31 - 1), short=st.sampled_from(["--log-out", "--model-out"]))
+    @example(steps=2 ** 31 - 1, short="--log-out")
+    @example(steps=1, short="--model-out")
+    def test_an_output_larger_than_the_free_space_exits_3_writing_nothing(self, readme_run,
+                                                                         steps, short):
+        # sized from the model's header, before any tensor is read: each
+        # output in a directory of its own, the short one with 16 bytes free
+        def untouched(*args, **kwargs):
+            raise AssertionError("a tensor was read or a step trained")
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            outs = {"--log-out": Path(tmp, "log", "train_log.csv"),
+                    "--model-out": Path(tmp, "model", "trained.d2mw")}
+            for path in outs.values():
+                path.parent.mkdir()
+            patch.setattr(os, "statvfs", lambda path: types.SimpleNamespace(
+                f_bavail=1, f_frsize=16 if Path(path) == outs[short].parent else 1 << 50))
+            patch.setattr(traceio, "read_weights", untouched)
+            patch.setattr(nanomodel, "train_toy", untouched)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["train-toy", "--model", str(readme_run["fused"]),
+                             "--steps", str(steps), *(a for item in outs.items()
+                                                      for a in map(str, item))])
+            assert code == 3, err.getvalue()
+            assert err.getvalue().startswith(f"error: cannot write {outs[short]}: need ")
+            assert err.getvalue().endswith(" bytes, 16 are free\n")
+            assert [list(path.parent.iterdir()) for path in outs.values()] == [[], []]
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_outputs_that_just_fit_the_free_space_are_written(self, tmp_path, readme_run,
+                                                             monkeypatch, steps):
+        # the free-space bounds are lower bounds: with exactly each output's
+        # size free in its directory, the stage still writes both
+        outs = {"--log-out": tmp_path / "log" / "train_log.csv",
+                "--model-out": tmp_path / "model" / "trained.d2mw"}
+        for path in outs.values():
+            path.parent.mkdir()
+        argv = ["train-toy", "--model", str(readme_run["fused"]), "--steps", str(steps),
+                "--seq-len", "8", "--sequences", "1",
+                *(a for item in outs.items() for a in map(str, item))]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            written = {path.parent: path.read_bytes() for path in outs.values()}
+            for path in outs.values():
+                path.unlink()
+            monkeypatch.setattr(os, "statvfs", lambda path: types.SimpleNamespace(
+                f_bavail=len(written[Path(path)]), f_frsize=1))
+            assert main(argv) == 0
+        assert {path.parent: path.read_bytes() for path in outs.values()} == written
+
     @pytest.mark.parametrize("row", ["1,x,0.5,1.0", "1", "1,0.5,0.5", "1,nan,0.5,1.0",
                                      "1,0.5,inf,1.0", "1,0.5,0.5,nan", "1.5,0.5,0.5,1.0",
                                      "0,1.0,0.1,-3.0,7.5", "1,0.5,0.5,1.5,-0.5",
@@ -1928,3 +1981,109 @@ class TestEachFileOnce:
         outputs = json.loads((root / "manifest.json").read_text())["stages"]["pareto"]["outputs"]
         assert outputs["link.csv"] == sha256_of(root / "link.csv")
         assert outputs["frontier.csv"] == sha256_of(root / "frontier.csv")
+
+
+# the function each stage's own work starts with, for the stages of ``run_tree``
+STAGE_WORK = {"analyze": (similarity, "stream_matrices"), "search": (cli, "read_matrices"),
+              "sweep": (cli, "read_matrices"), "fuse": (surgery, "fuse"),
+              "estimate": (cli, "load_config"), "train-toy": (nanomodel, "train_toy"),
+              "diagnose": (diagnostics, "train_log_from_csv"),
+              "pareto": (tradeoff, "read_candidates_csv")}
+
+
+def relative_files(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): data for path, data in files_under(root).items()}
+
+
+class TestDigestBesideTheStage:
+    """With --run-dir, each input is hashed beside the stage's own work, not
+    before it, and the refusal order is kept: a stale input exits 4 and an
+    unreadable one exits 3, whatever the stage raised, before any output is
+    renamed."""
+
+    @pytest.mark.parametrize("stage", STAGE_WORK)
+    def test_the_input_digest_runs_while_the_stage_works(self, tmp_path, monkeypatch, run_tree,
+                                                         stage):
+        # each digest waits until the stage's work has started: one taken
+        # before the stage would wait out its timeout
+        root = tmp_path / "run"
+        shutil.copytree(run_tree, root)
+        started, waits = threading.Event(), []
+        module, name = STAGE_WORK[stage]
+        work, real_sha256 = getattr(module, name), cli._sha256
+
+        def starting_work(*args, **kwargs):
+            started.set()
+            return work(*args, **kwargs)
+
+        def waiting_sha256(path):
+            waits.append(started.wait(timeout=3))
+            return real_sha256(path)
+
+        monkeypatch.setattr(module, name, starting_work)
+        monkeypatch.setattr(cli, "_sha256", waiting_sha256)
+        monkeypatch.chdir(root)
+        argv, flags = ONE_FILE_STAGES.get(
+            stage, (["analyze", "--trace", "synth/trace.d2mt", "--out-dir", "analysis"], {}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, *(a for item in flags.items() for a in item),
+                         "--run-dir", "."]) == 0
+        assert waits and all(waits), waits
+        # the outputs and the manifest are those the serial run wrote
+        assert relative_files(root) == relative_files(run_tree)
+
+    @pytest.mark.parametrize("stage", ["analyze", "search"])
+    def test_a_stale_input_that_no_longer_parses_exits_4(self, tmp_path, capsys, run_tree,
+                                                          stage):
+        # the stage itself refuses the flipped magic with exit 2; the stale
+        # digest wins, and the group removes what the stage made
+        root = tmp_path / "run"
+        shutil.copytree(run_tree, root)
+        new = tmp_path / "new"
+        if stage == "analyze":
+            path = root / "synth" / "trace.d2mt"
+            argv = ["analyze", "--trace", str(path), "--out-dir", str(new / "analysis")]
+        else:
+            path = root / "analysis" / "matrices.d2ms"
+            argv = ["search", "--matrices", str(path), "--delta", "0.05", "--epsilon", "0.1",
+                    "--plan-out", str(root / "plan.json")]
+        raw = bytearray(path.read_bytes())
+        raw[0] ^= 0xFF
+        path.write_bytes(raw)
+        before = relative_files(root)
+        assert main(argv) == 2
+        assert not new.exists()
+        capsys.readouterr()
+        assert main([*argv, "--run-dir", str(root)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: input {path} no longer matches the hash recorded by an earlier stage\n")
+        assert relative_files(root) == before and not new.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_an_input_that_is_not_a_file_exits_3_naming_it(self, tmp_path, capsys, run_tree,
+                                                           kind):
+        root = tmp_path / "run"
+        shutil.copytree(run_tree, root)
+        trace, new = root / "synth" / "trace.d2mt", tmp_path / "new"
+        trace.unlink()
+        trace.mkdir() if kind == "directory" else os.mkfifo(trace)
+        before = relative_files(root)
+        capsys.readouterr()
+        assert main(["analyze", "--trace", str(trace), "--out-dir", str(new / "analysis"),
+                     "--run-dir", str(root)]) == 3
+        assert capsys.readouterr() == ("", f"error: {trace}: not a regular file\n")
+        assert relative_files(root) == before and not new.exists()
+
+    def test_a_fresh_input_keeps_the_stage_s_own_refusal(self, tmp_path, capsys, run_tree):
+        root = tmp_path / "run"
+        shutil.copytree(run_tree, root)
+        argv = ["train-toy", "--model", str(root / "fused.d2mw"), "--steps", "0",
+                "--log-out", str(root / "train_log.csv"),
+                "--model-out", str(root / "trained.d2mw")]
+        before = relative_files(root)
+        capsys.readouterr()
+        assert main(argv) == 2
+        alone = capsys.readouterr()
+        assert main([*argv, "--run-dir", str(root)]) == 2
+        assert capsys.readouterr() == alone == ("", "error: steps must be at least 1\n")
+        assert relative_files(root) == before
